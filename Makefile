@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint lint-strict test test-short race fmt-check ci bench bench-json perfdiff repro cover fuzz chaos smoke load overload obs-demo clean
+.PHONY: all build vet lint lint-strict test test-short race fmt-check ci bench bench-json bench-e2e perfdiff repro cover fuzz chaos smoke load overload obs-demo clean
 
 all: build vet lint test
 
@@ -86,6 +86,16 @@ perfdiff:
 	$(BENCH_RUN) | go run ./cmd/perfdiff -emit -best > /tmp/pels-bench-new.json
 	go run ./cmd/perfdiff -base BENCH_$(BENCH_V).json -new /tmp/pels-bench-new.json \
 		-gate '$(BENCH_GATE)' -allocs-only
+
+# The end-to-end benchmark is a module of its own (bench/go.mod), so
+# `go build ./...` and `go test ./...` never compile it. This vets and
+# race-tests it against the tree and runs one second of the driver's own
+# command, so a session/wire API change that breaks it fails here (the CI
+# load-smoke job) and not in the driver.
+bench-e2e:
+	go -C bench vet ./...
+	go -C bench test -short -race ./...
+	bash bench/run.sh --workload egress-wide --seed 1 --seconds 1 --trace 0
 
 cover:
 	go test -cover ./internal/...

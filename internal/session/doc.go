@@ -8,7 +8,10 @@
 //     send on it, so the number of pacing goroutines is a property of the
 //     server (one driver plus a small worker pool), not of the session
 //     count — the goroutine-per-sender pacing of wire.Sender does not
-//     survive into the thousands-of-streams regime.
+//     survive into the thousands-of-streams regime. The driver hands a
+//     tick's fired sessions to a worker a chunk at a time, so the channel
+//     operation, clock read and wheel lock of the hand-off are paid per
+//     chunk, not per datagram.
 //   - Table is the sharded session table, keyed by (peer address, flow
 //     ID) with a lock and an obs registry per shard, so hello admission,
 //     feedback dispatch, and reaping contend only within a shard.

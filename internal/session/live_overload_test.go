@@ -118,7 +118,13 @@ func TestLiveRejectReasons(t *testing.T) {
 		sendHello(t, c4, addr, 3)
 		time.Sleep(20 * time.Millisecond)
 	}
+	// A hello that beats Shutdown's draining flag finds the table full and
+	// is told so; those answers come first and are skipped (the loop above
+	// sent a bounded number of hellos, and awaitType fails on silence).
 	h = awaitType(t, c4, wire.TypeReject, 3, 2*time.Second)
+	for h.Reason() == wire.ReasonServerFull {
+		h = awaitType(t, c4, wire.TypeReject, 3, 2*time.Second)
+	}
 	if h.Reason() != wire.ReasonDraining {
 		t.Errorf("drain reject: reason %v, want draining", h.Reason())
 	}
@@ -131,8 +137,8 @@ func TestLiveRejectReasons(t *testing.T) {
 	}
 
 	st := srv.Stats()
-	if st.RejectedFull != 1 || st.RejectedConfig != 1 || st.RejectedDrain == 0 {
-		t.Errorf("per-reason counters full=%d config=%d drain=%d, want 1/1/>0",
+	if st.RejectedFull == 0 || st.RejectedConfig != 1 || st.RejectedDrain == 0 {
+		t.Errorf("per-reason counters full=%d config=%d drain=%d, want >0/1/>0",
 			st.RejectedFull, st.RejectedConfig, st.RejectedDrain)
 	}
 	if st.Rejected != st.RejectedFull+st.RejectedConfig+st.RejectedDrain {

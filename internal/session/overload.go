@@ -65,7 +65,9 @@ func (c OverloadConfig) withDefaults(layers int) OverloadConfig {
 type loadSignals struct {
 	// Occupancy is table length over MaxSessions.
 	Occupancy float64
-	// Backlog is the pump-jobs queue depth over its capacity.
+	// Backlog is the share of the hand-off's chunk buffers in flight
+	// (queued for a worker or being pumped); at 1 the driver is waiting
+	// for a worker to return one.
 	Backlog float64
 	// Lateness is the wheel driver's smoothed lag behind its tick,
 	// normalized by lateHorizon ticks.

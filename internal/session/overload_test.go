@@ -1,6 +1,7 @@
 package session
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -140,5 +141,73 @@ func TestSessionExpireStuck(t *testing.T) {
 	}
 	if s.expireStuck(t2.Add(time.Hour), window) {
 		t.Fatal("watchdog fired twice on a closed session")
+	}
+}
+
+// TestOverloadSeesBlockedDriver: with every chunk buffer in flight the
+// driver waits for one, the Backlog signal alone puts the load score at
+// High, and the wait ends with the context — a shutdown cannot deadlock on
+// workers that never return a buffer.
+func TestOverloadSeesBlockedDriver(t *testing.T) {
+	s, clk, _ := handServer(t, discard{}, func(cfg *ServerConfig) {
+		cfg.Overload.Capacity = 1000 * units.Mbps
+	})
+	held := make([][]*Timer, 0, cap(s.free))
+	for len(s.free) > 0 {
+		held = append(held, <-s.free)
+	}
+	s.admit(handPeer, 1, clk.Now())
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		s.driver(ctx)
+	}()
+	// The fake clock never blocks, so the driver reaches a session's first
+	// tick at once; it is waiting when the timer has fired and no chunk has
+	// been queued.
+	awaitFired := func() {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); s.wheel.Len() != 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("the driver never fired the session's timer")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	awaitFired()
+	select {
+	case <-returned:
+		t.Fatal("the driver returned under a live context")
+	case chunk := <-s.jobs:
+		t.Fatalf("a chunk of %d went out with no buffer free", len(chunk))
+	case <-time.After(20 * time.Millisecond):
+	}
+	sig := s.signals(0)
+	if sig.Backlog != 1 || sig.Score() < s.overload.Config().High {
+		t.Fatalf("blocked driver: Backlog %v, score %v, High %v", sig.Backlog, sig.Score(), s.overload.Config().High)
+	}
+
+	// One buffer back and the chunk goes out.
+	s.free <- held[0]
+	select {
+	case chunk := <-s.jobs:
+		if len(chunk) != 1 || chunk[0].sess.key.Flow != 1 {
+			t.Fatalf("chunk %v, want flow 1 alone", chunk)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the driver did not take the returned buffer")
+	}
+
+	// Blocked again on the next session, it must still honour ctx.
+	s.admit(handPeer, 2, clk.Now())
+	awaitFired()
+	cancel()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the driver blocked on the free list ignored its context")
 	}
 }

@@ -151,6 +151,16 @@ type ServerStats struct {
 // batch deadlines are observed promptly even on a silent socket.
 const demuxPoll = 20 * time.Millisecond
 
+// pumpChunk is the most fired sessions the driver hands a worker in one
+// job. A worker pays one channel receive, one clock read, one wheel lock
+// and one driver kick per chunk, so the hand-off costs a datagram
+// 1/len(chunk) of each. A tick that fires no more than this is pumped by
+// one worker in wheel order, which keeps a session's position in its tick
+// — and so its pacing — the same from tick to tick; only a larger tick is
+// split across workers. 1024 is above what the default MaxSessions fires
+// per 1 ms tick at one datagram per 10 ms, and 8 KB of pointers a buffer.
+const pumpChunk = 1024
+
 // Server runs the multi-session PELS gateway: one socket, one demux
 // goroutine, one wheel driver, and a fixed worker pool pump every
 // admitted session. See the package comment for the lifecycle.
@@ -159,8 +169,13 @@ type Server struct {
 	table   *Table
 	wheel   *Wheel
 	batcher *Batcher
-	jobs    chan *Session
-	kick    chan struct{}
+	// The hand-off: the driver fills a buffer from free with up to
+	// pumpChunk fired timers and sends it on jobs; the worker that pumped
+	// it sends it back on free. Both channels hold every buffer there is,
+	// so only the driver's wait for a free one can block.
+	jobs chan []*Timer
+	free chan []*Timer
+	kick chan struct{}
 
 	draining atomic.Bool
 	started  atomic.Bool
@@ -237,12 +252,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		table:   NewTable(cfg.Shards),
 		wheel:   NewWheel(cfg.WheelTick, cfg.WheelSlots, now),
 		batcher: NewBatcher(cfg.BatchCount, cfg.BatchWait),
-		// Every live session has at most one queued job (its single
-		// wheel timer), so this capacity makes job enqueue non-blocking.
-		jobs:   make(chan *Session, cfg.MaxSessions+cfg.Workers+1),
+		// Two buffers a worker: one being pumped, one queued behind it.
+		jobs:   make(chan []*Timer, 2*cfg.Workers),
+		free:   make(chan []*Timer, 2*cfg.Workers),
 		kick:   make(chan struct{}, 1),
 		idleCh: make(chan struct{}),
 		ctlBuf: make([]byte, 0, wire.HeaderSize),
+	}
+	for i := 0; i < cap(s.free); i++ {
+		s.free <- make([]*Timer, 0, pumpChunk)
 	}
 	if cfg.Overload.Enabled() {
 		layers := cfg.Session.Layers
@@ -518,9 +536,9 @@ func (s *Server) admit(from net.Addr, flow uint32, now time.Time) {
 		// either way no admitted session escapes the drain.
 		sess.Drain()
 	}
-	// Arm the session's single wheel timer; the closure is allocated
-	// once per session and reused by every Reschedule.
-	sess.timer = s.wheel.Schedule(now, func(time.Time) { s.jobs <- sess })
+	// Arming the timer is what hands the session to the driver and the
+	// workers, so it comes last, on a session that is fully built.
+	s.wheel.Reschedule(&sess.timer, now)
 	s.kickDriver()
 }
 
@@ -607,28 +625,68 @@ func (s *Server) dispatch(batch []FeedbackItem, now time.Time) {
 	}
 }
 
-// worker pumps sessions handed over by the driver.
+// worker pumps the chunks handed over by the driver.
 func (s *Server) worker(ctx context.Context) {
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case sess := <-s.jobs:
-			next, done := sess.pump(s.cfg.Clock.Now())
-			if done {
-				s.finish(sess)
-				continue
-			}
-			s.wheel.Reschedule(sess.timer, next)
-			s.kickDriver()
+		case chunk := <-s.jobs:
+			s.pumpChunk(chunk)
 		}
 	}
+}
+
+// pumpChunk pumps every session of one chunk, in order, at one reading of
+// the clock, re-arms the ones that go on under one wheel lock, and returns
+// the buffer. The instant is at most a chunk's pumping old by the last
+// session; a token bucket refilled from an older instant only sends later.
+//
+//pelsvet:noalloc
+func (s *Server) pumpChunk(chunk []*Timer) {
+	now := s.cfg.Clock.Now()
+	live := chunk[:0]
+	for _, t := range chunk {
+		next, done := t.sess.pump(now)
+		if done {
+			s.finish(t.sess, now)
+			continue
+		}
+		t.at = next
+		live = append(live, t)
+	}
+	s.wheel.RescheduleBatch(live)
+	// A pooled buffer must not keep a closed session reachable.
+	clear(chunk)
+	s.free <- chunk[:0]
+	s.kickDriver()
+}
+
+// handOff passes one tick's fired timers to the workers in wheel order,
+// one chunk per free buffer. It reports false when ctx ended while every
+// buffer was in flight.
+//
+//pelsvet:noalloc
+func (s *Server) handOff(ctx context.Context, fired []*Timer) bool {
+	for len(fired) > 0 {
+		select {
+		case chunk := <-s.free:
+			n := min(len(fired), pumpChunk)
+			chunk = append(chunk, fired[:n]...)
+			clear(fired[:n])
+			fired = fired[n:]
+			s.jobs <- chunk
+		case <-ctx.Done():
+			return false
+		}
+	}
+	return true
 }
 
 // finish removes a completed session from the table and tells the
 // receiver why it ended (completed its frames, drained, or died on an
 // internal error) so it can finish or reconnect instead of timing out.
-func (s *Server) finish(sess *Session) {
+func (s *Server) finish(sess *Session, now time.Time) {
 	if s.table.Delete(sess.Key(), false) {
 		s.completed.Add(1)
 		if s.obsCompleted != nil {
@@ -638,15 +696,15 @@ func (s *Server) finish(sess *Session) {
 		if reason == wire.ReasonNone {
 			reason = wire.ReasonComplete
 		}
-		s.sendControl(wire.TypeClose, sess.Key().Flow, reason, 0, sess.Peer(), s.cfg.Clock.Now())
+		s.sendControl(wire.TypeClose, sess.Key().Flow, reason, 0, sess.Peer(), now)
 	}
 	s.checkIdleExit()
 }
 
-// driver advances the wheel on the configured tick and hands fired
-// sessions to the worker pool; with an empty wheel it parks until a
-// schedule kicks it. It also runs the idle reaper, the stuck watchdog,
-// and the overload controller on coarse cadences.
+// driver advances the wheel on the configured tick and hands each tick's
+// fired sessions to the worker pool in chunks; with an empty wheel it
+// parks until a schedule kicks it. It also runs the idle reaper, the
+// stuck watchdog, and the overload controller on coarse cadences.
 func (s *Server) driver(ctx context.Context) {
 	var fired []*Timer
 	reapEvery := s.cfg.IdleTimeout / 2
@@ -679,9 +737,8 @@ func (s *Server) driver(ctx context.Context) {
 			s.evalOverload(now, lateEWMA)
 		}
 		fired = s.wheel.Advance(now, fired[:0])
-		for i, t := range fired {
-			t.Call(now)
-			fired[i] = nil
+		if !s.handOff(ctx, fired) {
+			return
 		}
 		if s.wheel.Len() == 0 {
 			if s.overload != nil && s.shedLvl.Load() > 0 {
@@ -736,18 +793,7 @@ func (s *Server) reapStuck(now time.Time) {
 // evalOverload feeds the controller one observation and publishes any
 // level change to the sessions (and counters).
 func (s *Server) evalOverload(now time.Time, lateEWMA float64) {
-	tick := s.cfg.WheelTick.Seconds()
-	var demand float64
-	s.table.Range(func(_ Key, sess *Session) bool {
-		demand += sess.Rate().Bps()
-		return true
-	})
-	sig := loadSignals{
-		Occupancy: float64(s.table.Len()) / float64(s.cfg.MaxSessions),
-		Backlog:   float64(len(s.jobs)) / float64(cap(s.jobs)),
-		Lateness:  lateEWMA / (lateHorizon * tick),
-		Demand:    demand / s.overload.cfg.Capacity.Bps(),
-	}
+	sig := s.signals(lateEWMA)
 	s.loadBits.Store(math.Float64bits(sig.Score()))
 	prev := int(s.shedLvl.Load())
 	lvl, changed := s.overload.Update(now, sig)
@@ -765,6 +811,21 @@ func (s *Server) evalOverload(now time.Time, lateEWMA float64) {
 		if s.obsRestores != nil {
 			s.obsRestores.Inc()
 		}
+	}
+}
+
+// signals reads the overload controller's inputs.
+func (s *Server) signals(lateEWMA float64) loadSignals {
+	var demand float64
+	s.table.Range(func(_ Key, sess *Session) bool {
+		demand += sess.Rate().Bps()
+		return true
+	})
+	return loadSignals{
+		Occupancy: float64(s.table.Len()) / float64(s.cfg.MaxSessions),
+		Backlog:   1 - float64(len(s.free))/float64(cap(s.free)),
+		Lateness:  lateEWMA / (lateHorizon * s.cfg.WheelTick.Seconds()),
+		Demand:    demand / s.overload.cfg.Capacity.Bps(),
 	}
 }
 

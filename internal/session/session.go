@@ -190,7 +190,10 @@ type Session struct {
 	cfg  Config
 	out  wire.PacketWriter
 
-	timer *Timer // armed by the server; owned by wheel/worker handoff
+	// timer is the session's one wheel entry, embedded so a wake touches
+	// the session's own cache lines. Armed last in Server.admit; after
+	// that it is in the wheel, or in one chunk on its way through a worker.
+	timer Timer
 
 	mu      sync.Mutex
 	state   State
@@ -199,7 +202,7 @@ type Session struct {
 	pk      *fgs.Packetizer
 	scaler  fgs.Scaler
 	pacer   *wire.Pacer
-	seq     map[packet.Color]uint64
+	seq     [3]uint64 // next sequence number per wire band, indexed by color − Green
 	stats   Stats
 	buf     []byte // encoded datagram scratch; reused across pumps
 	payload []byte
@@ -264,7 +267,6 @@ func NewSession(key Key, peer net.Addr, out wire.PacketWriter, cfg Config, now t
 		pk:             pk,
 		scaler:         scaler,
 		pacer:          wire.NewPacer(cfg.MKC.InitialRate, cfg.BurstBytes),
-		seq:            map[packet.Color]uint64{},
 		buf:            make([]byte, 0, cfg.Frame.PacketSize),
 		payload:        make([]byte, cfg.Frame.PacketSize-wire.HeaderSize),
 		degrade:        1,
@@ -278,6 +280,7 @@ func NewSession(key Key, peer net.Addr, out wire.PacketWriter, cfg Config, now t
 		s.gammas = make([]float64, cfg.Layers-1)
 	}
 	s.stats.Key = key
+	s.timer.sess = s
 	return s, nil
 }
 
@@ -373,10 +376,10 @@ func (s *Session) pump(now time.Time) (next time.Time, done bool) {
 			Flow:      s.key.Flow,
 			Frame:     uint32(s.frame - 1),
 			Index:     uint16(s.planIdx),
-			Seq:       s.seq[color],
+			Seq:       s.seq[color-packet.Green],
 			Timestamp: now.UnixNano(),
 		}
-		s.seq[color]++
+		s.seq[color-packet.Green]++
 		var err error
 		s.buf, err = wire.AppendDatagram(s.buf[:0], h, s.payload)
 		if err != nil {

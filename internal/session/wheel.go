@@ -34,15 +34,19 @@ type Wheel struct {
 
 // Timer is one scheduled deadline. A Timer belongs to exactly one Wheel
 // and is reusable: once fired (or cancelled) it may be armed again with
-// Wheel.Reschedule, so a long-lived session allocates its timer once.
+// Wheel.Reschedule or RescheduleBatch. The zero Timer is a fired one, so
+// a Session embeds its timer by value — one allocation, and the wheel
+// entry points into the session it wakes.
 type Timer struct {
-	fn   func(now time.Time)
-	at   time.Time
-	done bool // fired or cancelled; guarded by the wheel's lock
+	fn   func(now time.Time) // Schedule's callback; nil on a session's timer
+	sess *Session            // the session an embedded timer wakes; nil otherwise
+	at   time.Time           // written only while the timer is not live
+	live bool                // armed and neither fired nor cancelled; guarded by the wheel's lock
 }
 
-// Call invokes the timer's callback with the firing instant. The wheel
-// never calls it; the driver does, outside the wheel lock.
+// Call invokes the callback of a timer made by Schedule with the firing
+// instant. The wheel never calls it; its caller does, outside the wheel
+// lock.
 func (t *Timer) Call(now time.Time) { t.fn(now) }
 
 // When returns the armed deadline (meaningful while the timer is live).
@@ -87,8 +91,8 @@ func (w *Wheel) Len() int {
 //
 //pelsvet:noalloc
 func (w *Wheel) Schedule(at time.Time, fn func(now time.Time)) *Timer {
-	//pelsvet:allow noalloc one Timer per session lifetime; the steady state reuses it via Reschedule
-	t := &Timer{fn: fn, done: true}
+	//pelsvet:allow noalloc one Timer per Schedule; the steady state re-arms it via Reschedule
+	t := &Timer{fn: fn}
 	w.Reschedule(t, at)
 	return t
 }
@@ -101,10 +105,34 @@ func (w *Wheel) Schedule(at time.Time, fn func(now time.Time)) *Timer {
 func (w *Wheel) Reschedule(t *Timer, at time.Time) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !t.done {
+	w.armLocked(t, at)
+}
+
+// RescheduleBatch re-arms every timer in ts at the deadline its owner
+// left in Timer.at, under one acquisition of the wheel lock: slot
+// placement is exactly that of len(ts) Reschedule calls in argument
+// order, and it panics on a live timer as Reschedule does.
+//
+//pelsvet:noalloc
+func (w *Wheel) RescheduleBatch(ts []*Timer) {
+	if len(ts) == 0 {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, t := range ts {
+		w.armLocked(t, t.at)
+	}
+}
+
+// armLocked hashes a fired timer into its slot.
+//
+//pelsvet:noalloc
+func (w *Wheel) armLocked(t *Timer, at time.Time) {
+	if t.live {
 		panic("session: Reschedule of a live timer")
 	}
-	t.done = false
+	t.live = true
 	t.at = at
 	// A deadline at or before the cursor boundary goes one slot ahead:
 	// the wheel fires on tick boundaries, so "now" means "next tick".
@@ -123,10 +151,10 @@ func (w *Wheel) Reschedule(t *Timer, at time.Time) {
 func (w *Wheel) Cancel(t *Timer) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if t.done {
+	if !t.live {
 		return false
 	}
-	t.done = true
+	t.live = false
 	w.count--
 	return true
 }
@@ -134,7 +162,7 @@ func (w *Wheel) Cancel(t *Timer) bool {
 // Advance walks the cursor up to now, appending every timer due at or
 // before now to fired and returning the extended slice. Timers hashed
 // into a walked slot whose deadline is laps away stay put. The caller
-// invokes the returned timers (Timer.Call) outside the wheel lock.
+// acts on the returned timers outside the wheel lock.
 //
 //pelsvet:noalloc
 func (w *Wheel) Advance(now time.Time, fired []*Timer) []*Timer {
@@ -150,9 +178,9 @@ func (w *Wheel) Advance(now time.Time, fired []*Timer) []*Timer {
 		keep := slot[:0]
 		for _, t := range slot {
 			switch {
-			case t.done: // cancelled; drop the entry
+			case !t.live: // cancelled; drop the entry
 			case !t.at.After(now):
-				t.done = true
+				t.live = false
 				w.count--
 				fired = append(fired, t)
 			default: // a future lap

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -125,4 +126,72 @@ func TestWheelManyTimersOneAdvance(t *testing.T) {
 	if w.Len() != 0 {
 		t.Fatalf("wheel len %d after firing all, want 0", w.Len())
 	}
+}
+
+// slotOrder renders each slot as the indices of the timers it holds, in
+// slot order.
+func slotOrder(w *Wheel, index map[*Timer]int) [][]int {
+	out := make([][]int, len(w.slots))
+	for i, slot := range w.slots {
+		for _, tm := range slot {
+			out[i] = append(out[i], index[tm])
+		}
+	}
+	return out
+}
+
+// TestWheelRescheduleBatchMatchesReschedule: a batch lands every timer in
+// the slot, and at the position within it, that one Reschedule per timer
+// in argument order would — for deadlines in the past, on the next tick,
+// sharing a slot, and laps beyond the horizon.
+func TestWheelRescheduleBatchMatchesReschedule(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	const n = 200
+	build := func() (*Wheel, []*Timer, map[*Timer]int) {
+		w := NewWheel(time.Millisecond, 16, t0)
+		w.Advance(t0.Add(5*time.Millisecond), nil) // cursor off slot 0
+		ts := make([]*Timer, n)
+		index := make(map[*Timer]int, n)
+		for i := range ts {
+			ts[i] = &Timer{at: t0.Add(time.Duration(i*37%61-3) * time.Millisecond / 2)}
+			index[ts[i]] = i
+		}
+		return w, ts, index
+	}
+	one, ts1, index1 := build()
+	for _, tm := range ts1 {
+		one.Reschedule(tm, tm.at)
+	}
+	batch, ts2, index2 := build()
+	batch.RescheduleBatch(ts2)
+
+	if got := batch.Len(); got != n {
+		t.Fatalf("Len %d after a batch of %d, want %d", got, n, n)
+	}
+	want, got := slotOrder(one, index1), slotOrder(batch, index2)
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("slot %d holds %v after RescheduleBatch, %v after %d × Reschedule", i, got[i], want[i], n)
+		}
+	}
+	// And the batch fires like any other timers: everything, once.
+	if fired := batch.Advance(t0.Add(time.Second), nil); len(fired) != n || batch.Len() != 0 {
+		t.Fatalf("fired %d of %d, %d left", len(fired), n, batch.Len())
+	}
+	batch.RescheduleBatch(nil)
+	if batch.Len() != 0 {
+		t.Fatalf("an empty batch left Len %d", batch.Len())
+	}
+}
+
+func TestWheelRescheduleBatchLivePanics(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	w := NewWheel(time.Millisecond, 8, t0)
+	live := w.Schedule(t0.Add(time.Millisecond), func(time.Time) {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RescheduleBatch of a live timer did not panic")
+		}
+	}()
+	w.RescheduleBatch([]*Timer{{at: t0.Add(time.Millisecond)}, live})
 }
