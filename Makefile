@@ -90,12 +90,14 @@ perfdiff:
 # The end-to-end benchmark is a module of its own (bench/go.mod), so
 # `go build ./...` and `go test ./...` never compile it. This vets and
 # race-tests it against the tree and runs one second of the driver's own
-# command, so a session/wire API change that breaks it fails here (the CI
-# load-smoke job) and not in the driver.
+# command on a live workload and on a simulator one, so a session/wire or
+# experiments/sim API change that breaks it fails here (the CI load-smoke
+# job) and not in the driver.
 bench-e2e:
 	go -C bench vet ./...
 	go -C bench test -short -race ./...
 	bash bench/run.sh --workload egress-wide --seed 1 --seconds 1 --trace 0
+	bash bench/run.sh --workload sim-figures --seed 1 --seconds 1 --trace 0
 
 cover:
 	go test -cover ./internal/...

@@ -65,14 +65,10 @@ func printRates(rates []*stats.TimeSeries, duration time.Duration) {
 
 // valueAt returns the most recent sample at or before t, or -1.
 func valueAt(ts *stats.TimeSeries, t time.Duration) float64 {
-	v := -1.0
-	for _, s := range ts.Samples() {
-		if s.At > t {
-			break
-		}
-		v = s.Value
+	if i := ts.Search(t + 1); i > 0 {
+		return ts.Sample(i - 1).Value
 	}
-	return v
+	return -1
 }
 
 // aimdSawtooth drives MKC and AIMD controllers against the same analytic

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/stats"
 	"repro/internal/video"
 )
 
@@ -61,7 +62,7 @@ func run() error {
 			phase = "4 flows again"
 		}
 		fmt.Printf("%8.0f %12.0f %10.3f %14s\n",
-			at.Seconds(), lastBefore(tb, 0, at), gammaBefore(tb, 0, at), phase)
+			at.Seconds(), lastBefore(tb.RateSeries[0], at), lastBefore(tb.GammaSeries[0], at), phase)
 	}
 
 	// Reconstruct flow 0's video through the Foreman R-D model.
@@ -93,26 +94,12 @@ func run() error {
 	return nil
 }
 
-func lastBefore(tb *experiments.Testbed, flow int, at time.Duration) float64 {
-	v := 0.0
-	for _, s := range tb.RateSeries[flow].Samples() {
-		if s.At > at {
-			break
-		}
-		v = s.Value
+// lastBefore returns the most recent sample at or before at, or 0.
+func lastBefore(ts *stats.TimeSeries, at time.Duration) float64 {
+	if i := ts.Search(at + 1); i > 0 {
+		return ts.Sample(i - 1).Value
 	}
-	return v
-}
-
-func gammaBefore(tb *experiments.Testbed, flow int, at time.Duration) float64 {
-	v := 0.0
-	for _, s := range tb.GammaSeries[flow].Samples() {
-		if s.At > at {
-			break
-		}
-		v = s.Value
-	}
-	return v
+	return 0
 }
 
 func mean(vs []float64) float64 {

@@ -98,13 +98,13 @@ func TestFeedbackEpochIncrements(t *testing.T) {
 	if f.Epoch() != 5 {
 		t.Errorf("Epoch() = %d, want 5", f.Epoch())
 	}
-	samples := reg.Series("feedback_loss").TimeSeries().Samples()
-	if len(samples) != 5 {
-		t.Fatalf("recorded %d loss samples, want 5", len(samples))
+	loss := reg.Series("feedback_loss").TimeSeries()
+	if loss.Len() != 5 {
+		t.Fatalf("recorded %d loss samples, want 5", loss.Len())
 	}
-	for i, s := range samples {
-		if want := time.Duration(i+1) * 30 * time.Millisecond; s.At != want {
-			t.Errorf("sample %d at %v, want %v (sim time, not wall time)", i, s.At, want)
+	for i := 0; i < loss.Len(); i++ {
+		if got, want := loss.Sample(i).At, time.Duration(i+1)*30*time.Millisecond; got != want {
+			t.Errorf("sample %d at %v, want %v (sim time, not wall time)", i, got, want)
 		}
 	}
 }

@@ -55,7 +55,7 @@ type OnOff struct {
 
 	on      bool
 	stopped bool
-	emitEv  *sim.Event
+	pace    *sim.Timer // fires emit for the next packet of an ON period
 
 	pktsSent  int64
 	bytesSent int64
@@ -76,7 +76,9 @@ func NewOnOff(net *netsim.Network, host *netsim.Host, dst int, cfg OnOffConfig) 
 	if cfg.MeanOff <= 0 {
 		cfg.MeanOff = 500 * time.Millisecond
 	}
-	return &OnOff{cfg: cfg, eng: net.Engine(), net: net, host: host, dst: dst}
+	o := &OnOff{cfg: cfg, eng: net.Engine(), net: net, host: host, dst: dst}
+	o.pace = o.eng.NewTimer(o.emit)
+	return o
 }
 
 // Start begins the on/off cycle at the given simulation time (first period
@@ -93,10 +95,7 @@ func (o *OnOff) Start(at time.Duration) {
 // Stop silences the generator permanently.
 func (o *OnOff) Stop() {
 	o.stopped = true
-	if o.emitEv != nil {
-		o.emitEv.Cancel()
-		o.emitEv = nil
-	}
+	o.pace.Stop()
 }
 
 func (o *OnOff) beginOn() {
@@ -114,10 +113,7 @@ func (o *OnOff) beginOff() {
 		return
 	}
 	o.on = false
-	if o.emitEv != nil {
-		o.emitEv.Cancel()
-		o.emitEv = nil
-	}
+	o.pace.Stop()
 	gap := time.Duration(o.eng.Rand().ExpFloat64() * float64(o.cfg.MeanOff))
 	o.eng.Schedule(gap, o.beginOn)
 }
@@ -137,7 +133,6 @@ func (o *OnOff) onDuration() time.Duration {
 }
 
 func (o *OnOff) emit() {
-	o.emitEv = nil
 	if o.stopped || !o.on {
 		return
 	}
@@ -145,7 +140,7 @@ func (o *OnOff) emit() {
 	o.pktsSent++
 	o.bytesSent += int64(p.Size)
 	o.host.Send(p)
-	o.emitEv = o.eng.Schedule(o.cfg.Rate.TransmissionTime(o.cfg.PacketSize), o.emit)
+	o.pace.Reset(o.cfg.Rate.TransmissionTime(o.cfg.PacketSize))
 }
 
 // PacketsSent returns the number of packets emitted.

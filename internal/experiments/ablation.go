@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
 	"repro/internal/cc"
 	"repro/internal/fgs"
 	"repro/internal/packet"
+	"repro/internal/stats"
 )
 
 // AblationResult summarizes one variant run of the PELS stack.
@@ -94,18 +94,16 @@ func Ablations(cfg AblationConfig) ([]AblationResult, error) {
 		}},
 	}
 
-	results := make([]AblationResult, 0, len(variants))
-	for _, v := range variants {
+	results := make([]AblationResult, len(variants))
+	err := fanOut(len(variants), func(i int) error {
+		v := variants[i]
 		tc := DefaultTestbedConfig()
 		tc.Seed = cfg.Seed
 		tc.NumPELS = cfg.NumFlows
 		v.tweak(&tc)
-		tb, err := NewTestbed(tc)
+		tb, err := runTestbed(tc, cfg.Duration)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation %s: %w", v.name, err)
-		}
-		if err := tb.Run(cfg.Duration); err != nil {
-			return nil, fmt.Errorf("experiments: ablation %s: %w", v.name, err)
+			return fmt.Errorf("experiments: ablation %s: %w", v.name, err)
 		}
 		warm := cfg.Duration / 2
 		res := AblationResult{
@@ -123,14 +121,14 @@ func Ablations(cfg AblationConfig) ([]AblationResult, error) {
 			res.YellowLoss = tb.BEQueues.Video.LossRate()
 			res.RedLoss = res.YellowLoss
 		}
-		rates := tb.RateSeries[0].After(warm)
-		vals := make([]float64, 0, len(rates))
-		for _, s := range rates {
-			vals = append(vals, s.Value)
-		}
-		res.RateMean = mean(vals)
-		res.RateStdDev = stddev(vals, res.RateMean)
-		results = append(results, res)
+		rates := tb.RateSeries[0].ValuesAfter(warm)
+		res.RateMean = stats.Mean(rates)
+		res.RateStdDev = stats.StdDev(rates)
+		results[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
@@ -142,29 +140,6 @@ func sinkTailUtility(tb *Testbed, cfg AblationConfig) float64 {
 		frames = frames[len(frames)/2:]
 	}
 	return fgs.Aggregate(frames).MeanUtility
-}
-
-func mean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range vs {
-		s += v
-	}
-	return s / float64(len(vs))
-}
-
-func stddev(vs []float64, m float64) float64 {
-	if len(vs) < 2 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range vs {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(vs)-1))
 }
 
 // FormatAblations renders the ablation table.

@@ -15,7 +15,6 @@ import (
 	"repro/internal/fgs"
 	"repro/internal/obs"
 	"repro/internal/packet"
-	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/wire"
 )
@@ -101,21 +100,6 @@ type ChaosTestbedResult struct {
 	Obs         *obs.Registry
 }
 
-// windowMean averages the samples of ts in [from, to); 0 if empty.
-func windowMean(ts *stats.TimeSeries, from, to time.Duration) float64 {
-	sum, n := 0.0, 0
-	for _, s := range ts.Samples() {
-		if s.At >= from && s.At < to {
-			sum += s.Value
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // ChaosTestbed runs the simulated chaos scenario.
 func ChaosTestbed(cfg ChaosTestbedConfig) (ChaosTestbedResult, error) {
 	tcfg := cfg.Testbed
@@ -167,15 +151,15 @@ func ChaosTestbed(cfg ChaosTestbedConfig) (ChaosTestbedResult, error) {
 		Obs:          tb.Obs,
 	}
 	for _, ts := range tb.RateSeries {
-		res.PreRate += windowMean(ts, cfg.SwapAt-cfg.Window, cfg.SwapAt)
-		res.PostRate += windowMean(ts, cfg.Duration-cfg.Window, cfg.Duration)
+		res.PreRate += ts.MeanBetween(cfg.SwapAt-cfg.Window, cfg.SwapAt)
+		res.PostRate += ts.MeanBetween(cfg.Duration-cfg.Window, cfg.Duration)
 	}
 	if res.PreRate > 0 {
 		res.Ratio = res.PostRate / res.PreRate
 	}
 	if green := tb.DropSeries[packet.Green]; green != nil {
-		for _, s := range green.After(cfg.SwapAt) {
-			res.GreenDropsAfter += s.Value
+		for i := green.Search(cfg.SwapAt); i < green.Len(); i++ {
+			res.GreenDropsAfter += green.Sample(i).Value
 		}
 	}
 

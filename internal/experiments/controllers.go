@@ -8,6 +8,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/fgs"
 	"repro/internal/packet"
+	"repro/internal/stats"
 )
 
 // ControllerResult summarizes one congestion controller driving the full
@@ -54,27 +55,20 @@ func Controllers(cfg ControllersConfig) ([]ControllerResult, error) {
 		{"iiad", func() cc.Controller { return cc.NewBinomial(cc.IIADConfig()) }},
 		{"sqrt", func() cc.Controller { return cc.NewBinomial(cc.SQRTConfig()) }},
 	}
-	results := make([]ControllerResult, 0, len(factories))
-	for _, f := range factories {
+	results := make([]ControllerResult, len(factories))
+	err := fanOut(len(factories), func(i int) error {
+		f := factories[i]
 		tc := DefaultTestbedConfig()
 		tc.Seed = cfg.Seed
 		tc.NumPELS = cfg.NumFlows
 		if f.mk != nil {
 			tc.Session.ControllerFactory = f.mk
 		}
-		tb, err := NewTestbed(tc)
+		tb, err := runTestbed(tc, cfg.Duration)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: controllers %s: %w", f.name, err)
+			return fmt.Errorf("experiments: controllers %s: %w", f.name, err)
 		}
-		if err := tb.Run(cfg.Duration); err != nil {
-			return nil, fmt.Errorf("experiments: controllers %s: %w", f.name, err)
-		}
-		warm := cfg.Duration / 2
-		rates := tb.RateSeries[0].After(warm)
-		vals := make([]float64, 0, len(rates))
-		for _, s := range rates {
-			vals = append(vals, s.Value)
-		}
+		rates := tb.RateSeries[0].ValuesAfter(cfg.Duration / 2)
 		frames := tb.Sinks[0].Frames()
 		if len(frames) > 20 {
 			frames = frames[len(frames)/2:]
@@ -82,13 +76,17 @@ func Controllers(cfg ControllersConfig) ([]ControllerResult, error) {
 		res := ControllerResult{
 			Name:        f.name,
 			MeanUtility: fgs.Aggregate(frames).MeanUtility,
-			RateMean:    mean(vals),
+			RateMean:    stats.Mean(rates),
+			RateStdDev:  stats.StdDev(rates),
 			Events:      tb.Eng.Processed(),
 		}
-		res.RateStdDev = stddev(vals, res.RateMean)
 		yl := tb.PELSQueues.PELS.ColorCounters(packet.Yellow)
 		res.YellowLoss = yl.LossRate()
-		results = append(results, res)
+		results[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }

@@ -118,14 +118,13 @@ func TestFigure7Reproduction(t *testing.T) {
 			t.Errorf("n=%d: red loss %.3f outside [0.55, 0.95]", r.NumFlows, r.RedLossTail)
 		}
 		// γ starts at 0.5 and dips to γ_low before congestion begins.
-		first := r.Gamma.Samples()
-		if len(first) == 0 {
+		if r.Gamma.Len() == 0 {
 			t.Fatalf("n=%d: empty gamma series", r.NumFlows)
 		}
 		minGamma := 1.0
-		for _, s := range first {
-			if s.Value < minGamma {
-				minGamma = s.Value
+		for _, v := range r.Gamma.Values() {
+			if v < minGamma {
+				minGamma = v
 			}
 		}
 		if minGamma > 0.06 {

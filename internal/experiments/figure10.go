@@ -92,27 +92,40 @@ func DefaultFigure10Config() Figure10Config {
 // bottleneck, extracts flow 0's per-frame useful-prefix statistics, and
 // reconstructs PSNR through the Foreman R-D model.
 func Figure10(cfg Figure10Config) ([]Figure10Run, error) {
-	runs := make([]Figure10Run, 0, len(cfg.Levels))
-	for _, level := range cfg.Levels {
-		run, err := figure10Level(cfg, level)
-		if err != nil {
-			return nil, err
+	// Stream 2i is level i under PELS, stream 2i+1 the same level under
+	// best-effort: one index space, so both levels' pairs run side by side.
+	streams := make([]figure10Outcome, 2*len(cfg.Levels))
+	err := fanOut(len(streams), func(i int) error {
+		level, bestEffort, scheme := cfg.Levels[i/2], i%2 == 1, "PELS"
+		if bestEffort {
+			scheme = "best-effort"
 		}
-		runs = append(runs, run)
+		var err error
+		if streams[i], err = figure10Stream(cfg, level, bestEffort); err != nil {
+			return fmt.Errorf("experiments: figure 10 %s (n=%d): %w", scheme, level.Flows, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	runs := make([]Figure10Run, len(cfg.Levels))
+	for i, level := range cfg.Levels {
+		runs[i] = figure10Level(cfg, level, streams[2*i], streams[2*i+1])
 	}
 	return runs, nil
 }
 
-func figure10Level(cfg Figure10Config, level Figure10Level) (Figure10Run, error) {
+// figure10Outcome is what one full-stack stream contributes to a level.
+type figure10Outcome struct {
+	frames []fgs.FrameResult // flow 0, post-warmup
+	loss   float64           // measured feedback loss
+	events uint64
+}
+
+func figure10Level(cfg Figure10Config, level Figure10Level, pels, be figure10Outcome) Figure10Run {
 	n := level.Flows
-	pelsFrames, pelsLoss, pelsEvents, err := figure10Stream(cfg, level, false)
-	if err != nil {
-		return Figure10Run{}, fmt.Errorf("experiments: figure 10 PELS (n=%d): %w", n, err)
-	}
-	beFrames, beLoss, beEvents, err := figure10Stream(cfg, level, true)
-	if err != nil {
-		return Figure10Run{}, fmt.Errorf("experiments: figure 10 best-effort (n=%d): %w", n, err)
-	}
+	pelsFrames, beFrames := pels.frames, be.frames
 	count := len(pelsFrames)
 	if len(beFrames) < count {
 		count = len(beFrames)
@@ -132,10 +145,10 @@ func figure10Level(cfg Figure10Config, level Figure10Level) (Figure10Run, error)
 	run := Figure10Run{
 		NumFlows:   n,
 		TargetLoss: scfg.MKC.StationaryLoss(tcfg.PELSCapacity(), n),
-		PELSLoss:   pelsLoss,
-		BELoss:     beLoss,
+		PELSLoss:   pels.loss,
+		BELoss:     be.loss,
 		Frames:     count,
-		Events:     pelsEvents + beEvents,
+		Events:     pels.events + be.events,
 	}
 
 	run.BasePSNR = basePSNRCurve(trace, pelsFrames)
@@ -151,7 +164,7 @@ func figure10Level(cfg Figure10Config, level Figure10Level) (Figure10Run, error)
 	run.BESwing = swing(run.BEPSNR)
 	run.PELSUtility = fgs.Aggregate(pelsFrames).MeanUtility
 	run.BEUtility = fgs.Aggregate(beFrames).MeanUtility
-	return run, nil
+	return run
 }
 
 func figure10Testbed(cfg Figure10Config, level Figure10Level, bestEffort bool) TestbedConfig {
@@ -170,17 +183,11 @@ func figure10Testbed(cfg Figure10Config, level Figure10Level, bestEffort bool) T
 	return tcfg
 }
 
-// figure10Stream runs one full-stack simulation and returns flow 0's
-// post-warmup frame results, the measured feedback loss, and the number
-// of simulator events processed.
-func figure10Stream(cfg Figure10Config, level Figure10Level, bestEffort bool) ([]fgs.FrameResult, float64, uint64, error) {
-	tcfg := figure10Testbed(cfg, level, bestEffort)
-	tb, err := NewTestbed(tcfg)
+// figure10Stream runs one full-stack simulation.
+func figure10Stream(cfg Figure10Config, level Figure10Level, bestEffort bool) (figure10Outcome, error) {
+	tb, err := runTestbed(figure10Testbed(cfg, level, bestEffort), cfg.Duration)
 	if err != nil {
-		return nil, 0, 0, err
-	}
-	if err := tb.Run(cfg.Duration); err != nil {
-		return nil, 0, 0, err
+		return figure10Outcome{}, err
 	}
 	frames := tb.Sinks[0].Frames()
 	if len(frames) > cfg.WarmupFrames {
@@ -190,7 +197,7 @@ func figure10Stream(cfg Figure10Config, level Figure10Level, bestEffort bool) ([
 		// The final frame may be cut off by the end of the run.
 		frames = frames[:len(frames)-1]
 	}
-	return frames, tb.MeasuredPELSLoss(cfg.Duration / 2), tb.Eng.Processed(), nil
+	return figure10Outcome{frames, tb.MeasuredPELSLoss(cfg.Duration / 2), tb.Eng.Processed()}, nil
 }
 
 // framePSNR reconstructs per-frame PSNR, indexing the trace by each

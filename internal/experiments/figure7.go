@@ -55,22 +55,20 @@ func DefaultFigure7Config() Figure7Config {
 // Figure7 regenerates both panels of paper Fig. 7 by running the full
 // PELS stack at each load level.
 func Figure7(cfg Figure7Config) ([]Figure7Run, error) {
-	runs := make([]Figure7Run, 0, len(cfg.FlowCounts))
-	for _, n := range cfg.FlowCounts {
+	runs := make([]Figure7Run, len(cfg.FlowCounts))
+	err := fanOut(len(runs), func(i int) error {
+		n := cfg.FlowCounts[i]
 		tcfg := DefaultTestbedConfig()
 		tcfg.NumPELS = n
 		tcfg.Seed = cfg.Seed
-		tb, err := NewTestbed(tcfg)
+		tb, err := runTestbed(tcfg, cfg.Duration)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: figure 7 (n=%d): %w", n, err)
-		}
-		if err := tb.Run(cfg.Duration); err != nil {
-			return nil, fmt.Errorf("experiments: figure 7 (n=%d): %w", n, err)
+			return fmt.Errorf("experiments: figure 7 (n=%d): %w", n, err)
 		}
 		scfg := tcfg.Session.WithDefaults()
 		pthr := scfg.Gamma.PThr
 		predicted := scfg.MKC.StationaryLoss(tcfg.PELSCapacity(), n)
-		run := Figure7Run{
+		runs[i] = Figure7Run{
 			NumFlows:      n,
 			Gamma:         tb.GammaSeries[0],
 			RedLoss:       tb.RedLossSeries,
@@ -83,7 +81,10 @@ func Figure7(cfg Figure7Config) ([]Figure7Run, error) {
 			Events:        tb.Eng.Processed(),
 			Obs:           tb.Obs,
 		}
-		runs = append(runs, run)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return runs, nil
 }

@@ -87,27 +87,14 @@ func Figure8(cfg Figure8Config) (*Figure8Result, error) {
 		Duration:      duration,
 		Events:        tb.Eng.Processed(),
 	}
-	for _, s := range tb.RedDelay.Samples() {
-		if s.Value > res.RedMax {
-			res.RedMax = s.Value
+	for i := 0; i < tb.RedDelay.Len(); i++ {
+		if v := tb.RedDelay.Sample(i).Value; v > res.RedMax {
+			res.RedMax = v
 		}
 	}
 	for step := 0; step < cfg.Steps; step++ {
 		lo := cfg.StepEvery * time.Duration(step)
-		hi := lo + cfg.StepEvery
-		var sum float64
-		var cnt int
-		for _, s := range tb.RedDelay.Samples() {
-			if s.At >= lo && s.At < hi {
-				sum += s.Value
-				cnt++
-			}
-		}
-		if cnt > 0 {
-			res.RedStepMeans = append(res.RedStepMeans, sum/float64(cnt))
-		} else {
-			res.RedStepMeans = append(res.RedStepMeans, 0)
-		}
+		res.RedStepMeans = append(res.RedStepMeans, tb.RedDelay.MeanBetween(lo, lo+cfg.StepEvery))
 	}
 	return res, nil
 }

@@ -80,9 +80,10 @@ func Figure9(cfg Figure9Config) (*Figure9Result, error) {
 		JoinAt:   cfg.JoinAt,
 		Events:   tb.Eng.Processed(),
 	}
-	for _, s := range tb.RateSeries[0].Samples() {
-		if s.At < cfg.JoinAt && s.Value > res.F1Peak {
-			res.F1Peak = s.Value
+	f1 := tb.RateSeries[0]
+	for i, n := 0, f1.Search(cfg.JoinAt); i < n; i++ {
+		if v := f1.Sample(i).Value; v > res.F1Peak {
+			res.F1Peak = v
 		}
 	}
 	res.ConvergedAt = fairnessTime(tb.RateSeries[0], tb.RateSeries[1], cfg.JoinAt, 0.10)
@@ -92,18 +93,18 @@ func Figure9(cfg Figure9Config) (*Figure9Result, error) {
 // fairnessTime returns the first time ≥ from at which the two series stay
 // within tol relative difference of each other for the rest of the run.
 func fairnessTime(a, b *stats.TimeSeries, from time.Duration, tol float64) time.Duration {
-	bs := b.Samples()
-	if len(bs) == 0 {
+	if b.Len() == 0 {
 		return -1
 	}
 	// Walk a's samples and compare with the latest b sample at that time.
 	j := 0
 	candidate := time.Duration(-1)
-	for _, s := range a.After(from) {
-		for j+1 < len(bs) && bs[j+1].At <= s.At {
+	for i := a.Search(from); i < a.Len(); i++ {
+		s := a.Sample(i)
+		for j+1 < b.Len() && b.Sample(j+1).At <= s.At {
 			j++
 		}
-		bv := bs[j].Value
+		bv := b.Sample(j).Value
 		if bv <= 0 {
 			continue
 		}

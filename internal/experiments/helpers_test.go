@@ -16,16 +16,6 @@ func seriesOf(points ...[2]float64) *stats.TimeSeries {
 	return ts
 }
 
-func TestMeanBetween(t *testing.T) {
-	ts := seriesOf([2]float64{1, 10}, [2]float64{2, 20}, [2]float64{3, 30}, [2]float64{4, 40})
-	if got := meanBetween(ts, 2*time.Second, 4*time.Second); got != 25 {
-		t.Errorf("meanBetween[2,4) = %v, want 25", got)
-	}
-	if got := meanBetween(ts, 10*time.Second, 20*time.Second); got != 0 {
-		t.Errorf("empty window = %v, want 0", got)
-	}
-}
-
 func TestDominantID(t *testing.T) {
 	ts := seriesOf([2]float64{1, 3}, [2]float64{2, 3}, [2]float64{3, 5}, [2]float64{4, 3})
 	if got := dominantID(ts, 0, 10*time.Second); got != 3 {
@@ -70,20 +60,6 @@ func TestFairnessTime(t *testing.T) {
 	}
 	if got := fairnessTime(a, stats.NewTimeSeries("empty"), 0, 0.1); got != -1 {
 		t.Errorf("fairnessTime with empty b = %v, want -1", got)
-	}
-}
-
-func TestMeanStddevHelpers(t *testing.T) {
-	vs := []float64{2, 4, 6}
-	m := mean(vs)
-	if m != 4 {
-		t.Errorf("mean = %v", m)
-	}
-	if got := stddev(vs, m); math.Abs(got-2) > 1e-12 {
-		t.Errorf("stddev = %v, want 2", got)
-	}
-	if mean(nil) != 0 || stddev(nil, 0) != 0 {
-		t.Error("degenerate inputs")
 	}
 }
 

@@ -57,19 +57,32 @@ func Isolation(cfg IsolationConfig) (*IsolationResult, error) {
 		PELSShare:     base.PELSCapacity().KbpsValue(),
 		InternetShare: float64(base.BottleneckRate)/1000 - base.PELSCapacity().KbpsValue(),
 	}
-	run := func(nPELS, nTCP int) (IsolationRow, error) {
+	// Both sweeps are one index space: the PELS-load points, then the
+	// TCP-load points, each with the other side held at 2 flows.
+	type point struct {
+		sweep          string
+		n, nPELS, nTCP int
+	}
+	var points []point
+	for _, n := range cfg.PELSCounts {
+		points = append(points, point{"PELS", n, n, 2})
+	}
+	for _, n := range cfg.TCPCounts {
+		points = append(points, point{"TCP", n, 2, n})
+	}
+	rows := make([]IsolationRow, len(points))
+	events := make([]uint64, len(points))
+	err := fanOut(len(points), func(i int) error {
+		pt := points[i]
 		tcfg := DefaultTestbedConfig()
 		tcfg.Seed = cfg.Seed
-		tcfg.NumPELS = nPELS
-		tcfg.NumTCP = nTCP
-		tb, err := NewTestbed(tcfg)
+		tcfg.NumPELS = pt.nPELS
+		tcfg.NumTCP = pt.nTCP
+		tb, err := runTestbed(tcfg, cfg.Duration)
 		if err != nil {
-			return IsolationRow{}, err
+			return fmt.Errorf("experiments: isolation %s sweep (n=%d): %w", pt.sweep, pt.n, err)
 		}
-		if err := tb.Run(cfg.Duration); err != nil {
-			return IsolationRow{}, err
-		}
-		row := IsolationRow{PELSFlows: nPELS, TCPFlows: nTCP}
+		row := IsolationRow{PELSFlows: pt.nPELS, TCPFlows: pt.nTCP}
 		var tcpBytes int64
 		for _, r := range tb.TCPReceivers {
 			tcpBytes += r.BytesDelivered()
@@ -78,23 +91,16 @@ func Isolation(cfg IsolationConfig) (*IsolationResult, error) {
 		// PELS throughput measured over the second half via the router's
 		// rate series (arrivals at the bottleneck).
 		row.PELSThroughput = tb.FeedbackRate.MeanAfter(cfg.Duration / 2)
-		res.Events += tb.Eng.Processed()
-		return row, nil
+		rows[i], events[i] = row, tb.Eng.Processed()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	for _, n := range cfg.PELSCounts {
-		row, err := run(n, 2)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: isolation PELS sweep (n=%d): %w", n, err)
-		}
-		res.PELSSweep = append(res.PELSSweep, row)
-	}
-	for _, n := range cfg.TCPCounts {
-		row, err := run(2, n)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: isolation TCP sweep (n=%d): %w", n, err)
-		}
-		res.TCPSweep = append(res.TCPSweep, row)
+	k := len(cfg.PELSCounts)
+	res.PELSSweep, res.TCPSweep = rows[:k:k], rows[k:]
+	for _, n := range events {
+		res.Events += n
 	}
 	return res, nil
 }

@@ -22,14 +22,15 @@ func TestFigure10RobustToQualityModel(t *testing.T) {
 	cfg.Duration = 100 * time.Second
 	level := cfg.Levels[0]
 
-	pelsFrames, _, _, err := figure10Stream(cfg, level, false)
+	pels, err := figure10Stream(cfg, level, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	beFrames, _, _, err := figure10Stream(cfg, level, true)
+	be, err := figure10Stream(cfg, level, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pelsFrames, beFrames := pels.frames, be.frames
 	spec := figure10Testbed(cfg, level, false).Session.WithDefaults().Frame
 	bp := video.DefaultBitplaneModel()
 	rd := video.DefaultRDModel()

@@ -144,34 +144,18 @@ func MultiBottleneck(cfg MultiBottleneckConfig) (*MultiBottleneckResult, error) 
 	scfg := pels.Config{}.WithDefaults()
 	res.WantBefore = scfg.MKC.StationaryRate(cfg.C2, 1).KbpsValue()
 	res.WantAfter = scfg.MKC.StationaryRate(cfg.C1Shift, 1).KbpsValue()
-	res.RateBefore = meanBetween(res.Rate, cfg.ShiftAt*3/4, cfg.ShiftAt)
-	res.RateAfter = meanBetween(res.Rate, cfg.ShiftAt+(cfg.Duration-cfg.ShiftAt)*3/4, cfg.Duration)
+	res.RateBefore = res.Rate.MeanBetween(cfg.ShiftAt*3/4, cfg.ShiftAt)
+	res.RateAfter = res.Rate.MeanBetween(cfg.ShiftAt+(cfg.Duration-cfg.ShiftAt)*3/4, cfg.Duration)
 	res.IDBefore = dominantID(res.BottleneckID, cfg.ShiftAt/2, cfg.ShiftAt)
 	res.IDAfter = dominantID(res.BottleneckID, cfg.ShiftAt+(cfg.Duration-cfg.ShiftAt)/2, cfg.Duration)
 	res.Events = eng.Processed()
 	return res, nil
 }
 
-func meanBetween(ts *stats.TimeSeries, lo, hi time.Duration) float64 {
-	sum, n := 0.0, 0
-	for _, s := range ts.Samples() {
-		if s.At >= lo && s.At < hi {
-			sum += s.Value
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 func dominantID(ts *stats.TimeSeries, lo, hi time.Duration) int {
 	counts := map[int]int{}
-	for _, s := range ts.Samples() {
-		if s.At >= lo && s.At < hi {
-			counts[int(s.Value)]++
-		}
+	for i, n := ts.Search(lo), ts.Search(hi); i < n; i++ {
+		counts[int(ts.Sample(i).Value)]++
 	}
 	best, bestN := 0, -1
 	for id, n := range counts {

@@ -64,15 +64,29 @@ func RDScaling(cfg RDScalingConfig) (*RDScalingResult, error) {
 		Seed:         cfg.Seed,
 	}
 
-	run := func(scaler fgs.Scaler) ([]float64, float64, uint64, error) {
+	// The RD scaler needs the complexity of the frames the source will
+	// actually emit; the Foreman trace provides it (wrapping like the
+	// PSNR reconstruction does). The warmup offset is irrelevant to the
+	// oracle because the trace is periodic.
+	trace := video.ForemanTrace(300)
+	scalers := []struct {
+		name   string
+		scaler fgs.Scaler
+	}{
+		{"constant", fgs.ConstantScaler{}},
+		{"rd-aware", fgs.NewRDScaler(func(frame int) float64 { return trace.Frame(frame).Complexity })},
+	}
+	outcomes := make([]struct {
+		psnr   []float64
+		rate   float64
+		events uint64
+	}, len(scalers))
+	err := fanOut(len(scalers), func(i int) error {
 		tcfg := figure10Testbed(f10, cfg.Level, false)
-		tcfg.Session.Scaler = scaler
-		tb, err := NewTestbed(tcfg)
+		tcfg.Session.Scaler = scalers[i].scaler
+		tb, err := runTestbed(tcfg, cfg.Duration)
 		if err != nil {
-			return nil, 0, 0, err
-		}
-		if err := tb.Run(cfg.Duration); err != nil {
-			return nil, 0, 0, err
+			return fmt.Errorf("experiments: rd-scaling %s: %w", scalers[i].name, err)
 		}
 		frames := tb.Sinks[0].Frames()
 		if len(frames) > cfg.WarmupFrames {
@@ -85,30 +99,19 @@ func RDScaling(cfg RDScalingConfig) (*RDScalingResult, error) {
 			frames = frames[:cfg.EvalFrames]
 		}
 		spec := tcfg.Session.WithDefaults().Frame
-		trace := video.ForemanTrace(300)
 		model := video.DefaultRDModel()
 		model.MaxEnhBytes = spec.MaxEnhBytes()
-		psnr, _, _ := framePSNR(trace, model, spec, frames)
-		rate := tb.RateSeries[0].MeanAfter(cfg.Duration / 2)
-		return psnr, rate, tb.Eng.Processed(), nil
-	}
-
-	constPSNR, constRate, constEvents, err := run(fgs.ConstantScaler{})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: rd-scaling constant: %w", err)
-	}
-	// The RD scaler needs the complexity of the frames the source will
-	// actually emit; the Foreman trace provides it (wrapping like the
-	// PSNR reconstruction does). The warmup offset is irrelevant to the
-	// oracle because the trace is periodic.
-	trace := video.ForemanTrace(300)
-	rdScaler := fgs.NewRDScaler(func(frame int) float64 {
-		return trace.Frame(frame).Complexity
+		out := &outcomes[i]
+		out.psnr, _, _ = framePSNR(trace, model, spec, frames)
+		out.rate = tb.RateSeries[0].MeanAfter(cfg.Duration / 2)
+		out.events = tb.Eng.Processed()
+		return nil
 	})
-	rdPSNR, rdRate, rdEvents, err := run(rdScaler)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: rd-scaling rd-aware: %w", err)
+		return nil, err
 	}
+	constant, rd := outcomes[0], outcomes[1]
+	constPSNR, rdPSNR := constant.psnr, rd.psnr
 
 	n := len(constPSNR)
 	if len(rdPSNR) < n {
@@ -124,10 +127,10 @@ func RDScaling(cfg RDScalingConfig) (*RDScalingResult, error) {
 		RDStdDev:       stats.StdDev(rdPSNR),
 		ConstantSwing:  swing(constPSNR),
 		RDSwing:        swing(rdPSNR),
-		ConstantRate:   constRate,
-		RDRate:         rdRate,
+		ConstantRate:   constant.rate,
+		RDRate:         rd.rate,
 		Frames:         n,
-		Events:         constEvents + rdEvents,
+		Events:         constant.events + rd.events,
 	}
 	return res, nil
 }

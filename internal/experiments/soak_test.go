@@ -30,7 +30,7 @@ func TestSoakLongRun(t *testing.T) {
 	for m := 5; m < 10; m++ {
 		lo := time.Duration(m) * time.Minute
 		hi := lo + time.Minute
-		got := meanBetween(tb.RateSeries[0], lo, hi)
+		got := tb.RateSeries[0].MeanBetween(lo, hi)
 		if got < want*0.9 || got > want*1.1 {
 			t.Errorf("minute %d: rate %.0f kb/s drifted from %.0f", m, got, want)
 		}

@@ -382,20 +382,30 @@ func (tb *Testbed) Run(duration time.Duration) error {
 	return nil
 }
 
+// runTestbed builds the testbed for cfg and runs it for duration: one
+// independent simulation, the unit fanOut spreads over the cores.
+func runTestbed(cfg TestbedConfig, duration time.Duration) (*Testbed, error) {
+	tb, err := NewTestbed(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return tb, tb.Run(duration)
+}
+
 // MeasuredPELSLoss returns the average feedback loss after warmup (clamped
 // at zero — negative feedback means spare capacity, not loss).
 func (tb *Testbed) MeasuredPELSLoss(warmup time.Duration) float64 {
-	sub := tb.FeedbackLoss.After(warmup)
-	if len(sub) == 0 {
+	first, n := tb.FeedbackLoss.Search(warmup), tb.FeedbackLoss.Len()
+	if first == n {
 		return 0
 	}
 	sum := 0.0
-	for _, s := range sub {
-		if s.Value > 0 {
-			sum += s.Value
+	for i := first; i < n; i++ {
+		if v := tb.FeedbackLoss.Sample(i).Value; v > 0 {
+			sum += v
 		}
 	}
-	return sum / float64(len(sub))
+	return sum / float64(n-first)
 }
 
 // StationaryRate returns the closed-form MKC equilibrium rate for this

@@ -43,18 +43,16 @@ func DefaultUtilizationConfig() UtilizationConfig {
 
 // Utilization measures useful link utilization for PELS and best-effort.
 func Utilization(cfg UtilizationConfig) ([]UtilizationResult, error) {
-	out := make([]UtilizationResult, 0, 2)
-	for _, bestEffort := range []bool{false, true} {
+	out := make([]UtilizationResult, 2)
+	err := fanOut(len(out), func(i int) error {
+		bestEffort := i == 1
 		tcfg := DefaultTestbedConfig()
 		tcfg.Seed = cfg.Seed
 		tcfg.NumPELS = cfg.NumFlows
 		tcfg.BestEffort = bestEffort
-		tb, err := NewTestbed(tcfg)
+		tb, err := runTestbed(tcfg, cfg.Duration)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: utilization: %w", err)
-		}
-		if err := tb.Run(cfg.Duration); err != nil {
-			return nil, fmt.Errorf("experiments: utilization: %w", err)
+			return fmt.Errorf("experiments: utilization: %w", err)
 		}
 		res := UtilizationResult{Scheme: "pels", Events: tb.Eng.Processed()}
 		if bestEffort {
@@ -75,7 +73,11 @@ func Utilization(cfg UtilizationConfig) ([]UtilizationResult, error) {
 			res.UsefulUtilization = float64(res.UsefulBytes) / float64(res.TransmittedBytes)
 			res.DeliveredUtilization = float64(res.DeliveredBytes) / float64(res.TransmittedBytes)
 		}
-		out = append(out, res)
+		out[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -60,7 +60,7 @@ func (n *Network) Pool() *packet.Pool { return n.pool }
 
 // NewHost adds a host to the topology.
 func (n *Network) NewHost(name string) *Host {
-	h := &Host{id: n.nextID, name: name, eng: n.eng, apps: make(map[int]App), pool: n.pool}
+	h := &Host{id: n.nextID, name: name, eng: n.eng, pool: n.pool}
 	n.nextID++
 	n.nodes = append(n.nodes, h)
 	return h
@@ -68,7 +68,7 @@ func (n *Network) NewHost(name string) *Host {
 
 // NewRouter adds a router to the topology.
 func (n *Network) NewRouter(name string) *Router {
-	r := &Router{id: n.nextID, name: name, routes: make(map[int]*Link), pool: n.pool}
+	r := &Router{id: n.nextID, name: name, pool: n.pool}
 	n.nextID++
 	n.nodes = append(n.nodes, r)
 	return r

@@ -32,12 +32,19 @@ type Host struct {
 	name   string
 	eng    *sim.Engine
 	uplink *Link
-	apps   map[int]App
-	pool   *packet.Pool
+	// apps is scanned linearly on every delivery: a host carries one or
+	// two flows, where a scan beats hashing the flow ID.
+	apps []flowApp
+	pool *packet.Pool
 
 	// DefaultApp, if set, receives packets whose flow has no registered
 	// app (useful for promiscuous monitors).
 	DefaultApp App
+}
+
+type flowApp struct {
+	flow int
+	app  App
 }
 
 var _ Node = (*Host)(nil)
@@ -49,10 +56,30 @@ func (h *Host) ID() int { return h.id }
 func (h *Host) Name() string { return h.name }
 
 // Attach registers app to receive packets of the given flow.
-func (h *Host) Attach(flowID int, app App) { h.apps[flowID] = app }
+func (h *Host) Attach(flowID int, app App) {
+	if i := h.find(flowID); i >= 0 {
+		h.apps[i].app = app
+		return
+	}
+	h.apps = append(h.apps, flowApp{flowID, app})
+}
 
 // Detach removes the app registered for the flow, if any.
-func (h *Host) Detach(flowID int) { delete(h.apps, flowID) }
+func (h *Host) Detach(flowID int) {
+	if i := h.find(flowID); i >= 0 {
+		h.apps = append(h.apps[:i], h.apps[i+1:]...)
+	}
+}
+
+// find returns the index in apps of the flow's registration, or -1.
+func (h *Host) find(flowID int) int {
+	for i := range h.apps {
+		if h.apps[i].flow == flowID {
+			return i
+		}
+	}
+	return -1
+}
 
 // SetUplink points the host's default route at l.
 func (h *Host) SetUplink(l *Link) { h.uplink = l }
@@ -77,8 +104,8 @@ func (h *Host) Send(p *packet.Packet) {
 // the free list once the app callback finishes, so apps must copy any
 // values they need rather than retain the pointer.
 func (h *Host) Receive(p *packet.Packet) {
-	if app, ok := h.apps[p.FlowID]; ok {
-		app.HandlePacket(p)
+	if i := h.find(p.FlowID); i >= 0 {
+		h.apps[i].app.HandlePacket(p)
 	} else if h.DefaultApp != nil {
 		h.DefaultApp.HandlePacket(p)
 	}
@@ -91,9 +118,11 @@ func (h *Host) Receive(p *packet.Packet) {
 // filled in by Network.ComputeRoutes. Registered processors run on every
 // arriving packet before forwarding.
 type Router struct {
-	id     int
-	name   string
-	routes map[int]*Link
+	id   int
+	name string
+	// routes is indexed by destination node ID (IDs are dense: the
+	// network hands them out in creation order); nil means no route.
+	routes []*Link
 	procs  []Processor
 	pool   *packet.Pool
 
@@ -113,15 +142,23 @@ func (r *Router) Name() string { return r.name }
 func (r *Router) AddProcessor(p Processor) { r.procs = append(r.procs, p) }
 
 // SetRoute installs or replaces the outgoing link for the destination node.
-func (r *Router) SetRoute(dst int, l *Link) { r.routes[dst] = l }
+func (r *Router) SetRoute(dst int, l *Link) {
+	if dst >= len(r.routes) {
+		r.routes = append(r.routes, make([]*Link, dst+1-len(r.routes))...)
+	}
+	r.routes[dst] = l
+}
 
 // Receive implements Receiver.
 func (r *Router) Receive(p *packet.Packet) {
 	for _, proc := range r.procs {
 		proc.Process(p)
 	}
-	link, ok := r.routes[p.Dst]
-	if !ok {
+	var link *Link
+	if uint(p.Dst) < uint(len(r.routes)) {
+		link = r.routes[p.Dst]
+	}
+	if link == nil {
 		r.noRoute++
 		if r.pool != nil {
 			r.pool.Put(p)

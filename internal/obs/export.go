@@ -117,7 +117,8 @@ func (r *Registry) SeriesJSON(w io.Writer) error {
 		r.mu.Unlock()
 		snap := s.Snapshot()
 		pairs := make([][2]float64, 0, snap.Len())
-		for _, smp := range snap.Samples() {
+		for i := 0; i < snap.Len(); i++ {
+			smp := snap.Sample(i)
 			pairs = append(pairs, [2]float64{smp.At.Seconds(), smp.Value})
 		}
 		out[name] = pairs

@@ -50,11 +50,7 @@ func (s *Series) Last() float64 {
 func (s *Series) Snapshot() *stats.TimeSeries {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := stats.NewTimeSeries(s.ts.Name)
-	for _, smp := range s.ts.Samples() {
-		out.Add(smp.At, smp.Value)
-	}
-	return out
+	return s.ts.Snapshot()
 }
 
 // TimeSeries returns the backing stats.TimeSeries without copying. It is

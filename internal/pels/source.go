@@ -32,7 +32,7 @@ type Source struct {
 	sent    []SentFrame
 	plan    fgs.PacketPlan
 	nextIdx int
-	emitEv  *sim.Event
+	pace    *sim.Timer // fires emitNext for the next paced packet
 	started bool
 	stopped bool
 
@@ -88,6 +88,7 @@ func NewSource(net *netsim.Network, host *netsim.Host, dst int, cfg Config) (*So
 		gamma:      gamma,
 		packetizer: pk,
 	}
+	s.pace = s.eng.NewTimer(s.emitNext)
 	if cfg.Layered() {
 		s.layered = true
 		s.layerPlan = fgs.LayerPlan{Counts: make([]int, cfg.Layers)}
@@ -113,10 +114,7 @@ func (s *Source) Start(at time.Duration) {
 // Stop halts streaming and cancels queued packet transmissions.
 func (s *Source) Stop() {
 	s.stopped = true
-	if s.emitEv != nil {
-		s.emitEv.Cancel()
-		s.emitEv = nil
-	}
+	s.pace.Stop()
 }
 
 // planFrame sizes the next video frame with the controller's current rate:
@@ -179,7 +177,6 @@ func (s *Source) planFrameNo() int {
 // take effect within one packet time (a slower actuator would turn the
 // feedback loop into a limit cycle).
 func (s *Source) emitNext() {
-	s.emitEv = nil
 	if s.stopped {
 		return
 	}
@@ -188,7 +185,7 @@ func (s *Source) emitNext() {
 		if s.planTotal() == 0 {
 			// Degenerate spec (no packets to send); try again next frame
 			// interval rather than spinning.
-			s.emitEv = s.eng.Schedule(s.cfg.FrameInterval, s.emitNext)
+			s.pace.Reset(s.cfg.FrameInterval)
 			return
 		}
 	}
@@ -206,7 +203,7 @@ func (s *Source) emitNext() {
 	s.host.Send(p)
 
 	spacing := s.ctrl.Rate().TransmissionTime(s.cfg.Frame.PacketSize)
-	s.emitEv = s.eng.Schedule(spacing, s.emitNext)
+	s.pace.Reset(spacing)
 }
 
 // HandlePacket implements netsim.App: ACKs carry router feedback back to

@@ -293,6 +293,54 @@ func TestHandOffFinishMidChunk(t *testing.T) {
 	}
 }
 
+// TestStaleTimerDoesNotEvictReadmittedKey: a reaped session's timer is
+// still on the wheel when its receiver re-hellos under the same (addr,
+// flow). When the stale timer fires, the old session finishes — and must
+// leave the new one, which now owns the key, in the table and streaming.
+func TestStaleTimerDoesNotEvictReadmittedKey(t *testing.T) {
+	out := &flowLog{}
+	s, clk, conn := handServer(t, out, nil)
+	key := Key{Addr: handPeer.String(), Flow: 1}
+	s.admit(handPeer, 1, clk.Now())
+	old := s.table.Get(key)
+	if n := s.table.Reap(clk.Now(), 0, nil); n != 1 {
+		t.Fatalf("reaped %d sessions, want 1", n)
+	}
+	s.admit(handPeer, 1, clk.Now())
+	fresh := s.table.Get(key)
+	if fresh == nil || fresh == old {
+		t.Fatal("the key was not re-admitted as a new session")
+	}
+	if got := s.wheel.Len(); got != 2 {
+		t.Fatalf("wheel holds %d timers, want the stale one and the new one", got)
+	}
+	var fired []*Timer
+	for tick := 0; s.wheel.Len() == 2; tick++ {
+		if tick > 1000 {
+			t.Fatal("the stale timer never fired")
+		}
+		step(t, s, clk, &fired)
+	}
+	if got := s.table.Get(key); got != fresh {
+		t.Fatalf("after the stale fire the key maps to %p, want the re-admitted session %p", got, fresh)
+	}
+	out.take()
+	for tick := 0; tick < 200; tick++ {
+		step(t, s, clk, &fired)
+	}
+	if !slices.Contains(out.take(), 1) {
+		t.Fatal("the re-admitted session stopped streaming")
+	}
+	if st := s.Stats(); st.Active != 1 || st.Completed != 0 {
+		t.Fatalf("active=%d completed=%d, want 1/0", st.Active, st.Completed)
+	}
+	conn.mu.Lock()
+	defer conn.mu.Unlock()
+	if len(conn.ctl) != 0 {
+		t.Fatalf("control datagrams %+v, want none: the reap passed no callback and nobody else closed", conn.ctl)
+	}
+}
+
 // TestHandOffCycleDoesNotAllocate: one steady-state advance → hand-off →
 // pump → RescheduleBatch → buffer-return cycle allocates nothing.
 func TestHandOffCycleDoesNotAllocate(t *testing.T) {

@@ -687,7 +687,7 @@ func (s *Server) handOff(ctx context.Context, fired []*Timer) bool {
 // receiver why it ended (completed its frames, drained, or died on an
 // internal error) so it can finish or reconnect instead of timing out.
 func (s *Server) finish(sess *Session, now time.Time) {
-	if s.table.Delete(sess.Key(), false) {
+	if s.table.DeleteIf(sess.Key(), sess, false) {
 		s.completed.Add(1)
 		if s.obsCompleted != nil {
 			s.obsCompleted.Inc()
@@ -774,7 +774,7 @@ func (s *Server) reapStuck(now time.Time) {
 	n := 0
 	s.table.Range(func(k Key, sess *Session) bool {
 		if sess.expireStuck(now, s.cfg.StuckTimeout) {
-			if s.table.Delete(k, true) {
+			if s.table.DeleteIf(k, sess, true) {
 				n++
 				s.sendControl(wire.TypeClose, k.Flow, wire.ReasonStuck, 0, sess.Peer(), now)
 			}

@@ -181,10 +181,22 @@ func (t *Table) Put(k Key, s *Session) bool {
 
 // Delete removes k, reporting whether it was present. reaped marks the
 // removal as an idle-timeout reap in the shard's counters.
-func (t *Table) Delete(k Key, reaped bool) bool {
+func (t *Table) Delete(k Key, reaped bool) bool { return t.remove(k, nil, reaped) }
+
+// DeleteIf removes k only while it still maps to s, reporting whether it
+// did. It is how a session's own end of life leaves the table: a session
+// that was already removed (reaped, say) and whose key a new hello has
+// since re-admitted must not take the newcomer with it.
+func (t *Table) DeleteIf(k Key, s *Session, reaped bool) bool { return t.remove(k, s, reaped) }
+
+// remove deletes k if present and, when only is non-nil, mapped to it.
+func (t *Table) remove(k Key, only *Session, reaped bool) bool {
 	sh := t.shard(k)
 	sh.mu.Lock()
-	_, ok := sh.m[k]
+	cur, ok := sh.m[k]
+	if only != nil && cur != only {
+		ok = false
+	}
 	if ok {
 		delete(sh.m, k)
 	}
@@ -243,7 +255,7 @@ func (t *Table) Reap(now time.Time, idle time.Duration, onReap func(k Key, s *Se
 	n := 0
 	t.Range(func(k Key, s *Session) bool {
 		if s.expireIdle(now, idle) {
-			if t.Delete(k, true) {
+			if t.DeleteIf(k, s, true) {
 				n++
 				if onReap != nil {
 					onReap(k, s)

@@ -56,6 +56,29 @@ func TestTablePutGetDelete(t *testing.T) {
 	}
 }
 
+// TestTableDeleteIf: compare-and-delete removes a key only while it maps
+// to the given session, so a session that lost its slot cannot evict the
+// session that now holds it.
+func TestTableDeleteIf(t *testing.T) {
+	now := time.Unix(1000, 0)
+	tb := NewTable(4)
+	k := Key{Addr: "127.0.0.1:4242", Flow: 7}
+	old, cur := testSession(t, k, now), testSession(t, k, now)
+	tb.Put(k, cur)
+	if tb.DeleteIf(k, old, false) {
+		t.Fatal("DeleteIf removed a key mapped to a different session")
+	}
+	if got := tb.Get(k); got != cur {
+		t.Fatalf("Get returned %v, want the current session", got)
+	}
+	if !tb.DeleteIf(k, cur, false) {
+		t.Fatal("DeleteIf of the mapped session reported false")
+	}
+	if tb.DeleteIf(k, cur, false) || tb.Len() != 0 {
+		t.Fatal("DeleteIf of an absent key reported true")
+	}
+}
+
 func TestTableShardSpread(t *testing.T) {
 	now := time.Unix(1000, 0)
 	tb := NewTable(8)

@@ -228,6 +228,9 @@ func (q *calQueue) compact() int {
 			if ev.cancelled {
 				ev.done = true
 				removed++
+				if ev.pooled {
+					ev.eng.release(ev)
+				}
 				continue
 			}
 			live = append(live, ev)

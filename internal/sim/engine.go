@@ -35,8 +35,8 @@ type eventQueue interface {
 	// pop removes and returns the minimum event, or nil when empty.
 	pop() *Event
 	len() int
-	// compact removes all cancelled events, marking each done, and
-	// returns how many were removed.
+	// compact removes all cancelled events, marking each done and
+	// releasing the pooled ones, and returns how many were removed.
 	compact() int
 }
 
@@ -55,9 +55,9 @@ type Engine struct {
 	// models (retransmit timers) stay O(live events).
 	cancelled int
 
-	// free is the Event free list for pooled (fire-and-forget) events.
-	// Only events created by ScheduleFunc/AtFunc are recycled: they never
-	// hand out a handle, so no caller can observe the reuse.
+	// free is the Event free list for pooled events. Only events created
+	// by ScheduleFunc/AtFunc and by Timer arms are recycled: neither hands
+	// out the *Event, so no caller can observe the reuse.
 	free []*Event
 	// recycled counts free-list reuses (for the obs gauge).
 	recycled uint64
@@ -154,6 +154,15 @@ func (e *Engine) AtFunc(t time.Duration, fn func()) {
 	if fn == nil {
 		panic("sim: AtFunc called with nil callback")
 	}
+	e.pushPooled(t, fn)
+}
+
+// pushPooled queues fn at absolute time t (clamped to now) on an Event
+// drawn from the free list, consuming one sequence number. Nothing outside
+// the engine may keep the returned pointer past the event's pop: a pooled
+// event is recycled when it fires, is skipped as cancelled, or is compacted
+// away.
+func (e *Engine) pushPooled(t time.Duration, fn func()) *Event {
 	if t < e.now {
 		t = e.now
 	}
@@ -169,6 +178,13 @@ func (e *Engine) AtFunc(t time.Duration, fn func()) {
 	}
 	e.seq++
 	e.q.push(ev)
+	return ev
+}
+
+// release returns a pooled event that has left the queue to the free list.
+func (e *Engine) release(ev *Event) {
+	ev.fn = nil
+	e.free = append(e.free, ev)
 }
 
 // compactThreshold is the minimum queue size before cancellation-triggered
@@ -222,6 +238,9 @@ func (e *Engine) run(deadline time.Duration) error {
 		next.done = true
 		if next.cancelled {
 			e.cancelled--
+			if next.pooled {
+				e.release(next)
+			}
 			continue
 		}
 		e.now = next.at
@@ -234,8 +253,7 @@ func (e *Engine) run(deadline time.Duration) error {
 			// Safe to recycle before fn runs: pooled events hand out no
 			// handle, so fn (or anything it schedules) may immediately
 			// reuse the object without anyone observing the identity.
-			next.fn = nil
-			e.free = append(e.free, next)
+			e.release(next)
 		}
 		fn()
 	}
@@ -259,9 +277,9 @@ type Event struct {
 	fn        func()
 	eng       *Engine
 	cancelled bool
-	// pooled marks a fire-and-forget event created by ScheduleFunc/AtFunc:
-	// no handle exists, so the object returns to the engine free list when
-	// it fires.
+	// pooled marks an event created by ScheduleFunc/AtFunc or a Timer arm:
+	// no *Event handle exists, so the object returns to the engine free
+	// list when it leaves the queue.
 	pooled bool
 	// done marks an event that has left the queue (fired, skipped, or
 	// compacted away), so a late Cancel cannot skew the engine's

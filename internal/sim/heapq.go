@@ -30,6 +30,9 @@ func (h *heapQueue) compact() int {
 		if ev.cancelled {
 			ev.done = true
 			removed++
+			if ev.pooled {
+				ev.eng.release(ev)
+			}
 			continue
 		}
 		live = append(live, ev)

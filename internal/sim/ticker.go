@@ -6,10 +6,9 @@ import "time"
 // building block for router feedback intervals (paper eq. 11, computed every
 // T time units) and paced packet senders.
 type Ticker struct {
-	eng    *Engine
 	period time.Duration
 	fn     func()
-	ev     *Event
+	timer  *Timer
 	active bool
 }
 
@@ -22,7 +21,9 @@ func NewTicker(eng *Engine, period time.Duration, fn func()) *Ticker {
 	if fn == nil {
 		panic("sim: NewTicker with nil callback")
 	}
-	return &Ticker{eng: eng, period: period, fn: fn}
+	t := &Ticker{period: period, fn: fn}
+	t.timer = eng.NewTimer(t.tick)
+	return t
 }
 
 // Start schedules the first tick one period from now. Starting an active
@@ -32,7 +33,7 @@ func (t *Ticker) Start() {
 		return
 	}
 	t.active = true
-	t.schedule()
+	t.timer.Reset(t.period)
 }
 
 // StartAt schedules the first tick at absolute time at and repeats every
@@ -42,7 +43,7 @@ func (t *Ticker) StartAt(at time.Duration) {
 		return
 	}
 	t.active = true
-	t.ev = t.eng.At(at, t.tick)
+	t.timer.Reset(at - t.timer.eng.now)
 }
 
 // Stop cancels future ticks. The ticker may be restarted with Start.
@@ -51,10 +52,7 @@ func (t *Ticker) Stop() {
 		return
 	}
 	t.active = false
-	if t.ev != nil {
-		t.ev.Cancel()
-		t.ev = nil
-	}
+	t.timer.Stop()
 }
 
 // Active reports whether the ticker is currently running.
@@ -72,16 +70,9 @@ func (t *Ticker) SetPeriod(period time.Duration) {
 	t.period = period
 }
 
-func (t *Ticker) schedule() {
-	t.ev = t.eng.Schedule(t.period, t.tick)
-}
-
 func (t *Ticker) tick() {
-	if !t.active {
-		return
-	}
 	t.fn()
 	if t.active {
-		t.schedule()
+		t.timer.Reset(t.period)
 	}
 }

@@ -28,7 +28,7 @@ func WriteCSV(w io.Writer, series ...*TimeSeries) error {
 	for i := 0; i < maxLen; i++ {
 		for j, ts := range series {
 			if i < ts.Len() {
-				s := ts.Samples()[i]
+				s := ts.Sample(i)
 				row[2*j] = strconv.FormatFloat(s.At.Seconds(), 'f', 6, 64)
 				row[2*j+1] = strconv.FormatFloat(s.Value, 'g', 8, 64)
 			} else {

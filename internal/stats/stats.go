@@ -16,10 +16,25 @@ type Sample struct {
 	Value float64
 }
 
-// TimeSeries accumulates samples in arrival order.
+// chunkLen is the number of samples per storage chunk: 8 KiB of samples, a
+// Go allocator size class. It is a power of two so an index splits into
+// (chunk, offset) with a shift and a mask.
+const chunkLen = 512
+
+type chunk [chunkLen]Sample
+
+// TimeSeries accumulates samples in arrival order. Storage is append-only
+// fixed-size chunks: growing the series allocates one chunk and never
+// copies a sample already stored, so a long series costs its own size
+// rather than the garbage of a doubling slice. The samples are therefore
+// not contiguous; readers walk them by index (Len, Sample, Search).
+//
+// Search, MeanAfter and MeanBetween assume samples were added in
+// non-decreasing time order, which is what recording at the clock gives.
 type TimeSeries struct {
-	Name    string
-	samples []Sample
+	Name   string
+	chunks []*chunk
+	n      int
 }
 
 // NewTimeSeries returns an empty named series.
@@ -29,55 +44,88 @@ func NewTimeSeries(name string) *TimeSeries {
 
 // Add appends a sample.
 func (ts *TimeSeries) Add(at time.Duration, v float64) {
-	ts.samples = append(ts.samples, Sample{At: at, Value: v})
+	off := ts.n & (chunkLen - 1)
+	if off == 0 {
+		ts.chunks = append(ts.chunks, new(chunk))
+	}
+	ts.chunks[len(ts.chunks)-1][off] = Sample{At: at, Value: v}
+	ts.n++
 }
 
 // Len returns the number of samples.
-func (ts *TimeSeries) Len() int { return len(ts.samples) }
+func (ts *TimeSeries) Len() int { return ts.n }
 
-// Samples returns the underlying samples. Callers must not mutate it.
-func (ts *TimeSeries) Samples() []Sample { return ts.samples }
+// Sample returns the i-th sample, 0 <= i < Len().
+func (ts *TimeSeries) Sample(i int) Sample {
+	return ts.chunks[i/chunkLen][i&(chunkLen-1)]
+}
+
+// Search returns the index of the first sample at or after t (Len() if
+// there is none): the samples from Search(t) on are the series after t.
+func (ts *TimeSeries) Search(t time.Duration) int {
+	return sort.Search(ts.n, func(i int) bool { return ts.Sample(i).At >= t })
+}
 
 // Values returns a copy of the sample values in order.
-func (ts *TimeSeries) Values() []float64 {
-	out := make([]float64, len(ts.samples))
-	for i, s := range ts.samples {
-		out[i] = s.Value
+func (ts *TimeSeries) Values() []float64 { return ts.valuesFrom(0) }
+
+// ValuesAfter returns a copy of the values of samples at or after t.
+func (ts *TimeSeries) ValuesAfter(t time.Duration) []float64 {
+	return ts.valuesFrom(ts.Search(t))
+}
+
+func (ts *TimeSeries) valuesFrom(i int) []float64 {
+	out := make([]float64, 0, ts.n-i)
+	for ; i < ts.n; i++ {
+		out = append(out, ts.Sample(i).Value)
+	}
+	return out
+}
+
+// Snapshot returns an independent series with the same samples. Full
+// chunks are immutable once written, so the copy shares them and
+// duplicates only the chunk still being filled.
+func (ts *TimeSeries) Snapshot() *TimeSeries {
+	out := &TimeSeries{Name: ts.Name, n: ts.n}
+	out.chunks = append(out.chunks, ts.chunks...)
+	if ts.n&(chunkLen-1) != 0 {
+		tail := *ts.chunks[len(ts.chunks)-1]
+		out.chunks[len(out.chunks)-1] = &tail
 	}
 	return out
 }
 
 // Last returns the most recent sample value, or 0 if empty.
 func (ts *TimeSeries) Last() float64 {
-	if len(ts.samples) == 0 {
+	if ts.n == 0 {
 		return 0
 	}
-	return ts.samples[len(ts.samples)-1].Value
+	return ts.Sample(ts.n - 1).Value
 }
 
 // Mean returns the mean value of all samples.
-func (ts *TimeSeries) Mean() float64 {
-	return Mean(ts.Values())
-}
-
-// After returns the sub-series of samples at or after t (a view; do not
-// mutate).
-func (ts *TimeSeries) After(t time.Duration) []Sample {
-	i := sort.Search(len(ts.samples), func(i int) bool { return ts.samples[i].At >= t })
-	return ts.samples[i:]
-}
+func (ts *TimeSeries) Mean() float64 { return ts.meanOf(0, ts.n) }
 
 // MeanAfter returns the mean value of samples at or after t.
 func (ts *TimeSeries) MeanAfter(t time.Duration) float64 {
-	sub := ts.After(t)
-	if len(sub) == 0 {
+	return ts.meanOf(ts.Search(t), ts.n)
+}
+
+// MeanBetween returns the mean value of samples in [lo, hi).
+func (ts *TimeSeries) MeanBetween(lo, hi time.Duration) float64 {
+	return ts.meanOf(ts.Search(lo), ts.Search(hi))
+}
+
+// meanOf averages samples [i, j) in order; 0 for an empty range.
+func (ts *TimeSeries) meanOf(i, j int) float64 {
+	if i >= j {
 		return 0
 	}
 	sum := 0.0
-	for _, s := range sub {
-		sum += s.Value
+	for k := i; k < j; k++ {
+		sum += ts.Sample(k).Value
 	}
-	return sum / float64(len(sub))
+	return sum / float64(j-i)
 }
 
 // Mean returns the arithmetic mean of vs (0 for empty input).

@@ -33,12 +33,12 @@ func TestTimeSeriesAfter(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		ts.Add(time.Duration(i)*time.Second, float64(i))
 	}
-	sub := ts.After(6 * time.Second)
-	if len(sub) != 5 {
-		t.Fatalf("After(6s) length = %d, want 5", len(sub))
+	first := ts.Search(6 * time.Second)
+	if got := ts.Len() - first; got != 5 {
+		t.Fatalf("samples after 6s = %d, want 5", got)
 	}
-	if sub[0].Value != 6 {
-		t.Errorf("first value = %v, want 6", sub[0].Value)
+	if got := ts.Sample(first).Value; got != 6 {
+		t.Errorf("first value = %v, want 6", got)
 	}
 	if got := ts.MeanAfter(6 * time.Second); got != 8 {
 		t.Errorf("MeanAfter = %v, want 8", got)
@@ -54,7 +54,7 @@ func TestTimeSeriesValues(t *testing.T) {
 	ts.Add(time.Second, 2)
 	vs := ts.Values()
 	vs[0] = 99 // must be a copy
-	if ts.Samples()[0].Value != 1 {
+	if ts.Sample(0).Value != 1 {
 		t.Error("Values() returned a view, not a copy")
 	}
 }

@@ -70,7 +70,7 @@ type Sender struct {
 	timing     bool
 	rtoBackoff int
 
-	rtoTimer *sim.Event
+	rtoTimer *sim.Timer
 
 	segmentsSent    int64
 	retransmissions int64
@@ -107,6 +107,7 @@ func NewSender(net *netsim.Network, host *netsim.Host, dst int, cfg Config) *Sen
 		ssthresh: cfg.InitialSsthresh,
 		rto:      time.Second,
 	}
+	s.rtoTimer = s.eng.NewTimer(s.onRTO)
 	host.Attach(cfg.Flow, s)
 	return s
 }
@@ -171,7 +172,6 @@ func (s *Sender) onDupAck() {
 }
 
 func (s *Sender) onRTO() {
-	s.rtoTimer = nil
 	if s.sndUna >= s.sndNxt {
 		return // nothing outstanding
 	}
@@ -198,7 +198,7 @@ func (s *Sender) trySend() {
 		s.sendSegment(s.sndNxt, false)
 		s.sndNxt += int64(s.cfg.MSS)
 	}
-	if s.rtoTimer == nil && s.sndNxt > s.sndUna {
+	if !s.rtoTimer.Armed() && s.sndNxt > s.sndUna {
 		s.resetRTO()
 	}
 }
@@ -234,15 +234,11 @@ func (s *Sender) sampleRTT(rtt time.Duration) {
 }
 
 func (s *Sender) resetRTO() {
-	if s.rtoTimer != nil {
-		s.rtoTimer.Cancel()
-	}
 	if s.sndUna >= s.sndNxt {
-		s.rtoTimer = nil
+		s.rtoTimer.Stop()
 		return
 	}
-	rto := s.rto << uint(minInt(s.rtoBackoff, 6))
-	s.rtoTimer = s.eng.Schedule(rto, s.onRTO)
+	s.rtoTimer.Reset(s.rto << uint(minInt(s.rtoBackoff, 6)))
 }
 
 // Cwnd returns the current congestion window in segments.

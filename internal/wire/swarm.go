@@ -337,8 +337,10 @@ func (s *Swarm) Run(ctx context.Context) error {
 // helloLoop scans the receiver set on a coarse tick, driving the storm
 // mute/resume transitions and sending (retrying with jittered
 // exponential backoff) hellos for receivers whose arrival time has come
-// and whose stream has not started. A linear scan every 25ms is
-// microseconds even at ten thousand receivers.
+// and whose stream has not started. The scan is linear and takes every
+// receiver's lock: measured at about 450 µs per scan, and about 30 % of the
+// churn-mem benchmark's CPU, so it is not free at ten thousand receivers —
+// a due-time index is its own performance issue.
 func (s *Swarm) helloLoop(ctx context.Context) {
 	tick := time.NewTicker(25 * time.Millisecond)
 	defer tick.Stop()
