@@ -30,9 +30,13 @@ test:
 test-short:
 	go test -short ./...
 
-# Race-enabled short tests — the PR gate in .github/workflows/ci.yml.
+# Race-enabled short tests — the PR gate in .github/workflows/ci.yml. The
+# second line repeats the wire tests that have been timing-sensitive (the
+# shaped link's counters, the swarm's hello driver) so a flake cannot
+# return unnoticed.
 race:
 	go test -race -short ./...
+	go test -race -count=20 -run 'TestShapedConn|TestSwarm' ./internal/wire/
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -90,13 +94,15 @@ perfdiff:
 # The end-to-end benchmark is a module of its own (bench/go.mod), so
 # `go build ./...` and `go test ./...` never compile it. This vets and
 # race-tests it against the tree and runs one second of the driver's own
-# command on a live workload and on a simulator one, so a session/wire or
-# experiments/sim API change that breaks it fails here (the CI load-smoke
-# job) and not in the driver.
+# command on two live workloads and on a simulator one, so a session/wire
+# or experiments/sim API change that breaks it fails here (the CI
+# load-smoke job) and not in the driver. churn-mem is the only gate that
+# runs swarm, admission and close end to end.
 bench-e2e:
 	go -C bench vet ./...
 	go -C bench test -short -race ./...
 	bash bench/run.sh --workload egress-wide --seed 1 --seconds 1 --trace 0
+	bash bench/run.sh --workload churn-mem --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload sim-figures --seed 1 --seconds 1 --trace 0
 
 cover:
@@ -108,6 +114,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzDecodeDatagram$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzHeaderRoundTrip$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzCorruption$$' -fuzztime=10s ./internal/wire/
+	go test -run '^$$' -fuzz '^FuzzSwarmHandle$$' -fuzztime=10s ./internal/wire/
 
 # Chaos lane: deterministic fault-schedule experiments plus a live
 # stream through a flapping emulated link (the CI chaos-smoke job).

@@ -34,6 +34,10 @@ var deterministicPkgs = map[string]bool{
 	// production), so the wheel/table/batcher core is testable on a
 	// virtual clock.
 	"session": true,
+	// timewheel is the wheel under both session and wire: it is handed
+	// every instant, which is what lets either side drive it from a
+	// synthetic clock.
+	"timewheel": true,
 	// perf post-processes benchmark output: its numbers must come from the
 	// parsed records, never from a live clock.
 	"perf": true,

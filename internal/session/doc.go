@@ -4,8 +4,9 @@
 //
 // The pieces, bottom up:
 //
-//   - Wheel is a hashed timing wheel. Every session schedules its next
-//     send on it, so the number of pacing goroutines is a property of the
+//   - Wheel is a hashed timing wheel (internal/timewheel, instantiated
+//     for sessions). Every session schedules its next send on it, so
+//     the number of pacing goroutines is a property of the
 //     server (one driver plus a small worker pool), not of the session
 //     count — the goroutine-per-sender pacing of wire.Sender does not
 //     survive into the thousands-of-streams regime. The driver hands a

@@ -149,7 +149,7 @@ func step(t *testing.T, s *Server, clk *fakeClock, fired *[]*Timer) []uint32 {
 	*fired = s.wheel.Advance(now, (*fired)[:0])
 	order := make([]uint32, len(*fired))
 	for i, tm := range *fired {
-		order[i] = tm.sess.key.Flow
+		order[i] = tm.Owner.key.Flow
 	}
 	if !s.handOff(context.Background(), *fired) {
 		t.Fatal("handOff gave up under a live context")
@@ -366,7 +366,7 @@ func TestHandOffCycleDoesNotAllocate(t *testing.T) {
 	}
 	// Two laps of the wheel bring the slots, the driver's slice and the
 	// chunk buffers to the capacity they keep.
-	for i := 0; i < 2*(s.wheel.mask+1); i++ {
+	for i := 0; i < 2*s.cfg.WheelSlots; i++ {
 		cycle()
 	}
 	pumped = 0

@@ -194,7 +194,7 @@ func TestOverloadSeesBlockedDriver(t *testing.T) {
 	s.free <- held[0]
 	select {
 	case chunk := <-s.jobs:
-		if len(chunk) != 1 || chunk[0].sess.key.Flow != 1 {
+		if len(chunk) != 1 || chunk[0].Owner.key.Flow != 1 {
 			t.Fatalf("chunk %v, want flow 1 alone", chunk)
 		}
 	case <-time.After(5 * time.Second):

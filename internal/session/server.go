@@ -647,12 +647,12 @@ func (s *Server) pumpChunk(chunk []*Timer) {
 	now := s.cfg.Clock.Now()
 	live := chunk[:0]
 	for _, t := range chunk {
-		next, done := t.sess.pump(now)
+		next, done := t.Owner.pump(now)
 		if done {
-			s.finish(t.sess, now)
+			s.finish(t.Owner, now)
 			continue
 		}
-		t.at = next
+		t.At = next
 		live = append(live, t)
 	}
 	s.wheel.RescheduleBatch(live)

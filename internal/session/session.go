@@ -280,7 +280,7 @@ func NewSession(key Key, peer net.Addr, out wire.PacketWriter, cfg Config, now t
 		s.gammas = make([]float64, cfg.Layers-1)
 	}
 	s.stats.Key = key
-	s.timer.sess = s
+	s.timer.Owner = s
 	return s, nil
 }
 

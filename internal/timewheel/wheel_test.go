@@ -1,4 +1,4 @@
-package session
+package timewheel
 
 import (
 	"slices"
@@ -6,14 +6,17 @@ import (
 	"time"
 )
 
+// owner stands in for what a timer wakes (a session, a swarm receiver).
+type owner struct{ id int }
+
 // advanceTo steps the wheel to at and returns everything fired.
-func advanceTo(w *Wheel, at time.Time) []*Timer {
+func advanceTo(w *Wheel[owner], at time.Time) []*Timer[owner] {
 	return w.Advance(at, nil)
 }
 
 func TestWheelFiresAtDeadline(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	w := NewWheel(time.Millisecond, 8, t0)
+	w := New[owner](time.Millisecond, 8, t0)
 	fired := 0
 	w.Schedule(t0.Add(3*time.Millisecond), func(time.Time) { fired++ })
 	if got := advanceTo(w, t0.Add(2*time.Millisecond)); len(got) != 0 {
@@ -36,7 +39,7 @@ func TestWheelLapFiltering(t *testing.T) {
 	// 8 slots × 1ms = 8ms horizon; a 20ms deadline wraps 2.5 laps and must
 	// survive two cursor passes over its slot before firing.
 	t0 := time.Unix(1000, 0)
-	w := NewWheel(time.Millisecond, 8, t0)
+	w := New[owner](time.Millisecond, 8, t0)
 	w.Schedule(t0.Add(20*time.Millisecond), func(time.Time) {})
 	for ms := 1; ms < 20; ms++ {
 		if got := advanceTo(w, t0.Add(time.Duration(ms)*time.Millisecond)); len(got) != 0 {
@@ -50,7 +53,7 @@ func TestWheelLapFiltering(t *testing.T) {
 
 func TestWheelPastDeadlineFiresNextTick(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	w := NewWheel(time.Millisecond, 8, t0)
+	w := New[owner](time.Millisecond, 8, t0)
 	w.Schedule(t0.Add(-time.Second), func(time.Time) {})
 	if got := advanceTo(w, t0.Add(time.Millisecond)); len(got) != 1 {
 		t.Fatalf("past deadline fired %d timers on the next tick, want 1", len(got))
@@ -59,7 +62,7 @@ func TestWheelPastDeadlineFiresNextTick(t *testing.T) {
 
 func TestWheelCancel(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	w := NewWheel(time.Millisecond, 8, t0)
+	w := New[owner](time.Millisecond, 8, t0)
 	tm := w.Schedule(t0.Add(2*time.Millisecond), func(time.Time) {})
 	if !w.Cancel(tm) {
 		t.Fatal("Cancel of a live timer reported false")
@@ -77,7 +80,7 @@ func TestWheelCancel(t *testing.T) {
 
 func TestWheelRescheduleReuse(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	w := NewWheel(time.Millisecond, 8, t0)
+	w := New[owner](time.Millisecond, 8, t0)
 	count := 0
 	tm := w.Schedule(t0.Add(time.Millisecond), func(time.Time) { count++ })
 	now := t0
@@ -91,14 +94,14 @@ func TestWheelRescheduleReuse(t *testing.T) {
 	if count != 5 {
 		t.Fatalf("reused timer fired %d times, want 5", count)
 	}
-	if tm.When().Before(now) {
-		t.Fatalf("rescheduled deadline %v not advanced past %v", tm.When(), now)
+	if tm.At.Before(now) {
+		t.Fatalf("rescheduled deadline %v not advanced past %v", tm.At, now)
 	}
 }
 
 func TestWheelRescheduleLivePanics(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	w := NewWheel(time.Millisecond, 8, t0)
+	w := New[owner](time.Millisecond, 8, t0)
 	tm := w.Schedule(t0.Add(time.Millisecond), func(time.Time) {})
 	defer func() {
 		if recover() == nil {
@@ -110,7 +113,7 @@ func TestWheelRescheduleLivePanics(t *testing.T) {
 
 func TestWheelManyTimersOneAdvance(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	w := NewWheel(time.Millisecond, 64, t0)
+	w := New[owner](time.Millisecond, 64, t0)
 	const n = 1000
 	for i := 0; i < n; i++ {
 		at := t0.Add(time.Duration(1+i%50) * time.Millisecond)
@@ -130,7 +133,7 @@ func TestWheelManyTimersOneAdvance(t *testing.T) {
 
 // slotOrder renders each slot as the indices of the timers it holds, in
 // slot order.
-func slotOrder(w *Wheel, index map[*Timer]int) [][]int {
+func slotOrder(w *Wheel[owner], index map[*Timer[owner]]int) [][]int {
 	out := make([][]int, len(w.slots))
 	for i, slot := range w.slots {
 		for _, tm := range slot {
@@ -147,20 +150,20 @@ func slotOrder(w *Wheel, index map[*Timer]int) [][]int {
 func TestWheelRescheduleBatchMatchesReschedule(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	const n = 200
-	build := func() (*Wheel, []*Timer, map[*Timer]int) {
-		w := NewWheel(time.Millisecond, 16, t0)
+	build := func() (*Wheel[owner], []*Timer[owner], map[*Timer[owner]]int) {
+		w := New[owner](time.Millisecond, 16, t0)
 		w.Advance(t0.Add(5*time.Millisecond), nil) // cursor off slot 0
-		ts := make([]*Timer, n)
-		index := make(map[*Timer]int, n)
+		ts := make([]*Timer[owner], n)
+		index := make(map[*Timer[owner]]int, n)
 		for i := range ts {
-			ts[i] = &Timer{at: t0.Add(time.Duration(i*37%61-3) * time.Millisecond / 2)}
+			ts[i] = &Timer[owner]{At: t0.Add(time.Duration(i*37%61-3) * time.Millisecond / 2)}
 			index[ts[i]] = i
 		}
 		return w, ts, index
 	}
 	one, ts1, index1 := build()
 	for _, tm := range ts1 {
-		one.Reschedule(tm, tm.at)
+		one.Reschedule(tm, tm.At)
 	}
 	batch, ts2, index2 := build()
 	batch.RescheduleBatch(ts2)
@@ -186,12 +189,82 @@ func TestWheelRescheduleBatchMatchesReschedule(t *testing.T) {
 
 func TestWheelRescheduleBatchLivePanics(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	w := NewWheel(time.Millisecond, 8, t0)
+	w := New[owner](time.Millisecond, 8, t0)
 	live := w.Schedule(t0.Add(time.Millisecond), func(time.Time) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("RescheduleBatch of a live timer did not panic")
 		}
 	}()
-	w.RescheduleBatch([]*Timer{{at: t0.Add(time.Millisecond)}, live})
+	w.RescheduleBatch([]*Timer[owner]{{At: t0.Add(time.Millisecond)}, live})
+}
+
+// TestWheelReset: Reset moves a timer whether or not it is live, the
+// timer fires once at its last deadline only, and the entry a move leaves
+// behind in the old slot is dropped rather than fired or kept.
+func TestWheelReset(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	ms := func(n int) time.Time { return t0.Add(time.Duration(n) * time.Millisecond) }
+	w := New[owner](time.Millisecond, 8, t0)
+	o := &owner{id: 7}
+	tm := &Timer[owner]{Owner: o}
+
+	w.Reset(tm, ms(3)) // not live: arms
+	w.Reset(tm, ms(6)) // live: later, another slot
+	w.Reset(tm, ms(6)) // live: same slot again
+	w.Reset(tm, ms(2)) // live: earlier
+	if w.Len() != 1 {
+		t.Fatalf("Len %d after four Resets of one timer, want 1", w.Len())
+	}
+	if got := advanceTo(w, ms(1)); len(got) != 0 {
+		t.Fatalf("fired %d before the deadline", len(got))
+	}
+	got := advanceTo(w, ms(2))
+	if len(got) != 1 || got[0] != tm || got[0].Owner != o {
+		t.Fatalf("fired %v at the moved deadline, want the one timer", got)
+	}
+	// Re-armed far ahead, it must not fire from the stale entries the
+	// earlier Resets left in the slots for 3 ms and 6 ms.
+	w.Reschedule(tm, ms(40))
+	if got := advanceTo(w, ms(39)); len(got) != 0 {
+		t.Fatalf("a stale entry fired the timer early (%d)", len(got))
+	}
+	entries := 0
+	for _, slot := range w.slots {
+		entries += len(slot)
+	}
+	if entries != 1 {
+		t.Fatalf("%d slot entries for one live timer after a lap: stale ones were kept", entries)
+	}
+	if got := advanceTo(w, ms(40)); len(got) != 1 || w.Len() != 0 {
+		t.Fatalf("fired %d at 40 ms with %d left, want 1 and 0", len(got), w.Len())
+	}
+	// Moved within one slot the timer has two entries there and still
+	// fires once.
+	w.Reset(tm, ms(43))
+	w.Reset(tm, ms(43))
+	if got := advanceTo(w, ms(60)); len(got) != 1 || w.Len() != 0 {
+		t.Fatalf("fired %d after two Resets into one slot with %d left, want 1 and 0", len(got), w.Len())
+	}
+}
+
+// TestWheelCancelThenReschedule: the lazily dropped entry of a cancelled
+// timer must not fire it, nor outlive a lap, once the timer is live again
+// elsewhere.
+func TestWheelCancelThenReschedule(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	w := New[owner](time.Millisecond, 8, t0)
+	tm := w.Schedule(t0.Add(2*time.Millisecond), func(time.Time) {})
+	w.Cancel(tm)
+	w.Reschedule(tm, t0.Add(5*time.Millisecond))
+	var fired []*Timer[owner]
+	for ms := 1; ms <= 16; ms++ {
+		fired = w.Advance(t0.Add(time.Duration(ms)*time.Millisecond), fired)
+		if want := ms >= 5; (len(fired) == 1) != want {
+			t.Fatalf("at %d ms fired %d times in total", ms, len(fired))
+		}
+	}
+	if w.Len() != 0 {
+		t.Fatalf("Len %d after the one firing, want 0", w.Len())
+	}
 }

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"testing"
+	"time"
 
 	"repro/internal/packet"
 )
@@ -60,5 +62,38 @@ func TestAppendDatagramSinglePassCRCMatchesCrcOf(t *testing.T) {
 		if _, _, err := DecodeDatagram(b); err != nil {
 			t.Errorf("%v datagram rejected by its own checksum: %v", h.Type, err)
 		}
+	}
+}
+
+// TestSystemClockSleepZeroAllocs: the server's driver sleeps once per
+// wheel tick, so a Sleep must reuse its timer — both when it runs to the
+// end and when the context cuts it short.
+func TestSystemClockSleepZeroAllocs(t *testing.T) {
+	var clk SystemClock
+	ctx, cancel := context.WithCancel(context.Background())
+	_ = clk.Sleep(ctx, time.Microsecond) // stock the free list
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := clk.Sleep(ctx, 10*time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Sleep allocates %.1f/op in the steady state, want 0", allocs)
+	}
+	cancel()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := clk.Sleep(ctx, time.Hour); err == nil {
+			t.Fatal("Sleep outlasted a cancelled context")
+		}
+	}); allocs != 0 {
+		t.Errorf("Sleep allocates %.1f/op when cancelled, want 0", allocs)
+	}
+	// A timer cut short goes back stopped and drained: the next sleeper
+	// on it must wait its whole duration.
+	start := time.Now()
+	if err := clk.Sleep(context.Background(), 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := time.Since(start); got < 5*time.Millisecond {
+		t.Errorf("Sleep after a cancelled one returned in %v, want ≥ 5ms", got)
 	}
 }

@@ -25,18 +25,46 @@ type SystemClock struct{}
 // Now returns time.Now().
 func (SystemClock) Now() time.Time { return time.Now() }
 
+// sleepTimers recycles Sleep's timers: the server's driver sleeps once
+// per millisecond tick, and a time.Timer is a timer plus its channel.
+// Package-level so SystemClock stays a zero-size literal, and a plain free
+// list rather than a sync.Pool so reuse is certain (a Pool drops entries
+// at every GC, and at random under -race). A pooled timer is stopped and
+// its channel empty. Sixteen is more sleepers than a process has at once
+// (one driver per Server); any beyond that make a timer of their own.
+var sleepTimers = make(chan *time.Timer, 16)
+
 // Sleep blocks for d or until ctx is done, returning ctx.Err() when the
 // wait was cut short.
 func (SystemClock) Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	var t *time.Timer
+	select {
+	case t = <-sleepTimers:
+		t.Reset(d)
+	default:
+		t = time.NewTimer(d)
+	}
+	var err error
 	select {
 	case <-ctx.Done():
-		return ctx.Err()
+		err = ctx.Err()
+		if !t.Stop() {
+			// The module's go directive predates 1.23, so a timer that
+			// fired meanwhile left its tick in the channel; drain it or
+			// the next Sleep on this timer would return at once.
+			select {
+			case <-t.C:
+			default:
+			}
+		}
 	case <-t.C:
-		return nil
 	}
+	select {
+	case sleepTimers <- t:
+	default:
+	}
+	return err
 }

@@ -30,8 +30,8 @@
 //     real UDP socket.
 //
 // The boundary with the simulator is deliberate: wire depends on packet,
-// cc, fgs, and units — the pure control-plane packages — and never on
-// sim or netsim. Everything above the socket (controllers, γ,
+// cc, fgs, and units — the pure control-plane packages — plus timewheel
+// (the Swarm's receivers sleep on it), and never on sim or netsim. Everything above the socket (controllers, γ,
 // packetization) is shared between the simulated and live stacks;
 // everything below (queues, links, clocks) is swapped.
 package wire

@@ -305,10 +305,12 @@ func (l *link) propagate() {
 		l.outMu.Unlock()
 
 		sleepUntil(o.at)
-		l.deliver(o.b, o.to)
+		// Count before the hand-off: whoever reads the datagram must
+		// already find it in Stats.
 		l.mu.Lock()
 		l.stats.Delivered++
 		l.mu.Unlock()
+		l.deliver(o.b, o.to)
 	}
 }
 

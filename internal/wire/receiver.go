@@ -35,6 +35,13 @@ func (c ColorCount) LossRate() float64 {
 	return float64(c.Lost) / float64(total)
 }
 
+// add folds d into the running count.
+func (c *ColorCount) add(d ColorCount) {
+	c.Received += d.Received
+	c.Lost += d.Lost
+	c.Bytes += d.Bytes
+}
+
 // ReceiverStats is a snapshot of a receiver's counters.
 type ReceiverStats struct {
 	// Datagrams and Bytes count all accepted data datagrams (wire bytes,

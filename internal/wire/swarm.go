@@ -1,16 +1,19 @@
 package wire
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/packet"
+	"repro/internal/timewheel"
 	"repro/internal/units"
 )
 
@@ -161,6 +164,11 @@ type swarmTrack struct {
 	count ColorCount
 }
 
+// swarmColors sizes the per-receiver tracker arrays: a data datagram is
+// green, yellow, red or best-effort (Header.validate), so indexing by
+// colour needs no map.
+const swarmColors = int(packet.BestEffort) + 1
+
 // swarmReceiver is one synthetic receiver's state machine:
 // hello (retried) → streaming (echo fresh labels) — a strict subset of
 // Receiver, small enough for ten thousand instances.
@@ -179,11 +187,14 @@ type swarmReceiver struct {
 	stormArmed bool          // selected for the storm, not yet fired
 	muted      bool          // mid-storm: drop everything, send nothing
 	resumeAt   time.Time
-	colors     map[packet.Color]*swarmTrack
-	arch       map[packet.Color]ColorCount // counts folded in by resets
+	colors     [swarmColors]swarmTrack
+	arch       *[swarmColors]ColorCount // counts folded in by resets; nil until the first
 	lastFB     packet.Feedback
 	fbSeq      uint64
 	st         SwarmReceiverStats
+	// timer is the receiver's one entry on the swarm's wheel; see
+	// Swarm.armLocked for when it is live and where.
+	timer timewheel.Timer[swarmReceiver]
 }
 
 // jitter returns a deterministic pseudo-random duration in [0, d/4].
@@ -203,17 +214,13 @@ func (r *swarmReceiver) jitterLocked(d time.Duration) time.Duration {
 // the backoff restarts. fbSeq is deliberately kept — feedback echoes on
 // the resumed session must stay fresher than pre-close ones.
 func (r *swarmReceiver) resetLocked(helloRetry time.Duration) {
-	if r.arch == nil && len(r.colors) > 0 {
-		r.arch = make(map[packet.Color]ColorCount, len(r.colors))
+	if r.arch == nil {
+		r.arch = new([swarmColors]ColorCount)
 	}
-	for c, t := range r.colors {
-		a := r.arch[c]
-		a.Received += t.count.Received
-		a.Lost += t.count.Lost
-		a.Bytes += t.count.Bytes
-		r.arch[c] = a
+	for c := range r.colors {
+		r.arch[c].add(r.colors[c].count)
+		r.colors[c] = swarmTrack{}
 	}
-	r.colors = map[packet.Color]*swarmTrack{}
 	r.lastFB = packet.Feedback{}
 	r.gotData = false
 	r.helloWait = helloRetry
@@ -226,9 +233,14 @@ func (r *swarmReceiver) resetLocked(helloRetry time.Duration) {
 type Swarm struct {
 	cfg   SwarmConfig
 	socks []net.PacketConn
+	// recvs is immutable after New and ordered by flow — receiver i owns
+	// flow FirstFlow+i — so read loops demux by index, lock-free.
 	recvs []*swarmReceiver
-	// byFlow is immutable after New — read loops access it lock-free.
-	byFlow map[uint32]*swarmReceiver
+
+	// wheel holds one timer per receiver with something pending, and
+	// fired is helloStep's scratch; only the hello driver advances it.
+	wheel *timewheel.Wheel[swarmReceiver]
+	fired []*timewheel.Timer[swarmReceiver]
 
 	// stormAt is the absolute fire time of the disconnect storm; zero
 	// when the drill is unarmed.
@@ -237,6 +249,17 @@ type Swarm struct {
 	wmu     []sync.Mutex // per-socket write serialization
 	encBufs [][]byte
 }
+
+const (
+	// helloTick is the hello driver's cadence: deadlines take effect on
+	// the first tick at or after them.
+	helloTick = 25 * time.Millisecond
+	// swarmWheelTick is well under helloTick, so every hello tick moves
+	// the wheel's cursor however the ticker jitters; swarmWheelSlots makes
+	// the horizon (5.12 s) cover the default hello backoff.
+	swarmWheelTick  = 5 * time.Millisecond
+	swarmWheelSlots = 1024
+)
 
 // NewSwarm opens the sockets and builds the receiver set; call Run to
 // start traffic. Arrival times are seeded off cfg.Seed relative to now.
@@ -250,7 +273,8 @@ func NewSwarm(cfg SwarmConfig, now time.Time) (*Swarm, error) {
 	cfg = cfg.withDefaults()
 	s := &Swarm{
 		cfg:     cfg,
-		byFlow:  make(map[uint32]*swarmReceiver, cfg.Receivers),
+		recvs:   make([]*swarmReceiver, 0, cfg.Receivers),
+		wheel:   timewheel.New[swarmReceiver](swarmWheelTick, swarmWheelSlots, now),
 		wmu:     make([]sync.Mutex, cfg.Sockets),
 		encBufs: make([][]byte, cfg.Sockets),
 	}
@@ -283,7 +307,6 @@ func NewSwarm(cfg SwarmConfig, now time.Time) (*Swarm, error) {
 			flow:       cfg.FirstFlow + uint32(i),
 			sock:       i % cfg.Sockets,
 			startAt:    start,
-			colors:     map[packet.Color]*swarmTrack{},
 			helloWait:  cfg.HelloRetry,
 			jit:        uint64(cfg.Seed)*0x9E3779B97F4A7C15 + uint64(cfg.FirstFlow+uint32(i))*0xBF58476D1CE4E5B9 | 1,
 			stormArmed: i < stormCount,
@@ -291,8 +314,9 @@ func NewSwarm(cfg SwarmConfig, now time.Time) (*Swarm, error) {
 		r.nextHello = start
 		r.st.Flow = r.flow
 		r.st.SteadyAt = start
+		r.timer.Owner = r
+		s.armLocked(r) // not shared yet; nothing to lock
 		s.recvs = append(s.recvs, r)
-		s.byFlow[r.flow] = r
 	}
 	return s, nil
 }
@@ -334,57 +358,101 @@ func (s *Swarm) Run(ctx context.Context) error {
 	}
 }
 
-// helloLoop scans the receiver set on a coarse tick, driving the storm
-// mute/resume transitions and sending (retrying with jittered
-// exponential backoff) hellos for receivers whose arrival time has come
-// and whose stream has not started. The scan is linear and takes every
-// receiver's lock: measured at about 450 µs per scan, and about 30 % of the
-// churn-mem benchmark's CPU, so it is not free at ten thousand receivers —
-// a due-time index is its own performance issue.
+// helloLoop drives the storm mute/resume transitions and the hellos
+// (retried with jittered exponential backoff) on a coarse tick, waking
+// only the receivers with something due. The invariant: a receiver has at
+// most one live timer, armed at its next relevant instant (armLocked) by
+// whoever moves that instant, under the receiver's lock. A timer may
+// outlive its reason — first data or a terminal close do not touch the
+// wheel — and then fires once into a step that finds nothing due.
 func (s *Swarm) helloLoop(ctx context.Context) {
-	tick := time.NewTicker(25 * time.Millisecond)
+	tick := time.NewTicker(helloTick)
 	defer tick.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case now := <-tick.C:
-			for _, r := range s.recvs {
-				r.mu.Lock()
-				if r.stormArmed && !now.Before(s.stormAt) {
-					r.stormArmed = false
-					r.muted = true
-					r.resumeAt = now.Add(s.cfg.Storm.Resume)
-				}
-				if r.muted && !now.Before(r.resumeAt) {
-					// The dark window ended: come back as a fresh
-					// session and re-hello immediately — the whole
-					// cohort resumes in one wave on purpose.
-					r.muted = false
-					r.resetLocked(s.cfg.HelloRetry)
-					r.nextHello = now
-				}
-				due := !r.done && !r.muted && !r.gotData && !now.Before(r.nextHello)
-				if due {
-					r.nextHello = now.Add(r.helloWait + r.jitterLocked(r.helloWait))
-					r.helloWait *= 2
-					if r.helloWait > s.cfg.HelloBackoffMax {
-						r.helloWait = s.cfg.HelloBackoffMax
-					}
-					r.st.HellosSent++
-				}
-				r.mu.Unlock()
-				if due {
-					s.send(r.sock, Header{
-						Type:      TypeHello,
-						Color:     packet.ACK,
-						Flow:      r.flow,
-						Timestamp: now.UnixNano(),
-					})
-				}
-			}
+			s.helloStep(now)
 		}
 	}
+}
+
+// helloStep is one tick of the hello driver at instant now. The wheel
+// fires on its own grid, up to one wheel tick after a deadline, which
+// could cost a hello a whole hello tick; so the wheel is run one wheel
+// tick ahead, and the due tests below — they are the rule: a deadline
+// takes effect on the first tick at or after it — send the early ones back
+// to fire again on the next tick. Receivers are stepped in flow order.
+//
+//pelsvet:noalloc
+func (s *Swarm) helloStep(now time.Time) {
+	s.fired = s.wheel.Advance(now.Add(swarmWheelTick), s.fired[:0])
+	slices.SortFunc(s.fired, byFlow)
+	for _, t := range s.fired {
+		r := t.Owner
+		r.mu.Lock()
+		if r.stormArmed && !now.Before(s.stormAt) {
+			r.stormArmed = false
+			r.muted = true
+			r.resumeAt = now.Add(s.cfg.Storm.Resume)
+		}
+		if r.muted && !now.Before(r.resumeAt) {
+			// The dark window ended: come back as a fresh
+			// session and re-hello immediately — the whole
+			// cohort resumes in one wave on purpose.
+			r.muted = false
+			r.resetLocked(s.cfg.HelloRetry)
+			r.nextHello = now
+		}
+		due := !r.done && !r.muted && !r.gotData && !now.Before(r.nextHello)
+		if due {
+			r.nextHello = now.Add(r.helloWait + r.jitterLocked(r.helloWait))
+			r.helloWait *= 2
+			if r.helloWait > s.cfg.HelloBackoffMax {
+				r.helloWait = s.cfg.HelloBackoffMax
+			}
+			r.st.HellosSent++
+		}
+		s.armLocked(r)
+		r.mu.Unlock()
+		if due {
+			s.send(r.sock, Header{
+				Type:      TypeHello,
+				Color:     packet.ACK,
+				Flow:      r.flow,
+				Timestamp: now.UnixNano(),
+			})
+		}
+	}
+}
+
+func byFlow(a, b *timewheel.Timer[swarmReceiver]) int {
+	return cmp.Compare(a.Owner.flow, b.Owner.flow)
+}
+
+// armLocked moves r's timer to the next instant a tick has work for it:
+// the storm while armed for it, the end of the dark window while muted,
+// the next hello while helloing; nothing while streaming or done.
+//
+//pelsvet:noalloc
+func (s *Swarm) armLocked(r *swarmReceiver) {
+	var at time.Time
+	switch {
+	case r.muted:
+		at = r.resumeAt
+	case r.stormArmed:
+		at = s.stormAt
+	}
+	helloing := !r.done && !r.muted && !r.gotData
+	if helloing && (at.IsZero() || r.nextHello.Before(at)) {
+		at = r.nextHello
+	}
+	if at.IsZero() {
+		s.wheel.Cancel(&r.timer)
+		return
+	}
+	s.wheel.Reset(&r.timer, at)
 }
 
 // send encodes h and writes it to the server from socket idx.
@@ -400,54 +468,60 @@ func (s *Swarm) send(idx int, h Header) {
 }
 
 // readLoop consumes one socket: data datagrams update the owning
-// receiver's trackers, and fresh feedback labels are echoed back.
+// receiver's trackers, and fresh feedback labels are echoed back. The
+// clock is read once per datagram: the arrival instant handed to handle
+// also bases the next read deadline.
 func (s *Swarm) readLoop(ctx context.Context, idx int) error {
 	conn := s.socks[idx]
 	buf := make([]byte, MaxDatagram+1)
+	now := time.Now()
 	for {
 		if ctx.Err() != nil {
 			return nil
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+		_ = conn.SetReadDeadline(now.Add(50 * time.Millisecond))
 		n, _, err := conn.ReadFrom(buf)
+		now = time.Now()
 		switch {
 		case err == nil:
 		case errors.Is(err, os.ErrDeadlineExceeded):
 			continue
-		case errors.Is(err, net.ErrClosed):
-			if ctx.Err() != nil {
-				return nil
-			}
-			return fmt.Errorf("wire: swarm read: %w", err)
 		default:
 			if ctx.Err() != nil {
 				return nil
 			}
 			return fmt.Errorf("wire: swarm read: %w", err)
 		}
-		s.handle(idx, buf[:n], time.Now())
+		s.handle(idx, buf[:n], now)
 	}
 }
 
 // handle applies one datagram received on socket idx.
+//
+//pelsvet:noalloc
 func (s *Swarm) handle(idx int, b []byte, now time.Time) {
 	h, _, err := DecodeDatagram(b)
 	if err != nil {
 		return
 	}
-	r := s.byFlow[h.Flow]
-	if r == nil {
+	// Flows are contiguous from FirstFlow; one below it wraps past the end.
+	i := h.Flow - s.cfg.FirstFlow
+	if i >= uint32(len(s.recvs)) {
 		return
 	}
+	r := s.recvs[i]
 	switch h.Type {
 	case TypeData:
 	case TypeReject:
-		r.onReject(h, now)
+		s.onReject(r, h, now)
 		return
 	case TypeClose:
-		r.onClose(h, now, s.cfg.Reconnect, s.cfg.HelloRetry)
+		s.onClose(r, h, now)
 		return
 	default:
+		return
+	}
+	if int(h.Color) >= swarmColors {
 		return
 	}
 
@@ -475,11 +549,7 @@ func (s *Swarm) handle(idx int, b []byte, now time.Time) {
 	r.st.Bytes += uint64(len(b))
 	r.st.SteadyBytes += uint64(len(b))
 
-	t := r.colors[h.Color]
-	if t == nil {
-		t = &swarmTrack{}
-		r.colors[h.Color] = t
-	}
+	t := &r.colors[h.Color]
 	switch {
 	case h.Seq >= t.next:
 		gap := h.Seq - t.next
@@ -494,32 +564,32 @@ func (s *Swarm) handle(idx int, b []byte, now time.Time) {
 	t.count.Received++
 	t.count.Bytes += uint64(len(b))
 
-	var echo *Header
-	if h.Feedback.Valid && fresher(h.Feedback, r.lastFB) {
+	echo := h.Feedback.Valid && fresher(h.Feedback, r.lastFB)
+	if echo {
 		r.lastFB = h.Feedback
 		r.st.Epochs++
 		r.fbSeq++
-		echo = &Header{
+		r.st.FeedbackSent++
+	}
+	fbSeq := r.fbSeq
+	r.mu.Unlock()
+
+	if echo {
+		s.send(r.sock, Header{
 			Type:      TypeFeedback,
 			Color:     packet.ACK,
 			Flow:      r.flow,
-			Seq:       r.fbSeq,
+			Seq:       fbSeq,
 			Timestamp: now.UnixNano(),
 			Feedback:  h.Feedback,
-		}
-		r.st.FeedbackSent++
-	}
-	r.mu.Unlock()
-
-	if echo != nil {
-		s.send(r.sock, *echo)
+		})
 	}
 }
 
 // onReject records an admission rejection and pushes the next hello out
 // to at least the server's retry-after hint (plus jitter), on top of
 // whatever backoff the hello loop already applied.
-func (r *swarmReceiver) onReject(h Header, now time.Time) {
+func (s *Swarm) onReject(r *swarmReceiver, h Header, now time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.muted || r.done {
@@ -531,6 +601,7 @@ func (r *swarmReceiver) onReject(h Header, now time.Time) {
 	if ra := h.RetryAfter(); ra > 0 && !r.gotData {
 		if at := now.Add(ra + r.jitterLocked(ra)); at.After(r.nextHello) {
 			r.nextHello = at
+			s.armLocked(r)
 		}
 	}
 }
@@ -539,7 +610,7 @@ func (r *swarmReceiver) onReject(h Header, now time.Time) {
 // when reconnection is off — finishes the receiver for good; a
 // retryable close folds the stream into the archive and re-enters the
 // hello loop as a fresh session.
-func (r *swarmReceiver) onClose(h Header, now time.Time, reconnect bool, helloRetry time.Duration) {
+func (s *Swarm) onClose(r *swarmReceiver, h Header, now time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.muted || r.done {
@@ -547,12 +618,13 @@ func (r *swarmReceiver) onClose(h Header, now time.Time, reconnect bool, helloRe
 	}
 	r.st.Closes++
 	r.st.LastClose = h.Reason()
-	if h.Reason() == ReasonComplete || !reconnect {
+	if h.Reason() == ReasonComplete || !s.cfg.Reconnect {
 		r.done = true
 		return
 	}
-	r.resetLocked(helloRetry)
+	r.resetLocked(s.cfg.HelloRetry)
 	r.nextHello = now.Add(r.helloWait + r.jitterLocked(r.helloWait))
+	s.armLocked(r)
 }
 
 // MarkSteady resets every receiver's steady-state window to now; call it
@@ -573,16 +645,16 @@ func (s *Swarm) Stats() []SwarmReceiverStats {
 		r.mu.Lock()
 		st := r.st
 		st.LastFeedback = r.lastFB
-		st.Colors = make(map[packet.Color]ColorCount, len(r.colors)+len(r.arch))
-		for c, a := range r.arch {
-			st.Colors[c] = a
-		}
-		for c, t := range r.colors {
-			cc := st.Colors[c]
-			cc.Received += t.count.Received
-			cc.Lost += t.count.Lost
-			cc.Bytes += t.count.Bytes
-			st.Colors[c] = cc
+		st.Colors = make(map[packet.Color]ColorCount, swarmColors)
+		for c := range r.colors {
+			n := r.colors[c].count
+			if r.arch != nil {
+				n.add(r.arch[c])
+			}
+			// A colour is reported once a datagram of it has arrived.
+			if n.Received > 0 {
+				st.Colors[packet.Color(c)] = n
+			}
 		}
 		r.mu.Unlock()
 		out = append(out, st)
