@@ -1,14 +1,18 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint lint-strict test test-short race fmt-check ci bench bench-json bench-e2e perfdiff repro cover fuzz chaos smoke load overload obs-demo clean
+.PHONY: all build vet lint lint-strict test test-short race fmt-check ci bench bench-json bench-e2e ab perfdiff repro cover fuzz chaos smoke load overload obs-demo clean
 
 all: build vet lint test
 
 build:
 	go build ./...
 
+# The second line is compile-only on a 32-bit int: session keys and swarm
+# flows are uint32s, and arithmetic on them that only fits a 64-bit int has
+# been a bug here before (a comparator that subtracted flows).
 vet:
 	go vet ./...
+	GOARCH=386 go vet ./internal/session/ ./internal/wire/
 
 # PELS-specific static analyzers (determinism, seeded randomness, float
 # equality, unit hygiene, lock discipline, zero-alloc contracts, goroutine
@@ -33,10 +37,12 @@ test-short:
 # Race-enabled short tests — the PR gate in .github/workflows/ci.yml. The
 # second line repeats the wire tests that have been timing-sensitive (the
 # shaped link's counters, the swarm's hello driver) so a flake cannot
-# return unnoticed.
+# return unnoticed; the third repeats the tests of who holds a session's
+# timer (admission lane, wheel, chunk), where every bug so far was a race.
 race:
 	go test -race -short ./...
 	go test -race -count=20 -run 'TestShapedConn|TestSwarm' ./internal/wire/
+	go test -race -count=5 -run 'TestAdmit|TestHandOff|TestOverload|TestStaleTimer' ./internal/session/
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -104,6 +110,13 @@ bench-e2e:
 	bash bench/run.sh --workload egress-wide --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload churn-mem --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload sim-figures --seed 1 --seconds 1 --trace 0
+
+# The paired A/B behind a performance claim (bench/README.md "Landing a
+# performance claim"): this checkout against PARENT on one workload and seed,
+# ten alternating pairs, printed as the CHANGES.md table.
+#   make ab PARENT=HEAD~1 WORKLOAD=churn-mem SEED=3 [PAIRS=10]
+ab:
+	bash scripts/ab.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
 
 cover:
 	go test -cover ./internal/...

@@ -33,7 +33,9 @@
 //
 // The steady-state window opens at half the run: per-session SteadyRate
 // measures converged throughput after the ramp and MKC settling, and
-// the report prints its min/p50/mean/max spread.
+// the report prints its min/p50/mean/max spread. The startup_ms line is
+// the viewers' wait for a first picture: p50/p90/max, over the receivers
+// that streamed, of first hello to first data datagram.
 //
 // With -scrape URL, pelsload fetches the server's /debug/vars and
 // /debug/shards just before shutdown and prints per-shard session
@@ -61,6 +63,7 @@ import (
 	"time"
 
 	"repro/internal/packet"
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -170,8 +173,7 @@ loop:
 		}
 	}
 
-	stats := swarm.Stats()
-	if err := report(stats, *maxGreenLoss, *minStreams, *assertIsolation, *minRejects, *minResumes); err != nil {
+	if err := report(swarm.Stats(), *maxGreenLoss, *minStreams, *assertIsolation, *minRejects, *minResumes); err != nil {
 		return err
 	}
 	if runErr != nil && !errors.Is(runErr, context.Canceled) {
@@ -182,17 +184,17 @@ loop:
 
 // report prints the aggregate and convergence summary and applies the
 // assertion flags.
-func report(stats []wire.SwarmReceiverStats, maxGreenLoss float64, minStreams int, assertIsolation bool, minRejects, minResumes int) error {
+func report(recvs []wire.SwarmReceiverStats, maxGreenLoss float64, minStreams int, assertIsolation bool, minRejects, minResumes int) error {
 	var (
 		streams, datagrams, bytes, hellos, feedback uint64
 		regress, cross                              uint64
 		rejects, closes, reconnects, resumes        uint64
 		colors                                      = map[packet.Color]wire.ColorCount{}
-		rates                                       []float64
+		rates, startups                             []float64
 		worstGreen                                  float64
 		worstGreenFlow                              uint32
 	)
-	for _, st := range stats {
+	for _, st := range recvs {
 		hellos += st.HellosSent
 		feedback += st.FeedbackSent
 		regress += st.SeqRegressions
@@ -205,6 +207,7 @@ func report(stats []wire.SwarmReceiverStats, maxGreenLoss float64, minStreams in
 			continue
 		}
 		streams++
+		startups = append(startups, float64(st.Startup)/float64(time.Millisecond))
 		datagrams += st.Datagrams
 		bytes += st.Bytes
 		for c, cc := range st.Colors {
@@ -225,7 +228,7 @@ func report(stats []wire.SwarmReceiverStats, maxGreenLoss float64, minStreams in
 		}
 	}
 	fmt.Printf("swarm receivers=%d streams=%d datagrams=%d bytes=%d hellos=%d feedback=%d\n",
-		len(stats), streams, datagrams, bytes, hellos, feedback)
+		len(recvs), streams, datagrams, bytes, hellos, feedback)
 	for _, c := range []packet.Color{packet.Green, packet.Yellow, packet.Red} {
 		cc := colors[c]
 		fmt.Printf("%s received=%d lost=%d loss=%.4f\n", c, cc.Received, cc.Lost, cc.LossRate())
@@ -239,6 +242,11 @@ func report(stats []wire.SwarmReceiverStats, maxGreenLoss float64, minStreams in
 		fmt.Printf("steady_rate_bps n=%d min=%.0f p50=%.0f mean=%.0f max=%.0f aggregate=%.0f\n",
 			len(rates), rates[0], rates[len(rates)/2], sum/float64(len(rates)), rates[len(rates)-1], sum)
 	}
+	if len(startups) > 0 {
+		// Hello tick to first datagram, per receiver that streamed.
+		fmt.Printf("startup_ms n=%d p50=%.3f p90=%.3f max=%.3f\n", len(startups),
+			stats.Percentile(startups, 50), stats.Percentile(startups, 90), stats.Percentile(startups, 100))
+	}
 	fmt.Printf("isolation seq_regressions=%d cross_deliveries=%d\n", regress, cross)
 	fmt.Printf("control rejects=%d closes=%d reconnects=%d resumes=%d\n",
 		rejects, closes, reconnects, resumes)
@@ -247,7 +255,7 @@ func report(stats []wire.SwarmReceiverStats, maxGreenLoss float64, minStreams in
 		return fmt.Errorf("green loss %.4f on flow %d exceeds limit %.4f", worstGreen, worstGreenFlow, maxGreenLoss)
 	}
 	if streams < uint64(minStreams) {
-		return fmt.Errorf("only %d of %d receivers streamed (minimum %d)", streams, len(stats), minStreams)
+		return fmt.Errorf("only %d of %d receivers streamed (minimum %d)", streams, len(recvs), minStreams)
 	}
 	if assertIsolation && (regress > 0 || cross > 0) {
 		return fmt.Errorf("isolation violated: %d sequence regressions, %d cross-socket deliveries", regress, cross)

@@ -12,7 +12,9 @@
 //     survive into the thousands-of-streams regime. The driver hands a
 //     tick's fired sessions to a worker a chunk at a time, so the channel
 //     operation, clock read and wheel lock of the hand-off are paid per
-//     chunk, not per datagram.
+//     chunk, not per datagram. A new session skips the wheel once: admit
+//     sends it to a worker directly, so its first datagram does not wait
+//     for a tick.
 //   - Table is the sharded session table, keyed by (peer address, flow
 //     ID) with a lock and an obs registry per shard, so hello admission,
 //     feedback dispatch, and reaping contend only within a shard.

@@ -133,6 +133,21 @@ func handServer(t *testing.T, out wire.PacketWriter, mut func(*ServerConfig)) (*
 
 var handPeer = &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 7000}
 
+// fillLane stuffs the admission lane with ownerless timers nobody pumps, so
+// every admit that follows takes the wheel fallback.
+func fillLane(s *Server) {
+	for len(s.admits) < cap(s.admits) {
+		s.admits <- &Timer{}
+	}
+}
+
+// admitArmed admits flow with the lane full, so admit arms its timer on the
+// wheel at now: the hand-off tests seed the wheel, not the lane.
+func admitArmed(s *Server, flow uint32, now time.Time) {
+	fillLane(s)
+	s.admit(handPeer, flow, now)
+}
+
 // pumpQueued plays the workers: it pumps every chunk the driver queued.
 func pumpQueued(s *Server) {
 	for len(s.jobs) > 0 {
@@ -171,7 +186,7 @@ func TestHandOffPumpOrderIsWheelOrder(t *testing.T) {
 	})
 	const n = 300
 	for i := 0; i < n; i++ {
-		s.admit(handPeer, uint32((i*113)%n+1), clk.Now()) // admit order ≠ flow order
+		admitArmed(s, uint32((i*113)%n+1), clk.Now()) // admit order ≠ flow order
 	}
 	var fired []*Timer
 	pumps := 0
@@ -203,7 +218,7 @@ func TestHandOffSplitsLargeTick(t *testing.T) {
 		cfg.Overload.Capacity = 1000 * units.Mbps
 	})
 	for f := uint32(1); f <= n; f++ {
-		s.admit(handPeer, f, clk.Now())
+		admitArmed(s, f, clk.Now())
 	}
 	now := clk.advance(s.cfg.WheelTick)
 	fired := s.wheel.Advance(now, nil)
@@ -258,7 +273,7 @@ func TestHandOffFinishMidChunk(t *testing.T) {
 		}
 	})
 	for f := uint32(1); f <= 3; f++ {
-		s.admit(handPeer, f, clk.Now())
+		admitArmed(s, f, clk.Now())
 	}
 	var fired []*Timer
 	for tick := 0; s.Stats().Completed == 0; tick++ {
@@ -301,12 +316,12 @@ func TestStaleTimerDoesNotEvictReadmittedKey(t *testing.T) {
 	out := &flowLog{}
 	s, clk, conn := handServer(t, out, nil)
 	key := Key{Addr: handPeer.String(), Flow: 1}
-	s.admit(handPeer, 1, clk.Now())
+	admitArmed(s, 1, clk.Now())
 	old := s.table.Get(key)
 	if n := s.table.Reap(clk.Now(), 0, nil); n != 1 {
 		t.Fatalf("reaped %d sessions, want 1", n)
 	}
-	s.admit(handPeer, 1, clk.Now())
+	admitArmed(s, 1, clk.Now())
 	fresh := s.table.Get(key)
 	if fresh == nil || fresh == old {
 		t.Fatal("the key was not re-admitted as a new session")
@@ -352,7 +367,7 @@ func TestHandOffCycleDoesNotAllocate(t *testing.T) {
 		cfg.Session.MKC.InitialRate = 100 * units.Kbps
 	})
 	for f := uint32(1); f <= 64; f++ {
-		s.admit(handPeer, f, clk.Now())
+		admitArmed(s, f, clk.Now())
 	}
 	ctx := context.Background()
 	var fired []*Timer

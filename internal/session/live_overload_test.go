@@ -20,13 +20,19 @@ import (
 // sendHello fires one hello datagram for flow at addr.
 func sendHello(t *testing.T, conn net.PacketConn, addr net.Addr, flow uint32) {
 	t.Helper()
+	if _, err := conn.WriteTo(helloDatagram(t, flow), addr); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// helloDatagram encodes one hello for flow.
+func helloDatagram(t *testing.T, flow uint32) []byte {
+	t.Helper()
 	b, err := wire.EncodeDatagram(wire.Header{Type: wire.TypeHello, Color: packet.ACK, Flow: flow}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.WriteTo(b, addr); err != nil {
-		t.Fatal(err)
-	}
+	return b
 }
 
 // awaitType reads conn until a datagram of type want for flow arrives

@@ -156,7 +156,7 @@ func TestOverloadSeesBlockedDriver(t *testing.T) {
 	for len(s.free) > 0 {
 		held = append(held, <-s.free)
 	}
-	s.admit(handPeer, 1, clk.Now())
+	admitArmed(s, 1, clk.Now())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -202,7 +202,7 @@ func TestOverloadSeesBlockedDriver(t *testing.T) {
 	}
 
 	// Blocked again on the next session, it must still honour ctx.
-	s.admit(handPeer, 2, clk.Now())
+	admitArmed(s, 2, clk.Now())
 	awaitFired()
 	cancel()
 	select {

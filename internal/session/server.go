@@ -135,6 +135,7 @@ type ServerStats struct {
 	RejectedDrain   uint64
 	RejectedConfig  uint64
 	AdmitRaces      uint64
+	AdmitFallbacks  uint64 // admissions that found the lane full and wait for the next tick
 	Hellos          uint64
 	FeedbackItems   uint64
 	FeedbackBatches uint64
@@ -161,6 +162,13 @@ const demuxPoll = 20 * time.Millisecond
 // per 1 ms tick at one datagram per 10 ms, and 8 KB of pointers a buffer.
 const pumpChunk = 1024
 
+// admitLane is the capacity of the admission lane: room for the hellos that
+// arrive while every worker is inside a chunk. A full chunk is pumped in well
+// under a millisecond and churn-mem's 800 hellos/s is under one a
+// millisecond, so the lane is all but empty in service; a storm beyond it
+// falls back to the wheel, so the size bounds memory, never admission.
+const admitLane = 256
+
 // Server runs the multi-session PELS gateway: one socket, one demux
 // goroutine, one wheel driver, and a fixed worker pool pump every
 // admitted session. See the package comment for the lifecycle.
@@ -176,6 +184,12 @@ type Server struct {
 	jobs chan []*Timer
 	free chan []*Timer
 	kick chan struct{}
+	// The admission lane: admit sends a new session's timer here and a
+	// worker gives it its first pump, so the opening burst leaves one
+	// goroutine hop after the hello instead of one tick plus a chunk
+	// hand-off later. An admitted session's timer is in the lane, in the
+	// wheel, or in exactly one chunk.
+	admits chan *Timer
 
 	draining atomic.Bool
 	started  atomic.Bool
@@ -189,6 +203,7 @@ type Server struct {
 	rejDraining atomic.Uint64
 	rejConfig   atomic.Uint64
 	admitRaces  atomic.Uint64
+	admitFalls  atomic.Uint64
 	hellos      atomic.Uint64
 	fbItems     atomic.Uint64
 	fbBatches   atomic.Uint64
@@ -225,6 +240,7 @@ type Server struct {
 	obsRejDraining *obs.Counter
 	obsRejConfig   *obs.Counter
 	obsAdmitRaces  *obs.Counter
+	obsAdmitFalls  *obs.Counter
 	obsHellos      *obs.Counter
 	obsFbItems     *obs.Counter
 	obsFbBatches   *obs.Counter
@@ -256,6 +272,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		jobs:   make(chan []*Timer, 2*cfg.Workers),
 		free:   make(chan []*Timer, 2*cfg.Workers),
 		kick:   make(chan struct{}, 1),
+		admits: make(chan *Timer, admitLane),
 		idleCh: make(chan struct{}),
 		ctlBuf: make([]byte, 0, wire.HeaderSize),
 	}
@@ -281,6 +298,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		s.obsRejDraining = cfg.Obs.Counter("session.rejected_draining")
 		s.obsRejConfig = cfg.Obs.Counter("session.rejected_config")
 		s.obsAdmitRaces = cfg.Obs.Counter("session.admit_races")
+		s.obsAdmitFalls = cfg.Obs.Counter("session.admit_lane_fallbacks")
 		s.obsHellos = cfg.Obs.Counter("session.hellos")
 		s.obsFbItems = cfg.Obs.Counter("session.feedback_items")
 		s.obsFbBatches = cfg.Obs.Counter("session.feedback_batches")
@@ -291,6 +309,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.Obs.GaugeFunc("session.active", func() float64 { return float64(s.table.Len()) })
 		cfg.Obs.GaugeFunc("session.wheel_timers", func() float64 { return float64(s.wheel.Len()) })
 		cfg.Obs.GaugeFunc("session.jobs_depth", func() float64 { return float64(len(s.jobs)) })
+		cfg.Obs.GaugeFunc("session.admit_lane_depth", func() float64 { return float64(len(s.admits)) })
 		cfg.Obs.GaugeFunc("session.shed_level", func() float64 { return float64(s.shedLvl.Load()) })
 		cfg.Obs.GaugeFunc("session.load", func() float64 { return math.Float64frombits(s.loadBits.Load()) })
 	}
@@ -316,6 +335,7 @@ func (s *Server) Stats() ServerStats {
 		RejectedDrain:   s.rejDraining.Load(),
 		RejectedConfig:  s.rejConfig.Load(),
 		AdmitRaces:      s.admitRaces.Load(),
+		AdmitFallbacks:  s.admitFalls.Load(),
 		Hellos:          s.hellos.Load(),
 		FeedbackItems:   s.fbItems.Load(),
 		FeedbackBatches: s.fbBatches.Load(),
@@ -339,15 +359,7 @@ func (s *Server) SessionStats() []Stats {
 		out = append(out, sess.Stats())
 		return true
 	})
-	slices.SortFunc(out, func(a, b Stats) int {
-		if a.Key.Addr != b.Key.Addr {
-			if a.Key.Addr < b.Key.Addr {
-				return -1
-			}
-			return 1
-		}
-		return int(a.Key.Flow) - int(b.Key.Flow)
-	})
+	slices.SortFunc(out, func(a, b Stats) int { return a.Key.Compare(b.Key) })
 	return out
 }
 
@@ -481,10 +493,11 @@ func (s *Server) handleDatagram(b []byte, from net.Addr, now time.Time) {
 	}
 }
 
-// admit creates (or refreshes) the session for a hello. Refusals are
-// spoken, not silent: each one sends a Reject datagram with the reason
-// and a retry-after hint so the receiver can back off and re-hello
-// instead of staring at a black hole.
+// admit creates (or refreshes) the session for a hello and hands it to a
+// worker through the admission lane (to the wheel when the lane is full).
+// Refusals are spoken, not silent: each one sends a Reject datagram with
+// the reason and a retry-after hint so the receiver can back off and
+// re-hello instead of staring at a black hole.
 func (s *Server) admit(from net.Addr, flow uint32, now time.Time) {
 	key := Key{Addr: from.String(), Flow: flow}
 	if sess := s.table.Get(key); sess != nil {
@@ -536,10 +549,24 @@ func (s *Server) admit(from net.Addr, flow uint32, now time.Time) {
 		// either way no admitted session escapes the drain.
 		sess.Drain()
 	}
-	// Arming the timer is what hands the session to the driver and the
-	// workers, so it comes last, on a session that is fully built.
-	s.wheel.Reschedule(&sess.timer, now)
-	s.kickDriver()
+	// Handing the timer over is what gives the session to the workers, so
+	// it comes last, on a session that is fully built. The lane takes it
+	// straight to a worker for its opening burst; demux itself never pumps —
+	// a burst is up to BurstBytes of writes on the one goroutine that reads
+	// everyone's feedback — and never blocks on the lane either.
+	select {
+	case s.admits <- &sess.timer:
+	default:
+		// A hello storm has outrun the workers: the next tick serves the
+		// session instead. This is the one place a timer is armed at now
+		// rather than at a deadline pump returned.
+		s.admitFalls.Add(1)
+		if s.obsAdmitFalls != nil {
+			s.obsAdmitFalls.Inc()
+		}
+		s.wheel.Reschedule(&sess.timer, now)
+		s.kickDriver()
+	}
 }
 
 // reject counts one refused hello — aggregate, per-reason, and on the
@@ -600,15 +627,7 @@ func (s *Server) dispatch(batch []FeedbackItem, now time.Time) {
 		s.obsFbBatches.Inc()
 		s.obsFbItems.Add(int64(len(batch)))
 	}
-	slices.SortStableFunc(batch, func(a, b FeedbackItem) int {
-		if a.Key.Addr != b.Key.Addr {
-			if a.Key.Addr < b.Key.Addr {
-				return -1
-			}
-			return 1
-		}
-		return int(a.Key.Flow) - int(b.Key.Flow)
-	})
+	slices.SortStableFunc(batch, func(a, b FeedbackItem) int { return a.Key.Compare(b.Key) })
 	for i := 0; i < len(batch); {
 		j := i + 1
 		for j < len(batch) && batch[j].Key == batch[i].Key {
@@ -625,7 +644,8 @@ func (s *Server) dispatch(batch []FeedbackItem, now time.Time) {
 	}
 }
 
-// worker pumps the chunks handed over by the driver.
+// worker pumps the chunks handed over by the driver and the sessions
+// handed over by admit.
 func (s *Server) worker(ctx context.Context) {
 	for {
 		select {
@@ -633,8 +653,27 @@ func (s *Server) worker(ctx context.Context) {
 			return
 		case chunk := <-s.jobs:
 			s.pumpChunk(chunk)
+		case t := <-s.admits:
+			s.pumpAdmitted(t)
 		}
 	}
+}
+
+// pumpAdmitted gives a session from the admission lane its first pump —
+// the opening burst — and arms the wheel at the deadline pump returned, so
+// the wheel only ever holds a lane session at a future deadline.
+//
+//pelsvet:noalloc
+func (s *Server) pumpAdmitted(t *Timer) {
+	now := s.cfg.Clock.Now()
+	next, done := t.Owner.pump(now)
+	if done {
+		s.finish(t.Owner, now)
+		return
+	}
+	s.wheel.Reschedule(t, next)
+	// The driver parks on an empty wheel, and this may be its first timer.
+	s.kickDriver()
 }
 
 // pumpChunk pumps every session of one chunk, in order, at one reading of

@@ -191,8 +191,9 @@ type Session struct {
 	out  wire.PacketWriter
 
 	// timer is the session's one wheel entry, embedded so a wake touches
-	// the session's own cache lines. Armed last in Server.admit; after
-	// that it is in the wheel, or in one chunk on its way through a worker.
+	// the session's own cache lines. Handed over last in Server.admit;
+	// after that it is in the admission lane, in the wheel, or in one chunk
+	// on its way through a worker.
 	timer Timer
 
 	mu      sync.Mutex

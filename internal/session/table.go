@@ -1,7 +1,9 @@
 package session
 
 import (
+	"cmp"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -20,6 +22,16 @@ type Key struct {
 
 // String renders the key as addr/flow.
 func (k Key) String() string { return fmt.Sprintf("%s/%d", k.Addr, k.Flow) }
+
+// Compare orders keys by address, then flow. It compares the flows rather
+// than subtracting them: a difference of two uint32s overflows a 32-bit int,
+// and the result is then not an order at all.
+func (k Key) Compare(o Key) int {
+	if c := strings.Compare(k.Addr, o.Addr); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Flow, o.Flow)
+}
 
 // tableShard is one lock domain of the table. Each shard carries its own
 // obs registry so saturation — how unevenly sessions hash, which shard a

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"testing"
@@ -155,5 +156,26 @@ func TestTableRangeEarlyStop(t *testing.T) {
 	})
 	if visits != 3 {
 		t.Fatalf("Range visited %d sessions after early stop, want 3", visits)
+	}
+}
+
+// TestKeyCompareOrdersFarApartFlows: Compare is the order dispatch sorts a
+// feedback batch by, so that one key's items are contiguous. Flows 2³¹ and
+// more apart are where a subtraction would wrap on a 32-bit int and stop
+// being an order; the benchmark's stage chain and FuzzSwarmHandle use such
+// flows.
+func TestKeyCompareOrdersFarApartFlows(t *testing.T) {
+	var keys []Key // ascending
+	for _, addr := range []string{"10.0.0.1:9", "10.0.0.2:9"} {
+		for _, flow := range []uint32{0, 1, 1 << 31, 1<<32 - 1} {
+			keys = append(keys, Key{Addr: addr, Flow: flow})
+		}
+	}
+	for i, a := range keys {
+		for j, b := range keys {
+			if got, want := a.Compare(b), cmp.Compare(i, j); got != want {
+				t.Errorf("%v.Compare(%v) = %d, want %d", a, b, got, want)
+			}
+		}
 	}
 }

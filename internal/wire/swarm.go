@@ -132,6 +132,11 @@ type SwarmReceiverStats struct {
 	LastClose       Reason
 	LastRetryAfter  time.Duration
 	FirstAt, LastAt time.Time
+	// Startup is the viewer's wait for its first stream: from the hello tick
+	// that sent its first hello (so a late load generator counts against
+	// it, as do rejections and lost hellos) to the first data datagram read.
+	// Zero until data arrives.
+	Startup time.Duration
 	// SteadyBytes/SteadyAt accumulate since the last MarkSteady call —
 	// the converged-rate measurement window.
 	SteadyBytes uint64
@@ -179,6 +184,7 @@ type swarmReceiver struct {
 
 	mu         sync.Mutex
 	gotData    bool
+	firstHello time.Time // tick of the first hello sent; Startup counts from it
 	nextHello  time.Time
 	helloWait  time.Duration // current backoff step, doubles toward HelloBackoffMax
 	jit        uint64        // xorshift state for per-receiver jitter
@@ -412,6 +418,9 @@ func (s *Swarm) helloStep(now time.Time) {
 			if r.helloWait > s.cfg.HelloBackoffMax {
 				r.helloWait = s.cfg.HelloBackoffMax
 			}
+			if r.st.HellosSent == 0 {
+				r.firstHello = now
+			}
 			r.st.HellosSent++
 		}
 		s.armLocked(r)
@@ -543,6 +552,9 @@ func (s *Swarm) handle(idx int, b []byte, now time.Time) {
 	r.gotData = true
 	if r.st.Datagrams == 0 {
 		r.st.FirstAt = now
+		if !r.firstHello.IsZero() { // data nobody asked for has no startup
+			r.st.Startup = now.Sub(r.firstHello)
+		}
 	}
 	r.st.LastAt = now
 	r.st.Datagrams++

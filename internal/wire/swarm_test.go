@@ -82,6 +82,9 @@ func scanStep(s *Swarm, now time.Time) {
 			if r.helloWait > s.cfg.HelloBackoffMax {
 				r.helloWait = s.cfg.HelloBackoffMax
 			}
+			if r.st.HellosSent == 0 {
+				r.firstHello = now
+			}
 			r.st.HellosSent++
 		}
 		r.mu.Unlock()
@@ -237,7 +240,16 @@ func TestSwarmHelloStepMatchesScan(t *testing.T) {
 
 				// The script has to have gone everywhere the state machine goes.
 				var sum SwarmReceiverStats
-				for _, st := range want {
+				for i, st := range want {
+					// Startup runs from the receiver's first hello to its first
+					// datagram, and only a receiver that got data has one.
+					wantStartup := st.Startup > 0 && st.Startup <= st.FirstAt.Sub(t0)
+					if st.Datagrams == 0 {
+						wantStartup = st.Startup == 0
+					}
+					if !wantStartup {
+						t.Fatalf("receiver %d: startup %v with %d datagrams, the first at %v", i, st.Startup, st.Datagrams, st.FirstAt)
+					}
 					sum.HellosSent += st.HellosSent
 					sum.Rejects += st.Rejects
 					sum.Closes += st.Closes
@@ -284,7 +296,7 @@ func streamingSwarm(tb testing.TB, n, helloing int) (*Swarm, time.Time) {
 	// Two laps of the wheel: the retry timers of the streaming receivers
 	// fire and are not re-armed, the helloing ones reach their backoff
 	// cap, and every slot has the capacity it keeps.
-	for i := 0; i < 2*swarmWheelSlots*int(swarmWheelTick)/int(helloTick); i++ {
+	for i := 0; i < int(2*swarmWheelSlots*swarmWheelTick/helloTick); i++ {
 		now = now.Add(helloTick)
 		s.helloStep(now)
 	}
