@@ -28,8 +28,7 @@ import (
 )
 
 // sent is one data datagram as the wire saw it; at is the clock's reading
-// when it was written (the header's own timestamp is the instant it was
-// charged to the bucket, a wake earlier for the last datagram of each pump).
+// when it was written.
 type sent struct {
 	at    int64
 	color packet.Color
@@ -75,7 +74,7 @@ func hello(t *testing.T, s *Server, flow uint32, now time.Time) {
 func pumpLane(s *Server) int {
 	n := 0
 	for len(s.admits) > 0 {
-		s.pumpAdmitted(<-s.admits)
+		s.pumpAdmitted(<-s.admits, testScratch)
 		n++
 	}
 	return n
@@ -124,7 +123,7 @@ func TestAdmitLaneFirstDatagramBeforeAnyTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantNext, _ := twin.pump(t0)
+	wantNext, _ := twin.pump(t0, newScratch())
 
 	if n := pumpLane(s); n != 1 {
 		t.Fatalf("pumped %d lane timers, want 1", n)
@@ -260,7 +259,7 @@ func TestAdmitStormOverflowsToTheWheel(t *testing.T) {
 	for len(s.jobs) > 0 {
 		chunk := <-s.jobs
 		inChunks += len(chunk)
-		s.pumpChunk(chunk) // a second arming of any timer panics here
+		s.pumpChunk(chunk, testScratch) // a second arming of any timer panics here
 	}
 	if inChunks != n-admitLane || s.wheel.Len() != n {
 		t.Fatalf("%d timers went through chunks, wheel holds %d; want %d and %d", inChunks, s.wheel.Len(), n-admitLane, n)

@@ -151,9 +151,13 @@ func admitArmed(s *Server, flow uint32, now time.Time) {
 // pumpQueued plays the workers: it pumps every chunk the driver queued.
 func pumpQueued(s *Server) {
 	for len(s.jobs) > 0 {
-		s.pumpChunk(<-s.jobs)
+		s.pumpChunk(<-s.jobs, testScratch)
 	}
 }
+
+// testScratch is the one worker's scratch of the tests that play the worker
+// on their own goroutine.
+var testScratch = newScratch()
 
 // step is one driver loop and the workers' answer to it: advance the wheel
 // one tick, hand the fired timers off, pump every chunk. It returns the
@@ -238,7 +242,7 @@ func TestHandOffSplitsLargeTick(t *testing.T) {
 	for len(s.jobs) > 0 {
 		chunk := <-s.jobs
 		sizes = append(sizes, len(chunk))
-		s.pumpChunk(chunk) // a second arming of any timer panics here
+		s.pumpChunk(chunk, testScratch) // a second arming of any timer panics here
 	}
 	if !slices.Equal(sizes, []int{pumpChunk, pumpChunk, 1}) {
 		t.Fatalf("chunk sizes %v", sizes)

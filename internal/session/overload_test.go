@@ -125,7 +125,7 @@ func TestSessionExpireStuck(t *testing.T) {
 	// A datagram on the wire pushes the horizon out even with feedback
 	// still silent: sending sessions are making progress, not stuck.
 	t1 := t0.Add(2 * time.Second)
-	if _, done := s.pump(t1); done {
+	if _, done := s.pump(t1, newScratch()); done {
 		t.Fatal("session finished during the first pump")
 	}
 	if s.expireStuck(t0.Add(window), window) {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -63,8 +64,9 @@ type ServerConfig struct {
 	// default tick, beyond every per-session deadline).
 	WheelSlots int
 	// Workers is the pump goroutine pool size; 0 selects 4. Together
-	// with the wheel driver and the demux loop this is the server's
-	// entire goroutine budget — independent of the session count.
+	// with the wheel driver, the demux loop and a parked collector
+	// (collectQuiet) this is the server's entire goroutine budget —
+	// independent of the session count.
 	Workers int
 	// BatchCount flushes the feedback batcher at this many items; 0
 	// selects 64.
@@ -169,6 +171,39 @@ const pumpChunk = 1024
 // falls back to the wheel, so the size bounds memory, never admission.
 const admitLane = 256
 
+// collectQuiet is how long admissions must have been silent before the
+// driver asks for one garbage collection. A server in service allocates
+// nothing, so no cycle runs on its own account, and the Go pacer keeps the
+// picture of the heap — goal and expected scan work — that the last cycle
+// of construction or of the admission wave left, taken before the sessions
+// existed and at a point that differs from run to run. The next cycle,
+// whoever's allocations start it, is then paced against too little scan
+// work, overruns its goal, and what the process holds at its peak moves
+// by a third between otherwise equal runs. One collection once the
+// population is in place bases the pacer on the live set. Under steady
+// churn admissions never fall silent and nothing is collected.
+const collectQuiet = 200 * time.Millisecond
+
+// admitWave is the driver's view of the admitted counter.
+type admitWave struct {
+	seen uint64
+	last time.Time // when seen last moved; zero once that wave has settled
+}
+
+// settled reports, once per wave, that admitted moved and has then stood
+// still for collectQuiet.
+func (w *admitWave) settled(admitted uint64, now time.Time) bool {
+	if admitted != w.seen {
+		w.seen, w.last = admitted, now
+		return false
+	}
+	if w.last.IsZero() || now.Sub(w.last) < collectQuiet {
+		return false
+	}
+	w.last = time.Time{}
+	return true
+}
+
 // Server runs the multi-session PELS gateway: one socket, one demux
 // goroutine, one wheel driver, and a fixed worker pool pump every
 // admitted session. See the package comment for the lifecycle.
@@ -190,10 +225,18 @@ type Server struct {
 	// hand-off later. An admitted session's timer is in the lane, in the
 	// wheel, or in exactly one chunk.
 	admits chan *Timer
+	// collect is the driver's request for one garbage collection
+	// (collectQuiet), run off the driver so no tick waits for it.
+	collect chan struct{}
 
 	draining atomic.Bool
 	started  atomic.Bool
 
+	// datagrams and bytes are what the sessions put on Out, added by each
+	// worker once per chunk (flush): they trail the wire by at most the
+	// chunk being pumped.
+	datagrams   atomic.Uint64
+	bytes       atomic.Uint64
 	admitted    atomic.Uint64
 	completed   atomic.Uint64
 	reaped      atomic.Uint64
@@ -269,12 +312,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		wheel:   NewWheel(cfg.WheelTick, cfg.WheelSlots, now),
 		batcher: NewBatcher(cfg.BatchCount, cfg.BatchWait),
 		// Two buffers a worker: one being pumped, one queued behind it.
-		jobs:   make(chan []*Timer, 2*cfg.Workers),
-		free:   make(chan []*Timer, 2*cfg.Workers),
-		kick:   make(chan struct{}, 1),
-		admits: make(chan *Timer, admitLane),
-		idleCh: make(chan struct{}),
-		ctlBuf: make([]byte, 0, wire.HeaderSize),
+		jobs:    make(chan []*Timer, 2*cfg.Workers),
+		free:    make(chan []*Timer, 2*cfg.Workers),
+		kick:    make(chan struct{}, 1),
+		admits:  make(chan *Timer, admitLane),
+		collect: make(chan struct{}, 1),
+		idleCh:  make(chan struct{}),
+		ctlBuf:  make([]byte, 0, wire.HeaderSize),
 	}
 	for i := 0; i < cap(s.free); i++ {
 		s.free <- make([]*Timer, 0, pumpChunk)
@@ -324,8 +368,10 @@ func (s *Server) Wheel() *Wheel { return s.wheel }
 
 // Stats returns a snapshot of the aggregate counters.
 func (s *Server) Stats() ServerStats {
-	st := ServerStats{
+	return ServerStats{
 		Active:          s.table.Len(),
+		Datagrams:       s.datagrams.Load(),
+		Bytes:           s.bytes.Load(),
 		Admitted:        s.admitted.Load(),
 		Completed:       s.completed.Load(),
 		Reaped:          s.reaped.Load(),
@@ -345,11 +391,6 @@ func (s *Server) Stats() ServerStats {
 		Sheds:           s.sheds.Load(),
 		Restores:        s.restores.Load(),
 	}
-	if s.obsDatagrams != nil {
-		st.Datagrams = uint64(s.obsDatagrams.Value())
-		st.Bytes = uint64(s.obsBytes.Value())
-	}
-	return st
 }
 
 // SessionStats snapshots every live session, sorted by key.
@@ -374,7 +415,7 @@ func (s *Server) Run(ctx context.Context) error {
 
 	errCh := make(chan error, 1)
 	var wg sync.WaitGroup
-	wg.Add(2 + s.cfg.Workers)
+	wg.Add(3 + s.cfg.Workers)
 	go func() {
 		defer wg.Done()
 		if err := s.demux(ctx); err != nil {
@@ -388,6 +429,17 @@ func (s *Server) Run(ctx context.Context) error {
 	go func() {
 		defer wg.Done()
 		s.driver(ctx)
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-s.collect:
+				runtime.GC()
+			}
+		}
 	}()
 	for i := 0; i < s.cfg.Workers; i++ {
 		go func() {
@@ -526,7 +578,6 @@ func (s *Server) admit(from net.Addr, flow uint32, now time.Time) {
 		s.reject(key, from, wire.ReasonBadConfig, now)
 		return
 	}
-	sess.instrument(s.obsDatagrams, s.obsBytes, s.obsShed)
 	sess.setShedLevel(&s.shedLvl)
 	if !s.table.Put(key, sess) {
 		// A concurrent hello for the same key won the race and its
@@ -645,18 +696,35 @@ func (s *Server) dispatch(batch []FeedbackItem, now time.Time) {
 }
 
 // worker pumps the chunks handed over by the driver and the sessions
-// handed over by admit.
+// handed over by admit, all of them through one scratch of its own.
 func (s *Server) worker(ctx context.Context) {
+	w := newScratch()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case chunk := <-s.jobs:
-			s.pumpChunk(chunk)
+			s.pumpChunk(chunk, w)
 		case t := <-s.admits:
-			s.pumpAdmitted(t)
+			s.pumpAdmitted(t, w)
 		}
 	}
+}
+
+// flush adds what w's pumps sent and shed to the server's counters and
+// their obs mirrors, and empties the tally: the shared cache lines are
+// written once per chunk, not once per datagram.
+//
+//pelsvet:noalloc
+func (s *Server) flush(w *scratch) {
+	s.datagrams.Add(w.datagrams)
+	s.bytes.Add(w.bytes)
+	if s.obsDatagrams != nil {
+		s.obsDatagrams.Add(int64(w.datagrams))
+		s.obsBytes.Add(int64(w.bytes))
+		s.obsShed.Add(int64(w.shed))
+	}
+	w.datagrams, w.bytes, w.shed = 0, 0, 0
 }
 
 // pumpAdmitted gives a session from the admission lane its first pump —
@@ -664,9 +732,10 @@ func (s *Server) worker(ctx context.Context) {
 // the wheel only ever holds a lane session at a future deadline.
 //
 //pelsvet:noalloc
-func (s *Server) pumpAdmitted(t *Timer) {
+func (s *Server) pumpAdmitted(t *Timer, w *scratch) {
 	now := s.cfg.Clock.Now()
-	next, done := t.Owner.pump(now)
+	next, done := t.Owner.pump(now, w)
+	s.flush(w)
 	if done {
 		s.finish(t.Owner, now)
 		return
@@ -682,18 +751,20 @@ func (s *Server) pumpAdmitted(t *Timer) {
 // session; a token bucket refilled from an older instant only sends later.
 //
 //pelsvet:noalloc
-func (s *Server) pumpChunk(chunk []*Timer) {
+func (s *Server) pumpChunk(chunk []*Timer, w *scratch) {
 	now := s.cfg.Clock.Now()
 	live := chunk[:0]
 	for _, t := range chunk {
-		next, done := t.Owner.pump(now)
+		next, done := t.Owner.pump(now, w)
 		if done {
+			s.flush(w) // counted before it is closed: ExitWhenIdle may end Run here
 			s.finish(t.Owner, now)
 			continue
 		}
 		t.At = next
 		live = append(live, t)
 	}
+	s.flush(w)
 	s.wheel.RescheduleBatch(live)
 	// A pooled buffer must not keep a closed session reachable.
 	clear(chunk)
@@ -750,6 +821,7 @@ func (s *Server) driver(ctx context.Context) {
 	stuckEvery := s.cfg.StuckTimeout / 2
 	now := s.cfg.Clock.Now()
 	lastReap, lastStuck, lastOver := now, now, now
+	var wave admitWave
 	var lateEWMA float64 // smoothed driver lag behind the tick, seconds
 	for ctx.Err() == nil {
 		loopStart := s.cfg.Clock.Now()
@@ -774,6 +846,12 @@ func (s *Server) driver(ctx context.Context) {
 		if s.overload != nil && now.Sub(lastOver) >= s.overload.cfg.Every {
 			lastOver = now
 			s.evalOverload(now, lateEWMA)
+		}
+		if wave.settled(s.admitted.Load(), now) {
+			select {
+			case s.collect <- struct{}{}:
+			default:
+			}
 		}
 		fired = s.wheel.Advance(now, fired[:0])
 		if !s.handOff(ctx, fired) {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/fgs"
-	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/units"
 	"repro/internal/wire"
@@ -176,7 +175,9 @@ const minDegrade = 1.0 / 1024
 
 // Session is one receiver's PELS stream: its own MKC controller, γ
 // controller, packetizer, per-color sequence spaces, and token bucket,
-// sharing the server's socket and bottleneck with every other session.
+// sharing the server's socket and bottleneck with every other session. It
+// owns no buffer: a datagram is encoded at the instant it is written, into
+// the scratch of the worker that pumps it.
 //
 // Unlike wire.Sender — a blocking Run loop owning a goroutine — a
 // Session is a pump state machine: the wheel fires it, pump sends
@@ -196,34 +197,26 @@ type Session struct {
 	// on its way through a worker.
 	timer Timer
 
-	mu      sync.Mutex
-	state   State
-	ctrl    cc.Controller
-	gamma   *fgs.Gamma
-	pk      *fgs.Packetizer
-	scaler  fgs.Scaler
-	pacer   *wire.Pacer
-	seq     [3]uint64 // next sequence number per wire band, indexed by color − Green
-	stats   Stats
-	buf     []byte // encoded datagram scratch; reused across pumps
-	payload []byte
+	mu     sync.Mutex
+	state  State
+	ctrl   cc.Controller
+	gamma  *fgs.Gamma
+	pk     *fgs.Packetizer
+	scaler fgs.Scaler
+	seq    [3]uint64 // next sequence number per wire band, indexed by color − Green
+	stats  Stats
 
+	bucket   wire.Bucket    //pelsvet:guards mu — the token bucket; mu is its only lock
 	frame    int            //pelsvet:guards mu — next frame number to plan
 	plan     fgs.PacketPlan //pelsvet:guards mu
 	planIdx  int            //pelsvet:guards mu
-	reserved bool           //pelsvet:guards mu — buf holds an encoded, pacer-charged datagram
+	reserved bool           //pelsvet:guards mu — plan packet planIdx is charged to the bucket, not yet encoded
 
 	// Layered (N≠3) sessions plan with the γ ladder and map each layer
 	// onto a wire band (cfg.LayerBands).
 	layered   bool
 	layerPlan fgs.LayerPlan //pelsvet:guards mu
 	gammas    []float64     //pelsvet:guards mu
-
-	// Shared aggregate counters (one set per server, not per session);
-	// nil when the server runs without a registry.
-	aggDatagrams *obs.Counter
-	aggBytes     *obs.Counter
-	aggShed      *obs.Counter
 
 	// shedLevel points at the server-wide overload level (write-once
 	// before the session is pumped, read atomically per pump); nil means
@@ -267,9 +260,6 @@ func NewSession(key Key, peer net.Addr, out wire.PacketWriter, cfg Config, now t
 		gamma:          gamma,
 		pk:             pk,
 		scaler:         scaler,
-		pacer:          wire.NewPacer(cfg.MKC.InitialRate, cfg.BurstBytes),
-		buf:            make([]byte, 0, cfg.Frame.PacketSize),
-		payload:        make([]byte, cfg.Frame.PacketSize-wire.HeaderSize),
 		degrade:        1,
 		lastFeedbackAt: now,
 		lastActivity:   now,
@@ -280,6 +270,7 @@ func NewSession(key Key, peer net.Addr, out wire.PacketWriter, cfg Config, now t
 		s.layerPlan = fgs.LayerPlan{Counts: make([]int, cfg.Layers)}
 		s.gammas = make([]float64, cfg.Layers-1)
 	}
+	s.bucket.Init(cfg.MKC.InitialRate, cfg.BurstBytes)
 	s.stats.Key = key
 	s.timer.Owner = s
 	return s, nil
@@ -288,15 +279,6 @@ func NewSession(key Key, peer net.Addr, out wire.PacketWriter, cfg Config, now t
 // Key returns the session's table key.
 func (s *Session) Key() Key { return s.key }
 
-// instrument attaches the server's shared aggregate counters, bumped on
-// every datagram sent or shed. Must be called before the session is
-// pumped.
-func (s *Session) instrument(datagrams, bytes, shed *obs.Counter) {
-	s.aggDatagrams = datagrams
-	s.aggBytes = bytes
-	s.aggShed = shed
-}
-
 // setShedLevel attaches the server's overload level. Must be called
 // before the session is pumped.
 func (s *Session) setShedLevel(lvl *atomic.Int32) { s.shedLevel = lvl }
@@ -304,12 +286,36 @@ func (s *Session) setShedLevel(lvl *atomic.Int32) { s.shedLevel = lvl }
 // Peer returns the receiver's address.
 func (s *Session) Peer() net.Addr { return s.peer }
 
-// pump advances the session at instant now: it finishes any
-// pacer-charged datagram from the previous wake, plans frames as their
-// budgets open, and sends until the token bucket pushes back. It returns
-// the next deadline to arm and done=true when the session reached its
-// terminal state (worker removes it from the table).
-func (s *Session) pump(now time.Time) (next time.Time, done bool) {
+// scratch is what one worker goroutine owns and lends to every pump it
+// makes: the buffer each datagram is encoded into, and a tally of what the
+// pumps sent and shed since the worker last added it to the server's
+// counters (Server.flush, once per chunk).
+type scratch struct {
+	buf       []byte
+	datagrams uint64
+	bytes     uint64
+	shed      uint64
+}
+
+// newScratch sizes the buffer for the largest datagram any session config
+// can ask for, so no pump ever grows it.
+func newScratch() *scratch {
+	return &scratch{buf: make([]byte, 0, wire.MaxDatagram)}
+}
+
+// zeroPayload is every session's payload: the stream carries no media bytes,
+// only their size. Read-only.
+var zeroPayload [wire.MaxPayload]byte
+
+// pump advances the session at instant now: it writes the datagram the
+// previous wake charged to the bucket, plans frames as their budgets open,
+// and charges and writes until the token bucket pushes back. Datagrams are
+// encoded into w.buf and counted in w. It returns the next deadline to arm
+// and done=true when the session reached its terminal state (worker
+// removes it from the table).
+//
+//pelsvet:noalloc
+func (s *Session) pump(now time.Time, w *scratch) (next time.Time, done bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state == StateClosed {
@@ -319,9 +325,12 @@ func (s *Session) pump(now time.Time) (next time.Time, done bool) {
 	shed := s.shedLevelNow()
 	for {
 		if s.reserved {
-			// The previous wake charged the bucket for this datagram;
-			// its wait has now elapsed — put it on the wire.
-			s.sendLocked(now)
+			// The previous wake charged the bucket for this datagram and
+			// its wait has now elapsed. What it is was settled when it was
+			// charged: a shed level raised since does not take it back.
+			if !s.sendLocked(now, w) {
+				return time.Time{}, true
+			}
 			continue
 		}
 		if s.planIdx >= s.planTotalLocked() {
@@ -365,35 +374,16 @@ func (s *Session) pump(now time.Time) (next time.Time, done bool) {
 			// per-color loss (its sequence number is never consumed).
 			s.planIdx++
 			s.stats.Shed++
-			if s.aggShed != nil {
-				s.aggShed.Inc()
-			}
+			w.shed++
 			continue
 		}
-		color := s.planColorLocked(s.planIdx)
-		h := wire.Header{
-			Type:      wire.TypeData,
-			Color:     color,
-			Flow:      s.key.Flow,
-			Frame:     uint32(s.frame - 1),
-			Index:     uint16(s.planIdx),
-			Seq:       s.seq[color-packet.Green],
-			Timestamp: now.UnixNano(),
-		}
-		s.seq[color-packet.Green]++
-		var err error
-		s.buf, err = wire.AppendDatagram(s.buf[:0], h, s.payload)
-		if err != nil {
-			// Unreachable with a validated config; close rather than spin.
-			s.state = StateClosed
-			s.closeReason = wire.ReasonBadConfig
-			return time.Time{}, true
-		}
-		if wait := s.pacer.Reserve(len(s.buf), now); wait > 0 {
+		if wait := s.bucket.Reserve(s.cfg.Frame.PacketSize, now); wait > 0 {
 			s.reserved = true
 			return now.Add(wait), false
 		}
-		s.sendLocked(now)
+		if !s.sendLocked(now, w) {
+			return time.Time{}, true
+		}
 	}
 }
 
@@ -449,20 +439,42 @@ func (s *Session) planColorLocked(idx int) packet.Color {
 	return s.plan.Color(idx)
 }
 
-// sendLocked writes the encoded datagram in buf and advances the plan.
-func (s *Session) sendLocked(now time.Time) {
+// sendLocked encodes plan packet planIdx — charged to the bucket, its wait
+// over — into w.buf, stamped with now, the instant it is handed to out, and
+// writes it. It reports false, with the session closed, if the datagram
+// does not encode: unreachable with a validated config, but a session that
+// cannot send must end rather than spin.
+//
+//pelsvet:noalloc
+func (s *Session) sendLocked(now time.Time, w *scratch) bool {
+	color := s.planColorLocked(s.planIdx)
+	h := wire.Header{
+		Type:      wire.TypeData,
+		Color:     color,
+		Flow:      s.key.Flow,
+		Frame:     uint32(s.frame - 1),
+		Index:     uint16(s.planIdx),
+		Seq:       s.seq[color-packet.Green],
+		Timestamp: now.UnixNano(),
+	}
+	b, err := wire.AppendDatagram(w.buf[:0], h, zeroPayload[:s.cfg.Frame.PacketSize-wire.HeaderSize])
+	if err != nil {
+		s.state = StateClosed
+		s.closeReason = wire.ReasonBadConfig
+		return false
+	}
 	// Write errors have nowhere to go — the shaping link models loss, and
 	// a vanished receiver is collected by the idle reaper.
-	_, _ = s.out.WriteTo(s.buf, s.peer)
+	_, _ = s.out.WriteTo(b, s.peer)
+	s.seq[color-packet.Green]++
 	s.reserved = false
 	s.planIdx++
 	s.lastSendAt = now
 	s.stats.Datagrams++
-	s.stats.Bytes += uint64(len(s.buf))
-	if s.aggDatagrams != nil {
-		s.aggDatagrams.Inc()
-		s.aggBytes.Add(int64(len(s.buf)))
-	}
+	s.stats.Bytes += uint64(len(b))
+	w.datagrams++
+	w.bytes += uint64(len(b))
+	return true
 }
 
 // effectiveRateLocked is the controller rate scaled by the watchdog
@@ -493,7 +505,7 @@ func (s *Session) checkStaleLocked(now time.Time) {
 		s.degrade = minDegrade
 	}
 	s.stats.StaleDecays++
-	s.pacer.SetRate(s.effectiveRateLocked(), now)
+	s.bucket.SetRate(s.effectiveRateLocked(), now)
 }
 
 // HandleFeedback offers one feedback label to the session's controllers
@@ -546,7 +558,7 @@ func (s *Session) handleFeedbackLocked(fb packet.Feedback, now time.Time) bool {
 	s.lastRouterID = fb.RouterID
 	s.haveRouter = true
 	s.stats.FeedbackAccepted++
-	s.pacer.SetRate(s.effectiveRateLocked(), now)
+	s.bucket.SetRate(s.effectiveRateLocked(), now)
 	return true
 }
 

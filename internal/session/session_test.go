@@ -28,8 +28,9 @@ func (w *captureWriter) WriteTo(b []byte, _ net.Addr) (int, error) {
 // to each returned deadline. maxSteps bounds runaway loops.
 func drive(t *testing.T, s *Session, now time.Time, maxSteps int) time.Time {
 	t.Helper()
+	w := newScratch()
 	for i := 0; i < maxSteps; i++ {
-		next, done := s.pump(now)
+		next, done := s.pump(now, w)
 		if done {
 			return now
 		}
@@ -139,7 +140,7 @@ func TestSessionStaleDecayAndRecovery(t *testing.T) {
 	s := newTestSession(t, cfg, &captureWriter{}, t0)
 
 	// Silence past the horizon: the next pump decays the rate.
-	s.pump(t0.Add(150 * time.Millisecond))
+	s.pump(t0.Add(150*time.Millisecond), newScratch())
 	if st := s.Stats(); st.StaleDecays != 1 || st.Degrade >= 1 {
 		t.Fatalf("stale decay not applied: decays=%d degrade=%v", st.StaleDecays, st.Degrade)
 	}
@@ -156,8 +157,9 @@ func TestSessionDrainClosesAtFrameBoundary(t *testing.T) {
 	s := newTestSession(t, Config{}, out, t0) // MaxFrames 0: would stream forever
 	// Pump a little, then drain mid-stream.
 	now := t0
+	w := newScratch()
 	for i := 0; i < 10; i++ {
-		next, done := s.pump(now)
+		next, done := s.pump(now, w)
 		if done {
 			t.Fatal("session closed before Drain")
 		}

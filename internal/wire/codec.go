@@ -136,7 +136,10 @@ func patchCRC(b []byte) {
 // Header is the decoded PELS wire header. Seq is a per-color sequence
 // number for data datagrams (the receiver derives per-color loss from its
 // gaps) and a monotonic counter for feedback datagrams. Timestamp is the
-// sender's clock in unix nanoseconds.
+// sender's clock in unix nanoseconds at the instant the datagram was handed
+// to the socket (or to the shaping link in front of it): a data datagram is
+// stamped after any pacing wait, by wire.Sender and session.Session alike,
+// so a receiver's now − Timestamp is link queue plus transport.
 type Header struct {
 	Type      Type
 	Color     packet.Color

@@ -14,7 +14,7 @@ import (
 // degrades to a trickle instead of stalling.
 const MinPacerRate = units.Kbps
 
-// Pacer is a wall-clock token bucket that spaces datagrams at a target
+// Bucket is a wall-clock token bucket that spaces datagrams at a target
 // bit rate. Time is passed in explicitly (callers use time.Now()), which
 // keeps the arithmetic deterministic under test: burst bounds, mid-stream
 // rate changes, and clock jumps are all pure functions of the supplied
@@ -25,8 +25,11 @@ const MinPacerRate = units.Kbps
 // throughput is bounded by the configured rate regardless of timer
 // jitter, because credit accrues from real elapsed time (oversleeping a
 // wait is repaid by the credit that accrued during it).
-type Pacer struct {
-	mu     sync.Mutex
+//
+// A Bucket has no lock of its own: it is a value for an owner that already
+// serializes access (session.Session keeps one under its own mutex). Pacer
+// is the same bucket behind a mutex for everyone else. Init before use.
+type Bucket struct {
 	rate   units.BitRate // clamped, > 0
 	burst  float64       // bucket capacity, bytes
 	tokens float64       // current credit, bytes; may go negative (debt)
@@ -34,50 +37,40 @@ type Pacer struct {
 	set    bool // last is meaningful
 }
 
-// NewPacer builds a pacer at the given rate with a bucket of burstBytes.
-// Non-positive burst gets a one-MTU bucket, the minimum that keeps a
-// full-size datagram from waiting forever.
-func NewPacer(rate units.BitRate, burstBytes int) *Pacer {
+// Init sets the bucket to the given rate with room for burstBytes, full: a
+// fresh bucket may burst immediately. Non-positive burst gets a one-MTU
+// bucket, the minimum that keeps a full-size datagram from waiting forever.
+func (b *Bucket) Init(rate units.BitRate, burstBytes int) {
 	if burstBytes <= 0 {
 		burstBytes = MaxDatagram
 	}
-	p := &Pacer{burst: float64(burstBytes)}
-	p.setRateLocked(rate)
-	p.tokens = p.burst // a fresh pacer may burst immediately
-	return p
+	*b = Bucket{burst: float64(burstBytes), tokens: float64(burstBytes)}
+	b.setRate(rate)
 }
 
 // SetRate changes the pacing rate at the given instant. Credit already
 // accrued at the old rate is settled first, so a rate change mid-stream
 // never retroactively re-prices elapsed time. Rates <= 0 clamp to
 // MinPacerRate.
-func (p *Pacer) SetRate(rate units.BitRate, now time.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.settleLocked(now)
-	p.setRateLocked(rate)
+//
+//pelsvet:noalloc
+func (b *Bucket) SetRate(rate units.BitRate, now time.Time) {
+	b.settle(now)
+	b.setRate(rate)
 }
 
-func (p *Pacer) setRateLocked(rate units.BitRate) {
+func (b *Bucket) setRate(rate units.BitRate) {
 	if rate < MinPacerRate {
 		rate = MinPacerRate
 	}
-	p.rate = rate
+	b.rate = rate
 }
 
 // Rate returns the current (clamped) pacing rate.
-func (p *Pacer) Rate() units.BitRate {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rate
-}
+func (b *Bucket) Rate() units.BitRate { return b.rate }
 
 // Burst returns the bucket capacity in bytes.
-func (p *Pacer) Burst() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return int(p.burst)
-}
+func (b *Bucket) Burst() int { return int(b.burst) }
 
 // Reserve commits to sending n bytes at the given instant and returns how
 // long the caller must wait before putting them on the wire (0 = send
@@ -86,36 +79,79 @@ func (p *Pacer) Burst() int {
 // bucket debt to refill at the current rate.
 //
 //pelsvet:noalloc
-func (p *Pacer) Reserve(n int, now time.Time) time.Duration {
+func (b *Bucket) Reserve(n int, now time.Time) time.Duration {
 	if n <= 0 {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.settleLocked(now)
-	p.tokens -= float64(n)
-	if p.tokens >= 0 {
+	b.settle(now)
+	b.tokens -= float64(n)
+	if b.tokens >= 0 {
 		return 0
 	}
-	return time.Duration(-p.tokens * 8 / float64(p.rate) * float64(time.Second))
+	return time.Duration(-b.tokens * 8 / float64(b.rate) * float64(time.Second))
 }
 
-// settleLocked accrues credit for the time elapsed since the last settlement.
+// settle accrues credit for the time elapsed since the last settlement.
 // A clock that jumps backward contributes nothing (elapsed clamps to 0);
 // a clock that jumps far forward is bounded by the burst cap.
-func (p *Pacer) settleLocked(now time.Time) {
-	if !p.set {
-		p.last = now
-		p.set = true
+func (b *Bucket) settle(now time.Time) {
+	if !b.set {
+		b.last = now
+		b.set = true
 		return
 	}
-	elapsed := now.Sub(p.last)
+	elapsed := now.Sub(b.last)
 	if elapsed < 0 {
 		elapsed = 0
 	}
-	p.last = now
-	p.tokens += elapsed.Seconds() * float64(p.rate) / 8
-	if p.tokens > p.burst {
-		p.tokens = p.burst
+	b.last = now
+	b.tokens += elapsed.Seconds() * float64(b.rate) / 8
+	if b.tokens > b.burst {
+		b.tokens = b.burst
 	}
+}
+
+// Pacer is a Bucket behind its own mutex, for callers with no lock of
+// their own to keep it under (Sender's Run loop and its feedback path).
+type Pacer struct {
+	mu sync.Mutex
+	b  Bucket
+}
+
+// NewPacer builds a pacer at the given rate with a bucket of burstBytes
+// (see Bucket.Init).
+func NewPacer(rate units.BitRate, burstBytes int) *Pacer {
+	p := &Pacer{}
+	p.b.Init(rate, burstBytes)
+	return p
+}
+
+// SetRate is Bucket.SetRate under the pacer's lock.
+func (p *Pacer) SetRate(rate units.BitRate, now time.Time) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.b.SetRate(rate, now)
+}
+
+// Rate returns the current (clamped) pacing rate.
+func (p *Pacer) Rate() units.BitRate {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.b.Rate()
+}
+
+// Burst returns the bucket capacity in bytes.
+func (p *Pacer) Burst() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.b.Burst()
+}
+
+// Reserve is Bucket.Reserve under the pacer's lock.
+//
+//pelsvet:noalloc
+func (p *Pacer) Reserve(n int, now time.Time) time.Duration {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.b.Reserve(n, now)
 }

@@ -173,10 +173,12 @@ func TestPacerJitterSelfCorrects(t *testing.T) {
 	}
 }
 
-// TestPacerTable exercises SetRate while the bucket is in debt and
-// backward clock jumps mid-Reserve as step tables: each step either
-// reserves bytes (checking the returned wait) or changes the rate at a
-// given instant.
+// TestPacerTable exercises SetRate while the bucket is in debt, clock
+// jumps mid-Reserve, the burst cap and the clamps as step tables: each step
+// either reserves bytes (checking the returned wait) or changes the rate at
+// a given instant. Every script runs on a Pacer and on a bare Bucket, which
+// must agree to the nanosecond: they are one arithmetic, with and without
+// the lock.
 func TestPacerTable(t *testing.T) {
 	type step struct {
 		at      time.Duration // offset from t0
@@ -231,20 +233,61 @@ func TestPacerTable(t *testing.T) {
 				{at: -time.Hour, reserve: 500, want: 100 * time.Millisecond},
 			},
 		},
+		{
+			// An hour of idling buys one bucket, not an hour's worth.
+			name: "burst cap bounds a far-forward jump",
+			rate: 8000, burst: 1000,
+			steps: []step{
+				{at: 0, reserve: 1000, want: 0},
+				{at: time.Hour, reserve: 1000, want: 0},
+				{at: time.Hour, reserve: 1000, want: time.Second},
+			},
+		},
+		{
+			// Rates at or below zero price debt at MinPacerRate, 125 B/s.
+			name: "rate at or below zero clamps",
+			rate: 0, burst: 100,
+			steps: []step{
+				{at: 0, reserve: 100, want: 0},
+				{at: 0, reserve: 125, want: time.Second},
+				{at: 0, rate: 8000},
+				{at: 0, rate: -1},
+				{at: 0, reserve: 125, want: 2 * time.Second},
+			},
+		},
+		{
+			name: "a reserve of nothing or less is free and charges nothing",
+			rate: 8000, burst: 1000,
+			steps: []step{
+				{at: 0, reserve: -5, want: 0},
+				{at: 0, reserve: 1000, want: 0},
+				{at: 0, reserve: -1000, want: 0},
+				{at: 0, reserve: 1000, want: time.Second},
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewPacer(tc.rate, tc.burst)
+			var b Bucket
+			b.Init(tc.rate, tc.burst)
 			for i, st := range tc.steps {
 				now := t0.Add(st.at)
 				if st.reserve == 0 {
 					p.SetRate(st.rate, now)
+					b.SetRate(st.rate, now)
 					continue
 				}
 				wait := p.Reserve(st.reserve, now)
 				if diff := wait - st.want; diff < -time.Microsecond || diff > time.Microsecond {
 					t.Fatalf("step %d: wait %v, want %v", i, wait, st.want)
 				}
+				if got := b.Reserve(st.reserve, now); got != wait {
+					t.Fatalf("step %d: the bucket waits %v, the pacer %v", i, got, wait)
+				}
+			}
+			if b.Rate() != p.Rate() || b.Burst() != p.Burst() {
+				t.Fatalf("bucket ends at %v / %d B, pacer at %v / %d B", b.Rate(), b.Burst(), p.Rate(), p.Burst())
 			}
 		})
 	}

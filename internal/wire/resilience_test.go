@@ -1,12 +1,14 @@
 package wire
 
 import (
+	"context"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cc"
+	"repro/internal/fgs"
 	"repro/internal/packet"
 	"repro/internal/units"
 )
@@ -115,6 +117,59 @@ func TestSenderStaleWatchdogDecaysAndRecovers(t *testing.T) {
 	}
 	if st.Rate < full {
 		t.Fatalf("controller rate regressed across the outage: %v < %v", st.Rate, full)
+	}
+}
+
+// timedConn is a captureConn that also records when each write happened.
+type timedConn struct {
+	captureConn
+	at []time.Time
+}
+
+func (c *timedConn) WriteTo(p []byte, to net.Addr) (int, error) {
+	c.at = append(c.at, time.Now())
+	return c.captureConn.WriteTo(p, to)
+}
+
+// TestSenderStampsAtTheWrite: a paced datagram's Timestamp is taken after its
+// pacing wait, not before it. A stamp taken before the wait (what Run used to
+// do) is microseconds past the previous write; one taken after it is a whole
+// wait past it, less whatever the previous sleep overslept — the bucket
+// repays that — so a quarter of the wait tells them apart on any host.
+func TestSenderStampsAtTheWrite(t *testing.T) {
+	conn := &timedConn{}
+	// One datagram of credit, then 100 B at 40 kb/s: 20 ms a datagram, four
+	// datagrams a frame.
+	s, err := NewSender(conn, fakeAddr("peer"), SenderConfig{
+		Flow:          1,
+		Frame:         fgs.FrameSpec{PacketSize: 100, TotalPackets: 16, GreenPackets: 1},
+		FrameInterval: 80 * time.Millisecond,
+		MKC:           cc.MKCConfig{Alpha: units.Kbps, Beta: 0.5, InitialRate: 40 * units.Kbps, MinRate: 16 * units.Kbps},
+		BurstBytes:    100,
+		MaxFrames:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if conn.count() != 4 {
+		t.Fatalf("%d datagrams, want 4", conn.count())
+	}
+	const wait = 20 * time.Millisecond
+	for i := 1; i < conn.count(); i++ {
+		h, _, err := DecodeDatagram(conn.write(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stamp := time.Unix(0, h.Timestamp)
+		if since := stamp.Sub(conn.at[i-1]); since < wait/4 {
+			t.Errorf("datagram %d stamped %v after the previous write: before its %v pacing wait", i, since, wait)
+		}
+		if stamp.After(conn.at[i]) {
+			t.Errorf("datagram %d stamped %v after it was written", i, stamp.Sub(conn.at[i]))
+		}
 	}
 }
 

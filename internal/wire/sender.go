@@ -321,6 +321,13 @@ func (s *Sender) Run(ctx context.Context) error {
 			} else {
 				color = plan.Color(idx)
 			}
+			if wait := s.pacer.Reserve(s.cfg.Frame.PacketSize, s.cfg.Now()); wait > 0 {
+				if err := sleepCtx(ctx, timer, wait); err != nil {
+					return err
+				}
+			}
+			// Encoded after the wait, so the stamp is the instant of the
+			// write (Header.Timestamp), not of the charge.
 			h := Header{
 				Type:      TypeData,
 				Color:     color,
@@ -334,11 +341,6 @@ func (s *Sender) Run(ctx context.Context) error {
 			buf, err = AppendDatagram(buf[:0], h, payload)
 			if err != nil {
 				return err
-			}
-			if wait := s.pacer.Reserve(len(buf), s.cfg.Now()); wait > 0 {
-				if err := sleepCtx(ctx, timer, wait); err != nil {
-					return err
-				}
 			}
 			if _, err := s.conn.WriteTo(buf, s.peer); err != nil {
 				if ctx.Err() != nil {
