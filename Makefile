@@ -36,13 +36,14 @@ test-short:
 
 # Race-enabled short tests — the PR gate in .github/workflows/ci.yml. The
 # second line repeats the wire tests that have been timing-sensitive (the
-# shaped link's counters, the swarm's hello driver) so a flake cannot
-# return unnoticed; the third repeats the tests of who holds a session's
-# timer (admission lane, wheel, chunk), where every bug so far was a race,
-# and of the pump against feedback (the bucket has only the session's lock).
+# shaped link's counters, the swarm's hello driver) and the tests of who
+# owns a link buffer, so a flake cannot return unnoticed; the third repeats
+# the tests of who holds a session's timer (admission lane, wheel, chunk),
+# where every bug so far was a race, and of the pump against feedback (the
+# bucket has only the session's lock).
 race:
 	go test -race -short ./...
-	go test -race -count=20 -run 'TestShapedConn|TestSwarm' ./internal/wire/
+	go test -race -count=20 -run 'TestShapedConn|TestSwarm|TestLinkBuffer' ./internal/wire/
 	go test -race -count=5 -run 'TestAdmit|TestHandOff|TestOverload|TestStaleTimer|TestPump' ./internal/session/
 
 fmt-check:
@@ -101,17 +102,19 @@ perfdiff:
 # The end-to-end benchmark is a module of its own (bench/go.mod), so
 # `go build ./...` and `go test ./...` never compile it. This vets and
 # race-tests it against the tree and runs one second of the driver's own
-# command on three live workloads and on a simulator one, so a session/wire
+# command on four live workloads and on a simulator one, so a session/wire
 # or experiments/sim API change that breaks it fails here (the CI
 # load-smoke job) and not in the driver. egress-bulk is the one with
-# several datagrams a wake; churn-mem is the only gate that runs swarm,
-# admission and close end to end.
+# several datagrams a wake; churn-mem runs swarm, admission and close end
+# to end; loop-mem is the only gate that runs Gateway + ShapedConn and the
+# feedback loop through them.
 bench-e2e:
 	go -C bench vet ./...
 	go -C bench test -short -race ./...
 	bash bench/run.sh --workload egress-wide --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload egress-bulk --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload churn-mem --seed 1 --seconds 1 --trace 0
+	bash bench/run.sh --workload loop-mem --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload sim-figures --seed 1 --seconds 1 --trace 0
 
 # The paired A/B behind a performance claim (bench/README.md "Landing a

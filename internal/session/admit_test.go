@@ -66,7 +66,7 @@ func (w *dgLog) snapshot() []sent {
 // own entry point.
 func hello(t *testing.T, s *Server, flow uint32, now time.Time) {
 	t.Helper()
-	s.handleDatagram(helloDatagram(t, flow), handPeer, now)
+	s.handleDatagram(helloDatagram(t, flow), origin{addr: handPeer}, now)
 }
 
 // pumpLane plays the workers' admission half: every timer in the lane gets
@@ -482,7 +482,7 @@ func TestAdmitLaneRacesReapers(t *testing.T) {
 		}
 	})
 	for f := uint32(1); f <= n; f++ {
-		s.admit(handPeer, f, time.Now())
+		s.admit(origin{addr: handPeer}, f, time.Now())
 	}
 	for deadline := time.Now().Add(10 * time.Second); s.table.Len() > 0 || len(s.admits) > 0 || s.wheel.Len() > 0; {
 		if time.Now().After(deadline) {

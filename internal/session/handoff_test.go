@@ -145,7 +145,7 @@ func fillLane(s *Server) {
 // wheel at now: the hand-off tests seed the wheel, not the lane.
 func admitArmed(s *Server, flow uint32, now time.Time) {
 	fillLane(s)
-	s.admit(handPeer, flow, now)
+	s.admit(origin{addr: handPeer}, flow, now)
 }
 
 // pumpQueued plays the workers: it pumps every chunk the driver queued.

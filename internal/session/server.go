@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"net/netip"
 	"os"
 	"runtime"
 	"slices"
@@ -269,8 +270,9 @@ type Server struct {
 	idleOnce sync.Once
 	idleCh   chan struct{}
 
-	// Dispatch scratch, owned by the demux goroutine.
+	// Dispatch scratch and the interned keys, owned by the demux goroutine.
 	fbScratch []packet.Feedback
+	keys      keyTable
 
 	obsDatagrams   *obs.Counter
 	obsBytes       *obs.Counter
@@ -319,6 +321,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		collect: make(chan struct{}, 1),
 		idleCh:  make(chan struct{}),
 		ctlBuf:  make([]byte, 0, wire.HeaderSize),
+		// Twice the sessions there can be: the live receivers always fit,
+		// with room for the addresses of sessions that have since ended.
+		keys: keyTable{m: make(map[netip.AddrPort]string), max: 2 * cfg.MaxSessions},
 	}
 	for i := 0; i < cap(s.free); i++ {
 		s.free <- make([]*Timer, 0, pumpChunk)
@@ -482,10 +487,69 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return nil
 }
 
+// origin is where a datagram came from, in the form the socket gave it:
+// ap from a socket that reads netip addresses (*net.UDPConn and the
+// benchmark's memnet do), addr from any other.
+type origin struct {
+	ap   netip.AddrPort
+	addr net.Addr
+}
+
+// netAddr returns the address sessions write to. It allocates for an ap, so
+// it is for admission and refusals, never for feedback.
+func (o origin) netAddr() net.Addr {
+	if o.addr != nil {
+		return o.addr
+	}
+	return net.UDPAddrFromAddrPort(o.ap)
+}
+
+// keyTable interns Key.Addr, the text of a source address, per
+// netip.AddrPort, so that feedback from an address seen before costs a map
+// lookup instead of the three allocations of formatting it. The text is
+// byte for byte what ReadFrom's net.Addr would print for the same source, so
+// keys made here equal keys made from a net.Addr: IPv4, IPv6 and zoned
+// addresses print alike in both forms (zoned ones are interned like any
+// other), and the 4-in-6 address a dual-stack socket reports is unmapped
+// first, as *net.UDPAddr's String does. It holds at most max entries and
+// starts over when full: a flood of spoofed sources costs one formatting per
+// datagram, as it always has, and no more memory, and every live receiver is
+// back after one miss.
+type keyTable struct {
+	m   map[netip.AddrPort]string
+	max int
+}
+
+// addr returns the interned text of ap.
+//
+//pelsvet:noalloc
+func (k *keyTable) addr(ap netip.AddrPort) string {
+	if s, ok := k.m[ap]; ok {
+		return s
+	}
+	return k.add(ap)
+}
+
+// add formats ap and remembers the text.
+func (k *keyTable) add(ap netip.AddrPort) string {
+	if len(k.m) >= k.max {
+		clear(k.m)
+	}
+	s := netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()).String()
+	k.m[ap] = s
+	return s
+}
+
+// addrPortReader is the netip read of *net.UDPConn.
+type addrPortReader interface {
+	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
+}
+
 // demux is the socket read loop: hellos admit sessions, feedback is
 // batched and dispatched, everything else is dropped as noise.
 func (s *Server) demux(ctx context.Context) error {
 	buf := make([]byte, wire.MaxDatagram+1)
+	netipConn, _ := s.cfg.Conn.(addrPortReader)
 	for {
 		if ctx.Err() != nil {
 			return nil
@@ -499,7 +563,16 @@ func (s *Server) demux(ctx context.Context) error {
 			deadline = dl
 		}
 		_ = s.cfg.Conn.SetReadDeadline(deadline)
-		n, from, err := s.cfg.Conn.ReadFrom(buf)
+		var (
+			n    int
+			from origin
+			err  error
+		)
+		if netipConn != nil {
+			n, from.ap, err = netipConn.ReadFromUDPAddrPort(buf)
+		} else {
+			n, from.addr, err = s.cfg.Conn.ReadFrom(buf)
+		}
 		now = s.cfg.Clock.Now()
 		switch {
 		case err == nil:
@@ -521,8 +594,16 @@ func (s *Server) demux(ctx context.Context) error {
 	}
 }
 
+// keyOf names the session a datagram from from on flow belongs to.
+func (s *Server) keyOf(from origin, flow uint32) Key {
+	if from.addr != nil {
+		return Key{Addr: from.addr.String(), Flow: flow}
+	}
+	return Key{Addr: s.keys.addr(from.ap), Flow: flow}
+}
+
 // handleDatagram classifies one datagram from the socket.
-func (s *Server) handleDatagram(b []byte, from net.Addr, now time.Time) {
+func (s *Server) handleDatagram(b []byte, from origin, now time.Time) {
 	h, _, err := wire.DecodeDatagram(b)
 	if err != nil {
 		return // corrupted or foreign noise
@@ -538,8 +619,8 @@ func (s *Server) handleDatagram(b []byte, from net.Addr, now time.Time) {
 		if !h.Feedback.Valid {
 			return
 		}
-		key := Key{Addr: from.String(), Flow: h.Flow}
-		if batch := s.batcher.Add(FeedbackItem{Key: key, FB: h.Feedback}, now); batch != nil {
+		item := FeedbackItem{Key: s.keyOf(from, h.Flow), FB: h.Feedback}
+		if batch := s.batcher.Add(item, now); batch != nil {
 			s.dispatch(batch, now)
 		}
 	}
@@ -550,12 +631,13 @@ func (s *Server) handleDatagram(b []byte, from net.Addr, now time.Time) {
 // Refusals are spoken, not silent: each one sends a Reject datagram with
 // the reason and a retry-after hint so the receiver can back off and
 // re-hello instead of staring at a black hole.
-func (s *Server) admit(from net.Addr, flow uint32, now time.Time) {
-	key := Key{Addr: from.String(), Flow: flow}
+func (s *Server) admit(src origin, flow uint32, now time.Time) {
+	key := s.keyOf(src, flow)
 	if sess := s.table.Get(key); sess != nil {
 		sess.Touch(now) // duplicate hello: receiver is alive
 		return
 	}
+	from := src.netAddr()
 	if s.draining.Load() {
 		s.reject(key, from, wire.ReasonDraining, now)
 		return

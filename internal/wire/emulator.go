@@ -42,10 +42,10 @@ func NewEmulator(cfg EmulatorConfig) *Emulator {
 		a: newEndpoint("emu-a"),
 		b: newEndpoint("emu-b"),
 	}
-	e.ab = newLink(cfg.AtoB, func(b []byte, _ net.Addr) { e.b.deliverFrom(b, e.a.addr) })
-	e.ba = newLink(cfg.BtoA, func(b []byte, _ net.Addr) { e.a.deliverFrom(b, e.b.addr) })
-	e.a.link = e.ab
-	e.b.link = e.ba
+	e.ab = newLink(cfg.AtoB, func(b []byte, _ net.Addr) bool { return e.b.deliverFrom(b, e.a.addr) })
+	e.ba = newLink(cfg.BtoA, func(b []byte, _ net.Addr) bool { return e.a.deliverFrom(b, e.b.addr) })
+	e.a.link, e.a.in = e.ab, e.ba
+	e.b.link, e.b.in = e.ba, e.ab
 	return e
 }
 
@@ -77,7 +77,8 @@ func (e *Emulator) Close() error {
 // behaves like a full socket buffer and drops.
 const inboxCap = 4096
 
-// received is one datagram waiting in an endpoint's inbox.
+// received is one datagram waiting in an endpoint's inbox. b is a buffer of
+// the inbound link, on loan until the reader has copied it out.
 type received struct {
 	b    []byte
 	from net.Addr
@@ -87,6 +88,7 @@ type received struct {
 type endpoint struct {
 	addr EmuAddr
 	link *link // outbound direction; set by NewEmulator
+	in   *link // inbound direction, whose buffers the inbox holds
 
 	inbox chan received
 	done  chan struct{}
@@ -107,15 +109,19 @@ func newEndpoint(name string) *endpoint {
 	}
 }
 
-func (ep *endpoint) deliverFrom(b []byte, from net.Addr) {
+// deliverFrom is the inbound link's deliver: it reports whether the inbox
+// took b, which the reader then gives back to the link.
+func (ep *endpoint) deliverFrom(b []byte, from net.Addr) (kept bool) {
 	select {
 	case ep.inbox <- received{b: b, from: from}:
+		return true
 	case <-ep.done:
 	default:
 		ep.mu.Lock()
 		ep.overruns++
 		ep.mu.Unlock()
 	}
+	return false
 }
 
 // ReadFrom implements net.PacketConn. The deadline is sampled at entry:
@@ -137,7 +143,7 @@ func (ep *endpoint) ReadFrom(p []byte) (int, net.Addr, error) {
 			// Still drain anything already delivered, like a socket.
 			select {
 			case r := <-ep.inbox:
-				return copyInto(p, r)
+				return ep.copyInto(p, r)
 			default:
 				return 0, nil, os.ErrDeadlineExceeded
 			}
@@ -148,7 +154,7 @@ func (ep *endpoint) ReadFrom(p []byte) (int, net.Addr, error) {
 	}
 	select {
 	case r := <-ep.inbox:
-		return copyInto(p, r)
+		return ep.copyInto(p, r)
 	case <-expired:
 		return 0, nil, os.ErrDeadlineExceeded
 	case <-ep.done:
@@ -156,10 +162,13 @@ func (ep *endpoint) ReadFrom(p []byte) (int, net.Addr, error) {
 	}
 }
 
-func copyInto(p []byte, r received) (int, net.Addr, error) {
-	n := copy(p, r.b)
-	if n < len(r.b) {
-		return n, r.from, fmt.Errorf("wire: %d-byte datagram truncated into %d-byte buffer", len(r.b), len(p))
+// copyInto hands r to the reader: its bytes are copied into p and its buffer
+// goes back to the link it came from.
+func (ep *endpoint) copyInto(p []byte, r received) (int, net.Addr, error) {
+	n, size := copy(p, r.b), len(r.b)
+	ep.in.release(r.b)
+	if n < size {
+		return n, r.from, fmt.Errorf("wire: %d-byte datagram truncated into %d-byte buffer", size, len(p))
 	}
 	return n, r.from, nil
 }
@@ -234,10 +243,11 @@ type ShapedConn struct {
 // NewShapedConn shapes writes to inner with cfg.
 func NewShapedConn(inner net.PacketConn, cfg LinkConfig) *ShapedConn {
 	s := &ShapedConn{PacketConn: inner}
-	s.link = newLink(cfg, func(b []byte, to net.Addr) {
+	s.link = newLink(cfg, func(b []byte, to net.Addr) bool {
 		// Delivery errors have nowhere to go; a lossy link is part of
 		// the model.
 		_, _ = inner.WriteTo(b, to)
+		return false // a PacketConn is done with b when WriteTo returns
 	})
 	return s
 }

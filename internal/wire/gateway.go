@@ -93,6 +93,8 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 // Mark implements Marker: PELS data datagrams are counted toward S and
 // stamped with the current label; everything else (feedback, hello,
 // best-effort, non-PELS noise) passes through untouched.
+//
+//pelsvet:noalloc
 func (g *Gateway) Mark(b []byte) bool {
 	color, ok := PeekColor(b)
 	if !ok || !color.IsPELS() {
@@ -117,6 +119,8 @@ func (g *Gateway) Mark(b []byte) bool {
 // anything unparseable) rank above green, then yellow, then red — so
 // congestion drops consume probes first, exactly like the strict-priority
 // PELS queue of paper Fig. 4.
+//
+//pelsvet:noalloc
 func (g *Gateway) Priority(b []byte) int {
 	color, ok := PeekColor(b)
 	if !ok {

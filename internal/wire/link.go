@@ -3,8 +3,8 @@ package wire
 import (
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -90,22 +90,36 @@ type queued struct {
 // and delivery run on two goroutines with absolute-time deadlines, so
 // sleep overshoot never reduces throughput below the configured rate and
 // delivery order always matches queue order.
+//
+// A datagram's bytes have one owner at every hop. send copies the caller's
+// bytes into a buffer taken from the link's free list, so the caller may
+// reuse its own at once; the buffer then belongs to the queue, to out, and
+// last to deliver for the length of that call. A datagram dropped on the way
+// (marker, fault, eviction) gives its buffer back where it is dropped; a
+// delivered one goes back when deliver returns, unless deliver reports that
+// it kept the bytes, in which case whoever it passed them to calls release
+// once it has copied them out.
 type link struct {
 	cfg     LinkConfig
-	deliver func(b []byte, to net.Addr)
+	deliver func(b []byte, to net.Addr) (kept bool)
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []queued
+	queue  fifo[queued]
 	bytes  int
+	free   [][]byte // idle datagram buffers, each of capacity ≥ MaxDatagram
 	rng    *rand.Rand
-	stats  LinkStats
+	stats  LinkStats // Delivered is kept in delivered
 	closed bool
 	start  time.Time // link creation; anchors the fault schedule
 
+	// delivered is counted by propagate alone, outside mu: the writers
+	// contend for that lock and a delivery takes it once, to return the buffer.
+	delivered atomic.Uint64
+
 	outMu   sync.Mutex
 	outCond *sync.Cond
-	out     []outgoing
+	out     fifo[outgoing]
 	outDone bool
 
 	wg sync.WaitGroup
@@ -118,7 +132,18 @@ type outgoing struct {
 	at time.Time // delivery instant
 }
 
-func newLink(cfg LinkConfig, deliver func(b []byte, to net.Addr)) *link {
+// newLink builds a link and starts its two goroutines.
+func newLink(cfg LinkConfig, deliver func(b []byte, to net.Addr) (kept bool)) *link {
+	l := newIdleLink(cfg, deliver)
+	l.wg.Add(2)
+	go l.serialize()
+	go l.propagate()
+	return l
+}
+
+// newIdleLink builds a link that nothing drains: the reference-model test
+// steps dequeue, transmit, nextOut and handOver by hand.
+func newIdleLink(cfg LinkConfig, deliver func(b []byte, to net.Addr) (kept bool)) *link {
 	if cfg.QueueBytes <= 0 {
 		cfg.QueueBytes = DefaultQueueBytes
 	}
@@ -133,14 +158,45 @@ func newLink(cfg LinkConfig, deliver func(b []byte, to net.Addr)) *link {
 	}
 	l.cond = sync.NewCond(&l.mu)
 	l.outCond = sync.NewCond(&l.outMu)
-	l.wg.Add(2)
-	go l.serialize()
-	go l.propagate()
 	return l
 }
 
-// send offers one datagram to the link. The buffer is copied, so callers
+// maxFree bounds the free list: a full queue of the smallest datagrams the
+// codec emits. Whatever is in flight beyond that (a long Delay, an unread
+// Emulator inbox) is allocated and left to the collector, as every datagram
+// used to be.
+func (l *link) maxFree() int { return l.cfg.QueueBytes/HeaderSize + 1 }
+
+// bufLocked returns a buffer of length n, from the free list when it has
+// one. Callers hold l.mu.
+func (l *link) bufLocked(n int) []byte {
+	if k := len(l.free); k > 0 && cap(l.free[k-1]) >= n {
+		b := l.free[k-1]
+		l.free = l.free[:k-1]
+		return b[:n]
+	}
+	return make([]byte, n, max(n, MaxDatagram))
+}
+
+// releaseLocked gives a buffer obtained from bufLocked back. Callers hold
+// l.mu and must not touch b afterwards.
+func (l *link) releaseLocked(b []byte) {
+	if len(l.free) < l.maxFree() {
+		l.free = append(l.free, b)
+	}
+}
+
+// release is releaseLocked for the far side of deliver.
+func (l *link) release(b []byte) {
+	l.mu.Lock()
+	l.releaseLocked(b)
+	l.mu.Unlock()
+}
+
+// send offers one datagram to the link. The bytes are copied, so callers
 // may reuse b immediately. to is carried through to the deliver callback.
+//
+//pelsvet:noalloc
 func (l *link) send(b []byte, to net.Addr) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -151,11 +207,12 @@ func (l *link) send(b []byte, to net.Addr) {
 		l.stats.RandomDrops++
 		return
 	}
-	c := make([]byte, len(b))
+	c := l.bufLocked(len(b))
 	copy(c, b)
 	if l.cfg.Marker != nil {
 		if drop := l.cfg.Marker.Mark(c); drop {
 			l.stats.MarkerDrops++
+			l.releaseLocked(c)
 			return
 		}
 	}
@@ -170,6 +227,7 @@ func (l *link) send(b []byte, to net.Addr) {
 		d := l.cfg.Faults.Filter(q.at.Sub(l.start), fault.Packet{Size: len(c), Class: classify(c)})
 		if d.Drop {
 			l.stats.FaultDrops++
+			l.releaseLocked(c)
 			return
 		}
 		if d.StripFeedback {
@@ -181,7 +239,8 @@ func (l *link) send(b []byte, to net.Addr) {
 		q.extra = d.ExtraDelay
 		if d.Duplicate {
 			dup := q
-			dup.b = append([]byte(nil), c...)
+			dup.b = l.bufLocked(len(c))
+			copy(dup.b, c)
 			l.enqueueLocked(dup)
 		}
 	}
@@ -190,29 +249,33 @@ func (l *link) send(b []byte, to net.Addr) {
 
 // enqueueLocked admits q to the bounded queue, evicting to make room.
 // Callers hold l.mu.
+//
+//pelsvet:noalloc
 func (l *link) enqueueLocked(q queued) {
 	// Make room: evict from the least important end first. Scanning from
 	// the tail prefers dropping the newest datagram among equals, the
 	// closest live analogue of tail drop within a priority class. If the
 	// arrival itself is least important, it is the one dropped.
-	for l.bytes+len(q.b) > l.cfg.QueueBytes && len(l.queue) > 0 {
+	for l.bytes+len(q.b) > l.cfg.QueueBytes && l.queue.len() > 0 {
 		worst, worstIdx := q.prio, -1
-		for i := len(l.queue) - 1; i >= 0; i-- {
-			if l.queue[i].prio > worst {
-				worst, worstIdx = l.queue[i].prio, i
+		queue := l.queue.held()
+		for i := len(queue) - 1; i >= 0; i-- {
+			if queue[i].prio > worst {
+				worst, worstIdx = queue[i].prio, i
 			}
 		}
+		l.stats.OverflowDrops++
 		if worstIdx < 0 {
-			l.stats.OverflowDrops++
+			l.releaseLocked(q.b)
 			return // arrival is the least important datagram present
 		}
-		l.bytes -= len(l.queue[worstIdx].b)
-		l.queue = append(l.queue[:worstIdx], l.queue[worstIdx+1:]...)
-		l.stats.OverflowDrops++
+		evicted := l.queue.remove(worstIdx)
+		l.bytes -= len(evicted.b)
+		l.releaseLocked(evicted.b)
 	}
 	// If the queue is empty and the datagram alone exceeds it, admit it
 	// anyway so a tiny queue cannot starve the link forever.
-	l.queue = append(l.queue, q)
+	l.queue.push(q)
 	l.bytes += len(q.b)
 	l.stats.Enqueued++
 	l.cond.Signal()
@@ -244,81 +307,114 @@ func classify(b []byte) fault.Class {
 // the next deadlines already due, and they are sent back to back).
 func (l *link) serialize() {
 	defer l.wg.Done()
-	var busyUntil time.Time
+	var busyUntil, now time.Time
 	for {
-		l.mu.Lock()
-		for len(l.queue) == 0 && !l.closed {
-			l.cond.Wait()
-		}
-		if len(l.queue) == 0 && l.closed {
-			l.mu.Unlock()
+		q, ok := l.dequeue()
+		if !ok {
 			l.outMu.Lock()
 			l.outDone = true
 			l.outCond.Signal()
 			l.outMu.Unlock()
 			return
 		}
-		q := l.queue[0]
-		l.queue = l.queue[1:]
-		l.bytes -= len(q.b)
-		l.mu.Unlock()
-
-		if l.cfg.Bandwidth > 0 {
-			if busyUntil.Before(q.at) {
-				busyUntil = q.at // wire sat idle until this datagram arrived
-			}
-			busyUntil = busyUntil.Add(l.cfg.Bandwidth.TransmissionTime(len(q.b)))
-			sleepUntil(busyUntil)
-		} else {
-			busyUntil = q.at
-		}
-		o := outgoing{b: q.b, to: q.to, at: busyUntil.Add(l.cfg.Delay + q.extra)}
-		l.outMu.Lock()
-		// Insert sorted by delivery instant: a fault-delayed datagram slots
-		// behind later traffic, which is what makes the delay a reordering.
-		i := sort.Search(len(l.out), func(i int) bool { return l.out[i].at.After(o.at) })
-		l.out = append(l.out, outgoing{})
-		copy(l.out[i+1:], l.out[i:])
-		l.out[i] = o
-		l.outCond.Signal()
-		l.outMu.Unlock()
+		busyUntil, now = l.transmit(q, busyUntil, now)
 	}
+}
+
+// dequeue takes the head of the queue, waiting for one; ok is false once
+// the link is closed and drained.
+func (l *link) dequeue() (q queued, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.queue.len() == 0 && !l.closed {
+		l.cond.Wait()
+	}
+	if l.queue.len() == 0 {
+		return queued{}, false
+	}
+	q = l.queue.pop()
+	l.bytes -= len(q.b)
+	return q, true
+}
+
+// transmit puts q on a wire that is busy until busyUntil, waits out its
+// transmission and lines it up for delivery. It returns when the wire is
+// free again and the instant the clock is known to have reached (waitUntil).
+func (l *link) transmit(q queued, busyUntil, now time.Time) (time.Time, time.Time) {
+	if l.cfg.Bandwidth > 0 {
+		if busyUntil.Before(q.at) {
+			busyUntil = q.at // wire sat idle until this datagram arrived
+		}
+		busyUntil = busyUntil.Add(l.cfg.Bandwidth.TransmissionTime(len(q.b)))
+		now = waitUntil(now, busyUntil)
+	} else {
+		busyUntil = q.at
+	}
+	o := outgoing{b: q.b, to: q.to, at: busyUntil.Add(l.cfg.Delay + q.extra)}
+	l.outMu.Lock()
+	// Insert sorted by delivery instant: a fault-delayed datagram slots
+	// behind later traffic, which is what makes the delay a reordering.
+	// Without one the place is the tail, found from there in one step.
+	out := l.out.held()
+	i := len(out)
+	for i > 0 && out[i-1].at.After(o.at) {
+		i--
+	}
+	l.out.insert(i, o)
+	l.outCond.Signal()
+	l.outMu.Unlock()
+	return busyUntil, now
 }
 
 // propagate delivers serialized datagrams at their absolute delivery
 // instants. Without faults the delivery instants are monotone (busyUntil
 // is); a fault-injected extra delay breaks monotonicity deliberately, and
-// the sorted insert in serialize turns it into real reordering.
+// the sorted insert in transmit turns it into real reordering.
 func (l *link) propagate() {
 	defer l.wg.Done()
+	var now time.Time
 	for {
-		l.outMu.Lock()
-		for len(l.out) == 0 && !l.outDone {
-			l.outCond.Wait()
-		}
-		if len(l.out) == 0 && l.outDone {
-			l.outMu.Unlock()
+		o, ok := l.nextOut()
+		if !ok {
 			return
 		}
-		o := l.out[0]
-		l.out = l.out[1:]
-		l.outMu.Unlock()
-
-		sleepUntil(o.at)
-		// Count before the hand-off: whoever reads the datagram must
-		// already find it in Stats.
-		l.mu.Lock()
-		l.stats.Delivered++
-		l.mu.Unlock()
-		l.deliver(o.b, o.to)
+		now = l.handOver(o, now)
 	}
+}
+
+// nextOut takes the head of the delivery line, waiting for one; ok is false
+// once serialize has finished and the line is empty.
+func (l *link) nextOut() (o outgoing, ok bool) {
+	l.outMu.Lock()
+	defer l.outMu.Unlock()
+	for l.out.len() == 0 && !l.outDone {
+		l.outCond.Wait()
+	}
+	if l.out.len() == 0 {
+		return outgoing{}, false
+	}
+	return l.out.pop(), true
+}
+
+// handOver delivers o at its instant and takes its buffer back.
+func (l *link) handOver(o outgoing, now time.Time) time.Time {
+	now = waitUntil(now, o.at)
+	// Count before the hand-off: whoever reads the datagram must
+	// already find it in Stats.
+	l.delivered.Add(1)
+	if !l.deliver(o.b, o.to) {
+		l.release(o.b)
+	}
+	return now
 }
 
 // Stats returns a snapshot of the link counters.
 func (l *link) Stats() LinkStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.stats
+	st := l.stats
+	st.Delivered = l.delivered.Load()
+	return st
 }
 
 // close stops accepting datagrams; queued ones still drain. wait blocks
@@ -332,9 +428,18 @@ func (l *link) close() {
 
 func (l *link) wait() { l.wg.Wait() }
 
-// sleepUntil sleeps until the absolute instant t (no-op if past).
-func sleepUntil(t time.Time) {
-	if d := time.Until(t); d > 0 {
-		time.Sleep(d)
+// waitUntil blocks until the absolute instant t and returns an instant the
+// clock has reached. now is such an instant from the caller's last wait: the
+// clock is read only when t lies beyond it, so the datagrams a late wake-up
+// finds already due go out on the one reading that found the first of them.
+func waitUntil(now, t time.Time) time.Time {
+	if !t.After(now) {
+		return now
 	}
+	now = time.Now()
+	if d := t.Sub(now); d > 0 {
+		time.Sleep(d)
+		return t // Sleep lasts at least d
+	}
+	return now
 }
