@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/aqm"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/fgs"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/session"
 	"repro/internal/units"
 	"repro/internal/wire"
 )
@@ -206,8 +206,8 @@ func FormatChaosTestbed(r ChaosTestbedResult) string {
 }
 
 // ChaosWireConfig parameterizes the live chaos run: the wire loopback
-// stack (emulator, gateway, sender, receiver) with fault injectors on
-// both directions, the sender's stale-feedback watchdog and the
+// stack (emulator, gateway, one-session server, receiver) with fault
+// injectors on both directions, the session's stale-feedback watchdog and the
 // receiver's liveness probes armed, and a live gateway swap through a
 // wire.MarkerSwitch mid-stream. Timing is wall clock, so this run
 // exercises the resilience machinery rather than bit-reproducibility
@@ -229,7 +229,7 @@ type ChaosWireConfig struct {
 	// into the stream; 0 disables.
 	SwapAfter   time.Duration
 	NewRouterID int
-	// StaleTimeout/StaleDecay arm the sender watchdog; ProbeIdle arms
+	// StaleTimeout/StaleDecay arm the session's watchdog; ProbeIdle arms
 	// receiver probing.
 	StaleTimeout time.Duration
 	StaleDecay   float64
@@ -276,7 +276,7 @@ func DefaultChaosWireConfig() ChaosWireConfig {
 type ChaosWireResult struct {
 	Config   ChaosWireConfig
 	Elapsed  time.Duration
-	Sender   wire.SenderStats
+	Sender   session.Stats
 	Receiver wire.ReceiverStats
 	Link     wire.LinkStats
 	Forward  fault.Stats
@@ -318,24 +318,12 @@ func ChaosWire(cfg ChaosWireConfig) (ChaosWireResult, error) {
 	})
 	defer emu.Close()
 
-	sender, err := wire.NewSender(emu.A(), nil, wire.SenderConfig{
-		Flow:          1,
-		Frame:         cfg.Frame,
-		FrameInterval: cfg.FrameInterval,
-		MKC:           cfg.MKC,
-		BurstBytes:    16 * cfg.Frame.PacketSize,
-		MaxFrames:     cfg.Frames,
-		Obs:           reg,
-		StaleTimeout:  cfg.StaleTimeout,
-		StaleDecay:    cfg.StaleDecay,
-	})
-	if err != nil {
-		return ChaosWireResult{}, err
-	}
 	recv := wire.NewReceiver(emu.B(), wire.ReceiverConfig{
 		Flow:      1,
 		Obs:       reg,
 		ProbeIdle: cfg.ProbeIdle,
+		Hello:     true,
+		Peer:      emu.A().LocalAddr(),
 	})
 
 	var swapTimer *time.Timer
@@ -356,22 +344,29 @@ func ChaosWire(cfg ChaosWireConfig) (ChaosWireResult, error) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); _ = recv.Run(ctx) }()
-	go func() { defer wg.Done(); _ = sender.ServeFeedback(ctx) }()
+	recvDone := make(chan struct{})
+	go func() { defer close(recvDone); _ = recv.Run(ctx) }()
 
 	start := time.Now()
-	if err := sender.Run(ctx); err != nil {
+	sender, err := streamOne(ctx, emu, reg, session.Config{
+		Frame:         cfg.Frame,
+		FrameInterval: cfg.FrameInterval,
+		MKC:           cfg.MKC,
+		BurstBytes:    16 * cfg.Frame.PacketSize,
+		MaxFrames:     cfg.Frames,
+		StaleTimeout:  cfg.StaleTimeout,
+		StaleDecay:    cfg.StaleDecay,
+	})
+	if err != nil {
 		cancel()
-		wg.Wait()
-		return ChaosWireResult{}, fmt.Errorf("chaos wire: sender: %w", err)
+		<-recvDone
+		return ChaosWireResult{}, fmt.Errorf("chaos wire: %w", err)
 	}
 	time.Sleep(cfg.Delay + 100*time.Millisecond)
 	res := ChaosWireResult{
 		Config:   cfg,
 		Elapsed:  time.Since(start),
-		Sender:   sender.Stats(),
+		Sender:   sender,
 		Receiver: recv.Stats(),
 		Link:     emu.StatsAtoB(),
 		Forward:  fwdInj.Stats(),
@@ -379,7 +374,7 @@ func ChaosWire(cfg ChaosWireConfig) (ChaosWireResult, error) {
 		Obs:      reg,
 	}
 	cancel()
-	wg.Wait()
+	<-recvDone
 	res.Goodput = res.Receiver.Goodput()
 	return res, nil
 }

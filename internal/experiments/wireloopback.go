@@ -2,25 +2,27 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cc"
 	"repro/internal/fgs"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/session"
 	"repro/internal/units"
 	"repro/internal/wire"
 )
 
 // WireLoopbackConfig parameterizes the live-stack loopback experiment:
-// a wire.Sender streaming through the in-process emulator (marking
-// gateway + priority-drop bottleneck) to a wire.Receiver echoing
-// feedback. Unlike every other experiment this one runs on the wall
-// clock — it exercises the real codec, pacer, and sockets-shaped I/O
-// path rather than the event-driven simulator.
+// a one-session session.Server streaming through the in-process emulator
+// (marking gateway + priority-drop bottleneck) to a wire.Receiver that
+// hellos it and echoes feedback. Unlike every other experiment this one
+// runs on the wall clock — it exercises the real codec, token bucket,
+// timing wheel, and sockets-shaped I/O path rather than the event-driven
+// simulator.
 type WireLoopbackConfig struct {
 	// Capacity is the bottleneck bandwidth.
 	Capacity units.BitRate
@@ -71,15 +73,16 @@ type WireLoopbackResult struct {
 	Config WireLoopbackConfig
 	// Elapsed is the wall-clock duration of the stream.
 	Elapsed time.Duration
-	// Sender and Receiver are the endpoint counters at the end.
-	Sender   wire.SenderStats
+	// Sender and Receiver are the endpoint counters at the end: Sender is
+	// the server's one session.
+	Sender   session.Stats
 	Receiver wire.ReceiverStats
 	// Link is the bottleneck's view.
 	Link wire.LinkStats
 	// Goodput is the delivered wire bitrate over the arrival interval.
 	Goodput units.BitRate
-	// Obs is the run's metric registry: gateway/sender/receiver counters
-	// and the sender's wall-clock rate and gamma series.
+	// Obs is the run's metric registry: gateway, server, and receiver
+	// counters.
 	Obs *obs.Registry
 }
 
@@ -105,47 +108,91 @@ func WireLoopback(cfg WireLoopbackConfig) (WireLoopbackResult, error) {
 	})
 	defer emu.Close()
 
-	sender, err := wire.NewSender(emu.A(), nil, wire.SenderConfig{
-		Flow:          1,
+	recv := wire.NewReceiver(emu.B(), wire.ReceiverConfig{
+		Flow:  1,
+		Obs:   reg,
+		Hello: true,
+		Peer:  emu.A().LocalAddr(),
+	})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	recvDone := make(chan struct{})
+	go func() { defer close(recvDone); _ = recv.Run(ctx) }()
+
+	start := time.Now()
+	sender, err := streamOne(ctx, emu, reg, session.Config{
 		Frame:         cfg.Frame,
 		FrameInterval: cfg.FrameInterval,
 		MKC:           cfg.MKC,
 		BurstBytes:    16 * cfg.Frame.PacketSize,
 		MaxFrames:     cfg.Frames,
-		Obs:           reg,
 	})
 	if err != nil {
-		return WireLoopbackResult{}, err
-	}
-	recv := wire.NewReceiver(emu.B(), wire.ReceiverConfig{Flow: 1, Obs: reg})
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); _ = recv.Run(ctx) }()
-	go func() { defer wg.Done(); _ = sender.ServeFeedback(ctx) }()
-
-	start := time.Now()
-	if err := sender.Run(ctx); err != nil {
 		cancel()
-		wg.Wait()
-		return WireLoopbackResult{}, fmt.Errorf("wire loopback: sender: %w", err)
+		<-recvDone
+		return WireLoopbackResult{}, fmt.Errorf("wire loopback: %w", err)
 	}
 	// Let the queue and delay line drain before the final snapshot.
 	time.Sleep(cfg.Delay + 100*time.Millisecond)
 	res := WireLoopbackResult{
 		Config:   cfg,
 		Elapsed:  time.Since(start),
-		Sender:   sender.Stats(),
+		Sender:   sender,
 		Receiver: recv.Stats(),
 		Link:     emu.StatsAtoB(),
 		Obs:      reg,
 	}
 	cancel()
-	wg.Wait()
+	<-recvDone
 	res.Goodput = res.Receiver.Goodput()
 	return res, nil
+}
+
+// streamOne is the end host of the emulator experiments: a one-session
+// server on emu.A() that admits the receiver's hello, streams cfg, and
+// exits once the session has ended. The run ends when the server does, not
+// when the receiver hears the Close, which a faulted forward path may
+// drop. It returns the session's final counters, read from the *Session
+// the table held while it streamed (Session.Stats stays valid after it
+// closes).
+func streamOne(ctx context.Context, emu *wire.Emulator, reg *obs.Registry, cfg session.Config) (session.Stats, error) {
+	srv, err := session.NewServer(session.ServerConfig{
+		Conn:         emu.A(),
+		Clock:        wire.SystemClock{},
+		Session:      cfg,
+		ExitWhenIdle: true,
+		Obs:          reg,
+	})
+	if err != nil {
+		return session.Stats{}, err
+	}
+	runErr := make(chan error, 1)
+	go func() { runErr <- srv.Run(ctx) }()
+	poll := time.NewTicker(time.Millisecond)
+	defer poll.Stop()
+	var sess *session.Session
+	for {
+		select {
+		case err := <-runErr:
+			switch {
+			case err != nil:
+				return session.Stats{}, err
+			case ctx.Err() != nil:
+				return session.Stats{}, ctx.Err()
+			case sess == nil:
+				return session.Stats{}, errors.New("the session ended before it was seen in the table")
+			}
+			return sess.Stats(), nil
+		case <-poll.C:
+			if sess == nil && srv.Stats().Admitted > 0 {
+				srv.Table().Range(func(_ session.Key, s *session.Session) bool {
+					sess = s
+					return false
+				})
+			}
+		}
+	}
 }
 
 // Metrics flattens the result into the named scalars surfaced through

@@ -7,8 +7,10 @@ import (
 // LayerPlan is the N-layer generalization of PacketPlan: the packets to
 // transmit for one video frame, split across N ordered priority layers.
 // Counts[0] is the base layer (always the full base layer), Counts[N-1]
-// the top (probe) layer. The paper's 3-color plan is the N=3 instance;
-// PlanShare remains the dedicated fast path for it.
+// the top (probe) layer. The paper's 3-color plan is the N=3 instance:
+// both end hosts (pels.Source and session.Session) plan every frame this
+// way, through PlanLadder. PacketPlan and PlanShare remain as the 3-color
+// reference the N=3 ladder plan is pinned against.
 type LayerPlan struct {
 	Frame  int
 	Counts []int
@@ -78,6 +80,20 @@ func Ladder(dst []float64, gamma float64) {
 	for i := 1; i < n-1; i++ {
 		dst[i] = 1 + (gamma-1)*float64(i)/float64(n-1)
 	}
+}
+
+// PlanLadder plans frame into plan (N = len(plan.Counts) layers) with the
+// default ladder driven by the single controller γ: the one frame plan of
+// both end hosts. The ladder lives on the stack, so a plan whose Counts
+// is caller-owned costs no allocation.
+//
+//pelsvet:noalloc
+func (pk *Packetizer) PlanLadder(plan *LayerPlan, frame int, budgetBytes int, gamma float64, share RedShare) {
+	var ladder [packet.MaxLayers - 1]float64
+	gammas := ladder[:len(plan.Counts)-1]
+	Ladder(gammas, gamma)
+	plan.Frame = frame
+	pk.PlanLayersInto(plan.Counts, frame, budgetBytes, gammas, share)
 }
 
 // GammaLadder is Ladder for an N-layer plan, allocating the slice.

@@ -20,7 +20,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
-	"repro/internal/units"
 )
 
 // Mode selects how a source marks its enhancement-layer packets.
@@ -68,15 +67,11 @@ type Config struct {
 	Gamma fgs.GammaConfig
 	// AckSize is the ACK packet size in bytes (default 40).
 	AckSize int
-	// Controller optionally replaces MKC with another cc.Controller
-	// (e.g. cc.AIMD); when set, the MKC field is ignored. PELS is
+	// ControllerFactory, when set, builds each source's rate controller in
+	// place of MKC (e.g. cc.AIMD); the MKC field is then ignored. PELS is
 	// explicitly independent of the congestion controller (paper §5). A
-	// controller instance must drive exactly one source; for configs used
-	// as templates across several flows use ControllerFactory instead.
-	Controller cc.Controller
-	// ControllerFactory builds a fresh controller per source, taking
-	// precedence over both Controller and MKC. Use it when one Config
-	// parameterizes many flows.
+	// factory rather than an instance, so one Config can parameterize many
+	// flows.
 	ControllerFactory func() cc.Controller
 	// AckEvery makes the sink acknowledge every n-th packet (default 1);
 	// feedback freshness is preserved because every data packet carries
@@ -85,13 +80,14 @@ type Config struct {
 	// RedShare selects the denominator γ applies to when sizing the red
 	// segment (default fgs.RedShareTotal; see that type's documentation).
 	RedShare fgs.RedShare
-	// Layers selects the number of priority layers the source splits each
-	// frame into. 0 and 3 select the classic green/yellow/red path (the
-	// paper's model, bit-exact); 2 or 4..packet.MaxLayers split the frame
-	// with the default γ ladder (fgs.Ladder): N−1 cumulative split points
-	// interpolated from 1 down to the controller's γ, so the single-γ
-	// controller keeps steering the whole ladder. The bottleneck must be
-	// configured with a matching layer count (queue.NLayerPriorityConfig).
+	// Layers is the number of priority layers the source splits each
+	// frame into, in [2, packet.MaxLayers]; 0 selects 3, the paper's
+	// green/yellow/red. Every frame is split with the default γ ladder
+	// (fgs.Ladder): N−1 cumulative split points interpolated from 1 down to
+	// the controller's γ, so the single-γ controller steers the whole
+	// ladder, and for 3 layers the split is exactly the paper's. The
+	// bottleneck must be configured with a matching layer count
+	// (queue.NLayerPriorityConfig).
 	Layers int
 	// Scaler decides each frame's byte budget from the controller rate;
 	// nil means fgs.ConstantScaler (the paper's x_i = r·interval).
@@ -151,6 +147,9 @@ func (c Config) WithDefaults() Config {
 	if c.Scaler == nil {
 		c.Scaler = fgs.ConstantScaler{}
 	}
+	if c.Layers == 0 {
+		c.Layers = 3
+	}
 	return c
 }
 
@@ -166,25 +165,10 @@ func (c Config) Validate() error {
 	if c.Mode != ModePELS && c.Mode != ModeBestEffort {
 		return fmt.Errorf("pels: unknown mode %d", int(c.Mode))
 	}
-	if c.Layers != 0 && (c.Layers < 2 || c.Layers > packet.MaxLayers) {
-		return fmt.Errorf("pels: layers must be 0 (classic) or in [2,%d], got %d", packet.MaxLayers, c.Layers)
+	if c.Layers < 2 || c.Layers > packet.MaxLayers {
+		return fmt.Errorf("pels: layers must be in [2,%d], got %d", packet.MaxLayers, c.Layers)
 	}
 	return nil
-}
-
-// Layered reports whether the configuration uses the generalized N-layer
-// plan path rather than the classic 3-color PlanShare path.
-func (c Config) Layered() bool { return c.Layers != 0 && c.Layers != 3 }
-
-// SentFrame records what the source transmitted for one frame. Classic
-// 3-color sessions fill Plan; layered sessions (Config.Layered) fill
-// LayerPlan instead.
-type SentFrame struct {
-	Frame     int
-	Plan      fgs.PacketPlan
-	LayerPlan fgs.LayerPlan
-	Rate      units.BitRate // sending rate when the frame was planned
-	SentAt    time.Duration
 }
 
 // Session wires a Source on srcHost to a Sink on dstHost and returns both.

@@ -210,29 +210,9 @@ func TestSourceDelayedStart(t *testing.T) {
 	}
 }
 
-func TestSentFramesRecordPlans(t *testing.T) {
-	r := newRig(t, Config{Flow: 1}, 2*units.Mbps)
-	r.src.Start(0)
-	if err := r.eng.RunUntil(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	frames := r.src.SentFrames()
-	if len(frames) < 5 {
-		t.Fatalf("recorded %d frames", len(frames))
-	}
-	for i, f := range frames {
-		if f.Frame != i {
-			t.Fatalf("frame %d has index %d", i, f.Frame)
-		}
-		if f.Plan.Green != 21 {
-			t.Fatalf("frame %d green = %d", i, f.Plan.Green)
-		}
-	}
-}
-
 func TestCustomControllerReplacesMKC(t *testing.T) {
 	aimd := cc.NewAIMD(cc.DefaultAIMDConfig())
-	r := newRig(t, Config{Flow: 1, Controller: aimd}, 500*units.Kbps)
+	r := newRig(t, Config{Flow: 1, ControllerFactory: func() cc.Controller { return aimd }}, 500*units.Kbps)
 	r.src.Start(0)
 	if err := r.eng.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)

@@ -29,18 +29,12 @@ type Source struct {
 	packetizer *fgs.Packetizer
 
 	frame   int
-	sent    []SentFrame
-	plan    fgs.PacketPlan
+	plan    fgs.LayerPlan // the frame in flight; Counts is counts[:cfg.Layers]
+	counts  [packet.MaxLayers]int
 	nextIdx int
 	pace    *sim.Timer // fires emitNext for the next paced packet
 	started bool
 	stopped bool
-
-	// Layered (N≠3) sessions plan with the γ ladder instead of PlanShare;
-	// layerPlan replaces plan and gammas is the per-frame ladder scratch.
-	layered   bool
-	layerPlan fgs.LayerPlan
-	gammas    []float64
 
 	pktsSent  int64
 	bytesSent int64
@@ -61,11 +55,8 @@ func NewSource(net *netsim.Network, host *netsim.Host, dst int, cfg Config) (*So
 		return nil, err
 	}
 	var ctrl cc.Controller
-	switch {
-	case cfg.ControllerFactory != nil:
+	if cfg.ControllerFactory != nil {
 		ctrl = cfg.ControllerFactory()
-	case cfg.Controller != nil:
-		ctrl = cfg.Controller
 	}
 	if ctrl == nil {
 		ctrl = cc.NewMKC(cfg.MKC)
@@ -89,11 +80,7 @@ func NewSource(net *netsim.Network, host *netsim.Host, dst int, cfg Config) (*So
 		packetizer: pk,
 	}
 	s.pace = s.eng.NewTimer(s.emitNext)
-	if cfg.Layered() {
-		s.layered = true
-		s.layerPlan = fgs.LayerPlan{Counts: make([]int, cfg.Layers)}
-		s.gammas = make([]float64, cfg.Layers-1)
-	}
+	s.plan.Counts = s.counts[:cfg.Layers]
 	host.Attach(cfg.Flow, s)
 	return s, nil
 }
@@ -118,58 +105,22 @@ func (s *Source) Stop() {
 }
 
 // planFrame sizes the next video frame with the controller's current rate:
-// x_i = r(k) · frame interval, partitioned by the current γ (paper §4.2).
+// x_i = r(k) · frame interval, split into priority layers by the γ ladder
+// (paper §4.2).
 // The frame is a data unit, not a time gate — the source streams packets
 // continuously and starts the next frame as soon as the current one is
 // fully transmitted, exactly like a streaming server whose rate-scaling
 // module picks x_i at each frame boundary. At a steady rate a frame takes
 // exactly one frame interval on the wire.
 func (s *Source) planFrame() {
-	rate := s.ctrl.Rate()
-	budget := s.cfg.Scaler.Budget(s.frame, rate, s.cfg.FrameInterval)
+	budget := s.cfg.Scaler.Budget(s.frame, s.ctrl.Rate(), s.cfg.FrameInterval)
 	gamma := 0.0
 	if s.cfg.Mode == ModePELS {
 		gamma = s.gamma.Value()
 	}
-	rec := SentFrame{Frame: s.frame, Rate: rate, SentAt: s.eng.Now()}
-	if s.layered {
-		fgs.Ladder(s.gammas, gamma)
-		s.layerPlan.Frame = s.frame
-		s.packetizer.PlanLayersInto(s.layerPlan.Counts, s.frame, budget, s.gammas, s.cfg.RedShare)
-		counts := make([]int, len(s.layerPlan.Counts))
-		copy(counts, s.layerPlan.Counts)
-		rec.LayerPlan = fgs.LayerPlan{Frame: s.frame, Counts: counts}
-	} else {
-		s.plan = s.packetizer.PlanShare(s.frame, budget, gamma, s.cfg.RedShare)
-		rec.Plan = s.plan
-	}
+	s.packetizer.PlanLadder(&s.plan, s.frame, budget, gamma, s.cfg.RedShare)
 	s.nextIdx = 0
-	s.sent = append(s.sent, rec)
 	s.frame++
-}
-
-// planTotal returns the packet count of the current frame plan.
-func (s *Source) planTotal() int {
-	if s.layered {
-		return s.layerPlan.Total()
-	}
-	return s.plan.Total()
-}
-
-// planColor returns the color of packet index in the current frame plan.
-func (s *Source) planColor(index int) packet.Color {
-	if s.layered {
-		return s.layerPlan.Color(index)
-	}
-	return s.plan.Color(index)
-}
-
-// planFrameNo returns the frame number of the current plan.
-func (s *Source) planFrameNo() int {
-	if s.layered {
-		return s.layerPlan.Frame
-	}
-	return s.plan.Frame
 }
 
 // emitNext sends the next packet of the stream and schedules the following
@@ -180,9 +131,9 @@ func (s *Source) emitNext() {
 	if s.stopped {
 		return
 	}
-	if s.nextIdx >= s.planTotal() {
+	if s.nextIdx >= s.plan.Total() {
 		s.planFrame()
-		if s.planTotal() == 0 {
+		if s.plan.Total() == 0 {
 			// Degenerate spec (no packets to send); try again next frame
 			// interval rather than spinning.
 			s.pace.Reset(s.cfg.FrameInterval)
@@ -191,12 +142,12 @@ func (s *Source) emitNext() {
 	}
 	index := s.nextIdx
 	s.nextIdx++
-	color := s.planColor(index)
+	color := s.plan.Color(index)
 	if s.cfg.Mode == ModeBestEffort && color != packet.Green {
 		color = packet.BestEffort
 	}
 	p := s.net.NewPacket(s.cfg.Flow, s.dst, s.cfg.Frame.PacketSize, color)
-	p.Frame = s.planFrameNo()
+	p.Frame = s.plan.Frame
 	p.Index = index
 	s.pktsSent++
 	s.bytesSent += int64(p.Size)
@@ -247,10 +198,6 @@ func (s *Source) Gamma() float64 { return s.gamma.Value() }
 
 // Controller exposes the congestion controller for inspection.
 func (s *Source) Controller() cc.Controller { return s.ctrl }
-
-// SentFrames returns the per-frame transmission records. The slice is
-// owned by the source; callers must not mutate it.
-func (s *Source) SentFrames() []SentFrame { return s.sent }
 
 // PacketsSent returns the number of data packets emitted.
 func (s *Source) PacketsSent() int64 { return s.pktsSent }

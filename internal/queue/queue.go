@@ -1,6 +1,6 @@
 // Package queue implements the queueing disciplines used by PELS routers
-// and the best-effort baseline: drop-tail FIFO, RED (uniform random drop),
-// a strict-priority set of N PELS layer queues (the paper's three colors
+// and the best-effort baseline: drop-tail FIFO, the oracle queues that drop
+// uniformly at random (OracleFIFO, BernoulliDropper), a strict-priority set of N PELS layer queues (the paper's three colors
 // by default), and weighted round-robin scheduling between the PELS
 // aggregate and the Internet queue (paper §4.1, Fig. 4 left).
 package queue

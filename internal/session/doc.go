@@ -8,8 +8,8 @@
 //     for sessions). Every session schedules its next send on it, so
 //     the number of pacing goroutines is a property of the
 //     server (one driver plus a small worker pool), not of the session
-//     count — the goroutine-per-sender pacing of wire.Sender does not
-//     survive into the thousands-of-streams regime. The driver hands a
+//     count: a goroutine per stream would not survive into the
+//     thousands-of-streams regime. The driver hands a
 //     tick's fired sessions to a worker a chunk at a time, so the channel
 //     operation, clock read and wheel lock of the hand-off are paid per
 //     chunk, not per datagram. A new session skips the wheel once: admit
@@ -21,10 +21,10 @@
 //   - Batcher coalesces decoded feedback datagrams with a count+maxWait
 //     policy: a burst of echoes is demuxed once and applied as a batch,
 //     without per-packet goroutine wakeups.
-//   - Session is one receiver's stream: its own MKC rate controller, γ
-//     controller, packetizer, and token bucket — the same control loops
-//     wire.Sender closes, re-shaped from a blocking Run loop into a pump
-//     state machine the wheel can drive.
+//   - Session is one receiver's stream and the live stack's only sending
+//     end host: its own MKC rate controller, γ controller, packetizer
+//     (every frame split into priority layers by the γ ladder), and token
+//     bucket, shaped as a pump state machine the wheel can drive.
 //   - Server owns the socket pair (raw reads, shaped writes), the demux
 //     loop, the wheel driver, the workers, and the session lifecycle:
 //     hello → streaming → drain or idle-timeout reap → closed.

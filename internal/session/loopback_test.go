@@ -1,0 +1,273 @@
+package session
+
+// Emulator loopback tests: the live end host end to end over wall-clock
+// time on the in-process emulator — the harness the wire-loopback and
+// chaos-wire experiments run. A one-session Server on emu.A() streams
+// through a marking gateway and a priority-drop bottleneck to a
+// wire.Receiver on emu.B() that hellos it and echoes feedback.
+
+import (
+	"context"
+	"math"
+	"testing"
+	"time"
+
+	"repro/internal/cc"
+	"repro/internal/fgs"
+	"repro/internal/packet"
+	"repro/internal/units"
+	"repro/internal/wire"
+)
+
+// emuLoopback is one running loopback: the server, the receiver, and the
+// context both run under.
+type emuLoopback struct {
+	srv      *Server
+	recv     *wire.Receiver
+	cancel   context.CancelFunc
+	srvErr   chan error
+	recvDone chan struct{}
+}
+
+// startEmuLoopback starts a one-session server streaming cfg through a
+// capacity bottleneck whose gateway closes an epoch every epoch, and the
+// receiver that subscribes to it.
+func startEmuLoopback(t *testing.T, capacity units.BitRate, epoch time.Duration, cfg Config) *emuLoopback {
+	t.Helper()
+	gw := wire.NewGateway(wire.GatewayConfig{
+		RouterID: 1,
+		Interval: epoch,
+		Capacity: capacity,
+	})
+	emu := wire.NewEmulator(wire.EmulatorConfig{
+		AtoB: wire.LinkConfig{
+			Bandwidth:  capacity,
+			Delay:      2 * time.Millisecond,
+			QueueBytes: 3000,
+			Seed:       1,
+			Marker:     gw,
+		},
+		BtoA: wire.LinkConfig{Delay: 2 * time.Millisecond},
+	})
+	t.Cleanup(func() { _ = emu.Close() })
+	srv, err := NewServer(ServerConfig{
+		Conn:         emu.A(),
+		Clock:        wire.SystemClock{},
+		Session:      cfg,
+		ExitWhenIdle: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv := wire.NewReceiver(emu.B(), wire.ReceiverConfig{
+		Flow:  1,
+		Hello: true,
+		Peer:  emu.A().LocalAddr(),
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	t.Cleanup(cancel)
+	l := &emuLoopback{srv: srv, recv: recv, cancel: cancel, srvErr: make(chan error, 1), recvDone: make(chan struct{})}
+	go func() { l.srvErr <- srv.Run(ctx) }()
+	go func() { defer close(l.recvDone); _ = recv.Run(ctx) }()
+	return l
+}
+
+// finish waits for the server to exit (its one session ended), lets the
+// queue and the delay line drain, and returns the session's final stats —
+// read from the *Session the table held while it streamed — and the
+// receiver's.
+func (l *emuLoopback) finish(t *testing.T) (Stats, wire.ReceiverStats) {
+	t.Helper()
+	poll := time.NewTicker(time.Millisecond)
+	defer poll.Stop()
+	var sess *Session
+	for done := false; !done; {
+		select {
+		case err := <-l.srvErr:
+			if err != nil {
+				t.Fatalf("server: %v", err)
+			}
+			done = true
+		case <-poll.C:
+			if sess == nil && l.srv.Stats().Admitted > 0 {
+				l.srv.Table().Range(func(_ Key, s *Session) bool {
+					sess = s
+					return false
+				})
+			}
+		}
+	}
+	if sess == nil {
+		t.Fatal("the session ended before it was seen in the table")
+	}
+	time.Sleep(150 * time.Millisecond) // drain the queue and the delay line
+	end := l.recv.Stats()
+	l.cancel()
+	<-l.recvDone
+	return sess.Stats(), end
+}
+
+// TestLiveLoopbackConvergence is the end-to-end acceptance test of the
+// live stack: a session streams >= 300 FGS frames through the emulated
+// bottleneck (capacity 3 Mbit/s, marking gateway, priority-drop queue)
+// while the Receiver echoes feedback on the reverse path. Over the
+// converged second half of the stream it asserts the three PELS
+// invariants the paper proves:
+//
+//   - green loss is exactly zero (priority drops spare the base layer),
+//   - red loss converges near p_thr (the γ loop, Lemma 4),
+//   - goodput is within 10% of the bottleneck capacity (MKC holds the
+//     link at C, eq. 10).
+//
+// The only random process (emulated loss) is seeded and set to zero —
+// congestion is injected by the bandwidth bottleneck itself — so the
+// assertions are deterministic across runs; wall-clock jitter moves
+// individual packet timings but not the converged averages, which is the
+// point of the absolute-deadline link and the self-correcting bucket.
+func TestLiveLoopbackConvergence(t *testing.T) {
+	const (
+		capacity  = 3 * units.Mbps
+		interval  = 10 * time.Millisecond
+		maxFrames = 320
+		pThr      = 0.75
+	)
+	// Small wire packets (100 B) keep the γ quantization fine: at the
+	// stationary point r* = C + α/β = 3.3 Mbit/s a frame carries ~41
+	// packets, of which γ*·41 ≈ 5 are red — enough granularity for red
+	// loss to settle at p*/γ* = p_thr.
+	l := startEmuLoopback(t, capacity, interval, Config{
+		Frame: fgs.FrameSpec{
+			PacketSize:   100,
+			TotalPackets: 80, // R_max = 6.4 Mbit/s, headroom above r*
+			GreenPackets: 8,  // base layer 640 kbit/s << C
+		},
+		FrameInterval: interval,
+		MKC: cc.MKCConfig{
+			Alpha:       150 * units.Kbps,
+			Beta:        0.5,
+			InitialRate: 500 * units.Kbps,
+			MinRate:     64 * units.Kbps,
+			DedupEpochs: true,
+		},
+		Gamma:      fgs.DefaultGammaConfig(),
+		BurstBytes: 1600,
+		MaxFrames:  maxFrames,
+	})
+
+	// Snapshot once the first half has streamed, so the assertions below
+	// cover only the converged regime.
+	midCh := make(chan wire.ReceiverStats, 1)
+	go func() {
+		for {
+			st := l.recv.Stats()
+			if st.Frames >= maxFrames/2 {
+				midCh <- st
+				return
+			}
+			select {
+			case <-l.recvDone:
+				midCh <- st
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+	}()
+
+	ss, end := l.finish(t)
+	mid := <-midCh
+
+	if end.Frames < 300 {
+		t.Fatalf("receiver saw %d frames, want >= 300", end.Frames)
+	}
+	if mid.Frames >= end.Frames {
+		t.Fatalf("mid snapshot (%d frames) not before end (%d)", mid.Frames, end.Frames)
+	}
+
+	// Invariant 1: the base layer survives congestion untouched.
+	if green := end.Colors[packet.Green]; green.Lost != 0 || green.Received == 0 {
+		t.Errorf("green: %+v, want zero loss and nonzero traffic", green)
+	}
+
+	// Invariant 2: red loss over the converged half sits near p_thr.
+	redLoss := windowLoss(mid.Colors[packet.Red], end.Colors[packet.Red])
+	if math.Abs(redLoss-pThr) > 0.25 {
+		t.Errorf("converged red loss %.3f, want near p_thr = %.2f", redLoss, pThr)
+	}
+	// And red did lose packets — the probes probed.
+	if end.Colors[packet.Red].Lost == 0 {
+		t.Error("no red loss at all: the bottleneck never engaged")
+	}
+
+	// Invariant 3: goodput over the converged half is within 10% of the
+	// bottleneck capacity.
+	elapsed := end.LastAt.Sub(mid.LastAt)
+	goodput := units.RateFromBytes(int64(end.Bytes-mid.Bytes), elapsed)
+	if goodput < 0.9*capacity || goodput > 1.1*capacity {
+		t.Errorf("converged goodput %v over %v, want within 10%% of %v",
+			goodput, elapsed.Round(time.Millisecond), units.BitRate(capacity))
+	}
+
+	// The feedback loop actually ran: epochs advanced and the session
+	// accepted them.
+	if ss.FeedbackAccepted < 50 {
+		t.Errorf("session accepted only %d feedback labels", ss.FeedbackAccepted)
+	}
+	if end.Epochs < 50 {
+		t.Errorf("receiver observed only %d epochs", end.Epochs)
+	}
+	// γ converged below its 0.5 start toward γ* = p*/p_thr ≈ 0.12.
+	if ss.Gamma > 0.4 || ss.Gamma < 0.02 {
+		t.Errorf("gamma %.3f did not converge toward γ* ≈ 0.12", ss.Gamma)
+	}
+}
+
+// windowLoss returns the loss rate of the traffic between two cumulative
+// snapshots.
+func windowLoss(from, to wire.ColorCount) float64 {
+	lost := to.Lost - from.Lost
+	recv := to.Received - from.Received
+	if lost+recv == 0 {
+		return 0
+	}
+	return float64(lost) / float64(lost+recv)
+}
+
+// TestLiveLoopbackEightLayers streams an 8-layer session — the quality
+// ladder of a real scalable bitstream — through the same gateway and
+// bottleneck. Its layers share the three wire bands by the default table
+// (base green, six middle layers yellow, the top probe layer red), and the
+// base layer must still come through the congested bottleneck untouched.
+func TestLiveLoopbackEightLayers(t *testing.T) {
+	l := startEmuLoopback(t, 3*units.Mbps, 10*time.Millisecond, Config{
+		Frame:         fgs.FrameSpec{PacketSize: 100, TotalPackets: 80, GreenPackets: 8},
+		FrameInterval: 10 * time.Millisecond,
+		MKC: cc.MKCConfig{
+			Alpha:       150 * units.Kbps,
+			Beta:        0.5,
+			InitialRate: 500 * units.Kbps,
+			MinRate:     64 * units.Kbps,
+			DedupEpochs: true,
+		},
+		Layers:     8,
+		BurstBytes: 1600,
+		MaxFrames:  150,
+	})
+	ss, end := l.finish(t)
+	if ss.Frames != 150 || ss.CloseReason != wire.ReasonComplete {
+		t.Fatalf("session ended %v after %d frames, want complete after 150", ss.CloseReason, ss.Frames)
+	}
+	if green := end.Colors[packet.Green]; green.Lost != 0 || green.Received == 0 {
+		t.Errorf("green: %+v, want zero loss and nonzero traffic", green)
+	}
+	for _, c := range []packet.Color{packet.Yellow, packet.Red} {
+		if end.Colors[c].Received == 0 {
+			t.Errorf("no %v datagram arrived: the middle and top layers never streamed", c)
+		}
+	}
+	if end.Colors[packet.Red].Lost == 0 {
+		t.Error("no red loss at all: the bottleneck never engaged")
+	}
+	if ss.FeedbackAccepted == 0 {
+		t.Error("the session accepted no feedback")
+	}
+}

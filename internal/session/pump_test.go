@@ -6,6 +6,7 @@ package session
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"runtime"
 	"sync"
@@ -111,6 +112,81 @@ func TestPumpScriptedSequence(t *testing.T) {
 	if w.datagrams != uint64(len(out.headers)) || w.bytes != 100*w.datagrams || w.shed != s.Stats().Shed || w.shed == 0 {
 		t.Errorf("tally %d datagrams, %d bytes, %d shed; wire saw %d, session shed %d",
 			w.datagrams, w.bytes, w.shed, len(out.headers), s.Stats().Shed)
+	}
+}
+
+// TestPumpFiveLayers drives a 5-layer session through three frames on a
+// scripted clock, once per shed level and band table. At γ = 0.5 a frame
+// of 1100 B is eleven 100-byte packets, split [1 2 1 2 5] over the layers
+// by the ladder. Every datagram travels its layer's band; each band's
+// sequence numbers run contiguously from 0, since a shed packet consumes
+// none; and shed level k sends exactly the bottom 5−k layers of every
+// frame, never fewer than the base.
+func TestPumpFiveLayers(t *testing.T) {
+	counts := []int{1, 2, 1, 2, 5}
+	const frames = 3
+	for _, tc := range []struct {
+		name  string
+		bands []packet.Color // the config's LayerBands
+		want  []packet.Color // each layer's band on the wire
+	}{
+		{"default", nil, []packet.Color{packet.Green, packet.Yellow, packet.Yellow, packet.Yellow, packet.Red}},
+		{"custom", []packet.Color{packet.Green, packet.Green, packet.Yellow, packet.Red, packet.Red},
+			[]packet.Color{packet.Green, packet.Green, packet.Yellow, packet.Red, packet.Red}},
+	} {
+		for _, lvl := range []int{0, 1, 2, 4, 9} {
+			t.Run(fmt.Sprintf("%s/shed%d", tc.name, lvl), func(t *testing.T) {
+				t0 := time.Unix(1000, 0)
+				out := &captureWriter{}
+				s := newTestSession(t, Config{
+					Frame:         fgs.FrameSpec{PacketSize: 100, TotalPackets: 16, GreenPackets: 1},
+					FrameInterval: 20 * time.Millisecond,
+					MKC:           cc.MKCConfig{Alpha: units.Kbps, Beta: 0.5, InitialRate: 440 * units.Kbps, MinRate: 16 * units.Kbps, DedupEpochs: true},
+					RedShare:      fgs.RedShareEnhancement,
+					Layers:        5,
+					LayerBands:    tc.bands,
+					BurstBytes:    200,
+					MaxFrames:     frames,
+				}, out, t0)
+				var shed atomic.Int32
+				shed.Store(int32(lvl))
+				s.setShedLevel(&shed)
+				drive(t, s, t0, 1000)
+
+				// The layer of each index of a frame, and how many of the
+				// frame's packets the level leaves.
+				var layerOf []int
+				for l, c := range counts {
+					for range c {
+						layerOf = append(layerOf, l)
+					}
+				}
+				sent := 0
+				for _, c := range counts[:max(len(counts)-lvl, 1)] {
+					sent += c
+				}
+				if len(out.headers) != frames*sent {
+					t.Fatalf("%d datagrams, want %d a frame for %d frames", len(out.headers), sent, frames)
+				}
+				next := map[packet.Color]uint64{}
+				for i, h := range out.headers {
+					frame, idx := i/sent, i%sent
+					if int(h.Frame) != frame || int(h.Index) != idx {
+						t.Fatalf("datagram %d is frame %d index %d, want frame %d index %d", i, h.Frame, h.Index, frame, idx)
+					}
+					if want := tc.want[layerOf[idx]]; h.Color != want {
+						t.Errorf("datagram %d (layer %d) travels %v, want %v", i, layerOf[idx], h.Color, want)
+					}
+					if h.Seq != next[h.Color] {
+						t.Errorf("datagram %d: %v sequence %d, want %d", i, h.Color, h.Seq, next[h.Color])
+					}
+					next[h.Color]++
+				}
+				if st := s.Stats(); st.Frames != frames || st.Shed != uint64(frames*(len(layerOf)-sent)) {
+					t.Errorf("%d frames, %d shed; want %d frames, %d shed", st.Frames, st.Shed, frames, frames*(len(layerOf)-sent))
+				}
+			})
+		}
 	}
 }
 

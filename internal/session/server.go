@@ -329,11 +329,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		s.free <- make([]*Timer, 0, pumpChunk)
 	}
 	if cfg.Overload.Enabled() {
-		layers := cfg.Session.Layers
-		if layers == 0 {
-			layers = 3
-		}
-		s.overload = NewOverload(cfg.Overload, layers)
+		s.overload = NewOverload(cfg.Overload, cfg.Session.Layers)
 	}
 	if cfg.Obs != nil {
 		s.obsDatagrams = cfg.Obs.Counter("session.datagrams")

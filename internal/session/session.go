@@ -14,9 +14,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Config parameterizes one session's control loops — the same knobs
-// wire.SenderConfig exposes, minus the transport and clock (the server
-// owns those, shared across sessions).
+// Config parameterizes one session's control loops: the paper's end host
+// minus the transport and clock (the server owns those, shared across
+// sessions).
 type Config struct {
 	// Frame is the FGS packetization; PacketSize is the on-wire datagram
 	// size and must exceed the wire header size.
@@ -31,14 +31,17 @@ type Config struct {
 	Gamma fgs.GammaConfig
 	// RedShare selects the γ denominator; 0 means fgs.RedShareTotal.
 	RedShare fgs.RedShare
-	// Layers selects the number of priority layers per frame (see
-	// wire.SenderConfig.Layers): 0 and 3 keep the classic
-	// green/yellow/red plan, other counts plan with the default γ ladder
-	// and map layers onto the three wire bands via LayerBands.
+	// Layers is the number of priority layers each frame is split into,
+	// in [2, packet.MaxLayers]; 0 selects 3, the paper's green/yellow/red.
+	// Every frame is planned with the default γ ladder (fgs.Ladder), which
+	// for 3 layers is exactly the paper's single-γ split.
 	Layers int
-	// LayerBands maps each priority layer to its on-wire band; nil
-	// selects wire.DefaultLayerBands(Layers). Ignored for classic
-	// sessions.
+	// LayerBands maps each priority layer to its on-wire band (the wire
+	// carries only the three paper bands) and must have Layers entries.
+	// Nil selects defaultLayerBands(Layers): base layer → Green, top layer
+	// → Red, every layer between → Yellow, the identity for 3 layers. A
+	// Tune hook that changes Layers sets LayerBands to match, or to nil for
+	// the default.
 	LayerBands []packet.Color
 	// NewScaler builds the per-session frame scaler (scalers are
 	// stateful, so sessions cannot share one); nil means ConstantScaler.
@@ -48,8 +51,13 @@ type Config struct {
 	// MaxFrames stops the session after that many frames; 0 streams
 	// until drained or reaped.
 	MaxFrames int
-	// StaleTimeout arms the per-session stale-feedback watchdog (see
-	// wire.SenderConfig.StaleTimeout). 0 disables it.
+	// StaleTimeout arms the per-session stale-feedback watchdog: when no
+	// fresh feedback has been accepted for this long, the session
+	// multiplies its effective rate by StaleDecay, once per elapsed
+	// horizon, never below the MKC minimum rate. The first accepted
+	// feedback restores the controller rate in full (the controller state
+	// itself is never decayed, only the pacing on top of it). 0 disables
+	// it.
 	StaleTimeout time.Duration
 	// StaleDecay is the per-horizon decay factor in (0,1); 0 selects 0.5.
 	StaleDecay float64
@@ -78,15 +86,33 @@ func (c Config) WithDefaults() Config {
 	if c.StaleDecay == 0 {
 		c.StaleDecay = 0.5
 	}
-	if c.Layered() && c.LayerBands == nil {
-		c.LayerBands = wire.DefaultLayerBands(c.Layers)
+	if c.Layers == 0 {
+		c.Layers = 3
+	}
+	if c.LayerBands == nil && c.Layers > 0 {
+		c.LayerBands = defaultLayerBands(c.Layers)
 	}
 	return c
 }
 
-// Layered reports whether the configuration uses the generalized N-layer
-// plan path rather than the classic 3-color one.
-func (c Config) Layered() bool { return c.Layers != 0 && c.Layers != 3 }
+// defaultLayerBands returns the default layer→wire-band table for n
+// layers: the base layer travels Green, the top (probe) layer Red, and
+// every intermediate layer Yellow, preserving the paper's protection
+// ordering on a 3-band wire.
+func defaultLayerBands(n int) []packet.Color {
+	bands := make([]packet.Color, n)
+	for i := range bands {
+		switch {
+		case i == 0:
+			bands[i] = packet.Green
+		case i == n-1:
+			bands[i] = packet.Red
+		default:
+			bands[i] = packet.Yellow
+		}
+	}
+	return bands
+}
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -101,20 +127,21 @@ func (c Config) Validate() error {
 		return fmt.Errorf("session: packet size %d exceeds max datagram %d",
 			c.Frame.PacketSize, wire.MaxDatagram)
 	}
+	if err := c.Gamma.Validate(); err != nil {
+		return err
+	}
 	if c.StaleDecay < 0 || c.StaleDecay >= 1 {
 		return fmt.Errorf("session: stale decay %v must be in (0,1)", c.StaleDecay)
 	}
-	if c.Layers != 0 && (c.Layers < 2 || c.Layers > packet.MaxLayers) {
-		return fmt.Errorf("session: layers must be 0 (classic) or in [2,%d], got %d", packet.MaxLayers, c.Layers)
+	if c.Layers < 2 || c.Layers > packet.MaxLayers {
+		return fmt.Errorf("session: layers must be in [2,%d], got %d", packet.MaxLayers, c.Layers)
 	}
-	if c.Layered() && c.LayerBands != nil {
-		if len(c.LayerBands) != c.Layers {
-			return fmt.Errorf("session: layer band table has %d entries for %d layers", len(c.LayerBands), c.Layers)
-		}
-		for i, b := range c.LayerBands {
-			if !b.IsWireBand() {
-				return fmt.Errorf("session: layer %d mapped to non-band color %v", i, b)
-			}
+	if len(c.LayerBands) != c.Layers {
+		return fmt.Errorf("session: layer band table has %d entries for %d layers", len(c.LayerBands), c.Layers)
+	}
+	for i, b := range c.LayerBands {
+		if !b.IsWireBand() {
+			return fmt.Errorf("session: layer %d mapped to non-band color %v", i, b)
 		}
 	}
 	return nil
@@ -168,23 +195,27 @@ type Stats struct {
 	CloseReason wire.Reason
 }
 
-// minDegrade mirrors wire.Sender's watchdog floor: ten halvings is far
-// below any useful video rate, and the MKC minimum floors the effective
-// rate anyway.
+// minDegrade bounds the watchdog multiplier so a long outage cannot
+// underflow it: ten halvings is far below any useful video rate, and the
+// MKC minimum floors the effective rate anyway.
 const minDegrade = 1.0 / 1024
 
-// Session is one receiver's PELS stream: its own MKC controller, γ
-// controller, packetizer, per-color sequence spaces, and token bucket,
-// sharing the server's socket and bottleneck with every other session. It
-// owns no buffer: a datagram is encoded at the instant it is written, into
-// the scratch of the worker that pumps it.
+// Session is one receiver's PELS stream, the live stack's end host: its
+// own MKC controller, γ controller, packetizer, per-color sequence spaces,
+// and token bucket, sharing the server's socket and bottleneck with every
+// other session. At each frame boundary it sizes the byte budget x_i from
+// the controller's rate and splits it into priority layers with the γ
+// ladder (paper §4.2, Fig. 4); feedback labels echoed by the receiver
+// drive both control loops, exactly as ACKs do in the simulator. It owns
+// no buffer: a datagram is encoded at the instant it is written, into the
+// scratch of the worker that pumps it.
 //
-// Unlike wire.Sender — a blocking Run loop owning a goroutine — a
-// Session is a pump state machine: the wheel fires it, pump sends
-// whatever the token bucket allows at that instant, and returns the next
-// deadline to arm. One session is pumped by at most one worker at a time
-// (it has exactly one wheel timer), but feedback dispatch and stats run
-// concurrently, so all state is guarded by mu.
+// A Session owns no goroutine either: it is a pump state machine. The
+// wheel fires it, pump sends whatever the token bucket allows at that
+// instant, and returns the next deadline to arm. One session is pumped by
+// at most one worker at a time (it has exactly one wheel timer), but
+// feedback dispatch and stats run concurrently, so all state is guarded
+// by mu.
 type Session struct {
 	key  Key
 	peer net.Addr
@@ -206,17 +237,12 @@ type Session struct {
 	seq    [3]uint64 // next sequence number per wire band, indexed by color − Green
 	stats  Stats
 
-	bucket   wire.Bucket    //pelsvet:guards mu — the token bucket; mu is its only lock
-	frame    int            //pelsvet:guards mu — next frame number to plan
-	plan     fgs.PacketPlan //pelsvet:guards mu
-	planIdx  int            //pelsvet:guards mu
-	reserved bool           //pelsvet:guards mu — plan packet planIdx is charged to the bucket, not yet encoded
-
-	// Layered (N≠3) sessions plan with the γ ladder and map each layer
-	// onto a wire band (cfg.LayerBands).
-	layered   bool
-	layerPlan fgs.LayerPlan //pelsvet:guards mu
-	gammas    []float64     //pelsvet:guards mu
+	bucket   wire.Bucket           //pelsvet:guards mu — the token bucket; mu is its only lock
+	frame    int                   //pelsvet:guards mu — next frame number to plan
+	plan     fgs.LayerPlan         //pelsvet:guards mu — the frame in flight; Counts is counts[:cfg.Layers]
+	counts   [packet.MaxLayers]int //pelsvet:guards mu — plan's backing array, so a session plans without allocating
+	planIdx  int                   //pelsvet:guards mu
+	reserved bool                  //pelsvet:guards mu — plan packet planIdx is charged to the bucket, not yet encoded
 
 	// shedLevel points at the server-wide overload level (write-once
 	// before the session is pumped, read atomically per pump); nil means
@@ -265,11 +291,7 @@ func NewSession(key Key, peer net.Addr, out wire.PacketWriter, cfg Config, now t
 		lastActivity:   now,
 		lastSendAt:     now,
 	}
-	if cfg.Layered() {
-		s.layered = true
-		s.layerPlan = fgs.LayerPlan{Counts: make([]int, cfg.Layers)}
-		s.gammas = make([]float64, cfg.Layers-1)
-	}
+	s.plan.Counts = s.counts[:cfg.Layers]
 	s.bucket.Init(cfg.MKC.InitialRate, cfg.BurstBytes)
 	s.stats.Key = key
 	s.timer.Owner = s
@@ -333,7 +355,7 @@ func (s *Session) pump(now time.Time, w *scratch) (next time.Time, done bool) {
 			}
 			continue
 		}
-		if s.planIdx >= s.planTotalLocked() {
+		if s.planIdx >= s.plan.Total() {
 			// Frame boundary.
 			if s.cfg.MaxFrames > 0 && s.frame >= s.cfg.MaxFrames {
 				s.state = StateClosed
@@ -351,20 +373,14 @@ func (s *Session) pump(now time.Time, w *scratch) (next time.Time, done bool) {
 				return s.frameGateAt, false
 			}
 			budget := s.scaler.Budget(s.frame, s.effectiveRateLocked(), s.cfg.FrameInterval)
-			if s.layered {
-				fgs.Ladder(s.gammas, s.gamma.Value())
-				s.layerPlan.Frame = s.frame
-				s.pk.PlanLayersInto(s.layerPlan.Counts, s.frame, budget, s.gammas, s.cfg.RedShare)
-			} else {
-				s.plan = s.pk.PlanShare(s.frame, budget, s.gamma.Value(), s.cfg.RedShare)
-			}
+			s.pk.PlanLadder(&s.plan, s.frame, budget, s.gamma.Value(), s.cfg.RedShare)
 			s.planIdx = 0
 			s.frame++
 			s.stats.Frames = s.frame
 			s.frameGateAt = now.Add(s.cfg.FrameInterval)
-			if s.planTotalLocked() == 0 {
+			if s.plan.Total() == 0 {
 				// Degenerate budget: idle one frame interval instead of
-				// spinning (mirrors wire.Sender).
+				// spinning.
 				return now.Add(s.cfg.FrameInterval), false
 			}
 		}
@@ -401,42 +417,9 @@ func (s *Session) shedLevelNow() int {
 
 // shedsPacketLocked reports whether plan packet idx belongs to a layer
 // the given shed level drops: level n removes the top n layers, and the
-// base layer always survives. Classic sessions map their three colors
-// through the same rule (level 1 drops red, level 2 yellow too).
+// base layer always survives.
 func (s *Session) shedsPacketLocked(idx, lvl int) bool {
-	var layer, n int
-	if s.layered {
-		layer = s.layerPlan.Layer(idx)
-		n = s.cfg.Layers
-	} else {
-		l, ok := s.plan.Color(idx).Layer()
-		if !ok {
-			return false
-		}
-		layer, n = l, 3
-	}
-	keep := n - lvl
-	if keep < 1 {
-		keep = 1
-	}
-	return layer >= keep
-}
-
-// planTotalLocked returns the packet count of the current frame plan.
-func (s *Session) planTotalLocked() int {
-	if s.layered {
-		return s.layerPlan.Total()
-	}
-	return s.plan.Total()
-}
-
-// planColorLocked returns the wire band of plan packet idx: the plan color
-// directly for classic sessions, the layer's band for layered ones.
-func (s *Session) planColorLocked(idx int) packet.Color {
-	if s.layered {
-		return s.cfg.LayerBands[s.layerPlan.Layer(idx)]
-	}
-	return s.plan.Color(idx)
+	return s.plan.Layer(idx) >= max(s.cfg.Layers-lvl, 1)
 }
 
 // sendLocked encodes plan packet planIdx — charged to the bucket, its wait
@@ -447,7 +430,7 @@ func (s *Session) planColorLocked(idx int) packet.Color {
 //
 //pelsvet:noalloc
 func (s *Session) sendLocked(now time.Time, w *scratch) bool {
-	color := s.planColorLocked(s.planIdx)
+	color := s.cfg.LayerBands[s.plan.Layer(s.planIdx)]
 	h := wire.Header{
 		Type:      wire.TypeData,
 		Color:     color,
@@ -509,9 +492,9 @@ func (s *Session) checkStaleLocked(now time.Time) {
 }
 
 // HandleFeedback offers one feedback label to the session's controllers
-// at instant now, mirroring wire.Sender.HandleFeedback: epoch dedup in
-// the controller, watchdog recovery, γ reset on router change, pacer
-// retarget. It reports whether the label was fresh.
+// at instant now: epoch dedup in the controller, watchdog recovery, γ
+// reset on router change, pacer retarget. It reports whether the label
+// was fresh.
 func (s *Session) HandleFeedback(fb packet.Feedback, now time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

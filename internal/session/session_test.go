@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fgs"
 	"repro/internal/packet"
 	"repro/internal/units"
 	"repro/internal/wire"
@@ -121,16 +122,36 @@ func TestSessionFeedbackDedupAndRate(t *testing.T) {
 func TestSessionGammaResetOnRouterChange(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	s := newTestSession(t, Config{}, &captureWriter{}, t0)
-	for e := uint64(1); e <= 20; e++ {
-		s.HandleFeedback(packet.Feedback{RouterID: 1, Epoch: e, Loss: 0.2, Valid: true}, t0)
+	initial := s.Gamma()
+	if initial != s.cfg.Gamma.Initial {
+		t.Fatalf("gamma starts at %v, want Initial %v", initial, s.cfg.Gamma.Initial)
 	}
-	if s.Gamma() == 0 {
-		t.Fatal("gamma did not grow under sustained loss")
+
+	// Adapt γ upward against heavy loss from router 1.
+	for e := uint64(1); e <= 10; e++ {
+		s.HandleFeedback(packet.Feedback{RouterID: 1, Epoch: e, Loss: 0.7, Valid: true}, t0)
 	}
-	s.HandleFeedback(packet.Feedback{RouterID: 9, Epoch: 1, Loss: 0.2, Valid: true}, t0)
+	if s.Gamma() <= initial {
+		t.Fatal("precondition: gamma did not adapt upward")
+	}
+
+	// The bottleneck moves: router 9, epoch counter restarted. γ restarts
+	// from Initial instead of stepping with a cross-router delta.
+	if !s.HandleFeedback(packet.Feedback{RouterID: 9, Epoch: 1, Loss: 0.7, Valid: true}, t0) {
+		t.Fatal("post-change feedback rejected")
+	}
 	st := s.Stats()
+	if st.Gamma != initial {
+		t.Fatalf("gamma = %v after router change, want Initial %v", st.Gamma, initial)
+	}
 	if st.RouterChanges != 1 {
 		t.Fatalf("router changes %d, want 1", st.RouterChanges)
+	}
+
+	// Subsequent labels from the new router adapt normally again.
+	s.HandleFeedback(packet.Feedback{RouterID: 9, Epoch: 2, Loss: 0.7, Valid: true}, t0)
+	if s.Gamma() <= initial {
+		t.Fatal("gamma frozen after reset")
 	}
 }
 
@@ -138,16 +159,76 @@ func TestSessionStaleDecayAndRecovery(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	cfg := Config{StaleTimeout: 100 * time.Millisecond}
 	s := newTestSession(t, cfg, &captureWriter{}, t0)
-
-	// Silence past the horizon: the next pump decays the rate.
-	s.pump(t0.Add(150*time.Millisecond), newScratch())
-	if st := s.Stats(); st.StaleDecays != 1 || st.Degrade >= 1 {
-		t.Fatalf("stale decay not applied: decays=%d degrade=%v", st.StaleDecays, st.Degrade)
+	watchdog := func(now time.Time) Stats {
+		s.mu.Lock()
+		s.checkStaleLocked(now)
+		s.mu.Unlock()
+		return s.Stats()
 	}
-	// Fresh feedback restores full rate.
-	s.HandleFeedback(packet.Feedback{RouterID: 1, Epoch: 1, Valid: true}, t0.Add(200*time.Millisecond))
-	if st := s.Stats(); st.Recoveries != 1 || st.Degrade != 1 {
+
+	// A fresh label arms the watchdog.
+	if !s.HandleFeedback(packet.Feedback{RouterID: 1, Epoch: 1, Valid: true}, t0) {
+		t.Fatal("first feedback rejected")
+	}
+	full := s.Rate()
+
+	// Within the horizon: nothing decays.
+	now := t0.Add(50 * time.Millisecond)
+	if st := watchdog(now); st.Degrade != 1 || st.StaleDecays != 0 {
+		t.Fatalf("decayed inside the horizon: %+v", st)
+	}
+
+	// Past the horizon: one decay, and at most one per elapsed horizon.
+	now = now.Add(100 * time.Millisecond)
+	watchdog(now)
+	if st := watchdog(now); st.Degrade != 0.5 || st.StaleDecays != 1 {
+		t.Fatalf("want a single 0.5 decay: %+v", st)
+	}
+	// The pump runs the same watchdog at every wake.
+	now = now.Add(100 * time.Millisecond)
+	s.pump(now, newScratch())
+	if st := s.Stats(); st.Degrade != 0.25 || st.StaleDecays != 2 {
+		t.Fatalf("want second decay to 0.25 at the next pump: %+v", st)
+	}
+
+	// However long the outage, the effective rate keeps a floor: the MKC
+	// minimum rate (the degraded stream falls back to the base layer, it
+	// does not go silent).
+	for i := 0; i < 40; i++ {
+		now = now.Add(100 * time.Millisecond)
+		watchdog(now)
+	}
+	s.mu.Lock()
+	eff := s.effectiveRateLocked()
+	s.mu.Unlock()
+	if min := s.cfg.MKC.MinRate; eff != min {
+		t.Fatalf("effective rate %v after 40 horizons, want the MKC floor %v", eff, min)
+	}
+
+	// One fresh label restores the controller rate in a single step.
+	if !s.HandleFeedback(packet.Feedback{RouterID: 1, Epoch: 2, Valid: true}, now) {
+		t.Fatal("recovery feedback rejected")
+	}
+	st := s.Stats()
+	if st.Degrade != 1 || st.Recoveries != 1 {
 		t.Fatalf("watchdog did not recover: recoveries=%d degrade=%v", st.Recoveries, st.Degrade)
+	}
+	if st.Rate < full {
+		t.Fatalf("controller rate regressed across the outage: %v < %v", st.Rate, full)
+	}
+}
+
+// TestNewServerValidatesGamma: a template whose γ controller NewSession
+// would refuse fails at NewServer, not at every hello with a
+// Reject(bad-config).
+func TestNewServerValidatesGamma(t *testing.T) {
+	cfg := Config{Gamma: fgs.DefaultGammaConfig()}
+	if _, err := NewServer(ServerConfig{Conn: &ctlConn{}, Clock: &fakeClock{}, Session: cfg}); err != nil {
+		t.Fatalf("NewServer refused the default γ: %v", err)
+	}
+	cfg.Gamma.Sigma = 2 // outside the stability bound (0, 2)
+	if _, err := NewServer(ServerConfig{Conn: &ctlConn{}, Clock: &fakeClock{}, Session: cfg}); err == nil {
+		t.Fatal("NewServer accepted σ = 2")
 	}
 }
 

@@ -138,7 +138,7 @@ func patchCRC(b []byte) {
 // gaps) and a monotonic counter for feedback datagrams. Timestamp is the
 // sender's clock in unix nanoseconds at the instant the datagram was handed
 // to the socket (or to the shaping link in front of it): a data datagram is
-// stamped after any pacing wait, by wire.Sender and session.Session alike,
+// stamped after any pacing wait (session.Session encodes it at the write),
 // so a receiver's now − Timestamp is link queue plus transport.
 type Header struct {
 	Type      Type
@@ -157,7 +157,7 @@ func (h Header) validate() error {
 	case TypeData:
 		// The wire carries exactly the three paper bands (plus
 		// best-effort): extended simulator layers must be mapped onto
-		// bands before encoding (SenderConfig.LayerBands), so a wider
+		// bands before encoding (session.Config.LayerBands), so a wider
 		// IsPELS check would be wrong here.
 		if !h.Color.IsWireBand() && h.Color != packet.BestEffort {
 			return fmt.Errorf("%w: data datagram colored %v", ErrColor, h.Color)

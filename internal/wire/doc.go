@@ -18,10 +18,11 @@
 //     p) into passing datagrams with the max-loss override of eq. 8. It
 //     also ranks datagrams so congestion drops hit red before yellow
 //     before green.
-//   - Sender and Receiver, the end hosts: the sender reuses
-//     internal/cc (MKC) and internal/fgs (γ controller, packetizer)
-//     unchanged; the receiver measures per-epoch loss per color from
-//     sequence gaps and echoes fresh feedback labels on the reverse path.
+//   - Receiver and Swarm, the receiving end hosts: they measure per-epoch
+//     loss per color from sequence gaps and echo fresh feedback labels on
+//     the reverse path. The sending end host is session.Session, served by
+//     session.Server; it reuses internal/cc (MKC) and internal/fgs (γ
+//     controller, packetizer) unchanged.
 //   - An in-process link Emulator implementing net.PacketConn on both
 //     ends, with configurable delay, bandwidth, queue size, and seeded
 //     random loss, so the whole subsystem runs deterministically in CI

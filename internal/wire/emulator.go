@@ -26,7 +26,7 @@ type EmulatorConfig struct {
 }
 
 // Emulator is a deterministic in-process link implementing the same
-// net.PacketConn surface a UDP socket provides, so the live Sender and
+// net.PacketConn surface a UDP socket provides, so the live server and
 // Receiver run unmodified over it in CI — no sockets, no privileges.
 // Given a fixed seed, the random-loss pattern is a deterministic function
 // of the datagram sequence.

@@ -112,7 +112,9 @@ func (b *Bucket) settle(now time.Time) {
 }
 
 // Pacer is a Bucket behind its own mutex, for callers with no lock of
-// their own to keep it under (Sender's Run loop and its feedback path).
+// their own to keep it under. Its remaining caller is the end-to-end
+// benchmark (bench/), which times it; the live end host, session.Session,
+// keeps a Bucket under its own lock.
 type Pacer struct {
 	mu sync.Mutex
 	b  Bucket
