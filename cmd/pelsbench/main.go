@@ -91,16 +91,8 @@ func run() error {
 	fmt.Fprintf(os.Stderr, "\n%s", runner.FormatSummary(results))
 
 	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			return fmt.Errorf("create %s: %w", *jsonPath, err)
-		}
-		if err := runner.WriteJSON(f, results); err != nil {
-			f.Close()
-			return fmt.Errorf("write %s: %w", *jsonPath, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("close %s: %w", *jsonPath, err)
+		if err := writeFile(*jsonPath, func(f *os.File) error { return runner.WriteJSON(f, results) }); err != nil {
+			return err
 		}
 	}
 
@@ -204,30 +196,29 @@ func writeObsCSV(dir, name string, reg *obs.Registry) error {
 	if dir == "" || len(reg.SeriesNames()) == 0 {
 		return nil
 	}
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	defer f.Close()
-	if err := reg.WriteCSV(f); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	return nil
+	return writeFile(filepath.Join(dir, name), func(f *os.File) error { return reg.WriteCSV(f) })
 }
 
 func writeCSV(dir, name string, series ...*stats.TimeSeries) error {
 	if dir == "" {
 		return nil
 	}
-	path := filepath.Join(dir, name)
+	return writeFile(filepath.Join(dir, name), func(f *os.File) error { return stats.WriteCSV(f, series...) })
+}
+
+// writeFile creates path, fills it with write and closes it. A failed close
+// is an error: it can be the write that did not reach the disk.
+func writeFile(path string, write func(*os.File) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("create %s: %w", path, err)
 	}
-	defer f.Close()
-	if err := stats.WriteCSV(f, series...); err != nil {
+	if err := write(f); err != nil {
+		f.Close()
 		return fmt.Errorf("write %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("close %s: %w", path, err)
 	}
 	return nil
 }

@@ -103,6 +103,7 @@ func execute(cfg experiments.TestbedConfig, duration time.Duration, csvDir strin
 	if err != nil {
 		return err
 	}
+	tb.RecordDelays()
 
 	// Playout analyzers: frames must decode by start + 2 frame intervals.
 	effective := cfg.Session.WithDefaults()
@@ -197,9 +198,12 @@ func execute(cfg experiments.TestbedConfig, duration time.Duration, csvDir strin
 		if err != nil {
 			return fmt.Errorf("create %s: %w", path, err)
 		}
-		defer f.Close()
 		if err := stats.WriteCSV(f, series...); err != nil {
+			f.Close()
 			return err
+		}
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("close %s: %w", path, err)
 		}
 		fmt.Printf("time series written to %s\n", path)
 	}

@@ -108,6 +108,8 @@ func ChaosTestbed(cfg ChaosTestbedConfig) (ChaosTestbedResult, error) {
 	if err != nil {
 		return ChaosTestbedResult{}, err
 	}
+	// The fingerprint hashes every series in Obs, the delays included.
+	tb.RecordDelays()
 
 	fwd := cfg.Forward
 	fwd.Seed = cfg.Seed + 1

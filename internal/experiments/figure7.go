@@ -61,8 +61,13 @@ func Figure7(cfg Figure7Config) ([]Figure7Run, error) {
 		tcfg := DefaultTestbedConfig()
 		tcfg.NumPELS = n
 		tcfg.Seed = cfg.Seed
-		tb, err := runTestbed(tcfg, cfg.Duration)
+		tb, err := NewTestbed(tcfg)
 		if err != nil {
+			return fmt.Errorf("experiments: figure 7 (n=%d): %w", n, err)
+		}
+		// The delay series ride along in Obs, which fig7_obs.csv exports.
+		tb.RecordDelays()
+		if err := tb.Run(cfg.Duration); err != nil {
 			return fmt.Errorf("experiments: figure 7 (n=%d): %w", n, err)
 		}
 		scfg := tcfg.Session.WithDefaults()

@@ -69,6 +69,7 @@ func Figure8(cfg Figure8Config) (*Figure8Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: figure 8: %w", err)
 	}
+	tb.RecordDelays()
 	if err := tb.Run(duration); err != nil {
 		return nil, fmt.Errorf("experiments: figure 8: %w", err)
 	}

@@ -66,6 +66,8 @@ func Figure9(cfg Figure9Config) (*Figure9Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: figure 9: %w", err)
 	}
+	// The delay series ride along in Obs, which fig9_obs.csv exports.
+	tb.RecordDelays()
 	if err := tb.Run(cfg.Duration); err != nil {
 		return nil, fmt.Errorf("experiments: figure 9: %w", err)
 	}

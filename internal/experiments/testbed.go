@@ -132,6 +132,8 @@ type Testbed struct {
 	// at bottleneck transmission time ("green_delay_ms", "yellow_delay_ms",
 	// "red_delay_ms", "layer3_delay_ms", ...). GreenDelay, YellowDelay and
 	// RedDelay alias the first three entries for the paper's 3-layer runs.
+	// All four are nil unless RecordDelays attached the recorder: at 16 B
+	// a packet, a long run's series is most of its heap.
 	LayerDelay                        []*stats.TimeSeries
 	GreenDelay, YellowDelay, RedDelay *stats.TimeSeries
 	// FeedbackLoss records the router's p(k) series; FeedbackRate the
@@ -188,16 +190,6 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		Net: net,
 		Obs: reg,
 	}
-	for i := 0; i < numLayers; i++ {
-		tb.LayerDelay = append(tb.LayerDelay, reg.Series(packet.LayerName(i)+"_delay_ms").TimeSeries())
-	}
-	tb.GreenDelay = tb.LayerDelay[0]
-	tb.YellowDelay = tb.LayerDelay[1]
-	if numLayers >= 3 {
-		tb.RedDelay = tb.LayerDelay[2]
-	} else {
-		tb.RedDelay = tb.LayerDelay[numLayers-1]
-	}
 	tb.FeedbackLoss = reg.Series("feedback_loss").TimeSeries()
 	tb.FeedbackRate = reg.Series("feedback_rate_kbps").TimeSeries()
 	tb.RedLossSeries = reg.Series("red_loss").TimeSeries()
@@ -253,9 +245,8 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	tb.Forward.Proc = tb.Feedback
 	tb.Forward.Instrument(reg, "bottleneck.")
 	tb.Forward.OnTransmit = func(p *packet.Packet) {
-		ms := float64(p.QueueingDelay()) / float64(time.Millisecond)
 		if l, ok := p.Color.Layer(); ok && l < len(tb.LayerDelay) {
-			tb.LayerDelay[l].Add(eng.Now(), ms)
+			tb.LayerDelay[l].Add(eng.Now(), float64(p.QueueingDelay())/float64(time.Millisecond))
 		}
 		if p.Color.IsPELS() || p.Color == packet.BestEffort {
 			tb.VideoBytesTransmitted += int64(p.Size)
@@ -332,6 +323,20 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		return nil, fmt.Errorf("experiments: routing: %w", err)
 	}
 	return tb, nil
+}
+
+// RecordDelays attaches the per-packet delay recorder: it registers one
+// "<layer>_delay_ms" series per priority layer, sets LayerDelay and its
+// three aliases, and from then on every video packet the bottleneck
+// transmits adds one sample. Only runs that read or publish the series call
+// it, before Run; the others keep a heap that does not grow with packets.
+func (tb *Testbed) RecordDelays() {
+	n := tb.Cfg.Bottleneck.Priority.NumLayers()
+	tb.LayerDelay = make([]*stats.TimeSeries, n)
+	for i := range tb.LayerDelay {
+		tb.LayerDelay[i] = tb.Obs.Series(packet.LayerName(i) + "_delay_ms").TimeSeries()
+	}
+	tb.GreenDelay, tb.YellowDelay, tb.RedDelay = tb.LayerDelay[0], tb.LayerDelay[1], tb.LayerDelay[min(2, n-1)]
 }
 
 func (tb *Testbed) probeQueues() {

@@ -5,20 +5,33 @@ import (
 )
 
 // FuzzDecoder throws arbitrary (frame, index) byte streams at the decoder
-// and checks its invariants: no panics, useful ≤ received, nothing useful
-// without a complete base, counts bounded by the spec.
+// and at the reference decoder, and checks that they agree and that the
+// invariants hold: no panics, useful ≤ received, nothing useful without a
+// complete base, counts bounded by the spec. Frame bytes ≥ 0xc0 map to
+// negative frames and 0x80–0xbf to sparse frames k<<34, up to about 1<<40.
 func FuzzDecoder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 1, 0})
 	f.Add([]byte{})
 	f.Add([]byte{255, 255, 9, 9, 9, 9})
+	f.Add([]byte{0x80, 2, 0xbf, 3, 0xc0, 2, 7, 13, 8, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec := FrameSpec{PacketSize: 100, TotalPackets: 12, GreenPackets: 3}
-		d := MustNewDecoder(spec)
+		d, ref := MustNewDecoder(spec), newRefDecoder(spec)
+		touched := map[int]bool{}
 		for i := 0; i+1 < len(data); i += 2 {
-			frame := int(data[i]) % 16
+			frame := int(data[i])
+			switch {
+			case frame >= 0xc0:
+				frame = 0xbf - frame
+			case frame >= 0x80:
+				frame = (frame - 0x80) << 34
+			}
 			index := int(data[i+1]) - 2 // include out-of-range values
 			d.Receive(frame, index)
+			ref.Receive(frame, index)
+			touched[frame] = true
 		}
+		checkAgainstRef(t, len(data)/2, d, ref, touched)
 		for _, r := range d.Frames() {
 			if r.UsefulEnh > r.RecvEnh {
 				t.Fatalf("useful %d > received %d", r.UsefulEnh, r.RecvEnh)

@@ -128,3 +128,33 @@ func TestSummarizeDelays(t *testing.T) {
 		t.Errorf("empty summary = %+v", z)
 	}
 }
+
+// TestSummarizeDelaysMatchesPercentile: the summary's percentiles, read from
+// its one sorted copy, are bit-identical to Percentile's on the raw input,
+// and the input is left in its order.
+func TestSummarizeDelaysMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, n := range []int{1, 2, 3, 10, 99, 1000} {
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = rng.ExpFloat64() * 40
+		}
+		orig := append([]float64(nil), vs...)
+		s := SummarizeDelays(vs)
+		for _, c := range []struct {
+			q   float64
+			got float64
+		}{{50, s.P50}, {90, s.P90}, {99, s.P99}} {
+			//pelsvet:allow floateq
+			if want := Percentile(vs, c.q); c.got != want {
+				t.Errorf("n=%d p%v = %v, Percentile %v", n, c.q, c.got, want)
+			}
+		}
+		for i := range vs {
+			//pelsvet:allow floateq
+			if vs[i] != orig[i] {
+				t.Fatalf("n=%d: SummarizeDelays reordered its input", n)
+			}
+		}
+	}
+}

@@ -162,6 +162,11 @@ func Percentile(vs []float64, q float64) float64 {
 	}
 	sorted := append([]float64(nil), vs...)
 	sort.Float64s(sorted)
+	return percentileSorted(sorted, q)
+}
+
+// percentileSorted is Percentile over input already in ascending order.
+func percentileSorted(sorted []float64, q float64) float64 {
 	if q <= 0 {
 		return sorted[0]
 	}
