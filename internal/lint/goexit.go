@@ -23,7 +23,7 @@ import (
 //
 // For `go x.method()` / `go fn()` where the callee is declared in the
 // same package, the callee's body is scanned one level deep (no
-// recursion), so the `go l.serialize()` idiom with `defer l.wg.Done()`
+// recursion), so the `go l.run()` idiom with `defer l.wg.Done()`
 // inside the method passes. Cross-package callees with no lifecycle
 // evidence in the arguments are flagged — hand them a ctx or channel at
 // the spawn site.

@@ -546,9 +546,14 @@ type addrPortReader interface {
 func (s *Server) demux(ctx context.Context) error {
 	buf := make([]byte, wire.MaxDatagram+1)
 	netipConn, _ := s.cfg.Conn.(addrPortReader)
+	// Polled without blocking rather than through ctx.Err, which takes the
+	// context's lock on every datagram.
+	done := ctx.Done()
 	for {
-		if ctx.Err() != nil {
+		select {
+		case <-done:
 			return nil
+		default:
 		}
 		now := s.cfg.Clock.Now()
 		if batch := s.batcher.Due(now); batch != nil {

@@ -51,15 +51,7 @@ func (SystemClock) Sleep(ctx context.Context, d time.Duration) error {
 	select {
 	case <-ctx.Done():
 		err = ctx.Err()
-		if !t.Stop() {
-			// The module's go directive predates 1.23, so a timer that
-			// fired meanwhile left its tick in the channel; drain it or
-			// the next Sleep on this timer would return at once.
-			select {
-			case <-t.C:
-			default:
-			}
-		}
+		stopTimer(t)
 	case <-t.C:
 	}
 	select {
@@ -67,4 +59,16 @@ func (SystemClock) Sleep(ctx context.Context, d time.Duration) error {
 	default:
 	}
 	return err
+}
+
+// stopTimer stops a timer whose wait ended some other way. The module's go
+// directive predates 1.23, so a timer that fired meanwhile left its tick in
+// the channel; it is drained, or the next Reset would expire at once.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
 }

@@ -126,11 +126,40 @@ func crcOf(b []byte) uint32 {
 // hardware-accelerated crc32.Update and would heap-allocate a local.
 var crcZero [4]byte
 
-// patchCRC recomputes and writes the checksum of an encoded datagram.
-// Every in-place mutation (StampFeedback, ClearFeedback) must call it
-// last.
-func patchCRC(b []byte) {
-	binary.BigEndian.PutUint32(b[offCRC:], crcOf(b))
+// openHeader readies an encoded datagram for a rewrite of its header in
+// place. It checks the fixed prefix, zeroes the checksum field and verifies
+// the checksum in one CRC-32C pass over b as it now lies — the field taken as
+// zero is exactly what crcOf's three segments stand in for. It returns the
+// stored checksum, to be put back if b is left unchanged; on an error b is as
+// it was. Every in-place mutation (StampFeedback, ClearFeedback) opens with
+// it and ends with sealCRC or by putting the checksum back.
+//
+//pelsvet:noalloc
+func openHeader(b []byte) (sum uint32, err error) {
+	if len(b) < HeaderSize {
+		return 0, fmt.Errorf("%w: %d bytes", ErrTruncated, len(b))
+	}
+	if binary.BigEndian.Uint32(b[offMagic:]) != Magic {
+		return 0, ErrMagic
+	}
+	if b[offVersion] != VersionV1 {
+		return 0, fmt.Errorf("%w: %d", ErrVersion, b[offVersion])
+	}
+	sum = binary.BigEndian.Uint32(b[offCRC:])
+	binary.BigEndian.PutUint32(b[offCRC:], 0)
+	// Refuse a datagram that is already damaged: re-checksumming corrupted
+	// bytes would launder the corruption back into a "valid" datagram.
+	if crc32.Update(0, crcTable, b) != sum {
+		binary.BigEndian.PutUint32(b[offCRC:], sum)
+		return 0, ErrChecksum
+	}
+	return sum, nil
+}
+
+// sealCRC checksums a datagram openHeader opened, in one pass: its field is
+// still zero.
+func sealCRC(b []byte) {
+	binary.BigEndian.PutUint32(b[offCRC:], crc32.Update(0, crcTable, b))
 }
 
 // Header is the decoded PELS wire header. Seq is a per-color sequence
@@ -311,22 +340,14 @@ func PeekColor(b []byte) (packet.Color, bool) {
 // eq. 8): the stamp wins when the datagram has no label, carries this
 // router's own label, or records a smaller loss. It is the live
 // counterpart of aqm.Feedback.Process and avoids decode/re-encode
-// allocations on the forwarding path.
+// allocations on the forwarding path. A datagram it refuses (truncated,
+// foreign, or failing its checksum) is left byte for byte as it was.
+//
+//pelsvet:noalloc
 func StampFeedback(b []byte, fb packet.Feedback) error {
-	if len(b) < HeaderSize {
-		return fmt.Errorf("%w: %d bytes", ErrTruncated, len(b))
-	}
-	if binary.BigEndian.Uint32(b[offMagic:]) != Magic {
-		return ErrMagic
-	}
-	if b[offVersion] != VersionV1 {
-		return fmt.Errorf("%w: %d", ErrVersion, b[offVersion])
-	}
-	// Refuse to stamp a datagram that is already damaged: recomputing the
-	// checksum over corrupted bytes would launder the corruption back into
-	// a "valid" datagram.
-	if binary.BigEndian.Uint32(b[offCRC:]) != crcOf(b) {
-		return ErrChecksum
+	sum, err := openHeader(b)
+	if err != nil {
+		return err
 	}
 	cur := packet.Feedback{
 		RouterID: int(int32(binary.BigEndian.Uint32(b[offRouterID:]))),
@@ -336,37 +357,32 @@ func StampFeedback(b []byte, fb packet.Feedback) error {
 	}
 	merged := cur.Merge(fb.RouterID, fb.Epoch, fb.Loss)
 	if merged == cur {
+		binary.BigEndian.PutUint32(b[offCRC:], sum)
 		return nil
 	}
 	binary.BigEndian.PutUint32(b[offRouterID:], uint32(int32(merged.RouterID)))
 	binary.BigEndian.PutUint64(b[offEpoch:], merged.Epoch)
 	binary.BigEndian.PutUint64(b[offLoss:], math.Float64bits(merged.Loss))
 	b[offFlags] |= flagFeedbackValid
-	patchCRC(b)
+	sealCRC(b)
 	return nil
 }
 
 // ClearFeedback strips the feedback label of an encoded datagram in
 // place (Valid=false, fields zeroed) and repairs the checksum. Fault
 // injectors use it to model a router whose feedback path is starved:
-// data keeps flowing but carries no stamp.
+// data keeps flowing but carries no stamp. Like StampFeedback it leaves a
+// datagram it refuses as it was.
+//
+//pelsvet:noalloc
 func ClearFeedback(b []byte) error {
-	if len(b) < HeaderSize {
-		return fmt.Errorf("%w: %d bytes", ErrTruncated, len(b))
-	}
-	if binary.BigEndian.Uint32(b[offMagic:]) != Magic {
-		return ErrMagic
-	}
-	if b[offVersion] != VersionV1 {
-		return fmt.Errorf("%w: %d", ErrVersion, b[offVersion])
-	}
-	if binary.BigEndian.Uint32(b[offCRC:]) != crcOf(b) {
-		return ErrChecksum
+	if _, err := openHeader(b); err != nil {
+		return err
 	}
 	b[offFlags] &^= flagFeedbackValid
 	binary.BigEndian.PutUint32(b[offRouterID:], 0)
 	binary.BigEndian.PutUint64(b[offEpoch:], 0)
 	binary.BigEndian.PutUint64(b[offLoss:], 0)
-	patchCRC(b)
+	sealCRC(b)
 	return nil
 }

@@ -2,12 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/packet"
 )
+
+// patchCRC re-checksums a datagram a test has rewritten in place.
+func patchCRC(b []byte) { binary.BigEndian.PutUint32(b[offCRC:], crcOf(b)) }
 
 func sampleHeader() Header {
 	return Header{

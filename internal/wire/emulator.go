@@ -42,8 +42,11 @@ func NewEmulator(cfg EmulatorConfig) *Emulator {
 		a: newEndpoint("emu-a"),
 		b: newEndpoint("emu-b"),
 	}
-	e.ab = newLink(cfg.AtoB, func(b []byte, _ net.Addr) bool { return e.b.deliverFrom(b, e.a.addr) })
-	e.ba = newLink(cfg.BtoA, func(b []byte, _ net.Addr) bool { return e.a.deliverFrom(b, e.b.addr) })
+	// Boxed once: an EmuAddr turned into a net.Addr per datagram would
+	// allocate per datagram.
+	aAddr, bAddr := net.Addr(e.a.addr), net.Addr(e.b.addr)
+	e.ab = newLink(cfg.AtoB, func(b []byte, _ net.Addr) bool { return e.b.deliverFrom(b, aAddr) })
+	e.ba = newLink(cfg.BtoA, func(b []byte, _ net.Addr) bool { return e.a.deliverFrom(b, bAddr) })
 	e.a.link, e.a.in = e.ab, e.ba
 	e.b.link, e.b.in = e.ba, e.ab
 	return e
@@ -97,6 +100,8 @@ type endpoint struct {
 	closed   bool
 	deadline time.Time
 	overruns uint64
+
+	timer *time.Timer // the reader's, reused so a read that waits does not allocate
 }
 
 var _ net.PacketConn = (*endpoint)(nil)
@@ -124,10 +129,13 @@ func (ep *endpoint) deliverFrom(b []byte, from net.Addr) (kept bool) {
 	return false
 }
 
-// ReadFrom implements net.PacketConn. The deadline is sampled at entry:
-// a SetReadDeadline from another goroutine takes effect on the next call,
-// which matches how the wire loops use it (deadline set before each
-// read). Close unblocks pending reads.
+// ReadFrom implements net.PacketConn. A datagram already in the inbox is
+// served first, with no clock read and no timer; only a read that has to
+// wait parks, on the endpoint's one timer, so no read allocates. The
+// deadline is sampled at entry: a SetReadDeadline from another goroutine
+// takes effect on the next call, which matches how the wire loops use it
+// (deadline set before each read). Close unblocks pending reads. One
+// goroutine reads an endpoint at a time, as every wire loop does.
 func (ep *endpoint) ReadFrom(p []byte) (int, net.Addr, error) {
 	ep.mu.Lock()
 	deadline := ep.deadline
@@ -136,28 +144,36 @@ func (ep *endpoint) ReadFrom(p []byte) (int, net.Addr, error) {
 	if closed {
 		return 0, nil, net.ErrClosed
 	}
+	select {
+	case r := <-ep.inbox:
+		return ep.copyInto(p, r)
+	default:
+	}
 	var expired <-chan time.Time
 	if !deadline.IsZero() {
 		d := time.Until(deadline)
 		if d <= 0 {
-			// Still drain anything already delivered, like a socket.
-			select {
-			case r := <-ep.inbox:
-				return ep.copyInto(p, r)
-			default:
-				return 0, nil, os.ErrDeadlineExceeded
-			}
+			return 0, nil, os.ErrDeadlineExceeded
 		}
-		t := time.NewTimer(d)
-		defer t.Stop()
-		expired = t.C
+		if ep.timer == nil {
+			ep.timer = time.NewTimer(d)
+		} else {
+			ep.timer.Reset(d)
+		}
+		expired = ep.timer.C
 	}
 	select {
 	case r := <-ep.inbox:
+		if expired != nil {
+			stopTimer(ep.timer)
+		}
 		return ep.copyInto(p, r)
 	case <-expired:
 		return 0, nil, os.ErrDeadlineExceeded
 	case <-ep.done:
+		if expired != nil {
+			stopTimer(ep.timer)
+		}
 		return 0, nil, net.ErrClosed
 	}
 }

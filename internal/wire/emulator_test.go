@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -211,5 +212,50 @@ func TestShapedConn(t *testing.T) {
 	}
 	if st := shaped.Stats(); st.Delivered != 1 {
 		t.Fatalf("stats %+v, want 1 delivered", st)
+	}
+}
+
+// TestEmulatorReadZeroAllocs: a read that finds a datagram in the inbox
+// reads no clock and arms no timer, and a read that has to wait parks on
+// the endpoint's one timer, so neither allocates — whether the wait ends in
+// a datagram the link delivers a millisecond later or at the deadline.
+func TestEmulatorReadZeroAllocs(t *testing.T) {
+	e := NewEmulator(EmulatorConfig{AtoB: LinkConfig{Delay: time.Millisecond}})
+	defer e.Close()
+	a, b := e.A(), e.B()
+	msg, buf := make([]byte, 100), make([]byte, MaxDatagram)
+	read := func() {
+		if n, _, err := b.ReadFrom(buf); err != nil || n != len(msg) {
+			t.Fatalf("read %d bytes, %v", n, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"finds data", func() {
+			_, _ = a.WriteTo(msg, nil)
+			for len(e.b.inbox) == 0 {
+				runtime.Gosched()
+			}
+			_ = b.SetReadDeadline(time.Now().Add(time.Second))
+			read()
+		}},
+		{"waits for data", func() {
+			_ = b.SetReadDeadline(time.Now().Add(time.Second))
+			_, _ = a.WriteTo(msg, nil)
+			read()
+		}},
+		{"waits out the deadline", func() {
+			_ = b.SetReadDeadline(time.Now().Add(200 * time.Microsecond))
+			if _, _, err := b.ReadFrom(buf); !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("got %v, want deadline exceeded", err)
+			}
+		}},
+	} {
+		tc.run() // stock the link's free lists and the reader's timer
+		if allocs := testing.AllocsPerRun(20, tc.run); allocs != 0 {
+			t.Errorf("a read that %s allocates %.1f times, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"math/bits"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,64 +87,94 @@ type queued struct {
 	extra time.Duration // fault-injected extra propagation delay (reordering)
 }
 
-// link shapes datagrams through loss → marking → bounded priority queue →
-// serialization at Bandwidth → propagation Delay → deliver. Serialization
-// and delivery run on two goroutines with absolute-time deadlines, so
-// sleep overshoot never reduces throughput below the configured rate and
-// delivery order always matches queue order.
-//
-// A datagram's bytes have one owner at every hop. send copies the caller's
-// bytes into a buffer taken from the link's free list, so the caller may
-// reuse its own at once; the buffer then belongs to the queue, to out, and
-// last to deliver for the length of that call. A datagram dropped on the way
-// (marker, fault, eviction) gives its buffer back where it is dropped; a
-// delivered one goes back when deliver returns, unless deliver reports that
-// it kept the bytes, in which case whoever it passed them to calls release
-// once it has copied them out.
-type link struct {
-	cfg     LinkConfig
-	deliver func(b []byte, to net.Addr) (kept bool)
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  fifo[queued]
-	bytes  int
-	free   [][]byte // idle datagram buffers, each of capacity ≥ MaxDatagram
-	rng    *rand.Rand
-	stats  LinkStats // Delivered is kept in delivered
-	closed bool
-	start  time.Time // link creation; anchors the fault schedule
-
-	// delivered is counted by propagate alone, outside mu: the writers
-	// contend for that lock and a delivery takes it once, to return the buffer.
-	delivered atomic.Uint64
-
-	outMu   sync.Mutex
-	outCond *sync.Cond
-	out     fifo[outgoing]
-	outDone bool
-
-	wg sync.WaitGroup
-}
-
-// outgoing is a serialized datagram waiting out its propagation delay.
+// outgoing is a datagram on the wire or propagating: it reaches the far end
+// at its delivery instant.
 type outgoing struct {
 	b  []byte
 	to net.Addr
 	at time.Time // delivery instant
 }
 
-// newLink builds a link and starts its two goroutines.
+// prioCount is how many queued datagrams have one priority.
+type prioCount struct{ prio, n int }
+
+// The link's buffers come in size classes, 64 B doubling to 2 KB: every
+// datagram the codec emits, HeaderSize bytes and up, sits in less than twice
+// its length, the largest, MaxDatagram, in the last class.
+const (
+	minClassBits = 6 // the smallest class holds 1<<6 = 64 B
+	numClasses   = 6 // 64, 128, 256, 512, 1024 and 2048 B
+)
+
+// classOf returns the size class whose buffers hold n bytes; numClasses or
+// more means none does, and such a buffer is made to measure and never kept.
+func classOf(n int) int {
+	if n <= 1<<minClassBits {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - minClassBits
+}
+
+// link shapes datagrams through loss → marking → bounded priority queue →
+// serialization at Bandwidth → propagation Delay → deliver. One goroutine,
+// run, does serialization and delivery: it keeps the datagrams in flight in
+// a delay line of its own and sleeps until the next instant either falls
+// due, the wire freeing or a delivery. Deadlines are absolute, anchored to
+// arrival instants, so sleep overshoot never reduces throughput below the
+// configured rate, and delivery order always matches queue order.
+//
+// A datagram's bytes have one owner at every hop. send copies the caller's
+// bytes into a buffer of its size class, taken from the link's free lists,
+// so the caller may reuse its own at once; the buffer then belongs to the
+// queue, to the delay line, and last to deliver for the length of that call.
+// A datagram dropped on the way (marker, fault, eviction) gives its buffer
+// back where it is dropped; a delivered one goes back under the loop's next
+// queue lock, unless deliver reports that it kept the bytes, in which case
+// whoever it passed them to calls release once it has copied them out.
+type link struct {
+	cfg     LinkConfig
+	deliver func(b []byte, to net.Addr) (kept bool)
+
+	mu    sync.Mutex
+	queue fifo[queued]
+	bytes int
+	// prios counts the queued datagrams of each priority present, in
+	// priority order, so the least important rank queued is the last entry.
+	// It has one entry per rank the Marker uses — five for a Gateway.
+	prios     []prioCount
+	free      [numClasses][][]byte // idle buffers, by size class
+	freeBytes int                  // what the free lists hold, in bytes
+	rng       *rand.Rand
+	stats     LinkStats // Delivered is kept in delivered
+	closed    bool
+	idle      bool      // the loop waits for an arrival: the wire is free and nothing queued
+	start     time.Time // link creation; anchors the fault schedule
+
+	wake chan struct{} // capacity 1: an arrival or close for an idle loop
+
+	// delivered is counted by the loop alone, outside mu: the writers
+	// contend for that lock.
+	delivered atomic.Uint64
+
+	// The loop's own state, touched by no other goroutine.
+	busyUntil time.Time      // the last datagram put on the wire is through then
+	out       fifo[outgoing] // the delay line, in delivery order
+	spent     [][]byte       // delivered buffers, for the free lists under the next take
+	timer     *time.Timer    // an idle loop's wait for the next delivery
+
+	wg sync.WaitGroup
+}
+
+// newLink builds a link and starts its goroutine.
 func newLink(cfg LinkConfig, deliver func(b []byte, to net.Addr) (kept bool)) *link {
 	l := newIdleLink(cfg, deliver)
-	l.wg.Add(2)
-	go l.serialize()
-	go l.propagate()
+	l.wg.Add(1)
+	go l.run()
 	return l
 }
 
 // newIdleLink builds a link that nothing drains: the reference-model test
-// steps dequeue, transmit, nextOut and handOver by hand.
+// steps take, transmit and handOver, or step, by hand.
 func newIdleLink(cfg LinkConfig, deliver func(b []byte, to net.Addr) (kept bool)) *link {
 	if cfg.QueueBytes <= 0 {
 		cfg.QueueBytes = DefaultQueueBytes
@@ -150,39 +182,47 @@ func newIdleLink(cfg LinkConfig, deliver func(b []byte, to net.Addr) (kept bool)
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	l := &link{
+	return &link{
 		cfg:     cfg,
 		deliver: deliver,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		start:   cfg.Now(),
+		wake:    make(chan struct{}, 1),
 	}
-	l.cond = sync.NewCond(&l.mu)
-	l.outCond = sync.NewCond(&l.outMu)
-	return l
 }
 
-// maxFree bounds the free list: a full queue of the smallest datagrams the
-// codec emits. Whatever is in flight beyond that (a long Delay, an unread
-// Emulator inbox) is allocated and left to the collector, as every datagram
-// used to be.
-func (l *link) maxFree() int { return l.cfg.QueueBytes/HeaderSize + 1 }
+// maxFreeBytes bounds the free lists in bytes: twice the queue. A class
+// buffer is less than twice the datagram it holds, so that is room for the
+// buffers of a full queue of any mix the codec emits (100-byte datagrams,
+// in 128-byte buffers, need 1.28 queues' worth). Whatever is in
+// flight beyond that (a long Delay, an unread Emulator inbox) is allocated
+// and left to the collector, as every datagram once was.
+func (l *link) maxFreeBytes() int { return 2 * l.cfg.QueueBytes }
 
-// bufLocked returns a buffer of length n, from the free list when it has
-// one. Callers hold l.mu.
+// bufLocked returns a buffer of length n from the free list of its size
+// class, or a new one. Callers hold l.mu.
 func (l *link) bufLocked(n int) []byte {
-	if k := len(l.free); k > 0 && cap(l.free[k-1]) >= n {
-		b := l.free[k-1]
-		l.free = l.free[:k-1]
+	c := classOf(n)
+	if c >= numClasses {
+		return make([]byte, n)
+	}
+	if k := len(l.free[c]); k > 0 {
+		b := l.free[c][k-1]
+		l.free[c][k-1] = nil
+		l.free[c] = l.free[c][:k-1]
+		l.freeBytes -= cap(b)
 		return b[:n]
 	}
-	return make([]byte, n, max(n, MaxDatagram))
+	return make([]byte, n, 1<<(c+minClassBits))
 }
 
 // releaseLocked gives a buffer obtained from bufLocked back. Callers hold
 // l.mu and must not touch b afterwards.
 func (l *link) releaseLocked(b []byte) {
-	if len(l.free) < l.maxFree() {
-		l.free = append(l.free, b)
+	c := classOf(cap(b))
+	if c < numClasses && l.freeBytes+cap(b) <= l.maxFreeBytes() {
+		l.free[c] = append(l.free[c], b)
+		l.freeBytes += cap(b)
 	}
 }
 
@@ -252,33 +292,64 @@ func (l *link) send(b []byte, to net.Addr) {
 //
 //pelsvet:noalloc
 func (l *link) enqueueLocked(q queued) {
-	// Make room: evict from the least important end first. Scanning from
-	// the tail prefers dropping the newest datagram among equals, the
-	// closest live analogue of tail drop within a priority class. If the
-	// arrival itself is least important, it is the one dropped.
+	// Make room from the least important end. If nothing queued ranks below
+	// the arrival, the arrival is the one dropped, decided from the counts
+	// alone. Otherwise the newest datagram of the lowest rank present goes,
+	// the closest live analogue of tail drop within a priority class, and
+	// the scan from the tail stops at it.
 	for l.bytes+len(q.b) > l.cfg.QueueBytes && l.queue.len() > 0 {
-		worst, worstIdx := q.prio, -1
-		queue := l.queue.held()
-		for i := len(queue) - 1; i >= 0; i-- {
-			if queue[i].prio > worst {
-				worst, worstIdx = queue[i].prio, i
-			}
-		}
 		l.stats.OverflowDrops++
-		if worstIdx < 0 {
+		worst := l.prios[len(l.prios)-1].prio
+		if worst <= q.prio {
 			l.releaseLocked(q.b)
-			return // arrival is the least important datagram present
+			return
 		}
-		evicted := l.queue.remove(worstIdx)
+		queue := l.queue.held()
+		i := len(queue) - 1
+		for queue[i].prio != worst {
+			i--
+		}
+		evicted := l.queue.remove(i)
 		l.bytes -= len(evicted.b)
+		l.countLocked(worst, -1)
 		l.releaseLocked(evicted.b)
 	}
 	// If the queue is empty and the datagram alone exceeds it, admit it
 	// anyway so a tiny queue cannot starve the link forever.
 	l.queue.push(q)
 	l.bytes += len(q.b)
+	l.countLocked(q.prio, 1)
 	l.stats.Enqueued++
-	l.cond.Signal()
+	if l.idle {
+		l.idle = false
+		l.signal()
+	}
+}
+
+// countLocked adds d to the count of queued datagrams of priority prio. A
+// rank enters prios when its first datagram does and leaves with its last.
+// Callers hold l.mu.
+//
+//pelsvet:noalloc
+func (l *link) countLocked(prio, d int) {
+	i := 0
+	for i < len(l.prios) && l.prios[i].prio < prio {
+		i++
+	}
+	if i == len(l.prios) || l.prios[i].prio != prio {
+		l.prios = slices.Insert(l.prios, i, prioCount{prio: prio}) // grows once per rank
+	}
+	if l.prios[i].n += d; l.prios[i].n == 0 {
+		l.prios = slices.Delete(l.prios, i, i+1)
+	}
+}
+
+// signal wakes the loop if it waits; a token already pending will do.
+func (l *link) signal() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
 }
 
 // classify maps a datagram onto the traffic classes the fault injector
@@ -299,59 +370,91 @@ func classify(b []byte) fault.Class {
 	}
 }
 
-// serialize drains the queue at Bandwidth. Transmission deadlines are
-// anchored to datagram arrival times, never to the goroutine's wake-up
-// time: the wire is idle only while no datagram is queued, so sleep
-// overshoot delays individual deliveries but can never reduce long-run
-// throughput below the configured rate (oversleeping one datagram makes
-// the next deadlines already due, and they are sent back to back).
-func (l *link) serialize() {
+// run is the link's goroutine. It does the work step finds due and sleeps
+// until more is: deadlines are anchored to arrival instants, never to the
+// loop's wake-up time, so sleep overshoot delays individual deliveries but
+// can never reduce long-run throughput below the configured rate
+// (oversleeping one datagram makes the next deadlines already due, and
+// they go out back to back).
+func (l *link) run() {
 	defer l.wg.Done()
-	var busyUntil, now time.Time
+	var now time.Time
 	for {
-		q, ok := l.dequeue()
-		if !ok {
-			l.outMu.Lock()
-			l.outDone = true
-			l.outCond.Signal()
-			l.outMu.Unlock()
+		next, idle, done := l.step(now)
+		if done {
 			return
 		}
-		busyUntil, now = l.transmit(q, busyUntil, now)
+		now = l.sleep(now, next, idle)
 	}
 }
 
-// dequeue takes the head of the queue, waiting for one; ok is false once
-// the link is closed and drained.
-func (l *link) dequeue() (q queued, ok bool) {
+// step does the work due by now, an instant the clock is known to have
+// reached: it hands over every datagram of the delay line whose instant
+// has come and, whenever the wire is free by now, puts the head of the queue
+// on it. It reports when more work falls due: at next, if that is not zero,
+// and, with idle, when a datagram arrives — the wire is free and nothing is
+// queued, so an arrival enters service at once. done reports a closed link
+// with nothing left to carry.
+func (l *link) step(now time.Time) (next time.Time, idle, done bool) {
+	for {
+		for l.out.len() > 0 && !l.out.held()[0].at.After(now) {
+			l.handOver(l.out.pop())
+		}
+		if l.busyUntil.After(now) {
+			next = l.busyUntil
+			if l.out.len() > 0 && l.out.held()[0].at.Before(next) {
+				next = l.out.held()[0].at
+			}
+			return next, false, false
+		}
+		q, ok, closed := l.take()
+		if !ok {
+			if l.out.len() == 0 {
+				return time.Time{}, true, closed
+			}
+			return l.out.held()[0].at, true, false
+		}
+		l.transmit(q)
+	}
+}
+
+// take gives the spent buffers back and takes the head of the queue, under
+// one lock. With nothing queued it marks the link idle, so that the next
+// arrival wakes the loop, and reports whether the link is closed.
+func (l *link) take() (q queued, ok, closed bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.queue.len() == 0 && !l.closed {
-		l.cond.Wait()
+	for i, b := range l.spent {
+		l.releaseLocked(b)
+		l.spent[i] = nil
 	}
+	l.spent = l.spent[:0]
 	if l.queue.len() == 0 {
-		return queued{}, false
+		l.idle = true
+		return queued{}, false, l.closed
 	}
 	q = l.queue.pop()
 	l.bytes -= len(q.b)
-	return q, true
+	l.countLocked(q.prio, -1)
+	return q, true, false
 }
 
-// transmit puts q on a wire that is busy until busyUntil, waits out its
-// transmission and lines it up for delivery. It returns when the wire is
-// free again and the instant the clock is known to have reached (waitUntil).
-func (l *link) transmit(q queued, busyUntil, now time.Time) (time.Time, time.Time) {
+// transmit puts q on the free wire: it is through one transmission time
+// after it started — when it arrived or when the wire freed, whichever is
+// later — and reaches the far end Delay (plus any fault-injected extra)
+// after that. Its place in the delay line is taken at once: nothing else is
+// put on the wire before it is through, so a later insert could find no
+// other place.
+func (l *link) transmit(q queued) {
+	end := q.at
 	if l.cfg.Bandwidth > 0 {
-		if busyUntil.Before(q.at) {
-			busyUntil = q.at // wire sat idle until this datagram arrived
+		if l.busyUntil.Before(q.at) {
+			l.busyUntil = q.at // the wire sat idle until this datagram arrived
 		}
-		busyUntil = busyUntil.Add(l.cfg.Bandwidth.TransmissionTime(len(q.b)))
-		now = waitUntil(now, busyUntil)
-	} else {
-		busyUntil = q.at
+		l.busyUntil = l.busyUntil.Add(l.cfg.Bandwidth.TransmissionTime(len(q.b)))
+		end = l.busyUntil
 	}
-	o := outgoing{b: q.b, to: q.to, at: busyUntil.Add(l.cfg.Delay + q.extra)}
-	l.outMu.Lock()
+	o := outgoing{b: q.b, to: q.to, at: end.Add(l.cfg.Delay + q.extra)}
 	// Insert sorted by delivery instant: a fault-delayed datagram slots
 	// behind later traffic, which is what makes the delay a reordering.
 	// Without one the place is the tail, found from there in one step.
@@ -361,51 +464,47 @@ func (l *link) transmit(q queued, busyUntil, now time.Time) (time.Time, time.Tim
 		i--
 	}
 	l.out.insert(i, o)
-	l.outCond.Signal()
-	l.outMu.Unlock()
-	return busyUntil, now
 }
 
-// propagate delivers serialized datagrams at their absolute delivery
-// instants. Without faults the delivery instants are monotone (busyUntil
-// is); a fault-injected extra delay breaks monotonicity deliberately, and
-// the sorted insert in transmit turns it into real reordering.
-func (l *link) propagate() {
-	defer l.wg.Done()
-	var now time.Time
-	for {
-		o, ok := l.nextOut()
-		if !ok {
-			return
-		}
-		now = l.handOver(o, now)
-	}
-}
-
-// nextOut takes the head of the delivery line, waiting for one; ok is false
-// once serialize has finished and the line is empty.
-func (l *link) nextOut() (o outgoing, ok bool) {
-	l.outMu.Lock()
-	defer l.outMu.Unlock()
-	for l.out.len() == 0 && !l.outDone {
-		l.outCond.Wait()
-	}
-	if l.out.len() == 0 {
-		return outgoing{}, false
-	}
-	return l.out.pop(), true
-}
-
-// handOver delivers o at its instant and takes its buffer back.
-func (l *link) handOver(o outgoing, now time.Time) time.Time {
-	now = waitUntil(now, o.at)
+// handOver delivers o. Its buffer waits in spent for the next take, unless
+// deliver kept it.
+func (l *link) handOver(o outgoing) {
 	// Count before the hand-off: whoever reads the datagram must
 	// already find it in Stats.
 	l.delivered.Add(1)
 	if !l.deliver(o.b, o.to) {
-		l.release(o.b)
+		l.spent = append(l.spent, o.b)
 	}
-	return now
+}
+
+// sleep waits for the work step reported and returns an instant the clock
+// has reached: until next while the wire is busy; with an idle wire until
+// next (for ever, if it is zero) or an arrival, whichever comes first.
+func (l *link) sleep(now, next time.Time, idle bool) time.Time {
+	if !idle {
+		return waitUntil(now, next)
+	}
+	if next.IsZero() {
+		<-l.wake
+		return now
+	}
+	now = time.Now()
+	d := next.Sub(now)
+	if d <= 0 {
+		return now
+	}
+	if l.timer == nil {
+		l.timer = time.NewTimer(d)
+	} else {
+		l.timer.Reset(d)
+	}
+	select {
+	case <-l.wake:
+		stopTimer(l.timer)
+		return now
+	case <-l.timer.C:
+		return next
+	}
 }
 
 // Stats returns a snapshot of the link counters.
@@ -418,12 +517,12 @@ func (l *link) Stats() LinkStats {
 }
 
 // close stops accepting datagrams; queued ones still drain. wait blocks
-// until both pipeline goroutines exit.
+// until the loop has delivered them and exited.
 func (l *link) close() {
 	l.mu.Lock()
 	l.closed = true
-	l.cond.Broadcast()
 	l.mu.Unlock()
+	l.signal()
 }
 
 func (l *link) wait() { l.wg.Wait() }

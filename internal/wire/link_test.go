@@ -116,45 +116,81 @@ func (r *refLink) handOver() {
 	r.delivered = append(r.delivered, o.b)
 }
 
+// advance is the reference's loop: at now it hands over what is due and puts
+// the queue's head on the wire whenever the wire is free, until neither is
+// left to do.
+func (r *refLink) advance(now time.Time) {
+	for {
+		switch {
+		case len(r.out) > 0 && !r.out[0].at.After(now):
+			r.handOver()
+		case len(r.queue) > 0 && !r.busyUntil.After(now):
+			r.transmit()
+		default:
+			return
+		}
+	}
+}
+
 // queuedOf and outOf copy a link's two lines.
 func queuedOf(l *link) []queued { return append([]queued(nil), l.queue.held()...) }
 func outOf(l *link) []outgoing  { return append([]outgoing(nil), l.out.held()...) }
 
-// TestLinkMatchesReference feeds one seeded script of arrivals,
-// transmissions and deliveries, on a synthetic clock in the past so that
-// nothing sleeps, to the link and to the reference, each behind a gateway
-// and a fault plan of its own. After every step the two hold the same
-// datagrams in the same places with the same counters — so the same ones
-// were evicted — and at the end they have delivered the same bytes in the
-// same order. The tiny queue is there for the datagram that alone exceeds
-// it and is admitted into an empty queue all the same, the unshaped link for
-// datagrams due at one and the same instant.
+// TestLinkMatchesReference feeds one seeded script of arrivals and link
+// work, on a synthetic clock in the past so that nothing sleeps, to the link
+// and to the reference, each behind a gateway and a fault plan of its own.
+// After every step the two hold the same datagrams in the same places with
+// the same counters — so the same ones were evicted — and at the end they
+// have delivered the same bytes in the same order. The tiny queue is there
+// for the datagram that alone exceeds it and is admitted into an empty queue
+// all the same, the unshaped link for datagrams due at one and the same
+// instant.
+//
+// The script's link work comes in two kinds. The plain cases take, transmit
+// and hand over in any order the seed picks, which holds the lines and
+// counters to the reference whatever the timing. The loop cases call step,
+// the body of the link's goroutine, at the instants it asks for or later, as
+// a late wake-up would: the reference does what its clock says is due, and
+// step must have done the same and must not sleep past the next of it — with
+// Delay 0, where a datagram is delivered as its transmission ends, and with
+// Delay > 0 plus reordering faults.
 func TestLinkMatchesReference(t *testing.T) {
 	colors := []packet.Color{packet.Green, packet.Yellow, packet.Red, packet.BestEffort}
 	for _, tc := range []struct {
 		name       string
 		bandwidth  units.BitRate
 		queueBytes int
+		delay      time.Duration // 0 also leaves the reordering fault out
+		loop       bool
 		arrive     float64 // share of steps that are arrivals
 		minEvicted uint64
 	}{
-		{"congested", 10 * units.Mbps, 6000, 0.65, 500},
-		{"tiny", 10 * units.Mbps, 1000, 0.40, 100},
-		{"unshaped", 0, 6000, 0.65, 500},
+		{"congested", 10 * units.Mbps, 6000, 5 * time.Millisecond, false, 0.65, 500},
+		{"tiny", 10 * units.Mbps, 1000, 5 * time.Millisecond, false, 0.40, 100},
+		{"unshaped", 0, 6000, 5 * time.Millisecond, false, 0.65, 500},
+		{"loop-congested-delay0", 10 * units.Mbps, 6000, 0, true, 0.65, 500},
+		{"loop-congested-reorder", 10 * units.Mbps, 6000, 5 * time.Millisecond, true, 0.65, 500},
+		{"loop-tiny-delay0", 10 * units.Mbps, 1000, 0, true, 0.40, 100},
+		{"loop-tiny-reorder", 10 * units.Mbps, 1000, 5 * time.Millisecond, true, 0.40, 100},
+		{"loop-unshaped-delay0", 0, 6000, 0, true, 0.65, 0},
+		{"loop-unshaped-reorder", 0, 6000, 5 * time.Millisecond, true, 0.65, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := time.Unix(1000, 0)
 			now := func() time.Time { return clk }
-			plan := fault.Plan{Seed: 5, Events: []fault.Event{
+			events := []fault.Event{
 				{Kind: fault.KindDuplicate, From: 0, To: time.Hour, Prob: 0.1},
-				{Kind: fault.KindReorder, From: 0, To: time.Hour, Prob: 0.2, MaxDelay: 20 * time.Millisecond},
 				{Kind: fault.KindCorrupt, From: 0, To: time.Hour, Prob: 0.05},
 				{Kind: fault.KindBurstLoss, From: 0, To: time.Hour, PGoodBad: 0.02, PBadGood: 0.3, LossBad: 0.8},
 				{Kind: fault.KindStarveFeedback, From: 100 * time.Millisecond, To: 200 * time.Millisecond},
-			}}
+			}
+			if tc.delay > 0 {
+				events = append(events, fault.Event{Kind: fault.KindReorder, From: 0, To: time.Hour, Prob: 0.2, MaxDelay: 20 * time.Millisecond})
+			}
+			plan := fault.Plan{Seed: 5, Events: events}
 			config := func() LinkConfig {
 				return LinkConfig{
-					Bandwidth: tc.bandwidth, Delay: 5 * time.Millisecond, QueueBytes: tc.queueBytes,
+					Bandwidth: tc.bandwidth, Delay: tc.delay, QueueBytes: tc.queueBytes,
 					Loss: 0.02, Seed: 9, Now: now, Faults: fault.NewInjector(plan),
 					Marker: NewGateway(GatewayConfig{RouterID: 1, Interval: 10 * time.Millisecond, Capacity: 10 * units.Mbps, Now: now}),
 				}
@@ -165,7 +201,7 @@ func TestLinkMatchesReference(t *testing.T) {
 				delivered = append(delivered, append([]byte(nil), b...))
 				return false
 			})
-			var busyUntil, sNow, pNow time.Time
+			var next time.Time // when the loop asked to be woken
 
 			rng := rand.New(rand.NewSource(13))
 			arrival := func() []byte {
@@ -196,20 +232,27 @@ func TestLinkMatchesReference(t *testing.T) {
 					ref.send(b)
 					l.send(b, nil)
 					checkEvictions(t, step, before, queuedOf(l))
+				case tc.loop:
+					if !next.IsZero() && next.After(clk) && rng.Intn(2) == 0 {
+						clk = next // woken on time, not late
+					}
+					ref.advance(clk)
+					var idle bool
+					next, idle, _ = l.step(clk)
+					checkWake(t, step, ref, clk, next, idle)
 				case r < tc.arrive+(1-tc.arrive)*0.6:
 					if len(ref.queue) == 0 {
 						continue
 					}
 					ref.transmit()
-					q, _ := l.dequeue()
-					busyUntil, sNow = l.transmit(q, busyUntil, sNow)
+					q, _, _ := l.take()
+					l.transmit(q)
 				default:
 					if len(ref.out) == 0 {
 						continue
 					}
 					ref.handOver()
-					o, _ := l.nextOut()
-					pNow = l.handOver(o, pNow)
+					l.handOver(l.out.pop())
 				}
 
 				got, want := queuedOf(l), ref.queue
@@ -233,6 +276,7 @@ func TestLinkMatchesReference(t *testing.T) {
 				if st := l.Stats(); st != ref.stats {
 					t.Fatalf("step %d: stats %+v, the reference %+v", step, st, ref.stats)
 				}
+				checkLinkBooks(t, step, l)
 			}
 
 			if len(delivered) != len(ref.delivered) {
@@ -244,14 +288,67 @@ func TestLinkMatchesReference(t *testing.T) {
 				}
 			}
 			st, fs := l.Stats(), l.cfg.Faults.Stats()
-			if st.OverflowDrops < tc.minEvicted || st.RandomDrops == 0 || st.FaultDrops == 0 ||
-				fs.Duplicated == 0 || fs.Reordered == 0 || fs.Corrupted == 0 || fs.Starved == 0 {
+			if st.OverflowDrops < tc.minEvicted || st.RandomDrops == 0 || st.FaultDrops == 0 || st.Delivered == 0 ||
+				fs.Duplicated == 0 || (tc.delay > 0) != (fs.Reordered > 0) || fs.Corrupted == 0 || fs.Starved == 0 {
 				t.Fatalf("the script left a path untaken: link %+v, faults %+v", st, fs)
 			}
 			if tc.queueBytes < MaxDatagram && !oversized {
 				t.Fatal("the script never offered an oversized datagram to an empty queue")
 			}
 		})
+	}
+}
+
+// checkWake holds what step reported at now to the reference, which has
+// just done everything due by now: an idle loop is one with a free wire and
+// nothing queued, and the loop never asks to sleep past the next delivery
+// or past the instant the wire frees for a queued datagram.
+func checkWake(t *testing.T, step int, ref *refLink, now, next time.Time, idle bool) {
+	t.Helper()
+	if want := len(ref.queue) == 0 && !ref.busyUntil.After(now); idle != want {
+		t.Fatalf("step %d: step reports idle=%v with %d datagrams queued, the wire busy until %v at %v", step, idle, len(ref.queue), ref.busyUntil, now)
+	}
+	if !next.IsZero() && !next.After(now) {
+		t.Fatalf("step %d: step asks to be woken at %v, not after now %v", step, next, now)
+	}
+	if len(ref.out) > 0 && (next.IsZero() || next.After(ref.out[0].at)) {
+		t.Fatalf("step %d: step would sleep to %v past the delivery at %v", step, next, ref.out[0].at)
+	}
+	if len(ref.queue) > 0 && (next.IsZero() || next.After(ref.busyUntil)) {
+		t.Fatalf("step %d: step would sleep to %v past the wire freeing at %v", step, next, ref.busyUntil)
+	}
+}
+
+// checkLinkBooks holds the link's own accounting to what it holds: prios
+// counts the queue by rank in rank order, and the free lists keep each
+// buffer in its class and no more bytes than their bound.
+func checkLinkBooks(t *testing.T, step int, l *link) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	counts := map[int]int{}
+	for _, q := range l.queue.held() {
+		counts[q.prio]++
+	}
+	if len(l.prios) != len(counts) {
+		t.Fatalf("step %d: prios %v, the queue holds ranks %v", step, l.prios, counts)
+	}
+	for i, c := range l.prios {
+		if counts[c.prio] != c.n || (i > 0 && l.prios[i-1].prio >= c.prio) {
+			t.Fatalf("step %d: prios %v, the queue holds ranks %v", step, l.prios, counts)
+		}
+	}
+	idle := 0
+	for c, list := range l.free {
+		for _, b := range list {
+			if cap(b) != 1<<(c+minClassBits) {
+				t.Fatalf("step %d: a %d-byte buffer in the %d-byte class", step, cap(b), 1<<(c+minClassBits))
+			}
+			idle += cap(b)
+		}
+	}
+	if idle != l.freeBytes || idle > l.maxFreeBytes() {
+		t.Fatalf("step %d: the free lists hold %d bytes, count %d, bound %d", step, idle, l.freeBytes, l.maxFreeBytes())
 	}
 }
 
@@ -408,7 +505,7 @@ func TestLinkBufferHeldByReader(t *testing.T) {
 		t.Fatal("later traffic overwrote a datagram the reader holds")
 	}
 	e.ab.mu.Lock()
-	free := len(e.ab.free)
+	free := e.ab.freeBytes
 	e.ab.mu.Unlock()
 	if free == 0 {
 		t.Fatal("the link's buffers never came back from the reader")
@@ -465,5 +562,112 @@ func TestLinkBufferFaultCopies(t *testing.T) {
 	}
 	if fs := l.cfg.Faults.Stats(); fs.Corrupted == 0 || fs.Starved == 0 {
 		t.Fatalf("faults %+v: the plan did not corrupt and strip", fs)
+	}
+}
+
+// TestLinkIdleBytesBounded sends bursts of mixed 60–1460-byte traffic
+// through a small congested queue. Each datagram sits in the buffer of its
+// size class — 100 bytes in 128 — and when the bursts have drained the
+// free lists, whatever the mix, hold no more than their bound of twice the
+// queue, each buffer in its own class. A datagram past the last class,
+// which each burst also carries, sits in a buffer made to its measure that
+// the free lists never take.
+func TestLinkIdleBytesBounded(t *testing.T) {
+	const queueBytes = 4000
+	var mu sync.Mutex
+	caps := map[int]int{} // datagram length → capacity of the buffer it was delivered in
+	l := newLink(LinkConfig{
+		Bandwidth: 100 * units.Mbps, QueueBytes: queueBytes,
+		Marker: NewGateway(GatewayConfig{RouterID: 1, Interval: 10 * time.Millisecond, Capacity: 100 * units.Mbps}),
+	}, func(b []byte, _ net.Addr) bool {
+		mu.Lock()
+		caps[len(b)] = cap(b)
+		mu.Unlock()
+		return false
+	})
+	defer func() { l.close(); l.wait() }()
+	colors := []packet.Color{packet.Green, packet.Yellow, packet.Red}
+	rng := rand.New(rand.NewSource(4))
+	sent := uint64(0)
+	for burst := 0; burst < 20; burst++ {
+		for i := 0; i < 50; i++ {
+			payload := rng.Intn(MaxPayload + 1)
+			switch i {
+			case 0:
+				payload = 100 - HeaderSize
+			case 1:
+				l.send(make([]byte, 3000), nil) // not a datagram: ranks as control
+				sent++
+				continue
+			}
+			b, err := EncodeDatagram(Header{Type: TypeData, Color: colors[rng.Intn(len(colors))]}, make([]byte, payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.send(b, nil)
+			sent++
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for st := l.Stats(); st.Delivered+st.OverflowDrops != sent; st = l.Stats() {
+			if time.Now().After(deadline) {
+				t.Fatalf("burst %d: %+v of %d sent never drained", burst, st, sent)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		checkLinkBooks(t, burst, l)
+	}
+	if st := l.Stats(); st.OverflowDrops == 0 {
+		t.Fatalf("stats %+v: the bursts never overflowed the queue", st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for n, c := range caps {
+		want := n // past the last class: made to measure
+		if k := classOf(n); k < numClasses {
+			want = 1 << (k + minClassBits)
+		}
+		if c != want || (n >= HeaderSize && 2*n <= c) {
+			t.Fatalf("a %d-byte datagram sat in a %d-byte buffer, want %d", n, c, want)
+		}
+	}
+	if caps[100] != 128 || caps[3000] != 3000 {
+		t.Fatalf("100- and 3000-byte datagrams sat in %d- and %d-byte buffers, want 128 and 3000", caps[100], caps[3000])
+	}
+	if l.maxFreeBytes() != 2*queueBytes {
+		t.Fatalf("free-list bound %d, want twice the queue", l.maxFreeBytes())
+	}
+}
+
+// BenchmarkLinkHop is the router hop's own work per datagram at the
+// closed-loop benchmark's geometry: 100-byte datagrams, 1 green to 4 yellow
+// to 5 red, offered 10 % above a 30 Mb/s link with a 60 KB queue behind a
+// Gateway, so the queue stays full and every arrival evicts or is dropped.
+// One goroutine drives the link on a synthetic clock — mark, rank, admit,
+// serialize, hand over, take the buffer back — without the live loop's
+// sleeps and wake-ups.
+func BenchmarkLinkHop(b *testing.B) {
+	clk := time.Unix(1000, 0)
+	now := func() time.Time { return clk }
+	const capacity = 30 * units.Mbps
+	l := newIdleLink(LinkConfig{
+		Bandwidth: capacity, QueueBytes: 60_000, Now: now,
+		Marker: NewGateway(GatewayConfig{RouterID: 1, Interval: 50 * time.Millisecond, Capacity: capacity, Now: now}),
+	}, func([]byte, net.Addr) bool { return false })
+	var datagrams [][]byte
+	for i, c := range []packet.Color{packet.Green, packet.Yellow, packet.Yellow, packet.Yellow, packet.Yellow,
+		packet.Red, packet.Red, packet.Red, packet.Red, packet.Red} {
+		d, err := EncodeDatagram(Header{Type: TypeData, Color: c, Seq: uint64(i)}, make([]byte, 100-HeaderSize))
+		if err != nil {
+			b.Fatal(err)
+		}
+		datagrams = append(datagrams, d)
+	}
+	gap := capacity.TransmissionTime(100) * 10 / 11
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clk = clk.Add(gap)
+		l.send(datagrams[i%len(datagrams)], nil)
+		l.step(clk)
 	}
 }

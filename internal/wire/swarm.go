@@ -484,9 +484,14 @@ func (s *Swarm) readLoop(ctx context.Context, idx int) error {
 	conn := s.socks[idx]
 	buf := make([]byte, MaxDatagram+1)
 	now := time.Now()
+	// Polled without blocking rather than through ctx.Err, which takes the
+	// context's lock on every datagram.
+	done := ctx.Done()
 	for {
-		if ctx.Err() != nil {
+		select {
+		case <-done:
 			return nil
+		default:
 		}
 		_ = conn.SetReadDeadline(now.Add(50 * time.Millisecond))
 		n, _, err := conn.ReadFrom(buf)
