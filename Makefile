@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint lint-strict test test-short race fmt-check ci bench bench-json bench-e2e ab perfdiff repro cover fuzz chaos smoke load overload obs-demo clean
+.PHONY: all build vet lint lint-strict test test-short race fmt-check ci bench bench-e2e ab repro cover fuzz chaos smoke load overload obs-demo clean
 
 all: build vet lint test
 
@@ -51,10 +51,10 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needs to be run on:"; echo "$$out"; exit 1; fi
 
-# The exact CI gate, runnable locally before pushing. perfdiff runs in
-# allocs-only mode here (alloc counts are exact on any machine); the timing
-# gate lives in the CI bench job where the hardware is consistent.
-ci: build vet fmt-check lint race perfdiff
+# The exact CI gate, runnable locally before pushing. Performance is gated
+# end to end by bench-e2e (bench/); the zero-allocation contracts of the hot
+# paths are testing.AllocsPerRun tests that race already runs.
+ci: build vet fmt-check lint race bench-e2e
 
 # Regenerate every table and figure of the paper (plus extensions).
 repro:
@@ -62,43 +62,6 @@ repro:
 
 bench:
 	go test -bench=. -benchmem ./...
-
-# --- Perf trajectory ---------------------------------------------------
-# BENCH_$(BENCH_V).json at the repo root is the committed benchmark
-# snapshot for this growth step; cmd/perfdiff gates CI against it. Micro
-# benchmarks run at a fixed iteration count (allocs/op exact, runs quick)
-# repeated -count times; perfdiff -emit -best keeps the min-ns/max-allocs
-# figure of the repeats, the noise-robust statistic for gating. The
-# repo-level figure benchmarks run once and are recorded, not gated.
-BENCH_V      := 10
-BENCH_MICRO  := ^Benchmark(Wire|Gateway|Pacer|Sim|Netsim|Session|Plan|Priority)
-BENCH_MACRO  := ^BenchmarkMacro
-# Gated names must all exist in every fresh report the CI bench job makes
-# (it only re-runs ./internal/perf), so the gate spells out the perf-package
-# benchmarks instead of loosely matching repo-level ones like
-# BenchmarkSimulatorThroughput. MacroEngineSeedHeap is recorded but not
-# gated: it benchmarks the retained *reference* implementation (GC-heavy,
-# load-sensitive), and the gate protects the paths the repo actually runs.
-BENCH_GATE   := ^Benchmark(Wire|GatewayMark|PacerReserve|Sim(Heap)?Schedule|NetsimTransit|MacroEngineCalendar|Session(TableLookup|WheelAdvance|FeedbackBatch)|PlanShare|PlanLayers8|PriorityClassify)
-
-define BENCH_RUN
-{ go test -run '^$$' -bench '$(BENCH_MICRO)' -benchtime=1000x -count=10 -benchmem ./internal/perf && \
-  go test -run '^$$' -bench '$(BENCH_MACRO)' -benchtime=1x -count=5 -benchmem ./internal/perf && \
-  go test -run '^$$' -bench . -benchtime=1x -benchmem . ; }
-endef
-
-# Refresh the committed snapshot (run on the reference machine, then
-# commit the diff alongside the optimization that moved the numbers).
-bench-json:
-	$(BENCH_RUN) | go run ./cmd/perfdiff -emit -best > BENCH_$(BENCH_V).json
-	@echo "wrote BENCH_$(BENCH_V).json"
-
-# Compare a fresh run against the committed snapshot. Allocs-only: local
-# machines differ too much for the 20% timing gate CI applies.
-perfdiff:
-	$(BENCH_RUN) | go run ./cmd/perfdiff -emit -best > /tmp/pels-bench-new.json
-	go run ./cmd/perfdiff -base BENCH_$(BENCH_V).json -new /tmp/pels-bench-new.json \
-		-gate '$(BENCH_GATE)' -allocs-only
 
 # The end-to-end benchmark is a module of its own (bench/go.mod), so
 # `go build ./...` and `go test ./...` never compile it. This vets and

@@ -11,8 +11,8 @@ package repro_test
 //
 // Benchmarks that vary the seed per iteration report their metrics from the
 // FIRST iteration (seed 1), never the last: the last iteration's seed is
-// b.N, which changes with -benchtime, and the committed BENCH_*.json
-// trajectory needs figures that are stable run to run.
+// b.N, which changes with -benchtime, and a reported figure should not
+// change with it.
 
 import (
 	"fmt"

@@ -67,11 +67,6 @@ type TestbedConfig struct {
 	// design the paper rejects in §5.1 because base-layer packet spacing
 	// ages the feedback. Used by the ablation suite.
 	GreenOnlyFeedback bool
-	// UseHeapEventQueue runs the engine on the original binary-heap event
-	// queue instead of the calendar queue. Both implement the same strict
-	// (time, seq) order, so results are identical; the knob exists so
-	// determinism tests can prove exactly that on full testbed runs.
-	UseHeapEventQueue bool
 }
 
 // DefaultTestbedConfig mirrors the paper's Fig. 6 setup.
@@ -170,9 +165,6 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		cfg.FeedbackInterval = 30 * time.Millisecond
 	}
 	eng := sim.NewEngine(cfg.Seed)
-	if cfg.UseHeapEventQueue {
-		eng.UseHeapQueue()
-	}
 	net := netsim.NewNetwork(eng)
 	// All testbed apps and hooks copy packet values instead of retaining
 	// pointers, so the recycling pool is safe here.

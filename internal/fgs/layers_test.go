@@ -125,6 +125,42 @@ func TestPlanLayersIntoPanics(t *testing.T) {
 	})
 }
 
+// TestPlanZeroAllocs holds the frame plans at zero allocations: the 3-colour
+// PlanShare, and the N = 8 ladder with PlanLayersInto writing into
+// caller-owned slices.
+func TestPlanZeroAllocs(t *testing.T) {
+	pk := MustNewPacketizer(DefaultFrameSpec())
+	budget := pk.Spec().FrameBytes() * 3 / 4
+	gammas := make([]float64, 7)
+	counts := make([]int, 8)
+	for _, tc := range []struct {
+		name string
+		run  func(i int) int // returns the base layer's count
+	}{
+		{"PlanShare", func(i int) int {
+			return pk.PlanShare(i, budget, 0.3, RedShareTotal).Green
+		}},
+		{"Ladder+PlanLayersInto/N=8", func(i int) int {
+			Ladder(gammas, 0.3)
+			pk.PlanLayersInto(counts, i, budget, gammas, RedShareTotal)
+			return counts[0]
+		}},
+	} {
+		i := 0
+		run := func() {
+			if i++; tc.run(i) == 0 {
+				t.Fatalf("%s: empty base layer", tc.name)
+			}
+		}
+		for k := 0; k < 100; k++ {
+			run()
+		}
+		if allocs := testing.AllocsPerRun(1000, run); allocs != 0 {
+			t.Errorf("%s allocates %.2f/op, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // FuzzPlanLayers throws arbitrary budgets, γ values, and layer counts at
 // the N-way split and checks the plan invariants: the full base layer is
 // always present, no layer count is negative, layer counts sum to Total(),

@@ -17,7 +17,8 @@ const noallocDirective = "//pelsvet:noalloc"
 
 // NoAlloc statically rejects allocating constructs inside functions
 // annotated //pelsvet:noalloc — the hot-path zero-allocation contract
-// that the perf gate (DESIGN.md §12) otherwise only checks dynamically.
+// that the testing.AllocsPerRun tests beside each hot path otherwise only
+// check dynamically.
 //
 // Flagged constructs: make/new, slice and map literals, &composite
 // literals, function literals (closures), string concatenation,

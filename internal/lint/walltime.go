@@ -11,10 +11,9 @@ import (
 // binaries may touch the wall clock freely; they sit outside this set.
 // internal/obs is included: it serves both sides, so its call paths must
 // never read the clock themselves — callers pass every timestamp in (sim
-// time or a wall-clock offset). internal/runner and internal/perf are
-// included too: the runner's deadline clocks are the one sanctioned
-// exception (each carries a justifying //pelsvet:allow), and perf must
-// compute from parsed benchmark records, never from live timing.
+// time or a wall-clock offset). internal/runner is included too: its
+// deadline clocks are the one sanctioned exception (each carries a
+// justifying //pelsvet:allow).
 var deterministicPkgs = map[string]bool{
 	"sim":          true,
 	"netsim":       true,
@@ -38,9 +37,6 @@ var deterministicPkgs = map[string]bool{
 	// every instant, which is what lets either side drive it from a
 	// synthetic clock.
 	"timewheel": true,
-	// perf post-processes benchmark output: its numbers must come from the
-	// parsed records, never from a live clock.
-	"perf": true,
 	// runner hosts the worker pool; its wall-clock uses (job duration
 	// metadata, per-job timeout timers) are individually justified with
 	// //pelsvet:allow — anything new must justify itself the same way.
@@ -71,8 +67,8 @@ var WallTime = &Analyzer{
 	Name: "walltime",
 	Doc: "forbid time.Now/Sleep/After/Since and timer constructors in the " +
 		"deterministic simulation packages (sim, netsim, queue, aqm, cc, pels, " +
-		"fgs, crosstraffic, tcp, video, stats, obs, fault, session, perf, " +
-		"runner); only internal/wire and cmd/ may touch the wall clock",
+		"fgs, crosstraffic, tcp, video, stats, obs, fault, session, " +
+		"timewheel, runner); only internal/wire and cmd/ may touch the wall clock",
 	Run: runWallTime,
 }
 

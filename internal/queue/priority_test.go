@@ -102,6 +102,34 @@ func TestPriorityQueueAccessor(t *testing.T) {
 	}
 }
 
+// TestPriorityZeroAllocs: classifying a packet onto its layer queue and the
+// enqueue/dequeue round trip through an 8-layer priority set, cycling through
+// every layer colour, touch no heap once the layer queues have grown.
+func TestPriorityZeroAllocs(t *testing.T) {
+	pq := NewPriority(NLayerPriorityConfig(8))
+	pkts := make([]*packet.Packet, 8)
+	for i := range pkts {
+		pkts[i] = &packet.Packet{Color: packet.LayerColor(i), Size: 500}
+	}
+	i := 0
+	run := func() {
+		p := pkts[i%len(pkts)]
+		i++
+		if !pq.Enqueue(p) {
+			t.Fatal("drop on an empty queue")
+		}
+		if pq.Dequeue() != p {
+			t.Fatal("dequeued a packet other than the one enqueued")
+		}
+	}
+	for k := 0; k < 100; k++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(1000, run); allocs != 0 {
+		t.Errorf("Enqueue+Dequeue over 8 layers allocates %.2f/op, want 0", allocs)
+	}
+}
+
 // TestPriorityDequeueProperty: whatever the arrival pattern, a dequeued
 // packet's color class never has a higher-priority class non-empty at the
 // moment of service.

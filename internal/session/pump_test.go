@@ -309,8 +309,7 @@ func TestNewSessionAllocations(t *testing.T) {
 // BenchmarkSessionPumpChunk prices a datagram from wheel fire to WriteTo on
 // one goroutine — advance, hand-off, pumpChunk — for the two populations the
 // end-to-end benchmark runs: one datagram a wake (egress-wide) and four
-// (egress-bulk). It lives here and not in internal/perf because pumpChunk
-// is not exported. Diagnostic only; ns/op and allocs/op are per datagram.
+// (egress-bulk). Diagnostic only; ns/op and allocs/op are per datagram.
 func BenchmarkSessionPumpChunk(b *testing.B) {
 	for _, bc := range []struct {
 		name     string

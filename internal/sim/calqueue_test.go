@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -12,10 +13,7 @@ import (
 // direct-search fallback.
 func runScript(t *testing.T, seed int64, useHeap bool) []time.Duration {
 	t.Helper()
-	eng := NewEngine(seed)
-	if useHeap {
-		eng.UseHeapQueue()
-	}
+	eng := newEngineOn(seed, useHeap)
 	var fired []time.Duration
 	rng := rand.New(rand.NewSource(seed + 1000))
 	var pendingHandles []*Event
@@ -56,24 +54,67 @@ func runScript(t *testing.T, seed int64, useHeap bool) []time.Duration {
 	return fired
 }
 
-// TestCalendarMatchesHeapOrder proves the two queue implementations yield
-// the exact same event sequence for an adversarial workload — the
-// determinism contract that lets the calendar queue replace the heap
-// without invalidating any same-seed fingerprint.
-func TestCalendarMatchesHeapOrder(t *testing.T) {
-	for _, seed := range []int64{1, 2, 7, 42} {
-		cal := runScript(t, seed, false)
-		hp := runScript(t, seed, true)
-		if len(cal) != len(hp) {
-			t.Fatalf("seed %d: calendar fired %d events, heap %d", seed, len(cal), len(hp))
-		}
-		for i := range cal {
-			if cal[i] != hp[i] {
-				t.Fatalf("seed %d: event %d fired at %v under calendar, %v under heap",
-					seed, i, cal[i], hp[i])
+// flowFire is one entry of runFlows' log.
+type flowFire struct {
+	at   time.Duration
+	flow int
+}
+
+// runFlows is a workload the size of a testbed: flows self-rescheduling
+// flows on the pooled path, each waiting a random 0–5 ms between its
+// events, until events events have fired (the flows still pending then fire
+// once more and stop). It returns who fired when, in firing order.
+func runFlows(t *testing.T, seed int64, useHeap bool, flows, events int) []flowFire {
+	t.Helper()
+	eng := newEngineOn(seed, useHeap)
+	rng := eng.Rand()
+	fired := make([]flowFire, 0, events+flows)
+	for f := 0; f < flows; f++ {
+		f := f
+		var tick func()
+		tick = func() {
+			fired = append(fired, flowFire{eng.Now(), f})
+			if len(fired) < events {
+				eng.ScheduleFunc(time.Duration(rng.Intn(5000))*time.Microsecond, tick)
 			}
 		}
+		eng.ScheduleFunc(time.Duration(f)*time.Microsecond, tick)
 	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return fired
+}
+
+// sameOrder fails t unless the calendar queue's log equals the heap's.
+func sameOrder[T comparable](t *testing.T, name string, cal, hp []T) {
+	t.Helper()
+	if len(cal) != len(hp) {
+		t.Fatalf("%s: calendar fired %d events, heap %d", name, len(cal), len(hp))
+	}
+	for i := range cal {
+		if cal[i] != hp[i] {
+			t.Fatalf("%s: event %d is %+v under calendar, %+v under heap", name, i, cal[i], hp[i])
+		}
+	}
+}
+
+// TestCalendarMatchesHeapOrder proves the calendar queue yields the exact
+// event sequence of the reference heap — the determinism contract that lets
+// it run every experiment without moving a same-seed fingerprint. Two
+// workloads: an adversarial script (resizes, cursor rewinds, cancellations,
+// the sparse fallback), and 16 384 concurrent flows through about 10⁵ events,
+// the pending-set size of a full testbed run.
+func TestCalendarMatchesHeapOrder(t *testing.T) {
+	for _, seed := range []int64{1, 2, 7, 42} {
+		sameOrder(t, fmt.Sprintf("script seed %d", seed), runScript(t, seed, false), runScript(t, seed, true))
+	}
+	const flows, events = 16384, 100_000
+	cal := runFlows(t, 7, false, flows, events)
+	if len(cal) < events {
+		t.Fatalf("flows fired %d events, want ≥ %d", len(cal), events)
+	}
+	sameOrder(t, "16384 flows", cal, runFlows(t, 7, true, flows, events))
 }
 
 func TestCalendarRunUntilResumeAndRewind(t *testing.T) {
@@ -194,17 +235,6 @@ func TestPooledAndHandleEventsInterleave(t *testing.T) {
 			t.Fatalf("mixed-API same-time events out of order at %d: got %d", i, v)
 		}
 	}
-}
-
-func TestUseHeapQueueAfterSchedulePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("UseHeapQueue after scheduling did not panic")
-		}
-	}()
-	eng := NewEngine(1)
-	eng.Schedule(time.Second, func() {})
-	eng.UseHeapQueue()
 }
 
 // TestCalendarSparseFallback drives the direct-search path: a handful of

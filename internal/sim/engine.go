@@ -6,12 +6,11 @@
 // a single Engine instance, which makes every run reproducible bit-for-bit
 // for a given seed.
 //
-// Two event-queue implementations exist behind the same total order: the
-// default calendar queue (O(1) amortized schedule/fire, see calqueue.go) and
-// the original binary heap kept for cross-checking (UseHeapQueue). Because
-// (time, insertion sequence) is a strict total order, both produce the exact
-// same event sequence; a same-seed run fingerprints identically under
-// either.
+// The event queue is a calendar queue (O(1) amortized schedule/fire, see
+// calqueue.go) behind the eventQueue interface. Because (time, insertion
+// sequence) is a strict total order, any correct queue pops the exact same
+// event sequence; the tests hold the calendar queue to the original binary
+// heap, which survives as a test-only reference.
 package sim
 
 import (
@@ -68,23 +67,13 @@ type Engine struct {
 	maxEvents uint64
 }
 
-// NewEngine returns an engine whose random source is seeded with seed. The
-// event queue is the calendar queue; see UseHeapQueue for the alternative.
+// NewEngine returns an engine whose random source is seeded with seed,
+// running on the calendar queue.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
 		rng: rand.New(rand.NewSource(seed)),
 		q:   newCalQueue(),
 	}
-}
-
-// UseHeapQueue switches the engine to the original container/heap event
-// queue. It exists so determinism tests can prove the calendar queue yields
-// byte-identical runs; it must be called before any event is scheduled.
-func (e *Engine) UseHeapQueue() {
-	if e.q.len() > 0 || e.seq > 0 {
-		panic("sim: UseHeapQueue after events were scheduled")
-	}
-	e.q = &heapQueue{}
 }
 
 // Now returns the current simulation time.

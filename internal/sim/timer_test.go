@@ -157,10 +157,7 @@ type timerFire struct {
 // log and the engine's processed count.
 func runTimerScript(t *testing.T, seed int64, useHeap, useTimer bool) ([]timerFire, uint64) {
 	t.Helper()
-	eng := NewEngine(seed)
-	if useHeap {
-		eng.UseHeapQueue()
-	}
+	eng := newEngineOn(seed, useHeap)
 	const n = 8
 	var log []timerFire
 	timers := make([]*Timer, n)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/packet"
+	"repro/internal/units"
 )
 
 // TestAppendDatagramZeroAllocs is the allocation regression gate for the
@@ -42,6 +43,59 @@ func TestDecodeDatagramZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("DecodeDatagram allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestRouterHopZeroAllocs holds the router hop's byte work at zero
+// allocations: the gateway's mark, with its clock a millisecond further on at
+// every datagram so the 30 ms windows close inside the measured runs, and
+// the feedback stamp on its own, alternating labels so every other stamp
+// rewrites the datagram and its checksum.
+func TestRouterHopZeroAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, dg []byte) func()
+	}{
+		{"Gateway.Mark", func(t *testing.T, dg []byte) func() {
+			now := time.Unix(1700000000, 0)
+			g := NewGateway(GatewayConfig{
+				RouterID: 1,
+				Interval: 30 * time.Millisecond,
+				Capacity: 4 * units.Mbps,
+				Now:      func() time.Time { return now },
+			})
+			return func() {
+				now = now.Add(time.Millisecond)
+				g.Mark(dg)
+			}
+		}},
+		{"StampFeedback", func(t *testing.T, dg []byte) func() {
+			i := 0
+			return func() {
+				i++
+				fb := packet.Feedback{RouterID: 9, Epoch: uint64(i), Loss: float64(i%2) * 0.5, Valid: true}
+				if err := StampFeedback(dg, fb); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dg, err := EncodeDatagram(sampleHeader(), bytes.Repeat([]byte{0xEF}, 1000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := tc.run(t, dg)
+			for i := 0; i < 100; i++ {
+				run()
+			}
+			if allocs := testing.AllocsPerRun(1000, run); allocs != 0 {
+				t.Errorf("%s allocates %.2f/op, want 0", tc.name, allocs)
+			}
+			if _, _, err := DecodeDatagram(dg); err != nil {
+				t.Errorf("%s left a datagram that does not decode: %v", tc.name, err)
+			}
+		})
 	}
 }
 
