@@ -36,15 +36,16 @@ test-short:
 
 # Race-enabled short tests — the PR gate in .github/workflows/ci.yml. The
 # second line repeats the wire tests that have been timing-sensitive (the
-# shaped link's counters, the swarm's hello driver) and every link test —
-# who owns a link buffer, the free lists' bound, the one-goroutine loop
-# against its reference — so a flake cannot return unnoticed; the third repeats
+# shaped link's counters, the swarm's hello driver), the receiver core's
+# tests beside the swarm's, and every link test — who owns a link buffer,
+# the free lists' bound, the one-goroutine loop against its reference — so
+# a flake cannot return unnoticed; the third repeats
 # the tests of who holds a session's timer (admission lane, wheel, chunk),
 # where every bug so far was a race, and of the pump against feedback (the
 # bucket has only the session's lock).
 race:
 	go test -race -short ./...
-	go test -race -count=20 -run 'TestShapedConn|TestSwarm|TestLink' ./internal/wire/
+	go test -race -count=20 -run 'TestShapedConn|TestSwarm|TestLink|TestReceiver' ./internal/wire/
 	go test -race -count=5 -run 'TestAdmit|TestHandOff|TestOverload|TestStaleTimer|TestPump' ./internal/session/
 
 fmt-check:
@@ -99,6 +100,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzCorruption$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzStampFeedback$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzSwarmHandle$$' -fuzztime=10s ./internal/wire/
+	go test -run '^$$' -fuzz '^FuzzReceiverHandle$$' -fuzztime=10s ./internal/wire/
 
 # Chaos lane: deterministic fault-schedule experiments plus a live
 # stream through a flapping emulated link (the CI chaos-smoke job).

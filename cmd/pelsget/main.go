@@ -1,17 +1,14 @@
 // Command pelsget receives a PELS stream from pelsd and reports
 // per-color delivery statistics.
 //
-// The receiver's own subscription machinery drives admission: hellos are
-// retried with jittered exponential backoff (bounded by -hello-attempts)
-// until data flows, a server Reject is honored — its retry-after hint
-// delays the next attempt, or ends the run with a clear message when the
-// refusal is permanent — and a server Close either finishes the stream
-// (complete) or, with -reconnect, re-enters the hello loop as a fresh
-// session. Every fresh router label is echoed back as feedback (closing
-// the MKC/γ control loops), and key=value statistics print on exit — one
-// line per color plus stream totals — so scripts and CI can assert on
-// the result (e.g. grep '^green .*lost=0'). With -max-green-loss set,
-// the exit status enforces the base-layer protection property directly.
+// It hellos the server, retrying with jittered exponential backoff
+// (bounded by -hello-attempts) until data flows. A retryable Reject delays
+// the next hello by its retry-after hint; a permanent one ends the run. A
+// Close finishes the stream (complete) or, with -reconnect, re-enters the
+// hello loop as a fresh session. Every fresh router label is echoed back
+// as feedback, closing the MKC/γ loops; when data stalls for -probe-idle
+// the last label is re-echoed, backing off to -probe-max, so a sender cut
+// off by a transient outage regains feedback quickly.
 //
 // Usage:
 //
@@ -20,13 +17,13 @@
 //	        [-hello-retry 200ms] [-hello-attempts 25] [-reconnect]
 //	        [-probe-idle 500ms] [-probe-max 4s]
 //
-// pelsget exits nonzero when the hello budget runs out or the server
-// permanently rejects the flow, so harnesses distinguish "server full /
-// unreachable" from a served-but-lossy stream.
-//
-// When data stalls for -probe-idle, the receiver re-echoes the last
-// router label with exponential backoff (capped at -probe-max) so a
-// sender cut off by a transient outage regains feedback quickly.
+// Key=value statistics print on exit — one line per color plus stream
+// totals — so scripts and CI assert on them (e.g. grep '^green .*lost=0'),
+// and -max-green-loss makes base-layer protection the exit status.
+// pelsget also exits nonzero when the hello budget runs out, the server
+// refuses the flow for good, or the run ends without data (the error
+// names the last Reject), so harnesses tell "server full / unreachable"
+// from a served-but-lossy stream.
 package main
 
 import (
@@ -64,7 +61,7 @@ func run() error {
 	helloAttempts := flag.Int("hello-attempts", 25,
 		"give up (exit 1) after this many unanswered hellos (0 = unlimited)")
 	reconnect := flag.Bool("reconnect", false,
-		"re-hello after a retryable server Close or Reject instead of exiting")
+		"re-hello after a retryable server Close instead of exiting")
 	probeIdle := flag.Duration("probe-idle", 500*time.Millisecond,
 		"re-echo the last feedback label after this long without data (0 = off)")
 	probeMax := flag.Duration("probe-max", 4*time.Second,
@@ -89,70 +86,59 @@ func run() error {
 		defer cancel()
 	}
 
-	recv := wire.NewReceiver(conn, wire.ReceiverConfig{
+	recv, err := wire.NewReceiver(conn, wire.ReceiverConfig{
 		Peer:          raddr,
 		Flow:          uint32(*flow),
-		Hello:         true,
 		HelloRetry:    *helloRetry,
 		HelloAttempts: *helloAttempts,
 		Reconnect:     *reconnect,
 		ProbeIdle:     *probeIdle,
 		ProbeMax:      *probeMax,
 	})
-	recvDone := make(chan error, 1)
-	go func() { recvDone <- recv.Run(ctx) }()
-
-	// The receiver retries its own hellos; here we only watch for the
-	// stream to end — terminal receiver state, or no traffic for -idle
-	// after at least one datagram arrived.
-	tick := time.NewTicker(200 * time.Millisecond)
-	defer tick.Stop()
-	var lastCount uint64
-	var lastProgress time.Time
-	var runErr error
-	started := false
-watch:
-	for {
-		select {
-		case <-ctx.Done():
-			break watch
-		case runErr = <-recvDone:
-			recvDone = nil
-			break watch
-		case now := <-tick.C:
-			st := recv.Stats()
-			switch {
-			case st.Datagrams == 0:
-				// Still helloing; the receiver gives up on its own.
-			case !started || st.Datagrams > lastCount:
-				started = true
-				lastCount = st.Datagrams
-				lastProgress = now
-			case now.Sub(lastProgress) >= *idle:
-				break watch
+	if err != nil {
+		return err
+	}
+	// The receiver retries its own hellos and ends on its own; here we
+	// only end the run once the stream has started and then brought no
+	// traffic for -idle.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	go func() {
+		tick := time.NewTicker(200 * time.Millisecond)
+		defer tick.Stop()
+		var last uint64
+		var progress time.Time
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case now := <-tick.C:
+				switch n := recv.Stats().Datagrams; {
+				case n > last:
+					last, progress = n, now
+				case n > 0 && now.Sub(progress) >= *idle:
+					cancel()
+					return
+				}
 			}
 		}
-	}
-	stop()
-	if recvDone != nil {
-		runErr = <-recvDone
-	}
-	if runErr != nil && !errors.Is(runErr, context.Canceled) && !errors.Is(runErr, context.DeadlineExceeded) {
-		var rej *wire.RejectError
-		switch {
-		case errors.As(runErr, &rej):
-			return fmt.Errorf("server refused flow %d: %v (retry-after %v)",
-				*flow, rej.Reason, rej.RetryAfter)
-		case errors.Is(runErr, wire.ErrHelloTimeout):
-			return fmt.Errorf("%s gave no stream: %w", *addr, runErr)
-		default:
-			return runErr
-		}
+	}()
+	runErr := recv.Run(ctx)
+	var rej *wire.RejectError
+	switch {
+	case runErr == nil, errors.Is(runErr, context.Canceled), errors.Is(runErr, context.DeadlineExceeded):
+	case errors.As(runErr, &rej):
+		return fmt.Errorf("server refused flow %d: %v (retry-after %v)", *flow, rej.Reason, rej.RetryAfter)
+	case errors.Is(runErr, wire.ErrHelloTimeout):
+		return fmt.Errorf("%s gave no stream: %w", *addr, runErr)
+	default:
+		return runErr
 	}
 
 	st := recv.Stats()
 	if st.Datagrams == 0 {
-		return fmt.Errorf("no data received from %s", *addr)
+		return fmt.Errorf("no data received from %s (%d rejects, the last %v with retry-after %v)",
+			*addr, st.Rejects, st.LastReject, st.LastRejectRetry)
 	}
 	fmt.Print(formatStats(st))
 

@@ -21,9 +21,9 @@
 //	         [-reconnect] [-storm-at 0] [-storm-frac 0] [-storm-resume 2s]
 //	         [-min-rejects 0] [-min-resumes 0]
 //
-// Overload drills: with -reconnect, receivers honor the server's
-// control plane — Reject retry-after hints stretch the hello backoff and
-// a retryable Close re-enters the hello loop as a fresh session. With
+// Overload drills: receivers honor the server's control plane — Reject
+// retry-after hints stretch the hello backoff, and with -reconnect a
+// retryable Close re-enters the hello loop as a fresh session. With
 // -storm-frac F and -storm-at T, that fraction of receivers goes
 // completely dark T after start (no reads, no feedback — as a mass
 // client crash) and comes back -storm-resume later in one reconnect

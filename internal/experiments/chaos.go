@@ -320,13 +320,15 @@ func ChaosWire(cfg ChaosWireConfig) (ChaosWireResult, error) {
 	})
 	defer emu.Close()
 
-	recv := wire.NewReceiver(emu.B(), wire.ReceiverConfig{
+	recv, err := wire.NewReceiver(emu.B(), wire.ReceiverConfig{
 		Flow:      1,
 		Obs:       reg,
 		ProbeIdle: cfg.ProbeIdle,
-		Hello:     true,
 		Peer:      emu.A().LocalAddr(),
 	})
+	if err != nil {
+		return ChaosWireResult{}, err
+	}
 
 	var swapTimer *time.Timer
 	if cfg.SwapAfter > 0 {

@@ -108,12 +108,14 @@ func WireLoopback(cfg WireLoopbackConfig) (WireLoopbackResult, error) {
 	})
 	defer emu.Close()
 
-	recv := wire.NewReceiver(emu.B(), wire.ReceiverConfig{
-		Flow:  1,
-		Obs:   reg,
-		Hello: true,
-		Peer:  emu.A().LocalAddr(),
+	recv, err := wire.NewReceiver(emu.B(), wire.ReceiverConfig{
+		Flow: 1,
+		Obs:  reg,
+		Peer: emu.A().LocalAddr(),
 	})
+	if err != nil {
+		return WireLoopbackResult{}, err
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()

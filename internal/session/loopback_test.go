@@ -59,11 +59,13 @@ func startEmuLoopback(t *testing.T, capacity units.BitRate, epoch time.Duration,
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv := wire.NewReceiver(emu.B(), wire.ReceiverConfig{
-		Flow:  1,
-		Hello: true,
-		Peer:  emu.A().LocalAddr(),
+	recv, err := wire.NewReceiver(emu.B(), wire.ReceiverConfig{
+		Flow: 1,
+		Peer: emu.A().LocalAddr(),
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	t.Cleanup(cancel)
 	l := &emuLoopback{srv: srv, recv: recv, cancel: cancel, srvErr: make(chan error, 1), recvDone: make(chan struct{})}

@@ -18,9 +18,10 @@
 //     p) into passing datagrams with the max-loss override of eq. 8. It
 //     also ranks datagrams so congestion drops hit red before yellow
 //     before green.
-//   - Receiver and Swarm, the receiving end hosts: they measure per-epoch
-//     loss per color from sequence gaps and echo fresh feedback labels on
-//     the reverse path. The sending end host is session.Session, served by
+//   - Receiver and Swarm, the receiving end hosts: two drivers of one
+//     receiver core, which measures loss per color from sequence gaps and
+//     echoes fresh feedback labels on the reverse path. The sending end
+//     host is session.Session, served by
 //     session.Server; it reuses internal/cc (MKC) and internal/fgs (γ
 //     controller, packetizer) unchanged.
 //   - An in-process link Emulator implementing net.PacketConn on both

@@ -12,25 +12,26 @@ import (
 	"repro/internal/packet"
 )
 
-// testReceiver builds a hello-enabled receiver on a capture conn and a
-// hand-cranked clock.
+// testReceiver builds a receiver on a capture conn and a hand-cranked
+// clock.
 func testReceiver(t *testing.T, mut func(*ReceiverConfig)) (*Receiver, *captureConn, *time.Time) {
 	t.Helper()
 	now := time.Unix(2000, 0)
 	cfg := ReceiverConfig{
 		Peer:          fakeAddr("server"),
 		Flow:          7,
-		Now:           func() time.Time { return now },
-		Hello:         true,
 		HelloRetry:    100 * time.Millisecond,
 		HelloAttempts: 0,
-		Seed:          1,
 	}
 	if mut != nil {
 		mut(&cfg)
 	}
 	conn := &captureConn{}
-	return NewReceiver(conn, cfg), conn, &now
+	r, err := NewReceiver(conn, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, conn, &now
 }
 
 // flowDataDatagram encodes one green data datagram for flow 7.
@@ -38,6 +39,20 @@ func flowDataDatagram(t *testing.T, seq uint64) []byte {
 	t.Helper()
 	b, err := EncodeDatagram(Header{
 		Type: TypeData, Color: packet.Green, Flow: 7, Seq: seq, Frame: 1,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// labelledDatagram is flowDataDatagram stamped with router 1's label for
+// epoch.
+func labelledDatagram(t *testing.T, seq, epoch uint64) []byte {
+	t.Helper()
+	b, err := EncodeDatagram(Header{
+		Type: TypeData, Color: packet.Green, Flow: 7, Seq: seq, Frame: 1,
+		Feedback: packet.Feedback{RouterID: 1, Epoch: epoch, Loss: 0.1, Valid: true},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +104,7 @@ func TestReceiverHelloBackoff(t *testing.T) {
 		t.Errorf("conn saw %d writes, stats say %d", conn.count(), sent)
 	}
 
-	r.Handle(flowDataDatagram(t, 0), fakeAddr("server"), *now)
+	r.Handle(flowDataDatagram(t, 0), *now)
 	before := r.Stats().HellosSent
 	if err := crank(r, now, time.Second); err != nil {
 		t.Fatal(err)
@@ -110,7 +125,7 @@ func TestReceiverHelloTimeout(t *testing.T) {
 	if err := r.maybeHello(*now); err != nil {
 		t.Fatal(err)
 	}
-	r.Handle(controlDatagram(t, TypeReject, ReasonServerFull, 0), fakeAddr("server"), *now)
+	r.Handle(controlDatagram(t, TypeReject, ReasonServerFull, 0), *now)
 	err := crank(r, now, 10*time.Second)
 	if !errors.Is(err, ErrHelloTimeout) {
 		t.Fatalf("err = %v, want ErrHelloTimeout", err)
@@ -134,8 +149,9 @@ func containsString(s, sub string) bool {
 	return false
 }
 
-// TestReceiverRejectTerminal: without Reconnect, a retryable Reject ends
-// the run with a RejectError; BadConfig is terminal even with Reconnect.
+// TestReceiverRejectTerminal: a retryable Reject backs off — Reconnect or
+// not, its retry-after floors the next hello — and bad-config ends the run
+// with a RejectError.
 func TestReceiverRejectTerminal(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -149,14 +165,34 @@ func TestReceiverRejectTerminal(t *testing.T) {
 			r, _, now := testReceiver(t, func(cfg *ReceiverConfig) {
 				cfg.Reconnect = tc.reconnect
 			})
-			r.Handle(controlDatagram(t, TypeReject, tc.reason, 250*time.Millisecond), fakeAddr("server"), *now)
-			done, err := r.terminal()
-			if !done {
-				t.Fatal("receiver not finished after terminal reject")
+			*now = now.Add(time.Millisecond)
+			if err := r.maybeHello(*now); err != nil {
+				t.Fatal(err)
 			}
-			var rej *RejectError
-			if !errors.As(err, &rej) || rej.Reason != tc.reason {
-				t.Fatalf("err = %v, want RejectError{%v}", err, tc.reason)
+			r.Handle(controlDatagram(t, TypeReject, tc.reason, 250*time.Millisecond), *now)
+			done, err := r.terminal()
+			if !tc.reason.Retryable() {
+				var rej *RejectError
+				if !done || !errors.As(err, &rej) || rej.Reason != tc.reason {
+					t.Fatalf("done=%v err=%v, want RejectError{%v}", done, err, tc.reason)
+				}
+				return
+			}
+			if done {
+				t.Fatalf("retryable reject finished the receiver: %v", err)
+			}
+			sent := r.Stats().HellosSent
+			if err := crank(r, now, 240*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Stats().HellosSent; got != sent {
+				t.Errorf("helloed %d times before the retry-after hint elapsed", got-sent)
+			}
+			if err := crank(r, now, time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Stats().HellosSent; got == sent {
+				t.Error("never helloed again after the retry-after window")
 			}
 		})
 	}
@@ -172,7 +208,7 @@ func TestReceiverRejectRetryAfter(t *testing.T) {
 	if err := r.maybeHello(*now); err != nil { // first hello goes out
 		t.Fatal(err)
 	}
-	r.Handle(controlDatagram(t, TypeReject, ReasonServerFull, 600*time.Millisecond), fakeAddr("server"), *now)
+	r.Handle(controlDatagram(t, TypeReject, ReasonServerFull, 600*time.Millisecond), *now)
 	if done, _ := r.terminal(); done {
 		t.Fatal("retryable reject finished a reconnecting receiver")
 	}
@@ -200,22 +236,34 @@ func TestReceiverRejectRetryAfter(t *testing.T) {
 }
 
 // TestReceiverCloseReconnect: a retryable Close folds the stream into
-// the archive, keeps the feedback sequence monotonic (fresh epoch on
-// resume), and re-enters the hello loop; Close(complete) finishes.
+// the archive, keeps the echo numbering running across the reset, and
+// re-enters the hello loop; Close(complete) finishes.
 func TestReceiverCloseReconnect(t *testing.T) {
 	r, conn, now := testReceiver(t, func(cfg *ReceiverConfig) {
 		cfg.Reconnect = true
 	})
 	for seq := uint64(0); seq < 5; seq++ {
-		r.Handle(flowDataDatagram(t, seq), fakeAddr("server"), *now)
+		r.Handle(labelledDatagram(t, seq, seq+1), *now)
 	}
 	st := r.Stats()
 	if st.Colors[packet.Green].Received != 5 {
 		t.Fatalf("green received %d, want 5", st.Colors[packet.Green].Received)
 	}
-	fbBefore := r.fbSeq
+	var seqBefore uint64
+	for i := 0; i < conn.count(); i++ {
+		h, _, err := DecodeDatagram(conn.write(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Type == TypeFeedback {
+			seqBefore = max(seqBefore, h.Seq)
+		}
+	}
+	if seqBefore == 0 {
+		t.Fatal("no echo before the close")
+	}
 
-	r.Handle(controlDatagram(t, TypeClose, ReasonIdle, 0), fakeAddr("server"), *now)
+	r.Handle(controlDatagram(t, TypeClose, ReasonIdle, 0), *now)
 	if done, _ := r.terminal(); done {
 		t.Fatal("retryable close finished a reconnecting receiver")
 	}
@@ -228,8 +276,7 @@ func TestReceiverCloseReconnect(t *testing.T) {
 		t.Errorf("archive lost green counts: %d", st.Colors[packet.Green].Received)
 	}
 
-	// The receiver hellos again, with a sequence above every pre-close
-	// echo so resumed feedback stays fresher than stale duplicates.
+	// The receiver hellos again.
 	writes := conn.count()
 	if err := crank(r, now, time.Second); err != nil {
 		t.Fatal(err)
@@ -237,22 +284,26 @@ func TestReceiverCloseReconnect(t *testing.T) {
 	if conn.count() == writes {
 		t.Fatal("no hello after reconnectable close")
 	}
-	h, _, err := DecodeDatagram(conn.write(conn.count() - 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Type != TypeHello || h.Seq <= fbBefore {
-		t.Errorf("reconnect hello %+v: want TypeHello with Seq > %d", h, fbBefore)
+	if h, _, err := DecodeDatagram(conn.write(conn.count() - 1)); err != nil || h.Type != TypeHello {
+		t.Fatalf("reconnect datagram %+v (%v), want a hello", h, err)
 	}
 
-	// A resumed stream counts from zero without phantom loss.
-	r.Handle(flowDataDatagram(t, 0), fakeAddr("server"), *now)
+	// A resumed stream counts from zero without phantom loss, and its
+	// first echo is numbered above every echo before the close.
+	r.Handle(labelledDatagram(t, 0, 1), *now)
 	st = r.Stats()
 	if got := st.Colors[packet.Green]; got.Received != 6 || got.Lost != 0 {
 		t.Errorf("after resume: green %+v, want 6 received, 0 lost", got)
 	}
+	h, _, err := DecodeDatagram(conn.write(conn.count() - 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Type != TypeFeedback || h.Seq <= seqBefore {
+		t.Errorf("first echo after the resume %+v: want TypeFeedback with Seq > %d", h, seqBefore)
+	}
 
-	r.Handle(controlDatagram(t, TypeClose, ReasonComplete, 0), fakeAddr("server"), *now)
+	r.Handle(controlDatagram(t, TypeClose, ReasonComplete, 0), *now)
 	if done, err := r.terminal(); !done || err != nil {
 		t.Fatalf("Close(complete): done=%v err=%v, want clean finish", done, err)
 	}

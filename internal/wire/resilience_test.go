@@ -55,12 +55,15 @@ func (c *captureConn) SetWriteDeadline(time.Time) error { return nil }
 func TestReceiverProbesWithBoundedBackoff(t *testing.T) {
 	now := time.Unix(2000, 0)
 	conn := &captureConn{}
-	r := NewReceiver(conn, ReceiverConfig{
+	r, err := NewReceiver(conn, ReceiverConfig{
+		Peer:      fakeAddr("sender"),
 		Flow:      1,
-		Now:       func() time.Time { return now },
 		ProbeIdle: 100 * time.Millisecond,
 		ProbeMax:  300 * time.Millisecond,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Idle before any stream: no label to probe with, nothing sent.
 	r.maybeProbe(now)
@@ -76,7 +79,7 @@ func TestReceiverProbesWithBoundedBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Handle(data, fakeAddr("sender"), now)
+	r.Handle(data, now)
 	if conn.count() != 1 {
 		t.Fatalf("want 1 echo, got %d writes", conn.count())
 	}
@@ -134,7 +137,7 @@ func TestReceiverProbesWithBoundedBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Handle(data2, fakeAddr("sender"), now)
+	r.Handle(data2, now)
 	base := conn.count()
 	now = now.Add(110 * time.Millisecond)
 	r.maybeProbe(now)

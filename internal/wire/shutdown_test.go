@@ -10,28 +10,19 @@ import (
 	"repro/internal/units"
 )
 
-// TestReceiverRunReportsClosedConn: an unexpected socket closure while the
-// context is still live must surface as an error wrapping net.ErrClosed —
-// the receiver's read loop must not turn it into a clean nil return.
+// TestReceiverRunReportsClosedConn: a closed socket under a live context
+// must surface as an error wrapping net.ErrClosed — the receiver's read
+// loop must not turn it into a clean nil return.
 func TestReceiverRunReportsClosedConn(t *testing.T) {
 	emu := NewEmulator(EmulatorConfig{})
 	defer emu.Close()
-	r := NewReceiver(emu.B(), ReceiverConfig{Flow: 1})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- r.Run(ctx) }()
-
-	time.Sleep(10 * time.Millisecond)
+	r, err := NewReceiver(emu.B(), ReceiverConfig{Flow: 1, Peer: emu.A().LocalAddr()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	_ = emu.B().Close()
-	select {
-	case err := <-done:
-		if !errors.Is(err, net.ErrClosed) {
-			t.Fatalf("Run on closed conn with live ctx: got %v, want net.ErrClosed", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Run did not return after conn close")
+	if err := r.Run(context.Background()); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Run on closed conn with live ctx: got %v, want net.ErrClosed", err)
 	}
 }
 

@@ -61,35 +61,16 @@ func steppedSwarm(tb testing.TB, cfg SwarmConfig, now time.Time, record bool) (*
 // scanStep is the hello driver as it was before the receivers went on the
 // timing wheel: every receiver, every tick, under its lock. It is kept as
 // the oracle helloStep is held to — same hellos on the same ticks, same
-// receiver state — and touches no timer.
+// receiver state — and touches no timer. Both run the same per-receiver
+// step, so what the comparison checks is the wheel's index: that it wakes
+// every receiver with something due, on time.
 func scanStep(s *Swarm, now time.Time) {
 	for _, r := range s.recvs {
 		r.mu.Lock()
-		if r.stormArmed && !now.Before(s.stormAt) {
-			r.stormArmed = false
-			r.muted = true
-			r.resumeAt = now.Add(s.cfg.Storm.Resume)
-		}
-		if r.muted && !now.Before(r.resumeAt) {
-			r.muted = false
-			r.resetLocked(s.cfg.HelloRetry)
-			r.nextHello = now
-		}
-		due := !r.done && !r.muted && !r.gotData && !now.Before(r.nextHello)
-		if due {
-			r.nextHello = now.Add(r.helloWait + r.jitterLocked(r.helloWait))
-			r.helloWait *= 2
-			if r.helloWait > s.cfg.HelloBackoffMax {
-				r.helloWait = s.cfg.HelloBackoffMax
-			}
-			if r.st.HellosSent == 0 {
-				r.firstHello = now
-			}
-			r.st.HellosSent++
-		}
+		h, send := s.stepLocked(r, now)
 		r.mu.Unlock()
-		if due {
-			s.send(r.sock, Header{Type: TypeHello, Color: packet.ACK, Flow: r.flow, Timestamp: now.UnixNano()})
+		if send {
+			s.out[r.sock].send(h)
 		}
 	}
 }
@@ -115,7 +96,7 @@ type scriptedServer struct {
 
 type scriptedStream struct {
 	left  int // ticks until the close
-	seq   [swarmColors]uint64
+	seq   [recvColors]uint64
 	epoch uint64
 }
 
