@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint lint-strict test test-short race fmt-check ci bench bench-e2e ab repro cover fuzz chaos smoke load overload obs-demo clean
+.PHONY: all build vet lint lint-strict test test-short race fmt-check ci bench bench-e2e ab repro cover fuzz examples chaos smoke load overload obs-demo clean
 
 all: build vet lint test
 
@@ -101,6 +101,13 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzStampFeedback$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzSwarmHandle$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzReceiverHandle$$' -fuzztime=10s ./internal/wire/
+	go test -run '^$$' -fuzz '^FuzzTimeSeries$$' -fuzztime=10s ./internal/stats/
+
+# Every example, run to completion (the CI test-race job). They read the
+# experiments API as a user would, so a change that leaves one panicking —
+# a series read without the recording opt-in it needs — fails here.
+examples:
+	for d in examples/*/; do echo "== $$d"; go run "./$$d" || exit 1; done
 
 # Chaos lane: deterministic fault-schedule experiments plus a live
 # stream through a flapping emulated link (the CI chaos-smoke job).

@@ -103,7 +103,7 @@ func execute(cfg experiments.TestbedConfig, duration time.Duration, csvDir strin
 	if err != nil {
 		return err
 	}
-	tb.RecordDelays()
+	tb.RecordTraces()
 
 	// Playout analyzers: frames must decode by start + 2 frame intervals.
 	effective := cfg.Session.WithDefaults()

@@ -36,6 +36,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Flow 0's γ history is printed below; only recorded traces keep one.
+	tb.RecordTraces()
 
 	// Stop the late joiners at t=120 s, then keep running to t=180 s.
 	for i := 4; i < 8; i++ {

@@ -108,8 +108,8 @@ func ChaosTestbed(cfg ChaosTestbedConfig) (ChaosTestbedResult, error) {
 	if err != nil {
 		return ChaosTestbedResult{}, err
 	}
-	// The fingerprint hashes every series in Obs, the delays included.
-	tb.RecordDelays()
+	// The fingerprint hashes every series in Obs, the delays and γ included.
+	tb.RecordTraces()
 
 	fwd := cfg.Forward
 	fwd.Seed = cfg.Seed + 1
@@ -160,8 +160,8 @@ func ChaosTestbed(cfg ChaosTestbedConfig) (ChaosTestbedResult, error) {
 		res.Ratio = res.PostRate / res.PreRate
 	}
 	if green := tb.DropSeries[packet.Green]; green != nil {
-		for i := green.Search(cfg.SwapAt); i < green.Len(); i++ {
-			res.GreenDropsAfter += green.Sample(i).Value
+		for it := green.Iter(green.Search(cfg.SwapAt), green.Len()); it.Next(); {
+			res.GreenDropsAfter += it.Sample().Value
 		}
 	}
 

@@ -65,8 +65,9 @@ func Figure7(cfg Figure7Config) ([]Figure7Run, error) {
 		if err != nil {
 			return fmt.Errorf("experiments: figure 7 (n=%d): %w", n, err)
 		}
-		// The delay series ride along in Obs, which fig7_obs.csv exports.
-		tb.RecordDelays()
+		// Fig. 7 plots γ; the delay series ride along in Obs, which
+		// fig7_obs.csv exports.
+		tb.RecordTraces()
 		if err := tb.Run(cfg.Duration); err != nil {
 			return fmt.Errorf("experiments: figure 7 (n=%d): %w", n, err)
 		}

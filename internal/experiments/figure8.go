@@ -69,7 +69,7 @@ func Figure8(cfg Figure8Config) (*Figure8Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: figure 8: %w", err)
 	}
-	tb.RecordDelays()
+	tb.RecordTraces()
 	if err := tb.Run(duration); err != nil {
 		return nil, fmt.Errorf("experiments: figure 8: %w", err)
 	}
@@ -88,8 +88,8 @@ func Figure8(cfg Figure8Config) (*Figure8Result, error) {
 		Duration:      duration,
 		Events:        tb.Eng.Processed(),
 	}
-	for i := 0; i < tb.RedDelay.Len(); i++ {
-		if v := tb.RedDelay.Sample(i).Value; v > res.RedMax {
+	for it := tb.RedDelay.Iter(0, tb.RedDelay.Len()); it.Next(); {
+		if v := it.Sample().Value; v > res.RedMax {
 			res.RedMax = v
 		}
 	}

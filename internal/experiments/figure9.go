@@ -66,8 +66,8 @@ func Figure9(cfg Figure9Config) (*Figure9Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: figure 9: %w", err)
 	}
-	// The delay series ride along in Obs, which fig9_obs.csv exports.
-	tb.RecordDelays()
+	// The delay and γ series ride along in Obs, which fig9_obs.csv exports.
+	tb.RecordTraces()
 	if err := tb.Run(cfg.Duration); err != nil {
 		return nil, fmt.Errorf("experiments: figure 9: %w", err)
 	}
@@ -83,8 +83,8 @@ func Figure9(cfg Figure9Config) (*Figure9Result, error) {
 		Events:   tb.Eng.Processed(),
 	}
 	f1 := tb.RateSeries[0]
-	for i, n := 0, f1.Search(cfg.JoinAt); i < n; i++ {
-		if v := f1.Sample(i).Value; v > res.F1Peak {
+	for it := f1.Iter(0, f1.Search(cfg.JoinAt)); it.Next(); {
+		if v := it.Sample().Value; v > res.F1Peak {
 			res.F1Peak = v
 		}
 	}
@@ -98,15 +98,21 @@ func fairnessTime(a, b *stats.TimeSeries, from time.Duration, tol float64) time.
 	if b.Len() == 0 {
 		return -1
 	}
-	// Walk a's samples and compare with the latest b sample at that time.
-	j := 0
+	// Walk a's samples and compare each with cur, the latest b sample at or
+	// before it (b's first until a later one qualifies). While more is
+	// true, bi stands on the b sample after cur.
+	bi := b.Iter(0, b.Len())
+	bi.Next()
+	cur := bi.Sample()
+	more := bi.Next()
 	candidate := time.Duration(-1)
-	for i := a.Search(from); i < a.Len(); i++ {
-		s := a.Sample(i)
-		for j+1 < b.Len() && b.Sample(j+1).At <= s.At {
-			j++
+	for ai := a.Iter(a.Search(from), a.Len()); ai.Next(); {
+		s := ai.Sample()
+		for more && bi.Sample().At <= s.At {
+			cur = bi.Sample()
+			more = bi.Next()
 		}
-		bv := b.Sample(j).Value
+		bv := cur.Value
 		if bv <= 0 {
 			continue
 		}

@@ -154,8 +154,8 @@ func MultiBottleneck(cfg MultiBottleneckConfig) (*MultiBottleneckResult, error) 
 
 func dominantID(ts *stats.TimeSeries, lo, hi time.Duration) int {
 	counts := map[int]int{}
-	for i, n := ts.Search(lo), ts.Search(hi); i < n; i++ {
-		counts[int(ts.Sample(i).Value)]++
+	for it := ts.Iter(ts.Search(lo), ts.Search(hi)); it.Next(); {
+		counts[int(it.Sample().Value)]++
 	}
 	best, bestN := 0, -1
 	for id, n := range counts {

@@ -84,7 +84,7 @@ func NLayer(cfg NLayerConfig) (NLayerResult, error) {
 	if err != nil {
 		return NLayerResult{}, fmt.Errorf("experiments: nlayer: %w", err)
 	}
-	tb.RecordDelays()
+	tb.RecordTraces()
 
 	// Per-layer occupancy series, sampled on the same cadence as the
 	// testbed's queue probe so the CSV lines up with the drop series.

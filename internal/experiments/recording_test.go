@@ -19,10 +19,13 @@ import (
 var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
 
 // TestDelayRecorderOnlyWhenAttached: a testbed records per-packet delays
-// only once RecordDelays is called. Without it no "*_delay_ms" series is
-// registered and LayerDelay stays nil; with it every layer's series holds
-// one sample per packet that left that layer's queue (OnTransmit fires at
-// the dequeue, so the counts match exactly).
+// and γ histories only once RecordTraces is called. Without it no
+// "*_delay_ms" or "gamma_f*" series is registered and LayerDelay and
+// GammaSeries stay nil. With it every layer's series holds one sample per
+// packet that left that layer's queue (OnTransmit fires at the dequeue, so
+// the counts match exactly), and each flow's γ series has exactly the
+// sample times of its rate series: in PELS mode an accepted feedback adds
+// one sample to each.
 func TestDelayRecorderOnlyWhenAttached(t *testing.T) {
 	for _, layers := range []int{2, 3, 5} {
 		for _, record := range []bool{false, true} {
@@ -36,25 +39,48 @@ func TestDelayRecorderOnlyWhenAttached(t *testing.T) {
 				t.Fatal(err)
 			}
 			if record {
-				tb.RecordDelays()
+				tb.RecordTraces()
 			}
 			if err := tb.Run(20 * time.Second); err != nil {
 				t.Fatal(err)
 			}
-			var delayNames []string
+			var delayNames, gammaNames []string
 			for _, name := range tb.Obs.SeriesNames() {
 				if strings.HasSuffix(name, "_delay_ms") {
 					delayNames = append(delayNames, name)
+				}
+				if strings.HasPrefix(name, "gamma_f") {
+					gammaNames = append(gammaNames, name)
 				}
 			}
 			if !record {
 				if tb.LayerDelay != nil || tb.GreenDelay != nil || tb.YellowDelay != nil || tb.RedDelay != nil {
 					t.Errorf("%d layers, no recorder: delay series are set", layers)
 				}
-				if len(delayNames) > 0 {
-					t.Errorf("%d layers, no recorder: registry holds %v", layers, delayNames)
+				if tb.GammaSeries != nil {
+					t.Errorf("%d layers, no recorder: GammaSeries is set", layers)
+				}
+				if len(delayNames) > 0 || len(gammaNames) > 0 {
+					t.Errorf("%d layers, no recorder: registry holds %v %v", layers, delayNames, gammaNames)
 				}
 				continue
+			}
+			if len(tb.GammaSeries) != cfg.NumPELS || len(gammaNames) != cfg.NumPELS {
+				t.Fatalf("%d layers: %d GammaSeries, %d registered (%v)", layers, len(tb.GammaSeries), len(gammaNames), gammaNames)
+			}
+			for i, gs := range tb.GammaSeries {
+				if gs != tb.Obs.Series(fmt.Sprintf("gamma_f%d", i)).TimeSeries() {
+					t.Errorf("%d layers: GammaSeries[%d] is not the registry's gamma_f%d", layers, i, i)
+				}
+				rs := tb.RateSeries[i]
+				if gs.Len() != rs.Len() || gs.Len() == 0 {
+					t.Fatalf("%d layers: flow %d has %d γ samples and %d rate samples", layers, i, gs.Len(), rs.Len())
+				}
+				for g, r := gs.Iter(0, gs.Len()), rs.Iter(0, rs.Len()); g.Next() && r.Next(); {
+					if g.Sample().At != r.Sample().At {
+						t.Fatalf("%d layers: flow %d γ sample at %v, rate sample at %v", layers, i, g.Sample().At, r.Sample().At)
+					}
+				}
 			}
 			if len(tb.LayerDelay) != layers || len(delayNames) != layers {
 				t.Fatalf("%d layers: %d LayerDelay series, %d registered (%v)", layers, len(tb.LayerDelay), len(delayNames), delayNames)

@@ -18,7 +18,7 @@ func TestSmokeConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.RecordDelays()
+	tb.RecordTraces()
 	if err := tb.Run(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -127,15 +127,16 @@ type Testbed struct {
 	// at bottleneck transmission time ("green_delay_ms", "yellow_delay_ms",
 	// "red_delay_ms", "layer3_delay_ms", ...). GreenDelay, YellowDelay and
 	// RedDelay alias the first three entries for the paper's 3-layer runs.
-	// All four are nil unless RecordDelays attached the recorder: at 16 B
-	// a packet, a long run's series is most of its heap.
+	// All four are nil unless RecordTraces attached the recorder: at a
+	// sample a packet, a long run's series would be most of its heap.
 	LayerDelay                        []*stats.TimeSeries
 	GreenDelay, YellowDelay, RedDelay *stats.TimeSeries
 	// FeedbackLoss records the router's p(k) series; FeedbackRate the
 	// measured aggregate arrival rate R(k) in kb/s. Both are recorded by
 	// the aqm.Feedback processor itself via the registry.
 	FeedbackLoss, FeedbackRate *stats.TimeSeries
-	// RateSeries and GammaSeries are indexed by PELS flow.
+	// RateSeries and GammaSeries are indexed by PELS flow. GammaSeries is
+	// nil unless RecordTraces attached the recorder.
 	RateSeries  []*stats.TimeSeries
 	GammaSeries []*stats.TimeSeries
 	// RedLossSeries samples the top (probe) layer queue's interval loss
@@ -268,7 +269,6 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 			cfg.SessionTweaks[i](&scfg)
 		}
 		scfg.RateSeries = reg.Series(fmt.Sprintf("rate_kbps_f%d", i))
-		scfg.GammaSeries = reg.Series(fmt.Sprintf("gamma_f%d", i))
 		srcHost := net.NewHost(fmt.Sprintf("s%d", i))
 		dstHost := net.NewHost(fmt.Sprintf("d%d", i))
 		flowAccess := accessCfg
@@ -282,7 +282,6 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 			return nil, fmt.Errorf("experiments: build flow %d: %w", i, err)
 		}
 		tb.RateSeries = append(tb.RateSeries, scfg.RateSeries.TimeSeries())
-		tb.GammaSeries = append(tb.GammaSeries, scfg.GammaSeries.TimeSeries())
 		tb.Sources = append(tb.Sources, src)
 		tb.Sinks = append(tb.Sinks, sink)
 	}
@@ -317,18 +316,26 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	return tb, nil
 }
 
-// RecordDelays attaches the per-packet delay recorder: it registers one
-// "<layer>_delay_ms" series per priority layer, sets LayerDelay and its
-// three aliases, and from then on every video packet the bottleneck
-// transmits adds one sample. Only runs that read or publish the series call
-// it, before Run; the others keep a heap that does not grow with packets.
-func (tb *Testbed) RecordDelays() {
+// RecordTraces attaches the recorder of the traces figures publish. It
+// registers one "<layer>_delay_ms" series per priority layer (LayerDelay
+// and its three aliases), to which every video packet the bottleneck
+// transmits adds a sample, and one "gamma_f<i>" series per PELS flow
+// (GammaSeries), to which every γ update adds one. Only runs that read or
+// publish the traces call it, before Run; the others keep no history that
+// grows with packets, and of the per-feedback ones only the rates.
+func (tb *Testbed) RecordTraces() {
 	n := tb.Cfg.Bottleneck.Priority.NumLayers()
 	tb.LayerDelay = make([]*stats.TimeSeries, n)
 	for i := range tb.LayerDelay {
 		tb.LayerDelay[i] = tb.Obs.Series(packet.LayerName(i) + "_delay_ms").TimeSeries()
 	}
 	tb.GreenDelay, tb.YellowDelay, tb.RedDelay = tb.LayerDelay[0], tb.LayerDelay[1], tb.LayerDelay[min(2, n-1)]
+	tb.GammaSeries = make([]*stats.TimeSeries, len(tb.Sources))
+	for i, src := range tb.Sources {
+		s := tb.Obs.Series(fmt.Sprintf("gamma_f%d", i))
+		src.RecordGamma(s)
+		tb.GammaSeries[i] = s.TimeSeries()
+	}
 }
 
 func (tb *Testbed) probeQueues() {
@@ -397,8 +404,8 @@ func (tb *Testbed) MeasuredPELSLoss(warmup time.Duration) float64 {
 		return 0
 	}
 	sum := 0.0
-	for i := first; i < n; i++ {
-		if v := tb.FeedbackLoss.Sample(i).Value; v > 0 {
+	for it := tb.FeedbackLoss.Iter(first, n); it.Next(); {
+		if v := it.Sample().Value; v > 0 {
 			sum += v
 		}
 	}

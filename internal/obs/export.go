@@ -117,8 +117,8 @@ func (r *Registry) SeriesJSON(w io.Writer) error {
 		r.mu.Unlock()
 		snap := s.Snapshot()
 		pairs := make([][2]float64, 0, snap.Len())
-		for i := 0; i < snap.Len(); i++ {
-			smp := snap.Sample(i)
+		for it := snap.Iter(0, snap.Len()); it.Next(); {
+			smp := it.Sample()
 			pairs = append(pairs, [2]float64{smp.At.Seconds(), smp.Value})
 		}
 		out[name] = pairs

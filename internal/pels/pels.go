@@ -96,11 +96,9 @@ type Config struct {
 	Scaler fgs.Scaler
 	// RateSeries, if non-nil, records every accepted rate update (kb/s)
 	// at simulation time. It replaces the former OnRate callback and
-	// normally comes from an obs.Registry shared by the experiment.
+	// normally comes from an obs.Registry shared by the experiment. The γ
+	// history is opt-in after construction: Source.RecordGamma.
 	RateSeries *obs.Series
-	// GammaSeries, if non-nil, records every γ update at simulation time
-	// (PELS mode only). It replaces the former OnGamma callback.
-	GammaSeries *obs.Series
 }
 
 // WithDefaults returns the configuration with every zero field replaced by

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/fgs"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -24,9 +25,10 @@ type Source struct {
 	host *netsim.Host
 	dst  int
 
-	ctrl       cc.Controller
-	gamma      *fgs.Gamma
-	packetizer *fgs.Packetizer
+	ctrl        cc.Controller
+	gamma       *fgs.Gamma
+	gammaSeries *obs.Series // nil until RecordGamma
+	packetizer  *fgs.Packetizer
 
 	frame   int
 	plan    fgs.LayerPlan // the frame in flight; Counts is counts[:cfg.Layers]
@@ -182,13 +184,18 @@ func (s *Source) HandlePacket(p *packet.Packet) {
 		} else {
 			g = s.gamma.Update(p.AckedFeedback.Loss)
 		}
-		if s.cfg.GammaSeries != nil {
-			s.cfg.GammaSeries.Add(now, g)
+		if s.gammaSeries != nil {
+			s.gammaSeries.Add(now, g)
 		}
 	}
 	s.lastRouter = p.AckedFeedback.RouterID
 	s.haveRouter = true
 }
+
+// RecordGamma makes every γ update from now on — one per accepted feedback,
+// PELS mode only — add a sample to series at simulation time; nil stops
+// recording. Without it the source keeps no γ history.
+func (s *Source) RecordGamma(series *obs.Series) { s.gammaSeries = series }
 
 // Rate returns the controller's current sending rate.
 func (s *Source) Rate() units.BitRate { return s.ctrl.Rate() }

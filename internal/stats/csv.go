@@ -14,9 +14,11 @@ import (
 func WriteCSV(w io.Writer, series ...*TimeSeries) error {
 	cw := csv.NewWriter(w)
 	header := make([]string, 0, 2*len(series))
+	its := make([]Iter, len(series))
 	maxLen := 0
-	for _, ts := range series {
+	for j, ts := range series {
 		header = append(header, ts.Name+"_t", ts.Name)
+		its[j] = ts.Iter(0, ts.Len())
 		if ts.Len() > maxLen {
 			maxLen = ts.Len()
 		}
@@ -26,9 +28,9 @@ func WriteCSV(w io.Writer, series ...*TimeSeries) error {
 	}
 	row := make([]string, 2*len(series))
 	for i := 0; i < maxLen; i++ {
-		for j, ts := range series {
-			if i < ts.Len() {
-				s := ts.Sample(i)
+		for j := range its {
+			if its[j].Next() {
+				s := its[j].Sample()
 				row[2*j] = strconv.FormatFloat(s.At.Seconds(), 'f', 6, 64)
 				row[2*j+1] = strconv.FormatFloat(s.Value, 'g', 8, 64)
 			} else {

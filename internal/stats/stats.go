@@ -5,6 +5,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 	"time"
@@ -16,18 +17,40 @@ type Sample struct {
 	Value float64
 }
 
-// chunkLen is the number of samples per storage chunk: 8 KiB of samples, a
-// Go allocator size class. It is a power of two so an index splits into
-// (chunk, offset) with a shift and a mask.
-const chunkLen = 512
+const (
+	// chunkLen is the number of samples per storage chunk; its value
+	// column is 4 KiB, a Go allocator size class. It is a power of two so
+	// an index splits into (chunk, offset) with a shift and a mask.
+	chunkLen = 512
+	// markEvery samples share one checkpoint, so reaching any sample from
+	// its checkpoint decodes at most markEvery-1 time deltas.
+	markEvery = 64
+	// timeBytes is a new chunk's time column capacity: four bytes a delta,
+	// which holds every gap under 134 ms (a 30 ms feedback series fits).
+	// Wider gaps grow the column by append.
+	timeBytes = 4 * chunkLen
+)
 
-type chunk [chunkLen]Sample
+// chunk stores chunkLen consecutive samples. Values are a raw float64
+// column. Times are checkpointed: the sample at each multiple of markEvery
+// has its absolute time in marks, and every other sample is a zigzag
+// varint delta from its predecessor in times, starting at the checkpoint's
+// offs entry.
+type chunk struct {
+	vals  *[chunkLen]float64
+	marks [chunkLen / markEvery]time.Duration
+	offs  [chunkLen / markEvery]uint16
+	times []byte
+}
 
 // TimeSeries accumulates samples in arrival order. Storage is append-only
-// fixed-size chunks: growing the series allocates one chunk and never
-// copies a sample already stored, so a long series costs its own size
-// rather than the garbage of a doubling slice. The samples are therefore
-// not contiguous; readers walk them by index (Len, Sample, Search).
+// chunks: growing the series allocates one chunk and never copies a sample
+// already stored, so a long series costs its own size rather than the
+// garbage of a doubling slice. A sample costs its 8-byte value plus its
+// time delta, 4 bytes at the gaps the simulator records, so about 12.3
+// bytes with the chunk's overhead. Times are lossless: deltas wrap like
+// int64 arithmetic, so any sequence of times round-trips, in any order.
+// Sequential readers walk the series with Iter; Sample is random access.
 //
 // Search, MeanAfter and MeanBetween assume samples were added in
 // non-decreasing time order, which is what recording at the clock gives.
@@ -35,6 +58,7 @@ type TimeSeries struct {
 	Name   string
 	chunks []*chunk
 	n      int
+	last   time.Duration // time of sample n-1, the base of the next delta
 }
 
 // NewTimeSeries returns an empty named series.
@@ -46,9 +70,16 @@ func NewTimeSeries(name string) *TimeSeries {
 func (ts *TimeSeries) Add(at time.Duration, v float64) {
 	off := ts.n & (chunkLen - 1)
 	if off == 0 {
-		ts.chunks = append(ts.chunks, new(chunk))
+		ts.chunks = append(ts.chunks, &chunk{vals: new([chunkLen]float64), times: make([]byte, 0, timeBytes)})
 	}
-	ts.chunks[len(ts.chunks)-1][off] = Sample{At: at, Value: v}
+	c := ts.chunks[len(ts.chunks)-1]
+	if m := off / markEvery; off%markEvery == 0 {
+		c.marks[m], c.offs[m] = at, uint16(len(c.times))
+	} else {
+		c.times = binary.AppendVarint(c.times, int64(at-ts.last))
+	}
+	c.vals[off] = v
+	ts.last = at
 	ts.n++
 }
 
@@ -57,8 +88,62 @@ func (ts *TimeSeries) Len() int { return ts.n }
 
 // Sample returns the i-th sample, 0 <= i < Len().
 func (ts *TimeSeries) Sample(i int) Sample {
-	return ts.chunks[i/chunkLen][i&(chunkLen-1)]
+	it := ts.Iter(i, i+1)
+	it.Next()
+	return it.cur
 }
+
+func (ts *TimeSeries) value(i int) float64 {
+	return ts.chunks[i/chunkLen].vals[i&(chunkLen-1)]
+}
+
+// Iter walks samples [i, j) of ts in order, 0 <= i <= j <= Len(). It
+// starts from i's checkpoint, so it decodes up to markEvery-1 time deltas
+// before sample i and one per sample after.
+func (ts *TimeSeries) Iter(i, j int) Iter {
+	if i >= j {
+		return Iter{ts: ts, i: i, j: j}
+	}
+	it := Iter{ts: ts, i: i &^ (markEvery - 1), j: j}
+	for it.i < i {
+		it.Next()
+	}
+	return it
+}
+
+// Iter is a cursor over a TimeSeries, made by TimeSeries.Iter:
+//
+//	for it := ts.Iter(0, ts.Len()); it.Next(); {
+//		s := it.Sample()
+//	}
+type Iter struct {
+	ts   *TimeSeries
+	i, j int // next index, end
+	pos  int // offset of sample i's delta in its chunk's time column
+	cur  Sample
+}
+
+// Next advances to the next sample and reports whether there was one.
+func (it *Iter) Next() bool {
+	if it.i >= it.j {
+		return false
+	}
+	c := it.ts.chunks[it.i/chunkLen]
+	off := it.i & (chunkLen - 1)
+	if m := off / markEvery; off%markEvery == 0 {
+		it.cur.At, it.pos = c.marks[m], int(c.offs[m])
+	} else {
+		d, n := binary.Varint(c.times[it.pos:])
+		it.cur.At += time.Duration(d)
+		it.pos += n
+	}
+	it.cur.Value = c.vals[off]
+	it.i++
+	return true
+}
+
+// Sample returns the sample the last Next advanced to.
+func (it *Iter) Sample() Sample { return it.cur }
 
 // Search returns the index of the first sample at or after t (Len() if
 // there is none): the samples from Search(t) on are the series after t.
@@ -77,7 +162,7 @@ func (ts *TimeSeries) ValuesAfter(t time.Duration) []float64 {
 func (ts *TimeSeries) valuesFrom(i int) []float64 {
 	out := make([]float64, 0, ts.n-i)
 	for ; i < ts.n; i++ {
-		out = append(out, ts.Sample(i).Value)
+		out = append(out, ts.value(i))
 	}
 	return out
 }
@@ -86,13 +171,16 @@ func (ts *TimeSeries) valuesFrom(i int) []float64 {
 // chunks are immutable once written, so the copy shares them and
 // duplicates only the chunk still being filled.
 func (ts *TimeSeries) Snapshot() *TimeSeries {
-	out := &TimeSeries{Name: ts.Name, n: ts.n}
-	out.chunks = append(out.chunks, ts.chunks...)
+	out := *ts
+	out.chunks = append([]*chunk(nil), ts.chunks...)
 	if ts.n&(chunkLen-1) != 0 {
 		tail := *ts.chunks[len(ts.chunks)-1]
+		vals := *tail.vals
+		tail.vals = &vals
+		tail.times = append(make([]byte, 0, cap(tail.times)), tail.times...)
 		out.chunks[len(out.chunks)-1] = &tail
 	}
-	return out
+	return &out
 }
 
 // Last returns the most recent sample value, or 0 if empty.
@@ -100,7 +188,7 @@ func (ts *TimeSeries) Last() float64 {
 	if ts.n == 0 {
 		return 0
 	}
-	return ts.Sample(ts.n - 1).Value
+	return ts.value(ts.n - 1)
 }
 
 // Mean returns the mean value of all samples.
@@ -123,7 +211,7 @@ func (ts *TimeSeries) meanOf(i, j int) float64 {
 	}
 	sum := 0.0
 	for k := i; k < j; k++ {
-		sum += ts.Sample(k).Value
+		sum += ts.value(k)
 	}
 	return sum / float64(j-i)
 }
