@@ -99,6 +99,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzHeaderRoundTrip$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzCorruption$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzStampFeedback$$' -fuzztime=10s ./internal/wire/
+	go test -run '^$$' -fuzz '^FuzzMeter$$' -fuzztime=10s ./internal/packet/
 	go test -run '^$$' -fuzz '^FuzzSwarmHandle$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzReceiverHandle$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzTimeSeries$$' -fuzztime=10s ./internal/stats/

@@ -64,8 +64,8 @@ func TestFeedbackMinLossClamp(t *testing.T) {
 	if err := eng.RunUntil(30 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Loss(); got != DefaultMinLoss {
-		t.Errorf("loss = %v, want clamp at %v", got, DefaultMinLoss)
+	if got := f.Loss(); got != packet.MinLoss {
+		t.Errorf("loss = %v, want clamp at %v", got, packet.MinLoss)
 	}
 }
 
@@ -78,8 +78,8 @@ func TestFeedbackIdleInterval(t *testing.T) {
 	if f.Epoch() != 3 {
 		t.Errorf("epoch = %d after 3 idle intervals, want 3", f.Epoch())
 	}
-	if got := f.Loss(); got != DefaultMinLoss {
-		t.Errorf("idle loss = %v, want %v", got, DefaultMinLoss)
+	if got := f.Loss(); got != packet.MinLoss {
+		t.Errorf("idle loss = %v, want %v", got, packet.MinLoss)
 	}
 }
 
@@ -106,25 +106,6 @@ func TestFeedbackEpochIncrements(t *testing.T) {
 		if got, want := loss.Sample(i).At, time.Duration(i+1)*30*time.Millisecond; got != want {
 			t.Errorf("sample %d at %v, want %v (sim time, not wall time)", i, got, want)
 		}
-	}
-}
-
-func TestFeedbackConfiguredMinLossSurvives(t *testing.T) {
-	// Regression: the old guard `MinLoss <= 0` replaced every valid
-	// (negative) configured clamp with DefaultMinLoss.
-	eng := sim.NewEngine(1)
-	cfg := feedbackConfig()
-	cfg.MinLoss = -1
-	f := NewFeedback(eng, cfg)
-	if got := f.Loss(); got != -1 {
-		t.Fatalf("initial loss = %v, want configured MinLoss -1", got)
-	}
-	offer(f, 1, 10, packet.Yellow) // trickle: raw p ≈ −7499
-	if err := eng.RunUntil(30 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Loss(); got != -1 {
-		t.Errorf("loss = %v, want compute() clamped at configured -1", got)
 	}
 }
 
@@ -240,9 +221,8 @@ func TestFeedbackStop(t *testing.T) {
 func TestFeedbackInvalidConfigPanics(t *testing.T) {
 	eng := sim.NewEngine(1)
 	for name, cfg := range map[string]FeedbackConfig{
-		"zero interval":    {RouterID: 1, Capacity: units.Mbps},
-		"zero capacity":    {RouterID: 1, Interval: time.Millisecond},
-		"positive MinLoss": {RouterID: 1, Interval: time.Millisecond, Capacity: units.Mbps, MinLoss: 0.5},
+		"zero interval": {RouterID: 1, Capacity: units.Mbps},
+		"zero capacity": {RouterID: 1, Interval: time.Millisecond},
 	} {
 		func() {
 			defer func() {

@@ -1,9 +1,9 @@
-// Package aqm implements the router-side machinery of the PELS framework:
-// interval-based loss feedback computation (paper eq. 11), epoch-numbered
-// feedback stamping into passing packets (paper §5.2), and assembly of the
-// PELS queue structure (strict-priority color queues + Internet FIFO under
-// WRR, paper Fig. 4 left). A best-effort variant used as the paper's
-// baseline (§6.5) is also provided.
+// Package aqm implements the router-side machinery of the PELS framework in
+// the simulator: the fixed-tick driver of the router core packet.Meter
+// (paper eq. 11), epoch-numbered feedback stamping into passing packets
+// (paper §5.2), and assembly of the PELS queue structure (strict-priority
+// color queues + Internet FIFO under WRR, paper Fig. 4 left). A best-effort
+// variant used as the paper's baseline (§6.5) is also provided.
 package aqm
 
 import (
@@ -25,17 +25,9 @@ type FeedbackConfig struct {
 	// Capacity is C, the capacity available to PELS traffic — the WRR
 	// share of the outgoing link, not the raw link rate.
 	Capacity units.BitRate
-	// MinLoss clamps the computed loss from below. Negative p is
-	// meaningful (it drives MKC's exponential bandwidth claiming), but an
-	// idle interval would otherwise produce p → −∞. Zero selects
-	// DefaultMinLoss; positive values are invalid (the clamp is a lower
-	// bound on a quantity that is negative exactly when there is spare
-	// capacity, so a positive bound would fabricate congestion).
-	MinLoss float64
 	// Obs, if non-nil, receives the router's per-interval series
 	// (Prefix+"feedback_loss", Prefix+"feedback_rate_kbps") and epoch
-	// counter, timestamped with simulation time. It replaces the former
-	// OnCompute callback.
+	// counter, timestamped with simulation time.
 	Obs *obs.Registry
 	// Prefix namespaces the metric names, for topologies that register
 	// several feedback routers in one registry.
@@ -48,22 +40,15 @@ type FeedbackConfig struct {
 	GreenOnly bool
 }
 
-// DefaultMinLoss bounds p from below: with β=0.5 and p=−2, a source at
-// most doubles its rate per control interval.
-const DefaultMinLoss = -2.0
-
-// Feedback measures the aggregate PELS arrival rate R = S/T every interval,
-// computes packet loss p = (R−C)/R, increments the epoch number z, and
-// stamps (routerID, z, p) into passing packets (paper eq. 11 and §5.2).
-// It implements netsim.Processor.
+// Feedback is the simulator's driver of the router core packet.Meter
+// (paper eq. 11 and §5.2): a sim.Ticker closes a window every T, and passing
+// PELS packets are stamped with (routerID, z, p) under the max-loss
+// override. It implements netsim.Processor.
 type Feedback struct {
 	cfg    FeedbackConfig
 	eng    *sim.Engine
 	ticker *sim.Ticker
-
-	bytes int64 // S: PELS bytes arrived in the current interval
-	epoch uint64
-	loss  float64
+	meter  packet.Meter
 
 	lossSeries *obs.Series
 	rateSeries *obs.Series
@@ -72,25 +57,10 @@ type Feedback struct {
 
 var _ netsim.Processor = (*Feedback)(nil)
 
-// NewFeedback creates the processor and starts its measurement ticker.
+// NewFeedback creates the processor and starts its measurement ticker. It
+// panics unless Interval and Capacity are positive.
 func NewFeedback(eng *sim.Engine, cfg FeedbackConfig) *Feedback {
-	if cfg.Interval <= 0 {
-		panic("aqm: feedback interval must be positive")
-	}
-	if cfg.Capacity <= 0 {
-		panic("aqm: feedback capacity must be positive")
-	}
-	if cfg.MinLoss > 0 {
-		panic("aqm: feedback MinLoss must be negative (it bounds the spare-capacity signal)")
-	}
-	// Exact zero-value check distinguishing "unset" from a configured
-	// clamp: valid MinLoss values are strictly negative, so 0 can only
-	// mean the field was left at its zero value.
-	//pelsvet:allow floateq
-	if cfg.MinLoss == 0 {
-		cfg.MinLoss = DefaultMinLoss
-	}
-	f := &Feedback{cfg: cfg, eng: eng, loss: cfg.MinLoss}
+	f := &Feedback{cfg: cfg, eng: eng, meter: packet.NewMeter(cfg.Interval, cfg.Capacity)}
 	if cfg.Obs != nil {
 		f.lossSeries = cfg.Obs.Series(cfg.Prefix + "feedback_loss")
 		f.rateSeries = cfg.Obs.Series(cfg.Prefix + "feedback_rate_kbps")
@@ -101,45 +71,31 @@ func NewFeedback(eng *sim.Engine, cfg FeedbackConfig) *Feedback {
 	return f
 }
 
-// Process implements netsim.Processor: it counts PELS arrivals toward S and
-// stamps the current feedback label into the packet header.
+// Process implements netsim.Processor: it counts PELS arrivals (and
+// best-effort ones under StampBestEffort) toward S and stamps the current
+// feedback label into their headers, into green ones only under GreenOnly.
+//
+//pelsvet:noalloc
 func (f *Feedback) Process(p *packet.Packet) {
-	if p.Color.IsPELS() || (f.cfg.StampBestEffort && p.Color == packet.BestEffort) {
-		f.bytes += int64(p.Size)
+	stamp := p.Color.IsPELS() || (f.cfg.StampBestEffort && p.Color == packet.BestEffort)
+	if stamp {
+		f.meter.Add(p.Size)
 	}
-	if !f.shouldStamp(p) {
-		return
-	}
-	p.Feedback = p.Feedback.Merge(f.cfg.RouterID, f.epoch, f.loss)
-}
-
-func (f *Feedback) shouldStamp(p *packet.Packet) bool {
 	if f.cfg.GreenOnly {
-		return p.Color == packet.Green
+		stamp = p.Color == packet.Green
 	}
-	if p.Color.IsPELS() {
-		return true
+	if stamp {
+		p.Feedback = p.Feedback.Merge(f.cfg.RouterID, f.meter.Epoch(), f.meter.Loss())
 	}
-	return f.cfg.StampBestEffort && p.Color == packet.BestEffort
 }
 
-// compute implements paper eq. (11): R = S/T, p = (R−C)/R, z = z+1, S = 0.
+// compute closes the window at each tick: the fixed T is its length.
 func (f *Feedback) compute() {
-	rate := units.RateFromBytes(f.bytes, f.cfg.Interval)
-	loss := f.cfg.MinLoss
-	if rate > 0 {
-		loss = (float64(rate) - float64(f.cfg.Capacity)) / float64(rate)
-		if loss < f.cfg.MinLoss {
-			loss = f.cfg.MinLoss
-		}
-	}
-	f.loss = loss
-	f.epoch++
-	f.bytes = 0
+	rate := f.meter.Close(f.cfg.Interval)
 	if f.epochs != nil {
 		f.epochs.Inc()
 		now := f.eng.Now()
-		f.lossSeries.Add(now, loss)
+		f.lossSeries.Add(now, f.meter.Loss())
 		f.rateSeries.Add(now, rate.KbpsValue())
 	}
 }
@@ -147,21 +103,16 @@ func (f *Feedback) compute() {
 // SetCapacity changes the capacity C used in subsequent loss computations.
 // Experiments use it to model WRR reconfiguration or a higher-priority
 // aggregate claiming part of the PELS share (bottleneck shifts, §5.2).
-func (f *Feedback) SetCapacity(c units.BitRate) {
-	if c <= 0 {
-		panic("aqm: SetCapacity with non-positive capacity")
-	}
-	f.cfg.Capacity = c
-}
+func (f *Feedback) SetCapacity(c units.BitRate) { f.meter.SetCapacity(c) }
 
 // Capacity returns the capacity currently used for loss computation.
-func (f *Feedback) Capacity() units.BitRate { return f.cfg.Capacity }
+func (f *Feedback) Capacity() units.BitRate { return f.meter.Capacity() }
 
 // Epoch returns the router's current epoch number z.
-func (f *Feedback) Epoch() uint64 { return f.epoch }
+func (f *Feedback) Epoch() uint64 { return f.meter.Epoch() }
 
 // Loss returns the most recently computed loss p(k).
-func (f *Feedback) Loss() float64 { return f.loss }
+func (f *Feedback) Loss() float64 { return f.meter.Loss() }
 
 // Stop halts the measurement ticker.
 func (f *Feedback) Stop() { f.ticker.Stop() }

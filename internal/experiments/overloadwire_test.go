@@ -2,21 +2,28 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
-// TestOverloadWire runs the flash-crowd drill end to end and checks the
-// PR-10 overload contract: a crowd of 2x capacity sees Rejects but every
-// receiver eventually streams to completion, the server sheds layers
-// while the table is saturated and restores them once the crowd drains,
-// and base-layer delivery stays lossless throughout the brownout.
+// overloadWireDrill runs the flash-crowd drill once for both tests below:
+// it takes seconds of wall clock.
+var overloadWireDrill = sync.OnceValues(func() (OverloadWireResult, error) {
+	cfg := DefaultOverloadWireConfig()
+	cfg.Seed = 1
+	return OverloadWire(cfg)
+})
+
+// TestOverloadWire checks the drill end to end against the overload
+// contract: a crowd of 2x capacity sees Rejects but every receiver
+// eventually streams to completion, the server sheds layers while the
+// table is saturated and restores them once the crowd drains, and
+// base-layer delivery stays lossless throughout the brownout.
 func TestOverloadWire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock experiment")
 	}
-	cfg := DefaultOverloadWireConfig()
-	cfg.Seed = 1
-	res, err := OverloadWire(cfg)
+	res, err := overloadWireDrill()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,20 +59,20 @@ func TestOverloadWire(t *testing.T) {
 	}
 }
 
-// TestOverloadWireRegistryEntry: the registry entry surfaces output,
-// events, and the admission metrics.
+// TestOverloadWireRegistryEntry: the registry entry surfaces the drill's
+// output, events, and admission metrics.
 func TestOverloadWireRegistryEntry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock experiment")
 	}
-	e, ok := Lookup("overload-wire")
-	if !ok {
+	if _, ok := Lookup("overload-wire"); !ok {
 		t.Fatal("missing overload-wire entry")
 	}
-	res, err := e.Run(2)
+	run, err := overloadWireDrill()
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := overloadWireResult(run)
 	if res.Output == "" {
 		t.Error("empty output")
 	}

@@ -291,12 +291,7 @@ func Registry() []Entry {
 				if err != nil {
 					return Result{}, err
 				}
-				return Result{
-					Output:  FormatWireLoopback(res),
-					Events:  res.Datagrams(),
-					Metrics: res.Metrics(),
-					Obs:     res.Obs,
-				}, nil
+				return wireLoopbackResult(res), nil
 			},
 		},
 		{
@@ -345,12 +340,7 @@ func Registry() []Entry {
 				if err != nil {
 					return Result{}, err
 				}
-				return Result{
-					Output:  FormatOverloadWire(res),
-					Events:  res.Datagrams(),
-					Metrics: res.Metrics(),
-					Obs:     res.Obs,
-				}, nil
+				return overloadWireResult(res), nil
 			},
 		},
 		{
@@ -409,6 +399,26 @@ func Lookup(name string) (Entry, bool) {
 		}
 	}
 	return Entry{}, false
+}
+
+// wireLoopbackResult is the wire-loopback entry's Result for one run.
+func wireLoopbackResult(res WireLoopbackResult) Result {
+	return Result{
+		Output:  FormatWireLoopback(res),
+		Events:  res.Datagrams(),
+		Metrics: res.Metrics(),
+		Obs:     res.Obs,
+	}
+}
+
+// overloadWireResult is the overload-wire entry's Result for one run.
+func overloadWireResult(res OverloadWireResult) Result {
+	return Result{
+		Output:  FormatOverloadWire(res),
+		Events:  res.Datagrams(),
+		Metrics: res.Metrics(),
+		Obs:     res.Obs,
+	}
 }
 
 // psnrSeries converts a Figure10Run's per-frame PSNR arrays into series

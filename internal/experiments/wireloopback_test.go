@@ -2,21 +2,27 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
-// TestWireLoopback streams a shortened live session through the
-// emulator and checks the structured outcome: green survives, the
-// bottleneck engaged, and the metrics map carries the per-color view
-// pelsbench -json surfaces.
+// wireLoopbackDrill streams a shortened live session through the emulator
+// once for both tests below: it runs on the wall clock.
+var wireLoopbackDrill = sync.OnceValues(func() (WireLoopbackResult, error) {
+	cfg := DefaultWireLoopbackConfig()
+	cfg.Frames = 120 // ~1.2 s: enough to converge past the MKC ramp
+	cfg.Seed = 1
+	return WireLoopback(cfg)
+})
+
+// TestWireLoopback checks the structured outcome of the drill: green
+// survives, the bottleneck engaged, and the metrics map carries the
+// per-color view pelsbench -json surfaces.
 func TestWireLoopback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock experiment")
 	}
-	cfg := DefaultWireLoopbackConfig()
-	cfg.Frames = 120 // ~1.2 s: enough to converge past the MKC ramp
-	cfg.Seed = 1
-	res, err := WireLoopback(cfg)
+	res, err := wireLoopbackDrill()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,20 +53,20 @@ func TestWireLoopback(t *testing.T) {
 	}
 }
 
-// TestWireLoopbackRegistryEntry: the registry entry wires Output,
-// Events, and Metrics through to the runner.
+// TestWireLoopbackRegistryEntry: the registry entry wires Output, Events,
+// and Metrics of the drill through to the runner.
 func TestWireLoopbackRegistryEntry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock experiment")
 	}
-	e, ok := Lookup("wire-loopback")
-	if !ok {
+	if _, ok := Lookup("wire-loopback"); !ok {
 		t.Fatal("missing wire-loopback entry")
 	}
-	res, err := e.Run(1)
+	run, err := wireLoopbackDrill()
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := wireLoopbackResult(run)
 	if res.Output == "" {
 		t.Error("empty output")
 	}

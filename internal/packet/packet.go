@@ -2,7 +2,8 @@
 // priority colors for the PELS framework (generalized from the paper's
 // three colors to N ordered priority layers), the in-band congestion
 // feedback header (paper §5.2), and video frame tagging used by the FGS
-// decoder.
+// decoder. It also holds the router core both stacks drive: Meter computes
+// the label (eq. 11) and Feedback.Merge applies it (eq. 8).
 package packet
 
 import (

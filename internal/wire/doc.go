@@ -12,12 +12,12 @@
 //   - A wall-clock token-bucket Pacer that turns the MKC rate r(k) into
 //     spaced datagrams. Time is passed in explicitly, which makes burst
 //     bounds and clock-jump behavior unit-testable.
-//   - A marking Gateway, the live counterpart of internal/aqm: it
-//     measures the aggregate PELS arrival rate over an interval T,
-//     computes p = (R−C)/R (paper eq. 11), and stamps (router ID, epoch,
-//     p) into passing datagrams with the max-loss override of eq. 8. It
-//     also ranks datagrams so congestion drops hit red before yellow
-//     before green.
+//   - A marking Gateway, the live counterpart of internal/aqm: it drives
+//     the router core packet.Meter (R over an interval T, p = (R−C)/R,
+//     paper eq. 11) on the wall clock, and stamps (router ID, epoch, p)
+//     into passing datagrams with the max-loss override of eq. 8. It also
+//     ranks datagrams so congestion drops hit red before yellow before
+//     green.
 //   - Receiver and Swarm, the receiving end hosts: two drivers of one
 //     receiver core, which measures loss per color from sequence gaps and
 //     echoes fresh feedback labels on the reverse path. The sending end

@@ -18,10 +18,6 @@ type GatewayConfig struct {
 	// Capacity is C, the rate available to PELS traffic — normally the
 	// bandwidth of the link the gateway fronts.
 	Capacity units.BitRate
-	// MinLoss clamps the computed loss from below; it must be negative
-	// (the negative range is the spare-capacity signal that lets sources
-	// grow). 0 selects DefaultMinLoss.
-	MinLoss float64
 	// Now overrides the clock for tests; nil means time.Now.
 	Now func() time.Time
 	// Obs, if non-nil, registers the gateway's epoch, loss, and stamp
@@ -29,28 +25,21 @@ type GatewayConfig struct {
 	Obs *obs.Registry
 }
 
-// DefaultMinLoss bounds p from below, mirroring aqm.DefaultMinLoss: with
-// β=0.5 and p=−2 a source at most doubles its rate per control interval.
-// (Redeclared here so the live stack never imports the simulator side.)
-const DefaultMinLoss = -2.0
-
-// Gateway is the live counterpart of aqm.Feedback plus the drop-priority
-// classifier: installed as a link's Marker, it measures the aggregate
-// PELS arrival rate R over each interval, computes p = (R−C)/R (paper
-// eq. 11), advances the epoch, and stamps (router ID, epoch, p) into
-// every passing PELS datagram with the max-loss override of eq. 8.
+// Gateway is the live driver of the router core packet.Meter plus the
+// drop-priority classifier: installed as a link's Marker, it counts every
+// PELS datagram toward S, closes a window once T has elapsed (paper eq. 11),
+// and stamps (router ID, epoch, p) into every passing PELS datagram with
+// the max-loss override of eq. 8.
 //
-// The epoch clock is advanced lazily from packet arrivals rather than by
-// a timer goroutine: an idle link stamps nothing, so nothing is lost,
-// and the loss computation uses the actually elapsed window length,
-// which keeps R accurate under scheduler jitter.
+// Windows close lazily from packet arrivals rather than on a timer
+// goroutine: an idle link stamps nothing, so nothing is lost, and a window
+// is closed over its actually elapsed length, which keeps R accurate under
+// scheduler jitter.
 type Gateway struct {
 	cfg GatewayConfig
 
 	mu          sync.Mutex
-	bytes       int64 // S: PELS bytes arrived in the current window
-	epoch       uint64
-	loss        float64
+	meter       packet.Meter
 	windowStart time.Time
 	started     bool
 	stamped     uint64
@@ -59,24 +48,14 @@ type Gateway struct {
 
 var _ Marker = (*Gateway)(nil)
 
-// NewGateway validates cfg and returns a gateway.
+// NewGateway returns a gateway. It panics unless Interval and Capacity are
+// positive.
 func NewGateway(cfg GatewayConfig) *Gateway {
-	if cfg.Interval <= 0 {
-		panic("wire: gateway interval must be positive")
-	}
-	if cfg.Capacity <= 0 {
-		panic("wire: gateway capacity must be positive")
-	}
-	if cfg.MinLoss > 0 {
-		panic("wire: gateway MinLoss must be negative (it bounds the spare-capacity signal)")
-	}
-	if cfg.MinLoss == 0 {
-		cfg.MinLoss = DefaultMinLoss
-	}
+	meter := packet.NewMeter(cfg.Interval, cfg.Capacity)
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	g := &Gateway{cfg: cfg, loss: cfg.MinLoss}
+	g := &Gateway{cfg: cfg, meter: meter}
 	if cfg.Obs != nil {
 		cfg.Obs.GaugeFunc("gateway.epoch", func() float64 { return float64(g.Epoch()) })
 		cfg.Obs.GaugeFunc("gateway.loss", g.Loss)
@@ -105,8 +84,8 @@ func (g *Gateway) Mark(b []byte) bool {
 	}
 	g.mu.Lock()
 	g.advanceLocked(g.cfg.Now())
-	g.bytes += int64(len(b))
-	fb := packet.Feedback{RouterID: g.cfg.RouterID, Epoch: g.epoch, Loss: g.loss, Valid: true}
+	g.meter.Add(len(b))
+	fb := g.meter.Label(g.cfg.RouterID)
 	g.stamped++
 	g.mu.Unlock()
 	// Stamp outside anything fancy: the datagram was just validated by
@@ -116,9 +95,10 @@ func (g *Gateway) Mark(b []byte) bool {
 }
 
 // Priority implements Marker: control datagrams (feedback, hello, or
-// anything unparseable) rank above green, then yellow, then red — so
-// congestion drops consume probes first, exactly like the strict-priority
-// PELS queue of paper Fig. 4.
+// anything unparseable) rank first, then the PELS layers in the order of
+// packet.Color.Layer — the order queue.Priority serves — and best-effort
+// video last, so congestion drops consume probes first, exactly like the
+// strict-priority PELS queue of paper Fig. 4.
 //
 //pelsvet:noalloc
 func (g *Gateway) Priority(b []byte) int {
@@ -126,57 +106,38 @@ func (g *Gateway) Priority(b []byte) int {
 	if !ok {
 		return 0
 	}
-	switch color {
-	case packet.Green:
-		return 1
-	case packet.Yellow:
-		return 2
-	case packet.Red:
-		return 3
-	default: // best-effort video ranks below all PELS colors
-		return 4
+	if layer, pels := color.Layer(); pels {
+		return 1 + layer
 	}
+	return 1 + packet.MaxLayers
 }
 
-// advanceLocked closes measurement windows that have fully elapsed by now,
-// computing eq. (11) over the real window length: R = S/elapsed,
-// p = (R−C)/R, z = z+1, S = 0.
+// advanceLocked closes the window once T has elapsed by now, over its real
+// length; the first arrival opens the first window.
 func (g *Gateway) advanceLocked(now time.Time) {
 	if !g.started {
 		g.windowStart = now
 		g.started = true
 		return
 	}
-	elapsed := now.Sub(g.windowStart)
-	if elapsed < g.cfg.Interval {
-		return
+	if elapsed := now.Sub(g.windowStart); elapsed >= g.meter.Interval() {
+		g.meter.Close(elapsed)
+		g.windowStart = now
 	}
-	rate := units.RateFromBytes(g.bytes, elapsed)
-	loss := g.cfg.MinLoss
-	if rate > 0 {
-		loss = (float64(rate) - float64(g.cfg.Capacity)) / float64(rate)
-		if loss < g.cfg.MinLoss {
-			loss = g.cfg.MinLoss
-		}
-	}
-	g.loss = loss
-	g.epoch++
-	g.bytes = 0
-	g.windowStart = now
 }
 
 // Epoch returns the current epoch number z.
 func (g *Gateway) Epoch() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.epoch
+	return g.meter.Epoch()
 }
 
 // Loss returns the most recently computed loss p(k).
 func (g *Gateway) Loss() float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.loss
+	return g.meter.Loss()
 }
 
 // Stamped returns how many datagrams have been counted and stamped.

@@ -75,8 +75,8 @@ func TestGatewayNegativeLossClamped(t *testing.T) {
 	g.Mark(pkt) // 125 bytes in 10 ms = 100 kbit/s → raw p = −9, clamped −2
 	clk.advance(10 * time.Millisecond)
 	g.Mark(pkt)
-	if got := g.Loss(); got != DefaultMinLoss {
-		t.Fatalf("loss %v, want clamp at %v", got, DefaultMinLoss)
+	if got := g.Loss(); got != packet.MinLoss {
+		t.Fatalf("loss %v, want clamp at %v", got, packet.MinLoss)
 	}
 }
 
