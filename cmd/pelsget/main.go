@@ -1,21 +1,23 @@
 // Command pelsget receives a PELS stream from pelsd and reports
 // per-color delivery statistics.
 //
-// It hellos the server, retrying with jittered exponential backoff
-// (bounded by -hello-attempts) until data flows. A retryable Reject delays
-// the next hello by its retry-after hint; a permanent one ends the run. A
-// Close finishes the stream (complete) or, with -reconnect, re-enters the
-// hello loop as a fresh session. Every fresh router label is echoed back
-// as feedback, closing the MKC/γ loops; when data stalls for -probe-idle
-// the last label is re-echoed, backing off to -probe-max, so a sender cut
-// off by a transient outage regains feedback quickly.
+// It runs a one-receiver wire.Swarm, the same receiver pelsload runs by
+// the thousand. It hellos the server, retrying with jittered exponential
+// backoff (bounded by -hello-attempts) until data flows. A retryable
+// Reject delays the next hello by its retry-after hint; a permanent one
+// ends the run. A Close finishes the stream (complete) or, with
+// -reconnect, re-enters the hello loop as a fresh session. Every fresh
+// router label is echoed back as feedback, closing the MKC/γ loops; when
+// data stalls for -probe-idle the last label is re-echoed, backing off to
+// 8 × -probe-idle, so a sender cut off by a transient outage regains
+// feedback quickly.
 //
 // Usage:
 //
 //	pelsget [-addr 127.0.0.1:9000] [-duration 10s] [-idle 1s]
 //	        [-flow 1] [-max-green-loss -1]
 //	        [-hello-retry 200ms] [-hello-attempts 25] [-reconnect]
-//	        [-probe-idle 500ms] [-probe-max 4s]
+//	        [-probe-idle 500ms]
 //
 // Key=value statistics print on exit — one line per color plus stream
 // totals — so scripts and CI assert on them (e.g. grep '^green .*lost=0'),
@@ -63,20 +65,16 @@ func run() error {
 	reconnect := flag.Bool("reconnect", false,
 		"re-hello after a retryable server Close instead of exiting")
 	probeIdle := flag.Duration("probe-idle", 500*time.Millisecond,
-		"re-echo the last feedback label after this long without data (0 = off)")
-	probeMax := flag.Duration("probe-max", 4*time.Second,
-		"cap for the probe backoff interval")
+		"re-echo the last feedback label after this long without data, backing off to 8x (0 = off)")
 	flag.Parse()
+	if *flow == 0 {
+		return errors.New("-flow must be nonzero")
+	}
 
 	raddr, err := net.ResolveUDPAddr("udp", *addr)
 	if err != nil {
 		return err
 	}
-	conn, err := net.ListenPacket("udp", ":0")
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -86,15 +84,16 @@ func run() error {
 		defer cancel()
 	}
 
-	recv, err := wire.NewReceiver(conn, wire.ReceiverConfig{
-		Peer:          raddr,
-		Flow:          uint32(*flow),
+	recv, err := wire.NewSwarm(wire.SwarmConfig{
+		Server:        raddr,
+		Receivers:     1,
+		FirstFlow:     uint32(*flow),
 		HelloRetry:    *helloRetry,
 		HelloAttempts: *helloAttempts,
-		Reconnect:     *reconnect,
 		ProbeIdle:     *probeIdle,
-		ProbeMax:      *probeMax,
-	})
+		Reconnect:     *reconnect,
+		Listen:        func() (net.PacketConn, error) { return net.ListenPacket("udp", ":0") },
+	}, time.Now())
 	if err != nil {
 		return err
 	}
@@ -113,7 +112,7 @@ func run() error {
 			case <-ctx.Done():
 				return
 			case now := <-tick.C:
-				switch n := recv.Stats().Datagrams; {
+				switch n := recv.Stats()[0].Datagrams; {
 				case n > last:
 					last, progress = n, now
 				case n > 0 && now.Sub(progress) >= *idle:
@@ -135,12 +134,12 @@ func run() error {
 		return runErr
 	}
 
-	st := recv.Stats()
+	st := recv.Stats()[0]
 	if st.Datagrams == 0 {
 		return fmt.Errorf("no data received from %s (%d rejects, the last %v with retry-after %v)",
 			*addr, st.Rejects, st.LastReject, st.LastRejectRetry)
 	}
-	fmt.Print(formatStats(st))
+	fmt.Print(formatStats(st, recv.DecodeErrors()))
 
 	if *maxGreenLoss >= 0 {
 		if loss := st.Colors[packet.Green].LossRate(); loss > *maxGreenLoss {
@@ -150,12 +149,13 @@ func run() error {
 	return nil
 }
 
-// formatStats renders the receiver counters as stable key=value lines.
-func formatStats(st wire.ReceiverStats) string {
+// formatStats renders the receiver counters, and the socket's
+// undecodable datagrams, as stable key=value lines.
+func formatStats(st wire.ReceiverStats, decodeErrors uint64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "stream datagrams=%d bytes=%d frames=%d epochs=%d goodput_bps=%.0f feedback_sent=%d decode_errors=%d\n",
 		st.Datagrams, st.Bytes, st.Frames, st.Epochs,
-		float64(st.Goodput()), st.FeedbackSent, st.DecodeErrors)
+		float64(st.Goodput()), st.FeedbackSent, decodeErrors)
 	fmt.Fprintf(&b, "control hellos=%d rejects=%d closes=%d reconnects=%d last_close=%s\n",
 		st.HellosSent, st.Rejects, st.Closes, st.Reconnects,
 		strings.ToLower(st.LastClose.String()))

@@ -134,6 +134,7 @@ func run() error {
 	end := time.NewTimer(*duration)
 	defer end.Stop()
 	var runErr error
+	running := true
 loop:
 	for {
 		select {
@@ -143,7 +144,8 @@ loop:
 			break loop
 		case <-ctx.Done():
 			break loop
-		case runErr = <-errCh:
+		case runErr = <-errCh: // every receiver ended, or a socket failed
+			running = false
 			break loop
 		}
 	}
@@ -164,7 +166,7 @@ loop:
 		}
 	}
 	cancel()
-	if runErr == nil {
+	if running {
 		runErr = <-errCh
 	}
 	if shardJSON != nil && *shardsOut != "" {

@@ -83,7 +83,7 @@ func TestChaosWireSmoke(t *testing.T) {
 		cfg.Forward.Events = cfg.Forward.Events[:1]
 		cfg.Reverse.Events = nil
 	}
-	res, err := ChaosWire(cfg)
+	res, err := WireLoopback(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

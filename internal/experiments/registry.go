@@ -318,7 +318,7 @@ func Registry() []Entry {
 			Run: func(seed int64) (Result, error) {
 				cfg := DefaultChaosWireConfig()
 				cfg.Seed = seed
-				res, err := ChaosWire(cfg)
+				res, err := WireLoopback(cfg)
 				if err != nil {
 					return Result{}, err
 				}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"time"
 
 	"repro/internal/cc"
+	"repro/internal/fault"
 	"repro/internal/fgs"
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -16,13 +18,16 @@ import (
 	"repro/internal/wire"
 )
 
-// WireLoopbackConfig parameterizes the live-stack loopback experiment:
-// a one-session session.Server streaming through the in-process emulator
-// (marking gateway + priority-drop bottleneck) to a wire.Receiver that
-// hellos it and echoes feedback. Unlike every other experiment this one
-// runs on the wall clock — it exercises the real codec, token bucket,
-// timing wheel, and sockets-shaped I/O path rather than the event-driven
-// simulator.
+// WireLoopbackConfig parameterizes the live loopback testbed: a
+// one-session session.Server streaming through the in-process emulator
+// (marking gateway + priority-drop bottleneck) to a one-receiver
+// wire.Swarm that hellos it and echoes feedback. Unlike every other
+// experiment this one runs on the wall clock — it exercises the real
+// codec, token bucket, timing wheel, and sockets-shaped I/O path rather
+// than the event-driven simulator. The fault fields are zero for the plain
+// loopback; the chaos run sets them (DefaultChaosWireConfig), and then the
+// testbed exercises the resilience machinery rather than
+// bit-reproducibility (that is the simulated chaos testbed's job).
 type WireLoopbackConfig struct {
 	// Capacity is the bottleneck bandwidth.
 	Capacity units.BitRate
@@ -40,9 +45,22 @@ type WireLoopbackConfig struct {
 	MKC cc.MKCConfig
 	// Frames is how many frames to stream.
 	Frames int
-	// Seed seeds the emulated-loss process (the link here injects
-	// congestion through bandwidth, so it only matters if Loss is set).
+	// Seed seeds the emulated-loss process (the link injects congestion
+	// through bandwidth, so it only matters if loss is set) and, at Seed+1
+	// and Seed+2, the forward and reverse fault injectors.
 	Seed int64
+	// Forward and Reverse are the per-direction fault plans, with time
+	// measured from emulator creation; an empty plan injects nothing.
+	Forward, Reverse fault.Plan
+	// SwapAfter swaps the gateway (RouterID 1 → NewRouterID) that long
+	// into the stream through a wire.MarkerSwitch; 0 disables.
+	SwapAfter   time.Duration
+	NewRouterID int
+	// StaleTimeout/StaleDecay arm the session's stale-feedback watchdog;
+	// ProbeIdle arms the receiver's liveness probe.
+	StaleTimeout time.Duration
+	StaleDecay   float64
+	ProbeIdle    time.Duration
 }
 
 // DefaultWireLoopbackConfig is the regime of the wire package's own
@@ -67,6 +85,36 @@ func DefaultWireLoopbackConfig() WireLoopbackConfig {
 	}
 }
 
+// DefaultChaosWireConfig is the loopback under faults: ~3.5s of stream
+// with a burst-loss episode, a hard link flap, reverse-path duplication
+// and reordering, and a gateway swap at 2s, with the session's watchdog
+// and the receiver's probes armed.
+func DefaultChaosWireConfig() WireLoopbackConfig {
+	cfg := DefaultWireLoopbackConfig()
+	cfg.Frames = 350
+	cfg.Seed = 1
+	cfg.Forward = fault.Plan{
+		Events: []fault.Event{
+			{Kind: fault.KindBurstLoss, From: 500 * time.Millisecond, To: time.Second,
+				PGoodBad: 0.05, PBadGood: 0.3, LossGood: 0, LossBad: 0.5},
+			{Kind: fault.KindLinkDown, From: 1200 * time.Millisecond, To: 1500 * time.Millisecond},
+		},
+	}
+	cfg.Reverse = fault.Plan{
+		Events: []fault.Event{
+			{Kind: fault.KindDuplicate, From: 1600 * time.Millisecond, To: 1900 * time.Millisecond, Prob: 0.3},
+			{Kind: fault.KindReorder, From: 1600 * time.Millisecond, To: 1900 * time.Millisecond, Prob: 0.3,
+				MaxDelay: 10 * time.Millisecond},
+		},
+	}
+	cfg.SwapAfter = 2 * time.Second
+	cfg.NewRouterID = 2
+	cfg.StaleTimeout = 150 * time.Millisecond
+	cfg.StaleDecay = 0.5
+	cfg.ProbeIdle = 100 * time.Millisecond
+	return cfg
+}
+
 // WireLoopbackResult is the outcome of one loopback stream.
 type WireLoopbackResult struct {
 	// Config echoes the inputs.
@@ -77,44 +125,61 @@ type WireLoopbackResult struct {
 	// the server's one session.
 	Sender   session.Stats
 	Receiver wire.ReceiverStats
-	// Link is the bottleneck's view.
-	Link wire.LinkStats
+	// Link is the bottleneck's view; Forward and Reverse are the fault
+	// injectors' (zero with no plan).
+	Link             wire.LinkStats
+	Forward, Reverse fault.Stats
 	// Goodput is the delivered wire bitrate over the arrival interval.
 	Goodput units.BitRate
-	// Obs is the run's metric registry: gateway, server, and receiver
+	// Obs is the run's metric registry: gateway, server, and fault
 	// counters.
 	Obs *obs.Registry
 }
 
-// WireLoopback streams cfg.Frames FGS frames through the emulator and
-// returns the converged statistics.
+// WireLoopback streams cfg.Frames FGS frames through the emulator, under
+// cfg's faults, and returns the final statistics.
 func WireLoopback(cfg WireLoopbackConfig) (WireLoopbackResult, error) {
 	reg := obs.NewRegistry()
-	gw := wire.NewGateway(wire.GatewayConfig{
-		RouterID: 1,
-		Interval: cfg.Interval,
-		Capacity: cfg.Capacity,
-		Obs:      reg,
-	})
+	gateway := func(id int) *wire.Gateway {
+		// Registering against the same registry replaces the gateway
+		// gauges.
+		return wire.NewGateway(wire.GatewayConfig{
+			RouterID: id,
+			Interval: cfg.Interval,
+			Capacity: cfg.Capacity,
+			Obs:      reg,
+		})
+	}
+	sw := wire.NewMarkerSwitch(gateway(1))
+	fwd := injector(cfg.Forward, cfg.Seed+1, reg, "fault.forward.")
+	rev := injector(cfg.Reverse, cfg.Seed+2, reg, "fault.reverse.")
 	emu := wire.NewEmulator(wire.EmulatorConfig{
 		AtoB: wire.LinkConfig{
 			Bandwidth:  cfg.Capacity,
 			Delay:      cfg.Delay,
 			QueueBytes: cfg.QueueBytes,
 			Seed:       cfg.Seed,
-			Marker:     gw,
+			Marker:     sw,
+			Faults:     fwd,
 		},
-		BtoA: wire.LinkConfig{Delay: cfg.Delay},
+		BtoA: wire.LinkConfig{Delay: cfg.Delay, Faults: rev},
 	})
 	defer emu.Close()
 
-	recv, err := wire.NewReceiver(emu.B(), wire.ReceiverConfig{
-		Flow: 1,
-		Obs:  reg,
-		Peer: emu.A().LocalAddr(),
-	})
+	recv, err := wire.NewSwarm(wire.SwarmConfig{
+		Server:    emu.A().LocalAddr(),
+		Receivers: 1,
+		ProbeIdle: cfg.ProbeIdle,
+		Listen:    func() (net.PacketConn, error) { return emu.B(), nil },
+	}, time.Now())
 	if err != nil {
 		return WireLoopbackResult{}, err
+	}
+	if cfg.SwapAfter > 0 {
+		// The old gateway dies with its epoch history; the new one starts
+		// at epoch zero under a new identity.
+		swap := time.AfterFunc(cfg.SwapAfter, func() { sw.Set(gateway(cfg.NewRouterID)) })
+		defer swap.Stop()
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -129,6 +194,8 @@ func WireLoopback(cfg WireLoopbackConfig) (WireLoopbackResult, error) {
 		MKC:           cfg.MKC,
 		BurstBytes:    16 * cfg.Frame.PacketSize,
 		MaxFrames:     cfg.Frames,
+		StaleTimeout:  cfg.StaleTimeout,
+		StaleDecay:    cfg.StaleDecay,
 	})
 	if err != nil {
 		cancel()
@@ -141,14 +208,33 @@ func WireLoopback(cfg WireLoopbackConfig) (WireLoopbackResult, error) {
 		Config:   cfg,
 		Elapsed:  time.Since(start),
 		Sender:   sender,
-		Receiver: recv.Stats(),
+		Receiver: recv.Stats()[0],
 		Link:     emu.StatsAtoB(),
 		Obs:      reg,
+	}
+	if fwd != nil {
+		res.Forward = fwd.Stats()
+	}
+	if rev != nil {
+		res.Reverse = rev.Stats()
 	}
 	cancel()
 	<-recvDone
 	res.Goodput = res.Receiver.Goodput()
 	return res, nil
+}
+
+// injector arms plan on one direction of the emulated link, seeded with
+// seed and counted in reg under prefix; nil for an empty plan, so a
+// fault-free link takes no injector at all.
+func injector(plan fault.Plan, seed int64, reg *obs.Registry, prefix string) *fault.Injector {
+	if len(plan.Events) == 0 {
+		return nil
+	}
+	plan.Seed = seed
+	inj := fault.NewInjector(plan)
+	inj.Instrument(reg, prefix)
+	return inj
 }
 
 // streamOne is the end host of the emulator experiments: a one-session
@@ -198,31 +284,39 @@ func streamOne(ctx context.Context, emu *wire.Emulator, reg *obs.Registry, cfg s
 }
 
 // Metrics flattens the result into the named scalars surfaced through
-// pelsbench -json: goodput, per-color delivery and loss, and the final
-// controller state.
+// pelsbench -json: goodput, per-color delivery and loss, the final
+// controller state, and the resilience machinery's counters.
 func (r WireLoopbackResult) Metrics() map[string]float64 {
 	m := map[string]float64{
-		"goodput_bps":    float64(r.Goodput),
-		"capacity_bps":   float64(r.Config.Capacity),
-		"rate_bps":       float64(r.Sender.Rate),
-		"gamma":          r.Sender.Gamma,
-		"frames":         float64(r.Receiver.Frames),
-		"datagrams_sent": float64(r.Sender.Datagrams),
-		"datagrams_rcvd": float64(r.Receiver.Datagrams),
-		"overflow_drops": float64(r.Link.OverflowDrops),
+		"goodput_bps":     float64(r.Goodput),
+		"capacity_bps":    float64(r.Config.Capacity),
+		"rate_bps":        float64(r.Sender.Rate),
+		"gamma":           r.Sender.Gamma,
+		"frames":          float64(r.Receiver.Frames),
+		"datagrams_sent":  float64(r.Sender.Datagrams),
+		"datagrams_rcvd":  float64(r.Receiver.Datagrams),
+		"overflow_drops":  float64(r.Link.OverflowDrops),
+		"stale_decays":    float64(r.Sender.StaleDecays),
+		"recoveries":      float64(r.Sender.Recoveries),
+		"router_changes":  float64(r.Sender.RouterChanges),
+		"probes":          float64(r.Receiver.Probes),
+		"fault_drops":     float64(r.Link.FaultDrops),
+		"fwd_fault_drops": float64(r.Forward.Drops),
+		"rev_duplicated":  float64(r.Reverse.Duplicated),
+		"rev_reordered":   float64(r.Reverse.Reordered),
 	}
-	for color, name := range map[packet.Color]string{
-		packet.Green:  "green",
-		packet.Yellow: "yellow",
-		packet.Red:    "red",
-	} {
+	for _, color := range wireColors {
 		c := r.Receiver.Colors[color]
+		name := strings.ToLower(color.String())
 		m[name+"_rcvd"] = float64(c.Received)
 		m[name+"_lost"] = float64(c.Lost)
 		m[name+"_loss"] = c.LossRate()
 	}
 	return m
 }
+
+// wireColors are the wire's three bands, in drop order reversed.
+var wireColors = []packet.Color{packet.Green, packet.Yellow, packet.Red}
 
 // Datagrams is the event count surfaced through the runner: every
 // datagram the two endpoints put on or took off the wire.
@@ -242,9 +336,31 @@ func FormatWireLoopback(r WireLoopbackResult) string {
 	fmt.Fprintf(&b, "goodput %v (%.1f%% of capacity), %d epochs observed\n",
 		r.Goodput, 100*float64(r.Goodput)/float64(cfg.Capacity), r.Receiver.Epochs)
 	fmt.Fprintf(&b, "%-8s %10s %10s %10s\n", "color", "received", "lost", "loss")
-	for _, color := range []packet.Color{packet.Green, packet.Yellow, packet.Red} {
+	for _, color := range wireColors {
 		c := r.Receiver.Colors[color]
 		fmt.Fprintf(&b, "%-8s %10d %10d %9.1f%%\n",
+			strings.ToLower(color.String()), c.Received, c.Lost, 100*c.LossRate())
+	}
+	return b.String()
+}
+
+// FormatChaosWire renders a faulted run: the swap, the resilience
+// counters, the faults, and delivery per color.
+func FormatChaosWire(r WireLoopbackResult) string {
+	var b strings.Builder
+	cfg := r.Config
+	fmt.Fprintf(&b, "%d frames through faulted emulator in %v (swap → router %d at %v)\n",
+		cfg.Frames, r.Elapsed.Round(time.Millisecond), cfg.NewRouterID, cfg.SwapAfter)
+	fmt.Fprintf(&b, "sender: rate %v  gamma %.3f  degrade %.3f  stale decays %d  recoveries %d  router changes %d\n",
+		r.Sender.Rate, r.Sender.Gamma, r.Sender.Degrade,
+		r.Sender.StaleDecays, r.Sender.Recoveries, r.Sender.RouterChanges)
+	fmt.Fprintf(&b, "receiver: %d datagrams, %d probes, goodput %v\n",
+		r.Receiver.Datagrams, r.Receiver.Probes, r.Goodput)
+	fmt.Fprintf(&b, "faults: fwd %d drops (%d link-level), rev %d dup / %d reordered\n",
+		r.Forward.Drops, r.Link.FaultDrops, r.Reverse.Duplicated, r.Reverse.Reordered)
+	for _, color := range wireColors {
+		c := r.Receiver.Colors[color]
+		fmt.Fprintf(&b, "%-8s %10d received %10d lost (%5.1f%%)\n",
 			strings.ToLower(color.String()), c.Received, c.Lost, 100*c.LossRate())
 	}
 	return b.String()

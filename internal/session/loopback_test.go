@@ -4,11 +4,12 @@ package session
 // time on the in-process emulator — the harness the wire-loopback and
 // chaos-wire experiments run. A one-session Server on emu.A() streams
 // through a marking gateway and a priority-drop bottleneck to a
-// wire.Receiver on emu.B() that hellos it and echoes feedback.
+// one-receiver wire.Swarm on emu.B() that hellos it and echoes feedback.
 
 import (
 	"context"
 	"math"
+	"net"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ import (
 // context both run under.
 type emuLoopback struct {
 	srv      *Server
-	recv     *wire.Receiver
+	recv     *wire.Swarm
 	cancel   context.CancelFunc
 	srvErr   chan error
 	recvDone chan struct{}
@@ -59,10 +60,11 @@ func startEmuLoopback(t *testing.T, capacity units.BitRate, epoch time.Duration,
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv, err := wire.NewReceiver(emu.B(), wire.ReceiverConfig{
-		Flow: 1,
-		Peer: emu.A().LocalAddr(),
-	})
+	recv, err := wire.NewSwarm(wire.SwarmConfig{
+		Server:    emu.A().LocalAddr(),
+		Receivers: 1,
+		Listen:    func() (net.PacketConn, error) { return emu.B(), nil },
+	}, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func (l *emuLoopback) finish(t *testing.T) (Stats, wire.ReceiverStats) {
 		t.Fatal("the session ended before it was seen in the table")
 	}
 	time.Sleep(150 * time.Millisecond) // drain the queue and the delay line
-	end := l.recv.Stats()
+	end := l.recv.Stats()[0]
 	l.cancel()
 	<-l.recvDone
 	return sess.Stats(), end
@@ -112,7 +114,7 @@ func (l *emuLoopback) finish(t *testing.T) (Stats, wire.ReceiverStats) {
 // TestLiveLoopbackConvergence is the end-to-end acceptance test of the
 // live stack: a session streams >= 300 FGS frames through the emulated
 // bottleneck (capacity 3 Mbit/s, marking gateway, priority-drop queue)
-// while the Receiver echoes feedback on the reverse path. Over the
+// while the receiver echoes feedback on the reverse path. Over the
 // converged second half of the stream it asserts the three PELS
 // invariants the paper proves:
 //
@@ -161,7 +163,7 @@ func TestLiveLoopbackConvergence(t *testing.T) {
 	midCh := make(chan wire.ReceiverStats, 1)
 	go func() {
 		for {
-			st := l.recv.Stats()
+			st := l.recv.Stats()[0]
 			if st.Frames >= maxFrames/2 {
 				midCh <- st
 				return

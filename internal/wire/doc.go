@@ -18,12 +18,12 @@
 //     into passing datagrams with the max-loss override of eq. 8. It also
 //     ranks datagrams so congestion drops hit red before yellow before
 //     green.
-//   - Receiver and Swarm, the receiving end hosts: two drivers of one
-//     receiver core, which measures loss per color from sequence gaps and
-//     echoes fresh feedback labels on the reverse path. The sending end
-//     host is session.Session, served by
-//     session.Server; it reuses internal/cc (MKC) and internal/fgs (γ
-//     controller, packetizer) unchanged.
+//   - Swarm, the receiving end host — one receiver (pelsget) or
+//     thousands (pelsload) on a few sockets — driving one receiver core,
+//     which measures loss per color from sequence gaps and echoes fresh
+//     feedback labels on the reverse path. The sending end host is
+//     session.Session, served by session.Server; it reuses internal/cc
+//     (MKC) and internal/fgs (γ controller, packetizer) unchanged.
 //   - An in-process link Emulator implementing net.PacketConn on both
 //     ends, with configurable delay, bandwidth, queue size, and seeded
 //     random loss, so the whole subsystem runs deterministically in CI

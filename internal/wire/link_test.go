@@ -427,7 +427,7 @@ func TestFifoMatchesSlice(t *testing.T) {
 
 // countConn is the inner socket of the zero-alloc test: it counts writes.
 type countConn struct {
-	captureConn
+	nullConn
 	n atomic.Int64
 }
 

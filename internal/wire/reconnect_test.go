@@ -1,8 +1,8 @@
 package wire
 
 // Receiver subscription state machine tests: hello backoff, Reject and
-// Close handling, and the reconnect reset — all Handle/maybeHello driven
-// on a synthetic clock, no sockets.
+// Close handling, and the reconnect reset — a one-receiver swarm driven
+// through handle and helloStep on a synthetic clock, no sockets.
 
 import (
 	"errors"
@@ -12,27 +12,21 @@ import (
 	"repro/internal/packet"
 )
 
-// testReceiver builds a receiver on a capture conn and a hand-cranked
-// clock.
-func testReceiver(t *testing.T, mut func(*ReceiverConfig)) (*Receiver, *captureConn, *time.Time) {
+// testReceiver builds a one-receiver swarm for flow 7 on a recording
+// socket and a hand-cranked clock.
+func testReceiver(t *testing.T, mut func(*SwarmConfig)) (*Swarm, *swarmLog, *time.Time) {
 	t.Helper()
 	now := time.Unix(2000, 0)
-	cfg := ReceiverConfig{
-		Peer:          fakeAddr("server"),
-		Flow:          7,
-		HelloRetry:    100 * time.Millisecond,
-		HelloAttempts: 0,
-	}
+	cfg := SwarmConfig{Receivers: 1, FirstFlow: 7, HelloRetry: 100 * time.Millisecond}
 	if mut != nil {
 		mut(&cfg)
 	}
-	conn := &captureConn{}
-	r, err := NewReceiver(conn, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, conn, &now
+	s, log := steppedSwarm(t, cfg, now, true)
+	return s, log, &now
 }
+
+// stats is the one receiver's snapshot.
+func stats(s *Swarm) ReceiverStats { return s.Stats()[0] }
 
 // flowDataDatagram encodes one green data datagram for flow 7.
 func flowDataDatagram(t *testing.T, seq uint64) []byte {
@@ -70,27 +64,33 @@ func controlDatagram(t *testing.T, typ Type, reason Reason, retry time.Duration)
 	return b
 }
 
-// crank advances the clock in small steps for d, offering maybeHello at
-// each step, and returns the first error.
-func crank(r *Receiver, now *time.Time, d time.Duration) error {
-	step := 10 * time.Millisecond
-	for elapsed := time.Duration(0); elapsed < d; elapsed += step {
-		*now = now.Add(step)
-		if err := r.maybeHello(*now); err != nil {
-			return err
+// crank advances the clock a hello tick at a time for d, stepping the
+// swarm at each, and returns the error that ended the receiver, if one
+// did.
+func crank(s *Swarm, now *time.Time, d time.Duration) error {
+	for end := now.Add(d); now.Before(end); {
+		*now = now.Add(helloTick)
+		if now.After(end) {
+			*now = end
+		}
+		s.helloStep(*now)
+		if s.ended() {
+			if err := s.endErr(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
 // TestReceiverHelloBackoff: retries space out exponentially toward
-// HelloMax, and the first data datagram stops the helloing.
+// 8·HelloRetry, and the first data datagram stops the helloing.
 func TestReceiverHelloBackoff(t *testing.T) {
-	r, conn, now := testReceiver(t, nil)
-	if err := crank(r, now, 2*time.Second); err != nil {
+	s, log, now := testReceiver(t, nil)
+	if err := crank(s, now, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	sent := r.Stats().HellosSent
+	sent := stats(s).HellosSent
 	if sent == 0 {
 		t.Fatal("no hellos sent")
 	}
@@ -100,37 +100,36 @@ func TestReceiverHelloBackoff(t *testing.T) {
 	if sent > 10 || sent < 4 {
 		t.Errorf("%d hellos in 2s, want backoff (4..10)", sent)
 	}
-	if conn.count() != int(sent) {
-		t.Errorf("conn saw %d writes, stats say %d", conn.count(), sent)
+	if len(log.sent) != int(sent) {
+		t.Errorf("conn saw %d writes, stats say %d", len(log.sent), sent)
 	}
 
-	r.Handle(flowDataDatagram(t, 0), *now)
-	before := r.Stats().HellosSent
-	if err := crank(r, now, time.Second); err != nil {
+	s.handle(0, flowDataDatagram(t, 0), *now)
+	before := stats(s).HellosSent
+	if err := crank(s, now, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Stats().HellosSent; got != before {
+	if got := stats(s).HellosSent; got != before {
 		t.Errorf("kept helloing after data: %d -> %d", before, got)
 	}
 }
 
-// TestReceiverHelloTimeout: a bounded attempt budget ends Run with
-// ErrHelloTimeout naming the last reject.
+// TestReceiverHelloTimeout: a bounded attempt budget ends the receiver
+// with ErrHelloTimeout naming the last reject.
 func TestReceiverHelloTimeout(t *testing.T) {
-	r, _, now := testReceiver(t, func(cfg *ReceiverConfig) {
+	s, _, now := testReceiver(t, func(cfg *SwarmConfig) {
 		cfg.HelloAttempts = 3
 		cfg.Reconnect = true // a lone Reject must not end the run early
 	})
-	*now = now.Add(time.Millisecond)
-	if err := r.maybeHello(*now); err != nil {
+	if err := crank(s, now, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	r.Handle(controlDatagram(t, TypeReject, ReasonServerFull, 0), *now)
-	err := crank(r, now, 10*time.Second)
+	s.handle(0, controlDatagram(t, TypeReject, ReasonServerFull, 0), *now)
+	err := crank(s, now, 10*time.Second)
 	if !errors.Is(err, ErrHelloTimeout) {
 		t.Fatalf("err = %v, want ErrHelloTimeout", err)
 	}
-	if got := r.Stats().HellosSent; got != 3 {
+	if got := stats(s).HellosSent; got != 3 {
 		t.Errorf("sent %d hellos, budget was 3", got)
 	}
 	// The failure names the refusal the receiver saw.
@@ -162,15 +161,14 @@ func TestReceiverRejectTerminal(t *testing.T) {
 		{"not-retryable", true, ReasonBadConfig},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, _, now := testReceiver(t, func(cfg *ReceiverConfig) {
+			s, _, now := testReceiver(t, func(cfg *SwarmConfig) {
 				cfg.Reconnect = tc.reconnect
 			})
-			*now = now.Add(time.Millisecond)
-			if err := r.maybeHello(*now); err != nil {
+			if err := crank(s, now, time.Millisecond); err != nil {
 				t.Fatal(err)
 			}
-			r.Handle(controlDatagram(t, TypeReject, tc.reason, 250*time.Millisecond), *now)
-			done, err := r.terminal()
+			s.handle(0, controlDatagram(t, TypeReject, tc.reason, 250*time.Millisecond), *now)
+			done, err := s.ended(), s.endErr()
 			if !tc.reason.Retryable() {
 				var rej *RejectError
 				if !done || !errors.As(err, &rej) || rej.Reason != tc.reason {
@@ -181,17 +179,17 @@ func TestReceiverRejectTerminal(t *testing.T) {
 			if done {
 				t.Fatalf("retryable reject finished the receiver: %v", err)
 			}
-			sent := r.Stats().HellosSent
-			if err := crank(r, now, 240*time.Millisecond); err != nil {
+			sent := stats(s).HellosSent
+			if err := crank(s, now, 240*time.Millisecond); err != nil {
 				t.Fatal(err)
 			}
-			if got := r.Stats().HellosSent; got != sent {
+			if got := stats(s).HellosSent; got != sent {
 				t.Errorf("helloed %d times before the retry-after hint elapsed", got-sent)
 			}
-			if err := crank(r, now, time.Second); err != nil {
+			if err := crank(s, now, time.Second); err != nil {
 				t.Fatal(err)
 			}
-			if got := r.Stats().HellosSent; got == sent {
+			if got := stats(s).HellosSent; got == sent {
 				t.Error("never helloed again after the retry-after window")
 			}
 		})
@@ -201,36 +199,35 @@ func TestReceiverRejectTerminal(t *testing.T) {
 // TestReceiverRejectRetryAfter: with Reconnect, a retryable Reject is
 // not terminal and the server's retry-after hint floors the next hello.
 func TestReceiverRejectRetryAfter(t *testing.T) {
-	r, _, now := testReceiver(t, func(cfg *ReceiverConfig) {
+	s, _, now := testReceiver(t, func(cfg *SwarmConfig) {
 		cfg.Reconnect = true
 	})
-	*now = now.Add(time.Millisecond)
-	if err := r.maybeHello(*now); err != nil { // first hello goes out
+	if err := crank(s, now, time.Millisecond); err != nil { // first hello goes out
 		t.Fatal(err)
 	}
-	r.Handle(controlDatagram(t, TypeReject, ReasonServerFull, 600*time.Millisecond), *now)
-	if done, _ := r.terminal(); done {
+	s.handle(0, controlDatagram(t, TypeReject, ReasonServerFull, 600*time.Millisecond), *now)
+	if s.ended() {
 		t.Fatal("retryable reject finished a reconnecting receiver")
 	}
-	if got := r.Stats().Rejects; got != 1 {
+	if got := stats(s).Rejects; got != 1 {
 		t.Fatalf("Rejects = %d, want 1", got)
 	}
-	if got := r.Stats().LastRejectRetry; got != 600*time.Millisecond {
+	if got := stats(s).LastRejectRetry; got != 600*time.Millisecond {
 		t.Fatalf("LastRejectRetry = %v, want 600ms", got)
 	}
-	sent := r.Stats().HellosSent
+	sent := stats(s).HellosSent
 	// Cranking less than the hint must not hello again (jitter only
 	// stretches the wait); past hint+25% it must.
-	if err := crank(r, now, 500*time.Millisecond); err != nil {
+	if err := crank(s, now, 500*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Stats().HellosSent; got != sent {
+	if got := stats(s).HellosSent; got != sent {
 		t.Errorf("helloed %d times before the retry-after hint elapsed", got-sent)
 	}
-	if err := crank(r, now, time.Second); err != nil {
+	if err := crank(s, now, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Stats().HellosSent; got == sent {
+	if got := stats(s).HellosSent; got == sent {
 		t.Error("never helloed again after the retry-after window")
 	}
 }
@@ -239,35 +236,31 @@ func TestReceiverRejectRetryAfter(t *testing.T) {
 // the archive, keeps the echo numbering running across the reset, and
 // re-enters the hello loop; Close(complete) finishes.
 func TestReceiverCloseReconnect(t *testing.T) {
-	r, conn, now := testReceiver(t, func(cfg *ReceiverConfig) {
+	s, log, now := testReceiver(t, func(cfg *SwarmConfig) {
 		cfg.Reconnect = true
 	})
 	for seq := uint64(0); seq < 5; seq++ {
-		r.Handle(labelledDatagram(t, seq, seq+1), *now)
+		s.handle(0, labelledDatagram(t, seq, seq+1), *now)
 	}
-	st := r.Stats()
+	st := stats(s)
 	if st.Colors[packet.Green].Received != 5 {
 		t.Fatalf("green received %d, want 5", st.Colors[packet.Green].Received)
 	}
 	var seqBefore uint64
-	for i := 0; i < conn.count(); i++ {
-		h, _, err := DecodeDatagram(conn.write(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Type == TypeFeedback {
-			seqBefore = max(seqBefore, h.Seq)
+	for _, d := range log.sent {
+		if d.typ == TypeFeedback {
+			seqBefore = max(seqBefore, d.seq)
 		}
 	}
 	if seqBefore == 0 {
 		t.Fatal("no echo before the close")
 	}
 
-	r.Handle(controlDatagram(t, TypeClose, ReasonIdle, 0), *now)
-	if done, _ := r.terminal(); done {
+	s.handle(0, controlDatagram(t, TypeClose, ReasonIdle, 0), *now)
+	if s.ended() {
 		t.Fatal("retryable close finished a reconnecting receiver")
 	}
-	st = r.Stats()
+	st = stats(s)
 	if st.Closes != 1 || st.Reconnects != 1 || st.LastClose != ReasonIdle {
 		t.Fatalf("closes=%d reconnects=%d last=%v, want 1/1/idle", st.Closes, st.Reconnects, st.LastClose)
 	}
@@ -277,34 +270,30 @@ func TestReceiverCloseReconnect(t *testing.T) {
 	}
 
 	// The receiver hellos again.
-	writes := conn.count()
-	if err := crank(r, now, time.Second); err != nil {
+	writes := len(log.sent)
+	if err := crank(s, now, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if conn.count() == writes {
+	if len(log.sent) == writes {
 		t.Fatal("no hello after reconnectable close")
 	}
-	if h, _, err := DecodeDatagram(conn.write(conn.count() - 1)); err != nil || h.Type != TypeHello {
-		t.Fatalf("reconnect datagram %+v (%v), want a hello", h, err)
+	if d := log.sent[len(log.sent)-1]; d.typ != TypeHello {
+		t.Fatalf("reconnect datagram %+v, want a hello", d)
 	}
 
 	// A resumed stream counts from zero without phantom loss, and its
 	// first echo is numbered above every echo before the close.
-	r.Handle(labelledDatagram(t, 0, 1), *now)
-	st = r.Stats()
+	s.handle(0, labelledDatagram(t, 0, 1), *now)
+	st = stats(s)
 	if got := st.Colors[packet.Green]; got.Received != 6 || got.Lost != 0 {
 		t.Errorf("after resume: green %+v, want 6 received, 0 lost", got)
 	}
-	h, _, err := DecodeDatagram(conn.write(conn.count() - 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Type != TypeFeedback || h.Seq <= seqBefore {
-		t.Errorf("first echo after the resume %+v: want TypeFeedback with Seq > %d", h, seqBefore)
+	if d := log.sent[len(log.sent)-1]; d.typ != TypeFeedback || d.seq <= seqBefore {
+		t.Errorf("first echo after the resume %+v: want TypeFeedback with Seq > %d", d, seqBefore)
 	}
 
-	r.Handle(controlDatagram(t, TypeClose, ReasonComplete, 0), *now)
-	if done, err := r.terminal(); !done || err != nil {
+	s.handle(0, controlDatagram(t, TypeClose, ReasonComplete, 0), *now)
+	if done, err := s.ended(), s.endErr(); !done || err != nil {
 		t.Fatalf("Close(complete): done=%v err=%v, want clean finish", done, err)
 	}
 }

@@ -35,12 +35,12 @@ func (c *ColorCount) add(d ColorCount) {
 	c.Bytes += d.Bytes
 }
 
-// ReceiverStats is a snapshot of one receiver: a Receiver, or one of a
-// Swarm's.
+// ReceiverStats is a snapshot of one of a Swarm's receivers.
 type ReceiverStats struct {
 	Flow uint32
-	// Datagrams and Bytes count accepted data datagrams (wire bytes).
-	Datagrams, Bytes uint64
+	// Datagrams and Bytes count accepted data datagrams (wire bytes);
+	// Frames is the highest frame number seen, plus one.
+	Datagrams, Bytes, Frames uint64
 	// Colors holds per-color counts over the receiver's lifetime, streams
 	// before a reconnect included.
 	Colors map[packet.Color]ColorCount
@@ -69,14 +69,12 @@ type ReceiverStats struct {
 	// Startup runs from the first hello (rejections and lost hellos count
 	// against it) to the first data datagram; zero until data arrives.
 	Startup time.Duration
-	// Driver counts. A Receiver's: Frames (highest frame number seen,
-	// plus one) and DecodeErrors. A Swarm's: CrossDeliveries (data read on
-	// another receiver's socket: demux bleed on the server), and
-	// SteadyBytes since SteadyAt, the last MarkSteady.
-	Frames, DecodeErrors uint64
-	CrossDeliveries      uint64
-	SteadyBytes          uint64
-	SteadyAt             time.Time
+	// Driver counts: CrossDeliveries (data read on another receiver's
+	// socket: demux bleed on the server), and SteadyBytes since SteadyAt,
+	// the last MarkSteady.
+	CrossDeliveries uint64
+	SteadyBytes     uint64
+	SteadyAt        time.Time
 }
 
 // Goodput returns the delivered wire bitrate over the arrival interval.
@@ -127,16 +125,16 @@ type colorTrack struct {
 	count ColorCount
 }
 
-// helloPolicy is the subscription schedule a driver's receivers share.
+// helloPolicy is the subscription schedule a swarm's receivers share.
 type helloPolicy struct {
 	retry, max time.Duration // first backoff step, and its cap
 	attempts   int           // unanswered hellos before giving up; 0 = unlimited
 	reconnect  bool          // a retryable Close re-hellos instead of finishing
 }
 
-// recvCore is one receiver's state machine, the part Receiver and Swarm
-// share: hello, retried with jittered exponential backoff, until data
-// flows; then count per color and echo every fresh router label, until a
+// recvCore is one receiver's state machine, the swarm receiver less its
+// driver's state: hello, retried with jittered exponential backoff, until
+// data flows; then count per color and echo every fresh router label, until a
 // Reject or Close ends the receiver or a Close sends it back to hello. It
 // is passive — no clock, lock, goroutine or socket: the driver passes now,
 // holds its own lock around every call, and writes the headers it gets
@@ -253,6 +251,7 @@ func (c *recvCore) onData(h Header, n int, now time.Time) (Header, bool) {
 	c.st.LastAt = now
 	c.st.Datagrams++
 	c.st.Bytes += uint64(n)
+	c.st.Frames = max(c.st.Frames, uint64(h.Frame)+1)
 
 	t := &c.colors[h.Color]
 	switch {

@@ -133,13 +133,14 @@ func TestReceiverCoreRules(t *testing.T) {
 	})
 }
 
-// FuzzReceiverHandle throws arbitrary datagrams at a Receiver: raw bytes
-// as they come, or the same bytes re-addressed with the fuzzer's type,
-// color and flow under a good checksum so they get past the decoder. The
-// receiver starts in each state it can be in — helloing, rejected and
-// backing off, streaming, closed. The contract: no panic and no index out
-// of range, a datagram for another flow changes nothing, and one that does
-// not decode moves only DecodeErrors.
+// FuzzReceiverHandle throws arbitrary datagrams at a one-receiver swarm
+// with probes armed: raw bytes as they come, or the same bytes
+// re-addressed with the fuzzer's type, color and flow under a good
+// checksum so they get past the decoder. The receiver starts in each state
+// it can be in — helloing, rejected and backing off, streaming, closed.
+// The contract: no panic and no index out of range, a datagram for
+// another flow changes nothing, and one that does not decode moves only
+// the swarm's decode-error count.
 func FuzzReceiverHandle(f *testing.F) {
 	const (
 		modeRaw = 1 << iota // deliver the bytes untouched
@@ -156,22 +157,21 @@ func FuzzReceiverHandle(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, typ, color uint8, flow uint32, mode uint8) {
-		r, conn, now := testReceiver(t, func(cfg *ReceiverConfig) {
+		s, log, now := testReceiver(t, func(cfg *SwarmConfig) {
 			cfg.Reconnect = true
 			cfg.ProbeIdle = 100 * time.Millisecond
 		})
-		*now = now.Add(time.Millisecond)
-		if err := r.maybeHello(*now); err != nil {
+		if err := crank(s, now, time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 		switch mode >> 1 & 3 {
 		case 1:
-			r.Handle(controlDatagram(t, TypeReject, ReasonServerFull, 300*time.Millisecond), *now)
+			s.handle(0, controlDatagram(t, TypeReject, ReasonServerFull, 300*time.Millisecond), *now)
 		case 2:
-			r.Handle(labelledDatagram(t, 0, 1), *now)
+			s.handle(0, labelledDatagram(t, 0, 1), *now)
 		case 3:
-			r.Handle(labelledDatagram(t, 0, 1), *now)
-			r.Handle(controlDatagram(t, TypeClose, ReasonComplete, 0), *now)
+			s.handle(0, labelledDatagram(t, 0, 1), *now)
+			s.handle(0, controlDatagram(t, TypeClose, ReasonComplete, 0), *now)
 		}
 
 		b := append([]byte(nil), data...)
@@ -182,25 +182,21 @@ func FuzzReceiverHandle(f *testing.F) {
 		}
 		h, _, decodeErr := DecodeDatagram(b)
 
-		before, writes := r.Stats(), conn.count()
+		before, writes, decodes := stats(s), len(log.sent), s.DecodeErrors()
 		*now = now.Add(time.Millisecond)
-		r.Handle(b, *now)
-		after := r.Stats()
+		s.handle(0, b, *now)
+		after := stats(s)
 		switch {
 		case decodeErr != nil:
-			before.DecodeErrors++
+			decodes++
 			fallthrough
 		case h.Flow != 7:
-			if !reflect.DeepEqual(before, after) || conn.count() != writes {
-				t.Fatalf("datagram (flow %d, decode error %v) changed the receiver or wrote:\nbefore %+v\nafter  %+v",
-					h.Flow, decodeErr, before, after)
+			if !reflect.DeepEqual(before, after) || len(log.sent) != writes || s.DecodeErrors() != decodes {
+				t.Fatalf("datagram (flow %d, decode error %v) changed the receiver, wrote, or miscounted (%d decode errors, want %d):\nbefore %+v\nafter  %+v",
+					h.Flow, decodeErr, s.DecodeErrors(), decodes, before, after)
 			}
 		}
-		// Whatever it did, the receiver carries on.
-		for k := 0; k < 50; k++ {
-			*now = now.Add(50 * time.Millisecond)
-			_ = r.maybeHello(*now)
-			r.maybeProbe(*now)
-		}
+		// Whatever it did, the receiver carries on, or has ended.
+		_ = crank(s, now, 2500*time.Millisecond)
 	})
 }

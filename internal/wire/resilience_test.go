@@ -2,7 +2,6 @@ package wire
 
 import (
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,132 +15,89 @@ type fakeAddr string
 func (a fakeAddr) Network() string { return "fake" }
 func (a fakeAddr) String() string  { return string(a) }
 
-// captureConn is a net.PacketConn that records writes; tests drive reads
-// through Handle/maybeProbe directly, so ReadFrom is never used.
-type captureConn struct {
-	mu     sync.Mutex
-	writes [][]byte
-}
+// nullConn is a net.PacketConn that discards writes and is never read.
+type nullConn struct{}
 
-func (c *captureConn) ReadFrom([]byte) (int, net.Addr, error) {
-	panic("captureConn: ReadFrom unused")
-}
+func (nullConn) ReadFrom([]byte) (int, net.Addr, error)    { panic("nullConn: ReadFrom unused") }
+func (nullConn) WriteTo(p []byte, _ net.Addr) (int, error) { return len(p), nil }
+func (nullConn) Close() error                              { return nil }
+func (nullConn) LocalAddr() net.Addr                       { return fakeAddr("local") }
+func (nullConn) SetDeadline(time.Time) error               { return nil }
+func (nullConn) SetReadDeadline(time.Time) error           { return nil }
+func (nullConn) SetWriteDeadline(time.Time) error          { return nil }
 
-func (c *captureConn) WriteTo(p []byte, _ net.Addr) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.writes = append(c.writes, append([]byte(nil), p...))
-	return len(p), nil
-}
-
-func (c *captureConn) count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.writes)
-}
-
-func (c *captureConn) write(i int) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.writes[i]
-}
-
-func (c *captureConn) Close() error                     { return nil }
-func (c *captureConn) LocalAddr() net.Addr              { return fakeAddr("local") }
-func (c *captureConn) SetDeadline(time.Time) error      { return nil }
-func (c *captureConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *captureConn) SetWriteDeadline(time.Time) error { return nil }
-
+// TestReceiverProbesWithBoundedBackoff: a streaming receiver that hears
+// nothing for ProbeIdle re-echoes its last label, doubling the wait up to
+// 8·ProbeIdle, and data rearms the wait at ProbeIdle.
 func TestReceiverProbesWithBoundedBackoff(t *testing.T) {
-	now := time.Unix(2000, 0)
-	conn := &captureConn{}
-	r, err := NewReceiver(conn, ReceiverConfig{
-		Peer:      fakeAddr("sender"),
-		Flow:      1,
-		ProbeIdle: 100 * time.Millisecond,
-		ProbeMax:  300 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+	s, log, now := testReceiver(t, func(cfg *SwarmConfig) { cfg.ProbeIdle = 100 * time.Millisecond })
+	feedback := func() []sentDatagram {
+		var out []sentDatagram
+		for _, d := range log.sent {
+			if d.typ == TypeFeedback {
+				out = append(out, d)
+			}
+		}
+		return out
+	}
+	step := func(d time.Duration) int {
+		t.Helper()
+		if err := crank(s, now, d); err != nil {
+			t.Fatal(err)
+		}
+		return len(feedback())
 	}
 
-	// Idle before any stream: no label to probe with, nothing sent.
-	r.maybeProbe(now)
-	if conn.count() != 0 {
-		t.Fatal("probed before any feedback label was seen")
+	// Idle before any stream: no label to probe with, only hellos sent.
+	if n := step(time.Second); n != 0 || len(log.sent) == 0 {
+		t.Fatalf("%d feedback datagrams among %d writes before any label", n, len(log.sent))
 	}
 
 	// One data datagram with a valid label: echoed once, probing armed.
-	data, err := EncodeDatagram(Header{
-		Type: TypeData, Color: packet.Green, Flow: 1, Seq: 0,
-		Feedback: packet.Feedback{RouterID: 1, Epoch: 1, Loss: 0.25, Valid: true},
-	}, []byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Handle(data, now)
-	if conn.count() != 1 {
-		t.Fatalf("want 1 echo, got %d writes", conn.count())
+	s.handle(0, labelledDatagram(t, 0, 1), *now)
+	if n := len(feedback()); n != 1 {
+		t.Fatalf("want 1 echo, got %d", n)
 	}
 
 	// Idle past ProbeIdle: a probe fires, then the wait doubles (200ms).
-	now = now.Add(150 * time.Millisecond)
-	r.maybeProbe(now)
-	if conn.count() != 2 {
-		t.Fatalf("want probe after idle, got %d writes", conn.count())
+	if step(150*time.Millisecond) != 2 {
+		t.Fatal("want a probe after idle")
 	}
-	now = now.Add(100 * time.Millisecond) // only 100ms since last probe
-	r.maybeProbe(now)
-	if conn.count() != 2 {
+	if step(100*time.Millisecond) != 2 { // only 150ms since the probe
 		t.Fatal("probe ignored the backoff")
 	}
-	now = now.Add(100 * time.Millisecond) // 200ms since last probe
-	r.maybeProbe(now)
-	if conn.count() != 3 {
+	if step(100*time.Millisecond) != 3 { // 250ms since the probe
 		t.Fatal("second probe missing after backoff elapsed")
 	}
 
-	// Backoff is capped at ProbeMax: the next probe comes 300ms later,
-	// not 400ms.
-	now = now.Add(300 * time.Millisecond)
-	r.maybeProbe(now)
-	if conn.count() != 4 {
+	// The wait caps at 8·ProbeIdle: after 400ms and 800ms, the next probe
+	// comes 800ms later, not 1600ms.
+	if step(350*time.Millisecond) != 4 || step(800*time.Millisecond) != 5 {
+		t.Fatal("probes missing on the doubling waits")
+	}
+	if step(800*time.Millisecond-helloTick) != 5 || step(helloTick) != 6 {
 		t.Fatal("probe missing at the capped interval")
 	}
 
-	// Every probe is a decodable feedback datagram re-echoing the last
-	// label, with advancing reverse-path sequence numbers.
-	var lastSeq uint64
-	for i := 1; i < conn.count(); i++ {
-		h, _, err := DecodeDatagram(conn.write(i))
-		if err != nil {
-			t.Fatalf("probe %d does not decode: %v", i, err)
+	// Every probe re-echoes the last label, with advancing reverse-path
+	// sequence numbers.
+	fb := feedback()
+	for i, d := range fb[1:] {
+		if !d.label.Valid || d.label.RouterID != 1 {
+			t.Fatalf("probe %d carries wrong label: %+v", i+1, d)
 		}
-		if h.Type != TypeFeedback || !h.Feedback.Valid || h.Feedback.RouterID != 1 {
-			t.Fatalf("probe %d carries wrong label: %+v", i, h)
+		if d.seq <= fb[i].seq {
+			t.Fatalf("probe seq did not advance: %d after %d", d.seq, fb[i].seq)
 		}
-		if i > 1 && h.Seq <= lastSeq {
-			t.Fatalf("probe seq did not advance: %d after %d", h.Seq, lastSeq)
-		}
-		lastSeq = h.Seq
 	}
-	if got := r.Stats().Probes; got != 3 {
-		t.Fatalf("Probes = %d, want 3", got)
+	if got := stats(s).Probes; got != 5 {
+		t.Fatalf("Probes = %d, want 5", got)
 	}
 
 	// Data resumes: the backoff rearms at ProbeIdle.
-	data2, err := EncodeDatagram(Header{
-		Type: TypeData, Color: packet.Green, Flow: 1, Seq: 1,
-		Feedback: packet.Feedback{RouterID: 1, Epoch: 2, Loss: 0.25, Valid: true},
-	}, []byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Handle(data2, now)
-	base := conn.count()
-	now = now.Add(110 * time.Millisecond)
-	r.maybeProbe(now)
-	if conn.count() != base+1 {
+	s.handle(0, labelledDatagram(t, 1, 2), *now)
+	base := len(feedback())
+	if step(110*time.Millisecond) != base+1 {
 		t.Fatal("backoff did not rearm after data resumed")
 	}
 }

@@ -8,18 +8,21 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/timewheel"
 )
 
-// SwarmConfig parameterizes a receiver swarm — the load-generation
-// counterpart of internal/session: many lightweight PELS receivers
-// multiplexed over a few sockets, driven by a fixed goroutine pool (one
-// read loop per socket plus one hello driver) instead of a full
-// Receiver goroutine per flow.
+// SwarmConfig parameterizes a receiver swarm, the one live driver of the
+// receiver core: from a single subscriber (pelsget, the loopback
+// experiments) to a load generator's crowd, many PELS receivers
+// multiplexed over a few sockets and driven by a fixed goroutine pool —
+// one read loop per socket plus one hello driver — instead of a goroutine
+// per flow.
 type SwarmConfig struct {
 	// Server is where hellos and feedback are sent. Required.
 	Server net.Addr
@@ -38,13 +41,20 @@ type SwarmConfig struct {
 	// burst. 0 starts everyone immediately.
 	Ramp time.Duration
 	// HelloRetry re-sends a receiver's hello until its first data
-	// datagram arrives. 0 selects 500ms.
+	// datagram arrives: every unanswered hello doubles the wait from
+	// HelloRetry toward 8·HelloRetry, and a Reject's retry-after hint
+	// floors the next one. 0 selects 500ms.
 	HelloRetry time.Duration
-	// HelloBackoffMax caps the per-receiver hello backoff: every
-	// unanswered hello doubles the wait from HelloRetry toward this cap,
-	// and a Reject's retry-after hint floors the next one. 0 selects
-	// 8·HelloRetry.
-	HelloBackoffMax time.Duration
+	// HelloAttempts bounds a receiver's consecutive unanswered hellos;
+	// the next one ends it with ErrHelloTimeout. 0 means unlimited.
+	HelloAttempts int
+	// ProbeIdle arms the liveness probe: after this long without data a
+	// streaming receiver re-echoes its last label, the wait doubling
+	// toward 8·ProbeIdle until data resumes. The probes restore the
+	// feedback loop after an outage that lost the last real echo, which
+	// would otherwise leave sender and receiver deadlocked at minimum
+	// rate. 0 disables it.
+	ProbeIdle time.Duration
 	// Reconnect re-hellos receivers whose session the server closed for
 	// a retryable reason (drain, idle/stuck reap) instead of leaving
 	// them dark; Close(complete) always finishes the receiver.
@@ -87,9 +97,6 @@ func (c SwarmConfig) withDefaults() SwarmConfig {
 	if c.HelloRetry <= 0 {
 		c.HelloRetry = 500 * time.Millisecond
 	}
-	if c.HelloBackoffMax <= 0 {
-		c.HelloBackoffMax = 8 * c.HelloRetry
-	}
 	if c.Storm.Fraction > 0 && c.Storm.Resume <= 0 {
 		c.Storm.Resume = 2 * time.Second
 	}
@@ -99,12 +106,11 @@ func (c SwarmConfig) withDefaults() SwarmConfig {
 	return c
 }
 
-// SwarmReceiverStats is one swarm receiver's snapshot: the ReceiverStats
-// a Receiver reports too.
+// SwarmReceiverStats is one swarm receiver's snapshot.
 type SwarmReceiverStats = ReceiverStats
 
-// swarmReceiver is one synthetic receiver: the receiver core plus the
-// swarm's storm state and its one timer, small enough for ten thousand
+// swarmReceiver is one receiver: the receiver core plus the swarm's probe
+// and storm state and its one timer, small enough for ten thousand
 // instances.
 type swarmReceiver struct {
 	sock int
@@ -114,14 +120,16 @@ type swarmReceiver struct {
 	stormArmed bool // selected for the storm, not yet fired
 	muted      bool // mid-storm: drop everything, send nothing
 	resumeAt   time.Time
+	// The probe is due probeWait after quietFrom, the last data or probe.
+	quietFrom time.Time
+	probeWait time.Duration
 	// timer is the receiver's one entry on the swarm's wheel; see
 	// Swarm.armLocked for when it is live and where.
 	timer timewheel.Timer[swarmReceiver]
 }
 
-// Swarm drives Receivers synthetic PELS receivers against one server.
-// Run costs one goroutine per socket besides its own, regardless of the
-// receiver count.
+// Swarm drives Receivers PELS receivers against one server. Run costs one
+// goroutine per socket besides its own, regardless of the receiver count.
 type Swarm struct {
 	cfg SwarmConfig
 	pol helloPolicy
@@ -140,6 +148,13 @@ type Swarm struct {
 	// stormAt is the absolute fire time of the disconnect storm; zero
 	// when the drill is unarmed.
 	stormAt time.Time
+
+	// decodeErrors counts datagrams that did not decode: they name no
+	// flow, so no receiver can be charged.
+	decodeErrors atomic.Uint64
+	// ends counts the receivers that have ended (for good: a reset never
+	// revives one).
+	ends atomic.Int64
 }
 
 const (
@@ -165,7 +180,7 @@ func NewSwarm(cfg SwarmConfig, now time.Time) (*Swarm, error) {
 	cfg = cfg.withDefaults()
 	s := &Swarm{
 		cfg:   cfg,
-		pol:   helloPolicy{retry: cfg.HelloRetry, max: cfg.HelloBackoffMax, reconnect: cfg.Reconnect},
+		pol:   helloPolicy{retry: cfg.HelloRetry, max: 8 * cfg.HelloRetry, attempts: cfg.HelloAttempts, reconnect: cfg.Reconnect},
 		out:   make([]echoWriter, cfg.Sockets),
 		recvs: make([]*swarmReceiver, 0, cfg.Receivers),
 		wheel: timewheel.New[swarmReceiver](swarmWheelTick, swarmWheelSlots, now),
@@ -193,6 +208,7 @@ func NewSwarm(cfg SwarmConfig, now time.Time) (*Swarm, error) {
 			sock:       i % cfg.Sockets,
 			core:       newRecvCore(&s.pol, cfg.FirstFlow+uint32(i), cfg.Seed, start),
 			stormArmed: i < stormCount,
+			probeWait:  cfg.ProbeIdle,
 		}
 		r.core.st.SteadyAt = start
 		r.timer.Owner = r
@@ -213,19 +229,26 @@ func (s *Swarm) closeSocks() {
 // Sockets returns how many sockets the swarm opened.
 func (s *Swarm) Sockets() int { return len(s.out) }
 
-// Run drives the swarm until ctx is canceled, then closes the sockets: a
-// read loop per socket hands each datagram to its receiver, and the
-// caller's goroutine runs the hello driver on its tick.
+// Run drives the swarm until every receiver has ended or ctx is canceled,
+// then closes the sockets: a read loop per socket hands each datagram to
+// its receiver, and the caller's goroutine runs the hello driver on its
+// tick. It returns nil on cancellation, and when every receiver ended the
+// errors.Join of why each one did — nil for a Close, a *RejectError for a
+// permanent Reject, ErrHelloTimeout for a spent hello budget. A socket
+// error ends the run at once and is returned.
 func (s *Swarm) Run(ctx context.Context) error {
 	defer s.closeSocks()
-	errCh := make(chan error, len(s.out))
+	ctx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+	errCh := make(chan error, len(s.out))
 	for i := range s.out {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			handle := func(b []byte, now time.Time) { s.handle(i, b, now) }
-			if err := readLoop(ctx, s.out[i].conn, handle, nil); err != nil && ctx.Err() == nil {
+			if err := readLoop(ctx, s.out[i].conn, handle); err != nil && ctx.Err() == nil {
 				errCh <- err
 			}
 		}()
@@ -236,26 +259,43 @@ func (s *Swarm) Run(ctx context.Context) error {
 		select {
 		case now := <-tick.C:
 			s.helloStep(now)
+			if s.ended() {
+				return s.endErr()
+			}
+		case err := <-errCh:
+			return err
 		case <-ctx.Done():
-			wg.Wait()
-			close(errCh)
-			return <-errCh
+			return nil
 		}
 	}
 }
 
+// ended reports whether every receiver has ended.
+func (s *Swarm) ended() bool { return s.ends.Load() == int64(len(s.recvs)) }
+
+// endErr joins why each receiver ended, in flow order.
+func (s *Swarm) endErr() error {
+	errs := make([]error, 0, len(s.recvs))
+	for _, r := range s.recvs {
+		r.mu.Lock()
+		errs = append(errs, r.core.err)
+		r.mu.Unlock()
+	}
+	return errors.Join(errs...)
+}
+
 // helloStep is one tick of the hello driver at instant now: it drives the
-// storm transitions and the hellos, waking only the receivers with
-// something due. The invariant: a receiver has at most one live timer,
+// storm transitions, the hellos and the probes, waking only the receivers
+// with something due. The invariant: a receiver has at most one live timer,
 // armed at its next relevant instant (armLocked) by whoever moves that
 // instant, under the receiver's lock. A timer may outlive its reason —
-// first data does not touch the wheel — and then fires once into a step
-// that finds nothing due. The wheel fires on its own grid, up to one wheel
-// tick after a deadline, which could cost a hello a whole hello tick; so
-// the wheel is run one wheel tick ahead, and the due tests in stepLocked —
-// they are the rule: a deadline takes effect on the first tick at or after
-// it — send the early ones back to fire again on the next tick. Receivers
-// are stepped in flow order.
+// data moves it only to bring a probe forward (handle) — and then fires
+// once into a step that finds nothing due, and re-arms. The wheel fires
+// on its own grid, up to one wheel tick after a deadline, which could
+// cost a hello a whole hello tick; so the wheel is run one wheel tick
+// ahead, and the due tests in stepLocked — they are the rule: a deadline
+// takes effect on the first tick at or after it — send the early ones back
+// to fire again on the next tick. Receivers are stepped in flow order.
 //
 //pelsvet:noalloc
 func (s *Swarm) helloStep(now time.Time) {
@@ -274,7 +314,7 @@ func (s *Swarm) helloStep(now time.Time) {
 }
 
 // stepLocked applies r's storm transitions due at now, then takes its
-// hello if one is due.
+// hello or its probe if one is due.
 //
 //pelsvet:noalloc
 func (s *Swarm) stepLocked(r *swarmReceiver, now time.Time) (Header, bool) {
@@ -293,7 +333,40 @@ func (s *Swarm) stepLocked(r *swarmReceiver, now time.Time) (Header, bool) {
 	if r.muted {
 		return Header{}, false
 	}
-	return r.core.hello(now)
+	if s.probingLocked(r) {
+		return s.probeLocked(r, now)
+	}
+	done := r.core.done
+	h, send := r.core.hello(now)
+	if r.core.done != done {
+		s.ends.Add(1) // the hello budget ran out
+	}
+	return h, send
+}
+
+// probingLocked reports whether r's probe is armed: the swarm probes, and r
+// streams.
+func (s *Swarm) probingLocked(r *swarmReceiver) bool {
+	return s.cfg.ProbeIdle > 0 && !r.core.done && r.core.streaming
+}
+
+// probeLocked re-echoes r's last label once the stream has been idle for
+// the probe's wait, and doubles the wait toward 8·ProbeIdle. A stream with
+// no label yet has nothing to echo; its due probe only restarts the wait.
+//
+//pelsvet:noalloc
+func (s *Swarm) probeLocked(r *swarmReceiver, now time.Time) (Header, bool) {
+	if now.Before(r.quietFrom.Add(r.probeWait)) {
+		return Header{}, false
+	}
+	r.quietFrom = now
+	fb := r.core.st.LastFeedback
+	if !fb.Valid {
+		return Header{}, false
+	}
+	r.probeWait = min(2*r.probeWait, 8*s.cfg.ProbeIdle)
+	r.core.st.Probes++
+	return r.core.echo(fb, now), true
 }
 
 // byFlow orders timers by their receiver's flow.
@@ -304,7 +377,8 @@ func byFlow(a, b *timewheel.Timer[swarmReceiver]) int {
 
 // armLocked moves r's timer to the next instant a tick has work for it:
 // the storm while armed for it, the end of the dark window while muted,
-// the next hello while helloing; nothing while streaming or done.
+// the next hello while helloing, the next probe while streaming with the
+// probe armed; nothing else while streaming, nor once done.
 //
 //pelsvet:noalloc
 func (s *Swarm) armLocked(r *swarmReceiver) {
@@ -315,8 +389,16 @@ func (s *Swarm) armLocked(r *swarmReceiver) {
 	case r.stormArmed:
 		at = s.stormAt
 	}
-	if !r.muted && r.core.helloing() && (at.IsZero() || r.core.nextHello.Before(at)) {
-		at = r.core.nextHello
+	var next time.Time
+	switch {
+	case r.muted:
+	case r.core.helloing():
+		next = r.core.nextHello
+	case s.probingLocked(r):
+		next = r.quietFrom.Add(r.probeWait)
+	}
+	if !next.IsZero() && (at.IsZero() || next.Before(at)) {
+		at = next
 	}
 	if at.IsZero() {
 		s.wheel.Cancel(&r.timer)
@@ -331,6 +413,7 @@ func (s *Swarm) armLocked(r *swarmReceiver) {
 func (s *Swarm) handle(idx int, b []byte, now time.Time) {
 	h, _, err := DecodeDatagram(b)
 	if err != nil {
+		s.decodeErrors.Add(1)
 		return
 	}
 	// Flows are contiguous from FirstFlow; one below it wraps past the end.
@@ -351,9 +434,21 @@ func (s *Swarm) handle(idx int, b []byte, now time.Time) {
 			r.core.st.CrossDeliveries++
 		}
 		r.core.st.SteadyBytes += uint64(len(b))
+		// Data restarts the probe's wait. That moves its deadline earlier
+		// only when the datagram starts the stream or ends a probed
+		// silence; otherwise the armed timer is early, and re-arms.
+		rearm := s.cfg.ProbeIdle > 0 && (!r.core.streaming || r.probeWait != s.cfg.ProbeIdle)
+		r.quietFrom, r.probeWait = now, s.cfg.ProbeIdle
 		echo, send = r.core.onData(h, len(b), now)
+		if rearm {
+			s.armLocked(r)
+		}
 	case h.Type == TypeReject, h.Type == TypeClose:
+		done := r.core.done
 		r.core.onControl(h, now)
+		if r.core.done != done {
+			s.ends.Add(1)
+		}
 		s.armLocked(r)
 	}
 	r.mu.Unlock()
@@ -373,6 +468,10 @@ func (s *Swarm) MarkSteady(now time.Time) {
 	}
 }
 
+// DecodeErrors counts the datagrams the swarm's sockets read that did not
+// decode.
+func (s *Swarm) DecodeErrors() uint64 { return s.decodeErrors.Load() }
+
 // Stats snapshots every receiver, ordered by flow ID.
 func (s *Swarm) Stats() []ReceiverStats {
 	out := make([]ReceiverStats, 0, len(s.recvs))
@@ -382,4 +481,61 @@ func (s *Swarm) Stats() []ReceiverStats {
 		r.mu.Unlock()
 	}
 	return out
+}
+
+// echoWriter is one socket's write path to the server: the lock
+// serializes encode and write so one buffer serves every datagram. Encode
+// and write errors are dropped like the rest of the datagram path:
+// feedback is redundant by design (paper §5.2), and a lost hello is
+// retried.
+type echoWriter struct {
+	conn net.PacketConn
+	to   net.Addr
+
+	mu  sync.Mutex
+	buf []byte
+}
+
+// send encodes h and writes it to the server.
+func (w *echoWriter) send(h Header) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	b, err := AppendDatagram(w.buf[:0], h, nil)
+	if err != nil {
+		return
+	}
+	w.buf = b
+	_, _ = w.conn.WriteTo(b, w.to)
+}
+
+// readLoop reads conn until ctx is canceled, handing each datagram to
+// handle with its arrival instant — one clock read per datagram, which
+// also bases the next read deadline, at most 50 ms out.
+func readLoop(ctx context.Context, conn net.PacketConn, handle func(b []byte, now time.Time)) error {
+	buf := make([]byte, MaxDatagram+1)
+	now := time.Now()
+	// Polled without blocking rather than through ctx.Err, which takes the
+	// context's lock on every datagram.
+	done := ctx.Done()
+	for {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
+		_ = conn.SetReadDeadline(now.Add(50 * time.Millisecond))
+		n, _, err := conn.ReadFrom(buf)
+		now = time.Now()
+		switch {
+		case err == nil:
+			handle(buf[:n], now)
+		case !errors.Is(err, os.ErrDeadlineExceeded):
+			// A closed socket is expected only during shutdown; with a
+			// live context it is a failure the caller must see.
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			return fmt.Errorf("wire: receive: %w", err)
+		}
+	}
 }

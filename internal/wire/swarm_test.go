@@ -15,10 +15,11 @@ import (
 
 // sentDatagram is one datagram a swarm wrote, and the tick it wrote it on.
 type sentDatagram struct {
-	tick int
-	typ  Type
-	flow uint32
-	seq  uint64
+	tick  int
+	typ   Type
+	flow  uint32
+	seq   uint64
+	label packet.Feedback
 }
 
 // swarmLog stands in for the swarm's sockets in tests that step the swarm
@@ -37,7 +38,7 @@ func (l *swarmLog) WriteTo(b []byte, _ net.Addr) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		l.sent = append(l.sent, sentDatagram{tick: l.tick, typ: h.Type, flow: h.Flow, seq: h.Seq})
+		l.sent = append(l.sent, sentDatagram{tick: l.tick, typ: h.Type, flow: h.Flow, seq: h.Seq, label: h.Feedback})
 	}
 	return len(b), nil
 }
@@ -328,8 +329,10 @@ func BenchmarkSwarmHelloTick(b *testing.B) {
 // raw bytes as they come, or the same bytes re-addressed with the
 // fuzzer's type, colour and flow under a good checksum so they get past
 // the decoder. The flow may fall below FirstFlow, past the last receiver,
-// or wrap. The contract: no panic, no index out of range, and nothing
-// changes in any receiver but the one addressed.
+// or wrap, and the receivers probe. The contract: no panic, no index out
+// of range, nothing changes in any receiver but the one addressed, and a
+// datagram that does not decode moves only the decode-error count and
+// writes nothing.
 func FuzzSwarmHandle(f *testing.F) {
 	const (
 		modeRaw     = 1 << iota // deliver the bytes untouched
@@ -351,13 +354,13 @@ func FuzzSwarmHandle(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, typ, color uint8, flow uint32, sock, mode uint8) {
 		const n = 6
-		cfg := SwarmConfig{Receivers: n, Sockets: 2, FirstFlow: 1000, Reconnect: true,
+		cfg := SwarmConfig{Receivers: n, Sockets: 2, FirstFlow: 1000, Reconnect: true, ProbeIdle: 100 * time.Millisecond,
 			Storm: SwarmStorm{At: time.Second, Fraction: 0.3, Resume: time.Second}}
 		if mode&modeWrap != 0 {
 			cfg.FirstFlow = ^uint32(0) - 2
 		}
 		t0 := time.Unix(1_700_000_000, 0)
-		s, _ := steppedSwarm(t, cfg, t0, false)
+		s, log := steppedSwarm(t, cfg, t0, true)
 		first := s.cfg.FirstFlow
 
 		// One receiver in every state: 0 and 1 armed for the storm (muted
@@ -393,9 +396,13 @@ func FuzzSwarmHandle(f *testing.F) {
 			flow = binary.BigEndian.Uint32(b[offFlow:]) // a raw datagram names its own
 		}
 
-		before := s.Stats()
+		before, writes, decodes := s.Stats(), len(log.sent), s.DecodeErrors()
 		s.handle(int(sock), b, now.Add(time.Millisecond))
 		after := s.Stats()
+		if decodeErr != nil && (s.DecodeErrors() != decodes+1 || len(log.sent) != writes) {
+			t.Fatalf("undecodable datagram (%v): %d decode errors after %d, %d writes after %d",
+				decodeErr, s.DecodeErrors(), decodes, len(log.sent), writes)
+		}
 		for i := range before {
 			if decodeErr == nil && uint32(i) == flow-first {
 				continue
