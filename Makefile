@@ -93,10 +93,13 @@ cover:
 	go test -cover ./internal/...
 
 fuzz:
-	go test -fuzz=FuzzDecoder -fuzztime=10s ./internal/fgs/
+	go test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime=10s ./internal/fgs/
 	go test -run '^$$' -fuzz '^FuzzPlanLayers$$' -fuzztime=10s ./internal/fgs/
+	go test -run '^$$' -fuzz '^FuzzPacketizer$$' -fuzztime=10s ./internal/fgs/
+	go test -run '^$$' -fuzz '^FuzzGamma$$' -fuzztime=10s ./internal/fgs/
 	go test -run '^$$' -fuzz '^FuzzDecodeDatagram$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzHeaderRoundTrip$$' -fuzztime=10s ./internal/wire/
+	go test -run '^$$' -fuzz '^FuzzAppendReuse$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzCorruption$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzStampFeedback$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzMeter$$' -fuzztime=10s ./internal/packet/

@@ -208,7 +208,8 @@ const minDegrade = 1.0 / 1024
 // ladder (paper §4.2, Fig. 4); feedback labels echoed by the receiver
 // drive both control loops, exactly as ACKs do in the simulator. It owns
 // no buffer: a datagram is encoded at the instant it is written, into the
-// scratch of the worker that pumps it.
+// scratch of the worker that pumps it, its header written straight from the
+// session's fields.
 //
 // A Session owns no goroutine either: it is a pump state machine. The
 // wheel fires it, pump sends whatever the token bucket allows at that
@@ -325,10 +326,6 @@ func newScratch() *scratch {
 	return &scratch{buf: make([]byte, 0, wire.MaxDatagram)}
 }
 
-// zeroPayload is every session's payload: the stream carries no media bytes,
-// only their size. Read-only.
-var zeroPayload [wire.MaxPayload]byte
-
 // pump advances the session at instant now: it writes the datagram the
 // previous wake charged to the bucket, plans frames as their budgets open,
 // and charges and writes until the token bucket pushes back. Datagrams are
@@ -424,23 +421,17 @@ func (s *Session) shedsPacketLocked(idx, lvl int) bool {
 
 // sendLocked encodes plan packet planIdx — charged to the bucket, its wait
 // over — into w.buf, stamped with now, the instant it is handed to out, and
-// writes it. It reports false, with the session closed, if the datagram
-// does not encode: unreachable with a validated config, but a session that
-// cannot send must end rather than spin.
+// writes it. The header is written straight from the session's fields by
+// wire.AppendData, and the payload is PacketSize − HeaderSize zero bytes. It
+// reports false, with the session closed, if the datagram does not encode:
+// unreachable with a validated config, but a session that cannot send must
+// end rather than spin.
 //
 //pelsvet:noalloc
 func (s *Session) sendLocked(now time.Time, w *scratch) bool {
 	color := s.cfg.LayerBands[s.plan.Layer(s.planIdx)]
-	h := wire.Header{
-		Type:      wire.TypeData,
-		Color:     color,
-		Flow:      s.key.Flow,
-		Frame:     uint32(s.frame - 1),
-		Index:     uint16(s.planIdx),
-		Seq:       s.seq[color-packet.Green],
-		Timestamp: now.UnixNano(),
-	}
-	b, err := wire.AppendDatagram(w.buf[:0], h, zeroPayload[:s.cfg.Frame.PacketSize-wire.HeaderSize])
+	b, err := wire.AppendData(w.buf[:0], color, s.key.Flow, uint32(s.frame-1), uint16(s.planIdx),
+		s.seq[color-packet.Green], now.UnixNano(), s.cfg.Frame.PacketSize-wire.HeaderSize)
 	if err != nil {
 		s.state = StateClosed
 		s.closeReason = wire.ReasonBadConfig

@@ -27,6 +27,16 @@ func TestAppendDatagramZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("AppendDatagram allocates %.1f/op into a sized buffer, want 0", allocs)
 	}
+	allocs = testing.AllocsPerRun(100, func() {
+		var err error
+		buf, err = AppendData(buf[:0], h.Color, h.Flow, h.Frame, h.Index, h.Seq, h.Timestamp, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendData allocates %.1f/op into a sized buffer, want 0", allocs)
+	}
 }
 
 // TestDecodeDatagramZeroAllocs: decode returns a value header and a payload

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"repro/internal/packet"
 )
@@ -65,8 +66,8 @@ const (
 	MaxDatagram = HeaderSize + MaxPayload
 )
 
-// Header byte offsets, exported so routers can patch fields in place
-// (see StampFeedback) without re-encoding the whole datagram.
+// Header byte offsets. StampFeedback and ClearFeedback patch the label
+// through them in place, without re-encoding the whole datagram.
 const (
 	offMagic     = 0  // uint32
 	offVersion   = 4  // uint8
@@ -156,8 +157,10 @@ func openHeader(b []byte) (sum uint32, err error) {
 	return sum, nil
 }
 
-// sealCRC checksums a datagram openHeader opened, in one pass: its field is
-// still zero.
+// sealCRC checksums a datagram whose checksum field is zero (one openHeader
+// opened, or one just written) in one pass.
+//
+//pelsvet:noalloc
 func sealCRC(b []byte) {
 	binary.BigEndian.PutUint32(b[offCRC:], crc32.Update(0, crcTable, b))
 }
@@ -218,34 +221,70 @@ func AppendDatagram(dst []byte, h Header, payload []byte) ([]byte, error) {
 	if len(payload) > MaxPayload {
 		return dst, fmt.Errorf("%w: %d bytes", ErrOversized, len(payload))
 	}
-	start := len(dst)
-	dst = append(dst, zeroHeader[:]...)
+	start, n := len(dst), HeaderSize+len(payload)
+	dst = slices.Grow(dst, n)[:start+n]
 	b := dst[start:]
-	binary.BigEndian.PutUint32(b[offMagic:], Magic)
-	b[offVersion] = VersionV1
-	b[offType] = uint8(h.Type)
-	b[offColor] = uint8(h.Color)
+	copy(b[HeaderSize:], payload)
+	putHeader(b, h.Type, h.Color, h.Flow, h.Frame, h.Index, h.Seq, h.Timestamp)
 	if h.Feedback.Valid {
 		b[offFlags] = flagFeedbackValid
 	}
-	binary.BigEndian.PutUint32(b[offFlow:], h.Flow)
-	binary.BigEndian.PutUint32(b[offFrame:], h.Frame)
-	binary.BigEndian.PutUint16(b[offIndex:], h.Index)
-	binary.BigEndian.PutUint16(b[offPayload:], uint16(len(payload)))
-	binary.BigEndian.PutUint64(b[offSeq:], h.Seq)
-	binary.BigEndian.PutUint64(b[offTimestamp:], uint64(h.Timestamp))
 	binary.BigEndian.PutUint32(b[offRouterID:], uint32(int32(h.Feedback.RouterID)))
 	binary.BigEndian.PutUint64(b[offEpoch:], h.Feedback.Epoch)
 	binary.BigEndian.PutUint64(b[offLoss:], math.Float64bits(h.Feedback.Loss))
-	dst = append(dst, payload...)
-	// The CRC field is still zero, so one pass over the whole datagram
-	// computes exactly the checksum definition crcOf implements with three.
-	binary.BigEndian.PutUint32(dst[start+offCRC:], crc32.Update(0, crcTable, dst[start:]))
+	sealCRC(b)
 	return dst, nil
 }
 
-// zeroHeader reserves header space in AppendDatagram without a temporary.
-var zeroHeader [HeaderSize]byte
+// AppendData encodes an unlabelled data datagram with payloadLen zero bytes
+// of payload onto dst and returns the extended slice: the bytes
+// AppendDatagram writes for Header{Type: TypeData, Color: color, Flow: flow,
+// Frame: frame, Index: index, Seq: seq, Timestamp: ts} and as many zeros,
+// without building the Header. It is the sender's per-datagram encode. Like
+// AppendDatagram it fails with ErrColor unless color is a wire band or
+// best-effort, and with ErrOversized unless payloadLen is in [0, MaxPayload].
+//
+//pelsvet:noalloc
+func AppendData(dst []byte, color packet.Color, flow, frame uint32, index uint16, seq uint64, ts int64, payloadLen int) ([]byte, error) {
+	if !color.IsWireBand() && color != packet.BestEffort {
+		return dst, fmt.Errorf("%w: data datagram colored %v", ErrColor, color)
+	}
+	if payloadLen < 0 || payloadLen > MaxPayload {
+		return dst, fmt.Errorf("%w: %d bytes", ErrOversized, payloadLen)
+	}
+	start, n := len(dst), HeaderSize+payloadLen
+	dst = slices.Grow(dst, n)[:start+n]
+	b := dst[start:]
+	putHeader(b, TypeData, color, flow, frame, index, seq, ts)
+	clear(b[HeaderSize:])
+	sealCRC(b)
+	return dst, nil
+}
+
+// putHeader writes the whole v1 header of an unlabelled datagram into
+// b[:HeaderSize], with label and checksum fields zero; the payload length
+// is len(b) − HeaderSize. It is the one place the layout is written:
+// AppendDatagram adds the label on top, and both seal the checksum after.
+//
+//pelsvet:noalloc
+func putHeader(b []byte, typ Type, color packet.Color, flow, frame uint32, index uint16, seq uint64, ts int64) {
+	_ = b[HeaderSize-1]
+	binary.BigEndian.PutUint32(b[offMagic:], Magic)
+	b[offVersion] = VersionV1
+	b[offType] = uint8(typ)
+	b[offColor] = uint8(color)
+	b[offFlags] = 0
+	binary.BigEndian.PutUint32(b[offFlow:], flow)
+	binary.BigEndian.PutUint32(b[offFrame:], frame)
+	binary.BigEndian.PutUint16(b[offIndex:], index)
+	binary.BigEndian.PutUint16(b[offPayload:], uint16(len(b)-HeaderSize))
+	binary.BigEndian.PutUint64(b[offSeq:], seq)
+	binary.BigEndian.PutUint64(b[offTimestamp:], uint64(ts))
+	binary.BigEndian.PutUint32(b[offRouterID:], 0)
+	binary.BigEndian.PutUint64(b[offEpoch:], 0)
+	binary.BigEndian.PutUint64(b[offLoss:], 0)
+	binary.BigEndian.PutUint32(b[offCRC:], 0)
+}
 
 // EncodeDatagram is AppendDatagram into a fresh buffer.
 func EncodeDatagram(h Header, payload []byte) ([]byte, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -153,6 +154,31 @@ func TestEncodeRejectsOversized(t *testing.T) {
 	}
 	if _, err := EncodeDatagram(sampleHeader(), make([]byte, MaxPayload)); err != nil {
 		t.Errorf("exactly MaxPayload rejected: %v", err)
+	}
+}
+
+// BenchmarkEncode prices one data datagram through each encoder at the
+// benchmark's 100-byte packet and the paper's 500-byte one: AppendDatagram
+// from a Header and a payload, and AppendData from the fields a session
+// sends. Diagnostic only; nothing gates on it.
+func BenchmarkEncode(b *testing.B) {
+	h := unlabelled(sampleHeader())
+	for _, size := range []int{100, 500} {
+		payload := make([]byte, size-HeaderSize)
+		buf := make([]byte, 0, MaxDatagram)
+		b.Run(fmt.Sprintf("AppendDatagram/%dB", size), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				h.Seq = uint64(i)
+				buf, _ = AppendDatagram(buf[:0], h, payload)
+			}
+		})
+		b.Run(fmt.Sprintf("AppendData/%dB", size), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				buf, _ = AppendData(buf[:0], h.Color, h.Flow, h.Frame, h.Index, uint64(i), h.Timestamp, size-HeaderSize)
+			}
+		})
 	}
 }
 
