@@ -97,6 +97,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzPlanLayers$$' -fuzztime=10s ./internal/fgs/
 	go test -run '^$$' -fuzz '^FuzzPacketizer$$' -fuzztime=10s ./internal/fgs/
 	go test -run '^$$' -fuzz '^FuzzGamma$$' -fuzztime=10s ./internal/fgs/
+	go test -run '^$$' -fuzz '^FuzzSender$$' -fuzztime=10s ./internal/fgs/
 	go test -run '^$$' -fuzz '^FuzzDecodeDatagram$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzHeaderRoundTrip$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzAppendReuse$$' -fuzztime=10s ./internal/wire/

@@ -70,11 +70,13 @@ func RDScaling(cfg RDScalingConfig) (*RDScalingResult, error) {
 	// oracle because the trace is periodic.
 	trace := video.ForemanTrace(300)
 	scalers := []struct {
-		name   string
-		scaler fgs.Scaler
+		name      string
+		newScaler func() fgs.Scaler
 	}{
-		{"constant", fgs.ConstantScaler{}},
-		{"rd-aware", fgs.NewRDScaler(func(frame int) float64 { return trace.Frame(frame).Complexity })},
+		{"constant", nil},
+		{"rd-aware", func() fgs.Scaler {
+			return fgs.NewRDScaler(func(frame int) float64 { return trace.Frame(frame).Complexity })
+		}},
 	}
 	outcomes := make([]struct {
 		psnr   []float64
@@ -83,7 +85,7 @@ func RDScaling(cfg RDScalingConfig) (*RDScalingResult, error) {
 	}, len(scalers))
 	err := fanOut(len(scalers), func(i int) error {
 		tcfg := figure10Testbed(f10, cfg.Level, false)
-		tcfg.Session.Scaler = scalers[i].scaler
+		tcfg.Session.NewScaler = scalers[i].newScaler
 		tb, err := runTestbed(tcfg, cfg.Duration)
 		if err != nil {
 			return fmt.Errorf("experiments: rd-scaling %s: %w", scalers[i].name, err)

@@ -56,10 +56,9 @@ type WireLoopbackConfig struct {
 	// into the stream through a wire.MarkerSwitch; 0 disables.
 	SwapAfter   time.Duration
 	NewRouterID int
-	// StaleTimeout/StaleDecay arm the session's stale-feedback watchdog;
-	// ProbeIdle arms the receiver's liveness probe.
+	// StaleTimeout arms the session's stale-feedback watchdog; ProbeIdle
+	// arms the receiver's liveness probe.
 	StaleTimeout time.Duration
-	StaleDecay   float64
 	ProbeIdle    time.Duration
 }
 
@@ -110,7 +109,6 @@ func DefaultChaosWireConfig() WireLoopbackConfig {
 	cfg.SwapAfter = 2 * time.Second
 	cfg.NewRouterID = 2
 	cfg.StaleTimeout = 150 * time.Millisecond
-	cfg.StaleDecay = 0.5
 	cfg.ProbeIdle = 100 * time.Millisecond
 	return cfg
 }
@@ -195,7 +193,6 @@ func WireLoopback(cfg WireLoopbackConfig) (WireLoopbackResult, error) {
 		BurstBytes:    16 * cfg.Frame.PacketSize,
 		MaxFrames:     cfg.Frames,
 		StaleTimeout:  cfg.StaleTimeout,
-		StaleDecay:    cfg.StaleDecay,
 	})
 	if err != nil {
 		cancel()

@@ -8,9 +8,9 @@ import (
 // transmit for one video frame, split across N ordered priority layers.
 // Counts[0] is the base layer (always the full base layer), Counts[N-1]
 // the top (probe) layer. The paper's 3-color plan is the N=3 instance:
-// both end hosts (pels.Source and session.Session) plan every frame this
-// way, through PlanLadder. PacketPlan and PlanShare remain as the 3-color
-// reference the N=3 ladder plan is pinned against.
+// Sender, the one end-host loop, plans every frame this way, through
+// PlanLadder. PacketPlan and PlanShare remain as the 3-color reference the
+// N=3 ladder plan is pinned against.
 type LayerPlan struct {
 	Frame  int
 	Counts []int
@@ -83,9 +83,9 @@ func Ladder(dst []float64, gamma float64) {
 }
 
 // PlanLadder plans frame into plan (N = len(plan.Counts) layers) with the
-// default ladder driven by the single controller γ: the one frame plan of
-// both end hosts. The ladder lives on the stack, so a plan whose Counts
-// is caller-owned costs no allocation.
+// default ladder driven by the single controller γ: the one frame plan,
+// which Sender runs for both end hosts. The ladder lives on the stack, so
+// a plan whose Counts is caller-owned costs no allocation.
 //
 //pelsvet:noalloc
 func (pk *Packetizer) PlanLadder(plan *LayerPlan, frame int, budgetBytes int, gamma float64, share RedShare) {

@@ -115,7 +115,7 @@ func (c Color) IsPELS() bool {
 // IsWireBand reports whether the color is one of the three on-wire PELS
 // bands. The 60-byte wire codec carries exactly the paper's three colors;
 // extended layers exist only inside the simulator and are mapped onto
-// bands at the wire boundary (session.Config.LayerBands).
+// bands at the wire boundary (session.band).
 func (c Color) IsWireBand() bool { return c == Green || c == Yellow || c == Red }
 
 // Feedback is the congestion feedback label (router ID, epoch z, packet

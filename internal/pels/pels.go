@@ -19,7 +19,6 @@ import (
 	"repro/internal/fgs"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/packet"
 )
 
 // Mode selects how a source marks its enhancement-layer packets.
@@ -65,18 +64,12 @@ type Config struct {
 	// Gamma parameterizes the red-fraction controller; zero value means
 	// the paper's parameters (σ=0.5, p_thr=0.75, γ₀=0.5, γ_low=0.05).
 	Gamma fgs.GammaConfig
-	// AckSize is the ACK packet size in bytes (default 40).
-	AckSize int
 	// ControllerFactory, when set, builds each source's rate controller in
 	// place of MKC (e.g. cc.AIMD); the MKC field is then ignored. PELS is
 	// explicitly independent of the congestion controller (paper §5). A
 	// factory rather than an instance, so one Config can parameterize many
 	// flows.
 	ControllerFactory func() cc.Controller
-	// AckEvery makes the sink acknowledge every n-th packet (default 1);
-	// feedback freshness is preserved because every data packet carries
-	// the latest router label anyway.
-	AckEvery int
 	// RedShare selects the denominator γ applies to when sizing the red
 	// segment (default fgs.RedShareTotal; see that type's documentation).
 	RedShare fgs.RedShare
@@ -89,11 +82,12 @@ type Config struct {
 	// bottleneck must be configured with a matching layer count
 	// (queue.NLayerPriorityConfig).
 	Layers int
-	// Scaler decides each frame's byte budget from the controller rate;
-	// nil means fgs.ConstantScaler (the paper's x_i = r·interval).
-	// fgs.RDScaler implements the complexity-aware allocation the paper
-	// cites as a quality-smoothing extension.
-	Scaler fgs.Scaler
+	// NewScaler builds each source's frame scaler, which decides each
+	// frame's byte budget from the controller rate. Scalers are stateful,
+	// so flows cannot share one. Nil means fgs.ConstantScaler (the paper's
+	// x_i = r·interval); fgs.RDScaler implements the complexity-aware
+	// allocation the paper cites as a quality-smoothing extension.
+	NewScaler func() fgs.Scaler
 	// RateSeries, if non-nil, records every accepted rate update (kb/s)
 	// at simulation time. It replaces the former OnRate callback and
 	// normally comes from an obs.Registry shared by the experiment. The γ
@@ -108,65 +102,34 @@ func (c Config) WithDefaults() Config {
 	if c.Mode == 0 {
 		c.Mode = ModePELS
 	}
-	if c.Frame == (fgs.FrameSpec{}) {
-		c.Frame = fgs.DefaultFrameSpec()
-	}
 	if c.FrameInterval <= 0 {
 		c.FrameInterval = 500 * time.Millisecond
 	}
-	if c.MKC == (cc.MKCConfig{}) {
-		c.MKC = cc.DefaultMKCConfig()
-	}
+	sc := c.sender().WithDefaults()
+	c.Frame, c.Gamma, c.RedShare, c.Layers = sc.Frame, sc.Gamma, sc.RedShare, sc.Layers
+	c.MKC = sc.MKC(c.MKC)
 	if c.MKC.MinRate < c.Frame.BaseRate(c.FrameInterval) {
 		// Below the base-layer rate no meaningful streaming is possible
 		// (paper §4.2: green loss means the session cannot continue), so
 		// the controller never requests less.
 		c.MKC.MinRate = c.Frame.BaseRate(c.FrameInterval)
 	}
-	if c.MKC.MaxRate <= 0 {
-		// The source can never transmit faster than the full-rate stream
-		// R_max; letting the controller ask for more would decouple it
-		// from the loss feedback (the excess is never offered to the
-		// network, so no congestion signal ever pushes the rate back).
-		c.MKC.MaxRate = c.Frame.MaxRate(c.FrameInterval)
-	}
-	if c.Gamma == (fgs.GammaConfig{}) {
-		c.Gamma = fgs.DefaultGammaConfig()
-	}
-	if c.AckSize <= 0 {
-		c.AckSize = 40
-	}
-	if c.AckEvery <= 0 {
-		c.AckEvery = 1
-	}
-	if c.RedShare == 0 {
-		c.RedShare = fgs.RedShareTotal
-	}
-	if c.Scaler == nil {
-		c.Scaler = fgs.ConstantScaler{}
-	}
-	if c.Layers == 0 {
-		c.Layers = 3
-	}
 	return c
+}
+
+// sender returns the part of the config the source's fgs.Sender plans with.
+func (c Config) sender() fgs.SenderConfig {
+	return fgs.SenderConfig{Frame: c.Frame, FrameInterval: c.FrameInterval, Gamma: c.Gamma,
+		RedShare: c.RedShare, Layers: c.Layers, NewScaler: c.NewScaler}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	c = c.WithDefaults()
-	if err := c.Frame.Validate(); err != nil {
-		return err
-	}
-	if err := c.Gamma.Validate(); err != nil {
-		return err
-	}
 	if c.Mode != ModePELS && c.Mode != ModeBestEffort {
 		return fmt.Errorf("pels: unknown mode %d", int(c.Mode))
 	}
-	if c.Layers < 2 || c.Layers > packet.MaxLayers {
-		return fmt.Errorf("pels: layers must be in [2,%d], got %d", packet.MaxLayers, c.Layers)
-	}
-	return nil
+	return c.sender().Validate()
 }
 
 // Session wires a Source on srcHost to a Sink on dstHost and returns both.

@@ -225,26 +225,6 @@ func TestCustomControllerReplacesMKC(t *testing.T) {
 	}
 }
 
-func TestAckEveryReducesAcks(t *testing.T) {
-	r1 := newRig(t, Config{Flow: 1}, 2*units.Mbps)
-	r1.src.Start(0)
-	if err := r1.eng.RunUntil(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	r4 := newRig(t, Config{Flow: 1, AckEvery: 4}, 2*units.Mbps)
-	r4.src.Start(0)
-	if err := r4.eng.RunUntil(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if r4.sink.AcksSent() >= r1.sink.AcksSent()/2 {
-		t.Errorf("AckEvery=4 acks %d vs per-packet %d, want ~1/4", r4.sink.AcksSent(), r1.sink.AcksSent())
-	}
-	// The rate loop must still function with sparse ACKs.
-	if r4.src.Rate().KbpsValue() < 500 {
-		t.Errorf("rate = %.1f with AckEvery=4, control loop broken?", r4.src.Rate().KbpsValue())
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Flow: 1, Mode: Mode(42)},
@@ -272,7 +252,7 @@ func TestWithDefaultsDerivedBounds(t *testing.T) {
 	if cfg.RedShare != fgs.RedShareTotal {
 		t.Errorf("RedShare default = %v", cfg.RedShare)
 	}
-	if cfg.Mode != ModePELS || cfg.AckEvery != 1 || cfg.AckSize != 40 {
+	if cfg.Mode != ModePELS {
 		t.Errorf("defaults = %+v", cfg)
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // Sink is the receiving side of a streaming session: it reassembles frames
-// with the FGS decoder and acknowledges data packets, echoing the freshest
-// router feedback label back to the source (paper §5.2).
+// with the FGS decoder and acknowledges every data packet, echoing the
+// freshest router feedback label back to the source (paper §5.2).
 type Sink struct {
 	cfg  Config
 	eng  *sim.Engine
@@ -23,7 +23,6 @@ type Sink struct {
 	pktsRecv  int64
 	bytesRecv int64
 	acksSent  int64
-	sinceAck  int
 
 	// latestFB is the freshest feedback seen across all received packets,
 	// preferring higher epochs from the same router (red packets can be
@@ -64,11 +63,7 @@ func (s *Sink) HandlePacket(p *packet.Packet) {
 		s.OnPacket(s.eng.Now(), p)
 	}
 	s.updateFeedback(p.Feedback)
-	s.sinceAck++
-	if s.sinceAck >= s.cfg.AckEvery {
-		s.sinceAck = 0
-		s.sendAck(p.Src)
-	}
+	s.sendAck(p.Src)
 }
 
 // updateFeedback keeps the freshest label: a higher epoch from the same
@@ -91,8 +86,12 @@ func (s *Sink) updateFeedback(fb packet.Feedback) {
 	}
 }
 
+// ackSize is the size in bytes of the ACK the sink sends for every data
+// packet.
+const ackSize = 40
+
 func (s *Sink) sendAck(to int) {
-	ack := s.net.NewPacket(s.cfg.Flow, to, s.cfg.AckSize, packet.ACK)
+	ack := s.net.NewPacket(s.cfg.Flow, to, ackSize, packet.ACK)
 	ack.AckedFeedback = s.latestFB
 	s.acksSent++
 	s.host.Send(ack)

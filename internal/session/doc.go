@@ -22,9 +22,10 @@
 //     policy: a burst of echoes is demuxed once and applied as a batch,
 //     without per-packet goroutine wakeups.
 //   - Session is one receiver's stream and the live stack's only sending
-//     end host: its own MKC rate controller, γ controller, packetizer
-//     (every frame split into priority layers by the γ ladder), and token
-//     bucket, shaped as a pump state machine the wheel can drive.
+//     end host: the driver of its own fgs.Sender (MKC, γ and the frame
+//     plan, every frame split into priority layers by the γ ladder; the
+//     simulator's pels.Source drives the same core) and of a token bucket,
+//     shaped as a pump state machine the wheel can drive.
 //   - Server owns the socket pair (raw reads, shaped writes), the demux
 //     loop, the wheel driver, the workers, and the session lifecycle:
 //     hello → streaming → drain or idle-timeout reap → closed.

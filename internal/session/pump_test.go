@@ -116,77 +116,67 @@ func TestPumpScriptedSequence(t *testing.T) {
 }
 
 // TestPumpFiveLayers drives a 5-layer session through three frames on a
-// scripted clock, once per shed level and band table. At γ = 0.5 a frame
-// of 1100 B is eleven 100-byte packets, split [1 2 1 2 5] over the layers
-// by the ladder. Every datagram travels its layer's band; each band's
-// sequence numbers run contiguously from 0, since a shed packet consumes
-// none; and shed level k sends exactly the bottom 5−k layers of every
-// frame, never fewer than the base.
+// scripted clock, once per shed level. At γ = 0.5 a frame of 1100 B is
+// eleven 100-byte packets, split [1 2 1 2 5] over the layers by the ladder.
+// Every datagram travels its layer's band (base Green, top Red, the rest
+// Yellow); each band's sequence numbers run contiguously from 0, since a
+// shed packet consumes none; and shed level k sends exactly the bottom 5−k
+// layers of every frame, never fewer than the base.
 func TestPumpFiveLayers(t *testing.T) {
 	counts := []int{1, 2, 1, 2, 5}
 	const frames = 3
-	for _, tc := range []struct {
-		name  string
-		bands []packet.Color // the config's LayerBands
-		want  []packet.Color // each layer's band on the wire
-	}{
-		{"default", nil, []packet.Color{packet.Green, packet.Yellow, packet.Yellow, packet.Yellow, packet.Red}},
-		{"custom", []packet.Color{packet.Green, packet.Green, packet.Yellow, packet.Red, packet.Red},
-			[]packet.Color{packet.Green, packet.Green, packet.Yellow, packet.Red, packet.Red}},
-	} {
-		for _, lvl := range []int{0, 1, 2, 4, 9} {
-			t.Run(fmt.Sprintf("%s/shed%d", tc.name, lvl), func(t *testing.T) {
-				t0 := time.Unix(1000, 0)
-				out := &captureWriter{}
-				s := newTestSession(t, Config{
-					Frame:         fgs.FrameSpec{PacketSize: 100, TotalPackets: 16, GreenPackets: 1},
-					FrameInterval: 20 * time.Millisecond,
-					MKC:           cc.MKCConfig{Alpha: units.Kbps, Beta: 0.5, InitialRate: 440 * units.Kbps, MinRate: 16 * units.Kbps, DedupEpochs: true},
-					RedShare:      fgs.RedShareEnhancement,
-					Layers:        5,
-					LayerBands:    tc.bands,
-					BurstBytes:    200,
-					MaxFrames:     frames,
-				}, out, t0)
-				var shed atomic.Int32
-				shed.Store(int32(lvl))
-				s.setShedLevel(&shed)
-				drive(t, s, t0, 1000)
+	bands := []packet.Color{packet.Green, packet.Yellow, packet.Yellow, packet.Yellow, packet.Red}
+	for _, lvl := range []int{0, 1, 2, 4, 9} {
+		t.Run(fmt.Sprintf("default/shed%d", lvl), func(t *testing.T) {
+			t0 := time.Unix(1000, 0)
+			out := &captureWriter{}
+			s := newTestSession(t, Config{
+				Frame:         fgs.FrameSpec{PacketSize: 100, TotalPackets: 16, GreenPackets: 1},
+				FrameInterval: 20 * time.Millisecond,
+				MKC:           cc.MKCConfig{Alpha: units.Kbps, Beta: 0.5, InitialRate: 440 * units.Kbps, MinRate: 16 * units.Kbps, DedupEpochs: true},
+				RedShare:      fgs.RedShareEnhancement,
+				Layers:        5,
+				BurstBytes:    200,
+				MaxFrames:     frames,
+			}, out, t0)
+			var shed atomic.Int32
+			shed.Store(int32(lvl))
+			s.setShedLevel(&shed)
+			drive(t, s, t0, 1000)
 
-				// The layer of each index of a frame, and how many of the
-				// frame's packets the level leaves.
-				var layerOf []int
-				for l, c := range counts {
-					for range c {
-						layerOf = append(layerOf, l)
-					}
+			// The layer of each index of a frame, and how many of the
+			// frame's packets the level leaves.
+			var layerOf []int
+			for l, c := range counts {
+				for range c {
+					layerOf = append(layerOf, l)
 				}
-				sent := 0
-				for _, c := range counts[:max(len(counts)-lvl, 1)] {
-					sent += c
+			}
+			sent := 0
+			for _, c := range counts[:max(len(counts)-lvl, 1)] {
+				sent += c
+			}
+			if len(out.headers) != frames*sent {
+				t.Fatalf("%d datagrams, want %d a frame for %d frames", len(out.headers), sent, frames)
+			}
+			next := map[packet.Color]uint64{}
+			for i, h := range out.headers {
+				frame, idx := i/sent, i%sent
+				if int(h.Frame) != frame || int(h.Index) != idx {
+					t.Fatalf("datagram %d is frame %d index %d, want frame %d index %d", i, h.Frame, h.Index, frame, idx)
 				}
-				if len(out.headers) != frames*sent {
-					t.Fatalf("%d datagrams, want %d a frame for %d frames", len(out.headers), sent, frames)
+				if want := bands[layerOf[idx]]; h.Color != want {
+					t.Errorf("datagram %d (layer %d) travels %v, want %v", i, layerOf[idx], h.Color, want)
 				}
-				next := map[packet.Color]uint64{}
-				for i, h := range out.headers {
-					frame, idx := i/sent, i%sent
-					if int(h.Frame) != frame || int(h.Index) != idx {
-						t.Fatalf("datagram %d is frame %d index %d, want frame %d index %d", i, h.Frame, h.Index, frame, idx)
-					}
-					if want := tc.want[layerOf[idx]]; h.Color != want {
-						t.Errorf("datagram %d (layer %d) travels %v, want %v", i, layerOf[idx], h.Color, want)
-					}
-					if h.Seq != next[h.Color] {
-						t.Errorf("datagram %d: %v sequence %d, want %d", i, h.Color, h.Seq, next[h.Color])
-					}
-					next[h.Color]++
+				if h.Seq != next[h.Color] {
+					t.Errorf("datagram %d: %v sequence %d, want %d", i, h.Color, h.Seq, next[h.Color])
 				}
-				if st := s.Stats(); st.Frames != frames || st.Shed != uint64(frames*(len(layerOf)-sent)) {
-					t.Errorf("%d frames, %d shed; want %d frames, %d shed", st.Frames, st.Shed, frames, frames*(len(layerOf)-sent))
-				}
-			})
-		}
+				next[h.Color]++
+			}
+			if st := s.Stats(); st.Frames != frames || st.Shed != uint64(frames*(len(layerOf)-sent)) {
+				t.Errorf("%d frames, %d shed; want %d frames, %d shed", st.Frames, st.Shed, frames, frames*(len(layerOf)-sent))
+			}
+		})
 	}
 }
 
@@ -290,9 +280,10 @@ func TestLiveStatsWithoutRegistry(t *testing.T) {
 	}
 }
 
-// TestNewSessionAllocations pins what a session costs the heap: the Session,
-// its MKC controller, its γ controller and its packetizer. The pacer, the
-// datagram buffer and the payload it used to own are gone.
+// TestNewSessionAllocations pins what a session costs the heap: the Session
+// and its MKC controller. The γ controller and packetizer live inside the
+// session's fgs.Sender; the pacer, the datagram buffer and the payload it
+// used to own are gone.
 func TestNewSessionAllocations(t *testing.T) {
 	cfg := Config{}.WithDefaults()
 	key := Key{Addr: "127.0.0.1:7777", Flow: 3}
@@ -301,8 +292,8 @@ func TestNewSessionAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		s, _ = NewSession(key, handPeer, discard{}, cfg, t0)
 	})
-	if s == nil || allocs > 4 {
-		t.Fatalf("NewSession allocates %v times, want at most 4", allocs)
+	if s == nil || allocs > 2 {
+		t.Fatalf("NewSession allocates %v times, want at most 2", allocs)
 	}
 }
 

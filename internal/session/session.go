@@ -34,15 +34,9 @@ type Config struct {
 	// Layers is the number of priority layers each frame is split into,
 	// in [2, packet.MaxLayers]; 0 selects 3, the paper's green/yellow/red.
 	// Every frame is planned with the default γ ladder (fgs.Ladder), which
-	// for 3 layers is exactly the paper's single-γ split.
+	// for 3 layers is exactly the paper's single-γ split. Layer l travels
+	// the wire band band(l, Layers).
 	Layers int
-	// LayerBands maps each priority layer to its on-wire band (the wire
-	// carries only the three paper bands) and must have Layers entries.
-	// Nil selects defaultLayerBands(Layers): base layer → Green, top layer
-	// → Red, every layer between → Yellow, the identity for 3 layers. A
-	// Tune hook that changes Layers sets LayerBands to match, or to nil for
-	// the default.
-	LayerBands []packet.Color
 	// NewScaler builds the per-session frame scaler (scalers are
 	// stateful, so sessions cannot share one); nil means ConstantScaler.
 	NewScaler func() fgs.Scaler
@@ -52,71 +46,53 @@ type Config struct {
 	// until drained or reaped.
 	MaxFrames int
 	// StaleTimeout arms the per-session stale-feedback watchdog: when no
-	// fresh feedback has been accepted for this long, the session
-	// multiplies its effective rate by StaleDecay, once per elapsed
-	// horizon, never below the MKC minimum rate. The first accepted
-	// feedback restores the controller rate in full (the controller state
-	// itself is never decayed, only the pacing on top of it). 0 disables
-	// it.
+	// fresh feedback has been accepted for this long, the session halves
+	// its effective rate, once per elapsed horizon, never below the MKC
+	// minimum rate. The first accepted feedback restores the controller
+	// rate in full (the controller state itself is never decayed, only the
+	// pacing on top of it). 0 disables it.
 	StaleTimeout time.Duration
-	// StaleDecay is the per-horizon decay factor in (0,1); 0 selects 0.5.
-	StaleDecay float64
 }
 
-// WithDefaults fills zero-valued fields.
+// WithDefaults fills zero-valued fields. An unset MKC.MaxRate becomes R_max
+// (fgs.SenderConfig.MKC).
 func (c Config) WithDefaults() Config {
-	if c.Frame == (fgs.FrameSpec{}) {
-		c.Frame = fgs.DefaultFrameSpec()
-	}
 	if c.FrameInterval <= 0 {
 		c.FrameInterval = 20 * time.Millisecond
 	}
-	if c.MKC == (cc.MKCConfig{}) {
-		c.MKC = cc.DefaultMKCConfig()
-	}
-	if c.Gamma == (fgs.GammaConfig{}) {
-		c.Gamma = fgs.DefaultGammaConfig()
-	}
-	if c.RedShare == 0 {
-		c.RedShare = fgs.RedShareTotal
-	}
+	sc := c.sender().WithDefaults()
+	c.Frame, c.Gamma, c.RedShare, c.Layers = sc.Frame, sc.Gamma, sc.RedShare, sc.Layers
+	c.MKC = sc.MKC(c.MKC)
 	if c.BurstBytes <= 0 {
 		c.BurstBytes = 8 * c.Frame.PacketSize
-	}
-	if c.StaleDecay == 0 {
-		c.StaleDecay = 0.5
-	}
-	if c.Layers == 0 {
-		c.Layers = 3
-	}
-	if c.LayerBands == nil && c.Layers > 0 {
-		c.LayerBands = defaultLayerBands(c.Layers)
 	}
 	return c
 }
 
-// defaultLayerBands returns the default layer→wire-band table for n
-// layers: the base layer travels Green, the top (probe) layer Red, and
-// every intermediate layer Yellow, preserving the paper's protection
-// ordering on a 3-band wire.
-func defaultLayerBands(n int) []packet.Color {
-	bands := make([]packet.Color, n)
-	for i := range bands {
-		switch {
-		case i == 0:
-			bands[i] = packet.Green
-		case i == n-1:
-			bands[i] = packet.Red
-		default:
-			bands[i] = packet.Yellow
-		}
+// sender returns the part of the config the session's fgs.Sender plans
+// with.
+func (c Config) sender() fgs.SenderConfig {
+	return fgs.SenderConfig{Frame: c.Frame, FrameInterval: c.FrameInterval, Gamma: c.Gamma,
+		RedShare: c.RedShare, Layers: c.Layers, NewScaler: c.NewScaler}
+}
+
+// band returns the wire band of priority layer l of n. The wire carries
+// only the paper's three bands, so the base layer travels Green, the top
+// (probe) layer Red and every layer between Yellow: the paper's protection
+// order, and the identity for 3 layers.
+func band(l, n int) packet.Color {
+	switch l {
+	case 0:
+		return packet.Green
+	case n - 1:
+		return packet.Red
 	}
-	return bands
+	return packet.Yellow
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if err := c.Frame.Validate(); err != nil {
+	if err := c.sender().Validate(); err != nil {
 		return err
 	}
 	if c.Frame.PacketSize <= wire.HeaderSize {
@@ -126,23 +102,6 @@ func (c Config) Validate() error {
 	if c.Frame.PacketSize > wire.MaxDatagram {
 		return fmt.Errorf("session: packet size %d exceeds max datagram %d",
 			c.Frame.PacketSize, wire.MaxDatagram)
-	}
-	if err := c.Gamma.Validate(); err != nil {
-		return err
-	}
-	if c.StaleDecay < 0 || c.StaleDecay >= 1 {
-		return fmt.Errorf("session: stale decay %v must be in (0,1)", c.StaleDecay)
-	}
-	if c.Layers < 2 || c.Layers > packet.MaxLayers {
-		return fmt.Errorf("session: layers must be in [2,%d], got %d", packet.MaxLayers, c.Layers)
-	}
-	if len(c.LayerBands) != c.Layers {
-		return fmt.Errorf("session: layer band table has %d entries for %d layers", len(c.LayerBands), c.Layers)
-	}
-	for i, b := range c.LayerBands {
-		if !b.IsWireBand() {
-			return fmt.Errorf("session: layer %d mapped to non-band color %v", i, b)
-		}
 	}
 	return nil
 }
@@ -200,16 +159,16 @@ type Stats struct {
 // MKC minimum floors the effective rate anyway.
 const minDegrade = 1.0 / 1024
 
-// Session is one receiver's PELS stream, the live stack's end host: its
-// own MKC controller, γ controller, packetizer, per-color sequence spaces,
-// and token bucket, sharing the server's socket and bottleneck with every
-// other session. At each frame boundary it sizes the byte budget x_i from
-// the controller's rate and splits it into priority layers with the γ
-// ladder (paper §4.2, Fig. 4); feedback labels echoed by the receiver
-// drive both control loops, exactly as ACKs do in the simulator. It owns
-// no buffer: a datagram is encoded at the instant it is written, into the
-// scratch of the worker that pumps it, its header written straight from the
-// session's fields.
+// Session is one receiver's PELS stream, the live stack's end host: the
+// driver of its own fgs.Sender (MKC, γ and the frame plan, the same core
+// the simulator's pels.Source drives), with per-band sequence spaces and a
+// token bucket, sharing the server's socket and bottleneck with every other
+// session. At each frame boundary the sender sizes x_i from the session's
+// effective rate and splits it by the γ ladder (paper §4.2, Fig. 4); the
+// feedback labels the receiver echoes go to the sender, exactly as ACKs do
+// in the simulator. It owns no buffer: a datagram is encoded at the instant
+// it is written, into the scratch of the worker that pumps it, its header
+// written straight from the session's fields.
 //
 // A Session owns no goroutine either: it is a pump state machine. The
 // wheel fires it, pump sends whatever the token bucket allows at that
@@ -229,21 +188,13 @@ type Session struct {
 	// on its way through a worker.
 	timer Timer
 
-	mu     sync.Mutex
-	state  State
-	ctrl   cc.Controller
-	gamma  *fgs.Gamma
-	pk     *fgs.Packetizer
-	scaler fgs.Scaler
-	seq    [3]uint64 // next sequence number per wire band, indexed by color − Green
-	stats  Stats
+	mu    sync.Mutex
+	state State
+	seq   [3]uint64 // next sequence number per wire band, indexed by color − Green
+	stats Stats
 
-	bucket   wire.Bucket           //pelsvet:guards mu — the token bucket; mu is its only lock
-	frame    int                   //pelsvet:guards mu — next frame number to plan
-	plan     fgs.LayerPlan         //pelsvet:guards mu — the frame in flight; Counts is counts[:cfg.Layers]
-	counts   [packet.MaxLayers]int //pelsvet:guards mu — plan's backing array, so a session plans without allocating
-	planIdx  int                   //pelsvet:guards mu
-	reserved bool                  //pelsvet:guards mu — plan packet planIdx is charged to the bucket, not yet encoded
+	bucket   wire.Bucket //pelsvet:guards mu — the token bucket; mu is its only lock
+	reserved bool        //pelsvet:guards mu — the sender's next packet is charged to the bucket, not yet encoded
 
 	// shedLevel points at the server-wide overload level (write-once
 	// before the session is pumped, read atomically per pump); nil means
@@ -255,44 +206,33 @@ type Session struct {
 	lastDecayAt    time.Time   //pelsvet:guards mu
 	lastActivity   time.Time   //pelsvet:guards mu
 	lastSendAt     time.Time   //pelsvet:guards mu — stuck watchdog: last datagram on the wire
-	lastRouterID   int         //pelsvet:guards mu
-	haveRouter     bool        //pelsvet:guards mu
 	closeReason    wire.Reason //pelsvet:guards mu — why the session closed
 	frameGateAt    time.Time   //pelsvet:guards mu — earliest next frame start, enforced while shedding
+
+	// snd is last: its per-packet fields lead it, so a wake reads them on
+	// the cache lines of the fields above, and the controller and γ behind
+	// them are read only per frame and per label.
+	snd fgs.Sender //pelsvet:guards mu — controller, γ and the frame in flight
 }
 
 // NewSession builds a session streaming to peer through out, with its
 // clocks anchored at now. cfg must already be defaulted and validated
 // (the server does both once per template, not per hello).
 func NewSession(key Key, peer net.Addr, out wire.PacketWriter, cfg Config, now time.Time) (*Session, error) {
-	gamma, err := fgs.NewGamma(cfg.Gamma)
-	if err != nil {
-		return nil, err
-	}
-	pk, err := fgs.NewPacketizer(cfg.Frame)
-	if err != nil {
-		return nil, err
-	}
-	var scaler fgs.Scaler = fgs.ConstantScaler{}
-	if cfg.NewScaler != nil {
-		scaler = cfg.NewScaler()
-	}
 	s := &Session{
 		key:            key,
 		peer:           peer,
 		cfg:            cfg,
 		out:            out,
 		state:          StateStreaming,
-		ctrl:           cc.NewMKC(cfg.MKC),
-		gamma:          gamma,
-		pk:             pk,
-		scaler:         scaler,
 		degrade:        1,
 		lastFeedbackAt: now,
 		lastActivity:   now,
 		lastSendAt:     now,
 	}
-	s.plan.Counts = s.counts[:cfg.Layers]
+	if err := s.snd.Init(cfg.sender(), cc.NewMKC(cfg.MKC)); err != nil {
+		return nil, err
+	}
 	s.bucket.Init(cfg.MKC.InitialRate, cfg.BurstBytes)
 	s.stats.Key = key
 	s.timer.Owner = s
@@ -352,9 +292,9 @@ func (s *Session) pump(now time.Time, w *scratch) (next time.Time, done bool) {
 			}
 			continue
 		}
-		if s.planIdx >= s.plan.Total() {
+		if s.snd.Pending() == 0 {
 			// Frame boundary.
-			if s.cfg.MaxFrames > 0 && s.frame >= s.cfg.MaxFrames {
+			if s.cfg.MaxFrames > 0 && s.snd.Frames() >= s.cfg.MaxFrames {
 				s.state = StateClosed
 				s.closeReason = wire.ReasonComplete
 				return time.Time{}, true
@@ -369,23 +309,19 @@ func (s *Session) pump(now time.Time, w *scratch) (next time.Time, done bool) {
 				// counter fast; hold the boundary to the frame cadence.
 				return s.frameGateAt, false
 			}
-			budget := s.scaler.Budget(s.frame, s.effectiveRateLocked(), s.cfg.FrameInterval)
-			s.pk.PlanLadder(&s.plan, s.frame, budget, s.gamma.Value(), s.cfg.RedShare)
-			s.planIdx = 0
-			s.frame++
-			s.stats.Frames = s.frame
+			n := s.snd.PlanFrame(s.effectiveRateLocked())
 			s.frameGateAt = now.Add(s.cfg.FrameInterval)
-			if s.plan.Total() == 0 {
+			if n == 0 {
 				// Degenerate budget: idle one frame interval instead of
 				// spinning.
 				return now.Add(s.cfg.FrameInterval), false
 			}
 		}
-		if shed > 0 && s.shedsPacketLocked(s.planIdx, shed) {
-			// Overload: drop this enhancement packet at the source —
-			// uncharged against the bucket, invisible to the receiver's
-			// per-color loss (its sequence number is never consumed).
-			s.planIdx++
+		if shed > 0 && s.snd.Layer() >= max(s.cfg.Layers-shed, 1) {
+			// Overload: level n drops the top n layers at the source, never
+			// the base — uncharged against the bucket, invisible to the
+			// receiver's per-color loss (no sequence number is consumed).
+			s.snd.Take()
 			s.stats.Shed++
 			w.shed++
 			continue
@@ -412,16 +348,9 @@ func (s *Session) shedLevelNow() int {
 	return 0
 }
 
-// shedsPacketLocked reports whether plan packet idx belongs to a layer
-// the given shed level drops: level n removes the top n layers, and the
-// base layer always survives.
-func (s *Session) shedsPacketLocked(idx, lvl int) bool {
-	return s.plan.Layer(idx) >= max(s.cfg.Layers-lvl, 1)
-}
-
-// sendLocked encodes plan packet planIdx — charged to the bucket, its wait
-// over — into w.buf, stamped with now, the instant it is handed to out, and
-// writes it. The header is written straight from the session's fields by
+// sendLocked encodes the sender's next packet — charged to the bucket, its
+// wait over — into w.buf, stamped with now, the instant it is handed to out,
+// and writes it. The header is written straight from the session's fields by
 // wire.AppendData, and the payload is PacketSize − HeaderSize zero bytes. It
 // reports false, with the session closed, if the datagram does not encode:
 // unreachable with a validated config, but a session that cannot send must
@@ -429,8 +358,9 @@ func (s *Session) shedsPacketLocked(idx, lvl int) bool {
 //
 //pelsvet:noalloc
 func (s *Session) sendLocked(now time.Time, w *scratch) bool {
-	color := s.cfg.LayerBands[s.plan.Layer(s.planIdx)]
-	b, err := wire.AppendData(w.buf[:0], color, s.key.Flow, uint32(s.frame-1), uint16(s.planIdx),
+	frame, index, layer := s.snd.Take()
+	color := band(layer, s.cfg.Layers)
+	b, err := wire.AppendData(w.buf[:0], color, s.key.Flow, uint32(frame), uint16(index),
 		s.seq[color-packet.Green], now.UnixNano(), s.cfg.Frame.PacketSize-wire.HeaderSize)
 	if err != nil {
 		s.state = StateClosed
@@ -442,7 +372,6 @@ func (s *Session) sendLocked(now time.Time, w *scratch) bool {
 	_, _ = s.out.WriteTo(b, s.peer)
 	s.seq[color-packet.Green]++
 	s.reserved = false
-	s.planIdx++
 	s.lastSendAt = now
 	s.stats.Datagrams++
 	s.stats.Bytes += uint64(len(b))
@@ -454,7 +383,7 @@ func (s *Session) sendLocked(now time.Time, w *scratch) bool {
 // effectiveRateLocked is the controller rate scaled by the watchdog
 // multiplier, floored at the MKC minimum rate.
 func (s *Session) effectiveRateLocked() units.BitRate {
-	r := units.BitRate(float64(s.ctrl.Rate()) * s.degrade)
+	r := units.BitRate(float64(s.snd.Rate()) * s.degrade)
 	if min := s.cfg.MKC.MinRate; min > 0 && r < min {
 		r = min
 	}
@@ -475,17 +404,17 @@ func (s *Session) checkStaleLocked(now time.Time) {
 		return // at most one decay per horizon
 	}
 	s.lastDecayAt = now
-	if s.degrade *= s.cfg.StaleDecay; s.degrade < minDegrade {
+	if s.degrade /= 2; s.degrade < minDegrade {
 		s.degrade = minDegrade
 	}
 	s.stats.StaleDecays++
 	s.bucket.SetRate(s.effectiveRateLocked(), now)
 }
 
-// HandleFeedback offers one feedback label to the session's controllers
-// at instant now: epoch dedup in the controller, watchdog recovery, γ
-// reset on router change, pacer retarget. It reports whether the label
-// was fresh.
+// HandleFeedback offers one feedback label to the session at instant now:
+// the sender's MKC and γ step (epoch dedup, γ reset on router change),
+// watchdog recovery, pacer retarget. It reports whether the label was
+// fresh.
 func (s *Session) HandleFeedback(fb packet.Feedback, now time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -513,7 +442,8 @@ func (s *Session) handleFeedbackLocked(fb packet.Feedback, now time.Time) bool {
 		return false
 	}
 	s.lastActivity = now
-	if !s.ctrl.OnFeedback(fb) {
+	accepted, routerChanged := s.snd.OnFeedback(fb)
+	if !accepted {
 		return false
 	}
 	s.lastFeedbackAt = now
@@ -521,16 +451,9 @@ func (s *Session) handleFeedbackLocked(fb packet.Feedback, now time.Time) bool {
 		s.degrade = 1
 		s.stats.Recoveries++
 	}
-	if s.haveRouter && fb.RouterID != s.lastRouterID {
-		// Feedback discontinuity: the loss history γ integrated belongs
-		// to the old queue — restart the red fraction.
-		s.gamma.Reset()
+	if routerChanged {
 		s.stats.RouterChanges++
-	} else {
-		s.gamma.Update(fb.Loss)
 	}
-	s.lastRouterID = fb.RouterID
-	s.haveRouter = true
 	s.stats.FeedbackAccepted++
 	s.bucket.SetRate(s.effectiveRateLocked(), now)
 	return true
@@ -607,14 +530,14 @@ func (s *Session) State() State {
 func (s *Session) Rate() units.BitRate {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ctrl.Rate()
+	return s.snd.Rate()
 }
 
 // Gamma returns the γ controller's current red fraction.
 func (s *Session) Gamma() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gamma.Value()
+	return s.snd.Gamma()
 }
 
 // Stats returns a snapshot of the session's counters and control state.
@@ -623,9 +546,10 @@ func (s *Session) Stats() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.State = s.state
-	st.Rate = s.ctrl.Rate()
-	st.Gamma = s.gamma.Value()
-	st.LastLoss = s.ctrl.LastLoss()
+	st.Frames = s.snd.Frames()
+	st.Rate = s.snd.Rate()
+	st.Gamma = s.snd.Gamma()
+	st.LastLoss = s.snd.Controller().LastLoss()
 	st.Degrade = s.degrade
 	st.CloseReason = s.closeReason
 	return st

@@ -287,3 +287,52 @@ func TestSessionMinRateFloor(t *testing.T) {
 		t.Fatalf("rate %v fell below the MKC floor %v", r, cfg.MKC.MinRate)
 	}
 }
+
+// TestSessionRateCeiling gives a session spare capacity, a −0.1 label every
+// frame interval, and checks that MKC grows to R_max and no further. Once
+// there, the session streams no more frames a second than the video has:
+// 1/FrameInterval, plus the one frame the last boundary can start early.
+// (While the rate still grows, frames run short, because the rate rises
+// under a frame planned at the lower one.)
+func TestSessionRateCeiling(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	// 20 packets of 100 B every 10 ms: R_max = 1.6 Mb/s, 100 frames a second.
+	cfg := Config{
+		Frame:         fgs.FrameSpec{PacketSize: 100, TotalPackets: 20, GreenPackets: 2},
+		FrameInterval: 10 * time.Millisecond,
+	}
+	s := newTestSession(t, cfg, discard{}, t0)
+	rmax := cfg.Frame.MaxRate(cfg.FrameInterval)
+	w := newScratch()
+	now, label := t0, t0
+	var epoch uint64
+	run := func(until time.Time) Stats {
+		for now.Before(until) {
+			if !now.Before(label) {
+				epoch++
+				s.HandleFeedback(packet.Feedback{RouterID: 1, Epoch: epoch, Loss: -0.1, Valid: true}, now)
+				label = label.Add(cfg.FrameInterval)
+			}
+			next, done := s.pump(now, w)
+			if done {
+				t.Fatal("session closed under spare capacity")
+			}
+			now = next
+			if label.Before(now) {
+				now = label
+			}
+		}
+		return s.Stats()
+	}
+	warm := run(t0.Add(time.Second))
+	if warm.Rate != rmax {
+		t.Fatalf("rate %v after %d spare-capacity labels, want R_max %v", warm.Rate, epoch, rmax)
+	}
+	st := run(t0.Add(2 * time.Second))
+	if st.Rate != rmax {
+		t.Errorf("rate %v after %d spare-capacity labels, want R_max %v", st.Rate, epoch, rmax)
+	}
+	if n, limit := st.Frames-warm.Frames, int(time.Second/cfg.FrameInterval)+1; n > limit {
+		t.Errorf("%d frames in 1 s of a %v-interval video, want at most %d", n, cfg.FrameInterval, limit)
+	}
+}

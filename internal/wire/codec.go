@@ -189,7 +189,7 @@ func (h Header) validate() error {
 	case TypeData:
 		// The wire carries exactly the three paper bands (plus
 		// best-effort): extended simulator layers must be mapped onto
-		// bands before encoding (session.Config.LayerBands), so a wider
+		// bands before encoding (session.band), so a wider
 		// IsPELS check would be wrong here.
 		if !h.Color.IsWireBand() && h.Color != packet.BestEffort {
 			return fmt.Errorf("%w: data datagram colored %v", ErrColor, h.Color)
