@@ -9,10 +9,12 @@ build:
 
 # The second line is compile-only on a 32-bit int: session keys and swarm
 # flows are uint32s, and arithmetic on them that only fits a 64-bit int has
-# been a bug here before (a comparator that subtracted flows).
+# been a bug here before (a comparator that subtracted flows); the pacing
+# bucket's fixed-point price and the wheel's slot arithmetic are 64-bit
+# integer code on the same path.
 vet:
 	go vet ./...
-	GOARCH=386 go vet ./internal/session/ ./internal/wire/
+	GOARCH=386 go vet ./internal/session/ ./internal/wire/ ./internal/timewheel/
 
 # PELS-specific static analyzers (determinism, seeded randomness, float
 # equality, unit hygiene, lock discipline, zero-alloc contracts, goroutine
@@ -103,6 +105,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzAppendReuse$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzCorruption$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzStampFeedback$$' -fuzztime=10s ./internal/wire/
+	go test -run '^$$' -fuzz '^FuzzBucket$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzMeter$$' -fuzztime=10s ./internal/packet/
 	go test -run '^$$' -fuzz '^FuzzSwarmHandle$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzReceiverHandle$$' -fuzztime=10s ./internal/wire/

@@ -135,7 +135,7 @@ func TestAdmitLaneFirstDatagramBeforeAnyTick(t *testing.T) {
 	if want := (sent{at: t0.UnixNano(), color: packet.Green, seq: 0, flow: 1, size: 100}); got[0] != want {
 		t.Fatalf("first datagram %+v, want %+v", got[0], want)
 	}
-	if s.wheel.Len() != 1 || !sess.timer.At.Equal(wantNext) || !wantNext.After(t0) {
+	if s.wheel.Len() != 1 || sess.timer.At != wantNext || wantNext <= t0.Sub(s.wheel.Origin()) {
 		t.Fatalf("wheel holds %d timers, armed at %v; want 1 at pump's deadline %v, after %v",
 			s.wheel.Len(), sess.timer.At, wantNext, t0)
 	}
@@ -281,20 +281,20 @@ func TestAdmitDuplicateHelloEnqueuesNothing(t *testing.T) {
 	s, clk, conn := handServer(t, discard{}, nil)
 	hello(t, s, 1, clk.Now())
 	sess := s.table.Get(Key{Addr: handPeer.String(), Flow: 1})
-	lastActivity := func() time.Time {
+	lastActivity := func() time.Duration {
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
 		return sess.lastActivity
 	}
 	t1 := clk.advance(3 * time.Millisecond)
 	hello(t, s, 1, t1)
-	if len(s.admits) != 1 || s.wheel.Len() != 0 || !lastActivity().Equal(t1) {
+	if len(s.admits) != 1 || s.wheel.Len() != 0 || lastActivity() != t1.Sub(s.wheel.Origin()) {
 		t.Fatalf("duplicate in the lane: lane=%d wheel=%d lastActivity=%v, want 1/0/%v", len(s.admits), s.wheel.Len(), lastActivity(), t1)
 	}
 	pumpLane(s)
 	t2 := clk.advance(3 * time.Millisecond)
 	hello(t, s, 1, t2)
-	if len(s.admits) != 0 || s.wheel.Len() != 1 || !lastActivity().Equal(t2) {
+	if len(s.admits) != 0 || s.wheel.Len() != 1 || lastActivity() != t2.Sub(s.wheel.Origin()) {
 		t.Fatalf("duplicate on the wheel: lane=%d wheel=%d lastActivity=%v, want 0/1/%v", len(s.admits), s.wheel.Len(), lastActivity(), t2)
 	}
 	if st := s.Stats(); st.Hellos != 3 || st.Admitted != 1 || st.AdmitFallbacks != 0 || st.Rejected != 0 {
@@ -585,6 +585,59 @@ func TestAdmitDemuxNeverPumps(t *testing.T) {
 	for name := range dataWrites {
 		if fromDemux[name] {
 			t.Errorf("demux reaches %s, which writes to a session's data path", name)
+		}
+	}
+}
+
+// TestAdmitAtTimelineZero: a session admitted at the server's first instant
+// sits at offset 0 of the wheel's timeline. Zero used to be the zero
+// time.Time, which meant "never" for the frame gate and for the last stale
+// decay; on the timeline it is a real instant, and the session must still
+// hold its frames to the frame cadence while shedding and still decay once
+// per StaleTimeout, no more and no less.
+func TestAdmitAtTimelineZero(t *testing.T) {
+	const (
+		interval = 20 * time.Millisecond
+		stale    = 50 * time.Millisecond
+	)
+	s, clk, _ := handServer(t, discard{}, func(cfg *ServerConfig) {
+		cfg.Session.FrameInterval = interval
+		cfg.Session.StaleTimeout = stale
+		// Six 100-byte packets a frame at first, never fewer than two:
+		// what shedding leaves of a frame is sent well inside its interval.
+		cfg.Session.MKC = cc.MKCConfig{Alpha: units.Kbps, Beta: 0.5, InitialRate: 240 * units.Kbps, MinRate: 80 * units.Kbps, DedupEpochs: true}
+	})
+	t0 := clk.Now()
+	if !t0.Equal(s.wheel.Origin()) {
+		t.Fatalf("the server's first instant %v is not its wheel's origin %v", t0, s.wheel.Origin())
+	}
+	s.shedLvl.Store(1)
+	hello(t, s, 1, t0)
+	sess := s.table.Get(Key{Addr: handPeer.String(), Flow: 1})
+	sess.mu.Lock()
+	admittedAt := sess.lastFeedbackAt
+	sess.mu.Unlock()
+	if admittedAt != 0 {
+		t.Fatalf("admitted at offset %v, want 0", admittedAt)
+	}
+	pumpLane(s)
+	var fired []*Timer
+	for ms := 1; ms <= 1000; ms++ {
+		step(t, s, clk, &fired)
+		st := sess.Stats()
+		if st.Shed == 0 && ms >= int(interval/time.Millisecond) {
+			t.Fatalf("%d ms in, nothing shed: the test does not shed", ms)
+		}
+		// Frames start at 0, 20 ms, 40 ms, ...: the gate holds each to
+		// the one before plus the interval, the first included.
+		if want := ms/int(interval/time.Millisecond) + 1; st.Frames != want {
+			t.Fatalf("%d ms in, %d frames started, want %d", ms, st.Frames, want)
+		}
+		// A decay at most once per horizon, and at the latest one frame
+		// interval (the longest gap between wakes) after it is due.
+		lo, hi := ms/int((stale+interval)/time.Millisecond), ms/int(stale/time.Millisecond)
+		if d := int(st.StaleDecays); d < lo || d > hi {
+			t.Fatalf("%d ms in, %d stale decays, want %d to %d", ms, d, lo, hi)
 		}
 	}
 }

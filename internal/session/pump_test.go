@@ -70,7 +70,7 @@ func TestPumpScriptedSequence(t *testing.T) {
 			}
 			f()
 		}
-		now = next
+		now = s.origin.Add(next)
 	}
 
 	type id struct {
@@ -301,6 +301,11 @@ func TestNewSessionAllocations(t *testing.T) {
 // one goroutine — advance, hand-off, pumpChunk — for the two populations the
 // end-to-end benchmark runs: one datagram a wake (egress-wide) and four
 // (egress-bulk). Diagnostic only; ns/op and allocs/op are per datagram.
+//
+// Its clock starts from a real reading, as the server's does in
+// production: an instant that carries a monotonic clock reading, on which
+// time.Time.Sub takes its fast path. (The tests' fakeClock starts at a
+// wall-only time.Unix instant, whose Sub takes the slower wall path.)
 func BenchmarkSessionPumpChunk(b *testing.B) {
 	for _, bc := range []struct {
 		name     string
@@ -311,7 +316,7 @@ func BenchmarkSessionPumpChunk(b *testing.B) {
 		{"256x4", 256, 4000},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			clk := &fakeClock{now: time.Unix(5000, 0)}
+			clk := &fakeClock{now: time.Now()}
 			rate := units.BitRate(bc.dgps * 100 * 8)
 			s, err := NewServer(ServerConfig{
 				Conn: &ctlConn{}, Out: discard{}, Clock: clk, IdleTimeout: -1, MaxSessions: bc.sessions,

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/packet"
 	"repro/internal/wire"
 )
 
@@ -270,9 +269,8 @@ type Server struct {
 	idleOnce sync.Once
 	idleCh   chan struct{}
 
-	// Dispatch scratch and the interned keys, owned by the demux goroutine.
-	fbScratch []packet.Feedback
-	keys      keyTable
+	// The interned keys, owned by the demux goroutine.
+	keys keyTable
 
 	obsDatagrams   *obs.Counter
 	obsBytes       *obs.Counter
@@ -656,7 +654,7 @@ func (s *Server) admit(src origin, flow uint32, now time.Time) {
 			return
 		}
 	}
-	sess, err := NewSession(key, from, s.cfg.Out, cfg, now)
+	sess, err := newSession(key, from, s.cfg.Out, cfg, s.wheel.Origin(), now)
 	if err != nil {
 		s.reject(key, from, wire.ReasonBadConfig, now)
 		return
@@ -751,9 +749,11 @@ func (s *Server) sendControl(t wire.Type, flow uint32, reason wire.Reason, retry
 	}
 }
 
-// dispatch applies one flushed feedback batch: items are stably sorted by
-// key so each session takes its lock once per batch, and the scratch
-// slice is reused across batches.
+// dispatch applies one flushed feedback batch in arrival order, one label
+// at a time. A session's labels keep their arrival order, which is the
+// only order its epoch dedup sees; labels of different sessions never
+// meet, so grouping them by key would buy one lock per session at the
+// price of a sort per batch.
 func (s *Server) dispatch(batch []FeedbackItem, now time.Time) {
 	s.fbBatches.Add(1)
 	s.fbItems.Add(uint64(len(batch)))
@@ -761,20 +761,10 @@ func (s *Server) dispatch(batch []FeedbackItem, now time.Time) {
 		s.obsFbBatches.Inc()
 		s.obsFbItems.Add(int64(len(batch)))
 	}
-	slices.SortStableFunc(batch, func(a, b FeedbackItem) int { return a.Key.Compare(b.Key) })
-	for i := 0; i < len(batch); {
-		j := i + 1
-		for j < len(batch) && batch[j].Key == batch[i].Key {
-			j++
+	for _, it := range batch {
+		if sess := s.table.Get(it.Key); sess != nil {
+			sess.HandleFeedback(it.FB, now)
 		}
-		if sess := s.table.Get(batch[i].Key); sess != nil {
-			s.fbScratch = s.fbScratch[:0]
-			for _, it := range batch[i:j] {
-				s.fbScratch = append(s.fbScratch, it.FB)
-			}
-			sess.HandleFeedbackBatch(s.fbScratch, now)
-		}
-		i = j
 	}
 }
 
@@ -823,7 +813,7 @@ func (s *Server) pumpAdmitted(t *Timer, w *scratch) {
 		s.finish(t.Owner, now)
 		return
 	}
-	s.wheel.Reschedule(t, next)
+	s.wheel.RescheduleAt(t, next)
 	// The driver parks on an empty wheel, and this may be its first timer.
 	s.kickDriver()
 }

@@ -176,6 +176,12 @@ const minDegrade = 1.0 / 1024
 // at most one worker at a time (it has exactly one wheel timer), but
 // feedback dispatch and stats run concurrently, so all state is guarded
 // by mu.
+//
+// Every instant a session keeps — its watchdogs', its frame gate, its
+// bucket's, the deadline pump returns — is a time.Duration on one integer
+// timeline counted from origin, the server wheel's origin (Timer.At's
+// timeline): each time.Time handed in is converted once, and the
+// per-datagram arithmetic is on integers.
 type Session struct {
 	key  Key
 	peer net.Addr
@@ -201,13 +207,18 @@ type Session struct {
 	// no overload controller.
 	shedLevel *atomic.Int32
 
-	degrade        float64     //pelsvet:guards mu
-	lastFeedbackAt time.Time   //pelsvet:guards mu
-	lastDecayAt    time.Time   //pelsvet:guards mu
-	lastActivity   time.Time   //pelsvet:guards mu
-	lastSendAt     time.Time   //pelsvet:guards mu — stuck watchdog: last datagram on the wire
-	closeReason    wire.Reason //pelsvet:guards mu — why the session closed
-	frameGateAt    time.Time   //pelsvet:guards mu — earliest next frame start, enforced while shedding
+	// origin is the zero of the session's timeline (immutable): the
+	// server wheel's origin, or NewSession's now.
+	origin time.Time
+
+	// The instants below are durations since origin.
+	degrade        float64       //pelsvet:guards mu
+	lastFeedbackAt time.Duration //pelsvet:guards mu
+	lastDecayAt    time.Duration //pelsvet:guards mu — last stale decay; at or before lastFeedbackAt means none since
+	lastActivity   time.Duration //pelsvet:guards mu
+	lastSendAt     time.Duration //pelsvet:guards mu — stuck watchdog: last datagram on the wire
+	closeReason    wire.Reason   //pelsvet:guards mu — why the session closed
+	frameGateAt    time.Duration //pelsvet:guards mu — earliest next frame start, enforced while shedding
 
 	// snd is last: its per-packet fields lead it, so a wake reads them on
 	// the cache lines of the fields above, and the controller and γ behind
@@ -216,19 +227,33 @@ type Session struct {
 }
 
 // NewSession builds a session streaming to peer through out, with its
-// clocks anchored at now. cfg must already be defaulted and validated
-// (the server does both once per template, not per hello).
+// clocks anchored at now, which is also the origin of its timeline. cfg
+// must already be defaulted and validated (the server does both once per
+// template, not per hello).
 func NewSession(key Key, peer net.Addr, out wire.PacketWriter, cfg Config, now time.Time) (*Session, error) {
+	return newSession(key, peer, out, cfg, now, now)
+}
+
+// newSession is NewSession on the timeline that starts at origin (the
+// server's: its wheel's origin), with its clocks anchored at now.
+func newSession(key Key, peer net.Addr, out wire.PacketWriter, cfg Config, origin, now time.Time) (*Session, error) {
+	at := now.Sub(origin)
 	s := &Session{
-		key:            key,
-		peer:           peer,
-		cfg:            cfg,
-		out:            out,
-		state:          StateStreaming,
-		degrade:        1,
-		lastFeedbackAt: now,
-		lastActivity:   now,
-		lastSendAt:     now,
+		key:     key,
+		peer:    peer,
+		cfg:     cfg,
+		out:     out,
+		state:   StateStreaming,
+		origin:  origin,
+		degrade: 1,
+		// On the timeline zero is a real instant, so "never" for the last
+		// decay and for the frame gate is the admission instant: no decay
+		// since the last feedback, and no frame gated.
+		lastFeedbackAt: at,
+		lastDecayAt:    at,
+		lastActivity:   at,
+		lastSendAt:     at,
+		frameGateAt:    at,
 	}
 	if err := s.snd.Init(cfg.sender(), cc.NewMKC(cfg.MKC)); err != nil {
 		return nil, err
@@ -269,26 +294,27 @@ func newScratch() *scratch {
 // pump advances the session at instant now: it writes the datagram the
 // previous wake charged to the bucket, plans frames as their budgets open,
 // and charges and writes until the token bucket pushes back. Datagrams are
-// encoded into w.buf and counted in w. It returns the next deadline to arm
-// and done=true when the session reached its terminal state (worker
-// removes it from the table).
+// encoded into w.buf and counted in w. It returns the next deadline to arm,
+// on the session's timeline (Timer.At's), and done=true when the session
+// reached its terminal state (worker removes it from the table).
 //
 //pelsvet:noalloc
-func (s *Session) pump(now time.Time, w *scratch) (next time.Time, done bool) {
+func (s *Session) pump(now time.Time, w *scratch) (next time.Duration, done bool) {
+	at, stamp := now.Sub(s.origin), now.UnixNano()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state == StateClosed {
-		return time.Time{}, true
+		return 0, true
 	}
-	s.checkStaleLocked(now)
+	s.checkStaleLocked(at)
 	shed := s.shedLevelNow()
 	for {
 		if s.reserved {
 			// The previous wake charged the bucket for this datagram and
 			// its wait has now elapsed. What it is was settled when it was
 			// charged: a shed level raised since does not take it back.
-			if !s.sendLocked(now, w) {
-				return time.Time{}, true
+			if !s.sendLocked(stamp, at, w) {
+				return 0, true
 			}
 			continue
 		}
@@ -297,24 +323,24 @@ func (s *Session) pump(now time.Time, w *scratch) (next time.Time, done bool) {
 			if s.cfg.MaxFrames > 0 && s.snd.Frames() >= s.cfg.MaxFrames {
 				s.state = StateClosed
 				s.closeReason = wire.ReasonComplete
-				return time.Time{}, true
+				return 0, true
 			}
 			if s.state == StateDraining {
 				s.state = StateClosed
-				return time.Time{}, true
+				return 0, true
 			}
-			if shed > 0 && !s.frameGateAt.IsZero() && now.Before(s.frameGateAt) {
+			if shed > 0 && at < s.frameGateAt {
 				// While shedding, frames no longer fill the token bucket,
 				// so bucket self-clocking alone would run the frame
 				// counter fast; hold the boundary to the frame cadence.
 				return s.frameGateAt, false
 			}
 			n := s.snd.PlanFrame(s.effectiveRateLocked())
-			s.frameGateAt = now.Add(s.cfg.FrameInterval)
+			s.frameGateAt = at + s.cfg.FrameInterval
 			if n == 0 {
 				// Degenerate budget: idle one frame interval instead of
 				// spinning.
-				return now.Add(s.cfg.FrameInterval), false
+				return s.frameGateAt, false
 			}
 		}
 		if shed > 0 && s.snd.Layer() >= max(s.cfg.Layers-shed, 1) {
@@ -326,12 +352,12 @@ func (s *Session) pump(now time.Time, w *scratch) (next time.Time, done bool) {
 			w.shed++
 			continue
 		}
-		if wait := s.bucket.Reserve(s.cfg.Frame.PacketSize, now); wait > 0 {
+		if wait := s.bucket.Reserve(s.cfg.Frame.PacketSize, at); wait > 0 {
 			s.reserved = true
-			return now.Add(wait), false
+			return at + wait, false
 		}
-		if !s.sendLocked(now, w) {
-			return time.Time{}, true
+		if !s.sendLocked(stamp, at, w) {
+			return 0, true
 		}
 	}
 }
@@ -349,19 +375,19 @@ func (s *Session) shedLevelNow() int {
 }
 
 // sendLocked encodes the sender's next packet — charged to the bucket, its
-// wait over — into w.buf, stamped with now, the instant it is handed to out,
-// and writes it. The header is written straight from the session's fields by
+// wait over — into w.buf, stamped with the UNIX ns of the instant it is
+// handed to out (at on the timeline), and writes it. The header is written straight from the session's fields by
 // wire.AppendData, and the payload is PacketSize − HeaderSize zero bytes. It
 // reports false, with the session closed, if the datagram does not encode:
 // unreachable with a validated config, but a session that cannot send must
 // end rather than spin.
 //
 //pelsvet:noalloc
-func (s *Session) sendLocked(now time.Time, w *scratch) bool {
+func (s *Session) sendLocked(stamp int64, at time.Duration, w *scratch) bool {
 	frame, index, layer := s.snd.Take()
 	color := band(layer, s.cfg.Layers)
 	b, err := wire.AppendData(w.buf[:0], color, s.key.Flow, uint32(frame), uint16(index),
-		s.seq[color-packet.Green], now.UnixNano(), s.cfg.Frame.PacketSize-wire.HeaderSize)
+		s.seq[color-packet.Green], stamp, s.cfg.Frame.PacketSize-wire.HeaderSize)
 	if err != nil {
 		s.state = StateClosed
 		s.closeReason = wire.ReasonBadConfig
@@ -372,7 +398,7 @@ func (s *Session) sendLocked(now time.Time, w *scratch) bool {
 	_, _ = s.out.WriteTo(b, s.peer)
 	s.seq[color-packet.Green]++
 	s.reserved = false
-	s.lastSendAt = now
+	s.lastSendAt = at
 	s.stats.Datagrams++
 	s.stats.Bytes += uint64(len(b))
 	w.datagrams++
@@ -393,22 +419,22 @@ func (s *Session) effectiveRateLocked() units.BitRate {
 // checkStaleLocked runs the stale-feedback watchdog: past StaleTimeout
 // without accepted feedback, decay the effective rate once per elapsed
 // horizon until feedback returns.
-func (s *Session) checkStaleLocked(now time.Time) {
+func (s *Session) checkStaleLocked(at time.Duration) {
 	if s.cfg.StaleTimeout <= 0 {
 		return
 	}
-	if now.Sub(s.lastFeedbackAt) < s.cfg.StaleTimeout {
+	if at-s.lastFeedbackAt < s.cfg.StaleTimeout {
 		return
 	}
-	if now.Sub(s.lastDecayAt) < s.cfg.StaleTimeout {
+	if at-s.lastDecayAt < s.cfg.StaleTimeout {
 		return // at most one decay per horizon
 	}
-	s.lastDecayAt = now
+	s.lastDecayAt = at
 	if s.degrade /= 2; s.degrade < minDegrade {
 		s.degrade = minDegrade
 	}
 	s.stats.StaleDecays++
-	s.bucket.SetRate(s.effectiveRateLocked(), now)
+	s.bucket.SetRate(s.effectiveRateLocked(), at)
 }
 
 // HandleFeedback offers one feedback label to the session at instant now:
@@ -416,37 +442,38 @@ func (s *Session) checkStaleLocked(now time.Time) {
 // watchdog recovery, pacer retarget. It reports whether the label was
 // fresh.
 func (s *Session) HandleFeedback(fb packet.Feedback, now time.Time) bool {
+	at := now.Sub(s.origin)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.handleFeedbackLocked(fb, now)
+	return s.handleFeedbackLocked(fb, at)
 }
 
-// HandleFeedbackBatch applies a batch of labels under one lock
-// acquisition — the dispatch path for Batcher flushes — returning how
-// many were fresh. Any feedback, fresh or duplicate, counts as receiver
-// activity for the idle reaper.
+// HandleFeedbackBatch applies a batch of labels in order, all at instant
+// now, returning how many were fresh. Any feedback, fresh or duplicate,
+// counts as receiver activity for the idle reaper.
 func (s *Session) HandleFeedbackBatch(fbs []packet.Feedback, now time.Time) int {
+	at := now.Sub(s.origin)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	accepted := 0
 	for _, fb := range fbs {
-		if s.handleFeedbackLocked(fb, now) {
+		if s.handleFeedbackLocked(fb, at) {
 			accepted++
 		}
 	}
 	return accepted
 }
 
-func (s *Session) handleFeedbackLocked(fb packet.Feedback, now time.Time) bool {
+func (s *Session) handleFeedbackLocked(fb packet.Feedback, at time.Duration) bool {
 	if !fb.Valid || s.state == StateClosed {
 		return false
 	}
-	s.lastActivity = now
+	s.lastActivity = at
 	accepted, routerChanged := s.snd.OnFeedback(fb)
 	if !accepted {
 		return false
 	}
-	s.lastFeedbackAt = now
+	s.lastFeedbackAt = at
 	if s.degrade != 1 {
 		s.degrade = 1
 		s.stats.Recoveries++
@@ -455,14 +482,15 @@ func (s *Session) handleFeedbackLocked(fb packet.Feedback, now time.Time) bool {
 		s.stats.RouterChanges++
 	}
 	s.stats.FeedbackAccepted++
-	s.bucket.SetRate(s.effectiveRateLocked(), now)
+	s.bucket.SetRate(s.effectiveRateLocked(), at)
 	return true
 }
 
 // Touch records receiver activity (a duplicate hello) for the reaper.
 func (s *Session) Touch(now time.Time) {
+	at := now.Sub(s.origin)
 	s.mu.Lock()
-	s.lastActivity = now
+	s.lastActivity = at
 	s.mu.Unlock()
 }
 
@@ -480,9 +508,10 @@ func (s *Session) Drain() {
 // least idle, reporting whether it did. Already-closed sessions report
 // false (their removal is the worker's job).
 func (s *Session) expireIdle(now time.Time, idle time.Duration) bool {
+	at := now.Sub(s.origin)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state == StateClosed || now.Sub(s.lastActivity) < idle {
+	if s.state == StateClosed || at-s.lastActivity < idle {
 		return false
 	}
 	s.state = StateClosed
@@ -499,12 +528,13 @@ func (s *Session) expireStuck(now time.Time, window time.Duration) bool {
 	if window <= 0 {
 		return false
 	}
+	at := now.Sub(s.origin)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state == StateClosed {
 		return false
 	}
-	if now.Sub(s.lastFeedbackAt) < window || now.Sub(s.lastSendAt) < window {
+	if at-s.lastFeedbackAt < window || at-s.lastSendAt < window {
 		return false
 	}
 	s.state = StateClosed

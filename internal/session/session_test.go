@@ -35,10 +35,10 @@ func drive(t *testing.T, s *Session, now time.Time, maxSteps int) time.Time {
 		if done {
 			return now
 		}
-		if !next.After(now) {
-			t.Fatalf("pump returned non-advancing deadline %v at %v", next, now)
+		if next <= now.Sub(s.origin) {
+			t.Fatalf("pump returned non-advancing deadline %v at %v", next, now.Sub(s.origin))
 		}
-		now = next
+		now = s.origin.Add(next)
 	}
 	t.Fatalf("session did not finish within %d pumps", maxSteps)
 	return now
@@ -161,7 +161,7 @@ func TestSessionStaleDecayAndRecovery(t *testing.T) {
 	s := newTestSession(t, cfg, &captureWriter{}, t0)
 	watchdog := func(now time.Time) Stats {
 		s.mu.Lock()
-		s.checkStaleLocked(now)
+		s.checkStaleLocked(now.Sub(s.origin))
 		s.mu.Unlock()
 		return s.Stats()
 	}
@@ -244,7 +244,7 @@ func TestSessionDrainClosesAtFrameBoundary(t *testing.T) {
 		if done {
 			t.Fatal("session closed before Drain")
 		}
-		now = next
+		now = s.origin.Add(next)
 	}
 	s.Drain()
 	end := drive(t, s, now, 1000)
@@ -317,7 +317,7 @@ func TestSessionRateCeiling(t *testing.T) {
 			if done {
 				t.Fatal("session closed under spare capacity")
 			}
-			now = next
+			now = s.origin.Add(next)
 			if label.Before(now) {
 				now = label
 			}

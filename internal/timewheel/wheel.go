@@ -21,7 +21,12 @@ import (
 // to its session or receiver, with no callback and no lookup.
 //
 // The wheel never reads a clock: Advance is handed the current instant
-// and fires everything due at or before it. Driving it from a real clock
+// and fires everything due at or before it. Inside, every instant is a
+// time.Duration on one integer timeline counted from the wheel's origin
+// (New's now, Origin): the time.Time entry points convert once, with one
+// Sub, and the walk compares integers. An owner that keeps its own
+// instants on that timeline (session.Session) arms through Timer.At and
+// RescheduleAt and never converts at all. Driving it from a real clock
 // (Server, Swarm), a synthetic clock (tests), or a benchmark loop is the
 // caller's choice, which is what keeps this core deterministic and
 // pelsvet-walltime-clean.
@@ -30,13 +35,14 @@ import (
 // the caller rather than invoked under the wheel lock, so callbacks may
 // schedule freely.
 type Wheel[O any] struct {
-	tick time.Duration // immutable after New
-	mask int           // immutable after New
+	tick   time.Duration // immutable after New
+	mask   int           // immutable after New
+	origin time.Time     // the timeline's zero; immutable after New
 
 	mu       sync.Mutex
 	slots    [][]*Timer[O]
 	cursor   int
-	cursorAt time.Time // boundary instant of the cursor slot
+	cursorAt time.Duration // boundary instant of the cursor slot, on the timeline
 	count    int
 }
 
@@ -49,9 +55,10 @@ type Timer[O any] struct {
 	// Owner is what an embedded timer wakes; nil on a Schedule timer. Set
 	// once, before the timer is first armed.
 	Owner *O
-	// At is the armed deadline. Its owner may write it only while the
-	// timer is not live (that is how RescheduleBatch is told the deadline).
-	At time.Time
+	// At is the armed deadline on the wheel's timeline (since Origin). Its
+	// owner may write it only while the timer is not live (that is how
+	// RescheduleBatch is told the deadline).
+	At time.Duration
 
 	fn   func(now time.Time) // Schedule's callback; nil on an embedded timer
 	live bool                // armed and neither fired nor cancelled; guarded by the wheel's lock
@@ -64,9 +71,10 @@ type Timer[O any] struct {
 func (t *Timer[O]) Call(now time.Time) { t.fn(now) }
 
 // New builds a wheel with the given tick granularity and slot count
-// (rounded up to a power of two), anchored at now. The horizon —
-// tick × slots — is the longest deadline that avoids lap rescans; longer
-// deadlines are correct but touched once per lap.
+// (rounded up to a power of two), anchored at now, which becomes the
+// origin of its timeline. The horizon — tick × slots — is the longest
+// deadline that avoids lap rescans; longer deadlines are correct but
+// touched once per lap.
 func New[O any](tick time.Duration, slots int, now time.Time) *Wheel[O] {
 	if tick <= 0 {
 		panic(fmt.Sprintf("timewheel: tick %v must be positive", tick))
@@ -79,12 +87,16 @@ func New[O any](tick time.Duration, slots int, now time.Time) *Wheel[O] {
 		n <<= 1
 	}
 	return &Wheel[O]{
-		tick:     tick,
-		mask:     n - 1,
-		slots:    make([][]*Timer[O], n),
-		cursorAt: now,
+		tick:   tick,
+		mask:   n - 1,
+		origin: now,
+		slots:  make([][]*Timer[O], n),
 	}
 }
+
+// Origin returns the instant the wheel's timeline counts from: Timer.At
+// and RescheduleAt take durations since it.
+func (w *Wheel[O]) Origin() time.Time { return w.origin }
 
 // Tick returns the wheel granularity.
 func (w *Wheel[O]) Tick() time.Duration { return w.tick }
@@ -114,15 +126,23 @@ func (w *Wheel[O]) Schedule(at time.Time, fn func(now time.Time)) *Timer[O] {
 //
 //pelsvet:noalloc
 func (w *Wheel[O]) Reschedule(t *Timer[O], at time.Time) {
+	w.RescheduleAt(t, at.Sub(w.origin))
+}
+
+// RescheduleAt is Reschedule for a deadline already on the wheel's
+// timeline (a duration since Origin).
+//
+//pelsvet:noalloc
+func (w *Wheel[O]) RescheduleAt(t *Timer[O], at time.Duration) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.armLocked(t, at)
 }
 
 // RescheduleBatch re-arms every timer in ts at the deadline its owner
-// left in Timer.At, under one acquisition of the wheel lock: slot
-// placement is exactly that of len(ts) Reschedule calls in argument
-// order, and it panics on a live timer as Reschedule does.
+// left in Timer.At (on the wheel's timeline), under one acquisition of the
+// wheel lock: slot placement is exactly that of len(ts) Reschedule calls
+// in argument order, and it panics on a live timer as Reschedule does.
 //
 //pelsvet:noalloc
 func (w *Wheel[O]) RescheduleBatch(ts []*Timer[O]) {
@@ -141,16 +161,17 @@ func (w *Wheel[O]) RescheduleBatch(ts []*Timer[O]) {
 //
 //pelsvet:noalloc
 func (w *Wheel[O]) Reset(t *Timer[O], at time.Time) {
+	d := at.Sub(w.origin)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.cancelLocked(t)
-	w.armLocked(t, at)
+	w.armLocked(t, d)
 }
 
 // armLocked hashes a fired timer into its slot.
 //
 //pelsvet:noalloc
-func (w *Wheel[O]) armLocked(t *Timer[O], at time.Time) {
+func (w *Wheel[O]) armLocked(t *Timer[O], at time.Duration) {
 	if t.live {
 		panic("timewheel: Reschedule of a live timer")
 	}
@@ -158,9 +179,11 @@ func (w *Wheel[O]) armLocked(t *Timer[O], at time.Time) {
 	t.At = at
 	// A deadline at or before the cursor boundary goes one slot ahead:
 	// the wheel fires on tick boundaries, so "now" means "next tick".
+	// (Compared before subtracting: a saturated past instant minus the
+	// cursor would wrap.)
 	ticks := 1
-	if d := at.Sub(w.cursorAt); d > w.tick {
-		ticks = int((d + w.tick - 1) / w.tick)
+	if at > w.cursorAt+w.tick {
+		ticks = int((at-w.cursorAt-1)/w.tick) + 1
 	}
 	slot := (w.cursor + ticks) & w.mask
 	t.slot = int32(slot)
@@ -196,11 +219,12 @@ func (w *Wheel[O]) cancelLocked(t *Timer[O]) bool {
 //
 //pelsvet:noalloc
 func (w *Wheel[O]) Advance(now time.Time, fired []*Timer[O]) []*Timer[O] {
+	at := now.Sub(w.origin)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for now.Sub(w.cursorAt) >= w.tick {
+	for at >= w.cursorAt+w.tick {
 		w.cursor = (w.cursor + 1) & w.mask
-		w.cursorAt = w.cursorAt.Add(w.tick)
+		w.cursorAt += w.tick
 		slot := w.slots[w.cursor]
 		if len(slot) == 0 {
 			continue
@@ -213,7 +237,7 @@ func (w *Wheel[O]) Advance(now time.Time, fired []*Timer[O]) []*Timer[O] {
 				// this entry is the stale one; drop it. (One re-armed
 				// into this same slot is met twice here: it fires at the
 				// first entry and the second finds it no longer live.)
-			case !t.At.After(now):
+			case t.At <= at:
 				t.live = false
 				w.count--
 				fired = append(fired, t)

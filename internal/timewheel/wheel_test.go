@@ -94,7 +94,7 @@ func TestWheelRescheduleReuse(t *testing.T) {
 	if count != 5 {
 		t.Fatalf("reused timer fired %d times, want 5", count)
 	}
-	if tm.At.Before(now) {
+	if tm.At < now.Sub(t0) {
 		t.Fatalf("rescheduled deadline %v not advanced past %v", tm.At, now)
 	}
 }
@@ -146,40 +146,104 @@ func slotOrder(w *Wheel[owner], index map[*Timer[owner]]int) [][]int {
 // TestWheelRescheduleBatchMatchesReschedule: a batch lands every timer in
 // the slot, and at the position within it, that one Reschedule per timer
 // in argument order would — for deadlines in the past, on the next tick,
-// sharing a slot, and laps beyond the horizon.
+// inside a tick, sharing a slot, and laps beyond the horizon. The batch
+// reads Timer.At on the wheel's timeline and Reschedule takes the same
+// deadline as a time.Time, so this also holds the two entry points to one
+// placement and one firing Advance each. The time.Time side runs twice:
+// on a wall-only origin (time.Unix) and on one that carries a monotonic
+// clock reading, which must fire the same sets.
 func TestWheelRescheduleBatchMatchesReschedule(t *testing.T) {
-	t0 := time.Unix(1000, 0)
-	const n = 200
-	build := func() (*Wheel[owner], []*Timer[owner], map[*Timer[owner]]int) {
-		w := New[owner](time.Millisecond, 16, t0)
-		w.Advance(t0.Add(5*time.Millisecond), nil) // cursor off slot 0
+	const (
+		n     = 240
+		tick  = time.Millisecond
+		slots = 16
+	)
+	// offset is timer i's deadline on the timeline: a spread of past,
+	// next-tick and sub-tick offsets over one horizon and a half, plus
+	// every fifth timer several laps out.
+	offset := func(i int) time.Duration {
+		d := time.Duration(i*37%61-3) * tick / 2
+		switch {
+		case i%5 == 0:
+			d += time.Duration(i%4+2) * slots * tick
+		case i%7 == 0:
+			d += time.Duration(i%900+1) * time.Microsecond
+		case i%11 == 0:
+			d = -time.Duration(i) * time.Hour
+		}
+		return d
+	}
+	build := func(origin time.Time) (*Wheel[owner], []*Timer[owner], map[*Timer[owner]]int) {
+		w := New[owner](tick, slots, origin)
+		w.Advance(origin.Add(5*tick+tick/3), nil) // cursor off slot 0, mid-tick
 		ts := make([]*Timer[owner], n)
 		index := make(map[*Timer[owner]]int, n)
 		for i := range ts {
-			ts[i] = &Timer[owner]{At: t0.Add(time.Duration(i*37%61-3) * time.Millisecond / 2)}
+			ts[i] = &Timer[owner]{At: offset(i)}
 			index[ts[i]] = i
 		}
 		return w, ts, index
 	}
-	one, ts1, index1 := build()
-	for _, tm := range ts1 {
-		one.Reschedule(tm, tm.At)
+	wall := time.Unix(1000, 0)
+	mono := time.Now()
+	if mono.String() == mono.Round(0).String() {
+		t.Fatal("time.Now carries no monotonic reading here")
 	}
-	batch, ts2, index2 := build()
-	batch.RescheduleBatch(ts2)
-
+	batch, ts, index := build(wall)
+	batch.RescheduleBatch(ts)
 	if got := batch.Len(); got != n {
 		t.Fatalf("Len %d after a batch of %d, want %d", got, n, n)
 	}
-	want, got := slotOrder(one, index1), slotOrder(batch, index2)
-	for i := range want {
-		if !slices.Equal(got[i], want[i]) {
-			t.Fatalf("slot %d holds %v after RescheduleBatch, %v after %d × Reschedule", i, got[i], want[i], n)
+	want := slotOrder(batch, index)
+	wheels := []*Wheel[owner]{batch}
+	indexes := []map[*Timer[owner]]int{index}
+	for _, origin := range []time.Time{wall, mono} {
+		one, ts, index := build(origin)
+		for _, tm := range ts {
+			one.Reschedule(tm, origin.Add(tm.At))
 		}
+		got := slotOrder(one, index)
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("origin %v: slot %d holds %v after %d × Reschedule, %v after RescheduleBatch", origin, i, got[i], n, want[i])
+			}
+		}
+		wheels, indexes = append(wheels, one), append(indexes, index)
+	}
+	// Each fires the same timers on the same Advance, stepping a third of a
+	// tick at a time, through every lap — the monotonic wheel advanced on
+	// every other step by a wall-only instant, which Sub reads on the wall
+	// clock.
+	fireSet := func(k, step int, at time.Duration) []int {
+		var origin time.Time
+		switch {
+		case k < 2:
+			origin = wall
+		case step%2 == 0:
+			origin = mono
+		default:
+			origin = mono.Round(0) // the same wall reading, no monotonic one
+		}
+		var ids []int
+		for _, tm := range wheels[k].Advance(origin.Add(at), nil) {
+			ids = append(ids, indexes[k][tm])
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	total := 0
+	for step, at := 0, 5*tick+tick/3; at <= 8*slots*tick; step, at = step+1, at+tick/3 {
+		first := fireSet(0, step, at)
+		for k := 1; k < len(wheels); k++ {
+			if got := fireSet(k, step, at); !slices.Equal(got, first) {
+				t.Fatalf("at %v wheel %d fired %v, the batch wheel %v", at, k, got, first)
+			}
+		}
+		total += len(first)
 	}
 	// And the batch fires like any other timers: everything, once.
-	if fired := batch.Advance(t0.Add(time.Second), nil); len(fired) != n || batch.Len() != 0 {
-		t.Fatalf("fired %d of %d, %d left", len(fired), n, batch.Len())
+	if total != n || batch.Len() != 0 {
+		t.Fatalf("fired %d of %d, %d left", total, n, batch.Len())
 	}
 	batch.RescheduleBatch(nil)
 	if batch.Len() != 0 {
@@ -196,7 +260,7 @@ func TestWheelRescheduleBatchLivePanics(t *testing.T) {
 			t.Fatal("RescheduleBatch of a live timer did not panic")
 		}
 	}()
-	w.RescheduleBatch([]*Timer[owner]{{At: t0.Add(time.Millisecond)}, live})
+	w.RescheduleBatch([]*Timer[owner]{{At: time.Millisecond}, live})
 }
 
 // TestWheelReset: Reset moves a timer whether or not it is live, the

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -14,11 +16,16 @@ import (
 // degrades to a trickle instead of stalling.
 const MinPacerRate = units.Kbps
 
-// Bucket is a wall-clock token bucket that spaces datagrams at a target
-// bit rate. Time is passed in explicitly (callers use time.Now()), which
-// keeps the arithmetic deterministic under test: burst bounds, mid-stream
-// rate changes, and clock jumps are all pure functions of the supplied
-// instants.
+// Bucket is a token bucket that spaces datagrams at a target bit rate, in
+// GCRA form (the "virtual scheduling" algorithm of ITU-T I.371): instead of
+// a credit balance it keeps tat, the instant its debt clears, and charging
+// n bytes moves tat on by their price at the current rate. Instants are
+// time.Durations on the owner's timeline (session.Session counts from its
+// wheel's origin; Pacer from its first instant), handed in explicitly,
+// which keeps the arithmetic deterministic under test: burst bounds,
+// mid-stream rate changes, and clock jumps are all pure functions of the
+// supplied instants. Pacing a datagram is integer adds and compares; floats
+// appear only where a rate becomes a per-byte price.
 //
 // The bucket holds at most Burst bytes of credit, so after an idle period
 // the sender can emit at most one burst back to back; sustained
@@ -30,11 +37,19 @@ const MinPacerRate = units.Kbps
 // serializes access (session.Session keeps one under its own mutex). Pacer
 // is the same bucket behind a mutex for everyone else. Init before use.
 type Bucket struct {
-	rate   units.BitRate // clamped, > 0
-	burst  float64       // bucket capacity, bytes
-	tokens float64       // current credit, bytes; may go negative (debt)
-	last   time.Time
-	set    bool // last is meaningful
+	rate  units.BitRate // clamped, > 0
+	burst int           // bucket capacity, bytes
+	// The price of one byte at rate is costNs + costFrac·2^−64 ns: the
+	// float64 8e9/rate, to 2^−64 ns. The fraction matters: the debt is
+	// kept in time, and a rate change re-prices it, so a charge rounded to
+	// the nanosecond at a fast rate would come back as bytes' worth of
+	// error at a slow one.
+	costNs   uint64
+	costFrac uint64
+	tau      time.Duration // price of the burst at rate: how far tat may run ahead for free
+	tat      time.Duration // the instant the debt clears; never before last once charged
+	frac     uint64        // tat's fraction of a nanosecond, in 2^−64 ns
+	last     time.Duration // the latest instant seen
 }
 
 // Init sets the bucket to the given rate with room for burstBytes, full: a
@@ -44,33 +59,55 @@ func (b *Bucket) Init(rate units.BitRate, burstBytes int) {
 	if burstBytes <= 0 {
 		burstBytes = MaxDatagram
 	}
-	*b = Bucket{burst: float64(burstBytes), tokens: float64(burstBytes)}
+	*b = Bucket{burst: burstBytes}
 	b.setRate(rate)
 }
 
 // SetRate changes the pacing rate at the given instant. Credit already
 // accrued at the old rate is settled first, so a rate change mid-stream
-// never retroactively re-prices elapsed time. Rates <= 0 clamp to
-// MinPacerRate.
+// never retroactively re-prices elapsed time: the debt outstanding at that
+// instant keeps its size in bytes and is re-priced at the new rate. Rates
+// <= 0 clamp to MinPacerRate.
 //
 //pelsvet:noalloc
-func (b *Bucket) SetRate(rate units.BitRate, now time.Time) {
-	b.settle(now)
+func (b *Bucket) SetRate(rate units.BitRate, at time.Duration) {
+	b.advance(at)
+	old := b.rate
 	b.setRate(rate)
+	if b.tat == at && b.frac == 0 || b.rate == old {
+		return // no debt, or no change of price
+	}
+	debt := (float64(b.tat-at) + float64(b.frac)*0x1p-64) * float64(old) / float64(b.rate)
+	whole := math.Floor(debt)
+	b.tat = at + time.Duration(whole)
+	b.frac = uint64((debt - whole) * 0x1p64)
 }
 
+// setRate clamps rate and prices a byte and the burst at it.
 func (b *Bucket) setRate(rate units.BitRate) {
-	if rate < MinPacerRate {
+	if !(rate >= MinPacerRate) {
 		rate = MinPacerRate
 	}
 	b.rate = rate
+	// At MinPacerRate a byte costs 8 ms, so the whole part fits easily.
+	c := 8 * float64(time.Second) / float64(rate)
+	whole := math.Floor(c)
+	b.costNs, b.costFrac = uint64(whole), uint64((c-whole)*0x1p64)
+	b.tau, _ = b.price(b.burst)
+}
+
+// price is what n bytes cost at the current rate: whole nanoseconds and
+// the fraction left over, in 2^−64 ns.
+func (b *Bucket) price(n int) (time.Duration, uint64) {
+	hi, lo := bits.Mul64(uint64(n), b.costFrac)
+	return time.Duration(uint64(n)*b.costNs + hi), lo
 }
 
 // Rate returns the current (clamped) pacing rate.
 func (b *Bucket) Rate() units.BitRate { return b.rate }
 
 // Burst returns the bucket capacity in bytes.
-func (b *Bucket) Burst() int { return int(b.burst) }
+func (b *Bucket) Burst() int { return b.burst }
 
 // Reserve commits to sending n bytes at the given instant and returns how
 // long the caller must wait before putting them on the wire (0 = send
@@ -79,45 +116,49 @@ func (b *Bucket) Burst() int { return int(b.burst) }
 // bucket debt to refill at the current rate.
 //
 //pelsvet:noalloc
-func (b *Bucket) Reserve(n int, now time.Time) time.Duration {
+func (b *Bucket) Reserve(n int, at time.Duration) time.Duration {
 	if n <= 0 {
 		return 0
 	}
-	b.settle(now)
-	b.tokens -= float64(n)
-	if b.tokens >= 0 {
-		return 0
+	b.advance(at)
+	ns, frac := b.price(n)
+	var carry uint64
+	b.frac, carry = bits.Add64(b.frac, frac, 0)
+	b.tat += ns + time.Duration(carry)
+	if wait := b.tat - at - b.tau; wait > 0 {
+		return wait
 	}
-	return time.Duration(-b.tokens * 8 / float64(b.rate) * float64(time.Second))
+	return 0
 }
 
-// settle accrues credit for the time elapsed since the last settlement.
-// A clock that jumps backward contributes nothing (elapsed clamps to 0);
-// a clock that jumps far forward is bounded by the burst cap.
-func (b *Bucket) settle(now time.Time) {
-	if !b.set {
-		b.last = now
-		b.set = true
-		return
+// advance settles the bucket at instant at. A clock that jumps backward
+// contributes nothing: the debt outstanding at the last instant re-anchors
+// at at. A clock that jumps far forward is bounded by the burst cap,
+// because tat never trails the present.
+func (b *Bucket) advance(at time.Duration) {
+	switch {
+	case at >= b.last:
+		if b.tat < at {
+			b.tat, b.frac = at, 0
+		}
+	case b.tat >= b.last:
+		b.tat = at + (b.tat - b.last)
+	default:
+		b.tat, b.frac = at, 0
 	}
-	elapsed := now.Sub(b.last)
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	b.last = now
-	b.tokens += elapsed.Seconds() * float64(b.rate) / 8
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
+	b.last = at
 }
 
-// Pacer is a Bucket behind its own mutex, for callers with no lock of
-// their own to keep it under. Its remaining caller is the end-to-end
+// Pacer is a Bucket behind its own mutex, on wall-clock instants, for
+// callers with no lock or timeline of their own. Its timeline starts at
+// the first instant it is handed. Its remaining caller is the end-to-end
 // benchmark (bench/), which times it; the live end host, session.Session,
 // keeps a Bucket under its own lock.
 type Pacer struct {
-	mu sync.Mutex
-	b  Bucket
+	mu     sync.Mutex
+	b      Bucket
+	origin time.Time // the first instant handed in; zero until then
+	set    bool      // origin is meaningful
 }
 
 // NewPacer builds a pacer at the given rate with a bucket of burstBytes
@@ -132,7 +173,7 @@ func NewPacer(rate units.BitRate, burstBytes int) *Pacer {
 func (p *Pacer) SetRate(rate units.BitRate, now time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.b.SetRate(rate, now)
+	p.b.SetRate(rate, p.sinceLocked(now))
 }
 
 // Rate returns the current (clamped) pacing rate.
@@ -155,5 +196,14 @@ func (p *Pacer) Burst() int {
 func (p *Pacer) Reserve(n int, now time.Time) time.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.b.Reserve(n, now)
+	return p.b.Reserve(n, p.sinceLocked(now))
+}
+
+// sinceLocked places now on the pacer's timeline, anchoring it at the first
+// instant.
+func (p *Pacer) sinceLocked(now time.Time) time.Duration {
+	if !p.set {
+		p.origin, p.set = now, true
+	}
+	return now.Sub(p.origin)
 }

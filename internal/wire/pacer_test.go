@@ -275,14 +275,14 @@ func TestPacerTable(t *testing.T) {
 				now := t0.Add(st.at)
 				if st.reserve == 0 {
 					p.SetRate(st.rate, now)
-					b.SetRate(st.rate, now)
+					b.SetRate(st.rate, st.at)
 					continue
 				}
 				wait := p.Reserve(st.reserve, now)
 				if diff := wait - st.want; diff < -time.Microsecond || diff > time.Microsecond {
 					t.Fatalf("step %d: wait %v, want %v", i, wait, st.want)
 				}
-				if got := b.Reserve(st.reserve, now); got != wait {
+				if got := b.Reserve(st.reserve, st.at); got != wait {
 					t.Fatalf("step %d: the bucket waits %v, the pacer %v", i, got, wait)
 				}
 			}
@@ -291,4 +291,164 @@ func TestPacerTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// floatBucket is the token bucket Bucket replaced, kept as its oracle: a
+// float credit balance in bytes, settled from the elapsed wall time at
+// every call. Bucket keeps the same bucket as a GCRA on integer time, and
+// FuzzBucket holds the two to one schedule.
+type floatBucket struct {
+	rate   units.BitRate
+	burst  float64
+	tokens float64
+	last   time.Time
+	set    bool
+}
+
+func (b *floatBucket) Init(rate units.BitRate, burstBytes int) {
+	if burstBytes <= 0 {
+		burstBytes = MaxDatagram
+	}
+	*b = floatBucket{burst: float64(burstBytes), tokens: float64(burstBytes)}
+	b.setRate(rate)
+}
+
+func (b *floatBucket) SetRate(rate units.BitRate, now time.Time) {
+	b.settle(now)
+	b.setRate(rate)
+}
+
+func (b *floatBucket) setRate(rate units.BitRate) {
+	if rate < MinPacerRate {
+		rate = MinPacerRate
+	}
+	b.rate = rate
+}
+
+func (b *floatBucket) Reserve(n int, now time.Time) time.Duration {
+	if n <= 0 {
+		return 0
+	}
+	b.settle(now)
+	b.tokens -= float64(n)
+	if b.tokens >= 0 {
+		return 0
+	}
+	return time.Duration(-b.tokens * 8 / float64(b.rate) * float64(time.Second))
+}
+
+func (b *floatBucket) settle(now time.Time) {
+	if !b.set {
+		b.last = now
+		b.set = true
+		return
+	}
+	elapsed := now.Sub(b.last)
+	if elapsed < 0 {
+		elapsed = 0
+	}
+	b.last = now
+	b.tokens += elapsed.Seconds() * float64(b.rate) / 8
+	if b.tokens > b.burst {
+		b.tokens = b.burst
+	}
+}
+
+// fuzzRate decodes a rate from two bytes and a scale: anything from
+// −3.3 Tb/s to 3.3 Tb/s, zero and the negatives included (they clamp to
+// MinPacerRate).
+func fuzzRate(v int16, scale uint8) units.BitRate {
+	r := units.BitRate(v)
+	for i := uint8(0); i < scale%9; i++ {
+		r *= 10
+	}
+	return r
+}
+
+// FuzzBucket holds the GCRA Bucket to floatBucket on random scripts:
+// charges at repeated instants, small steps both ways, hour-long leaps and
+// backward jumps, sends that follow the returned wait, and rate changes
+// (≤ 0 included) in and out of debt, on bursts ≤ 0 as well. Every wait
+// must agree within 1 µs, the tolerance TestPacerTable uses. And a sender
+// that paces n datagrams by each bucket's own waits must end within n ns
+// of the float schedule: a per-charge rounding may not accumulate.
+func FuzzBucket(f *testing.F) {
+	f.Add(int16(8), uint8(3), int16(1000), []byte{0, 0, 0xe8, 0x03, 1, 0, 0xe8, 0x03, 2, 0, 1, 5, 0, 0xd0, 0x07})
+	f.Add(int16(0), uint8(0), int16(-1), []byte{0, 0, 100, 0, 12, 0, 0xff, 0x7f, 6, 0x10, 0x27, 8, 0, 0, 0x7d, 0})
+	f.Add(int16(1), uint8(8), int16(100), []byte{0, 0, 100, 0, 2, 0, 1, 0, 2, 1, 0, 0, 0, 0xff, 0x7f, 3, 0xe8, 0x03, 4})
+	f.Add(int16(-5), uint8(4), int16(0), []byte{17, 0, 0xdc, 0x05, 9, 0, 0, 3, 0, 0xdc, 0x05, 10, 1, 0, 8, 0, 0x80})
+	f.Fuzz(func(t *testing.T, rate0 int16, scale0 uint8, burst int16, script []byte) {
+		if len(script) > 4096 {
+			script = script[:4096]
+		}
+		origin := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+		var ref floatBucket
+		var gcra Bucket
+		ref.Init(fuzzRate(rate0, scale0), int(burst))
+		gcra.Init(fuzzRate(rate0, scale0), int(burst))
+		if gcra.Burst() != int(ref.burst) {
+			t.Fatalf("burst %d B, the float bucket %v B", gcra.Burst(), ref.burst)
+		}
+		at := time.Duration(0)
+		var lastWait time.Duration
+		next := func(n int) []byte {
+			if len(script) < n {
+				return nil
+			}
+			b := script[:n]
+			script = script[n:]
+			return b
+		}
+		for op := next(3); op != nil; op = next(3) {
+			arg := int16(uint16(op[1]) | uint16(op[2])<<8)
+			switch op[0] % 6 { // when
+			case 0: // the same instant again
+			case 1:
+				at += time.Duration(arg) * time.Microsecond // a small step, either way
+			case 2:
+				at += lastWait // the sender follows the last wait
+			case 3:
+				at += time.Duration(op[0]/6%3+1) * time.Hour
+			case 4:
+				at -= time.Duration(op[0]/6%3+1) * time.Hour
+			case 5:
+				at += time.Duration(arg) * time.Nanosecond
+			}
+			now := origin.Add(at)
+			if op[0]/6%4 == 3 { // a rate change; its scale rides in a byte of its own
+				s := next(1)
+				if s == nil {
+					break
+				}
+				r := fuzzRate(arg, s[0])
+				ref.SetRate(r, now)
+				gcra.SetRate(r, at)
+				if gcra.Rate() != ref.rate {
+					t.Fatalf("SetRate(%v): rate %v, the float bucket %v", r, gcra.Rate(), ref.rate)
+				}
+				continue
+			}
+			want := ref.Reserve(int(arg), now)
+			got := gcra.Reserve(int(arg), at)
+			if d := got - want; d < -time.Microsecond || d > time.Microsecond {
+				t.Fatalf("Reserve(%d) at %v on %v: wait %v, the float bucket %v", arg, at, gcra.Rate(), got, want)
+			}
+			lastWait = want
+		}
+
+		// Drift: both pace the same datagrams from a fresh bucket, each by
+		// its own waits.
+		const n = 200
+		size := int(burst)%1500 + 1501 // always more than one MTU of credit, so the burst runs out
+		ref.Init(fuzzRate(rate0, scale0), int(burst))
+		gcra.Init(fuzzRate(rate0, scale0), int(burst))
+		var refAt, gcraAt time.Duration
+		for i := 0; i < n; i++ {
+			refAt += ref.Reserve(size, origin.Add(refAt))
+			gcraAt += gcra.Reserve(size, gcraAt)
+		}
+		if d := gcraAt - refAt; d < -n || d > n {
+			t.Fatalf("%d datagrams of %d B at %v: the schedule ends %v off the float one", n, size, gcra.Rate(), d)
+		}
+	})
 }
