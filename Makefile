@@ -109,6 +109,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzMeter$$' -fuzztime=10s ./internal/packet/
 	go test -run '^$$' -fuzz '^FuzzSwarmHandle$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzReceiverHandle$$' -fuzztime=10s ./internal/wire/
+	go test -run '^$$' -fuzz '^FuzzServerDatagram$$' -fuzztime=10s ./internal/session/
 	go test -run '^$$' -fuzz '^FuzzTimeSeries$$' -fuzztime=10s ./internal/stats/
 
 # Every example, run to completion (the CI test-race job). They read the

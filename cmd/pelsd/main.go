@@ -280,11 +280,11 @@ func run() error {
 	}
 
 	st := srv.Stats()
-	fmt.Printf("sessions=%d completed=%d reaped=%d reaped_stuck=%d rejected=%d rejected_full=%d rejected_drain=%d rejected_config=%d admit_races=%d sheds=%d restores=%d datagrams=%d bytes=%d feedback=%d batches=%d\n",
+	fmt.Printf("sessions=%d completed=%d reaped=%d reaped_stuck=%d rejected=%d rejected_full=%d rejected_drain=%d rejected_config=%d admit_races=%d sheds=%d restores=%d datagrams=%d bytes=%d feedback=%d\n",
 		st.Admitted, st.Completed, st.Reaped, st.ReapedStuck,
 		st.Rejected, st.RejectedFull, st.RejectedDrain, st.RejectedConfig,
 		st.AdmitRaces, st.Sheds, st.Restores,
-		st.Datagrams, st.Bytes, st.FeedbackItems, st.FeedbackBatches)
+		st.Datagrams, st.Bytes, st.FeedbackItems)
 	if runErr != nil && !errors.Is(runErr, context.Canceled) && !errors.Is(runErr, context.DeadlineExceeded) {
 		return runErr
 	}

@@ -17,8 +17,7 @@ func printServerVars(raw []byte) {
 	keys := []string{
 		"session.active", "session.admitted", "session.completed",
 		"session.reaped", "session.rejected", "session.datagrams",
-		"session.feedback_items", "session.feedback_batches",
-		"session.wheel_timers",
+		"session.feedback_items", "session.wheel_timers",
 	}
 	fmt.Printf("server")
 	for _, k := range keys {

@@ -30,8 +30,8 @@ var deterministicPkgs = map[string]bool{
 	"fault":        true,
 	// session is walltime-clean by construction: every instant arrives as
 	// an argument or through an injected Clock (wire.SystemClock in
-	// production), so the wheel/table/batcher core is testable on a
-	// virtual clock.
+	// production), so the server core (wheel, table, admission, ticks) is
+	// testable on a virtual clock.
 	"session": true,
 	// timewheel is the wheel under both session and wire: it is handed
 	// every instant, which is what lets either side drive it from a

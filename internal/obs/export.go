@@ -11,8 +11,7 @@ import (
 
 // Snapshot flattens every instrument into a name → value map, the shape
 // runner.Output.Metrics and pelsbench's -json output already use.
-// Counters and gauges map directly; pull gauges are evaluated now;
-// histograms expand to <name>.count/.mean/.min/.max/.stddev; series
+// Counters and gauges map directly; pull gauges are evaluated now; series
 // contribute <name>.last and <name>.n (full samples go through WriteCSV or
 // SeriesJSON, not the flat map).
 func (r *Registry) Snapshot() map[string]float64 {
@@ -29,10 +28,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 	for k, v := range r.gaugeFns {
 		gaugeFns[k] = v
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
 	series := make(map[string]*Series, len(r.series))
 	for k, v := range r.series {
 		series[k] = v
@@ -48,14 +43,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 	}
 	for name, fn := range gaugeFns {
 		out[name] = fn()
-	}
-	for name, h := range hists {
-		w := h.Summary()
-		out[name+".count"] = float64(w.N())
-		out[name+".mean"] = w.Mean()
-		out[name+".min"] = w.Min()
-		out[name+".max"] = w.Max()
-		out[name+".stddev"] = w.StdDev()
 	}
 	for name, s := range series {
 		out[name+".last"] = s.Last()

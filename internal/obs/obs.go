@@ -1,5 +1,5 @@
 // Package obs is the repository's unified observability layer: a registry
-// of named counters, gauges, histograms, and time series shared by the
+// of named counters, gauges and time series shared by the
 // deterministic simulator and the live wire stack.
 //
 // The package itself never reads the wall clock — it records whatever
@@ -11,7 +11,7 @@
 //
 // Hot-path instruments are cheap: counters and gauges are single atomic
 // operations, so they are safe to bump from the wire stack's goroutines;
-// series and histograms take a mutex. Registration (Counter, Gauge,
+// series take a mutex. Registration (Counter, Gauge,
 // Series, ...) is get-or-create and safe for concurrent use, but is meant
 // for setup paths, not per-packet code — hold on to the returned handle.
 package obs
@@ -52,27 +52,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the last stored value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram maintains a running summary (count/mean/min/max/stddev) of
-// observations without storing them. The zero value is ready to use.
-type Histogram struct {
-	mu sync.Mutex
-	w  stats.Welford
-}
-
-// Observe incorporates one observation.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	h.w.Add(v)
-	h.mu.Unlock()
-}
-
-// Summary returns a copy of the running summary.
-func (h *Histogram) Summary() stats.Welford {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.w
-}
-
 // Registry holds named instruments. Use NewRegistry; the zero value is not
 // usable. All methods are safe for concurrent use.
 //
@@ -87,7 +66,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	gaugeFns map[string]func() float64
-	hists    map[string]*Histogram
 	series   map[string]*Series
 }
 
@@ -98,7 +76,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		gaugeFns: make(map[string]func() float64),
-		hists:    make(map[string]*Histogram),
 		series:   make(map[string]*Series),
 	}
 }
@@ -151,20 +128,6 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	defer r.mu.Unlock()
 	r.claimLocked(name, "gaugefunc")
 	r.gaugeFns[name] = fn
-}
-
-// Histogram returns the histogram registered under name, creating it if
-// needed.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claimLocked(name, "histogram")
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
 }
 
 // Series returns the time series registered under name, creating it if

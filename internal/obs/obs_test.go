@@ -19,9 +19,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.Gauge("g") != r.Gauge("g") {
 		t.Fatal("Gauge not idempotent")
 	}
-	if r.Histogram("h") != r.Histogram("h") {
-		t.Fatal("Histogram not idempotent")
-	}
 	if r.Series("s") != r.Series("s") {
 		t.Fatal("Series not idempotent")
 	}
@@ -84,18 +81,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramSummary(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("delay")
-	for _, v := range []float64{1, 2, 3, 4} {
-		h.Observe(v)
-	}
-	w := h.Summary()
-	if w.N() != 4 || w.Mean() != 2.5 || w.Min() != 1 || w.Max() != 4 {
-		t.Fatalf("summary n=%d mean=%v min=%v max=%v", w.N(), w.Mean(), w.Min(), w.Max())
-	}
-}
-
 func TestSeriesRecordsAndSnapshots(t *testing.T) {
 	r := NewRegistry()
 	s := r.Series("loss")
@@ -119,13 +104,11 @@ func TestSnapshotFlattens(t *testing.T) {
 	r.Counter("c").Add(7)
 	r.Gauge("g").Set(1.25)
 	r.GaugeFunc("fn", func() float64 { return 42 })
-	r.Histogram("h").Observe(3)
 	r.Series("s").Add(time.Second, 9)
 
 	snap := r.Snapshot()
 	want := map[string]float64{
 		"c": 7, "g": 1.25, "fn": 42,
-		"h.count": 1, "h.mean": 3, "h.min": 3, "h.max": 3, "h.stddev": 0,
 		"s.last": 9, "s.n": 1,
 	}
 	for k, v := range want {

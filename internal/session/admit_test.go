@@ -1,8 +1,8 @@
 package session
 
 // Admission-lane tests, on the synthetic clock of handoff_test.go: the test
-// plays demux (handleDatagram), the workers' admission half (pumpLane) and
-// the driver (step) on its own goroutine, so where a new session's timer is
+// plays demux (ingest), the workers' admission half (pumpLane) and the
+// driver (step) on its own goroutine, so where a new session's timer is
 // — lane, wheel or chunk — is a deterministic function of the calls made.
 // One test at the end runs real workers against real reapers under -race.
 
@@ -66,7 +66,7 @@ func (w *dgLog) snapshot() []sent {
 // own entry point.
 func hello(t *testing.T, s *Server, flow uint32, now time.Time) {
 	t.Helper()
-	s.handleDatagram(helloDatagram(t, flow), origin{addr: handPeer}, now)
+	s.ingest(helloDatagram(t, flow), origin{addr: handPeer}, now)
 }
 
 // pumpLane plays the workers' admission half: every timer in the lane gets
@@ -74,7 +74,7 @@ func hello(t *testing.T, s *Server, flow uint32, now time.Time) {
 func pumpLane(s *Server) int {
 	n := 0
 	for len(s.admits) > 0 {
-		s.pumpAdmitted(<-s.admits, testScratch)
+		s.runAdmitted(<-s.admits, testScratch)
 		n++
 	}
 	return n
@@ -259,7 +259,7 @@ func TestAdmitStormOverflowsToTheWheel(t *testing.T) {
 	for len(s.jobs) > 0 {
 		chunk := <-s.jobs
 		inChunks += len(chunk)
-		s.pumpChunk(chunk, testScratch) // a second arming of any timer panics here
+		s.runChunk(chunk, testScratch) // a second arming of any timer panics here
 	}
 	if inChunks != n-admitLane || s.wheel.Len() != n {
 		t.Fatalf("%d timers went through chunks, wheel holds %d; want %d and %d", inChunks, s.wheel.Len(), n-admitLane, n)
@@ -318,38 +318,27 @@ func TestAdmitLaneShutdownClosesOnce(t *testing.T) {
 	for f := uint32(1); f <= n; f++ {
 		hello(t, s, f, clk.Now())
 	}
-	done := make(chan error, 1)
-	go func() { done <- s.Shutdown(context.Background()) }()
-	// The fake clock never blocks, so Shutdown spins on the table; its drain
-	// sweep is over once every session says so.
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		draining := 0
-		s.table.Range(func(_ Key, sess *Session) bool {
-			if sess.State() == StateDraining {
-				draining++
-			}
-			return true
-		})
-		if draining == n {
-			break
+	s.drain() // Shutdown's first step
+	draining := 0
+	s.table.Range(func(_ Key, sess *Session) bool {
+		if sess.State() == StateDraining {
+			draining++
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d sessions draining", draining, n)
-		}
-		time.Sleep(time.Millisecond)
+		return true
+	})
+	if draining != n {
+		t.Fatalf("%d of %d sessions draining", draining, n)
 	}
 	hello(t, s, n+1, clk.Now()) // refused, and the lane must not see it
 	if len(s.admits) != n {
 		t.Fatalf("%d timers in the lane, want %d", len(s.admits), n)
 	}
 	pumpLane(s)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Shutdown did not return with the table empty")
+	// The table is empty, so Shutdown returns without waiting.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with the table empty: %v", err)
 	}
 	closes := conn.closes()
 	for f := uint32(1); f <= n; f++ {
@@ -482,7 +471,7 @@ func TestAdmitLaneRacesReapers(t *testing.T) {
 		}
 	})
 	for f := uint32(1); f <= n; f++ {
-		s.admit(origin{addr: handPeer}, f, time.Now())
+		s.ingest(helloDatagram(t, f), origin{addr: handPeer}, time.Now())
 	}
 	for deadline := time.Now().Add(10 * time.Second); s.table.Len() > 0 || len(s.admits) > 0 || s.wheel.Len() > 0; {
 		if time.Now().After(deadline) {

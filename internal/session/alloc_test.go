@@ -11,9 +11,9 @@ import (
 // TestHotPathZeroAllocs holds the server's three per-datagram and per-wake
 // structures at zero allocations in the steady state: a table lookup (every
 // feedback datagram), a wheel tick that re-arms every fired timer (every
-// pacing wake) and one flushed batch of feedback labels applied under the
-// session's lock (every batcher flush). Each row warms up first, so what is
-// measured is the steady state and not first-lap growth.
+// pacing wake) and a batch of feedback labels applied under the session's
+// lock (what the benchmark's ingress stage applies). Each row warms up
+// first, so what is measured is the steady state and not first-lap growth.
 func TestHotPathZeroAllocs(t *testing.T) {
 	t0 := time.Unix(1700000000, 0)
 	for _, tc := range []struct {

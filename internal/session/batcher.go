@@ -14,14 +14,12 @@ type FeedbackItem struct {
 
 // Batcher coalesces feedback items with a count+maxWait policy: a batch
 // flushes when it reaches Count items, or — via Due — when MaxWait has
-// elapsed since its first item. The demux loop drives both conditions
-// from its own reads and read timeouts, so a burst of feedback datagrams
-// is applied in one pass without any per-packet goroutine wakeup, and the
-// batcher itself needs no goroutine or timer at all.
+// elapsed since its first item. The server does not use it (it applies
+// each label on arrival); the benchmark's ingress stages do.
 //
-// Batcher is not safe for concurrent use: it belongs to the single demux
-// goroutine. Flushed slices are recycled double-buffered — a returned
-// batch is valid until the second following flush.
+// Batcher is not safe for concurrent use. Flushed slices are recycled
+// double-buffered — a returned batch is valid until the second following
+// flush.
 type Batcher struct {
 	count   int
 	maxWait time.Duration
@@ -62,8 +60,7 @@ func (b *Batcher) Add(it FeedbackItem, now time.Time) []FeedbackItem {
 }
 
 // Due returns the pending batch when its oldest item has waited maxWait
-// or longer, nil otherwise. The demux loop calls it after every read and
-// every read timeout.
+// or longer, nil otherwise.
 //
 //pelsvet:noalloc
 func (b *Batcher) Due(now time.Time) []FeedbackItem {
@@ -74,8 +71,7 @@ func (b *Batcher) Due(now time.Time) []FeedbackItem {
 }
 
 // Deadline returns the instant the pending batch becomes due, and false
-// when nothing is pending. The demux loop bounds its read timeout with
-// it so a lone feedback item is never stranded for a full poll interval.
+// when nothing is pending.
 func (b *Batcher) Deadline() (time.Time, bool) {
 	if len(b.items) == 0 {
 		return time.Time{}, false

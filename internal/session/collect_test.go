@@ -1,12 +1,9 @@
 package session
 
 import (
-	"net"
-	"runtime"
+	"context"
 	"testing"
 	"time"
-
-	"repro/internal/units"
 )
 
 // TestAdmitWaveSettles scripts the admitted counter against instants: a
@@ -48,35 +45,30 @@ func TestAdmitWaveSettles(t *testing.T) {
 	}
 }
 
-// TestLiveCollectsAfterAdmission runs a real server: some time after its one
-// session is admitted the process has been through a forced collection, so
-// the driver's request reaches a collector that acts on it.
-func TestLiveCollectsAfterAdmission(t *testing.T) {
-	forced := func() uint32 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.NumForcedGC
-	}
-	before := forced() // read first: the collection may come before the test looks again
-	srv, addr, _, _ := startLiveServer(t, 8*units.Mbps, 25*time.Millisecond, func(cfg *ServerConfig) {
-		cfg.Out = discard{}
-	})
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = conn.Close() })
-	// A hello the socket dropped is sent again; one that lands on a live
-	// session admits nothing and does not restart the wave.
-	for deadline := time.Now().Add(10 * time.Second); srv.Stats().Admitted == 0; time.Sleep(20 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the hello was never admitted")
+// TestTickCollectsAfterAdmission steps the core tick by tick after one
+// session is admitted: the first tick that finds admissions silent for
+// collectQuiet asks its driver for one collection, and no other tick does.
+func TestTickCollectsAfterAdmission(t *testing.T) {
+	s, clk, _ := handServer(t, discard{}, nil)
+	hello(t, s, 1, clk.Now())
+	pumpLane(s)
+	admittedAt := clk.Now()
+	var fired []*Timer
+	var asked []time.Duration
+	for ms := 0; ms < 1000; ms++ {
+		now := clk.advance(s.cfg.WheelTick)
+		wk := s.tick(now, 0, s.backlog(), fired[:0])
+		fired = wk.fired
+		if wk.collect {
+			asked = append(asked, now.Sub(admittedAt))
 		}
-		sendHello(t, conn, addr, 1)
-	}
-	for deadline := time.Now().Add(10 * time.Second); forced() == before; time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("no forced collection within 10 s of the admission (collectQuiet is %v)", collectQuiet)
+		if !s.handOff(context.Background(), fired) {
+			t.Fatal("handOff gave up under a live context")
 		}
+		pumpQueued(s)
+	}
+	// The first tick sees the admission; the wave is quiet from there.
+	if want := collectQuiet + s.cfg.WheelTick; len(asked) != 1 || asked[0] != want {
+		t.Fatalf("collections asked at %v after the admission, want once at %v", asked, want)
 	}
 }

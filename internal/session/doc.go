@@ -18,21 +18,23 @@
 //   - Table is the sharded session table, keyed by (peer address, flow
 //     ID) with a lock and an obs registry per shard, so hello admission,
 //     feedback dispatch, and reaping contend only within a shard.
-//   - Batcher coalesces decoded feedback datagrams with a count+maxWait
-//     policy: a burst of echoes is demuxed once and applied as a batch,
-//     without per-packet goroutine wakeups.
 //   - Session is one receiver's stream and the live stack's only sending
 //     end host: the driver of its own fgs.Sender (MKC, γ and the frame
 //     plan, every frame split into priority layers by the γ ladder; the
 //     simulator's pels.Source drives the same core) and of a token bucket,
 //     shaped as a pump state machine the wheel can drive.
-//   - Server owns the socket pair (raw reads, shaped writes), the demux
-//     loop, the wheel driver, the workers, and the session lifecycle:
-//     hello → streaming → drain or idle-timeout reap → closed.
+//   - Server is a passive core and its driver. The core (core.go) holds
+//     the table, the wheel, admission, the session lifecycle (hello →
+//     streaming → drain or idle-timeout reap → closed), the overload
+//     controller and the counters, with no goroutine, channel or clock:
+//     a datagram entry that admits a hello or applies a feedback label on
+//     arrival, the pumps, and a tick. The driver (server.go) owns the
+//     socket reads, the Clock, and the demux loop, wheel driver and
+//     workers that feed the core and move timers between them.
 //
 // The package never reads the wall clock: every instant is passed in, and
 // blocking waits go through the injected Clock (wire.SystemClock in
 // production, synthetic clocks in tests). pelsvet's walltime analyzer
-// enforces this, which is what keeps the wheel, batcher, and session
-// state machines deterministic under test.
+// enforces this, which is what keeps the wheel, the server core and the
+// session state machines deterministic under test.
 package session

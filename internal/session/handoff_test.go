@@ -141,31 +141,33 @@ func fillLane(s *Server) {
 	}
 }
 
-// admitArmed admits flow with the lane full, so admit arms its timer on the
+// admitArmed admits flow with the lane full, so its timer is armed on the
 // wheel at now: the hand-off tests seed the wheel, not the lane.
 func admitArmed(s *Server, flow uint32, now time.Time) {
-	fillLane(s)
-	s.admit(origin{addr: handPeer}, flow, now)
+	s.laneFull(s.admit(origin{addr: handPeer}, flow, now), now)
 }
 
 // pumpQueued plays the workers: it pumps every chunk the driver queued.
 func pumpQueued(s *Server) {
 	for len(s.jobs) > 0 {
-		s.pumpChunk(<-s.jobs, testScratch)
+		s.runChunk(<-s.jobs, testScratch)
 	}
 }
+
+// wheelLaps is how many ticks n laps of s's wheel take.
+func wheelLaps(s *Server, n int) int { return n * int(wheelHorizon/s.cfg.WheelTick) }
 
 // testScratch is the one worker's scratch of the tests that play the worker
 // on their own goroutine.
 var testScratch = newScratch()
 
-// step is one driver loop and the workers' answer to it: advance the wheel
-// one tick, hand the fired timers off, pump every chunk. It returns the
-// flows fired, in wheel order.
+// step is one driver loop and the workers' answer to it: tick the core a
+// WheelTick later, hand the fired timers off, pump every chunk. It returns
+// the flows fired, in wheel order.
 func step(t *testing.T, s *Server, clk *fakeClock, fired *[]*Timer) []uint32 {
 	t.Helper()
 	now := clk.advance(s.cfg.WheelTick)
-	*fired = s.wheel.Advance(now, (*fired)[:0])
+	*fired = s.tick(now, 0, s.backlog(), (*fired)[:0]).fired
 	order := make([]uint32, len(*fired))
 	for i, tm := range *fired {
 		order[i] = tm.Owner.key.Flow
@@ -235,14 +237,14 @@ func TestHandOffSplitsLargeTick(t *testing.T) {
 	if got := len(s.jobs); got != 3 {
 		t.Fatalf("%d chunks queued, want 3", got)
 	}
-	if got, want := s.signals(0).Backlog, 3/float64(cap(s.free)); got != want {
+	if got, want := s.backlog(), 3/float64(cap(s.free)); got != want {
 		t.Fatalf("Backlog %v with 3 of %d buffers in flight, want %v", got, cap(s.free), want)
 	}
 	var sizes []int
 	for len(s.jobs) > 0 {
 		chunk := <-s.jobs
 		sizes = append(sizes, len(chunk))
-		s.pumpChunk(chunk, testScratch) // a second arming of any timer panics here
+		s.runChunk(chunk, testScratch) // a second arming of any timer panics here
 	}
 	if !slices.Equal(sizes, []int{pumpChunk, pumpChunk, 1}) {
 		t.Fatalf("chunk sizes %v", sizes)
@@ -385,7 +387,7 @@ func TestHandOffCycleDoesNotAllocate(t *testing.T) {
 	}
 	// Two laps of the wheel bring the slots, the driver's slice and the
 	// chunk buffers to the capacity they keep.
-	for i := 0; i < 2*s.cfg.WheelSlots; i++ {
+	for i := 0; i < wheelLaps(s, 2); i++ {
 		cycle()
 	}
 	pumped = 0
@@ -406,7 +408,6 @@ func TestLiveAdmitArmsLast(t *testing.T) {
 	out := &flowLog{}
 	srv, addr, cancel, errCh := startLiveServer(t, 8*units.Mbps, 25*time.Millisecond, func(cfg *ServerConfig) {
 		cfg.WheelTick = 50 * time.Microsecond
-		cfg.WheelSlots = 4096
 		cfg.Out = out
 	})
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")

@@ -157,39 +157,26 @@ func TestOverloadSeesBlockedDriver(t *testing.T) {
 		held = append(held, <-s.free)
 	}
 	admitArmed(s, 1, clk.Now())
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	returned := make(chan struct{})
-	go func() {
-		defer close(returned)
-		s.driver(ctx)
-	}()
-	// The fake clock never blocks, so the driver reaches a session's first
-	// tick at once; it is waiting when the timer has fired and no chunk has
-	// been queued.
-	awaitFired := func() {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); s.wheel.Len() != 0; {
-			if time.Now().After(deadline) {
-				t.Fatal("the driver never fired the session's timer")
-			}
-			time.Sleep(time.Millisecond)
-		}
+	fired := s.tick(clk.advance(s.cfg.WheelTick), 0, s.backlog(), nil).fired
+	if len(fired) != 1 {
+		t.Fatalf("the tick fired %d timers, want the session's", len(fired))
 	}
-	awaitFired()
-	select {
-	case <-returned:
-		t.Fatal("the driver returned under a live context")
-	case chunk := <-s.jobs:
-		t.Fatalf("a chunk of %d went out with no buffer free", len(chunk))
-	case <-time.After(20 * time.Millisecond):
-	}
-	sig := s.signals(0)
+	sig := s.signals(0, s.backlog())
 	if sig.Backlog != 1 || sig.Score() < s.overload.Config().High {
 		t.Fatalf("blocked driver: Backlog %v, score %v, High %v", sig.Backlog, sig.Score(), s.overload.Config().High)
 	}
 
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	handed := make(chan bool, 1)
+	go func() { handed <- s.handOff(ctx, fired) }()
+	select {
+	case ok := <-handed:
+		t.Fatalf("the hand-off returned %v with no buffer free", ok)
+	case chunk := <-s.jobs:
+		t.Fatalf("a chunk of %d went out with no buffer free", len(chunk))
+	case <-time.After(20 * time.Millisecond):
+	}
 	// One buffer back and the chunk goes out.
 	s.free <- held[0]
 	select {
@@ -200,11 +187,30 @@ func TestOverloadSeesBlockedDriver(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the driver did not take the returned buffer")
 	}
+	if !<-handed {
+		t.Fatal("the hand-off gave up under a live context")
+	}
 
-	// Blocked again on the next session, it must still honour ctx.
+	// Blocked again, on the next session, the wait must end with the
+	// context, and so must the driver's own, which fires a third.
 	admitArmed(s, 2, clk.Now())
-	awaitFired()
+	fired = s.tick(clk.advance(s.cfg.WheelTick), 0, s.backlog(), fired[:0]).fired
+	go func() { handed <- s.handOff(ctx, fired) }()
+	admitArmed(s, 3, clk.Now())
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		s.driver(ctx)
+	}()
 	cancel()
+	select {
+	case ok := <-handed:
+		if ok {
+			t.Fatal("the hand-off reported success with no buffer free")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the hand-off blocked on the free list ignored its context")
+	}
 	select {
 	case <-returned:
 	case <-time.After(5 * time.Second):

@@ -181,8 +181,8 @@ func TestPumpFiveLayers(t *testing.T) {
 }
 
 // TestPumpFeedbackWhileChunkPumped is for -race: the bucket's only guard is
-// the session's own lock, and feedback retargets it (dispatch, as demux
-// does) while a worker charges it (pumpChunk).
+// the session's own lock, and feedback retargets it (handleDatagram, as
+// demux does) while a worker charges it (pumpChunk).
 func TestPumpFeedbackWhileChunkPumped(t *testing.T) {
 	const n = 64
 	s, clk, _ := handServer(t, discard{}, func(cfg *ServerConfig) {
@@ -198,28 +198,29 @@ func TestPumpFeedbackWhileChunkPumped(t *testing.T) {
 	wg.Add(1)
 	go func() { // demux
 		defer wg.Done()
-		batch := make([]FeedbackItem, 0, n)
+		buf := make([]byte, 0, wire.HeaderSize)
 		for epoch := uint64(1); ; epoch++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			batch = batch[:0]
 			for f := uint32(1); f <= n; f++ {
-				batch = append(batch, FeedbackItem{
-					Key: Key{Addr: handPeer.String(), Flow: f},
-					FB:  packet.Feedback{RouterID: 1, Epoch: epoch, Loss: 0.01, Valid: true},
-				})
+				h := wire.Header{Type: wire.TypeFeedback, Color: packet.ACK, Flow: f,
+					Feedback: packet.Feedback{RouterID: 1, Epoch: epoch, Loss: 0.01, Valid: true}}
+				b, err := wire.AppendDatagram(buf[:0], h, nil)
+				if err != nil {
+					panic(err)
+				}
+				s.handleDatagram(b, origin{addr: handPeer}, clk.Now())
 			}
-			s.dispatch(batch, clk.Now())
 			runtime.Gosched() // on one P, take turns with the pump
 		}
 	}()
 	// Driver and worker: at least 400 ticks, and until demux has got 50
-	// batches in between them.
+	// rounds of labels in between them.
 	var fired []*Timer
-	for tick := 0; tick < 400 || s.Stats().FeedbackBatches < 50; tick++ {
+	for tick := 0; tick < 400 || s.Stats().FeedbackItems < 50*n; tick++ {
 		step(t, s, clk, &fired)
 		runtime.Gosched()
 	}
@@ -239,9 +240,8 @@ func TestPumpFeedbackWhileChunkPumped(t *testing.T) {
 }
 
 // TestLiveStatsWithoutRegistry: a server run with Obs nil counts what its
-// sessions sent. (The counts used to be read back from the obs counters and
-// stayed 0 without a registry.) With ExitWhenIdle, Run returning means every
-// worker has flushed, so the counters equal what Out was given.
+// sessions sent, on a registry of its own. With ExitWhenIdle, Run returning
+// means every worker has flushed, so the counters equal what Out was given.
 func TestLiveStatsWithoutRegistry(t *testing.T) {
 	out := &flowLog{}
 	srv, addr, _, errCh := startLiveServer(t, 8*units.Mbps, 25*time.Millisecond, func(cfg *ServerConfig) {
@@ -344,7 +344,7 @@ func BenchmarkSessionPumpChunk(b *testing.B) {
 				s.handOff(ctx, fired)
 				pumpQueued(s)
 			}
-			for i := 0; i < 2*s.cfg.WheelSlots; i++ {
+			for i := 0; i < wheelLaps(s, 2); i++ {
 				cycle()
 			}
 			start := s.Stats().Datagrams

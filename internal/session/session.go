@@ -450,7 +450,8 @@ func (s *Session) HandleFeedback(fb packet.Feedback, now time.Time) bool {
 
 // HandleFeedbackBatch applies a batch of labels in order, all at instant
 // now, returning how many were fresh. Any feedback, fresh or duplicate,
-// counts as receiver activity for the idle reaper.
+// counts as receiver activity for the idle reaper. The server applies each
+// label on arrival through HandleFeedback; the benchmark uses this.
 func (s *Session) HandleFeedbackBatch(fbs []packet.Feedback, now time.Time) int {
 	at := now.Sub(s.origin)
 	s.mu.Lock()

@@ -159,8 +159,8 @@ func TestTableRangeEarlyStop(t *testing.T) {
 	}
 }
 
-// TestKeyCompareOrdersFarApartFlows: Compare is the order dispatch sorts a
-// feedback batch by, so that one key's items are contiguous. Flows 2³¹ and
+// TestKeyCompareOrdersFarApartFlows: Compare is the order SessionStats sorts
+// by and the benchmark's stage chain sorts a feedback batch by. Flows 2³¹ and
 // more apart are where a subtraction would wrap on a 32-bit int and stop
 // being an order; the benchmark's stage chain and FuzzSwarmHandle use such
 // flows.

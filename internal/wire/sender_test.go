@@ -178,7 +178,7 @@ func admitted(t *testing.T, srv *session.Server) *session.Session {
 }
 
 // manualServer runs a one-session server on a clock standing at t0, with
-// feedback dispatched label by label and the idle reaper off.
+// the idle reaper off.
 func manualServer(t *testing.T, t0 time.Time, cfg session.Config) (*inboundConn, *sentLog, *manualClock, *session.Session) {
 	t.Helper()
 	conn, out, clk := newInboundConn(t), &sentLog{}, &manualClock{now: t0}
@@ -188,7 +188,6 @@ func manualServer(t *testing.T, t0 time.Time, cfg session.Config) (*inboundConn,
 		Clock:       clk,
 		Session:     cfg,
 		IdleTimeout: -1,
-		BatchCount:  1,
 	})
 	if err != nil {
 		t.Fatal(err)
