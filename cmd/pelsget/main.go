@@ -36,7 +36,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"time"
 
@@ -159,12 +158,7 @@ func formatStats(st wire.ReceiverStats, decodeErrors uint64) string {
 	fmt.Fprintf(&b, "control hellos=%d rejects=%d closes=%d reconnects=%d last_close=%s\n",
 		st.HellosSent, st.Rejects, st.Closes, st.Reconnects,
 		strings.ToLower(st.LastClose.String()))
-	colors := make([]packet.Color, 0, len(st.Colors))
-	for c := range st.Colors {
-		colors = append(colors, c)
-	}
-	sort.Slice(colors, func(i, j int) bool { return colors[i] < colors[j] })
-	for _, c := range colors {
+	for _, c := range wire.ReportColors(st.Colors) {
 		cc := st.Colors[c]
 		fmt.Fprintf(&b, "%s received=%d lost=%d loss=%.4f\n",
 			strings.ToLower(c.String()), cc.Received, cc.Lost, cc.LossRate())

@@ -231,7 +231,7 @@ func report(recvs []wire.SwarmReceiverStats, maxGreenLoss float64, minStreams in
 	}
 	fmt.Printf("swarm receivers=%d streams=%d datagrams=%d bytes=%d hellos=%d feedback=%d\n",
 		len(recvs), streams, datagrams, bytes, hellos, feedback)
-	for _, c := range []packet.Color{packet.Green, packet.Yellow, packet.Red} {
+	for _, c := range wire.ReportColors(colors) {
 		cc := colors[c]
 		fmt.Printf("%s received=%d lost=%d loss=%.4f\n", c, cc.Received, cc.Lost, cc.LossRate())
 	}

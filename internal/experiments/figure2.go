@@ -21,9 +21,8 @@ type Figure2Row struct {
 
 // Figure2Config parameterizes the sweep.
 type Figure2Config struct {
-	Loss   float64
-	Sizes  []int
-	Saturn float64 // saturation level (1-p)/p, reported for reference
+	Loss  float64
+	Sizes []int
 }
 
 // DefaultFigure2Config mirrors the paper (p = 0.1, H up to 1000).

@@ -258,12 +258,9 @@ func (r OverloadWireResult) Metrics() map[string]float64 {
 		"fault_dup":       float64(r.Faults.Duplicated),
 		"fault_drops":     float64(r.Faults.Drops),
 	}
-	for color, name := range map[packet.Color]string{
-		packet.Green:  "green",
-		packet.Yellow: "yellow",
-		packet.Red:    "red",
-	} {
+	for _, color := range wire.ReportColors(r.Colors) {
 		c := r.Colors[color]
+		name := color.String()
 		m[name+"_rcvd"] = float64(c.Received)
 		m[name+"_lost"] = float64(c.Lost)
 		m[name+"_loss"] = c.LossRate()
@@ -292,7 +289,7 @@ func FormatOverloadWire(r OverloadWireResult) string {
 		r.Completed, r.Rejects, r.Closes, r.Reconnects, r.Hellos,
 		r.Faults.Duplicated, r.Faults.Drops)
 	fmt.Fprintf(&b, "%-8s %10s %10s %10s\n", "color", "received", "lost", "loss")
-	for _, color := range []packet.Color{packet.Green, packet.Yellow, packet.Red} {
+	for _, color := range wire.ReportColors(r.Colors) {
 		c := r.Colors[color]
 		fmt.Fprintf(&b, "%-8s %10d %10d %9.1f%%\n",
 			strings.ToLower(color.String()), c.Received, c.Lost, 100*c.LossRate())

@@ -38,7 +38,7 @@ type TestbedConfig struct {
 	// FeedbackInterval is T (paper: 30 ms).
 	FeedbackInterval time.Duration
 	// Session is the template for every PELS flow (Flow is assigned per
-	// flow; Mode comes from BestEffort below).
+	// flow; best-effort marking comes from BestEffort below).
 	Session pels.Config
 	// NumPELS is the number of video flows; StartTimes optionally sets
 	// per-flow start times (default: all at 0).
@@ -263,7 +263,7 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 			scfg.Layers = numLayers
 		}
 		if cfg.BestEffort {
-			scfg.Mode = pels.ModeBestEffort
+			scfg.BestEffort = true
 		}
 		if i < len(cfg.SessionTweaks) && cfg.SessionTweaks[i] != nil {
 			cfg.SessionTweaks[i](&scfg)

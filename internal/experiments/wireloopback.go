@@ -12,7 +12,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fgs"
 	"repro/internal/obs"
-	"repro/internal/packet"
 	"repro/internal/session"
 	"repro/internal/units"
 	"repro/internal/wire"
@@ -302,7 +301,7 @@ func (r WireLoopbackResult) Metrics() map[string]float64 {
 		"rev_duplicated":  float64(r.Reverse.Duplicated),
 		"rev_reordered":   float64(r.Reverse.Reordered),
 	}
-	for _, color := range wireColors {
+	for _, color := range wire.ReportColors(r.Receiver.Colors) {
 		c := r.Receiver.Colors[color]
 		name := strings.ToLower(color.String())
 		m[name+"_rcvd"] = float64(c.Received)
@@ -311,9 +310,6 @@ func (r WireLoopbackResult) Metrics() map[string]float64 {
 	}
 	return m
 }
-
-// wireColors are the wire's three bands, in drop order reversed.
-var wireColors = []packet.Color{packet.Green, packet.Yellow, packet.Red}
 
 // Datagrams is the event count surfaced through the runner: every
 // datagram the two endpoints put on or took off the wire.
@@ -333,7 +329,7 @@ func FormatWireLoopback(r WireLoopbackResult) string {
 	fmt.Fprintf(&b, "goodput %v (%.1f%% of capacity), %d epochs observed\n",
 		r.Goodput, 100*float64(r.Goodput)/float64(cfg.Capacity), r.Receiver.Epochs)
 	fmt.Fprintf(&b, "%-8s %10s %10s %10s\n", "color", "received", "lost", "loss")
-	for _, color := range wireColors {
+	for _, color := range wire.ReportColors(r.Receiver.Colors) {
 		c := r.Receiver.Colors[color]
 		fmt.Fprintf(&b, "%-8s %10d %10d %9.1f%%\n",
 			strings.ToLower(color.String()), c.Received, c.Lost, 100*c.LossRate())
@@ -355,7 +351,7 @@ func FormatChaosWire(r WireLoopbackResult) string {
 		r.Receiver.Datagrams, r.Receiver.Probes, r.Goodput)
 	fmt.Fprintf(&b, "faults: fwd %d drops (%d link-level), rev %d dup / %d reordered\n",
 		r.Forward.Drops, r.Link.FaultDrops, r.Reverse.Duplicated, r.Reverse.Reordered)
-	for _, color := range wireColors {
+	for _, color := range wire.ReportColors(r.Receiver.Colors) {
 		c := r.Receiver.Colors[color]
 		fmt.Fprintf(&b, "%-8s %10d received %10d lost (%5.1f%%)\n",
 			strings.ToLower(color.String()), c.Received, c.Lost, 100*c.LossRate())

@@ -69,16 +69,3 @@ func TestLayerName(t *testing.T) {
 		}
 	}
 }
-
-func TestIsWireBand(t *testing.T) {
-	for _, c := range []Color{Green, Yellow, Red} {
-		if !c.IsWireBand() {
-			t.Fatalf("%v.IsWireBand() = false", c)
-		}
-	}
-	for _, c := range []Color{BestEffort, TCP, ACK, LayerColor(3), LayerColor(7)} {
-		if c.IsWireBand() {
-			t.Fatalf("%v.IsWireBand() = true", c)
-		}
-	}
-}

@@ -40,9 +40,8 @@ const MaxLayers = 16
 
 // extLayerBase is the Color of priority layer 3. Layers 0-2 keep the
 // paper's Green/Yellow/Red values and BestEffort/TCP/ACK retain theirs,
-// so extended layers continue after ACK. Extended layer colors are
-// simulator-only: the wire codec maps every layer onto the three on-wire
-// bands (see internal/wire).
+// so extended layers continue after ACK. The wire carries every layer's
+// color as it is (wire.SeqSpace).
 const extLayerBase = ACK + 1
 
 // LayerColor returns the Color of the PELS priority layer with the given
@@ -111,12 +110,6 @@ func (c Color) String() string {
 func (c Color) IsPELS() bool {
 	return (c >= Green && c <= Red) || (c >= extLayerBase && c < extLayerBase+Color(MaxLayers-3))
 }
-
-// IsWireBand reports whether the color is one of the three on-wire PELS
-// bands. The 60-byte wire codec carries exactly the paper's three colors;
-// extended layers exist only inside the simulator and are mapped onto
-// bands at the wire boundary (session.band).
-func (c Color) IsWireBand() bool { return c == Green || c == Yellow || c == Red }
 
 // Feedback is the congestion feedback label (router ID, epoch z, packet
 // loss p) inserted by PELS routers into the header of every passing packet

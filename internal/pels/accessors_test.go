@@ -7,6 +7,7 @@ import (
 	"repro/internal/fgs"
 	"repro/internal/netsim"
 	"repro/internal/packet"
+	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -42,7 +43,7 @@ func TestSessionConstructorErrors(t *testing.T) {
 	nw := netsim.NewNetwork(eng)
 	h1 := nw.NewHost("a")
 	h2 := nw.NewHost("b")
-	bad := Config{Flow: 1, Frame: fgs.FrameSpec{PacketSize: -1, TotalPackets: 1}}
+	bad := Config{Flow: 1, Config: session.Config{Frame: fgs.FrameSpec{PacketSize: -1, TotalPackets: 1}}}
 	if _, _, err := Session(nw, h1, h2, bad); err == nil {
 		t.Error("Session accepted an invalid frame spec")
 	}
@@ -52,7 +53,7 @@ func TestSessionConstructorErrors(t *testing.T) {
 	if _, err := NewSink(nw, h2, bad); err == nil {
 		t.Error("NewSink accepted an invalid frame spec")
 	}
-	badGamma := Config{Flow: 1, Gamma: fgs.GammaConfig{Sigma: 1, PThr: -1}}
+	badGamma := Config{Flow: 1, Config: session.Config{Gamma: fgs.GammaConfig{Sigma: 1, PThr: -1}}}
 	if _, err := NewSource(nw, h1, h2.ID(), badGamma); err == nil {
 		t.Error("NewSource accepted an invalid gamma config")
 	}

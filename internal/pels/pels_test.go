@@ -10,6 +10,7 @@ import (
 	"repro/internal/fgs"
 	"repro/internal/netsim"
 	"repro/internal/packet"
+	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -157,7 +158,7 @@ func TestBestEffortModeColorsEnhancementBestEffort(t *testing.T) {
 	})))
 	mkc := cc.DefaultMKCConfig()
 	mkc.InitialRate = 600 * units.Kbps // above the base rate so enhancement is sent
-	src, err := NewSource(nw, h1, h2.ID(), Config{Flow: 1, Mode: ModeBestEffort, MKC: mkc})
+	src, err := NewSource(nw, h1, h2.ID(), Config{Flow: 1, Config: session.Config{BestEffort: true, MKC: mkc}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +213,14 @@ func TestSourceDelayedStart(t *testing.T) {
 
 func TestCustomControllerReplacesMKC(t *testing.T) {
 	aimd := cc.NewAIMD(cc.DefaultAIMDConfig())
-	r := newRig(t, Config{Flow: 1, ControllerFactory: func() cc.Controller { return aimd }}, 500*units.Kbps)
+	r := newRig(t, Config{Flow: 1, Config: session.Config{ControllerFactory: func() cc.Controller { return aimd }}}, 500*units.Kbps)
 	r.src.Start(0)
 	if err := r.eng.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if r.src.Controller() != cc.Controller(aimd) {
-		t.Error("custom controller not used")
+	// The AIMD stepped on the labels, and its rate is the source's.
+	if aimd.Rate() == cc.DefaultAIMDConfig().InitialRate || r.src.Rate() != aimd.Rate() {
+		t.Errorf("custom controller not used: source at %v, AIMD at %v", r.src.Rate(), aimd.Rate())
 	}
 	if r.src.PacketsSent() == 0 {
 		t.Error("no packets sent with AIMD controller")
@@ -227,9 +229,9 @@ func TestCustomControllerReplacesMKC(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{Flow: 1, Mode: Mode(42)},
-		{Flow: 1, Frame: fgs.FrameSpec{PacketSize: -1, TotalPackets: 10}},
-		{Flow: 1, Gamma: fgs.GammaConfig{Sigma: 0.5, PThr: 2, Initial: 0.5, Clamp: true, Max: 1}},
+		{Flow: -1},
+		{Flow: 1, Config: session.Config{Frame: fgs.FrameSpec{PacketSize: -1, TotalPackets: 10}}},
+		{Flow: 1, Config: session.Config{Gamma: fgs.GammaConfig{Sigma: 0.5, PThr: 2, Initial: 0.5, Clamp: true, Max: 1}}},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -252,17 +254,8 @@ func TestWithDefaultsDerivedBounds(t *testing.T) {
 	if cfg.RedShare != fgs.RedShareTotal {
 		t.Errorf("RedShare default = %v", cfg.RedShare)
 	}
-	if cfg.Mode != ModePELS {
+	if cfg.BestEffort || cfg.BurstBytes != cfg.Frame.PacketSize || cfg.FrameInterval != 500*time.Millisecond {
 		t.Errorf("defaults = %+v", cfg)
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if ModePELS.String() != "pels" || ModeBestEffort.String() != "best-effort" {
-		t.Error("mode names")
-	}
-	if Mode(9).String() != "mode(9)" {
-		t.Error("unknown mode name")
 	}
 }
 

@@ -1,22 +1,29 @@
 package pels
 
 import (
+	"net"
 	"time"
 
-	"repro/internal/cc"
-	"repro/internal/fgs"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/units"
+	"repro/internal/wire"
 )
 
+// epoch is the wall-clock instant simulation time 0 maps to on the
+// session's clock. Any fixed instant would do; this one stamps datagrams
+// with the simulation time in nanoseconds.
+var epoch = time.Unix(0, 0)
+
 // Source is the sending side of a streaming session in the simulator: the
-// netsim driver of an fgs.Sender, which plans each frame at the controller's
-// rate and steps MKC and γ on router feedback (paper Fig. 4 right). The
-// source paces the plan's packets continuously at the controller's rate and
-// delivers the sink's ACKs to the sender.
+// netsim driver of a session.Session (paper Fig. 4 right). A sim.Timer
+// pumps the session at each deadline it returns; the session plans frames,
+// colors, paces and encodes each packet as a wire datagram, which the
+// source decodes into the netsim packet it sends. The sink's ACKs carry
+// router feedback back to the session.
 type Source struct {
 	cfg  Config
 	eng  *sim.Engine
@@ -24,14 +31,13 @@ type Source struct {
 	host *netsim.Host
 	dst  int
 
-	snd         fgs.Sender
-	gammaSeries *obs.Series // nil until RecordGamma
-	pace        *sim.Timer  // fires emitNext for the next paced packet
+	sess        *session.Session
+	born        time.Duration // simulation time the session's timeline starts at
+	buf         []byte        // the datagram the session encodes into
+	gammaSeries *obs.Series   // nil until RecordGamma
+	pace        *sim.Timer    // fires pump at the session's next deadline
 	started     bool
 	stopped     bool
-
-	pktsSent  int64
-	bytesSent int64
 }
 
 var _ netsim.App = (*Source)(nil)
@@ -43,21 +49,21 @@ func NewSource(net *netsim.Network, host *netsim.Host, dst int, cfg Config) (*So
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var ctrl cc.Controller
-	if cfg.ControllerFactory != nil {
-		ctrl = cfg.ControllerFactory()
-	}
-	if ctrl == nil {
-		ctrl = cc.NewMKC(cfg.MKC)
-	}
-	s := &Source{cfg: cfg, eng: net.Engine(), net: net, host: host, dst: dst}
-	if err := s.snd.Init(cfg.sender(), ctrl); err != nil {
+	eng := net.Engine()
+	s := &Source{cfg: cfg, eng: eng, net: net, host: host, dst: dst, born: eng.Now(),
+		buf: make([]byte, 0, cfg.Frame.PacketSize)}
+	sess, err := session.NewSession(session.Key{Flow: uint32(cfg.Flow)}, nil, (*netOut)(s), cfg.Config, s.now())
+	if err != nil {
 		return nil, err
 	}
-	s.pace = s.eng.NewTimer(s.emitNext)
+	s.sess = sess
+	s.pace = eng.NewTimer(s.pump)
 	host.Attach(cfg.Flow, s)
 	return s, nil
 }
+
+// now is the session's clock reading at the current simulation time.
+func (s *Source) now() time.Time { return epoch.Add(s.eng.Now()) }
 
 // Start begins streaming at the given simulation time (first frame sent
 // immediately at that instant).
@@ -67,8 +73,7 @@ func (s *Source) Start(at time.Duration) {
 			return
 		}
 		s.started = true
-		s.snd.PlanFrame(s.snd.Rate())
-		s.emitNext()
+		s.pump()
 	})
 }
 
@@ -78,55 +83,49 @@ func (s *Source) Stop() {
 	s.pace.Stop()
 }
 
-// emitNext sends the next packet of the stream and schedules the following
-// one at the spacing implied by the current sending rate, so rate changes
-// take effect within one packet time (a slower actuator would turn the
-// feedback loop into a limit cycle). The frame is a data unit, not a time
-// gate: the source plans the next frame, at the controller's current rate,
-// as soon as the current one is fully transmitted, like a streaming server
-// whose rate-scaling module picks x_i at each frame boundary. At a steady
-// rate a frame takes exactly one frame interval on the wire.
-func (s *Source) emitNext() {
+// pump runs the session up to the current simulation time and arms the
+// timer at the deadline it returns, on the session's timeline.
+func (s *Source) pump() {
 	if s.stopped {
 		return
 	}
-	if s.snd.Pending() == 0 && s.snd.PlanFrame(s.snd.Rate()) == 0 {
-		// Degenerate spec (no packets to send); try again next frame
-		// interval rather than spinning.
-		s.pace.Reset(s.cfg.FrameInterval)
-		return
+	next, done := s.sess.Pump(s.now(), s.buf)
+	if !done {
+		s.pace.Reset(s.born + next - s.eng.Now())
 	}
-	frame, index, layer := s.snd.Take()
-	color := packet.LayerColor(layer)
-	if s.cfg.Mode == ModeBestEffort && layer > 0 {
-		color = packet.BestEffort
-	}
-	p := s.net.NewPacket(s.cfg.Flow, s.dst, s.cfg.Frame.PacketSize, color)
-	p.Frame = frame
-	p.Index = index
-	s.pktsSent++
-	s.bytesSent += int64(p.Size)
-	s.host.Send(p)
+}
 
-	spacing := s.snd.Rate().TransmissionTime(s.cfg.Frame.PacketSize)
-	s.pace.Reset(spacing)
+// netOut is the session's transport in the simulator: every datagram the
+// session writes becomes one netsim packet carrying what the wire carries.
+type netOut Source
+
+// WriteTo implements wire.PacketWriter: the packet's size is the
+// datagram's, and its color, frame and index are the decoded header's.
+func (o *netOut) WriteTo(b []byte, _ net.Addr) (int, error) {
+	h, _, err := wire.DecodeDatagram(b)
+	if err != nil {
+		return 0, err
+	}
+	s := (*Source)(o)
+	p := s.net.NewPacket(int(h.Flow), s.dst, len(b), h.Color)
+	p.Frame = int(h.Frame)
+	p.Index = int(h.Index)
+	s.host.Send(p)
+	return len(b), nil
 }
 
 // HandlePacket implements netsim.App: ACKs carry router feedback back to
-// the source's sender, driving both the rate controller and the γ loop.
+// the session, driving both the rate controller and the γ loop.
 func (s *Source) HandlePacket(p *packet.Packet) {
-	if p.Color != packet.ACK {
-		return
-	}
-	if ok, _ := s.snd.OnFeedback(p.AckedFeedback); !ok {
-		return // invalid, or stale epoch: already reacted to this feedback
+	if p.Color != packet.ACK || !s.sess.HandleFeedback(p.AckedFeedback, s.now()) {
+		return // not an ACK, or an invalid or stale label
 	}
 	now := s.eng.Now()
 	if s.cfg.RateSeries != nil {
-		s.cfg.RateSeries.Add(now, s.snd.Rate().KbpsValue())
+		s.cfg.RateSeries.Add(now, s.sess.Rate().KbpsValue())
 	}
-	if s.cfg.Mode == ModePELS && s.gammaSeries != nil {
-		s.gammaSeries.Add(now, s.snd.Gamma())
+	if !s.cfg.BestEffort && s.gammaSeries != nil {
+		s.gammaSeries.Add(now, s.sess.Gamma())
 	}
 }
 
@@ -136,19 +135,16 @@ func (s *Source) HandlePacket(p *packet.Packet) {
 func (s *Source) RecordGamma(series *obs.Series) { s.gammaSeries = series }
 
 // Rate returns the controller's current sending rate.
-func (s *Source) Rate() units.BitRate { return s.snd.Rate() }
+func (s *Source) Rate() units.BitRate { return s.sess.Rate() }
 
 // Gamma returns the current red fraction γ.
-func (s *Source) Gamma() float64 { return s.snd.Gamma() }
-
-// Controller exposes the congestion controller for inspection.
-func (s *Source) Controller() cc.Controller { return s.snd.Controller() }
+func (s *Source) Gamma() float64 { return s.sess.Gamma() }
 
 // PacketsSent returns the number of data packets emitted.
-func (s *Source) PacketsSent() int64 { return s.pktsSent }
+func (s *Source) PacketsSent() int64 { return int64(s.sess.Stats().Datagrams) }
 
 // BytesSent returns the number of data bytes emitted.
-func (s *Source) BytesSent() int64 { return s.bytesSent }
+func (s *Source) BytesSent() int64 { return int64(s.sess.Stats().Bytes) }
 
 // Flow returns the session's flow ID.
 func (s *Source) Flow() int { return s.cfg.Flow }

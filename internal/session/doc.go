@@ -18,11 +18,15 @@
 //   - Table is the sharded session table, keyed by (peer address, flow
 //     ID) with a lock and an obs registry per shard, so hello admission,
 //     feedback dispatch, and reaping contend only within a shard.
-//   - Session is one receiver's stream and the live stack's only sending
-//     end host: the driver of its own fgs.Sender (MKC, γ and the frame
-//     plan, every frame split into priority layers by the γ ladder; the
-//     simulator's pels.Source drives the same core) and of a token bucket,
-//     shaped as a pump state machine the wheel can drive.
+//   - Session is one receiver's stream and the one sending end host of
+//     both stacks: the driver of its own fgs.Sender (MKC, or the
+//     controller its config builds; γ and the frame plan, every frame
+//     split into priority layers by the γ ladder) and of a token bucket,
+//     shaped as a pump state machine. It writes each layer in its own wire
+//     color (best-effort's enhancement as packet.BestEffort), numbered in
+//     that color's sequence space. The wheel drives it live; the
+//     simulator's pels.Source drives it through Pump on simulated time,
+//     with a one-packet bucket.
 //   - Server is a passive core and its driver. The core (core.go) holds
 //     the table, the wheel, admission, the session lifecycle (hello →
 //     streaming → drain or idle-timeout reap → closed), the overload

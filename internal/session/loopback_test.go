@@ -238,10 +238,16 @@ func windowLoss(from, to wire.ColorCount) float64 {
 
 // TestLiveLoopbackEightLayers streams an 8-layer session — the quality
 // ladder of a real scalable bitstream — through the same gateway and
-// bottleneck. Its layers share the three wire bands by the default table
-// (base green, six middle layers yellow, the top probe layer red), and the
-// base layer must still come through the congested bottleneck untouched.
+// bottleneck. Every layer travels the wire in its own color, and the
+// gateway ranks each by its layer, so the claim nlayer-testbed makes on the
+// simulator holds live: all eight layers stream, the base layer comes
+// through the congested bottleneck untouched, and loss does not decrease
+// as the layer index rises — each layer loses at least the share the
+// layers beneath it lose together. (Adjacent middle layers can swap by a
+// few datagrams: the live link serves FIFO, so a layer's loss depends on
+// what is queued when its part of the frame arrives.)
 func TestLiveLoopbackEightLayers(t *testing.T) {
+	const layers = 8
 	l := startEmuLoopback(t, 3*units.Mbps, 10*time.Millisecond, Config{
 		Frame:         fgs.FrameSpec{PacketSize: 100, TotalPackets: 80, GreenPackets: 8},
 		FrameInterval: 10 * time.Millisecond,
@@ -252,7 +258,10 @@ func TestLiveLoopbackEightLayers(t *testing.T) {
 			MinRate:     64 * units.Kbps,
 			DedupEpochs: true,
 		},
-		Layers:     8,
+		// γ splits the enhancement alone, so every layer of the ladder
+		// has packets: under RedShareTotal layer 1 is mostly empty.
+		RedShare:   fgs.RedShareEnhancement,
+		Layers:     layers,
 		BurstBytes: 1600,
 		MaxFrames:  150,
 	})
@@ -263,13 +272,21 @@ func TestLiveLoopbackEightLayers(t *testing.T) {
 	if green := end.Colors[packet.Green]; green.Lost != 0 || green.Received == 0 {
 		t.Errorf("green: %+v, want zero loss and nonzero traffic", green)
 	}
-	for _, c := range []packet.Color{packet.Yellow, packet.Red} {
-		if end.Colors[c].Received == 0 {
-			t.Errorf("no %v datagram arrived: the middle and top layers never streamed", c)
+	for l := 0; l < layers; l++ {
+		if end.Colors[packet.LayerColor(l)].Received == 0 {
+			t.Errorf("no %v datagram arrived: layer %d never streamed", packet.LayerColor(l), l)
 		}
 	}
-	if end.Colors[packet.Red].Lost == 0 {
-		t.Error("no red loss at all: the bottleneck never engaged")
+	var below wire.ColorCount // the layers beneath l, pooled
+	for l := 1; l < layers; l++ {
+		below.Received += end.Colors[packet.LayerColor(l-1)].Received
+		below.Lost += end.Colors[packet.LayerColor(l-1)].Lost
+		if c := end.Colors[packet.LayerColor(l)]; c.LossRate() < below.LossRate() {
+			t.Errorf("layer %d lost %.4f (%+v), less than layers 0-%d together (%.4f)", l, c.LossRate(), c, l-1, below.LossRate())
+		}
+	}
+	if end.Colors[packet.LayerColor(layers-1)].Lost == 0 {
+		t.Error("no loss in the top layer at all: the bottleneck never engaged")
 	}
 	if ss.FeedbackAccepted == 0 {
 		t.Error("the session accepted no feedback")

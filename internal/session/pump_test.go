@@ -118,14 +118,13 @@ func TestPumpScriptedSequence(t *testing.T) {
 // TestPumpFiveLayers drives a 5-layer session through three frames on a
 // scripted clock, once per shed level. At γ = 0.5 a frame of 1100 B is
 // eleven 100-byte packets, split [1 2 1 2 5] over the layers by the ladder.
-// Every datagram travels its layer's band (base Green, top Red, the rest
-// Yellow); each band's sequence numbers run contiguously from 0, since a
-// shed packet consumes none; and shed level k sends exactly the bottom 5−k
-// layers of every frame, never fewer than the base.
+// Every datagram travels its layer's color (packet.LayerColor); each
+// color's sequence numbers run contiguously from 0, since a shed packet
+// consumes none; and shed level k sends exactly the bottom 5−k layers of
+// every frame, never fewer than the base.
 func TestPumpFiveLayers(t *testing.T) {
 	counts := []int{1, 2, 1, 2, 5}
 	const frames = 3
-	bands := []packet.Color{packet.Green, packet.Yellow, packet.Yellow, packet.Yellow, packet.Red}
 	for _, lvl := range []int{0, 1, 2, 4, 9} {
 		t.Run(fmt.Sprintf("default/shed%d", lvl), func(t *testing.T) {
 			t0 := time.Unix(1000, 0)
@@ -165,7 +164,7 @@ func TestPumpFiveLayers(t *testing.T) {
 				if int(h.Frame) != frame || int(h.Index) != idx {
 					t.Fatalf("datagram %d is frame %d index %d, want frame %d index %d", i, h.Frame, h.Index, frame, idx)
 				}
-				if want := bands[layerOf[idx]]; h.Color != want {
+				if want := packet.LayerColor(layerOf[idx]); h.Color != want {
 					t.Errorf("datagram %d (layer %d) travels %v, want %v", i, layerOf[idx], h.Color, want)
 				}
 				if h.Seq != next[h.Color] {

@@ -15,8 +15,8 @@ import (
 )
 
 // Config parameterizes one session's control loops: the paper's end host
-// minus the transport and clock (the server owns those, shared across
-// sessions).
+// minus the transport and clock (its driver owns those: the server, shared
+// across sessions, or a simulator's pels.Source).
 type Config struct {
 	// Frame is the FGS packetization; PacketSize is the on-wire datagram
 	// size and must exceed the wire header size.
@@ -26,6 +26,12 @@ type Config struct {
 	// MKC parameterizes the per-session rate controller. Zero value
 	// selects cc.DefaultMKCConfig.
 	MKC cc.MKCConfig
+	// ControllerFactory, when set, builds the session's rate controller in
+	// place of MKC (e.g. cc.AIMD); MKC then only floors the stale decay.
+	// PELS is explicitly independent of the congestion controller (paper
+	// §5). A factory rather than an instance, so one Config can
+	// parameterize many sessions.
+	ControllerFactory func() cc.Controller
 	// Gamma parameterizes the red-fraction controller. Zero value selects
 	// fgs.DefaultGammaConfig.
 	Gamma fgs.GammaConfig
@@ -35,8 +41,13 @@ type Config struct {
 	// in [2, packet.MaxLayers]; 0 selects 3, the paper's green/yellow/red.
 	// Every frame is planned with the default γ ladder (fgs.Ladder), which
 	// for 3 layers is exactly the paper's single-γ split. Layer l travels
-	// the wire band band(l, Layers).
+	// the wire colored packet.LayerColor(l).
 	Layers int
+	// BestEffort sends every enhancement layer colored packet.BestEffort
+	// instead of its layer's color, the paper's §6.5 baseline: the base
+	// layer stays green (the baseline "magically" protects it), and a
+	// bottleneck without PELS marking drops the rest uniformly at random.
+	BestEffort bool
 	// NewScaler builds the per-session frame scaler (scalers are
 	// stateful, so sessions cannot share one); nil means ConstantScaler.
 	NewScaler func() fgs.Scaler
@@ -74,20 +85,6 @@ func (c Config) WithDefaults() Config {
 func (c Config) sender() fgs.SenderConfig {
 	return fgs.SenderConfig{Frame: c.Frame, FrameInterval: c.FrameInterval, Gamma: c.Gamma,
 		RedShare: c.RedShare, Layers: c.Layers, NewScaler: c.NewScaler}
-}
-
-// band returns the wire band of priority layer l of n. The wire carries
-// only the paper's three bands, so the base layer travels Green, the top
-// (probe) layer Red and every layer between Yellow: the paper's protection
-// order, and the identity for 3 layers.
-func band(l, n int) packet.Color {
-	switch l {
-	case 0:
-		return packet.Green
-	case n - 1:
-		return packet.Red
-	}
-	return packet.Yellow
 }
 
 // Validate reports configuration errors.
@@ -159,14 +156,14 @@ type Stats struct {
 // MKC minimum floors the effective rate anyway.
 const minDegrade = 1.0 / 1024
 
-// Session is one receiver's PELS stream, the live stack's end host: the
-// driver of its own fgs.Sender (MKC, γ and the frame plan, the same core
-// the simulator's pels.Source drives), with per-band sequence spaces and a
-// token bucket, sharing the server's socket and bottleneck with every other
-// session. At each frame boundary the sender sizes x_i from the session's
-// effective rate and splits it by the γ ladder (paper §4.2, Fig. 4); the
-// feedback labels the receiver echoes go to the sender, exactly as ACKs do
-// in the simulator. It owns no buffer: a datagram is encoded at the instant
+// Session is one receiver's PELS stream, the end host of both stacks: the
+// driver of its own fgs.Sender (MKC, γ and the frame plan), with a
+// sequence space per wire color and a token bucket, sharing the server's
+// socket and bottleneck with every other session (the simulator's
+// pels.Source drives one through Pump). At each frame boundary the sender
+// sizes x_i from the session's effective rate and splits it by the γ
+// ladder (paper §4.2, Fig. 4); the feedback labels the receiver echoes go
+// to the sender, as ACKs do in the simulator. It owns no buffer: a datagram is encoded at the instant
 // it is written, into the scratch of the worker that pumps it, its header
 // written straight from the session's fields.
 //
@@ -196,7 +193,7 @@ type Session struct {
 
 	mu    sync.Mutex
 	state State
-	seq   [3]uint64 // next sequence number per wire band, indexed by color − Green
+	seq   [wire.SeqSpaces]uint64 // next sequence number per wire color, indexed by wire.SeqSpace
 	stats Stats
 
 	bucket   wire.Bucket //pelsvet:guards mu — the token bucket; mu is its only lock
@@ -255,10 +252,17 @@ func newSession(key Key, peer net.Addr, out wire.PacketWriter, cfg Config, origi
 		lastSendAt:     at,
 		frameGateAt:    at,
 	}
-	if err := s.snd.Init(cfg.sender(), cc.NewMKC(cfg.MKC)); err != nil {
+	var ctrl cc.Controller
+	if cfg.ControllerFactory != nil {
+		ctrl = cfg.ControllerFactory()
+	}
+	if ctrl == nil {
+		ctrl = cc.NewMKC(cfg.MKC)
+	}
+	if err := s.snd.Init(cfg.sender(), ctrl); err != nil {
 		return nil, err
 	}
-	s.bucket.Init(cfg.MKC.InitialRate, cfg.BurstBytes)
+	s.bucket.Init(s.snd.Rate(), cfg.BurstBytes)
 	s.stats.Key = key
 	s.timer.Owner = s
 	return s, nil
@@ -362,6 +366,16 @@ func (s *Session) pump(now time.Time, w *scratch) (next time.Duration, done bool
 	}
 }
 
+// Pump is pump for a driver of one session with no server counters to
+// tally (pels.Source): datagrams are encoded into buf, which must have room
+// for one of Frame.PacketSize bytes.
+//
+//pelsvet:noalloc
+func (s *Session) Pump(now time.Time, buf []byte) (next time.Duration, done bool) {
+	w := scratch{buf: buf}
+	return s.pump(now, &w)
+}
+
 // shedLevelNow reads the server-wide overload level (0 when the server
 // runs without an overload controller).
 func (s *Session) shedLevelNow() int {
@@ -385,9 +399,13 @@ func (s *Session) shedLevelNow() int {
 //pelsvet:noalloc
 func (s *Session) sendLocked(stamp int64, at time.Duration, w *scratch) bool {
 	frame, index, layer := s.snd.Take()
-	color := band(layer, s.cfg.Layers)
+	color := packet.LayerColor(layer)
+	if s.cfg.BestEffort && layer > 0 {
+		color = packet.BestEffort
+	}
+	space, _ := wire.SeqSpace(color)
 	b, err := wire.AppendData(w.buf[:0], color, s.key.Flow, uint32(frame), uint16(index),
-		s.seq[color-packet.Green], stamp, s.cfg.Frame.PacketSize-wire.HeaderSize)
+		s.seq[space], stamp, s.cfg.Frame.PacketSize-wire.HeaderSize)
 	if err != nil {
 		s.state = StateClosed
 		s.closeReason = wire.ReasonBadConfig
@@ -396,7 +414,7 @@ func (s *Session) sendLocked(stamp int64, at time.Duration, w *scratch) bool {
 	// Write errors have nowhere to go — the shaping link models loss, and
 	// a vanished receiver is collected by the idle reaper.
 	_, _ = s.out.WriteTo(b, s.peer)
-	s.seq[color-packet.Green]++
+	s.seq[space]++
 	s.reserved = false
 	s.lastSendAt = at
 	s.stats.Datagrams++
@@ -407,13 +425,14 @@ func (s *Session) sendLocked(stamp int64, at time.Duration, w *scratch) bool {
 }
 
 // effectiveRateLocked is the controller rate scaled by the watchdog
-// multiplier, floored at the MKC minimum rate.
+// multiplier. A decay never takes it below the MKC minimum rate, nor
+// raises it above the controller's.
 func (s *Session) effectiveRateLocked() units.BitRate {
-	r := units.BitRate(float64(s.snd.Rate()) * s.degrade)
-	if min := s.cfg.MKC.MinRate; min > 0 && r < min {
-		r = min
+	r := s.snd.Rate()
+	if s.degrade == 1 {
+		return r
 	}
-	return r
+	return max(units.BitRate(float64(r)*s.degrade), min(r, s.cfg.MKC.MinRate))
 }
 
 // checkStaleLocked runs the stale-feedback watchdog: past StaleTimeout

@@ -47,26 +47,3 @@ func WriteCSV(w io.Writer, series ...*TimeSeries) error {
 	}
 	return nil
 }
-
-// WriteTable writes a simple CSV table from a header and rows of float
-// values. It is used for the paper's tables (e.g. Table 1).
-func WriteTable(w io.Writer, header []string, rows [][]float64) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("stats: write table header: %w", err)
-	}
-	for i, r := range rows {
-		row := make([]string, len(r))
-		for j, v := range r {
-			row[j] = strconv.FormatFloat(v, 'g', 8, 64)
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("stats: write table row %d: %w", i, err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("stats: flush table: %w", err)
-	}
-	return nil
-}

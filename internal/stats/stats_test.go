@@ -180,15 +180,3 @@ func TestWriteCSV(t *testing.T) {
 		t.Errorf("row 2 = %q, want empty trailing cells", lines[2])
 	}
 }
-
-func TestWriteTable(t *testing.T) {
-	var sb strings.Builder
-	err := WriteTable(&sb, []string{"h", "p"}, [][]float64{{100, 0.1}, {200, 0.01}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "h,p\n100,0.1\n200,0.01\n"
-	if sb.String() != want {
-		t.Errorf("table = %q, want %q", sb.String(), want)
-	}
-}

@@ -165,6 +165,34 @@ func sealCRC(b []byte) {
 	binary.BigEndian.PutUint32(b[offCRC:], crc32.Update(0, crcTable, b))
 }
 
+// SeqSpaces is how many colors a data datagram can carry: the color of
+// each PELS priority layer (packet.LayerColor) and best-effort. Each has a
+// sequence space of its own, at the sender and at the receiver.
+const SeqSpaces = packet.MaxLayers + 1
+
+// SeqSpace returns the index in [0, SeqSpaces) of a data color's sequence
+// space — a PELS color's layer, SeqSpaces−1 for best-effort — and false for
+// any other color. It is the wire's one data-color rule.
+//
+//pelsvet:noalloc
+func SeqSpace(c packet.Color) (int, bool) {
+	if l, ok := c.Layer(); ok {
+		return l, true
+	}
+	if c == packet.BestEffort {
+		return SeqSpaces - 1, true
+	}
+	return 0, false
+}
+
+// spaceColor is the color whose sequence space is i, SeqSpace's inverse.
+func spaceColor(i int) packet.Color {
+	if i == SeqSpaces-1 {
+		return packet.BestEffort
+	}
+	return packet.LayerColor(i)
+}
+
 // Header is the decoded PELS wire header. Seq is a per-color sequence
 // number for data datagrams (the receiver derives per-color loss from its
 // gaps) and a monotonic counter for feedback datagrams. Timestamp is the
@@ -187,11 +215,7 @@ type Header struct {
 func (h Header) validate() error {
 	switch h.Type {
 	case TypeData:
-		// The wire carries exactly the three paper bands (plus
-		// best-effort): extended simulator layers must be mapped onto
-		// bands before encoding (session.band), so a wider
-		// IsPELS check would be wrong here.
-		if !h.Color.IsWireBand() && h.Color != packet.BestEffort {
+		if _, ok := SeqSpace(h.Color); !ok {
 			return fmt.Errorf("%w: data datagram colored %v", ErrColor, h.Color)
 		}
 	case TypeFeedback, TypeHello, TypeReject, TypeClose:
@@ -241,12 +265,12 @@ func AppendDatagram(dst []byte, h Header, payload []byte) ([]byte, error) {
 // AppendDatagram writes for Header{Type: TypeData, Color: color, Flow: flow,
 // Frame: frame, Index: index, Seq: seq, Timestamp: ts} and as many zeros,
 // without building the Header. It is the sender's per-datagram encode. Like
-// AppendDatagram it fails with ErrColor unless color is a wire band or
-// best-effort, and with ErrOversized unless payloadLen is in [0, MaxPayload].
+// AppendDatagram it fails with ErrColor unless color is a data color
+// (SeqSpace), and with ErrOversized unless payloadLen is in [0, MaxPayload].
 //
 //pelsvet:noalloc
 func AppendData(dst []byte, color packet.Color, flow, frame uint32, index uint16, seq uint64, ts int64, payloadLen int) ([]byte, error) {
-	if !color.IsWireBand() && color != packet.BestEffort {
+	if _, ok := SeqSpace(color); !ok {
 		return dst, fmt.Errorf("%w: data datagram colored %v", ErrColor, color)
 	}
 	if payloadLen < 0 || payloadLen > MaxPayload {
@@ -368,7 +392,7 @@ func PeekColor(b []byte) (packet.Color, bool) {
 		return 0, false
 	}
 	c := packet.Color(b[offColor])
-	if !c.IsWireBand() && c != packet.BestEffort {
+	if _, ok := SeqSpace(c); !ok {
 		return 0, false
 	}
 	return c, true

@@ -102,6 +102,12 @@ func TestDecodeRejects(t *testing.T) {
 		{"bad type", func(b []byte) []byte { b[offType] = 200; patchCRC(b); return b }, ErrType},
 		{"bad color", func(b []byte) []byte { b[offColor] = 0; patchCRC(b); return b }, ErrColor},
 		{"ack-colored data", func(b []byte) []byte { b[offColor] = byte(packet.ACK); patchCRC(b); return b }, ErrColor},
+		{"tcp-colored data", func(b []byte) []byte { b[offColor] = byte(packet.TCP); patchCRC(b); return b }, ErrColor},
+		{"past the last layer", func(b []byte) []byte {
+			b[offColor] = byte(packet.LayerColor(packet.MaxLayers-1) + 1)
+			patchCRC(b)
+			return b
+		}, ErrColor},
 		{"reserved flags", func(b []byte) []byte { b[offFlags] |= 0x80; patchCRC(b); return b }, ErrFlags},
 		{"oversized claim", func(b []byte) []byte {
 			b[offPayload] = 0xFF
@@ -120,6 +126,38 @@ func TestDecodeRejects(t *testing.T) {
 		b = tc.mangle(b)
 		if _, _, err := DecodeDatagram(b); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestSeqSpace: every PELS layer's color is a data color with its own
+// sequence space, the layer's index, and best-effort has the last; no other
+// color is one.
+func TestSeqSpace(t *testing.T) {
+	seen := map[int]packet.Color{}
+	data := []packet.Color{packet.BestEffort}
+	for l := 0; l < packet.MaxLayers; l++ {
+		data = append(data, packet.LayerColor(l))
+	}
+	for _, c := range data {
+		i, ok := SeqSpace(c)
+		if !ok || i < 0 || i >= SeqSpaces {
+			t.Fatalf("SeqSpace(%v) = %d, %v", c, i, ok)
+		}
+		if l, pels := c.Layer(); pels && i != l {
+			t.Errorf("SeqSpace(%v) = %d, want its layer %d", c, i, l)
+		}
+		if prev, dup := seen[i]; dup {
+			t.Errorf("%v and %v share sequence space %d", prev, c, i)
+		}
+		seen[i] = c
+		if spaceColor(i) != c {
+			t.Errorf("spaceColor(%d) = %v, want %v", i, spaceColor(i), c)
+		}
+	}
+	for _, c := range []packet.Color{0, packet.TCP, packet.ACK, packet.LayerColor(packet.MaxLayers-1) + 1, 255} {
+		if i, ok := SeqSpace(c); ok {
+			t.Errorf("SeqSpace(%v) = %d, true: not a data color", c, i)
 		}
 	}
 }

@@ -6,7 +6,8 @@
 //
 //   - A compact binary codec for the PELS wire header (color, frame,
 //     per-color sequence, timestamp, and the router feedback label of
-//     paper §5.2). Decode rejects malformed input with errors, never
+//     paper §5.2). A data datagram's color is any PELS layer's or
+//     best-effort, each with its own sequence space (SeqSpace). Decode rejects malformed input with errors, never
 //     panics, and round-trips byte-exactly, so the header can be fuzzed
 //     and patched in place by routers.
 //   - A wall-clock token-bucket Pacer that turns the MKC rate r(k) into
@@ -16,8 +17,8 @@
 //     the router core packet.Meter (R over an interval T, p = (R−C)/R,
 //     paper eq. 11) on the wall clock, and stamps (router ID, epoch, p)
 //     into passing datagrams with the max-loss override of eq. 8. It also
-//     ranks datagrams so congestion drops hit red before yellow before
-//     green.
+//     ranks datagrams by layer so congestion drops hit best-effort video
+//     first, then the layers from the top down, and green last.
 //   - Swarm, the receiving end host — one receiver (pelsget) or
 //     thousands (pelsload) on a few sockets — driving one receiver core,
 //     which measures loss per color from sequence gaps and echoes fresh

@@ -62,9 +62,6 @@ func (e *Emulator) B() net.PacketConn { return e.b }
 // StatsAtoB returns the forward link's counters.
 func (e *Emulator) StatsAtoB() LinkStats { return e.ab.Stats() }
 
-// StatsBtoA returns the reverse link's counters.
-func (e *Emulator) StatsBtoA() LinkStats { return e.ba.Stats() }
-
 // Close shuts both endpoints and drains the links.
 func (e *Emulator) Close() error {
 	e.a.close()
@@ -99,7 +96,6 @@ type endpoint struct {
 	mu       sync.Mutex
 	closed   bool
 	deadline time.Time
-	overruns uint64
 
 	timer *time.Timer // the reader's, reused so a read that waits does not allocate
 }
@@ -121,10 +117,7 @@ func (ep *endpoint) deliverFrom(b []byte, from net.Addr) (kept bool) {
 	case ep.inbox <- received{b: b, from: from}:
 		return true
 	case <-ep.done:
-	default:
-		ep.mu.Lock()
-		ep.overruns++
-		ep.mu.Unlock()
+	default: // the inbox is full: its reader stopped draining
 	}
 	return false
 }
@@ -237,14 +230,6 @@ func (ep *endpoint) SetReadDeadline(t time.Time) error {
 
 // SetWriteDeadline implements net.PacketConn.
 func (ep *endpoint) SetWriteDeadline(time.Time) error { return nil }
-
-// Overruns reports datagrams dropped because the endpoint's inbox was
-// full (a reader that stopped draining).
-func (ep *endpoint) Overruns() uint64 {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.overruns
-}
 
 // ShapedConn wraps a real net.PacketConn with an outbound shaping link:
 // writes pass through loss → marking → bounded priority queue →

@@ -140,7 +140,7 @@ type link struct {
 	bytes int
 	// prios counts the queued datagrams of each priority present, in
 	// priority order, so the least important rank queued is the last entry.
-	// It has one entry per rank the Marker uses — five for a Gateway.
+	// It has one entry per rank the Marker uses (Gateway: control, layers).
 	prios     []prioCount
 	free      [numClasses][][]byte // idle buffers, by size class
 	freeBytes int                  // what the free lists hold, in bytes

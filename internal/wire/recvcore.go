@@ -35,6 +35,19 @@ func (c *ColorCount) add(d ColorCount) {
 	c.Bytes += d.Bytes
 }
 
+// ReportColors returns the colors a delivery report lists for counts, in
+// layer order with best-effort last: the paper's green, yellow and red
+// always, and every other data color that has traffic in counts.
+func ReportColors(counts map[packet.Color]ColorCount) []packet.Color {
+	var out []packet.Color
+	for i := 0; i < SeqSpaces; i++ {
+		if _, ok := counts[spaceColor(i)]; ok || i < 3 {
+			out = append(out, spaceColor(i))
+		}
+	}
+	return out
+}
+
 // ReceiverStats is a snapshot of one of a Swarm's receivers.
 type ReceiverStats struct {
 	Flow uint32
@@ -114,15 +127,11 @@ func (e *RejectError) Error() string {
 	return fmt.Sprintf("wire: server rejected hello: %v", e.Reason)
 }
 
-// recvColors sizes the per-color trackers: a data datagram is green,
-// yellow, red or best-effort (Header.validate), so indexing by color
-// needs no map.
-const recvColors = int(packet.BestEffort) + 1
-
 // colorTrack is one color's sequence tracker.
 type colorTrack struct {
 	next  uint64 // next expected sequence number
 	count ColorCount
+	arch  ColorCount // counts folded in by resets
 }
 
 // helloPolicy is the subscription schedule a swarm's receivers share.
@@ -144,8 +153,10 @@ type recvCore struct {
 	flow uint32
 	st   ReceiverStats
 
-	colors [recvColors]colorTrack
-	arch   *[recvColors]ColorCount // counts folded in by resets; nil until the first
+	// colors tracks the paper's three layers; ext, allocated with the first
+	// datagram of any other data color, the rest (track).
+	colors [3]colorTrack
+	ext    *[SeqSpaces - 3]colorTrack
 
 	// fbSeq numbers echoes and probes. It survives reset, so a resumed
 	// stream's echoes count on from the old one's; the server reads no
@@ -234,7 +245,8 @@ func (c *recvCore) echo(fb packet.Feedback, now time.Time) Header {
 //
 //pelsvet:noalloc
 func (c *recvCore) onData(h Header, n int, now time.Time) (Header, bool) {
-	if c.done || int(h.Color) >= recvColors {
+	space, ok := SeqSpace(h.Color)
+	if c.done || !ok {
 		return Header{}, false
 	}
 	if c.resuming {
@@ -253,7 +265,7 @@ func (c *recvCore) onData(h Header, n int, now time.Time) (Header, bool) {
 	c.st.Bytes += uint64(n)
 	c.st.Frames = max(c.st.Frames, uint64(h.Frame)+1)
 
-	t := &c.colors[h.Color]
+	t := c.track(space, true)
 	switch {
 	case h.Seq >= t.next:
 		t.count.Lost += h.Seq - t.next
@@ -273,6 +285,25 @@ func (c *recvCore) onData(h Header, n int, now time.Time) (Header, bool) {
 	c.st.LastFeedback = h.Feedback
 	c.st.Epochs++
 	return c.echo(h.Feedback, now), true
+}
+
+// track returns sequence space i's tracker, or nil for one past the
+// paper's three layers until grow allocates them, so a receiver of 3-layer
+// streams (most of a swarm) carries no idle trackers.
+//
+//pelsvet:noalloc
+func (c *recvCore) track(i int, grow bool) *colorTrack {
+	if i < len(c.colors) {
+		return &c.colors[i]
+	}
+	if c.ext == nil {
+		if !grow {
+			return nil
+		}
+		//pelsvet:allow noalloc once per receiver, at its first datagram of another color
+		c.ext = new([SeqSpaces - 3]colorTrack)
+	}
+	return &c.ext[i-len(c.colors)]
 }
 
 // fresher reports whether fb is a label the receiver has not yet echoed:
@@ -323,12 +354,11 @@ func (c *recvCore) onControl(h Header, now time.Time) {
 // survives, and the trackers clear, so the new session's sequence spaces
 // (restarting at zero) read neither as regressions nor as mass loss.
 func (c *recvCore) reset(now time.Time) {
-	if c.arch == nil {
-		c.arch = new([recvColors]ColorCount)
-	}
-	for i := range c.colors {
-		c.arch[i].add(c.colors[i].count)
-		c.colors[i] = colorTrack{}
+	for i := 0; i < SeqSpaces; i++ {
+		if t := c.track(i, false); t != nil {
+			t.arch.add(t.count)
+			t.next, t.count = 0, ColorCount{}
+		}
 	}
 	c.st.LastFeedback = packet.Feedback{}
 	c.st.Reconnects++
@@ -339,14 +369,12 @@ func (c *recvCore) reset(now time.Time) {
 // snapshot returns the receiver's stats.
 func (c *recvCore) snapshot() ReceiverStats {
 	st := c.st
-	st.Colors = make(map[packet.Color]ColorCount, recvColors)
-	for i, t := range c.colors {
-		n := t.count
-		if c.arch != nil {
-			n.add(c.arch[i])
-		}
-		if n.Received > 0 {
-			st.Colors[packet.Color(i)] = n
+	st.Colors = map[packet.Color]ColorCount{} // no hint: up to 8 colors fit one small map
+	for i := 0; i < SeqSpaces; i++ {
+		if t := c.track(i, false); t != nil && t.count.Received+t.arch.Received > 0 {
+			n := t.count
+			n.add(t.arch)
+			st.Colors[spaceColor(i)] = n
 		}
 	}
 	return st

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -87,6 +88,30 @@ func TestReceiverCoreRules(t *testing.T) {
 		}
 	})
 
+	t.Run("layers", func(t *testing.T) {
+		// Every data color has its own sequence space, a layer past the
+		// third included, and a reset archives its counts like the rest.
+		c := newRecvCore(&helloPolicy{retry: retry, max: retry, reconnect: true}, 7, 1, now)
+		l5 := packet.LayerColor(5)
+		for _, h := range []Header{{Color: l5, Seq: 0}, {Color: l5, Seq: 2}, {Color: packet.BestEffort, Seq: 0}, {Color: packet.Green, Seq: 0}} {
+			h.Type, h.Flow = TypeData, 7
+			c.onData(h, HeaderSize, now)
+		}
+		control(&c, TypeClose, ReasonIdle, 0)
+		for _, seq := range []uint64{0, 1} {
+			c.onData(Header{Type: TypeData, Color: l5, Flow: 7, Seq: seq}, HeaderSize, now)
+		}
+		st := c.snapshot()
+		want := map[packet.Color]ColorCount{
+			l5:                {Received: 4, Lost: 1, Bytes: 4 * HeaderSize},
+			packet.BestEffort: {Received: 1, Bytes: HeaderSize},
+			packet.Green:      {Received: 1, Bytes: HeaderSize},
+		}
+		if !reflect.DeepEqual(st.Colors, want) || st.SeqRegressions != 0 {
+			t.Fatalf("colors %+v with %d regressions, want %+v and none", st.Colors, st.SeqRegressions, want)
+		}
+	})
+
 	t.Run("reject", func(t *testing.T) {
 		c := newRecvCore(&helloPolicy{retry: retry, max: 8 * retry}, 7, 1, now)
 		if h, ok := c.hello(now); !ok || h.Type != TypeHello || h.Seq != 0 {
@@ -155,6 +180,10 @@ func FuzzReceiverHandle(f *testing.F) {
 			f.Add(b, uint8(TypeData), uint8(packet.Green), uint32(7), state<<1|modeRaw)
 		}
 	}
+	b := codecSeeds(f)[0]
+	for l := 3; l < packet.MaxLayers; l++ {
+		f.Add(b, uint8(TypeData), uint8(packet.LayerColor(l)), uint32(7), uint8(2<<1)) // streaming
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, typ, color uint8, flow uint32, mode uint8) {
 		s, log, now := testReceiver(t, func(cfg *SwarmConfig) {
@@ -199,4 +228,36 @@ func FuzzReceiverHandle(f *testing.F) {
 		// Whatever it did, the receiver carries on, or has ended.
 		_ = crank(s, now, 2500*time.Millisecond)
 	})
+}
+
+// TestReportColors: a delivery report lists the paper's three colors
+// always and every other data color with traffic, in layer order with
+// best-effort last — so an 8-layer stream reports all eight layers and a
+// 3-layer one exactly green, yellow, red.
+func TestReportColors(t *testing.T) {
+	counts := func(cs ...packet.Color) map[packet.Color]ColorCount {
+		m := map[packet.Color]ColorCount{}
+		for _, c := range cs {
+			m[c] = ColorCount{Received: 1}
+		}
+		return m
+	}
+	var eight []packet.Color
+	for l := 0; l < 8; l++ {
+		eight = append(eight, packet.LayerColor(l))
+	}
+	paper := []packet.Color{packet.Green, packet.Yellow, packet.Red}
+	for _, tc := range []struct {
+		counts map[packet.Color]ColorCount
+		want   []packet.Color
+	}{
+		{counts(), paper},
+		{counts(packet.Green, packet.Red), paper},
+		{counts(eight...), eight},
+		{counts(packet.BestEffort, packet.Green, packet.LayerColor(5)), append(slices.Clone(paper), packet.LayerColor(5), packet.BestEffort)},
+	} {
+		if got := ReportColors(tc.counts); !slices.Equal(got, tc.want) {
+			t.Errorf("ReportColors(%v) = %v, want %v", tc.counts, got, tc.want)
+		}
+	}
 }

@@ -97,7 +97,7 @@ type scriptedServer struct {
 
 type scriptedStream struct {
 	left  int // ticks until the close
-	seq   [recvColors]uint64
+	seq   [SeqSpaces]uint64
 	epoch uint64
 }
 
@@ -148,9 +148,9 @@ func (v *scriptedServer) answer(hellos []sentDatagram, now time.Time) []swarmEve
 	for _, flow := range flows {
 		st := v.streams[flow]
 		for n := 1 + v.rng.Intn(3); n > 0; n-- {
-			c := packet.Green + packet.Color(v.rng.Intn(3))
-			h := Header{Type: TypeData, Color: c, Flow: flow, Seq: st.seq[c]}
-			st.seq[c] += 1 + uint64(v.rng.Intn(8)/7) // now and then a lost datagram
+			l := v.rng.Intn(3)
+			h := Header{Type: TypeData, Color: packet.LayerColor(l), Flow: flow, Seq: st.seq[l]}
+			st.seq[l] += 1 + uint64(v.rng.Intn(8)/7) // now and then a lost datagram
 			if v.rng.Intn(3) == 0 {
 				st.epoch++
 				h.Feedback = packet.Feedback{RouterID: 1, Epoch: st.epoch, Loss: 0.1, Valid: true}
