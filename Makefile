@@ -14,7 +14,7 @@ build:
 # integer code on the same path.
 vet:
 	go vet ./...
-	GOARCH=386 go vet ./internal/session/ ./internal/wire/ ./internal/timewheel/
+	GOARCH=386 go vet ./internal/session/ ./internal/wire/ ./internal/timewheel/ ./internal/pels/
 
 # PELS-specific static analyzers (determinism, seeded randomness, float
 # equality, unit hygiene, lock discipline, zero-alloc contracts, goroutine

@@ -20,10 +20,12 @@ var epoch = time.Unix(0, 0)
 
 // Source is the sending side of a streaming session in the simulator: the
 // netsim driver of a session.Session (paper Fig. 4 right). A sim.Timer
-// pumps the session at each deadline it returns; the session plans frames,
-// colors, paces and encodes each packet as a wire datagram, which the
-// source decodes into the netsim packet it sends. The sink's ACKs carry
-// router feedback back to the session.
+// pumps the session at each deadline it returns, both on the session's
+// timeline (simulation time since the source was built); the session plans
+// frames, colors, paces and encodes each packet as a wire datagram, which
+// the source reads into the netsim packet it sends. The read skips the
+// checksum: the datagram is the one the session sealed in the same call.
+// The sink's ACKs carry router feedback back to the session.
 type Source struct {
 	cfg  Config
 	eng  *sim.Engine
@@ -84,14 +86,15 @@ func (s *Source) Stop() {
 }
 
 // pump runs the session up to the current simulation time and arms the
-// timer at the deadline it returns, on the session's timeline.
+// timer at the deadline it returns, both on the session's timeline.
 func (s *Source) pump() {
 	if s.stopped {
 		return
 	}
-	next, done := s.sess.Pump(s.now(), s.buf)
+	at := s.eng.Now() - s.born
+	next, done := s.sess.Pump(at, s.buf)
 	if !done {
-		s.pace.Reset(s.born + next - s.eng.Now())
+		s.pace.Reset(next - at)
 	}
 }
 
@@ -100,16 +103,17 @@ func (s *Source) pump() {
 type netOut Source
 
 // WriteTo implements wire.PacketWriter: the packet's size is the
-// datagram's, and its color, frame and index are the decoded header's.
+// datagram's, and its color, frame and index are the header's, read with
+// wire.PeekData.
 func (o *netOut) WriteTo(b []byte, _ net.Addr) (int, error) {
-	h, _, err := wire.DecodeDatagram(b)
-	if err != nil {
-		return 0, err
+	color, frame, index, ok := wire.PeekData(b)
+	if !ok {
+		return 0, wire.ErrType // unreachable: the session writes only data datagrams
 	}
 	s := (*Source)(o)
-	p := s.net.NewPacket(int(h.Flow), s.dst, len(b), h.Color)
-	p.Frame = int(h.Frame)
-	p.Index = int(h.Index)
+	p := s.net.NewPacket(s.cfg.Flow, s.dst, len(b), color)
+	p.Frame = int(frame)
+	p.Index = int(index)
 	s.host.Send(p)
 	return len(b), nil
 }

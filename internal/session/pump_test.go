@@ -5,6 +5,7 @@ package session
 // the server's counters say once the tally is flushed per chunk.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -174,6 +175,94 @@ func TestPumpFiveLayers(t *testing.T) {
 			}
 			if st := s.Stats(); st.Frames != frames || st.Shed != uint64(frames*(len(layerOf)-sent)) {
 				t.Errorf("%d frames, %d shed; want %d frames, %d shed", st.Frames, st.Shed, frames, frames*(len(layerOf)-sent))
+			}
+		})
+	}
+}
+
+// rawWriter records every datagram written, byte for byte.
+type rawWriter struct{ dgs [][]byte }
+
+func (w *rawWriter) WriteTo(b []byte, _ net.Addr) (int, error) {
+	w.dgs = append(w.dgs, bytes.Clone(b))
+	return len(b), nil
+}
+
+// TestPumpEntriesAgree: the server's pump(now, w) and a single-session
+// driver's Pump(at, buf) are one pump. A session and its twin take the same
+// script — late wakes, fresh and stale labels, a shed level raised and
+// lowered, the stale watchdog — one through each entry, and write the same
+// bytes, timestamps included, and return the same deadlines. The twins are
+// anchored at a fractional second, and once at a wall-clock reading with a
+// monotonic part.
+func TestPumpEntriesAgree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		t0   time.Time
+	}{{"unix", time.Unix(1000, 123456789)}, {"monotonic", time.Now()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				Frame:         fgs.FrameSpec{PacketSize: 100, TotalPackets: 16, GreenPackets: 1},
+				FrameInterval: 20 * time.Millisecond,
+				MKC:           cc.MKCConfig{Alpha: units.Kbps, Beta: 0.5, InitialRate: 440 * units.Kbps, MinRate: 16 * units.Kbps, DedupEpochs: true},
+				Layers:        5,
+				BurstBytes:    200,
+				MaxFrames:     20,
+				StaleTimeout:  50 * time.Millisecond,
+			}
+			byNow, byAt := &rawWriter{}, &rawWriter{}
+			s, twin := newTestSession(t, cfg, byNow, tc.t0), newTestSession(t, cfg, byAt, tc.t0)
+			var lvlS, lvlTwin atomic.Int32
+			s.setShedLevel(&lvlS)
+			twin.setShedLevel(&lvlTwin)
+			w, buf := newScratch(), make([]byte, 0, cfg.Frame.PacketSize)
+
+			var at time.Duration
+			for wake := 0; ; wake++ {
+				if wake > 1000 {
+					t.Fatal("the session never completed")
+				}
+				switch wake {
+				case 20, 60:
+					lvlS.Store(2)
+					lvlTwin.Store(2)
+				case 40, 80:
+					lvlS.Store(0)
+					lvlTwin.Store(0)
+				}
+				if wake%7 == 3 && wake < 50 { // a label, then its stale repeat
+					fb := packet.Feedback{RouterID: 1, Epoch: uint64(wake / 7), Loss: float64(wake%5) / 10, Valid: true}
+					for range 2 {
+						if a, b := s.HandleFeedback(fb, s.origin.Add(at)), twin.HandleFeedback(fb, twin.origin.Add(at)); a != b {
+							t.Fatalf("wake %d: label accepted %v by one, %v by the twin", wake, a, b)
+						}
+					}
+				}
+				next, done := s.pump(s.origin.Add(at), w)
+				nextAt, doneAt := twin.Pump(at, buf)
+				if next != nextAt || done != doneAt {
+					t.Fatalf("wake %d at %v: pump returned %v, %v; Pump %v, %v", wake, at, next, done, nextAt, doneAt)
+				}
+				if done {
+					break
+				}
+				// Every third wake is late, as a loaded wheel's would be.
+				at = next + time.Duration(wake%3)*137*time.Microsecond
+			}
+			if len(byNow.dgs) != len(byAt.dgs) || len(byNow.dgs) < 50 {
+				t.Fatalf("%d datagrams through pump, %d through Pump; want equal and at least 50", len(byNow.dgs), len(byAt.dgs))
+			}
+			for i := range byNow.dgs {
+				if !bytes.Equal(byNow.dgs[i], byAt.dgs[i]) {
+					t.Fatalf("datagram %d differs:\npump %x\nPump %x", i, byNow.dgs[i], byAt.dgs[i])
+				}
+			}
+			a, b := s.Stats(), twin.Stats()
+			if a != b {
+				t.Errorf("stats differ: pump %+v, Pump %+v", a, b)
+			}
+			if a.FeedbackAccepted == 0 || a.Shed == 0 || a.StaleDecays == 0 {
+				t.Errorf("the script missed a path: %d labels accepted, %d shed, %d stale decays", a.FeedbackAccepted, a.Shed, a.StaleDecays)
 			}
 		})
 	}

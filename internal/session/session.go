@@ -162,9 +162,11 @@ const minDegrade = 1.0 / 1024
 // socket and bottleneck with every other session (the simulator's
 // pels.Source drives one through Pump). At each frame boundary the sender
 // sizes x_i from the session's effective rate and splits it by the γ
-// ladder (paper §4.2, Fig. 4); the feedback labels the receiver echoes go
-// to the sender, as ACKs do in the simulator. It owns no buffer: a datagram is encoded at the instant
-// it is written, into the scratch of the worker that pumps it, its header
+// ladder (paper §4.2, Fig. 4). The feedback labels the receiver echoes go
+// to the sender, as ACKs do in the simulator.
+//
+// A Session owns no buffer. A datagram is encoded at the instant it is
+// written, into the scratch of the worker that pumps it, and its header is
 // written straight from the session's fields.
 //
 // A Session owns no goroutine either: it is a pump state machine. The
@@ -177,8 +179,9 @@ const minDegrade = 1.0 / 1024
 // Every instant a session keeps — its watchdogs', its frame gate, its
 // bucket's, the deadline pump returns — is a time.Duration on one integer
 // timeline counted from origin, the server wheel's origin (Timer.At's
-// timeline): each time.Time handed in is converted once, and the
-// per-datagram arithmetic is on integers.
+// timeline). Each time.Time handed in is converted once, Pump takes its
+// instant on the timeline already, and the per-datagram arithmetic is on
+// integers.
 type Session struct {
 	key  Key
 	peer net.Addr
@@ -304,7 +307,26 @@ func newScratch() *scratch {
 //
 //pelsvet:noalloc
 func (s *Session) pump(now time.Time, w *scratch) (next time.Duration, done bool) {
-	at, stamp := now.Sub(s.origin), now.UnixNano()
+	return s.pumpAt(now.Sub(s.origin), now.UnixNano(), w)
+}
+
+// Pump is pump for a driver of one session with no server counters to
+// tally (pels.Source), at instant at on the session's timeline — the one
+// the returned deadline is on — so its driver keeps no time.Time. Each
+// datagram is stamped with the UNIX ns of origin + at. Datagrams are
+// encoded into buf, which must have room for one of Frame.PacketSize bytes.
+//
+//pelsvet:noalloc
+func (s *Session) Pump(at time.Duration, buf []byte) (next time.Duration, done bool) {
+	w := scratch{buf: buf}
+	return s.pumpAt(at, s.origin.UnixNano()+int64(at), &w)
+}
+
+// pumpAt is pump at instant at on the session's timeline, stamping each
+// datagram with stamp, the UNIX ns of that instant.
+//
+//pelsvet:noalloc
+func (s *Session) pumpAt(at time.Duration, stamp int64, w *scratch) (next time.Duration, done bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state == StateClosed {
@@ -366,16 +388,6 @@ func (s *Session) pump(now time.Time, w *scratch) (next time.Duration, done bool
 	}
 }
 
-// Pump is pump for a driver of one session with no server counters to
-// tally (pels.Source): datagrams are encoded into buf, which must have room
-// for one of Frame.PacketSize bytes.
-//
-//pelsvet:noalloc
-func (s *Session) Pump(now time.Time, buf []byte) (next time.Duration, done bool) {
-	w := scratch{buf: buf}
-	return s.pump(now, &w)
-}
-
 // shedLevelNow reads the server-wide overload level (0 when the server
 // runs without an overload controller).
 func (s *Session) shedLevelNow() int {
@@ -388,13 +400,14 @@ func (s *Session) shedLevelNow() int {
 	return 0
 }
 
-// sendLocked encodes the sender's next packet — charged to the bucket, its
-// wait over — into w.buf, stamped with the UNIX ns of the instant it is
-// handed to out (at on the timeline), and writes it. The header is written straight from the session's fields by
-// wire.AppendData, and the payload is PacketSize − HeaderSize zero bytes. It
-// reports false, with the session closed, if the datagram does not encode:
-// unreachable with a validated config, but a session that cannot send must
-// end rather than spin.
+// sendLocked encodes the sender's next packet into w.buf and writes it to
+// out. The packet was charged to the bucket and its wait is over. stamp is
+// the UNIX ns of the instant it is handed to out, at on the timeline.
+// wire.AppendData writes the header straight from the session's fields,
+// and the payload is PacketSize − HeaderSize zero bytes. It reports false,
+// with the session closed, if the datagram does not encode: unreachable
+// with a validated config, but a session that cannot send must end rather
+// than spin.
 //
 //pelsvet:noalloc
 func (s *Session) sendLocked(stamp int64, at time.Duration, w *scratch) bool {

@@ -236,6 +236,60 @@ func TestPeekColor(t *testing.T) {
 	}
 }
 
+// TestPeekData: on every data color — each PELS layer's and best-effort —
+// PeekData reads the color, frame and index the full decode does, and it
+// refuses exactly what PeekColor refuses: every other color byte, other
+// datagram types, a truncated header, and a bad magic or version.
+func TestPeekData(t *testing.T) {
+	data := []packet.Color{packet.BestEffort}
+	for l := 0; l < packet.MaxLayers; l++ {
+		data = append(data, packet.LayerColor(l))
+	}
+	for i, c := range data {
+		b, err := AppendData(nil, c, 7, uint32(1000+i)<<16, uint16(60000+i), 5, 1, 440)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, _, err := DecodeDatagram(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		color, frame, index, ok := PeekData(b)
+		if !ok || color != h.Color || frame != h.Frame || index != h.Index {
+			t.Errorf("PeekData(%v) = %v, %d, %d, %v; decode reads %v, %d, %d",
+				c, color, frame, index, ok, h.Color, h.Frame, h.Index)
+		}
+	}
+
+	valid, err := AppendData(nil, packet.Green, 7, 1, 2, 3, 4, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refused [][]byte
+	for c := 0; c < 256; c++ {
+		if _, ok := SeqSpace(packet.Color(c)); !ok {
+			b := bytes.Clone(valid)
+			b[offColor] = byte(c)
+			refused = append(refused, b)
+		}
+	}
+	for _, typ := range []Type{TypeFeedback, TypeHello, TypeReject, TypeClose, 0, 200} {
+		b := bytes.Clone(valid)
+		b[offType] = byte(typ)
+		refused = append(refused, b)
+	}
+	badMagic, badVersion := bytes.Clone(valid), bytes.Clone(valid)
+	badMagic[offMagic] ^= 0xFF
+	badVersion[offVersion] = 9
+	refused = append(refused, nil, valid[:HeaderSize-1], badMagic, badVersion)
+	for _, b := range refused {
+		_, colorOK := PeekColor(b)
+		if _, _, _, ok := PeekData(b); ok || colorOK {
+			t.Errorf("PeekData ok=%v, PeekColor ok=%v on %x, want both false", ok, colorOK, b)
+		}
+	}
+}
+
 // TestStampFeedback: stamping follows the max-loss override of eq. 8 and
 // patches in place without disturbing other fields.
 func TestStampFeedback(t *testing.T) {
