@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint lint-strict test test-short race fmt-check ci bench bench-e2e ab repro cover fuzz examples chaos smoke load overload obs-demo clean
+.PHONY: all build vet lint lint-strict test test-short race claims fmt-check ci bench bench-e2e ab repro cover fuzz examples chaos smoke load overload obs-demo clean
 
 all: build vet lint test
 
@@ -50,6 +50,11 @@ race:
 	go test -race -count=20 -run 'TestShapedConn|TestSwarm|TestLink|TestReceiver' ./internal/wire/
 	go test -race -count=5 -run 'TestAdmit|TestHandOff|TestOverload|TestStaleTimer|TestPump' ./internal/session/
 
+# Every row of the paper's claims table and the seed-3 pins of every
+# simulator entry, which race's -short run skips (the CI checks job).
+claims:
+	go test -count=1 -run '^(TestPaperClaims|TestSimulatorRegistryOutputsPinned)$$' ./internal/experiments/
+
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needs to be run on:"; echo "$$out"; exit 1; fi
@@ -57,7 +62,7 @@ fmt-check:
 # The exact CI gate, runnable locally before pushing. Performance is gated
 # end to end by bench-e2e (bench/); the zero-allocation contracts of the hot
 # paths are testing.AllocsPerRun tests that race already runs.
-ci: build vet fmt-check lint race bench-e2e
+ci: build vet fmt-check lint claims race bench-e2e
 
 # Regenerate every table and figure of the paper (plus extensions).
 repro:

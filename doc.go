@@ -5,8 +5,9 @@
 // event network simulator the evaluation runs on.
 //
 // See README.md for a guided tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate every table and figure of the paper's §6:
+// EXPERIMENTS.md for paper-vs-measured results. The benchmark in
+// bench_test.go runs every simulator registry entry, which regenerates
+// every table and figure of the paper's §6:
 //
 //	go test -bench=. -benchmem
 package repro

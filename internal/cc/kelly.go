@@ -94,11 +94,5 @@ func (k *Kelly) LastLoss() float64 { return k.loss }
 // are the per-second gains (identical to MKC's eq. 10 because α/β is
 // step-invariant).
 func (cfg KellyConfig) StationaryRate(c units.BitRate, n int) units.BitRate {
-	// Exact divide-by-zero guard: any nonzero β (including negative, for
-	// instability sweeps) is a valid denominator.
-	//pelsvet:allow floateq
-	if n <= 0 || cfg.Beta == 0 {
-		return 0
-	}
-	return c/units.BitRate(n) + units.BitRate(float64(cfg.Alpha)/cfg.Beta)
+	return MKCConfig{Alpha: cfg.Alpha, Beta: cfg.Beta}.StationaryRate(c, n)
 }

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"repro/internal/analysis"
 	"repro/internal/packet"
 	"repro/internal/units"
 )
@@ -104,21 +105,13 @@ func (m *MKC) LastLoss() float64 { return m.loss }
 func (m *MKC) Updates() int64 { return m.updates }
 
 // StationaryRate returns the closed-form equilibrium rate of paper eq. (10)
-// for n flows sharing capacity c: r* = C/N + α/β.
+// for n flows sharing capacity c: r* = C/N + α/β (analysis.MKCStationaryRate).
 func (cfg MKCConfig) StationaryRate(c units.BitRate, n int) units.BitRate {
-	if n <= 0 {
-		return 0
-	}
-	return c/units.BitRate(n) + units.BitRate(float64(cfg.Alpha)/cfg.Beta)
+	return units.BitRate(analysis.MKCStationaryRate(float64(c), float64(cfg.Alpha), cfg.Beta, n))
 }
 
 // StationaryLoss returns the equilibrium feedback loss for n flows on
-// capacity c: with every flow at r*, the aggregate is R = C + Nα/β and
-// p* = (R−C)/R = Nα / (βC + Nα).
+// capacity c: p* = Nα / (βC + Nα) (analysis.MKCStationaryLoss).
 func (cfg MKCConfig) StationaryLoss(c units.BitRate, n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	na := float64(n) * float64(cfg.Alpha)
-	return na / (cfg.Beta*float64(c) + na)
+	return analysis.MKCStationaryLoss(float64(c), float64(cfg.Alpha), cfg.Beta, n)
 }

@@ -200,3 +200,13 @@ func FormatChaosTestbed(r ChaosTestbedResult) string {
 	fmt.Fprintf(&b, "obs fingerprint: %s\n", r.Fingerprint[:16])
 	return b.String()
 }
+
+func chaosTestbedAt(g geometry) (Result, error) {
+	cfg := DefaultChaosTestbedConfig()
+	cfg.Seed, cfg.Duration = g.seed, g.or(cfg.Duration)
+	r, err := ChaosTestbed(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Output: FormatChaosTestbed(r), Events: r.Events, Metrics: r.Metrics(), Obs: r.Obs}, nil
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -21,18 +22,11 @@ func withGOMAXPROCS(n int, fn func()) {
 	fn()
 }
 
-// fanOutOutcome is everything pelsbench shows of one experiment.
-type fanOutOutcome struct {
-	text      string
-	artifacts []Artifact
-	events    uint64
-}
-
-// csvBytes renders the artifacts the way pelsbench -csv writes them.
-func (o fanOutOutcome) csvBytes(t *testing.T) []byte {
+// csvBytes renders a Result's artifacts the way pelsbench -csv writes them.
+func csvBytes(t *testing.T, res Result) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	for _, a := range o.artifacts {
+	for _, a := range res.Artifacts {
 		fmt.Fprintf(&b, "== %s\n", a.Name)
 		if err := stats.WriteCSV(&b, a.Series...); err != nil {
 			t.Fatal(err)
@@ -41,120 +35,41 @@ func (o fanOutOutcome) csvBytes(t *testing.T) []byte {
 	return b.Bytes()
 }
 
-// fannedOutExperiments runs every experiment that spreads its testbeds
-// with fanOut, at the given simulated duration, through the same typed API
-// and formatter its registry entry uses.
-func fannedOutExperiments(d time.Duration) map[string]func() (fanOutOutcome, error) {
-	return map[string]func() (fanOutOutcome, error){
-		"fig7": func() (fanOutOutcome, error) {
-			cfg := DefaultFigure7Config()
-			cfg.Duration = d
-			runs, err := Figure7(cfg)
-			out := fanOutOutcome{text: FormatFigure7(runs)}
-			for _, r := range runs {
-				out.events += r.Events
-				out.artifacts = append(out.artifacts, Artifact{
-					Name:   fmt.Sprintf("fig7_n%d.csv", r.NumFlows),
-					Series: []*stats.TimeSeries{r.Gamma, r.RedLoss},
-				})
-			}
-			return out, err
-		},
-		"fig10": func() (fanOutOutcome, error) {
-			cfg := DefaultFigure10Config()
-			cfg.Duration = d
-			cfg.WarmupFrames = 5
-			runs, err := Figure10(cfg)
-			out := fanOutOutcome{text: FormatFigure10(runs)}
-			for _, r := range runs {
-				out.events += r.Events
-				out.artifacts = append(out.artifacts, Artifact{
-					Name:   fmt.Sprintf("fig10_n%d.csv", r.NumFlows),
-					Series: psnrSeries(r),
-				})
-			}
-			return out, err
-		},
-		"ablations": func() (fanOutOutcome, error) {
-			cfg := DefaultAblationConfig()
-			cfg.Duration = d
-			rows, err := Ablations(cfg)
-			out := fanOutOutcome{text: FormatAblations(rows)}
-			for _, r := range rows {
-				out.events += r.Events
-			}
-			return out, err
-		},
-		"isolation": func() (fanOutOutcome, error) {
-			cfg := DefaultIsolationConfig()
-			cfg.Duration = d
-			res, err := Isolation(cfg)
-			if err != nil {
-				return fanOutOutcome{}, err
-			}
-			return fanOutOutcome{text: FormatIsolation(res), events: res.Events}, nil
-		},
-		"controllers": func() (fanOutOutcome, error) {
-			cfg := DefaultControllersConfig()
-			cfg.Duration = d
-			rows, err := Controllers(cfg)
-			out := fanOutOutcome{text: FormatControllers(rows)}
-			for _, r := range rows {
-				out.events += r.Events
-			}
-			return out, err
-		},
-		"rdscaling": func() (fanOutOutcome, error) {
-			cfg := DefaultRDScalingConfig()
-			cfg.Duration = d
-			cfg.WarmupFrames = 5
-			res, err := RDScaling(cfg)
-			if err != nil {
-				return fanOutOutcome{}, err
-			}
-			return fanOutOutcome{text: FormatRDScaling(res), events: res.Events}, nil
-		},
-		"utilization": func() (fanOutOutcome, error) {
-			cfg := DefaultUtilizationConfig()
-			cfg.Duration = d
-			rows, err := Utilization(cfg)
-			out := fanOutOutcome{text: FormatUtilization(rows)}
-			for _, r := range rows {
-				out.events += r.Events
-			}
-			return out, err
-		},
-	}
-}
+// fannedOut are the entries that spread their testbeds with fanOut.
+var fannedOut = []string{"fig7", "fig10", "ablations", "isolation", "controllers", "rdscaling", "utilization"}
 
-// TestFanOutIsInvisible: an experiment's formatted text, its CSV artifacts
-// byte for byte and its event count are the same whether its testbeds ran
-// one after another on one processor or side by side on four. It is not
-// skipped in -short (it only shortens the simulated time), so the -race
-// lane always has the fan-out's goroutines under the detector.
+// TestFanOutIsInvisible: an entry's text, metrics, CSV artifacts byte for
+// byte and event count are the same whether its testbeds ran one after
+// another on one processor or side by side on four. It is not skipped in
+// -short (it only shortens the simulated time), so the -race lane always
+// has the fan-out's goroutines under the detector.
 func TestFanOutIsInvisible(t *testing.T) {
-	d := 40 * time.Second
+	g := geometry{seed: 1, dur: 40 * time.Second}
 	if testing.Short() {
-		d = 6 * time.Second
+		g.dur = 6 * time.Second
 	}
-	for name, run := range fannedOutExperiments(d) {
-		var serial, spread fanOutOutcome
+	for _, name := range fannedOut {
+		e, _ := Lookup(name)
+		var serial, spread Result
 		var serialErr, spreadErr error
-		withGOMAXPROCS(1, func() { serial, serialErr = run() })
-		withGOMAXPROCS(4, func() { spread, spreadErr = run() })
+		withGOMAXPROCS(1, func() { serial, serialErr = e.at(g) })
+		withGOMAXPROCS(4, func() { spread, spreadErr = e.at(g) })
 		if serialErr != nil || spreadErr != nil {
 			t.Fatalf("%s: GOMAXPROCS=1 error %v, GOMAXPROCS=4 error %v", name, serialErr, spreadErr)
 		}
-		if serial.events == 0 {
+		if serial.Events == 0 {
 			t.Errorf("%s: processed no events", name)
 		}
-		if serial.events != spread.events {
-			t.Errorf("%s: %d events on one processor, %d on four", name, serial.events, spread.events)
+		if serial.Events != spread.Events {
+			t.Errorf("%s: %d events on one processor, %d on four", name, serial.Events, spread.Events)
 		}
-		if serial.text != spread.text {
-			t.Errorf("%s: output differs\n--- GOMAXPROCS=1\n%s--- GOMAXPROCS=4\n%s", name, serial.text, spread.text)
+		if serial.Output != spread.Output {
+			t.Errorf("%s: output differs\n--- GOMAXPROCS=1\n%s--- GOMAXPROCS=4\n%s", name, serial.Output, spread.Output)
 		}
-		if !bytes.Equal(serial.csvBytes(t), spread.csvBytes(t)) {
+		if !maps.Equal(serial.Metrics, spread.Metrics) {
+			t.Errorf("%s: metrics differ between one processor and four", name)
+		}
+		if !bytes.Equal(csvBytes(t, serial), csvBytes(t, spread)) {
 			t.Errorf("%s: CSV artifacts differ between one processor and four", name)
 		}
 	}

@@ -170,8 +170,14 @@ func figure10Level(cfg Figure10Config, level Figure10Level, pels, be figure10Out
 func figure10Testbed(cfg Figure10Config, level Figure10Level, bestEffort bool) TestbedConfig {
 	tcfg := DefaultTestbedConfig()
 	tcfg.Seed = cfg.Seed
-	tcfg.NumPELS = level.Flows
 	tcfg.BestEffort = bestEffort
+	level.apply(&tcfg)
+	return tcfg
+}
+
+// apply sets the level's flow count, frame interval and α.
+func (level Figure10Level) apply(tcfg *TestbedConfig) {
+	tcfg.NumPELS = level.Flows
 	if level.FrameInterval > 0 {
 		tcfg.Session.FrameInterval = level.FrameInterval
 	}
@@ -180,24 +186,28 @@ func figure10Testbed(cfg Figure10Config, level Figure10Level, bestEffort bool) T
 		mkc.Alpha = level.Alpha
 		tcfg.Session.MKC = mkc
 	}
-	return tcfg
 }
 
 // figure10Stream runs one full-stack simulation.
 func figure10Stream(cfg Figure10Config, level Figure10Level, bestEffort bool) (figure10Outcome, error) {
-	tb, err := runTestbed(figure10Testbed(cfg, level, bestEffort), cfg.Duration)
+	tb, err := runTestbed(figure10Testbed(cfg, level, bestEffort), cfg.Duration, false)
 	if err != nil {
 		return figure10Outcome{}, err
 	}
+	return figure10Outcome{evalFrames(tb, cfg.WarmupFrames), tb.MeasuredPELSLoss(cfg.Duration / 2), tb.Eng.Processed()}, nil
+}
+
+// evalFrames is flow 0's frames past the first warmup ones, less the last,
+// which the end of the run may cut off.
+func evalFrames(tb *Testbed, warmup int) []fgs.FrameResult {
 	frames := tb.Sinks[0].Frames()
-	if len(frames) > cfg.WarmupFrames {
-		frames = frames[cfg.WarmupFrames:]
+	if len(frames) > warmup {
+		frames = frames[warmup:]
 	}
 	if len(frames) > 1 {
-		// The final frame may be cut off by the end of the run.
 		frames = frames[:len(frames)-1]
 	}
-	return figure10Outcome{frames, tb.MeasuredPELSLoss(cfg.Duration / 2), tb.Eng.Processed()}, nil
+	return frames
 }
 
 // framePSNR reconstructs per-frame PSNR, indexing the trace by each
@@ -284,4 +294,50 @@ func FormatFigure10(runs []Figure10Run) string {
 			r.PELSMean, r.PELSImprove, r.PELSSwing, r.PELSUtility, r.PELSUseful)
 	}
 	return b.String()
+}
+
+func figure10At(g geometry) (Result, error) {
+	cfg := DefaultFigure10Config()
+	cfg.Seed, cfg.Duration = g.seed, g.or(cfg.Duration)
+	runs, err := Figure10(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	res := Result{Output: FormatFigure10(runs), Metrics: make(map[string]float64)}
+	for i, r := range runs {
+		res.Events += r.Events
+		res.Artifacts = append(res.Artifacts, Artifact{
+			Name:   fmt.Sprintf("fig10_n%d.csv", r.NumFlows),
+			Series: psnrSeries(r),
+		})
+		l := fmt.Sprintf("level%d.", i)
+		for k, v := range map[string]float64{
+			"target_loss": r.TargetLoss, "pels_loss": r.PELSLoss, "be_loss": r.BELoss, "frames": float64(r.Frames),
+			"base_psnr": r.BaseMean, "pels_psnr": r.PELSMean, "be_psnr": r.BEMean,
+			"pels_gain_pct": r.PELSImprove, "be_gain_pct": r.BEImprove, "pels_swing_db": r.PELSSwing, "be_swing_db": r.BESwing,
+			"pels_utility": r.PELSUtility, "be_utility": r.BEUtility, "pels_useful": r.PELSUseful, "be_useful": r.BEUseful,
+			"pels_complete": float64(r.PELSComplete), "be_complete": float64(r.BEComplete),
+		} {
+			res.Metrics[l+k] = v
+		}
+	}
+	return res, nil
+}
+
+// psnrSeries converts a Figure10Run's per-frame PSNR arrays into series
+// indexed by frame number (stored in the time column as frame count).
+func psnrSeries(r Figure10Run) []*stats.TimeSeries {
+	base := stats.NewTimeSeries("base_psnr")
+	be := stats.NewTimeSeries("besteffort_psnr")
+	pels := stats.NewTimeSeries("pels_psnr")
+	for i := range r.BasePSNR {
+		base.Add(time.Duration(i)*time.Second, r.BasePSNR[i])
+	}
+	for i := range r.BEPSNR {
+		be.Add(time.Duration(i)*time.Second, r.BEPSNR[i])
+	}
+	for i := range r.PELSPSNR {
+		pels.Add(time.Duration(i)*time.Second, r.PELSPSNR[i])
+	}
+	return []*stats.TimeSeries{base, be, pels}
 }

@@ -60,3 +60,15 @@ func FormatFigure2(cfg Figure2Config, rows []Figure2Row) string {
 	}
 	return b.String()
 }
+
+func figure2At(geometry) (Result, error) {
+	cfg := DefaultFigure2Config()
+	rows := Figure2(cfg)
+	m := make(map[string]float64)
+	for _, r := range rows {
+		h := fmt.Sprintf("_H%d", r.H)
+		m["be_useful"+h], m["opt_useful"+h] = r.BestEffortUseful, r.OptimalUseful
+		m["be_utility"+h], m["opt_utility"+h] = r.BestEffortUtility, r.OptimalUtility
+	}
+	return Result{Output: FormatFigure2(cfg, rows), Metrics: m}, nil
+}

@@ -67,3 +67,12 @@ func writePattern(b *strings.Builder, drops []bool) {
 		}
 	}
 }
+
+func figure3At(g geometry) (Result, error) {
+	r := Figure3(100, 0.1, g.seed)
+	return Result{Output: FormatFigure3(r), Metrics: map[string]float64{
+		"random_useful": float64(r.RandomUseful),
+		"ideal_useful":  float64(r.IdealUseful),
+		"dropped":       float64(r.RandomDropped),
+	}}, nil
+}

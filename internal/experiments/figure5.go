@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/analysis"
@@ -61,4 +62,13 @@ func FormatFigure5(r Figure5Result) string {
 		fmt.Fprintf(&b, "%-5d %-14.4f %-14.4g\n", k, r.Stable[k], r.Unstable[k])
 	}
 	return b.String()
+}
+
+func figure5At(geometry) (Result, error) {
+	r := Figure5(DefaultFigure5Config())
+	return Result{Output: FormatFigure5(r), Metrics: map[string]float64{
+		"stable_final":       r.Stable[len(r.Stable)-1],
+		"unstable_final_abs": math.Abs(r.Unstable[len(r.Unstable)-1]),
+		"gamma_fixed_point":  r.FixedPoint,
+	}}, nil
 }

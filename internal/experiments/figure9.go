@@ -14,7 +14,7 @@ import (
 // (right): flow F1 starts alone, exponentially claims the whole PELS
 // capacity, and after F2 joins at t=10 s both converge — without
 // oscillation — to a fair share near the stationary rate of eq. (10).
-// (Fig. 9 left, the red-delay staircase, shares the Figure8 driver.)
+// (Fig. 9 left, the red-delay staircase, is the fig8 entry.)
 type Figure9Result struct {
 	// Rates holds one rate time series (kb/s) per flow.
 	Rates []*stats.TimeSeries
@@ -145,4 +145,25 @@ func FormatFigure9(r *Figure9Result) string {
 		b.WriteString("flows did not reach sustained fairness\n")
 	}
 	return b.String()
+}
+
+// figure9At reports converged_at_s < 0 when the flows never became fair.
+func figure9At(g geometry) (Result, error) {
+	cfg := DefaultFigure9Config()
+	cfg.Seed, cfg.Duration = g.seed, g.or(cfg.Duration)
+	r, err := Figure9(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Output:    FormatFigure9(r),
+		Events:    r.Events,
+		Obs:       r.Obs,
+		Artifacts: []Artifact{{Name: "fig9_rates.csv", Series: r.Rates}},
+		Metrics: map[string]float64{
+			"capacity_kbps": r.Capacity.KbpsValue(), "fair_rate_kbps": r.FairRate.KbpsValue(),
+			"f1_peak_kbps": r.F1Peak, "f1_tail_kbps": r.F1Tail, "f2_tail_kbps": r.F2Tail,
+			"converged_at_s": r.ConvergedAt.Seconds(), "converged_after_join_s": (r.ConvergedAt - r.JoinAt).Seconds(),
+		},
+	}, nil
 }

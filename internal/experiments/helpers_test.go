@@ -114,3 +114,23 @@ func TestTestbedSeedSensitivity(t *testing.T) {
 		t.Error("different seeds produced identical video-queue loss series")
 	}
 }
+
+func TestTestbedValidation(t *testing.T) {
+	cfg := DefaultTestbedConfig()
+	cfg.NumPELS = 0
+	if _, err := NewTestbed(cfg); err == nil {
+		t.Error("NumPELS=0 accepted")
+	}
+}
+
+func TestPELSCapacityShare(t *testing.T) {
+	cfg := DefaultTestbedConfig()
+	if got := cfg.PELSCapacity().MbpsValue(); math.Abs(got-2) > 1e-9 {
+		t.Errorf("PELS capacity = %v mb/s, want 2", got)
+	}
+	cfg.Bottleneck.PELSWeight = 3
+	cfg.Bottleneck.InternetWeight = 1
+	if got := cfg.PELSCapacity().MbpsValue(); math.Abs(got-3) > 1e-9 {
+		t.Errorf("PELS capacity = %v mb/s, want 3", got)
+	}
+}

@@ -160,3 +160,19 @@ func FormatNLayer(r NLayerResult) string {
 	}
 	return b.String()
 }
+
+func nLayerAt(g geometry) (Result, error) {
+	cfg := DefaultNLayerConfig()
+	cfg.Seed, cfg.Duration = g.seed, g.or(cfg.Duration)
+	r, err := NLayer(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Output:    FormatNLayer(r),
+		Events:    r.Events,
+		Metrics:   r.Metrics(),
+		Obs:       r.Obs,
+		Artifacts: []Artifact{{Name: "nlayer_occupancy.csv", Series: r.Occupancy}},
+	}, nil
+}

@@ -41,37 +41,40 @@ func TestFigure7MetricsPinnedAcrossLayerRefactor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure-7 runs in -short mode")
 	}
-	pinned := map[int]struct {
+	pinned := map[string]struct {
 		measured, gammaTail, redLossTail float64
 		events                           uint64
 	}{
-		4: {0.07486933133020765, 0.10125854957975215, 0.7834088850171943, 1151290},
-		8: {0.13702943068291495, 0.1836864617754172, 0.7866786072898807, 1170476},
+		"n4": {0.07486933133020765, 0.10125854957975215, 0.7834088850171943, 1151290},
+		"n8": {0.13702943068291495, 0.1836864617754172, 0.7866786072898807, 1170476},
 	}
-	runs, err := Figure7(DefaultFigure7Config())
+	e, _ := Lookup("fig7")
+	res, err := e.Run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, run := range runs {
-		want, ok := pinned[run.NumFlows]
-		if !ok {
-			t.Errorf("unexpected flow count %d in figure-7 runs", run.NumFlows)
-			continue
+	for n, want := range pinned {
+		m := func(k string) float64 {
+			v, ok := res.Metrics[n+"."+k]
+			if !ok {
+				t.Fatalf("fig7 reports no metric %s.%s", n, k)
+			}
+			return v
 		}
 		//pelsvet:allow floateq
-		if run.MeasuredLoss != want.measured {
-			t.Errorf("n=%d MeasuredLoss = %.17g, want pinned %.17g", run.NumFlows, run.MeasuredLoss, want.measured)
+		if got := m("loss(sim)"); got != want.measured {
+			t.Errorf("%s MeasuredLoss = %.17g, want pinned %.17g", n, got, want.measured)
 		}
 		//pelsvet:allow floateq
-		if run.GammaTail != want.gammaTail {
-			t.Errorf("n=%d GammaTail = %.17g, want pinned %.17g", run.NumFlows, run.GammaTail, want.gammaTail)
+		if got := m("gamma(sim)"); got != want.gammaTail {
+			t.Errorf("%s GammaTail = %.17g, want pinned %.17g", n, got, want.gammaTail)
 		}
 		//pelsvet:allow floateq
-		if run.RedLossTail != want.redLossTail {
-			t.Errorf("n=%d RedLossTail = %.17g, want pinned %.17g", run.NumFlows, run.RedLossTail, want.redLossTail)
+		if got := m("redloss"); got != want.redLossTail {
+			t.Errorf("%s RedLossTail = %.17g, want pinned %.17g", n, got, want.redLossTail)
 		}
-		if run.Events != want.events {
-			t.Errorf("n=%d Events = %d, want pinned %d", run.NumFlows, run.Events, want.events)
+		if got := uint64(m("events")); got != want.events {
+			t.Errorf("%s Events = %d, want pinned %d", n, got, want.events)
 		}
 	}
 }

@@ -296,3 +296,19 @@ func FormatOverloadWire(r OverloadWireResult) string {
 	}
 	return b.String()
 }
+
+// overloadWireAt runs on the wall clock and takes only the geometry's seed.
+func overloadWireAt(g geometry) (Result, error) {
+	cfg := DefaultOverloadWireConfig()
+	cfg.Seed = g.seed
+	r, err := OverloadWire(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return overloadWireResult(r), nil
+}
+
+// overloadWireResult is the overload-wire entry's Result for one run.
+func overloadWireResult(res OverloadWireResult) Result {
+	return Result{Output: FormatOverloadWire(res), Events: res.Datagrams(), Metrics: res.Metrics(), Obs: res.Obs}
+}

@@ -112,9 +112,7 @@ func (s *Scenario) Validate() error {
 	if s.PELSFlows < 0 || s.TCPFlows < 0 || s.OnOffFlows < 0 {
 		return fmt.Errorf("experiments: flow counts must be non-negative")
 	}
-	switch s.Controller {
-	case "", "mkc", "kelly", "aimd", "tfrc", "iiad", "sqrt":
-	default:
+	if _, ok := controllerFactory(s.Controller); !ok {
 		return fmt.Errorf("experiments: unknown controller %q", s.Controller)
 	}
 	return nil
@@ -197,9 +195,7 @@ func (s *Scenario) TestbedConfig() (TestbedConfig, error) {
 		}
 		cfg.Session.Gamma = gamma
 	}
-	if factory := controllerFactory(s.Controller); factory != nil {
-		cfg.Session.ControllerFactory = factory
-	}
+	cfg.Session.ControllerFactory, _ = controllerFactory(s.Controller)
 	cfg.NumTCP = s.TCPFlows
 	if s.TCPFlows == 0 && s.OnOffFlows == 0 {
 		cfg.NumTCP = DefaultTestbedConfig().NumTCP
@@ -210,21 +206,28 @@ func (s *Scenario) TestbedConfig() (TestbedConfig, error) {
 	return cfg, nil
 }
 
-// controllerFactory maps a scenario controller name to a cc constructor
-// (nil = default MKC).
-func controllerFactory(name string) func() cc.Controller {
-	switch name {
-	case "kelly":
-		return func() cc.Controller { return cc.NewKelly(cc.DefaultKellyConfig()) }
-	case "aimd":
-		return func() cc.Controller { return cc.NewAIMD(cc.DefaultAIMDConfig()) }
-	case "tfrc":
-		return func() cc.Controller { return cc.NewTFRC(cc.DefaultTFRCConfig()) }
-	case "iiad":
-		return func() cc.Controller { return cc.NewBinomial(cc.IIADConfig()) }
-	case "sqrt":
-		return func() cc.Controller { return cc.NewBinomial(cc.SQRTConfig()) }
-	default:
-		return nil
+// ccTable is the one map from a controller name to its constructor, in
+// the order the controllers experiment prints them. MKC's nil constructor
+// keeps the session default.
+var ccTable = []struct {
+	name string
+	mk   func() cc.Controller
+}{
+	{"mkc", nil},
+	{"kelly", func() cc.Controller { return cc.NewKelly(cc.DefaultKellyConfig()) }},
+	{"aimd", func() cc.Controller { return cc.NewAIMD(cc.DefaultAIMDConfig()) }},
+	{"tfrc", func() cc.Controller { return cc.NewTFRC(cc.DefaultTFRCConfig()) }},
+	{"iiad", func() cc.Controller { return cc.NewBinomial(cc.IIADConfig()) }},
+	{"sqrt", func() cc.Controller { return cc.NewBinomial(cc.SQRTConfig()) }},
+}
+
+// controllerFactory returns the constructor registered under name (nil,
+// the default MKC, for "" and "mkc"); ok is false for an unknown name.
+func controllerFactory(name string) (mk func() cc.Controller, ok bool) {
+	for _, c := range ccTable {
+		if c.name == name {
+			return c.mk, true
+		}
 	}
+	return nil, name == ""
 }

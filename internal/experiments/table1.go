@@ -64,3 +64,15 @@ func FormatTable1(rows []Table1Row) string {
 	}
 	return b.String()
 }
+
+func table1At(g geometry) (Result, error) {
+	cfg := DefaultTable1Config()
+	cfg.Seed = g.seed
+	rows := Table1(cfg)
+	m := make(map[string]float64)
+	for _, r := range rows {
+		p := fmt.Sprintf("_p%g", r.Loss)
+		m["useful_sim"+p], m["useful_model"+p], m["received"+p] = r.Simulation, r.Model, r.Received
+	}
+	return Result{Output: FormatTable1(rows), Metrics: m}, nil
+}

@@ -386,12 +386,16 @@ func (tb *Testbed) Run(duration time.Duration) error {
 	return nil
 }
 
-// runTestbed builds the testbed for cfg and runs it for duration: one
-// independent simulation, the unit fanOut spreads over the cores.
-func runTestbed(cfg TestbedConfig, duration time.Duration) (*Testbed, error) {
+// runTestbed builds the testbed for cfg, records its traces if asked, and
+// runs it for duration: one independent simulation, the unit fanOut
+// spreads over the cores.
+func runTestbed(cfg TestbedConfig, duration time.Duration, traces bool) (*Testbed, error) {
 	tb, err := NewTestbed(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if traces {
+		tb.RecordTraces()
 	}
 	return tb, tb.Run(duration)
 }

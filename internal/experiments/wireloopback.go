@@ -358,3 +358,30 @@ func FormatChaosWire(r WireLoopbackResult) string {
 	}
 	return b.String()
 }
+
+// wireLoopbackAt and chaosWireAt run on the wall clock and take only the
+// geometry's seed.
+func wireLoopbackAt(g geometry) (Result, error) {
+	cfg := DefaultWireLoopbackConfig()
+	cfg.Seed = g.seed
+	r, err := WireLoopback(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return wireLoopbackResult(r), nil
+}
+
+func chaosWireAt(g geometry) (Result, error) {
+	cfg := DefaultChaosWireConfig()
+	cfg.Seed = g.seed
+	r, err := WireLoopback(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Output: FormatChaosWire(r), Events: r.Datagrams(), Metrics: r.Metrics(), Obs: r.Obs}, nil
+}
+
+// wireLoopbackResult is the wire-loopback entry's Result for one run.
+func wireLoopbackResult(res WireLoopbackResult) Result {
+	return Result{Output: FormatWireLoopback(res), Events: res.Datagrams(), Metrics: res.Metrics(), Obs: res.Obs}
+}
