@@ -50,10 +50,11 @@ race:
 	go test -race -count=20 -run 'TestShapedConn|TestSwarm|TestLink|TestReceiver' ./internal/wire/
 	go test -race -count=5 -run 'TestAdmit|TestHandOff|TestOverload|TestStaleTimer|TestPump' ./internal/session/
 
-# Every row of the paper's claims table and the seed-3 pins of every
-# simulator entry, which race's -short run skips (the CI checks job).
+# Every row of the paper's claims table, the seed-3 pins of every simulator
+# entry, the chaos fingerprint and the fig-7 metric pins, which race's
+# -short run skips (the CI checks job).
 claims:
-	go test -count=1 -run '^(TestPaperClaims|TestSimulatorRegistryOutputsPinned)$$' ./internal/experiments/
+	go test -count=1 -run '^(TestPaperClaims|TestSimulatorRegistryOutputsPinned|TestChaosFingerprintPinnedAcrossLayerRefactor|TestFigure7MetricsPinnedAcrossLayerRefactor)$$' ./internal/experiments/
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

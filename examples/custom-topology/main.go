@@ -111,7 +111,7 @@ func run() error {
 	fmt.Println("parking-lot topology: hop1 = 1.2 mb/s, hop2 = 0.8 mb/s video capacity")
 	fmt.Printf("%-18s %-12s %-10s %-18s\n", "flow", "rate(kb/s)", "utility", "bottleneck")
 	for _, s := range sessions {
-		fb := s.sink.LatestFeedback()
+		fb := s.sink.Received().LastFeedback
 		fmt.Printf("%-18s %-12.0f %-10.3f hop %d\n",
 			s.name, s.src.Rate().KbpsValue(), s.sink.Stats().MeanUtility, fb.RouterID)
 	}

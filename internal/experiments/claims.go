@@ -159,10 +159,12 @@ var claims = func() []claim {
 	t = append(t,
 		claim{"Fig. 7", "fig7", seed1(90 * s), "n8.loss(sim)", "", nil, above("n4.loss(sim)")},
 		claim{"Fig. 7", "fig7", seed1(90 * s), "n8.gamma(sim)", "", nil, above("n4.gamma(sim)")},
+		claim{"§4.2", "fig7", seed1(90 * s), "n4.green_lost", "the base layer is never dropped", nil, between(0, 0)},
 		claim{"Fig. 8", "fig8", seed1(150 * s), "green_mean_ms", "≈ 16 ms", nil, below("yellow_mean_ms")},
 		claim{"Fig. 8", "fig8", seed1(150 * s), "yellow_mean_ms", "≈ 25 ms", nil, bound{of: "red_mean_ms", lo: limit{0, -inf}, hi: limit{1.0 / 3, 0}, open: true}},
 		claim{"Fig. 8", "fig8", seed1(150 * s), "green_mean_ms", "≈ 16 ms", nil, atMost(30)},
 		claim{"Fig. 8", "fig8", seed1(150 * s), "red_mean_ms", "up to ≈ 400 ms", nil, between(50, 2000)},
+		claim{"§4.2", "fig8", seed1(150 * s), "green_lost", "the base layer is never dropped", nil, between(0, 0)},
 		claim{"Fig. 9", "fig9", seed1(0), "f1_peak_kbps", "the whole PELS capacity", nil, times("capacity_kbps", 0.85, inf)},
 		claim{"Fig. 9", "fig9", seed1(0), "f1_tail_kbps", "r* = C/N + α/β", eq10Rate(capacity, 2), near(0.12, 0)},
 		claim{"Fig. 9", "fig9", seed1(0), "f2_tail_kbps", "r* = C/N + α/β", eq10Rate(capacity, 2), near(0.12, 0)},

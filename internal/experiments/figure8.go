@@ -44,6 +44,7 @@ func figure8At(g geometry) (Result, error) {
 		m[c.name+"_p50_ms"], m[c.name+"_p90_ms"], m[c.name+"_p99_ms"] = summaries[i].P50, summaries[i].P90, summaries[i].P99
 	}
 	m["red_max_ms"] = summaries[2].Max
+	m["green_lost"] = greenLost(tb, 0)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "staircase workload: %d flows over %v\n", n, duration)

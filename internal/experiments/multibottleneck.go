@@ -81,7 +81,7 @@ func multiBottleneckAt(g geometry) (Result, error) {
 	rate := reg.Series("rate_kbps").TimeSeries()
 	router := reg.Series("bottleneck_router").TimeSeries()
 	probe := sim.NewTicker(eng, 100*time.Millisecond, func() {
-		fb := sink.LatestFeedback()
+		fb := sink.Received().LastFeedback
 		if fb.Valid {
 			router.Add(eng.Now(), float64(fb.RouterID))
 		}

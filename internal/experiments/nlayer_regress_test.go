@@ -3,13 +3,15 @@ package experiments
 import "testing"
 
 // Pinned 3-layer outputs, first captured on the commit immediately before
-// the N-layer generalization and re-captured once when pels.Source became
-// the simulator's driver of session.Session (EXPERIMENTS.md gives both).
-// The contract is that the classic green/yellow/red configuration stays
+// the N-layer generalization and re-captured when pels.Source became the
+// simulator's driver of session.Session, and (the chaos fingerprint only)
+// when pels.Sink became the driver of the live receiver core, whose label
+// rule follows a gateway swap at once (EXPERIMENTS.md gives each). The
+// contract is that the classic green/yellow/red configuration stays
 // bit-exact: same event counts, same SHA-256 over the full observability
 // CSV, same figure-7 metrics.
 const (
-	pinnedChaosFingerprint = "ef23bbd911b8899bb13de9931a11222fdc65f820e3be02d504efeeabc882522e"
+	pinnedChaosFingerprint = "dd58e19ef54afa246ae0b64f333d56fab821f1fb15681420f66a53733c0f2fcc"
 	pinnedChaosEvents      = 206621
 )
 

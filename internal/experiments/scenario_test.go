@@ -127,7 +127,7 @@ func TestScenarioRuns(t *testing.T) {
 	if err := tb.Run(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if tb.Sinks[0].PacketsReceived() == 0 {
+	if tb.Sinks[0].Received().Datagrams == 0 {
 		t.Error("scenario run delivered nothing")
 	}
 	if len(tb.OnOffSources) != 2 {

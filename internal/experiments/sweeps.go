@@ -47,6 +47,7 @@ var figure7Sweep = func() sweep {
 				return least
 			}},
 			{"events", "", func(tb *Testbed, _ int) float64 { return float64(tb.Eng.Processed()) }},
+			{"green_lost", "", greenLost},
 		},
 		trace: func(tb *Testbed) Artifact {
 			return Artifact{fmt.Sprintf("fig7_n%d.csv", tb.Cfg.NumPELS), []*stats.TimeSeries{tb.GammaSeries[0], tb.RedLossSeries}}
@@ -196,7 +197,8 @@ func Utilization(cfg UtilizationConfig) ([]UtilizationResult, error) {
 // isolationSweep backs the paper's §6.1 claim that "the PELS and Internet
 // queues do not affect each other in any way": more PELS flows must leave
 // TCP goodput at the Internet WRR share, and more TCP flows must leave the
-// PELS aggregate at its share. The other side holds 2 flows.
+// PELS aggregate at its share. The other side holds 2 flows, so the 2 + 2
+// point is one run that both sweeps print.
 var isolationSweep = func() sweep {
 	s := sweep{
 		dur: 60 * time.Second, label: "%s",
@@ -232,8 +234,12 @@ var isolationSweep = func() sweep {
 				nPELS, nTCP = 2, n
 			}
 			key := fmt.Sprintf("%s%d", side.name, n)
-			s.runs = append(s.runs, tweak{key, func(tc *TestbedConfig) { tc.NumPELS, tc.NumTCP = nPELS, nTCP }})
-			rw := row{key: key, label: fmt.Sprintf(side.label, n), run: len(s.rows)}
+			rw := row{key: key, label: fmt.Sprintf(side.label, n), run: len(s.runs)}
+			if side.name == "tcp" && n == 2 {
+				rw.run = 1 // pels2's run
+			} else {
+				s.runs = append(s.runs, tweak{key, func(tc *TestbedConfig) { tc.NumPELS, tc.NumTCP = nPELS, nTCP }})
+			}
 			if i == 0 {
 				rw.section = side.section
 			}
@@ -372,6 +378,14 @@ func rateStdDev(tb *Testbed, flow int) float64 {
 }
 
 func fairRate(tb *Testbed, _ int) float64 { return tb.StationaryRate().KbpsValue() }
+
+// greenLost sums the base-layer datagrams every receiver counted lost.
+func greenLost(tb *Testbed, _ int) (n float64) {
+	for _, sink := range tb.Sinks {
+		n += float64(sink.Received().Colors[packet.Green].Lost)
+	}
+	return n
+}
 
 // yellowLoss and redLoss are the bottleneck's loss rates per colour; a
 // best-effort run has one video queue, whose loss both report.

@@ -157,9 +157,10 @@ type Packet struct {
 	// to the source inside an ACK packet.
 	AckedFeedback Feedback
 
-	// TCPSeq is the byte sequence number for TCP segments; TCPAck is the
-	// cumulative acknowledgment number carried by TCP ACKs.
-	TCPSeq int64
+	// Seq is a TCP segment's byte sequence number, or a PELS datagram's
+	// per-color sequence number (the receiver counts loss from its gaps);
+	// TCPAck is the cumulative acknowledgment number carried by TCP ACKs.
+	Seq    int64
 	TCPAck int64
 
 	// Timestamps recorded by the simulator, all in simulation time.

@@ -24,8 +24,8 @@ func TestSessionAccessorsAndByteAccounting(t *testing.T) {
 	if r.src.BytesSent() != r.src.PacketsSent()*500 {
 		t.Errorf("BytesSent %d != packets %d × 500", r.src.BytesSent(), r.src.PacketsSent())
 	}
-	if r.sink.BytesReceived() != r.sink.PacketsReceived()*500 {
-		t.Errorf("BytesReceived %d != packets %d × 500", r.sink.BytesReceived(), r.sink.PacketsReceived())
+	if got := r.sink.Received().Datagrams; r.sink.BytesReceived() != int64(got)*500 {
+		t.Errorf("BytesReceived %d != packets %d × 500", r.sink.BytesReceived(), got)
 	}
 	if r.sink.BytesReceived() > r.src.BytesSent() {
 		t.Error("sink received more than source sent")
@@ -73,7 +73,7 @@ func TestSinkIgnoresAckColoredData(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink.HandlePacket(nw.NewPacket(1, h.ID(), 40, packet.ACK))
-	if sink.PacketsReceived() != 0 {
+	if sink.Received().Datagrams != 0 {
 		t.Error("sink counted an ACK as data")
 	}
 }
@@ -95,21 +95,18 @@ func TestSinkFeedbackUpdateRules(t *testing.T) {
 	}
 	// Invalid feedback never replaces anything.
 	send(packet.Feedback{})
-	if sink.LatestFeedback().Valid {
+	if sink.Received().LastFeedback.Valid {
 		t.Error("invalid feedback stored")
 	}
-	// First valid label sticks.
-	send(packet.Feedback{RouterID: 1, Epoch: 3, Loss: 0.1, Valid: true})
-	// Different router with lower loss does not override...
-	send(packet.Feedback{RouterID: 2, Epoch: 9, Loss: 0.05, Valid: true})
-	if got := sink.LatestFeedback(); got.RouterID != 1 {
-		t.Errorf("lower-loss router overrode: %+v", got)
+	// The first valid label sticks, and a later invalid one keeps it.
+	first := packet.Feedback{RouterID: 1, Epoch: 3, Loss: 0.1, Valid: true}
+	send(first)
+	send(packet.Feedback{})
+	if got := sink.Received().LastFeedback; got != first {
+		t.Errorf("latest label %+v, want %+v", got, first)
 	}
-	// ...but a different router with higher loss does (max-min).
-	send(packet.Feedback{RouterID: 2, Epoch: 9, Loss: 0.5, Valid: true})
-	if got := sink.LatestFeedback(); got.RouterID != 2 {
-		t.Errorf("higher-loss router did not override: %+v", got)
-	}
+	// Across routers the sink runs the receiver core's rule, which
+	// wire.TestReceiverCoreLabelRule pins.
 }
 
 func TestSourceDoubleStartIgnored(t *testing.T) {

@@ -83,7 +83,7 @@ func TestSurvivesSevereAckLoss(t *testing.T) {
 	if got < 300 || got > 900 {
 		t.Errorf("rate = %.1f kb/s with 80%% ACK loss, want within [300, 900]", got)
 	}
-	if sink.PacketsReceived() == 0 {
+	if sink.Received().Datagrams == 0 {
 		t.Error("no data delivered")
 	}
 }

@@ -4,9 +4,9 @@
 // FGS video frames, colors each packet by its priority layer as the γ
 // controller splits the frame, paces the packets at the rate its congestion
 // controller (MKC by default) chooses, and reacts to router feedback carried
-// back in ACKs. Every packet it emits is a wire datagram, decoded. A Sink
-// reassembles frames, computes useful-prefix statistics, and echoes feedback
-// to the source.
+// back in ACKs. Every packet it emits is a wire datagram, decoded. A Sink is
+// the netsim driver of the live receiver core (wire.RecvCore): it counts
+// loss, reassembles frames and echoes feedback to the source.
 //
 // A Source runs in best-effort mode (the paper's §6.5 baseline) when its
 // session config says so: the enhancement layer is left unmarked and the

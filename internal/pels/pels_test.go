@@ -276,11 +276,11 @@ func TestSinkLatestFeedbackPrefersFreshEpoch(t *testing.T) {
 	}
 	sink.HandlePacket(mk(5, 0.1))
 	sink.HandlePacket(mk(3, 0.9)) // reordered stale red packet
-	if got := sink.LatestFeedback(); got.Epoch != 5 {
+	if got := sink.Received().LastFeedback; got.Epoch != 5 {
 		t.Errorf("latest epoch = %d, want 5 (stale label must not regress)", got.Epoch)
 	}
 	sink.HandlePacket(mk(6, 0.2))
-	if got := sink.LatestFeedback(); got.Epoch != 6 {
+	if got := sink.Received().LastFeedback; got.Epoch != 6 {
 		t.Errorf("latest epoch = %d, want 6", got.Epoch)
 	}
 }

@@ -7,11 +7,16 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
-// Sink is the receiving side of a streaming session: it reassembles frames
-// with the FGS decoder and acknowledges every data packet, echoing the
-// freshest router feedback label back to the source (paper §5.2).
+// Sink is the receiving side of a streaming session in the simulator: the
+// netsim driver of the receiver core the live swarm runs (wire.RecvCore),
+// which counts per-color loss from sequence gaps and keeps the latest fresh
+// router label. The sink reassembles frames with the FGS decoder and ACKs
+// every data packet with that label, as the paper's receiver does (§5.2);
+// the live receiver echoes only fresh labels. The repeated labels are what
+// MKC's epoch dedup drops, so the no-dedup ablation needs this cadence.
 type Sink struct {
 	cfg  Config
 	eng  *sim.Engine
@@ -19,15 +24,7 @@ type Sink struct {
 	host *netsim.Host
 
 	decoder *fgs.Decoder
-
-	pktsRecv  int64
-	bytesRecv int64
-	acksSent  int64
-
-	// latestFB is the freshest feedback seen across all received packets,
-	// preferring higher epochs from the same router (red packets can be
-	// reordered behind yellow/green by priority queueing).
-	latestFB packet.Feedback
+	recv    wire.RecvCore
 
 	// OnPacket, if non-nil, observes every received data packet (used by
 	// experiments for per-color delay accounting at the receiver).
@@ -46,54 +43,29 @@ func NewSink(net *netsim.Network, host *netsim.Host, cfg Config) (*Sink, error) 
 	if err != nil {
 		return nil, err
 	}
-	s := &Sink{cfg: cfg, eng: net.Engine(), net: net, host: host, decoder: dec}
+	s := &Sink{cfg: cfg, eng: net.Engine(), net: net, host: host, decoder: dec, recv: wire.NewRecvCore(uint32(cfg.Flow))}
 	host.Attach(cfg.Flow, s)
 	return s, nil
-}
-
-// HandlePacket implements netsim.App.
-func (s *Sink) HandlePacket(p *packet.Packet) {
-	if p.Color == packet.ACK {
-		return
-	}
-	s.pktsRecv++
-	s.bytesRecv += int64(p.Size)
-	s.decoder.Receive(p.Frame, p.Index)
-	if s.OnPacket != nil {
-		s.OnPacket(s.eng.Now(), p)
-	}
-	s.updateFeedback(p.Feedback)
-	s.sendAck(p.Src)
-}
-
-// updateFeedback keeps the freshest label: a higher epoch from the same
-// router wins; a different router's label wins if its loss is larger
-// (max-min feedback, paper eq. 8) or the current label is unset.
-func (s *Sink) updateFeedback(fb packet.Feedback) {
-	if !fb.Valid {
-		return
-	}
-	cur := s.latestFB
-	switch {
-	case !cur.Valid:
-		s.latestFB = fb
-	case fb.RouterID == cur.RouterID:
-		if fb.Epoch > cur.Epoch {
-			s.latestFB = fb
-		}
-	case fb.Loss > cur.Loss:
-		s.latestFB = fb
-	}
 }
 
 // ackSize is the size in bytes of the ACK the sink sends for every data
 // packet.
 const ackSize = 40
 
-func (s *Sink) sendAck(to int) {
-	ack := s.net.NewPacket(s.cfg.Flow, to, ackSize, packet.ACK)
-	ack.AckedFeedback = s.latestFB
-	s.acksSent++
+// HandlePacket implements netsim.App: the core applies the datagram the
+// packet carries, and the sink ACKs it.
+func (s *Sink) HandlePacket(p *packet.Packet) {
+	if p.Color == packet.ACK {
+		return
+	}
+	s.decoder.Receive(p.Frame, p.Index)
+	if s.OnPacket != nil {
+		s.OnPacket(s.eng.Now(), p)
+	}
+	s.recv.OnData(wire.Header{Type: wire.TypeData, Color: p.Color, Flow: uint32(p.FlowID), Frame: uint32(p.Frame),
+		Index: uint16(p.Index), Seq: uint64(p.Seq), Feedback: p.Feedback}, p.Size, epoch.Add(s.eng.Now()))
+	ack := s.net.NewPacket(s.cfg.Flow, p.Src, ackSize, packet.ACK)
+	ack.AckedFeedback = s.recv.Label()
 	s.host.Send(ack)
 }
 
@@ -106,14 +78,11 @@ func (s *Sink) Frames() []fgs.FrameResult { return s.decoder.Frames() }
 // Stats aggregates decode statistics over all frames seen.
 func (s *Sink) Stats() fgs.StreamStats { return fgs.Aggregate(s.Frames()) }
 
-// PacketsReceived returns the number of data packets received.
-func (s *Sink) PacketsReceived() int64 { return s.pktsRecv }
+// Received returns the receiver core's stats: per-color counts and loss,
+// sequence regressions, fresh labels and the latest one. FeedbackSent
+// counts the core's echoes, one per fresh label; the sink sent one ACK per
+// datagram.
+func (s *Sink) Received() wire.ReceiverStats { return s.recv.Stats() }
 
 // BytesReceived returns the number of data bytes received.
-func (s *Sink) BytesReceived() int64 { return s.bytesRecv }
-
-// AcksSent returns the number of acknowledgments generated.
-func (s *Sink) AcksSent() int64 { return s.acksSent }
-
-// LatestFeedback returns the freshest feedback label seen so far.
-func (s *Sink) LatestFeedback() packet.Feedback { return s.latestFB }
+func (s *Sink) BytesReceived() int64 { return int64(s.recv.Bytes()) }

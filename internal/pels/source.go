@@ -103,10 +103,10 @@ func (s *Source) pump() {
 type netOut Source
 
 // WriteTo implements wire.PacketWriter: the packet's size is the
-// datagram's, and its color, frame and index are the header's, read with
-// wire.PeekData.
+// datagram's, and its color, frame, index and sequence are the header's,
+// read with wire.PeekData.
 func (o *netOut) WriteTo(b []byte, _ net.Addr) (int, error) {
-	color, frame, index, ok := wire.PeekData(b)
+	color, frame, index, seq, ok := wire.PeekData(b)
 	if !ok {
 		return 0, wire.ErrType // unreachable: the session writes only data datagrams
 	}
@@ -114,6 +114,7 @@ func (o *netOut) WriteTo(b []byte, _ net.Addr) (int, error) {
 	p := s.net.NewPacket(s.cfg.Flow, s.dst, len(b), color)
 	p.Frame = int(frame)
 	p.Index = int(index)
+	p.Seq = int64(seq)
 	s.host.Send(p)
 	return len(b), nil
 }

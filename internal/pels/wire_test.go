@@ -121,3 +121,28 @@ func TestSourcePacketsAreWireDatagrams(t *testing.T) {
 		})
 	}
 }
+
+// TestSinkSeesNoLossOnALosslessLink: a Source streaming to a Sink through
+// a bottleneck twice its top rate loses nothing, so the sink counts no
+// loss and no regression in any color — which holds only if every packet
+// carries its datagram's sequence number across the hand-off.
+func TestSinkSeesNoLossOnALosslessLink(t *testing.T) {
+	r := newRig(t, Config{Flow: 3}, 2*units.Mbps)
+	r.src.Start(0)
+	if err := r.eng.RunUntil(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	r.src.Stop()
+	if err := r.eng.RunUntil(21 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	st := r.sink.Received()
+	if st.Datagrams != uint64(r.src.PacketsSent()) || st.SeqRegressions != 0 {
+		t.Errorf("received %d of %d datagrams with %d regressions, want all and 0", st.Datagrams, r.src.PacketsSent(), st.SeqRegressions)
+	}
+	for _, c := range []packet.Color{packet.Green, packet.Yellow, packet.Red} {
+		if n := st.Colors[c]; n.Received == 0 || n.Lost != 0 {
+			t.Errorf("%v: received %d, lost %d; want some and 0", c, n.Received, n.Lost)
+		}
+	}
+}

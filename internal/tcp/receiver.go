@@ -38,7 +38,7 @@ func (r *Receiver) HandlePacket(p *packet.Packet) {
 	if p.Color != packet.TCP {
 		return
 	}
-	seq, n := p.TCPSeq, p.Size
+	seq, n := p.Seq, p.Size
 	switch {
 	case seq == r.rcvNxt:
 		r.rcvNxt += int64(n)

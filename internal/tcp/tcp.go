@@ -205,7 +205,7 @@ func (s *Sender) trySend() {
 
 func (s *Sender) sendSegment(seq int64, isRetransmit bool) {
 	p := s.net.NewPacket(s.cfg.Flow, s.dst, s.cfg.MSS, packet.TCP)
-	p.TCPSeq = seq
+	p.Seq = seq
 	s.segmentsSent++
 	if !s.timing && !isRetransmit {
 		s.timing = true

@@ -175,7 +175,7 @@ func TestTCPReceiverHandlesReordering(t *testing.T) {
 
 	seg := func(seq int64) {
 		p := nw.NewPacket(1, h.ID(), 1000, packet.TCP)
-		p.TCPSeq = seq
+		p.Seq = seq
 		recv.HandlePacket(p)
 	}
 	seg(2000) // out of order

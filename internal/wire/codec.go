@@ -398,16 +398,16 @@ func PeekColor(b []byte) (packet.Color, bool) {
 	return c, true
 }
 
-// PeekData returns the color, frame and index of an encoded data datagram
-// without a full decode. Like PeekColor it does not verify the checksum: it
-// is the simulator's in-process hand-off (pels.Source), which reads the
-// datagram its own session sealed in the same call. ok is false wherever
-// PeekColor's is.
-func PeekData(b []byte) (color packet.Color, frame uint32, index uint16, ok bool) {
+// PeekData returns the color, frame, index and sequence number of an
+// encoded data datagram without a full decode. Like PeekColor it does not
+// verify the checksum: it is the simulator's in-process hand-off
+// (pels.Source), which reads the datagram its own session sealed in the
+// same call. ok is false wherever PeekColor's is.
+func PeekData(b []byte) (color packet.Color, frame uint32, index uint16, seq uint64, ok bool) {
 	if color, ok = PeekColor(b); !ok {
-		return 0, 0, 0, false
+		return 0, 0, 0, 0, false
 	}
-	return color, binary.BigEndian.Uint32(b[offFrame:]), binary.BigEndian.Uint16(b[offIndex:]), true
+	return color, binary.BigEndian.Uint32(b[offFrame:]), binary.BigEndian.Uint16(b[offIndex:]), binary.BigEndian.Uint64(b[offSeq:]), true
 }
 
 // StampFeedback merges fb into the feedback label of an encoded datagram

@@ -237,16 +237,16 @@ func TestPeekColor(t *testing.T) {
 }
 
 // TestPeekData: on every data color — each PELS layer's and best-effort —
-// PeekData reads the color, frame and index the full decode does, and it
-// refuses exactly what PeekColor refuses: every other color byte, other
-// datagram types, a truncated header, and a bad magic or version.
+// PeekData reads the color, frame, index and sequence the full decode does,
+// and it refuses exactly what PeekColor refuses: every other color byte,
+// other datagram types, a truncated header, and a bad magic or version.
 func TestPeekData(t *testing.T) {
 	data := []packet.Color{packet.BestEffort}
 	for l := 0; l < packet.MaxLayers; l++ {
 		data = append(data, packet.LayerColor(l))
 	}
 	for i, c := range data {
-		b, err := AppendData(nil, c, 7, uint32(1000+i)<<16, uint16(60000+i), 5, 1, 440)
+		b, err := AppendData(nil, c, 7, uint32(1000+i)<<16, uint16(60000+i), uint64(5+i)<<40, 1, 440)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,10 +254,10 @@ func TestPeekData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		color, frame, index, ok := PeekData(b)
-		if !ok || color != h.Color || frame != h.Frame || index != h.Index {
-			t.Errorf("PeekData(%v) = %v, %d, %d, %v; decode reads %v, %d, %d",
-				c, color, frame, index, ok, h.Color, h.Frame, h.Index)
+		color, frame, index, seq, ok := PeekData(b)
+		if !ok || color != h.Color || frame != h.Frame || index != h.Index || seq != h.Seq {
+			t.Errorf("PeekData(%v) = %v, %d, %d, %d, %v; decode reads %v, %d, %d, %d",
+				c, color, frame, index, seq, ok, h.Color, h.Frame, h.Index, h.Seq)
 		}
 	}
 
@@ -284,7 +284,7 @@ func TestPeekData(t *testing.T) {
 	refused = append(refused, nil, valid[:HeaderSize-1], badMagic, badVersion)
 	for _, b := range refused {
 		_, colorOK := PeekColor(b)
-		if _, _, _, ok := PeekData(b); ok || colorOK {
+		if _, _, _, _, ok := PeekData(b); ok || colorOK {
 			t.Errorf("PeekData ok=%v, PeekColor ok=%v on %x, want both false", ok, colorOK, b)
 		}
 	}

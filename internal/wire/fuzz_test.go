@@ -66,8 +66,8 @@ func FuzzDecodeDatagram(f *testing.F) {
 		}
 		// The checksum-free peek reads what the full decode accepted.
 		if h.Type == TypeData {
-			if c, frame, index, ok := PeekData(data); !ok || c != h.Color || frame != h.Frame || index != h.Index {
-				t.Fatalf("PeekData = %v, %d, %d, %v; decode reads %+v", c, frame, index, ok, h)
+			if c, frame, index, seq, ok := PeekData(data); !ok || c != h.Color || frame != h.Frame || index != h.Index || seq != h.Seq {
+				t.Fatalf("PeekData = %v, %d, %d, %d, %v; decode reads %+v", c, frame, index, seq, ok, h)
 			}
 		}
 		// Stamping a decodable datagram must never fail or panic.

@@ -141,14 +141,15 @@ type helloPolicy struct {
 	reconnect  bool          // a retryable Close re-hellos instead of finishing
 }
 
-// recvCore is one receiver's state machine, the swarm receiver less its
+// RecvCore is one receiver's state machine, the swarm receiver less its
 // driver's state: hello, retried with jittered exponential backoff, until
 // data flows; then count per color and echo every fresh router label, until a
 // Reject or Close ends the receiver or a Close sends it back to hello. It
 // is passive — no clock, lock, goroutine or socket: the driver passes now,
 // holds its own lock around every call, and writes the headers it gets
-// back.
-type recvCore struct {
+// back. Swarm drives all of it; the simulator's pels.Sink (NewRecvCore:
+// it never hellos) only OnData, Label, Bytes and Stats.
+type RecvCore struct {
 	pol  *helloPolicy
 	flow uint32
 	st   ReceiverStats
@@ -174,10 +175,14 @@ type recvCore struct {
 	err        error // why the receiver is done, nil for a graceful Close
 }
 
+// NewRecvCore returns a receiver for flow that never hellos: its stream
+// arrives unasked.
+func NewRecvCore(flow uint32) RecvCore { return newRecvCore(&helloPolicy{}, flow, 0, time.Time{}) }
+
 // newRecvCore returns a receiver for flow whose first hello is due at
 // start; seed and flow seed its jitter.
-func newRecvCore(pol *helloPolicy, flow uint32, seed int64, start time.Time) recvCore {
-	return recvCore{
+func newRecvCore(pol *helloPolicy, flow uint32, seed int64, start time.Time) RecvCore {
+	return RecvCore{
 		pol:       pol,
 		flow:      flow,
 		st:        ReceiverStats{Flow: flow},
@@ -189,7 +194,7 @@ func newRecvCore(pol *helloPolicy, flow uint32, seed int64, start time.Time) rec
 
 // jitter returns a deterministic pseudo-random duration in [0, d/4] for
 // d > 0, so a crowd of rejected receivers does not re-hello in lockstep.
-func (c *recvCore) jitter(d time.Duration) time.Duration {
+func (c *RecvCore) jitter(d time.Duration) time.Duration {
 	c.jit ^= c.jit << 13
 	c.jit ^= c.jit >> 7
 	c.jit ^= c.jit << 17
@@ -197,14 +202,14 @@ func (c *recvCore) jitter(d time.Duration) time.Duration {
 }
 
 // deferHello moves the next hello to at least now + d + jitter(d).
-func (c *recvCore) deferHello(now time.Time, d time.Duration) {
+func (c *RecvCore) deferHello(now time.Time, d time.Duration) {
 	if at := now.Add(d + c.jitter(d)); at.After(c.nextHello) {
 		c.nextHello = at
 	}
 }
 
 // helloing reports whether the receiver still waits for a stream.
-func (c *recvCore) helloing() bool { return !c.done && !c.streaming }
+func (c *RecvCore) helloing() bool { return !c.done && !c.streaming }
 
 // hello takes the hello due at now, if one is: the next is scheduled one
 // backoff step (plus jitter) later and the step doubles toward its cap.
@@ -212,7 +217,7 @@ func (c *recvCore) helloing() bool { return !c.done && !c.streaming }
 // ErrHelloTimeout instead.
 //
 //pelsvet:noalloc
-func (c *recvCore) hello(now time.Time) (Header, bool) {
+func (c *RecvCore) hello(now time.Time) (Header, bool) {
 	if !c.helloing() || now.Before(c.nextHello) {
 		return Header{}, false
 	}
@@ -233,18 +238,18 @@ func (c *recvCore) hello(now time.Time) (Header, bool) {
 // echo numbers one feedback datagram carrying fb.
 //
 //pelsvet:noalloc
-func (c *recvCore) echo(fb packet.Feedback, now time.Time) Header {
+func (c *RecvCore) echo(fb packet.Feedback, now time.Time) Header {
 	c.fbSeq++
 	c.st.FeedbackSent++
 	return Header{Type: TypeFeedback, Color: packet.ACK, Flow: c.flow, Seq: c.fbSeq, Timestamp: now.UnixNano(), Feedback: fb}
 }
 
-// onData applies one data datagram of n wire bytes: per-color loss from
-// sequence gaps, and the echo to send back when its label is fresh. A
-// finished receiver drops data.
+// OnData applies one data datagram of n wire bytes received at now:
+// per-color loss from sequence gaps, and the echo to send back when its
+// label is fresh. A finished receiver drops data.
 //
 //pelsvet:noalloc
-func (c *recvCore) onData(h Header, n int, now time.Time) (Header, bool) {
+func (c *RecvCore) OnData(h Header, n int, now time.Time) (Header, bool) {
 	space, ok := SeqSpace(h.Color)
 	if c.done || !ok {
 		return Header{}, false
@@ -292,7 +297,7 @@ func (c *recvCore) onData(h Header, n int, now time.Time) (Header, bool) {
 // streams (most of a swarm) carries no idle trackers.
 //
 //pelsvet:noalloc
-func (c *recvCore) track(i int, grow bool) *colorTrack {
+func (c *RecvCore) track(i int, grow bool) *colorTrack {
 	if i < len(c.colors) {
 		return &c.colors[i]
 	}
@@ -322,7 +327,7 @@ func fresher(fb, last packet.Feedback) bool {
 // with a *RejectError. Close(complete), or any Close with reconnect off,
 // ends the receiver without error; another Close resets it and schedules
 // the next hello one backoff step (floored at retry-after) later.
-func (c *recvCore) onControl(h Header, now time.Time) {
+func (c *RecvCore) onControl(h Header, now time.Time) {
 	if c.done {
 		return
 	}
@@ -353,7 +358,7 @@ func (c *recvCore) onControl(h Header, now time.Time) {
 // session: delivered counts fold into the archive, so loss accounting
 // survives, and the trackers clear, so the new session's sequence spaces
 // (restarting at zero) read neither as regressions nor as mass loss.
-func (c *recvCore) reset(now time.Time) {
+func (c *RecvCore) reset(now time.Time) {
 	for i := 0; i < SeqSpaces; i++ {
 		if t := c.track(i, false); t != nil {
 			t.arch.add(t.count)
@@ -366,8 +371,14 @@ func (c *recvCore) reset(now time.Time) {
 	c.tries, c.helloWait, c.nextHello = 0, c.pol.retry, now
 }
 
-// snapshot returns the receiver's stats.
-func (c *recvCore) snapshot() ReceiverStats {
+// Label returns the latest fresh label, the one the receiver echoes.
+func (c *RecvCore) Label() packet.Feedback { return c.st.LastFeedback }
+
+// Bytes returns the data bytes received, without building Stats' map.
+func (c *RecvCore) Bytes() uint64 { return c.st.Bytes }
+
+// Stats returns the receiver's stats.
+func (c *RecvCore) Stats() ReceiverStats {
 	st := c.st
 	st.Colors = map[packet.Color]ColorCount{} // no hint: up to 8 colors fit one small map
 	for i := 0; i < SeqSpaces; i++ {

@@ -11,13 +11,13 @@ import (
 	"repro/internal/packet"
 )
 
-// TestReceiverCoreLabelRule pins which in-band labels the live receiver
+// TestReceiverCoreLabelRule pins which in-band labels the receiver core
 // echoes: a newer epoch from the same router, never an older or equal one,
 // and a different router's label at once even when it reports less loss —
-// the gateway-swap case, where the old router is gone. pels.Sink's max-min
-// rule (paper §5.2, eq. 8) would keep the dead router's label there until
-// stale decay; that difference between the stacks is ROADMAP.md item 3's
-// open question.
+// the gateway-swap case, where the old router is gone. Both stacks run this
+// rule: the simulator's pels.Sink drives the same core (RecvCore), and on a
+// multi-router path the routers' in-band Merge (eq. 8) has already picked
+// the lossier label.
 func TestReceiverCoreLabelRule(t *testing.T) {
 	c := newRecvCore(&helloPolicy{retry: time.Second, max: time.Second}, 7, 1, time.Time{})
 	now := time.Unix(2000, 0)
@@ -40,7 +40,7 @@ func TestReceiverCoreLabelRule(t *testing.T) {
 		fb := packet.Feedback{RouterID: step.router, Epoch: step.epoch, Loss: step.loss, Valid: true}
 		h := Header{Type: TypeData, Color: packet.Green, Flow: 7, Seq: seq, Feedback: fb}
 		seq++
-		echo, ok := c.onData(h, HeaderSize, now)
+		echo, ok := c.OnData(h, HeaderSize, now)
 		if ok != step.echo {
 			t.Fatalf("step %d (router %d epoch %d loss %v): echoed %v, want %v", i, step.router, step.epoch, step.loss, ok, step.echo)
 		}
@@ -66,13 +66,13 @@ func TestReceiverCoreLabelRule(t *testing.T) {
 func TestReceiverCoreRules(t *testing.T) {
 	const retry = 100 * time.Millisecond
 	now := time.Unix(2000, 0)
-	data := func(c *recvCore, seq uint64, fb packet.Feedback) (Header, bool) {
-		return c.onData(Header{Type: TypeData, Color: packet.Red, Flow: 7, Seq: seq, Feedback: fb}, HeaderSize, now)
+	data := func(c *RecvCore, seq uint64, fb packet.Feedback) (Header, bool) {
+		return c.OnData(Header{Type: TypeData, Color: packet.Red, Flow: 7, Seq: seq, Feedback: fb}, HeaderSize, now)
 	}
-	control := func(c *recvCore, typ Type, reason Reason, ra time.Duration) {
+	control := func(c *RecvCore, typ Type, reason Reason, ra time.Duration) {
 		c.onControl(ControlHeader(typ, 7, reason, ra, 0), now)
 	}
-	helloIn := func(c *recvCore, d time.Duration) bool {
+	helloIn := func(c *RecvCore, d time.Duration) bool {
 		return !c.nextHello.Before(now.Add(d)) && !c.nextHello.After(now.Add(d+d/4))
 	}
 	label := packet.Feedback{RouterID: 1, Epoch: 1, Valid: true}
@@ -82,7 +82,7 @@ func TestReceiverCoreRules(t *testing.T) {
 		for _, seq := range []uint64{0, 3, 1, 4, 2, 2} { // 1 and 2 late, then 2 twice
 			data(&c, seq, packet.Feedback{})
 		}
-		red := c.snapshot().Colors[packet.Red]
+		red := c.Stats().Colors[packet.Red]
 		if red.Received != 6 || red.Lost != 0 || c.st.SeqRegressions != 1 {
 			t.Fatalf("red %+v with %d regressions, want 6 received, both gaps repaid, 1 regression", red, c.st.SeqRegressions)
 		}
@@ -95,13 +95,13 @@ func TestReceiverCoreRules(t *testing.T) {
 		l5 := packet.LayerColor(5)
 		for _, h := range []Header{{Color: l5, Seq: 0}, {Color: l5, Seq: 2}, {Color: packet.BestEffort, Seq: 0}, {Color: packet.Green, Seq: 0}} {
 			h.Type, h.Flow = TypeData, 7
-			c.onData(h, HeaderSize, now)
+			c.OnData(h, HeaderSize, now)
 		}
 		control(&c, TypeClose, ReasonIdle, 0)
 		for _, seq := range []uint64{0, 1} {
-			c.onData(Header{Type: TypeData, Color: l5, Flow: 7, Seq: seq}, HeaderSize, now)
+			c.OnData(Header{Type: TypeData, Color: l5, Flow: 7, Seq: seq}, HeaderSize, now)
 		}
-		st := c.snapshot()
+		st := c.Stats()
 		want := map[packet.Color]ColorCount{
 			l5:                {Received: 4, Lost: 1, Bytes: 4 * HeaderSize},
 			packet.BestEffort: {Received: 1, Bytes: HeaderSize},

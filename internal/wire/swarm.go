@@ -116,7 +116,7 @@ type swarmReceiver struct {
 	sock int
 
 	mu         sync.Mutex
-	core       recvCore
+	core       RecvCore
 	stormArmed bool // selected for the storm, not yet fired
 	muted      bool // mid-storm: drop everything, send nothing
 	resumeAt   time.Time
@@ -439,7 +439,7 @@ func (s *Swarm) handle(idx int, b []byte, now time.Time) {
 		// silence; otherwise the armed timer is early, and re-arms.
 		rearm := s.cfg.ProbeIdle > 0 && (!r.core.streaming || r.probeWait != s.cfg.ProbeIdle)
 		r.quietFrom, r.probeWait = now, s.cfg.ProbeIdle
-		echo, send = r.core.onData(h, len(b), now)
+		echo, send = r.core.OnData(h, len(b), now)
 		if rearm {
 			s.armLocked(r)
 		}
@@ -477,7 +477,7 @@ func (s *Swarm) Stats() []ReceiverStats {
 	out := make([]ReceiverStats, 0, len(s.recvs))
 	for _, r := range s.recvs {
 		r.mu.Lock()
-		out = append(out, r.core.snapshot())
+		out = append(out, r.core.Stats())
 		r.mu.Unlock()
 	}
 	return out
