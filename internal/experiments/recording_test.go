@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -171,11 +172,21 @@ func TestSimulatorRegistryOutputsPinned(t *testing.T) {
 	}
 }
 
-// resultHash is the SHA-256 over everything an entry publishes.
+// resultHash is the SHA-256 over everything an entry publishes: events,
+// output, the metrics the claims table reads (sorted, each with its exact
+// float64 bits), artifacts and obs.
 func resultHash(t *testing.T, res Result) string {
 	t.Helper()
 	h := sha256.New()
 	fmt.Fprintf(h, "events %d\n%s", res.Events, res.Output)
+	keys := make([]string, 0, len(res.Metrics))
+	for k := range res.Metrics {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		fmt.Fprintf(h, "metric %s %016x\n", k, math.Float64bits(res.Metrics[k]))
+	}
 	for _, a := range res.Artifacts {
 		fmt.Fprintf(h, "artifact %s\n", a.Name)
 		if err := stats.WriteCSV(h, a.Series...); err != nil {
