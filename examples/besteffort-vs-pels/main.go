@@ -1,11 +1,12 @@
 // Best-effort vs PELS: the paper's headline comparison (§6.5, Fig. 10).
 //
-// Two identical streaming scenarios run back to back on the Fig. 6
-// bar-bell: once with the PELS priority queues and once with a best-effort
-// bottleneck that drops enhancement packets uniformly at random (base layer
-// protected, as in the paper's baseline). The example prints per-frame
-// useful data, utility, and the reconstructed Foreman PSNR for both, plus
-// an ASCII PSNR strip chart.
+// The fig10 registry entry runs two identical streaming scenarios on the
+// Fig. 6 bar-bell at each of the paper's two loss levels: once with the
+// PELS priority queues and once with a best-effort bottleneck that drops
+// enhancement packets uniformly at random (base layer protected, as in the
+// paper's baseline). The example prints the ~10 %
+// level's per-frame useful data, utility, and the reconstructed Foreman
+// PSNR for both, plus an ASCII strip chart of its PSNR curves.
 //
 // Run with: go run ./examples/besteffort-vs-pels
 package main
@@ -14,9 +15,9 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -27,46 +28,41 @@ func main() {
 }
 
 func run() error {
-	cfg := experiments.DefaultFigure10Config()
-	cfg.Duration = 90 * time.Second
-	cfg.EvalFrames = 120
-	cfg.Levels = cfg.Levels[:1] // the ~10% loss operating point
-
-	fmt.Println("running PELS and best-effort simulations (~10% network loss)...")
-	runs, err := experiments.Figure10(cfg)
+	fig10, _ := experiments.Lookup("fig10")
+	fmt.Println("running PELS and best-effort simulations at both of Fig. 10's loss levels...")
+	res, err := fig10.Run(1)
 	if err != nil {
 		return err
 	}
-	r := runs[0]
+	// Level 0 is the ~10% loss operating point.
+	m := func(k string) float64 { return res.Metrics["level0."+k] }
 
-	fmt.Printf("\n%d flows, measured loss: PELS %.1f%%, best-effort %.1f%%\n",
-		r.NumFlows, 100*r.PELSLoss, 100*r.BELoss)
+	fmt.Printf("\ntarget loss %.1f%%, measured: PELS %.1f%%, best-effort %.1f%% (%.0f frames)\n",
+		100*m("target_loss"), 100*m("pels_loss"), 100*m("be_loss"), m("frames"))
 	fmt.Printf("\n%-22s %-14s %-12s %-16s\n", "scheme", "useful/frame", "utility", "PSNR (mean)")
-	fmt.Printf("%-22s %-14s %-12s %.2f dB\n", "base layer only", "-", "-", r.BaseMean)
-	fmt.Printf("%-22s %-14.1f %-12.3f %.2f dB (+%.1f%%)\n", "best-effort", r.BEUseful, r.BEUtility, r.BEMean, r.BEImprove)
-	fmt.Printf("%-22s %-14.1f %-12.3f %.2f dB (+%.1f%%)\n", "PELS", r.PELSUseful, r.PELSUtility, r.PELSMean, r.PELSImprove)
-	fmt.Printf("\nPSNR fluctuation: best-effort swings %.1f dB, PELS %.1f dB\n", r.BESwing, r.PELSSwing)
+	fmt.Printf("%-22s %-14s %-12s %.2f dB\n", "base layer only", "-", "-", m("base_psnr"))
+	fmt.Printf("%-22s %-14.1f %-12.3f %.2f dB (+%.1f%%)\n", "best-effort", m("be_useful"), m("be_utility"), m("be_psnr"), m("be_gain_pct"))
+	fmt.Printf("%-22s %-14.1f %-12.3f %.2f dB (+%.1f%%)\n", "PELS", m("pels_useful"), m("pels_utility"), m("pels_psnr"), m("pels_gain_pct"))
+	fmt.Printf("\nPSNR fluctuation: best-effort swings %.1f dB, PELS %.1f dB\n", m("be_swing_db"), m("pels_swing_db"))
 
 	fmt.Println("\nper-frame PSNR (first 60 frames, '·' = base, 'b' = best-effort, 'P' = PELS):")
-	fmt.Print(strip(r, 60))
+	fmt.Print(strip(res.Artifacts[0].Series, 60)) // level 0's base, best-effort and PELS curves
 	fmt.Println("\nthe same packets cross the same bottleneck in both runs — only the drop")
 	fmt.Println("*pattern* differs, and that alone is worth ~2-4x in useful video data.")
 	return nil
 }
 
-// strip renders a crude ASCII chart: one row per 2 dB bin, columns are
-// frames.
-func strip(r experiments.Figure10Run, frames int) string {
-	if frames > len(r.PELSPSNR) {
-		frames = len(r.PELSPSNR)
-	}
+// strip renders a crude ASCII chart of the base, best-effort and PELS PSNR
+// series: one row per 2 dB bin, columns are frames.
+func strip(series []*stats.TimeSeries, frames int) string {
 	const lo, hi, step = 14.0, 50.0, 2.0
 	rows := int((hi - lo) / step)
 	grid := make([][]byte, rows)
 	for i := range grid {
 		grid[i] = []byte(strings.Repeat(" ", frames))
 	}
-	plot := func(vs []float64, ch byte) {
+	for s, ch := range []byte{'.', 'b', 'P'} {
+		vs := series[s].Values()
 		for f := 0; f < frames && f < len(vs); f++ {
 			bin := int((vs[f] - lo) / step)
 			if bin < 0 {
@@ -78,9 +74,6 @@ func strip(r experiments.Figure10Run, frames int) string {
 			grid[rows-1-bin][f] = ch
 		}
 	}
-	plot(r.BasePSNR, '.')
-	plot(r.BEPSNR, 'b')
-	plot(r.PELSPSNR, 'P')
 	var b strings.Builder
 	for i, row := range grid {
 		dB := hi - float64(i)*step

@@ -30,13 +30,14 @@ func main() {
 
 func run() error {
 	fmt.Println("=== MKC (paper Fig. 9 right) ===")
-	res, err := experiments.Figure9(experiments.DefaultFigure9Config())
+	fig9, _ := experiments.Lookup("fig9")
+	res, err := fig9.Run(1)
 	if err != nil {
 		return err
 	}
-	fmt.Print(experiments.FormatFigure9(res))
+	fmt.Print(res.Output)
 	fmt.Println("\nrate evolution (kb/s, sampled every 2s):")
-	printRates(res.Rates, 40*time.Second)
+	printRates(res.Artifacts[0].Series, 40*time.Second) // fig9_rates.csv
 
 	fmt.Println("\n=== the same feedback driving AIMD ===")
 	aimdSawtooth()

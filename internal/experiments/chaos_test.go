@@ -1,72 +1,57 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"time"
 )
 
 // TestChaosTestbedReconvergence is the acceptance test of the fault
 // subsystem: a full fault schedule (burst loss, link flap, feedback
-// starvation, corruption, reverse-path reordering) plus a gateway swap
-// mid-stream, after which the senders must reconverge to within 10% of
-// their pre-fault aggregate rate with zero green-layer drops.
-func TestChaosTestbedReconvergence(t *testing.T) {
-	res, err := ChaosTestbed(DefaultChaosTestbedConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PreRate <= 0 {
-		t.Fatalf("no pre-fault rate measured: %+v", res)
-	}
-	if res.Ratio < 0.9 || res.Ratio > 1.1 {
-		t.Fatalf("post-fault rate did not reconverge: pre %.0f kb/s, post %.0f kb/s (ratio %.3f)",
-			res.PreRate, res.PostRate, res.Ratio)
-	}
-	if res.GreenDropsAfter != 0 {
-		t.Fatalf("green layer lost %.0f packets after the gateway swap", res.GreenDropsAfter)
-	}
-	// The plan must actually have bitten: every fault kind should have
-	// fired at least once, or the run proves nothing.
-	if res.ForwardStats.Drops == 0 {
-		t.Fatal("forward fault plan dropped nothing")
-	}
-	if res.ForwardStats.Starved == 0 {
-		t.Fatal("feedback starvation window had no effect")
-	}
-	if res.ReverseStats.Duplicated == 0 && res.ReverseStats.Reordered == 0 {
-		t.Fatal("reverse fault plan had no effect")
-	}
-}
+// starvation, corruption, reverse-path reordering and duplication) plus a
+// gateway swap mid-stream, after which the senders must reconverge to
+// within 10% of their pre-fault aggregate rate with zero green-layer
+// drops, and every fault kind must have bitten, or the run proves
+// nothing. The rows are the chaos-testbed rows of the claims table.
+func TestChaosTestbedReconvergence(t *testing.T) { checkClaims(t, "chaos-testbed") }
 
 // TestChaosTestbedDeterministic runs the same chaos scenario twice from
 // the same seed and requires bit-identical observability output — the
 // determinism contract of the fault subsystem.
 func TestChaosTestbedDeterministic(t *testing.T) {
-	cfg := DefaultChaosTestbedConfig()
-	a, err := ChaosTestbed(cfg)
-	if err != nil {
-		t.Fatal(err)
+	e, _ := Lookup("chaos-testbed")
+	run := func(seed int64) (string, uint64) {
+		res, err := e.Run(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return obsFingerprint(t, res), res.Events
 	}
-	b, err := ChaosTestbed(cfg)
-	if err != nil {
-		t.Fatal(err)
+	a, aEvents := run(1)
+	b, bEvents := run(1)
+	if a != b {
+		t.Fatalf("same-seed runs diverged: %s vs %s", a, b)
 	}
-	if a.Fingerprint != b.Fingerprint {
-		t.Fatalf("same-seed runs diverged: %s vs %s", a.Fingerprint, b.Fingerprint)
-	}
-	if a.Events != b.Events {
-		t.Fatalf("same-seed runs processed different event counts: %d vs %d", a.Events, b.Events)
+	if aEvents != bEvents {
+		t.Fatalf("same-seed runs processed different event counts: %d vs %d", aEvents, bEvents)
 	}
 	// A different seed must take a different trajectory, or the injector
 	// is not actually seeded.
-	cfg.Seed = 2
-	c, err := ChaosTestbed(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Fingerprint == a.Fingerprint {
+	if c, _ := run(2); c == a {
 		t.Fatal("different seeds produced identical runs")
 	}
+}
+
+// obsFingerprint is the SHA-256 over a run's observability CSV: equal
+// fingerprints mean bit-identical runs.
+func obsFingerprint(t *testing.T, res Result) string {
+	t.Helper()
+	h := sha256.New()
+	if err := res.Obs.WriteCSV(h); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestChaosWireSmoke streams live through the faulted emulator with the

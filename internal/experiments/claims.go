@@ -73,6 +73,9 @@ func times(of string, lo, hi float64) bound {
 // plus is x + lo ≤ v ≤ x + hi, with x the metric of.
 func plus(of string, lo, hi float64) bound { return bound{of: of, lo: limit{1, lo}, hi: limit{1, hi}} }
 
+// over is v > c, for a constant c.
+func over(c float64) bound { return bound{lo: limit{0, c}, hi: limit{0, inf}, open: true} }
+
 // below and above are v < x and v > x, with x the metric of.
 func below(of string) bound { return bound{of: of, lo: limit{0, -inf}, hi: limit{1, 0}, open: true} }
 func above(of string) bound { return bound{of: of, lo: limit{1, 0}, hi: limit{0, inf}, open: true} }
@@ -171,11 +174,11 @@ var claims = func() []claim {
 		claim{"Fig. 9", "fig9", seed1(0), "converged_at_s", "", nil, atLeast(0)},
 		claim{"Fig. 9", "fig9", seed1(0), "converged_after_join_s", "≈ 13 s", nil, atMost(25)},
 	)
-	for i, level := range DefaultFigure10Config().Levels {
+	for i, level := range figure10Levels {
 		k, g := fmt.Sprintf("level%d.", i), seed1(120*s)
 		paper := [][3]string{{"≈ 10 %", "60 %", "24 %"}, {"≈ 19 %", "55 %", "16 %"}}[i]
 		t = append(t,
-			claim{"Fig. 10", "fig10", g, k + "pels_loss", paper[0], eq10Loss(capacity, level.Alpha, level.Flows), near(0.2, 0)},
+			claim{"Fig. 10", "fig10", g, k + "pels_loss", paper[0], eq10Loss(capacity, level.alpha, level.flows), near(0.2, 0)},
 			claim{"Fig. 10", "fig10", g, k + "pels_gain_pct", paper[1], nil, times(k+"be_gain_pct", 2, inf)},
 			claim{"Fig. 10", "fig10", g, k + "pels_gain_pct", paper[1], nil, atLeast(40)},
 			claim{"Fig. 10", "fig10", g, k + "be_gain_pct", paper[2], nil, atLeast(5)},
@@ -247,6 +250,24 @@ var claims = func() []claim {
 			claim{"§5", "mixed", seed1(60 * s), fmt.Sprintf("f%d.utility", i), "", nil, atLeast(0.9)},
 			claim{"§5", "mixed", seed1(60 * s), fmt.Sprintf("f%d.rate(kb/s)", i), "", eq10Rate(capacity, 4), rate})
 	}
+	chaos := func(metric string, b bound) claim {
+		return claim{"DESIGN §11", "chaos-testbed", seed1(0), metric, "", nil, b}
+	}
+	ladder := func(metric string, b bound) claim {
+		return claim{"DESIGN §15", "nlayer-testbed", seed1(0), metric, "", nil, b}
+	}
+	t = append(t,
+		chaos("reconverge_ratio", between(0.9, 1.1)),
+		chaos("green_drops_after", between(0, 0)),
+		chaos("pre_rate_kbps", over(0)),
+		chaos("fwd_fault_drops", atLeast(1)),
+		chaos("fwd_starved", atLeast(1)),
+		chaos("rev_duplicated", atLeast(1)),
+		chaos("rev_reordered", atLeast(1)),
+		ladder("green_loss", between(0, 0)),
+		ladder("layer7_loss", above("total_loss")),
+		ladder("total_loss", over(0)),
+	)
 	return append(t,
 		claim{"§6.5", "rdscaling", seed1(120 * s), "rd-aware.stddev", "", nil, below("constant.stddev")},
 		claim{"§6.5", "rdscaling", seed1(120 * s), "rd-aware.swing", "", nil, times("constant.swing", -inf, 1)},

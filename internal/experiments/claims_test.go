@@ -1,15 +1,18 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// closedForm are the entries that run no simulation; the others are
-// skipped in -short mode.
-var closedForm = map[string]bool{"table1": true, "fig2": true, "fig3": true, "fig5": true}
+// quick are the entries cheap enough for -short mode: the closed forms,
+// which run no simulation, and the 24-second chaos testbed, which CI's
+// race-detector smoke job checks; the others are skipped.
+var quick = map[string]bool{"table1": true, "fig2": true, "fig3": true, "fig5": true, "chaos-testbed": true}
 
 // claimRun is one entry run at one geometry.
 type claimRun struct {
@@ -21,6 +24,26 @@ type claimRun struct {
 // run happens once however many tests check rows against it.
 var claimRuns = map[claimRun]Result{}
 
+// runAt returns the entry's run at geo, from the cache when an earlier
+// test made it.
+func runAt(t *testing.T, entry string, geo geometry) Result {
+	t.Helper()
+	key := claimRun{entry, geo}
+	res, ok := claimRuns[key]
+	if !ok {
+		e, found := Lookup(entry)
+		if !found {
+			t.Fatalf("no registry entry %q", entry)
+		}
+		var err error
+		if res, err = e.at(geo); err != nil {
+			t.Fatalf("%s: %v", entry, err)
+		}
+		claimRuns[key] = res
+	}
+	return res
+}
+
 // checkClaims checks every row of the given entries (all, if none are
 // named) as a subtest named by its reference and metric.
 func checkClaims(t *testing.T, entries ...string) {
@@ -30,23 +53,10 @@ func checkClaims(t *testing.T, entries ...string) {
 			continue
 		}
 		t.Run(c.ref+" "+c.metric, func(t *testing.T) {
-			if testing.Short() && !closedForm[c.entry] {
+			if testing.Short() && !quick[c.entry] {
 				t.Skip("full-stack simulation")
 			}
-			key := claimRun{c.entry, c.geo}
-			res, ok := claimRuns[key]
-			if !ok {
-				e, found := Lookup(c.entry)
-				if !found {
-					t.Fatalf("no registry entry %q", c.entry)
-				}
-				var err error
-				if res, err = e.at(c.geo); err != nil {
-					t.Fatalf("%s: %v", c.entry, err)
-				}
-				claimRuns[key] = res
-			}
-			if err := c.check(res.Metrics); err != nil {
+			if err := c.check(runAt(t, c.entry, c.geo).Metrics); err != nil {
 				t.Error(err)
 			}
 		})
@@ -60,38 +70,49 @@ func TestPaperClaims(t *testing.T) { checkClaims(t) }
 // cached runs, beside the structural checks some entries keep.
 func TestTable1MatchesModel(t *testing.T) {
 	checkClaims(t, "table1")
-	if out := FormatTable1(nil); !strings.Contains(out, "model (2)") {
-		t.Error("format missing model column")
+	if out := runAt(t, "table1", seed1(0)).Output; !strings.Contains(out, "model (2)") {
+		t.Error("output missing model column")
 	}
 }
 
 func TestFigure2Shapes(t *testing.T) {
 	checkClaims(t, "fig2")
-	rows := Figure2(DefaultFigure2Config())
-	for i := 1; i < len(rows); i++ {
-		if rows[i].BestEffortUtility > rows[i-1].BestEffortUtility+1e-12 {
-			t.Errorf("BE utility not monotonically decreasing at H=%d", rows[i].H)
+	m := runAt(t, "fig2", seed1(0)).Metrics
+	var sizes []int
+	for k := range m {
+		if h, ok := strings.CutPrefix(k, "be_utility_H"); ok {
+			n, err := strconv.Atoi(h)
+			if err != nil {
+				t.Fatalf("metric %q: %v", k, err)
+			}
+			sizes = append(sizes, n)
+		}
+	}
+	slices.Sort(sizes)
+	if len(sizes) < 2 {
+		t.Fatalf("fig2 reports %d be_utility sizes", len(sizes))
+	}
+	for i := 1; i < len(sizes); i++ {
+		if m[fmt.Sprintf("be_utility_H%d", sizes[i])] > m[fmt.Sprintf("be_utility_H%d", sizes[i-1])]+1e-12 {
+			t.Errorf("BE utility not monotonically decreasing at H=%d", sizes[i])
 		}
 	}
 }
 
 func TestFigure3IdealDominatesRandom(t *testing.T) {
 	checkClaims(t, "fig3")
-	res := Figure3(100, 0.1, 7)
-	if res.IdealUseful != res.H-res.RandomDropped {
-		t.Errorf("ideal useful = %d, want %d", res.IdealUseful, res.H-res.RandomDropped)
+	res := runAt(t, "fig3", geometry{seed: 7})
+	m := res.Metrics
+	if m["ideal_useful"] != 100-m["dropped"] {
+		t.Errorf("ideal useful = %v, want %v", m["ideal_useful"], 100-m["dropped"])
 	}
-	nd := 0
-	for _, d := range res.RandomDrops {
-		if d {
-			nd++
-		}
+	_, random, ok := strings.Cut(res.Output, "random: ")
+	if !ok || !strings.Contains(res.Output, "ideal:") {
+		t.Fatalf("output missing patterns:\n%s", res.Output)
 	}
-	if nd != res.RandomDropped {
-		t.Errorf("drop bitmap count %d != %d", nd, res.RandomDropped)
-	}
-	if out := FormatFigure3(res); !strings.Contains(out, "random:") || !strings.Contains(out, "ideal:") {
-		t.Error("format missing patterns")
+	random, _, _ = strings.Cut(random, " ")
+	if nd := strings.Count(random, "."); float64(nd) != m["dropped"] || len(random) != 100 {
+		t.Errorf("random pattern %q: %d drops of %d packets, want %v of 100", random, nd, len(random), m["dropped"])
 	}
 }
 

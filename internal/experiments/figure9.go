@@ -5,91 +5,78 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/units"
 )
 
-// Figure9Result holds the MKC convergence experiment of paper Fig. 9
+// figure9JoinAt is when flow F2 joins the Fig. 9 run.
+const figure9JoinAt = 10 * time.Second
+
+// figure9At regenerates the MKC convergence experiment of paper Fig. 9
 // (right): flow F1 starts alone, exponentially claims the whole PELS
-// capacity, and after F2 joins at t=10 s both converge — without
-// oscillation — to a fair share near the stationary rate of eq. (10).
-// (Fig. 9 left, the red-delay staircase, is the fig8 entry.)
-type Figure9Result struct {
-	// Rates holds one rate time series (kb/s) per flow.
-	Rates []*stats.TimeSeries
-	// F1Peak is F1's maximum rate before F2 joins; Capacity the PELS
-	// share it should approach.
-	F1Peak   float64
-	Capacity units.BitRate
-	// FairRate is the closed-form stationary rate C/N + α/β for N=2;
-	// F1Tail and F2Tail are the measured tail means.
-	FairRate       units.BitRate
-	F1Tail, F2Tail float64
-	// ConvergedAt is the first time after F2's join at which both flows
-	// stay within 10% of each other (Jain-fair), or -1 if never.
-	ConvergedAt time.Duration
-	JoinAt      time.Duration
-	// Events is the number of simulator events the run processed.
-	Events uint64
-	// Obs is the run's testbed metric registry.
-	Obs *obs.Registry
-}
-
-// Figure9Config parameterizes the convergence run.
-type Figure9Config struct {
-	JoinAt   time.Duration
-	Duration time.Duration
-	Seed     int64
-}
-
-// DefaultFigure9Config mirrors the paper (F2 joins at 10 s).
-func DefaultFigure9Config() Figure9Config {
-	return Figure9Config{
-		JoinAt:   10 * time.Second,
-		Duration: 40 * time.Second,
-		Seed:     1,
-	}
-}
-
-// Figure9 regenerates Fig. 9 (right). The frame interval is shortened so
-// that R_max exceeds the PELS capacity and a single flow can claim the
-// whole link, as in the paper.
-func Figure9(cfg Figure9Config) (*Figure9Result, error) {
+// capacity, and after F2 joins at 10 s both converge — without oscillation
+// — to a fair share near the stationary rate of eq. (10). (Fig. 9 left,
+// the red-delay staircase, is the fig8 entry.) The frame interval is
+// shortened so that R_max exceeds the PELS capacity and a single flow can
+// claim the whole link, as in the paper. The run lasts 40 s unless the
+// geometry says otherwise; converged_at_s is the first time after the join
+// at which both flows stay within 10 % of each other, and negative when
+// they never do.
+func figure9At(g geometry) (Result, error) {
+	duration := g.or(40 * time.Second)
 	tcfg := DefaultTestbedConfig()
-	tcfg.Seed = cfg.Seed
-	tcfg.NumPELS = 2
-	tcfg.StartTimes = []time.Duration{0, cfg.JoinAt}
+	tcfg.Seed, tcfg.NumPELS = g.seed, 2
+	tcfg.StartTimes = []time.Duration{0, figure9JoinAt}
 	// 126 packets × 500 B per 220 ms ≈ 2.3 mb/s R_max > 2 mb/s capacity.
 	tcfg.Session.FrameInterval = 220 * time.Millisecond
 	tb, err := NewTestbed(tcfg)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: figure 9: %w", err)
+		return Result{}, fmt.Errorf("experiments: figure 9: %w", err)
 	}
 	// The delay and γ series ride along in Obs, which fig9_obs.csv exports.
 	tb.RecordTraces()
-	if err := tb.Run(cfg.Duration); err != nil {
-		return nil, fmt.Errorf("experiments: figure 9: %w", err)
+	if err := tb.Run(duration); err != nil {
+		return Result{}, fmt.Errorf("experiments: figure 9: %w", err)
 	}
-	scfg := tcfg.Session.WithDefaults()
-	res := &Figure9Result{
-		Obs:      tb.Obs,
-		Rates:    tb.RateSeries,
-		Capacity: tcfg.PELSCapacity(),
-		FairRate: scfg.MKC.StationaryRate(tcfg.PELSCapacity(), 2),
-		F1Tail:   tb.RateSeries[0].MeanAfter(cfg.Duration * 3 / 4),
-		F2Tail:   tb.RateSeries[1].MeanAfter(cfg.Duration * 3 / 4),
-		JoinAt:   cfg.JoinAt,
-		Events:   tb.Eng.Processed(),
+	f1, f2 := tb.RateSeries[0], tb.RateSeries[1]
+	peak := 0.0
+	for it := f1.Iter(0, f1.Search(figure9JoinAt)); it.Next(); {
+		peak = max(peak, it.Sample().Value)
 	}
-	f1 := tb.RateSeries[0]
-	for it := f1.Iter(0, f1.Search(cfg.JoinAt)); it.Next(); {
-		if v := it.Sample().Value; v > res.F1Peak {
-			res.F1Peak = v
-		}
+	convergedAt := fairnessTime(f1, f2, figure9JoinAt, 0.10)
+	m := map[string]float64{
+		"capacity_kbps":          tcfg.PELSCapacity().KbpsValue(),
+		"fair_rate_kbps":         tcfg.Session.WithDefaults().MKC.StationaryRate(tcfg.PELSCapacity(), 2).KbpsValue(),
+		"f1_peak_kbps":           peak,
+		"f1_tail_kbps":           f1.MeanAfter(duration * 3 / 4),
+		"f2_tail_kbps":           f2.MeanAfter(duration * 3 / 4),
+		"converged_at_s":         convergedAt.Seconds(),
+		"converged_after_join_s": (convergedAt - figure9JoinAt).Seconds(),
 	}
-	res.ConvergedAt = fairnessTime(tb.RateSeries[0], tb.RateSeries[1], cfg.JoinAt, 0.10)
-	return res, nil
+	return Result{
+		Output:    figure9Output(m),
+		Events:    tb.Eng.Processed(),
+		Obs:       tb.Obs,
+		Artifacts: []Artifact{{Name: "fig9_rates.csv", Series: tb.RateSeries}},
+		Metrics:   m,
+	}, nil
+}
+
+// figure9Output prints the convergence run from its metrics.
+func figure9Output(m map[string]float64) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "PELS capacity: %v, fair stationary rate (eq. 10): %v\n",
+		units.BitRate(m["capacity_kbps"])*units.Kbps, units.BitRate(m["fair_rate_kbps"])*units.Kbps)
+	fmt.Fprintf(&b, "F1 peak before join: %.0f kb/s (claims full capacity: %v)\n",
+		m["f1_peak_kbps"], m["f1_peak_kbps"] >= 0.9*m["capacity_kbps"])
+	fmt.Fprintf(&b, "tail rates: F1=%.0f kb/s F2=%.0f kb/s\n", m["f1_tail_kbps"], m["f2_tail_kbps"])
+	if m["converged_at_s"] >= 0 {
+		fmt.Fprintf(&b, "fair within 10%% from t=%.1fs (%.1fs after F2 joined at %.0fs)\n",
+			m["converged_at_s"], m["converged_after_join_s"], figure9JoinAt.Seconds())
+	} else {
+		b.WriteString("flows did not reach sustained fairness\n")
+	}
+	return b.String()
 }
 
 // fairnessTime returns the first time ≥ from at which the two series stay
@@ -129,41 +116,4 @@ func fairnessTime(a, b *stats.TimeSeries, from time.Duration, tol float64) time.
 		}
 	}
 	return candidate
-}
-
-// FormatFigure9 summarizes the convergence run.
-func FormatFigure9(r *Figure9Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "PELS capacity: %v, fair stationary rate (eq. 10): %v\n", r.Capacity, r.FairRate)
-	fmt.Fprintf(&b, "F1 peak before join: %.0f kb/s (claims full capacity: %v)\n",
-		r.F1Peak, r.F1Peak >= 0.9*r.Capacity.KbpsValue())
-	fmt.Fprintf(&b, "tail rates: F1=%.0f kb/s F2=%.0f kb/s\n", r.F1Tail, r.F2Tail)
-	if r.ConvergedAt >= 0 {
-		fmt.Fprintf(&b, "fair within 10%% from t=%.1fs (%.1fs after F2 joined at %.0fs)\n",
-			r.ConvergedAt.Seconds(), (r.ConvergedAt - r.JoinAt).Seconds(), r.JoinAt.Seconds())
-	} else {
-		b.WriteString("flows did not reach sustained fairness\n")
-	}
-	return b.String()
-}
-
-// figure9At reports converged_at_s < 0 when the flows never became fair.
-func figure9At(g geometry) (Result, error) {
-	cfg := DefaultFigure9Config()
-	cfg.Seed, cfg.Duration = g.seed, g.or(cfg.Duration)
-	r, err := Figure9(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Output:    FormatFigure9(r),
-		Events:    r.Events,
-		Obs:       r.Obs,
-		Artifacts: []Artifact{{Name: "fig9_rates.csv", Series: r.Rates}},
-		Metrics: map[string]float64{
-			"capacity_kbps": r.Capacity.KbpsValue(), "fair_rate_kbps": r.FairRate.KbpsValue(),
-			"f1_peak_kbps": r.F1Peak, "f1_tail_kbps": r.F1Tail, "f2_tail_kbps": r.F2Tail,
-			"converged_at_s": r.ConvergedAt.Seconds(), "converged_after_join_s": (r.ConvergedAt - r.JoinAt).Seconds(),
-		},
-	}, nil
 }

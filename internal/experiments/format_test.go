@@ -3,49 +3,32 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/stats"
 )
 
-// TestFormattersRenderAllFields smoke-checks every experiment formatter on
-// synthetic results, so a formatting regression can't hide behind the slow
-// full-stack drivers.
+// TestFormattersRenderAllFields checks fig9's print step on synthetic
+// metrics, both when the flows became fair and when they never did: no
+// seed the pinned runs use reaches the second branch.
 func TestFormattersRenderAllFields(t *testing.T) {
-	rates := stats.NewTimeSeries("r")
-	f9 := FormatFigure9(&Figure9Result{
-		Rates: []*stats.TimeSeries{rates}, F1Peak: 2000, Capacity: 2e6, FairRate: 1.04e6,
-		F1Tail: 1040, F2Tail: 1041, ConvergedAt: 23 * time.Second, JoinAt: 10 * time.Second,
+	f9 := figure9Output(map[string]float64{
+		"capacity_kbps": 2000, "fair_rate_kbps": 1040, "f1_peak_kbps": 2000,
+		"f1_tail_kbps": 1040, "f2_tail_kbps": 1041, "converged_at_s": 23, "converged_after_join_s": 13,
 	})
-	for _, want := range []string{"F1 peak", "fair within 10%", "13.0s after"} {
+	for _, want := range []string{"2.00 mb/s", "F1 peak", "claims full capacity: true", "fair within 10%", "13.0s after", "joined at 10s"} {
 		if !strings.Contains(f9, want) {
-			t.Errorf("FormatFigure9 missing %q:\n%s", want, f9)
+			t.Errorf("fig9 output missing %q:\n%s", want, f9)
 		}
 	}
-	f9never := FormatFigure9(&Figure9Result{Rates: nil, ConvergedAt: -1})
+	f9never := figure9Output(map[string]float64{"converged_at_s": -1e-9})
 	if !strings.Contains(f9never, "did not reach") {
-		t.Errorf("FormatFigure9 without convergence:\n%s", f9never)
-	}
-
-	f10 := FormatFigure10([]Figure10Run{{
-		NumFlows: 2, TargetLoss: 0.107, PELSLoss: 0.106, BELoss: 0.11, Frames: 200,
-		BaseMean: 28.8, PELSMean: 46.6, BEMean: 34.7,
-		PELSImprove: 61, BEImprove: 21, PELSSwing: 12, BESwing: 23,
-		PELSUtility: 0.93, BEUtility: 0.11, PELSUseful: 63, BEUseful: 7,
-	}})
-	for _, want := range []string{"base-only", "best-effort", "PELS", "+61.0%"} {
-		if !strings.Contains(f10, want) {
-			t.Errorf("FormatFigure10 missing %q:\n%s", want, f10)
-		}
+		t.Errorf("fig9 output without convergence:\n%s", f9never)
 	}
 }
 
+// TestFormatters smoke-checks the closed-form entries' output headers.
 func TestFormatters(t *testing.T) {
-	// Smoke-check every formatter produces non-empty output with headers.
-	if out := FormatFigure2(DefaultFigure2Config(), Figure2(DefaultFigure2Config())); !strings.Contains(out, "BE utility") {
-		t.Error("FormatFigure2")
-	}
-	if out := FormatFigure5(Figure5(DefaultFigure5Config())); !strings.Contains(out, "sigma=3") {
-		t.Error("FormatFigure5")
+	for entry, want := range map[string]string{"fig2": "BE utility", "fig5": "sigma=3"} {
+		if out := runAt(t, entry, seed1(0)).Output; !strings.Contains(out, want) {
+			t.Errorf("%s output missing %q:\n%s", entry, want, out)
+		}
 	}
 }

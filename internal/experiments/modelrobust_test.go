@@ -18,20 +18,17 @@ func TestFigure10RobustToQualityModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack simulation")
 	}
-	cfg := DefaultFigure10Config()
-	cfg.Duration = 100 * time.Second
-	level := cfg.Levels[0]
-
-	pels, err := figure10Stream(cfg, level, false)
+	level := figure10Levels[0]
+	pels, err := figure10Stream(1, 100*time.Second, level, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := figure10Stream(cfg, level, true)
+	be, err := figure10Stream(1, 100*time.Second, level, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pelsFrames, beFrames := pels.frames, be.frames
-	spec := figure10Testbed(cfg, level, false).Session.WithDefaults().Frame
+	spec := figure10Testbed(1, level, false).Session.WithDefaults().Frame
 	bp := video.DefaultBitplaneModel()
 	rd := video.DefaultRDModel()
 	rd.MaxEnhBytes = spec.MaxEnhBytes()

@@ -22,16 +22,17 @@ func TestChaosFingerprintPinnedAcrossLayerRefactor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full chaos run in -short mode")
 	}
-	res, err := ChaosTestbed(DefaultChaosTestbedConfig())
+	e, _ := Lookup("chaos-testbed")
+	res, err := e.Run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Events != pinnedChaosEvents {
 		t.Errorf("chaos event count = %d, want pinned %d", res.Events, pinnedChaosEvents)
 	}
-	if res.Fingerprint != pinnedChaosFingerprint {
+	if got := obsFingerprint(t, res); got != pinnedChaosFingerprint {
 		t.Errorf("chaos fingerprint diverged from pre-refactor pin:\ngot  %s\nwant %s",
-			res.Fingerprint, pinnedChaosFingerprint)
+			got, pinnedChaosFingerprint)
 	}
 }
 

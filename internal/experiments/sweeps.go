@@ -326,10 +326,10 @@ var mixedSweep = func() sweep {
 // cover the same frames exactly when their "frames" match.
 var rdScalingSweep = func() sweep {
 	trace := video.ForemanTrace(300)
-	level := DefaultFigure10Config().Levels[0]
+	level := figure10Levels[0]
 	psnr := func(tb *Testbed) []float64 {
-		frames := evalFrames(tb, 60)
-		frames = frames[:min(len(frames), 200)]
+		frames := evalFrames(tb, figure10Warmup)
+		frames = frames[:min(len(frames), figure10Frames)]
 		spec := tb.Cfg.Session.WithDefaults().Frame
 		model := video.DefaultRDModel()
 		model.MaxEnhBytes = spec.MaxEnhBytes()
