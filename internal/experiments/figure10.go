@@ -111,7 +111,7 @@ func figure10At(g geometry) (Result, error) {
 
 		res.Events += pels.events + be.events
 		res.Artifacts = append(res.Artifacts, Artifact{
-			Name:   fmt.Sprintf("fig10_n%d.csv", level.flows),
+			Name:   fmt.Sprintf("fig10_level%d.csv", i),
 			Series: []*stats.TimeSeries{frameSeries("base_psnr", base), frameSeries("besteffort_psnr", bePSNR), frameSeries("pels_psnr", pelsPSNR)},
 		})
 	}

@@ -118,17 +118,23 @@ const simOutputsGolden = "testdata/sim_outputs_seed3.txt"
 
 // TestSimulatorRegistryOutputsPinned runs every simulator-only registry
 // entry at seed 3 and compares one SHA-256 per entry — over its event
-// count, its printed output, every artifact CSV and its obs CSV — with the
-// golden file, one "name sha256" line per entry, so a diff names the entry
-// that moved. Regenerate with -update after a change meant to move them.
+// count, its printed output, its metrics, every artifact CSV and its obs
+// CSV — with the golden file, one "name sha256" line per entry, so a diff
+// names the entry that moved. Regenerate with -update after a change meant
+// to move them. It also requires every file pelsbench -csv writes to have
+// a name of its own: no two artifacts share one, and none takes an
+// entry's "<name>_obs.csv".
 func TestSimulatorRegistryOutputsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("every simulator experiment in -short mode")
 	}
+	// files maps each CSV file name to the entry that writes it.
+	files := map[string]string{}
 	for _, name := range Names() {
 		if !slices.Contains(simOnlyEntries, name) && !slices.Contains(wallClockEntries, name) {
 			t.Errorf("registry entry %q is in neither simOnlyEntries nor wallClockEntries", name)
 		}
+		files[name+"_obs.csv"] = name
 	}
 	got := make(map[string]string, len(simOnlyEntries))
 	var golden strings.Builder
@@ -142,6 +148,12 @@ func TestSimulatorRegistryOutputsPinned(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		got[name] = resultHash(t, res)
+		for _, a := range res.Artifacts {
+			if owner, taken := files[a.Name]; taken {
+				t.Errorf("%s: artifact %s overwrites the file of the same name that %s writes", name, a.Name, owner)
+			}
+			files[a.Name] = name
+		}
 		fmt.Fprintf(&golden, "%s %s\n", name, got[name])
 	}
 	if *update {
