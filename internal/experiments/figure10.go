@@ -89,14 +89,23 @@ func figure10At(g geometry) (Result, error) {
 		bePSNR, beUseful, beComplete := framePSNR(trace, model, spec, beFrames)
 
 		l := map[string]float64{
-			"target_loss": scfg.MKC.StationaryLoss(tcfg.PELSCapacity(), level.flows),
-			"pels_loss":   pels.loss, "be_loss": be.loss, "frames": float64(count),
-			"base_psnr": stats.Mean(base), "pels_psnr": stats.Mean(pelsPSNR), "be_psnr": stats.Mean(bePSNR),
-			"pels_gain_pct": improvementVsBase(base, pelsPSNR), "be_gain_pct": improvementVsBase(base, bePSNR),
-			"pels_swing_db": swing(pelsPSNR), "be_swing_db": swing(bePSNR),
-			"pels_utility": fgs.Aggregate(pelsFrames).MeanUtility, "be_utility": fgs.Aggregate(beFrames).MeanUtility,
-			"pels_useful": pelsUseful, "be_useful": beUseful,
-			"pels_complete": float64(pelsComplete), "be_complete": float64(beComplete),
+			"target_loss":   scfg.MKC.StationaryLoss(tcfg.PELSCapacity(), level.flows),
+			"frames":        float64(count),
+			"base_psnr":     stats.Mean(base),
+			"pels_loss":     pels.loss,
+			"pels_psnr":     stats.Mean(pelsPSNR),
+			"pels_gain_pct": improvementVsBase(base, pelsPSNR),
+			"pels_swing_db": swing(pelsPSNR),
+			"pels_utility":  fgs.Aggregate(pelsFrames).MeanUtility,
+			"pels_useful":   pelsUseful,
+			"pels_complete": float64(pelsComplete),
+			"be_loss":       be.loss,
+			"be_psnr":       stats.Mean(bePSNR),
+			"be_gain_pct":   improvementVsBase(base, bePSNR),
+			"be_swing_db":   swing(bePSNR),
+			"be_utility":    fgs.Aggregate(beFrames).MeanUtility,
+			"be_useful":     beUseful,
+			"be_complete":   float64(beComplete),
 		}
 		for name, v := range l {
 			res.Metrics[fmt.Sprintf("level%d.%s", i, name)] = v
@@ -111,8 +120,10 @@ func figure10At(g geometry) (Result, error) {
 
 		res.Events += pels.events + be.events
 		res.Artifacts = append(res.Artifacts, Artifact{
-			Name:   fmt.Sprintf("fig10_level%d.csv", i),
-			Series: []*stats.TimeSeries{frameSeries("base_psnr", base), frameSeries("besteffort_psnr", bePSNR), frameSeries("pels_psnr", pelsPSNR)},
+			Name: fmt.Sprintf("fig10_level%d.csv", i),
+			Series: []*stats.TimeSeries{
+				frameSeries("base_psnr", base), frameSeries("besteffort_psnr", bePSNR), frameSeries("pels_psnr", pelsPSNR),
+			},
 		})
 	}
 	res.Output = b.String()
@@ -140,15 +151,15 @@ func figure10Stream(seed int64, duration time.Duration, level figure10Level, bes
 	if err != nil {
 		return figure10Outcome{}, err
 	}
-	return figure10Outcome{evalFrames(tb, figure10Warmup), tb.MeasuredPELSLoss(duration / 2), tb.Eng.Processed()}, nil
+	return figure10Outcome{evalFrames(tb), tb.MeasuredPELSLoss(duration / 2), tb.Eng.Processed()}, nil
 }
 
-// evalFrames is flow 0's frames past the first warmup ones, less the last,
-// which the end of the run may cut off.
-func evalFrames(tb *Testbed, warmup int) []fgs.FrameResult {
+// evalFrames is flow 0's frames past the first figure10Warmup ones, less
+// the last, which the end of the run may cut off.
+func evalFrames(tb *Testbed) []fgs.FrameResult {
 	frames := tb.Sinks[0].Frames()
-	if len(frames) > warmup {
-		frames = frames[warmup:]
+	if len(frames) > figure10Warmup {
+		frames = frames[figure10Warmup:]
 	}
 	if len(frames) > 1 {
 		frames = frames[:len(frames)-1]

@@ -328,7 +328,7 @@ var rdScalingSweep = func() sweep {
 	trace := video.ForemanTrace(300)
 	level := figure10Levels[0]
 	psnr := func(tb *Testbed) []float64 {
-		frames := evalFrames(tb, figure10Warmup)
+		frames := evalFrames(tb)
 		frames = frames[:min(len(frames), figure10Frames)]
 		spec := tb.Cfg.Session.WithDefaults().Frame
 		model := video.DefaultRDModel()

@@ -1,7 +1,10 @@
-// Package experiments contains the drivers that regenerate every table and
-// figure of the paper's evaluation (§6). Each driver builds the bar-bell
-// topology of Fig. 6 — multiple PELS and TCP sources sharing a single
-// bottleneck — runs the simulation, and returns the series the paper plots.
+// Package experiments regenerates every table and figure of the paper's
+// evaluation (§6) and the extensions. Each is a registry entry (Registry,
+// Lookup): one run at a seed that prints its summary as Output, reports
+// its scalars once in Metrics, which the claims table checks, and exports
+// its plotted series as Artifacts. The simulator runs build the bar-bell
+// topology of Fig. 6 (Testbed) — multiple PELS and TCP sources sharing a
+// single bottleneck.
 package experiments
 
 import (
