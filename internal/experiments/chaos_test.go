@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
-	"time"
 )
 
 // TestChaosTestbedReconvergence is the acceptance test of the fault
@@ -55,30 +54,7 @@ func obsFingerprint(t *testing.T, res Result) string {
 }
 
 // TestChaosWireSmoke streams live through the faulted emulator with the
-// gateway swap. Wall-clock timing makes exact numbers unstable, so the
-// assertions are structural: the stream completes, the sender notices
-// the router change, and data keeps flowing.
-func TestChaosWireSmoke(t *testing.T) {
-	cfg := DefaultChaosWireConfig()
-	if testing.Short() {
-		// Shrink to ~1.5s: keep the burst-loss episode and the swap,
-		// drop the long link flap whose window falls past the end.
-		cfg.Frames = 150
-		cfg.SwapAfter = time.Second
-		cfg.Forward.Events = cfg.Forward.Events[:1]
-		cfg.Reverse.Events = nil
-	}
-	res, err := WireLoopback(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Receiver.Datagrams == 0 {
-		t.Fatal("receiver saw no datagrams")
-	}
-	if res.Sender.RouterChanges < 1 {
-		t.Fatalf("sender never observed the gateway swap: %+v", res.Sender)
-	}
-	if res.Forward.Offered == 0 {
-		t.Fatal("forward injector saw no traffic")
-	}
-}
+// gateway swap. Wall-clock timing makes exact numbers unstable, so its
+// rows are structural: data keeps flowing, the sender notices the router
+// change, and the forward injector saw traffic.
+func TestChaosWireSmoke(t *testing.T) { checkClaims(t, "chaos-wire") }

@@ -250,6 +250,16 @@ var claims = func() []claim {
 			claim{"§5", "mixed", seed1(60 * s), fmt.Sprintf("f%d.utility", i), "", nil, atLeast(0.9)},
 			claim{"§5", "mixed", seed1(60 * s), fmt.Sprintf("f%d.rate(kb/s)", i), "", eq10Rate(capacity, 4), rate})
 	}
+	// The live entries run on the wall clock at their own run, seed 1.
+	live := func(ref, entry, metric string, b bound) claim {
+		return claim{ref, entry, seed1(0), metric, "", nil, b}
+	}
+	t = append(t,
+		claim{"§4.2", "wire-loopback", seed1(0), "green_lost", "the base layer is never dropped", nil, between(0, 0)},
+		live("DESIGN §8", "wire-loopback", "green_rcvd", over(0)),
+		live("DESIGN §8", "wire-loopback", "red_lost", over(0)),
+		live("DESIGN §8", "wire-loopback", "goodput_bps", times("capacity_bps", 0.5, 1.1)),
+	)
 	chaos := func(metric string, b bound) claim {
 		return claim{"DESIGN §11", "chaos-testbed", seed1(0), metric, "", nil, b}
 	}
@@ -264,6 +274,18 @@ var claims = func() []claim {
 		chaos("fwd_starved", atLeast(1)),
 		chaos("rev_duplicated", atLeast(1)),
 		chaos("rev_reordered", atLeast(1)),
+		live("DESIGN §11", "chaos-wire", "datagrams_rcvd", over(0)),
+		live("DESIGN §11", "chaos-wire", "router_changes", atLeast(1)),
+		live("DESIGN §11", "chaos-wire", "fwd_offered", over(0)),
+		live("DESIGN §16", "overload-wire", "completed", times("receivers", 1, 1)),
+		live("DESIGN §16", "overload-wire", "rejected_full", over(0)),
+		live("DESIGN §16", "overload-wire", "swarm_rejects", over(0)),
+		live("DESIGN §16", "overload-wire", "sheds", over(0)),
+		live("DESIGN §16", "overload-wire", "restores", over(0)),
+		live("DESIGN §16", "overload-wire", "shed_level_end", between(0, 0)),
+		claim{"§4.2", "overload-wire", seed1(0), "green_lost", "the base layer is never dropped", nil, between(0, 0)},
+		live("DESIGN §16", "overload-wire", "green_rcvd", over(0)),
+		live("DESIGN §16", "overload-wire", "fault_dup", over(0)),
 		ladder("green_loss", between(0, 0)),
 		ladder("layer7_loss", above("total_loss")),
 		ladder("total_loss", over(0)),

@@ -10,9 +10,10 @@ import (
 )
 
 // quick are the entries cheap enough for -short mode: the closed forms,
-// which run no simulation, and the 24-second chaos testbed, which CI's
-// race-detector smoke job checks; the others are skipped.
-var quick = map[string]bool{"table1": true, "fig2": true, "fig3": true, "fig5": true, "chaos-testbed": true}
+// which run no simulation, and the 24-second chaos testbed and the
+// 3.5-second live chaos drill, which CI's race-detector smoke job checks;
+// the others are skipped.
+var quick = map[string]bool{"table1": true, "fig2": true, "fig3": true, "fig5": true, "chaos-testbed": true, "chaos-wire": true}
 
 // claimRun is one entry run at one geometry.
 type claimRun struct {
@@ -54,7 +55,7 @@ func checkClaims(t *testing.T, entries ...string) {
 		}
 		t.Run(c.ref+" "+c.metric, func(t *testing.T) {
 			if testing.Short() && !quick[c.entry] {
-				t.Skip("full-stack simulation")
+				t.Skip("not in the -short set")
 			}
 			if err := c.check(runAt(t, c.entry, c.geo).Metrics); err != nil {
 				t.Error(err)

@@ -25,7 +25,8 @@ type Result struct {
 	Artifacts []Artifact
 	// Events is the total number of simulator events processed across
 	// the testbeds the experiment ran (0 for closed-form experiments).
-	// Wall-clock experiments (wire-loopback) report datagram counts here.
+	// The live entries (wire-loopback, chaos-wire, overload-wire) report
+	// every datagram either end put on the wire or took off it.
 	Events uint64
 	// Metrics are named scalar outcomes surfaced through pelsbench
 	// -json (goodput, per-color loss, …), under keys that stay stable:

@@ -35,7 +35,9 @@ func lossyRig(t *testing.T, ackLoss float64, capacity units.BitRate) (*sim.Engin
 		netsim.LinkConfig{Rate: capacity, Delay: 5 * time.Millisecond, Disc: bneck.Disc},
 		netsim.LinkConfig{
 			Rate: capacity, Delay: 5 * time.Millisecond,
-			Disc: queue.NewBernoulliDropper(ackLoss, false, eng.Rand()),
+			// The reverse link carries only ACKs, none green, so the
+			// oracle drops each with probability ackLoss, unscaled.
+			Disc: queue.NewOracleFIFO(0, func() float64 { return ackLoss }, eng.Rand()),
 		})
 	fwd.Proc = fb
 	nw.Connect(r2, h2, access, access)

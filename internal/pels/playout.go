@@ -17,7 +17,6 @@ import (
 // (paper Fig. 9 left) still miss their deadlines, which is exactly why
 // their loss "has very little effect on the resulting quality".
 type Playout struct {
-	spec     fgs.FrameSpec
 	startup  time.Duration
 	interval time.Duration
 
@@ -25,7 +24,6 @@ type Playout struct {
 	start   time.Duration
 
 	onTime *fgs.Decoder
-	all    *fgs.Decoder
 
 	latePkts    int64
 	lateByColor map[packet.Color]int64
@@ -37,16 +35,10 @@ func NewPlayout(spec fgs.FrameSpec, startup, interval time.Duration) (*Playout, 
 	if err != nil {
 		return nil, err
 	}
-	all, err := fgs.NewDecoder(spec)
-	if err != nil {
-		return nil, err
-	}
 	return &Playout{
-		spec:        spec,
 		startup:     startup,
 		interval:    interval,
 		onTime:      onTime,
-		all:         all,
 		lateByColor: make(map[packet.Color]int64),
 	}, nil
 }
@@ -57,7 +49,6 @@ func (pl *Playout) Observe(at time.Duration, p *packet.Packet) {
 		pl.started = true
 		pl.start = at
 	}
-	pl.all.Receive(p.Frame, p.Index)
 	if at <= pl.Deadline(p.Frame) {
 		pl.onTime.Receive(p.Frame, p.Index)
 		return
@@ -78,10 +69,6 @@ func (pl *Playout) Deadline(frame int) time.Duration {
 // OnTimeFrames returns decode results counting only packets that met their
 // deadlines.
 func (pl *Playout) OnTimeFrames() []fgs.FrameResult { return pl.onTime.Frames() }
-
-// AllFrames returns decode results ignoring deadlines (what the plain Sink
-// decoder reports).
-func (pl *Playout) AllFrames() []fgs.FrameResult { return pl.all.Frames() }
 
 // OnTimeStats aggregates the deadline-filtered decode statistics.
 func (pl *Playout) OnTimeStats() fgs.StreamStats { return fgs.Aggregate(pl.OnTimeFrames()) }

@@ -33,8 +33,15 @@ func TestPlayoutDeadlines(t *testing.T) {
 	pl.Observe(1500*time.Millisecond, playoutPacket(0, 2, packet.Yellow)) // exactly on time
 	pl.Observe(1501*time.Millisecond, playoutPacket(0, 3, packet.Red))    // late
 
-	onTime := pl.OnTimeFrames()
-	all := pl.AllFrames()
+	// A decoder fed every arrival, deadlines ignored, as the Sink's is.
+	dec, err := fgs.NewDecoder(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		dec.Receive(0, i)
+	}
+	onTime, all := pl.OnTimeFrames(), dec.Frames()
 	if len(onTime) != 1 || len(all) != 1 {
 		t.Fatalf("frames: onTime=%d all=%d", len(onTime), len(all))
 	}
@@ -91,7 +98,7 @@ func TestPlayoutEndToEnd(t *testing.T) {
 		t.Errorf("red lateness %d of %d; red should dominate", late[packet.Red], total)
 	}
 	onTime := pl.OnTimeStats()
-	allStats := fgs.Aggregate(pl.AllFrames())
+	allStats := r.sink.Stats()
 	if onTime.MeanUtility < allStats.MeanUtility-0.1 {
 		t.Errorf("on-time utility %.3f far below unfiltered %.3f", onTime.MeanUtility, allStats.MeanUtility)
 	}

@@ -1,8 +1,9 @@
 // Package queue implements the queueing disciplines used by PELS routers
-// and the best-effort baseline: drop-tail FIFO, the oracle queues that drop
-// uniformly at random (OracleFIFO, BernoulliDropper), a strict-priority set of N PELS layer queues (the paper's three colors
-// by default), and weighted round-robin scheduling between the PELS
-// aggregate and the Internet queue (paper §4.1, Fig. 4 left).
+// and the best-effort baseline: drop-tail FIFO, the oracle queue that drops
+// uniformly at random (OracleFIFO), a strict-priority set of N PELS layer
+// queues (the paper's three colors by default), and weighted round-robin
+// scheduling between the PELS aggregate and the Internet queue (paper
+// §4.1, Fig. 4 left).
 package queue
 
 import (

@@ -1,10 +1,13 @@
 package session
 
 // Emulator loopback tests: the live end host end to end over wall-clock
-// time on the in-process emulator — the harness the wire-loopback and
-// chaos-wire experiments run. A one-session Server on emu.A() streams
+// time on the in-process emulator. A one-session Server on emu.A() streams
 // through a marking gateway and a priority-drop bottleneck to a
 // one-receiver wire.Swarm on emu.B() that hellos it and echoes feedback.
+// startEmuLoopback is a copy of the set-up the wire-loopback and
+// chaos-wire experiments run (experiments' loopbackAt), not shared with
+// it; the virtual-time live harness ROADMAP.md plans ("Deterministic
+// simulation of the live stack") is to replace both.
 
 import (
 	"context"

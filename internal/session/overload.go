@@ -18,15 +18,6 @@ type OverloadConfig struct {
 	// where the server starts trading enhancement layers for headroom,
 	// not the link rate. 0 disables the controller entirely.
 	Capacity units.BitRate
-	// High is the load-score watermark past which one more enhancement
-	// layer is shed; 0 selects 0.85.
-	High float64
-	// Low is the watermark below which one shed layer is restored; the
-	// gap to High is the hysteresis band. 0 selects 0.60.
-	Low float64
-	// MaxShed bounds how many layers may be shed; 0 selects one less
-	// than the session template's layer count (base layer always sends).
-	MaxShed int
 	// Hold is the minimum dwell between level transitions, damping
 	// oscillation on a noisy load signal; 0 selects 500ms.
 	Hold time.Duration
@@ -38,18 +29,13 @@ type OverloadConfig struct {
 // Enabled reports whether the controller is armed at all.
 func (c OverloadConfig) Enabled() bool { return c.Capacity > 0 }
 
-// withDefaults fills zero-valued fields; layers is the session
-// template's layer count (3 for classic sessions).
-func (c OverloadConfig) withDefaults(layers int) OverloadConfig {
-	if c.High == 0 {
-		c.High = 0.85
-	}
-	if c.Low == 0 {
-		c.Low = 0.60
-	}
-	if c.MaxShed <= 0 || c.MaxShed > layers-1 {
-		c.MaxShed = layers - 1
-	}
+// The load-score watermarks: past shedHigh one more enhancement layer is
+// shed, below restoreLow one shed layer is restored; the gap between them
+// is the hysteresis band.
+const shedHigh, restoreLow = 0.85, 0.60
+
+// withDefaults fills zero-valued fields.
+func (c OverloadConfig) withDefaults() OverloadConfig {
 	if c.Hold <= 0 {
 		c.Hold = 500 * time.Millisecond
 	}
@@ -102,7 +88,10 @@ const lateHorizon = 10
 // goroutine (the server driver) calls Update; the server publishes the
 // resulting level through an atomic the sessions read.
 type Overload struct {
-	cfg        OverloadConfig
+	cfg OverloadConfig
+	// maxShed is the session template's layer count less one: the base
+	// layer always sends.
+	maxShed    int
 	level      int
 	lastChange time.Time
 }
@@ -113,7 +102,7 @@ func NewOverload(cfg OverloadConfig, layers int) *Overload {
 	if layers <= 1 {
 		layers = 3
 	}
-	return &Overload{cfg: cfg.withDefaults(layers)}
+	return &Overload{cfg: cfg.withDefaults(), maxShed: layers - 1}
 }
 
 // Config returns the defaulted configuration.
@@ -125,16 +114,16 @@ func (o *Overload) Level() int { return o.level }
 // Update re-evaluates the shed level against sig at instant now and
 // reports the (possibly new) level plus whether it changed. Transitions
 // move one layer at a time and dwell at least Hold between moves: shed
-// when the score crosses High, restore when it falls below Low —
-// crossing High always sheds before occupancy can reach 1.0, so layers
+// when the score crosses shedHigh, restore when it falls below
+// restoreLow — crossing shedHigh always sheds before occupancy can reach 1.0, so layers
 // are traded away before any hello is refused for table space.
 func (o *Overload) Update(now time.Time, sig loadSignals) (level int, changed bool) {
 	score := sig.Score()
 	held := !o.lastChange.IsZero() && now.Sub(o.lastChange) < o.cfg.Hold
 	switch {
-	case score >= o.cfg.High && o.level < o.cfg.MaxShed && !held:
+	case score >= shedHigh && o.level < o.maxShed && !held:
 		o.level++
-	case score <= o.cfg.Low && o.level > 0 && !held:
+	case score <= restoreLow && o.level > 0 && !held:
 		o.level--
 	default:
 		return o.level, false

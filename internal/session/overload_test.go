@@ -18,25 +18,16 @@ func TestOverloadConfigDefaults(t *testing.T) {
 	if !cfg.Enabled() {
 		t.Error("capacity set but controller disabled")
 	}
-	if cfg.High != 0.85 || cfg.Low != 0.60 {
-		t.Errorf("watermarks %v/%v, want 0.85/0.60", cfg.High, cfg.Low)
-	}
-	if cfg.MaxShed != 3 {
-		t.Errorf("MaxShed %d for 4 layers, want 3 (base always sends)", cfg.MaxShed)
+	if o.maxShed != 3 {
+		t.Errorf("shed ceiling %d for 4 layers, want 3 (base always sends)", o.maxShed)
 	}
 	if cfg.Hold != 500*time.Millisecond || cfg.Every != 50*time.Millisecond {
 		t.Errorf("Hold/Every %v/%v, want 500ms/50ms", cfg.Hold, cfg.Every)
 	}
-
-	// MaxShed can never eat the base layer, however large the ask.
-	o = NewOverload(OverloadConfig{Capacity: 10 * units.Mbps, MaxShed: 99}, 3)
-	if got := o.Config().MaxShed; got != 2 {
-		t.Errorf("MaxShed clamp: %d for 3 layers, want 2", got)
-	}
 	// Degenerate layer counts fall back to the classic 3-layer template.
 	o = NewOverload(OverloadConfig{Capacity: 10 * units.Mbps}, 0)
-	if got := o.Config().MaxShed; got != 2 {
-		t.Errorf("MaxShed %d for defaulted layers, want 2", got)
+	if o.maxShed != 2 {
+		t.Errorf("shed ceiling %d for defaulted layers, want 2", o.maxShed)
 	}
 }
 
@@ -58,7 +49,7 @@ func TestLoadSignalsScore(t *testing.T) {
 
 // TestOverloadHysteresis walks the controller through a full overload
 // episode on a synthetic clock: climb one layer per Hold while the score
-// pins High, sit still inside the dead band, unwind at Low.
+// pins shedHigh, sit still inside the dead band, unwind at restoreLow.
 func TestOverloadHysteresis(t *testing.T) {
 	o := NewOverload(OverloadConfig{
 		Capacity: 10 * units.Mbps,
@@ -69,24 +60,24 @@ func TestOverloadHysteresis(t *testing.T) {
 
 	lvl, changed := o.Update(now, hot)
 	if lvl != 1 || !changed {
-		t.Fatalf("first High crossing: level %d changed %v, want 1 true", lvl, changed)
+		t.Fatalf("first shedHigh crossing: level %d changed %v, want 1 true", lvl, changed)
 	}
 	// Within Hold nothing moves, however hot the signal.
 	now = now.Add(50 * time.Millisecond)
 	if lvl, changed = o.Update(now, loadSignals{Demand: 5}); lvl != 1 || changed {
 		t.Fatalf("dwell violated: level %d changed %v inside Hold", lvl, changed)
 	}
-	// One more step per elapsed Hold, clamped at MaxShed (2 for 3 layers).
+	// One more step per elapsed Hold, clamped at the ceiling (2 for 3 layers).
 	now = now.Add(100 * time.Millisecond)
 	if lvl, _ = o.Update(now, hot); lvl != 2 {
 		t.Fatalf("second step: level %d, want 2", lvl)
 	}
 	now = now.Add(time.Second)
 	if lvl, changed = o.Update(now, hot); lvl != 2 || changed {
-		t.Fatalf("MaxShed clamp: level %d changed %v, want 2 false", lvl, changed)
+		t.Fatalf("shed ceiling: level %d changed %v, want 2 false", lvl, changed)
 	}
 
-	// The dead band between Low and High holds the level forever.
+	// The dead band between the watermarks holds the level forever.
 	for i := 0; i < 5; i++ {
 		now = now.Add(time.Second)
 		if lvl, changed = o.Update(now, loadSignals{Occupancy: 0.7}); lvl != 2 || changed {
@@ -146,7 +137,7 @@ func TestSessionExpireStuck(t *testing.T) {
 
 // TestOverloadSeesBlockedDriver: with every chunk buffer in flight the
 // driver waits for one, the Backlog signal alone puts the load score at
-// High, and the wait ends with the context — a shutdown cannot deadlock on
+// shedHigh, and the wait ends with the context — a shutdown cannot deadlock on
 // workers that never return a buffer.
 func TestOverloadSeesBlockedDriver(t *testing.T) {
 	s, clk, _ := handServer(t, discard{}, func(cfg *ServerConfig) {
@@ -162,8 +153,8 @@ func TestOverloadSeesBlockedDriver(t *testing.T) {
 		t.Fatalf("the tick fired %d timers, want the session's", len(fired))
 	}
 	sig := s.signals(0, s.backlog())
-	if sig.Backlog != 1 || sig.Score() < s.overload.Config().High {
-		t.Fatalf("blocked driver: Backlog %v, score %v, High %v", sig.Backlog, sig.Score(), s.overload.Config().High)
+	if sig.Backlog != 1 || sig.Score() < shedHigh {
+		t.Fatalf("blocked driver: Backlog %v, score %v, shedHigh %v", sig.Backlog, sig.Score(), shedHigh)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
