@@ -26,3 +26,28 @@ func TestOverloadWire(t *testing.T) {
 		}
 	}
 }
+
+// TestOverloadWireRegistryEntry: the registry entry surfaces the drill's
+// output, events, and admission metrics.
+func TestOverloadWireRegistryEntry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock experiment")
+	}
+	if _, ok := Lookup("overload-wire"); !ok {
+		t.Fatal("missing overload-wire entry")
+	}
+	res := runAt(t, "overload-wire", seed1(0))
+	if res.Output == "" {
+		t.Error("empty output")
+	}
+	if res.Events == 0 {
+		t.Error("no events reported")
+	}
+	if res.Metrics["completed"] != res.Metrics["receivers"] {
+		t.Errorf("completed %v of %v receivers",
+			res.Metrics["completed"], res.Metrics["receivers"])
+	}
+	if res.Metrics["rejected"] == 0 {
+		t.Error("flash crowd produced no rejects")
+	}
+}

@@ -29,3 +29,27 @@ func TestWireLoopback(t *testing.T) {
 		}
 	}
 }
+
+// TestWireLoopbackRegistryEntry: the registry entry wires Output, Events,
+// and Metrics of the drill through to the runner.
+func TestWireLoopbackRegistryEntry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock experiment")
+	}
+	if _, ok := Lookup("wire-loopback"); !ok {
+		t.Fatal("missing wire-loopback entry")
+	}
+	res := runAt(t, "wire-loopback", seed1(0))
+	if res.Output == "" {
+		t.Error("empty output")
+	}
+	if res.Events == 0 {
+		t.Error("no events reported")
+	}
+	if len(res.Metrics) == 0 {
+		t.Error("no metrics reported")
+	}
+	if res.Metrics["green_lost"] != 0 {
+		t.Errorf("green loss %v, want 0", res.Metrics["green_lost"])
+	}
+}
