@@ -102,7 +102,7 @@ cover:
 
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime=10s ./internal/fgs/
-	go test -run '^$$' -fuzz '^FuzzPlanLayers$$' -fuzztime=10s ./internal/fgs/
+	go test -run '^$$' -fuzz '^FuzzPlanLadder$$' -fuzztime=10s ./internal/fgs/
 	go test -run '^$$' -fuzz '^FuzzPacketizer$$' -fuzztime=10s ./internal/fgs/
 	go test -run '^$$' -fuzz '^FuzzGamma$$' -fuzztime=10s ./internal/fgs/
 	go test -run '^$$' -fuzz '^FuzzSender$$' -fuzztime=10s ./internal/fgs/

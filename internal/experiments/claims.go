@@ -289,6 +289,7 @@ var claims = func() []claim {
 		ladder("green_loss", between(0, 0)),
 		ladder("layer7_loss", above("total_loss")),
 		ladder("total_loss", over(0)),
+		ladder("yellow_mean_delay_ms", over(0)), // layer 1 carries packets
 	)
 	return append(t,
 		claim{"§6.5", "rdscaling", seed1(120 * s), "rd-aware.stddev", "", nil, below("constant.stddev")},

@@ -15,9 +15,10 @@ import (
 // and 2 TCP flows, 60 s unless the geometry says otherwise) with the
 // priority set generalized from the paper's three colors to 8
 // strict-priority queues, the quality ladder depth of real SHVC
-// bitstreams, and every session splitting frames with the default γ
-// ladder (fgs.Ladder — N−1 split points interpolated from the full
-// enhancement down to the controller's γ). The strict-priority invariant
+// bitstreams, and every session splitting frames with
+// fgs.Packetizer.PlanLadder (N−1 split points interpolated from the
+// enhancement's share of the frame down to the controller's γ, so every
+// layer carries packets). The strict-priority invariant
 // must survive the generalization: loss is (weakly) increasing in layer
 // index, the base layer lossless in normal operation, and the top probe
 // layer absorbing the congestion. Each layer reports its lifetime drop

@@ -9,8 +9,8 @@ import (
 )
 
 // TestNLayerLadder checks the 8-layer ladder's claim rows (the base
-// layer is lossless, the top probe layer carries the congestion, and there
-// is congestion at all) and that per-layer observability is present: an
+// layer is lossless, the top probe layer carries the congestion, there
+// is congestion at all, and layer 1 carries packets) and that per-layer observability is present: an
 // occupancy series per layer in the artifact, loss, delay and occupancy
 // per layer in the metrics and counters in the obs registry.
 func TestNLayerLadder(t *testing.T) {

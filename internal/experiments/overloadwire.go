@@ -102,7 +102,7 @@ func overloadWireAt(g geometry) (Result, error) {
 		return Result{}, err
 	}
 	completed := 0
-	d, err := runDrill(srv, swarm, reg, time.Second, func() bool {
+	d, err := runDrill(srv, swarm, time.Second, func() bool {
 		completed = 0
 		for _, st := range swarm.Stats() {
 			if st.LastClose == wire.ReasonComplete {

@@ -45,10 +45,9 @@ type drill struct {
 // runDrill runs srv and sw under one timeout until done holds, checked
 // every drillPoll, or srv exits of its own accord (ExitWhenIdle). It then
 // sleeps drain, so queues, delay lines and the overload controller
-// settle, snapshots both ends, and cancels and joins both goroutines. reg
-// is the registry srv counts into. The server's error, or the timeout, is
-// the drill's.
-func runDrill(srv *session.Server, sw *wire.Swarm, reg *obs.Registry, drain time.Duration, done func() bool) (drill, error) {
+// settle, snapshots both ends, and cancels and joins both goroutines. The
+// server's error, or the timeout, is the drill's.
+func runDrill(srv *session.Server, sw *wire.Swarm, drain time.Duration, done func() bool) (drill, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), drillTimeout)
 	defer cancel()
 	start := time.Now()
@@ -84,8 +83,7 @@ func runDrill(srv *session.Server, sw *wire.Swarm, reg *obs.Registry, drain time
 	time.Sleep(drain)
 	d.server, d.recvs = srv.Stats(), sw.Stats()
 	join()
-	d.events = d.server.Datagrams + uint64(reg.Counter("session.control_sent").Value()) +
-		d.server.Hellos + d.server.FeedbackItems
+	d.events = d.server.Datagrams + d.server.ControlSent + d.server.Hellos + d.server.FeedbackItems
 	for _, r := range d.recvs {
 		d.events += r.Datagrams + r.Rejects + r.Closes + r.HellosSent + r.FeedbackSent
 	}
@@ -250,7 +248,7 @@ func loopbackAt(g geometry, run loopbackRun) (Result, error) {
 	// The session leaves the table when it closes, so it is kept while it
 	// streams: its Stats stay valid after it closes.
 	var sess *session.Session
-	d, err := runDrill(srv, recv, reg, loopbackDelay+100*time.Millisecond, func() bool {
+	d, err := runDrill(srv, recv, loopbackDelay+100*time.Millisecond, func() bool {
 		if sess == nil && srv.Stats().Admitted > 0 {
 			srv.Table().Range(func(_ session.Key, s *session.Session) bool {
 				sess = s

@@ -214,9 +214,6 @@ func (d *Decoder) Frames() []FrameResult {
 	return out
 }
 
-// Spec returns the decoder's frame specification.
-func (d *Decoder) Spec() FrameSpec { return d.spec }
-
 // StreamStats aggregates utility over a set of frame results.
 type StreamStats struct {
 	Frames        int

@@ -166,10 +166,19 @@ func TestGammaConfigSigmaStabilityBound(t *testing.T) {
 	}
 }
 
+// TestGammaStationaryPoint: γ* = p/p_thr is eq. 4's stationary point — an
+// update at γ* under loss p leaves γ there — and a γ off it moves toward it.
 func TestGammaStationaryPoint(t *testing.T) {
 	cfg := DefaultGammaConfig()
-	if got := cfg.StationaryPoint(0.15); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("StationaryPoint = %v, want 0.2", got)
+	cfg.Initial = 0.15 / cfg.PThr
+	g := MustNewGamma(cfg)
+	if got := g.Update(0.15); math.Abs(got-0.2) > 1e-12 {
+		t.Errorf("update at γ* = 0.2 moved γ to %v", got)
+	}
+	cfg.Initial = 0.5
+	g = MustNewGamma(cfg)
+	if got := g.Update(0.15); got >= 0.5 || got <= 0.2 {
+		t.Errorf("update from 0.5 went to %v, want inside (0.2, 0.5)", got)
 	}
 }
 
@@ -177,7 +186,7 @@ func TestPacketizerPlanBudget(t *testing.T) {
 	pk := MustNewPacketizer(DefaultFrameSpec())
 	// Budget for base + 40 enhancement packets.
 	budget := 10500 + 40*500
-	plan := pk.Plan(0, budget, 0)
+	plan := pk.PlanShare(0, budget, 0, RedShareTotal)
 	if plan.Green != 21 {
 		t.Errorf("Green = %d, want 21", plan.Green)
 	}
@@ -191,7 +200,7 @@ func TestPacketizerPlanBudget(t *testing.T) {
 
 func TestPacketizerBaseAlwaysSent(t *testing.T) {
 	pk := MustNewPacketizer(DefaultFrameSpec())
-	plan := pk.Plan(0, 0, 0.5)
+	plan := pk.PlanShare(0, 0, 0.5, RedShareTotal)
 	if plan.Green != 21 || plan.EnhPackets() != 0 {
 		t.Errorf("zero-budget plan = %+v, want base only", plan)
 	}
@@ -199,7 +208,7 @@ func TestPacketizerBaseAlwaysSent(t *testing.T) {
 
 func TestPacketizerBudgetCapAtRmax(t *testing.T) {
 	pk := MustNewPacketizer(DefaultFrameSpec())
-	plan := pk.Plan(0, 10_000_000, 0)
+	plan := pk.PlanShare(0, 10_000_000, 0, RedShareTotal)
 	if plan.Total() != 126 {
 		t.Errorf("plan total = %d, want full frame 126", plan.Total())
 	}
@@ -227,7 +236,7 @@ func TestPacketizerRedShareSemantics(t *testing.T) {
 
 func TestPacketizerAtLeastOneRedProbe(t *testing.T) {
 	pk := MustNewPacketizer(DefaultFrameSpec())
-	plan := pk.Plan(0, 10500+3*500, 0.01)
+	plan := pk.PlanShare(0, 10500+3*500, 0.01, RedShareTotal)
 	if plan.Red != 1 {
 		t.Errorf("red = %d, want 1 probe even for tiny gamma", plan.Red)
 	}
@@ -256,8 +265,8 @@ func TestPlanColorLayout(t *testing.T) {
 // packets, never exceed the budget by more than the base layer, and keep
 // red within the enhancement.
 func TestPacketizerInvariants(t *testing.T) {
-	pk := MustNewPacketizer(DefaultFrameSpec())
-	spec := pk.Spec()
+	spec := DefaultFrameSpec()
+	pk := MustNewPacketizer(spec)
 	f := func(budgetRaw uint32, gammaRaw uint8, overTotal bool) bool {
 		budget := int(budgetRaw % 100000)
 		gamma := float64(gammaRaw) / 255
@@ -329,8 +338,8 @@ func TestGammaZeroRedTrafficKeepsProbing(t *testing.T) {
 
 func TestGammaResetRestoresInitial(t *testing.T) {
 	// A RouterID change mid-adaptation discards the integrated loss
-	// history: Reset returns γ to Initial while preserving the step
-	// count, and the controller re-adapts cleanly afterwards.
+	// history: Reset returns γ to Initial, and the controller re-adapts
+	// cleanly afterwards.
 	g := MustNewGamma(DefaultGammaConfig())
 	for i := 0; i < 20; i++ {
 		g.Update(0.9)
@@ -338,13 +347,9 @@ func TestGammaResetRestoresInitial(t *testing.T) {
 	if g.Value() == 0.5 {
 		t.Fatal("precondition: gamma did not move from Initial")
 	}
-	steps := g.Steps()
 	g.Reset()
 	if g.Value() != 0.5 {
 		t.Errorf("Reset: gamma = %v, want Initial 0.5", g.Value())
-	}
-	if g.Steps() != steps {
-		t.Errorf("Reset changed step count: %d != %d", g.Steps(), steps)
 	}
 	for i := 0; i < 100; i++ {
 		g.Update(0.15)

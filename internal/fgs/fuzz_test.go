@@ -61,13 +61,13 @@ func FuzzPacketizer(f *testing.F) {
 		if gamma != gamma { // NaN gamma is meaningless input
 			return
 		}
-		pk := MustNewPacketizer(DefaultFrameSpec())
+		spec := DefaultFrameSpec()
+		pk := MustNewPacketizer(spec)
 		share := RedShareEnhancement
 		if overTotal {
 			share = RedShareTotal
 		}
 		plan := pk.PlanShare(0, int(budget), gamma, share)
-		spec := pk.Spec()
 		if plan.Green != spec.GreenPackets {
 			t.Fatalf("green = %d", plan.Green)
 		}

@@ -64,7 +64,6 @@ func (c GammaConfig) Validate() error {
 type Gamma struct {
 	cfg   GammaConfig
 	value float64
-	steps int64
 }
 
 // NewGamma returns a controller at γ(0) = cfg.Initial.
@@ -96,14 +95,13 @@ func (g *Gamma) Update(p float64) float64 {
 	}
 	g.value += g.cfg.Sigma * (p/g.cfg.PThr - g.value)
 	g.value = g.clamp(g.value)
-	g.steps++
 	return g.value
 }
 
 // Value returns the current γ.
 func (g *Gamma) Value() float64 { return g.value }
 
-// Reset returns γ to its initial value (step count preserved). Senders
+// Reset returns γ to its initial value. Senders
 // call it on a feedback discontinuity — a RouterID change after a route
 // change or gateway swap — because the loss history γ integrated belongs
 // to a queue the flow no longer traverses; acting on cross-router deltas
@@ -111,16 +109,6 @@ func (g *Gamma) Value() float64 { return g.value }
 func (g *Gamma) Reset() {
 	g.value = g.clamp(g.cfg.Initial)
 }
-
-// Steps returns the number of controller updates applied.
-func (g *Gamma) Steps() int64 { return g.steps }
-
-// Config returns the controller configuration.
-func (g *Gamma) Config() GammaConfig { return g.cfg }
-
-// StationaryPoint returns the fixed point γ* = p/p_thr for stationary loss
-// p (paper §4.3, before clamping).
-func (c GammaConfig) StationaryPoint(p float64) float64 { return p / c.PThr }
 
 func (g *Gamma) clamp(v float64) float64 {
 	if !g.cfg.Clamp {

@@ -67,9 +67,6 @@ func MustNewPacketizer(spec FrameSpec) *Packetizer {
 	return p
 }
 
-// Spec returns the frame specification.
-func (pk *Packetizer) Spec() FrameSpec { return pk.spec }
-
 // RedShare selects the denominator that γ applies to when sizing the red
 // segment of a frame.
 type RedShare int
@@ -89,17 +86,12 @@ const (
 	RedShareEnhancement
 )
 
-// Plan computes the packets for frame index given budget bytes and the red
-// fraction gamma in [0,1], using the default RedShareTotal denominator. The
+// PlanShare computes the packets for frame index given budget bytes, the red
+// fraction gamma in [0,1] and the denominator share that γ applies to. The
 // base layer is always sent in full (it is the minimum meaningful stream);
 // the enhancement prefix uses the remaining budget up to R_max, split into
 // yellow and red with at least one red packet whenever γ > 0 and any
 // enhancement is sent, so the flow keeps probing for loss.
-func (pk *Packetizer) Plan(frame int, budgetBytes int, gamma float64) PacketPlan {
-	return pk.PlanShare(frame, budgetBytes, gamma, RedShareTotal)
-}
-
-// PlanShare is Plan with an explicit red-share denominator.
 func (pk *Packetizer) PlanShare(frame int, budgetBytes int, gamma float64, share RedShare) PacketPlan {
 	if gamma < 0 {
 		gamma = 0

@@ -103,7 +103,3 @@ func (s *RDScaler) Budget(frame int, rate units.BitRate, interval time.Duration)
 	s.creditBytes += float64(nominal) - budget
 	return int(budget)
 }
-
-// Credit returns the current conservation credit in bytes (positive when
-// the scaler has underspent its grant).
-func (s *RDScaler) Credit() float64 { return s.creditBytes }

@@ -45,7 +45,7 @@ func (s *refSource) planFrame(rate units.BitRate) {
 func (s *refSource) take() (frame, index int, color packet.Color) {
 	index = s.nextIdx
 	s.nextIdx++
-	color = s.plan.Color(index)
+	color = packet.LayerColor(s.plan.Layer(index))
 	if s.bestEffort && color != packet.Green {
 		color = packet.BestEffort
 	}
@@ -128,9 +128,10 @@ func (s *refSession) handle(fb packet.Feedback) (accepted, routerChanged bool) {
 // counts, (frame, index, layer), acceptance, router change, rate and γ. The
 // best-effort refSource planned with γ = 0, so against it only the rate,
 // acceptance and, from 3 layers up, the colours on the wire (green base,
-// best-effort above) must match: there the ladder's first split point is 1,
-// so base and total do not depend on γ. At 2 layers the ladder is {γ}, and
-// the old best-effort source sent the base alone. The script is read four
+// best-effort above) must match: there the first split point is the
+// enhancement's own share, so base and total do not depend on γ. At 2
+// layers the one split point is γ, and the old best-effort source sent the
+// base alone. The script is read four
 // bytes a step: an opcode and three arguments. Opcodes: plan a frame (at the Sender's rate when the 16-bit
 // argument is 0, else at that many kb/s); take a packet; offer a label from
 // router a&3 (invalid when a&4), epoch b and loss int8(c)/64, which covers

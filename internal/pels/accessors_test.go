@@ -33,8 +33,19 @@ func TestSessionAccessorsAndByteAccounting(t *testing.T) {
 	if r.sink.Decoder() == nil {
 		t.Error("Decoder() = nil")
 	}
-	if r.sink.Decoder().Spec() != (Config{}).WithDefaults().Frame {
-		t.Error("decoder spec mismatch")
+	// The sink decodes with the configured frame: its base layer is
+	// complete at exactly that many green packets.
+	spec, complete := (Config{}).WithDefaults().Frame, 0
+	for _, f := range r.sink.Decoder().Frames() {
+		if f.RecvBase > spec.GreenPackets || f.RecvBase+f.RecvEnh > spec.TotalPackets || f.BaseComplete != (f.RecvBase == spec.GreenPackets) {
+			t.Fatalf("frame %+v does not fit the configured spec %+v", f, spec)
+		}
+		if f.BaseComplete {
+			complete++
+		}
+	}
+	if complete == 0 {
+		t.Error("no frame decoded a complete base layer")
 	}
 }
 

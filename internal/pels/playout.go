@@ -23,7 +23,9 @@ type Playout struct {
 	started bool
 	start   time.Duration
 
-	onTime *fgs.Decoder
+	// all decodes every arrival and onTime only those that met their
+	// deadline: a late packet was received but is useless.
+	all, onTime *fgs.Decoder
 
 	latePkts    int64
 	lateByColor map[packet.Color]int64
@@ -31,14 +33,15 @@ type Playout struct {
 
 // NewPlayout builds a playout analyzer. Wire Observe to Sink.OnPacket.
 func NewPlayout(spec fgs.FrameSpec, startup, interval time.Duration) (*Playout, error) {
-	onTime, err := fgs.NewDecoder(spec)
+	all, err := fgs.NewDecoder(spec)
 	if err != nil {
 		return nil, err
 	}
 	return &Playout{
 		startup:     startup,
 		interval:    interval,
-		onTime:      onTime,
+		all:         all,
+		onTime:      fgs.MustNewDecoder(spec),
 		lateByColor: make(map[packet.Color]int64),
 	}, nil
 }
@@ -49,6 +52,7 @@ func (pl *Playout) Observe(at time.Duration, p *packet.Packet) {
 		pl.started = true
 		pl.start = at
 	}
+	pl.all.Receive(p.Frame, p.Index)
 	if at <= pl.Deadline(p.Frame) {
 		pl.onTime.Receive(p.Frame, p.Index)
 		return
@@ -66,9 +70,18 @@ func (pl *Playout) Deadline(frame int) time.Duration {
 	return pl.start + pl.startup + time.Duration(frame)*pl.interval
 }
 
-// OnTimeFrames returns decode results counting only packets that met their
-// deadlines.
-func (pl *Playout) OnTimeFrames() []fgs.FrameResult { return pl.onTime.Frames() }
+// OnTimeFrames returns the decode result of every frame that received a
+// packet, with only the packets that met their deadline useful. The
+// received counts include late packets, so a frame's utility is eq. 3's:
+// useful on-time enhancement over all received enhancement.
+func (pl *Playout) OnTimeFrames() []fgs.FrameResult {
+	frames := pl.all.Frames()
+	for i, f := range frames {
+		on := pl.onTime.Frame(f.Frame)
+		frames[i].BaseComplete, frames[i].UsefulEnh = on.BaseComplete, on.UsefulEnh
+	}
+	return frames
+}
 
 // OnTimeStats aggregates the deadline-filtered decode statistics.
 func (pl *Playout) OnTimeStats() fgs.StreamStats { return fgs.Aggregate(pl.OnTimeFrames()) }

@@ -51,6 +51,9 @@ func TestPlayoutDeadlines(t *testing.T) {
 	if onTime[0].UsefulEnh != 2 {
 		t.Errorf("on-time useful = %d, want 2 (late red excluded)", onTime[0].UsefulEnh)
 	}
+	if onTime[0].RecvEnh != 3 {
+		t.Errorf("on-time received = %d, want 3 (the late red arrived)", onTime[0].RecvEnh)
+	}
 	if pl.LatePackets() != 1 {
 		t.Errorf("LatePackets = %d, want 1", pl.LatePackets())
 	}
@@ -72,9 +75,10 @@ func TestPlayoutDeadlineBeforeStart(t *testing.T) {
 
 // TestPlayoutEndToEnd runs a congested session and verifies the deadline
 // filter's expected structure: green/yellow essentially never late, red
-// carrying almost all the lateness, and on-time utility close to the
-// unfiltered utility (late red packets were mostly past the useful prefix
-// anyway).
+// carrying almost all the lateness, and on-time utility below the
+// unfiltered utility but close to it (late red packets were mostly past the
+// useful prefix anyway). A late packet was received but is useless, so it
+// stays in eq. 3's denominator and can only lower utility.
 func TestPlayoutEndToEnd(t *testing.T) {
 	cfg := Config{Flow: 1}
 	r := newRig(t, cfg, 500*units.Kbps)
@@ -101,6 +105,15 @@ func TestPlayoutEndToEnd(t *testing.T) {
 	allStats := r.sink.Stats()
 	if onTime.MeanUtility < allStats.MeanUtility-0.1 {
 		t.Errorf("on-time utility %.3f far below unfiltered %.3f", onTime.MeanUtility, allStats.MeanUtility)
+	}
+	if onTime.MeanUtility > allStats.MeanUtility {
+		t.Errorf("on-time utility %.3f above unfiltered %.3f: late packets left the denominator", onTime.MeanUtility, allStats.MeanUtility)
+	}
+	if total > 0 && onTime.MeanUtility >= allStats.MeanUtility {
+		t.Errorf("%d late packets, yet on-time utility %.3f is not below unfiltered %.3f", total, onTime.MeanUtility, allStats.MeanUtility)
+	}
+	if onTime.RecvEnhTotal != allStats.RecvEnhTotal {
+		t.Errorf("on-time stats received %d enhancement packets, the sink %d", onTime.RecvEnhTotal, allStats.RecvEnhTotal)
 	}
 	t.Logf("late: %d total (%v); utility on-time %.3f vs all %.3f",
 		total, late, onTime.MeanUtility, allStats.MeanUtility)

@@ -113,6 +113,7 @@ type ServerStats struct {
 	AdmitRaces     uint64
 	AdmitFallbacks uint64 // admissions that found the lane full and wait for the next tick
 	Hellos         uint64
+	ControlSent    uint64 // Reject and Close datagrams written
 	FeedbackItems  uint64
 	// FeedbackBatches equals FeedbackItems: every label is applied on its
 	// own, on arrival.

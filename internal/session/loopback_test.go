@@ -241,9 +241,11 @@ func windowLoss(from, to wire.ColorCount) float64 {
 
 // TestLiveLoopbackEightLayers streams an 8-layer session — the quality
 // ladder of a real scalable bitstream — through the same gateway and
-// bottleneck. Every layer travels the wire in its own color, and the
-// gateway ranks each by its layer, so the claim nlayer-testbed makes on the
-// simulator holds live: all eight layers stream, the base layer comes
+// bottleneck at the paper's default denominator, RedShareTotal. Every layer
+// travels the wire in its own color, and the gateway ranks each by its
+// layer, so the claim nlayer-testbed makes on the simulator holds live: all
+// eight layers stream, each middle layer at least a datagram a frame, the
+// base layer comes
 // through the congested bottleneck untouched, and loss does not decrease
 // as the layer index rises — each layer loses at least the share the
 // layers beneath it lose together. (Adjacent middle layers can swap by a
@@ -261,9 +263,6 @@ func TestLiveLoopbackEightLayers(t *testing.T) {
 			MinRate:     64 * units.Kbps,
 			DedupEpochs: true,
 		},
-		// γ splits the enhancement alone, so every layer of the ladder
-		// has packets: under RedShareTotal layer 1 is mostly empty.
-		RedShare:   fgs.RedShareEnhancement,
 		Layers:     layers,
 		BurstBytes: 1600,
 		MaxFrames:  150,
@@ -278,6 +277,17 @@ func TestLiveLoopbackEightLayers(t *testing.T) {
 	for l := 0; l < layers; l++ {
 		if end.Colors[packet.LayerColor(l)].Received == 0 {
 			t.Errorf("no %v datagram arrived: layer %d never streamed", packet.LayerColor(l), l)
+		}
+	}
+	// Every middle layer carries at least one datagram a frame.
+	recv := make([]uint64, layers)
+	for l := range recv {
+		recv[l] = end.Colors[packet.LayerColor(l)].Received
+	}
+	t.Logf("datagrams received by layer: %v", recv)
+	for l := 1; l < layers-1; l++ {
+		if got := recv[l]; got < uint64(ss.Frames) {
+			t.Errorf("layer %d: %d datagrams arrived in %d frames, want at least one a frame", l, got, ss.Frames)
 		}
 	}
 	var below wire.ColorCount // the layers beneath l, pooled

@@ -330,6 +330,8 @@ func TestPumpFeedbackWhileChunkPumped(t *testing.T) {
 // TestLiveStatsWithoutRegistry: a server run with Obs nil counts what its
 // sessions sent, on a registry of its own. With ExitWhenIdle, Run returning
 // means every worker has flushed, so the counters equal what Out was given.
+// The control datagrams it wrote to its socket are counted too: a Reject
+// for each refused hello and a Close for each session that ended.
 func TestLiveStatsWithoutRegistry(t *testing.T) {
 	out := &flowLog{}
 	srv, addr, _, errCh := startLiveServer(t, 8*units.Mbps, 25*time.Millisecond, func(cfg *ServerConfig) {
@@ -338,12 +340,19 @@ func TestLiveStatsWithoutRegistry(t *testing.T) {
 		cfg.ExitWhenIdle = true
 		cfg.Session.MaxFrames = 3
 		cfg.Session.FrameInterval = 5 * time.Millisecond
+		cfg.Tune = func(k Key, c *Config) {
+			if k.Flow == 2 {
+				c.Layers = 1 // invalid: the hello is rejected
+			}
+		}
 	})
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = conn.Close() })
+	sendHello(t, conn, addr, 2)
+	awaitType(t, conn, wire.TypeReject, 2, 2*time.Second)
 	// A hello the socket dropped is sent again; one that lands after the
 	// first session completed only adds a session to both sides of the sum.
 	retry := time.NewTicker(50 * time.Millisecond)
@@ -365,6 +374,10 @@ func TestLiveStatsWithoutRegistry(t *testing.T) {
 	st, wrote := srv.Stats(), uint64(len(out.flows)) // every worker has returned: out is quiet
 	if st.Datagrams == 0 || st.Datagrams != wrote || st.Bytes != 100*wrote {
 		t.Fatalf("stats say %d datagrams, %d bytes; Out was given %d of 100 bytes", st.Datagrams, st.Bytes, wrote)
+	}
+	if st.Rejected == 0 || st.Completed == 0 || st.ControlSent != st.Rejected+st.Completed+st.Reaped {
+		t.Fatalf("%d control datagrams sent; want one for each of %d rejects, %d completions and %d reaps",
+			st.ControlSent, st.Rejected, st.Completed, st.Reaped)
 	}
 }
 

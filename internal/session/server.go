@@ -121,6 +121,7 @@ func (s *Server) Stats() ServerStats {
 		AdmitRaces:      u(s.n.admitRaces),
 		AdmitFallbacks:  u(s.n.admitFalls),
 		Hellos:          u(s.n.hellos),
+		ControlSent:     u(s.n.controlSent),
 		FeedbackItems:   u(s.n.feedback),
 		FeedbackBatches: u(s.n.feedback),
 		WheelTimers:     s.wheel.Len(),

@@ -39,9 +39,10 @@ type Config struct {
 	RedShare fgs.RedShare
 	// Layers is the number of priority layers each frame is split into,
 	// in [2, packet.MaxLayers]; 0 selects 3, the paper's green/yellow/red.
-	// Every frame is planned with the default γ ladder (fgs.Ladder), which
-	// for 3 layers is exactly the paper's single-γ split. Layer l travels
-	// the wire colored packet.LayerColor(l).
+	// Every frame is planned by fgs.Packetizer.PlanLadder, whose split
+	// points run from the enhancement's share of the frame down to γ, so
+	// every layer carries packets; for 3 layers it is exactly the paper's
+	// single-γ split. Layer l travels the wire colored packet.LayerColor(l).
 	Layers int
 	// BestEffort sends every enhancement layer colored packet.BestEffort
 	// instead of its layer's color, the paper's §6.5 baseline: the base
