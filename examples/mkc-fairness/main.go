@@ -77,7 +77,7 @@ func valueAt(ts *stats.TimeSeries, t time.Duration) float64 {
 func aimdSawtooth() {
 	const capacity = 2000.0 // kb/s
 	mkc := cc.NewMKC(cc.DefaultMKCConfig())
-	aimd := cc.NewAIMD(cc.DefaultAIMDConfig())
+	aimd := cc.NewAIMD()
 	run := func(name string, ctrl cc.Controller) {
 		var tail []float64
 		for k := uint64(1); k <= 400; k++ {

@@ -16,6 +16,8 @@ import (
 // Bernoulli loss p, for a frame-size PMF q where q[k] = P(H = k+1)
 // (i.e. q is indexed from size 1). Probabilities need not be normalized;
 // they are treated as weights.
+//
+//pelsvet:allow deadexport paper-equation oracle: eq. (1), which the FGS tests check the simulator against
 func ExpectedUseful(p float64, q []float64) float64 {
 	if p <= 0 {
 		// No loss: every transmitted packet is useful.

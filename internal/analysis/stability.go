@@ -27,6 +27,8 @@ func GammaTrajectory(gamma0, sigma, p, pthr float64, steps int) []float64 {
 //
 // With constant p the delayed system decomposes into d independent copies
 // of eq. (4), which is why stability is delay-independent (paper Lemma 3).
+//
+//pelsvet:allow deadexport paper-equation oracle: eq. (5), which the γ-controller tests check against
 func GammaTrajectoryDelayed(gamma0, sigma, p, pthr float64, d, steps int) []float64 {
 	if d < 1 {
 		d = 1
@@ -44,6 +46,8 @@ func GammaTrajectoryDelayed(gamma0, sigma, p, pthr float64, d, steps int) []floa
 }
 
 // GammaStable reports the Lemma 2/3 stability condition 0 < σ < 2.
+//
+//pelsvet:allow deadexport paper-equation oracle: Lemmas 2-3, which the γ-controller tests check against
 func GammaStable(sigma float64) bool { return sigma > 0 && sigma < 2 }
 
 // GammaFixedPoint returns γ* = p/p_thr, the stationary point of eq. (4)
@@ -59,6 +63,8 @@ func GammaFixedPoint(p, pthr float64) float64 {
 
 // Converged reports whether the tail of trajectory stays within tol of
 // target for at least the final window samples.
+//
+//pelsvet:allow deadexport paper-equation oracle: the convergence test the stability tests apply to trajectories
 func Converged(trajectory []float64, target, tol float64, window int) bool {
 	if len(trajectory) < window || window <= 0 {
 		return false
@@ -73,6 +79,8 @@ func Converged(trajectory []float64, target, tol float64, window int) bool {
 
 // Diverged reports whether the trajectory's deviation from target grows
 // beyond bound at any point.
+//
+//pelsvet:allow deadexport paper-equation oracle: the divergence test the stability tests apply to trajectories
 func Diverged(trajectory []float64, target, bound float64) bool {
 	for _, v := range trajectory {
 		if math.Abs(v-target) > bound {
@@ -98,6 +106,8 @@ func Diverged(trajectory []float64, target, bound float64) bool {
 // The router publishes p(k) = (R(k)−C)/R(k) with R the aggregate rate.
 // Rates and capacity share one arbitrary unit. The returned slice holds
 // each flow's rate trajectory.
+//
+//pelsvet:allow deadexport paper-equation oracle: eqs. (8)-(9), which the MKC tests check against
 func MKCTrajectory(n int, r0, alpha, beta, capacity float64, d, steps int) [][]float64 {
 	if n <= 0 || steps <= 0 {
 		return nil

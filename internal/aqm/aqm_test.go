@@ -39,8 +39,8 @@ func TestFeedbackLossEquation(t *testing.T) {
 	if got := f.Loss(); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("loss = %v, want 0.5", got)
 	}
-	if f.Epoch() != 1 {
-		t.Errorf("epoch = %d, want 1", f.Epoch())
+	if f.meter.Epoch() != 1 {
+		t.Errorf("epoch = %d, want 1", f.meter.Epoch())
 	}
 }
 
@@ -75,8 +75,8 @@ func TestFeedbackIdleInterval(t *testing.T) {
 	if err := eng.RunUntil(90 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if f.Epoch() != 3 {
-		t.Errorf("epoch = %d after 3 idle intervals, want 3", f.Epoch())
+	if f.meter.Epoch() != 3 {
+		t.Errorf("epoch = %d after 3 idle intervals, want 3", f.meter.Epoch())
 	}
 	if got := f.Loss(); got != packet.MinLoss {
 		t.Errorf("idle loss = %v, want %v", got, packet.MinLoss)
@@ -95,8 +95,8 @@ func TestFeedbackEpochIncrements(t *testing.T) {
 	if got := reg.Counter("feedback_epochs").Value(); got != 5 {
 		t.Fatalf("epoch counter = %d, want 5", got)
 	}
-	if f.Epoch() != 5 {
-		t.Errorf("Epoch() = %d, want 5", f.Epoch())
+	if f.meter.Epoch() != 5 {
+		t.Errorf("Epoch() = %d, want 5", f.meter.Epoch())
 	}
 	loss := reg.Series("feedback_loss").TimeSeries()
 	if loss.Len() != 5 {
@@ -213,8 +213,8 @@ func TestFeedbackStop(t *testing.T) {
 	if err := eng.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if f.Epoch() != 0 {
-		t.Errorf("epoch advanced to %d after Stop", f.Epoch())
+	if f.meter.Epoch() != 0 {
+		t.Errorf("epoch advanced to %d after Stop", f.meter.Epoch())
 	}
 }
 
@@ -266,9 +266,6 @@ func TestBestEffortBottleneckAssembly(t *testing.T) {
 func TestFeedbackSetCapacity(t *testing.T) {
 	eng := sim.NewEngine(1)
 	f := NewFeedback(eng, feedbackConfig())
-	if f.Capacity() != 2*units.Mbps {
-		t.Errorf("Capacity = %v", f.Capacity())
-	}
 	f.SetCapacity(units.Mbps)
 	offer(f, 15, 250, packet.Yellow) // 1 mb/s
 	if err := eng.RunUntil(30 * time.Millisecond); err != nil {

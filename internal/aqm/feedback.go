@@ -105,12 +105,6 @@ func (f *Feedback) compute() {
 // aggregate claiming part of the PELS share (bottleneck shifts, §5.2).
 func (f *Feedback) SetCapacity(c units.BitRate) { f.meter.SetCapacity(c) }
 
-// Capacity returns the capacity currently used for loss computation.
-func (f *Feedback) Capacity() units.BitRate { return f.meter.Capacity() }
-
-// Epoch returns the router's current epoch number z.
-func (f *Feedback) Epoch() uint64 { return f.meter.Epoch() }
-
 // Loss returns the most recently computed loss p(k).
 func (f *Feedback) Loss() float64 { return f.meter.Loss() }
 

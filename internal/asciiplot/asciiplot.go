@@ -21,9 +21,6 @@ type Config struct {
 	Width, Height int
 	Title         string
 	XLabel        string
-	// Markers assigns one rune per series; defaults cycle through
-	// "*o+x#@".
-	Markers []rune
 }
 
 // DefaultConfig returns an 72×20 chart.
@@ -31,7 +28,8 @@ func DefaultConfig() Config {
 	return Config{Width: 72, Height: 20}
 }
 
-var defaultMarkers = []rune{'*', 'o', '+', 'x', '#', '@'}
+// markers assigns one rune per series, cycling.
+var markers = []rune{'*', 'o', '+', 'x', '#', '@'}
 
 // Render draws the series onto a shared axis grid and returns the chart as
 // a string. Series with no finite points are skipped; an empty chart
@@ -42,10 +40,6 @@ func Render(cfg Config, series ...Series) string {
 	}
 	if cfg.Height <= 4 {
 		cfg.Height = 20
-	}
-	markers := cfg.Markers
-	if len(markers) == 0 {
-		markers = defaultMarkers
 	}
 
 	minX, maxX := math.Inf(1), math.Inf(-1)

@@ -5,39 +5,19 @@ import (
 	"repro/internal/units"
 )
 
-// AIMDConfig parameterizes the additive-increase/multiplicative-decrease
-// baseline the paper calls "unacceptable for video streaming due to its
-// large rate fluctuations" (§5). It consumes the same router feedback as
-// MKC: positive loss triggers a multiplicative back-off, otherwise the rate
+// AIMD's constants: the additive step of the paper's MKC setup per
+// loss-free control interval, and TCP-like halving on loss.
+const (
+	aimdIncrease = 20 * units.Kbps
+	aimdDecrease = 0.5
+)
+
+// AIMD is the additive-increase/multiplicative-decrease baseline the paper
+// calls "unacceptable for video streaming due to its large rate
+// fluctuations" (§5). It consumes the same router feedback as MKC:
+// positive loss triggers a multiplicative back-off, otherwise the rate
 // grows additively.
-type AIMDConfig struct {
-	// Increase is the additive step per loss-free control interval.
-	Increase units.BitRate
-	// Decrease is the multiplicative back-off factor in (0,1) applied on
-	// loss (TCP-like AIMD uses 0.5).
-	Decrease float64
-	// InitialRate is r(0).
-	InitialRate units.BitRate
-	// MinRate floors the rate.
-	MinRate units.BitRate
-	// MaxRate caps the rate; 0 means uncapped.
-	MaxRate units.BitRate
-}
-
-// DefaultAIMDConfig returns a configuration comparable to the paper's MKC
-// setup (same additive step and initial rate).
-func DefaultAIMDConfig() AIMDConfig {
-	return AIMDConfig{
-		Increase:    20 * units.Kbps,
-		Decrease:    0.5,
-		InitialRate: 128 * units.Kbps,
-		MinRate:     16 * units.Kbps,
-	}
-}
-
-// AIMD is the oscillating baseline controller.
 type AIMD struct {
-	cfg   AIMDConfig
 	rate  units.BitRate
 	loss  float64
 	fresh freshness
@@ -45,16 +25,8 @@ type AIMD struct {
 
 var _ Controller = (*AIMD)(nil)
 
-// NewAIMD validates cfg and returns a controller.
-func NewAIMD(cfg AIMDConfig) *AIMD {
-	if cfg.Decrease <= 0 || cfg.Decrease >= 1 {
-		panic("cc: AIMD decrease factor must be in (0,1)")
-	}
-	if cfg.InitialRate <= 0 {
-		panic("cc: AIMD initial rate must be positive")
-	}
-	return &AIMD{cfg: cfg, rate: cfg.InitialRate}
-}
+// NewAIMD returns a controller at the baselines' initial rate.
+func NewAIMD() *AIMD { return &AIMD{rate: baselineInitialRate} }
 
 // OnFeedback implements Controller.
 func (a *AIMD) OnFeedback(fb packet.Feedback) bool {
@@ -64,11 +36,11 @@ func (a *AIMD) OnFeedback(fb packet.Feedback) bool {
 	a.loss = fb.Loss
 	var next units.BitRate
 	if fb.Loss > 0 {
-		next = units.BitRate(float64(a.rate) * a.cfg.Decrease)
+		next = units.BitRate(float64(a.rate) * aimdDecrease)
 	} else {
-		next = a.rate + a.cfg.Increase
+		next = a.rate + aimdIncrease
 	}
-	a.rate = clampRate(next, a.cfg.MinRate, a.cfg.MaxRate)
+	a.rate = clampRate(next, baselineMinRate, 0)
 	return true
 }
 

@@ -23,10 +23,9 @@ type BinomialConfig struct {
 	K, L float64
 	// Alpha and Beta are the gain constants (in the kb/s domain).
 	Alpha, Beta float64
-	// InitialRate, MinRate, MaxRate as in MKCConfig.
+	// InitialRate and MinRate as in MKCConfig; the rate is uncapped.
 	InitialRate units.BitRate
 	MinRate     units.BitRate
-	MaxRate     units.BitRate
 }
 
 // IIADConfig returns the inverse-increase/additive-decrease member
@@ -88,7 +87,7 @@ func (b *Binomial) OnFeedback(fbk packet.Feedback) bool {
 	} else {
 		r += b.cfg.Alpha / math.Pow(r, b.cfg.K)
 	}
-	b.rate = clampRate(units.BitRate(r*1000), b.cfg.MinRate, b.cfg.MaxRate)
+	b.rate = clampRate(units.BitRate(r*1000), b.cfg.MinRate, 0)
 	return true
 }
 
@@ -97,9 +96,3 @@ func (b *Binomial) Rate() units.BitRate { return b.rate }
 
 // LastLoss implements Controller.
 func (b *Binomial) LastLoss() float64 { return b.loss }
-
-// TCPFriendly reports whether the configuration satisfies the k+l = 1 rule
-// that makes a binomial controller TCP-compatible.
-func (cfg BinomialConfig) TCPFriendly() bool {
-	return math.Abs(cfg.K+cfg.L-1) < 1e-9
-}

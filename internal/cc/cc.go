@@ -21,6 +21,13 @@ type Controller interface {
 	LastLoss() float64
 }
 
+// The baselines' rate range (AIMD, Kelly, TFRC): MKC's default initial
+// rate and floor, and no cap.
+const (
+	baselineInitialRate = 128 * units.Kbps
+	baselineMinRate     = 16 * units.Kbps
+)
+
 // clampRate bounds r to [min, max]; max <= 0 means unbounded above.
 func clampRate(r, min, max units.BitRate) units.BitRate {
 	if r < min {

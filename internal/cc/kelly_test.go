@@ -3,7 +3,6 @@ package cc
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/units"
 )
@@ -11,7 +10,7 @@ import (
 func TestKellyMatchesMKCFixedPoint(t *testing.T) {
 	// With gains matched to MKC at T=30 ms, both controllers share the
 	// stationary rate of eq. (10).
-	kcfg := DefaultKellyConfig()
+	kcfg := MKCConfig{Alpha: kellyAlpha, Beta: kellyBeta}
 	mcfg := DefaultMKCConfig()
 	c := 2 * units.Mbps
 	for _, n := range []int{1, 2, 4, 8} {
@@ -24,15 +23,14 @@ func TestKellyMatchesMKCFixedPoint(t *testing.T) {
 }
 
 func TestKellyConvergesToStationaryRate(t *testing.T) {
-	cfg := DefaultKellyConfig()
-	k := NewKelly(cfg)
+	k := NewKelly()
 	capacity := 1000.0 // kb/s
 	for e := uint64(1); e <= 1000; e++ {
 		r := k.Rate().KbpsValue()
 		loss := (r - capacity) / r
 		k.OnFeedback(fb(1, e, loss))
 	}
-	want := cfg.StationaryRate(1000*units.Kbps, 1).KbpsValue()
+	want := MKCConfig{Alpha: kellyAlpha, Beta: kellyBeta}.StationaryRate(1000*units.Kbps, 1).KbpsValue()
 	got := k.Rate().KbpsValue()
 	if math.Abs(got-want) > want*0.02 {
 		t.Errorf("rate = %.1f, want %.1f", got, want)
@@ -40,18 +38,11 @@ func TestKellyConvergesToStationaryRate(t *testing.T) {
 }
 
 func TestKellyEulerStepEquation(t *testing.T) {
-	cfg := KellyConfig{
-		Alpha:       1000 * units.Kbps, // per second
-		Beta:        2,                 // per second
-		Step:        100 * time.Millisecond,
-		InitialRate: 500 * units.Kbps,
-		MinRate:     units.Kbps,
-	}
-	k := NewKelly(cfg)
-	// Δr = h(α − βpr) = 0.1·(1000 − 2·0.25·500) = 75 kb/s.
+	k := NewKelly()
+	// Δr = h(α − βpr) = 0.03·(666,667 − 16.67·0.25·128,000) b/s = 4 kb/s.
 	k.OnFeedback(fb(1, 1, 0.25))
-	if got := k.Rate().KbpsValue(); math.Abs(got-575) > 1e-9 {
-		t.Errorf("rate = %v, want 575", got)
+	if got := k.Rate().KbpsValue(); math.Abs(got-132) > 1e-6 {
+		t.Errorf("rate = %v, want 132", got)
 	}
 	if k.LastLoss() != 0.25 {
 		t.Errorf("LastLoss = %v", k.LastLoss())
@@ -59,45 +50,11 @@ func TestKellyEulerStepEquation(t *testing.T) {
 }
 
 func TestKellyEpochDedup(t *testing.T) {
-	k := NewKelly(DefaultKellyConfig())
+	k := NewKelly()
 	if !k.OnFeedback(fb(1, 1, 0)) {
 		t.Fatal("fresh feedback rejected")
 	}
 	if k.OnFeedback(fb(1, 1, 0)) {
 		t.Error("duplicate epoch accepted")
-	}
-}
-
-func TestKellySmallerStepsSmootherPath(t *testing.T) {
-	// Halving the step (with per-second gains fixed) halves the per-epoch
-	// movement: the continuous controller's defining property.
-	cfg := DefaultKellyConfig()
-	k1 := NewKelly(cfg)
-	cfg2 := cfg
-	cfg2.Step = cfg.Step / 2
-	k2 := NewKelly(cfg2)
-	k1.OnFeedback(fb(1, 1, 0.1))
-	k2.OnFeedback(fb(1, 1, 0.1))
-	d1 := k1.Rate() - cfg.InitialRate
-	d2 := k2.Rate() - cfg.InitialRate
-	if math.Abs(float64(d1)-2*float64(d2)) > 1 {
-		t.Errorf("step halving: deltas %v vs %v, want 2:1", d1, d2)
-	}
-}
-
-func TestKellyPanicsOnBadConfig(t *testing.T) {
-	for name, cfg := range map[string]KellyConfig{
-		"zero beta": {Alpha: units.Kbps, Step: time.Millisecond, InitialRate: units.Kbps},
-		"zero step": {Alpha: units.Kbps, Beta: 1, InitialRate: units.Kbps},
-		"zero rate": {Alpha: units.Kbps, Beta: 1, Step: time.Millisecond},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewKelly(%s) did not panic", name)
-				}
-			}()
-			NewKelly(cfg)
-		}()
 	}
 }

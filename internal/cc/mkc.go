@@ -101,9 +101,6 @@ func (m *MKC) Rate() units.BitRate { return m.rate }
 // LastLoss implements Controller.
 func (m *MKC) LastLoss() float64 { return m.loss }
 
-// Updates returns the number of accepted rate updates.
-func (m *MKC) Updates() int64 { return m.updates }
-
 // StationaryRate returns the closed-form equilibrium rate of paper eq. (10)
 // for n flows sharing capacity c: r* = C/N + α/β (analysis.MKCStationaryRate).
 func (cfg MKCConfig) StationaryRate(c units.BitRate, n int) units.BitRate {

@@ -8,56 +8,35 @@ import (
 	"repro/internal/units"
 )
 
-// TFRCConfig parameterizes an equation-based controller in the spirit of
-// TFRC (Floyd & Padhye, SIGCOMM 2000), which the paper lists among the
-// smooth multimedia controllers (§5). The sending rate tracks the TCP
-// throughput equation at the measured loss rate:
+// TFRC's constants, for the paper's topology: 500-byte packets and a
+// ~40 ms RTT.
+const (
+	// tfrcSegmentSize is S in bytes.
+	tfrcSegmentSize = 500
+	tfrcRTT         = 40 * time.Millisecond
+	tfrcRTO         = 4 * tfrcRTT
+	// tfrcLossEWMA weights new feedback into the smoothed loss estimate.
+	tfrcLossEWMA = 0.25
+	// tfrcSmoothing bounds the per-update rate movement toward the
+	// equation rate: halfway each control interval.
+	tfrcSmoothing = 0.5
+	// tfrcMinLoss floors the loss estimate so the equation stays finite at
+	// p → 0, capping the equation rate instead of letting it diverge.
+	tfrcMinLoss = 1e-4
+)
+
+// TFRC is an equation-based controller in the spirit of TFRC (Floyd &
+// Padhye, SIGCOMM 2000), which the paper lists among the smooth multimedia
+// controllers (§5). The sending rate tracks the TCP throughput equation at
+// the measured loss rate:
 //
 //	r(p) = S / (RTT·√(2p/3) + t_RTO·3·√(3p/8)·p·(1+32p²))
 //
 // Loss comes from the same router feedback as MKC (an EWMA stands in for
-// TFRC's loss-event-interval estimator); RTT is configured, matching our
-// fixed-topology simulations. Rate moves toward r(p) with a smoothing
+// TFRC's loss-event-interval estimator); the RTT is a constant, matching
+// our fixed-topology simulations. Rate moves toward r(p) with a smoothing
 // factor rather than jumping, as TFRC's slow-start/convergence rules do.
-type TFRCConfig struct {
-	// SegmentSize is S in bytes.
-	SegmentSize int
-	// RTT is the round-trip estimate; RTO defaults to 4×RTT.
-	RTT time.Duration
-	RTO time.Duration
-	// LossEWMA weights new feedback into the smoothed loss estimate
-	// (default 0.25).
-	LossEWMA float64
-	// Smoothing bounds the per-update rate movement toward the equation
-	// rate (default 0.5: move halfway each control interval).
-	Smoothing float64
-	// MinLoss floors the loss estimate so the equation stays finite at
-	// p → 0 (default 1e-4, which caps the equation rate instead of
-	// letting it diverge).
-	MinLoss float64
-	// InitialRate, MinRate, MaxRate as in MKCConfig.
-	InitialRate units.BitRate
-	MinRate     units.BitRate
-	MaxRate     units.BitRate
-}
-
-// DefaultTFRCConfig returns a configuration for the paper's topology
-// (500-byte packets, ~40 ms RTT).
-func DefaultTFRCConfig() TFRCConfig {
-	return TFRCConfig{
-		SegmentSize: 500,
-		RTT:         40 * time.Millisecond,
-		LossEWMA:    0.25,
-		Smoothing:   0.5,
-		MinLoss:     1e-4,
-		InitialRate: 128 * units.Kbps,
-		MinRate:     16 * units.Kbps,
-	}
-}
-
-// TFRC is the equation-based controller.
 type TFRC struct {
-	cfg   TFRCConfig
 	rate  units.BitRate
 	loss  float64 // smoothed loss estimate
 	last  float64 // last raw feedback
@@ -66,50 +45,24 @@ type TFRC struct {
 
 var _ Controller = (*TFRC)(nil)
 
-// NewTFRC validates cfg and returns a controller.
-func NewTFRC(cfg TFRCConfig) *TFRC {
-	if cfg.SegmentSize <= 0 {
-		panic("cc: TFRC segment size must be positive")
-	}
-	if cfg.RTT <= 0 {
-		panic("cc: TFRC RTT must be positive")
-	}
-	if cfg.RTO <= 0 {
-		cfg.RTO = 4 * cfg.RTT
-	}
-	if cfg.LossEWMA <= 0 || cfg.LossEWMA > 1 {
-		cfg.LossEWMA = 0.25
-	}
-	if cfg.Smoothing <= 0 || cfg.Smoothing > 1 {
-		cfg.Smoothing = 0.5
-	}
-	if cfg.MinLoss <= 0 {
-		cfg.MinLoss = 1e-4
-	}
-	if cfg.InitialRate <= 0 {
-		panic("cc: TFRC initial rate must be positive")
-	}
-	return &TFRC{cfg: cfg, rate: cfg.InitialRate, loss: cfg.MinLoss}
-}
+// NewTFRC returns a controller at the baselines' initial rate.
+func NewTFRC() *TFRC { return &TFRC{rate: baselineInitialRate, loss: tfrcMinLoss} }
 
-// EquationRate returns the TCP throughput equation evaluated at loss p.
-func (cfg TFRCConfig) EquationRate(p float64) units.BitRate {
-	if p < cfg.MinLoss {
-		p = cfg.MinLoss
+// equationRate returns the TCP throughput equation evaluated at loss p.
+func equationRate(p float64) units.BitRate {
+	if p < tfrcMinLoss {
+		p = tfrcMinLoss
 	}
 	if p > 1 {
 		p = 1
 	}
-	rtt := cfg.RTT.Seconds()
-	rto := cfg.RTO.Seconds()
-	if rto <= 0 {
-		rto = 4 * rtt
-	}
+	rtt := tfrcRTT.Seconds()
+	rto := tfrcRTO.Seconds()
 	den := rtt*math.Sqrt(2*p/3) + rto*3*math.Sqrt(3*p/8)*p*(1+32*p*p)
 	if den <= 0 {
 		return 0
 	}
-	return units.BitRate(float64(cfg.SegmentSize) * 8 / den)
+	return units.BitRate(tfrcSegmentSize * 8 / den)
 }
 
 // OnFeedback implements Controller.
@@ -122,10 +75,10 @@ func (t *TFRC) OnFeedback(fb packet.Feedback) bool {
 	if raw < 0 {
 		raw = 0
 	}
-	t.loss += t.cfg.LossEWMA * (raw - t.loss)
-	target := t.cfg.EquationRate(t.loss)
-	next := t.rate + units.BitRate(t.cfg.Smoothing*float64(target-t.rate))
-	t.rate = clampRate(next, t.cfg.MinRate, t.cfg.MaxRate)
+	t.loss += tfrcLossEWMA * (raw - t.loss)
+	target := equationRate(t.loss)
+	next := t.rate + units.BitRate(tfrcSmoothing*float64(target-t.rate))
+	t.rate = clampRate(next, baselineMinRate, 0)
 	return true
 }
 
@@ -134,6 +87,3 @@ func (t *TFRC) Rate() units.BitRate { return t.rate }
 
 // LastLoss implements Controller.
 func (t *TFRC) LastLoss() float64 { return t.last }
-
-// SmoothedLoss returns the EWMA loss estimate the equation runs on.
-func (t *TFRC) SmoothedLoss() float64 { return t.loss }

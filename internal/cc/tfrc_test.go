@@ -3,17 +3,15 @@ package cc
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/units"
 )
 
 func TestTFRCEquationShape(t *testing.T) {
-	cfg := DefaultTFRCConfig()
 	// The equation rate must be strictly decreasing in loss.
 	prev := math.Inf(1)
 	for _, p := range []float64{0.001, 0.01, 0.05, 0.1, 0.3} {
-		r := float64(cfg.EquationRate(p))
+		r := float64(equationRate(p))
 		if r >= prev {
 			t.Fatalf("equation rate not decreasing at p=%g: %.0f >= %.0f", p, r, prev)
 		}
@@ -24,30 +22,27 @@ func TestTFRCEquationShape(t *testing.T) {
 func TestTFRCEquationKnownPoint(t *testing.T) {
 	// Simple-form sanity check: with only the RTT term,
 	// r ≈ S/(RTT·√(2p/3)). At p small the RTO term is negligible.
-	cfg := DefaultTFRCConfig()
 	p := 0.001
-	approx := float64(cfg.SegmentSize) * 8 / (cfg.RTT.Seconds() * math.Sqrt(2*p/3))
-	got := float64(cfg.EquationRate(p))
+	approx := float64(tfrcSegmentSize) * 8 / (tfrcRTT.Seconds() * math.Sqrt(2*p/3))
+	got := float64(equationRate(p))
 	if math.Abs(got-approx)/approx > 0.05 {
 		t.Errorf("equation rate %.0f, simple-form approx %.0f", got, approx)
 	}
 }
 
 func TestTFRCTracksEquationRate(t *testing.T) {
-	cfg := DefaultTFRCConfig()
-	cfg.MaxRate = 10 * units.Mbps
-	ctrl := NewTFRC(cfg)
+	ctrl := NewTFRC()
 	// Constant 5% loss: the controller must settle at the equation rate.
 	for e := uint64(1); e <= 200; e++ {
 		ctrl.OnFeedback(fb(1, e, 0.05))
 	}
-	want := float64(cfg.EquationRate(0.05))
+	want := float64(equationRate(0.05))
 	got := float64(ctrl.Rate())
 	if math.Abs(got-want)/want > 0.02 {
 		t.Errorf("rate %.0f, equation %.0f", got, want)
 	}
-	if math.Abs(ctrl.SmoothedLoss()-0.05) > 1e-6 {
-		t.Errorf("smoothed loss = %v", ctrl.SmoothedLoss())
+	if math.Abs(ctrl.loss-0.05) > 1e-6 {
+		t.Errorf("smoothed loss = %v", ctrl.loss)
 	}
 }
 
@@ -74,12 +69,8 @@ func TestTFRCSmootherThanAIMDUnderNoisyLoss(t *testing.T) {
 		}
 		return (max - min) / max
 	}
-	cfg := DefaultTFRCConfig()
-	cfg.MaxRate = 4 * units.Mbps
-	tfrc := tailSwing(NewTFRC(cfg))
-	acfg := DefaultAIMDConfig()
-	acfg.MaxRate = 4 * units.Mbps
-	aimd := tailSwing(NewAIMD(acfg))
+	tfrc := tailSwing(NewTFRC())
+	aimd := tailSwing(NewAIMD())
 	t.Logf("relative tail swings: TFRC %.3f, AIMD %.3f", tfrc, aimd)
 	if tfrc > aimd/2 {
 		t.Errorf("TFRC relative swing %.3f not well below AIMD %.3f", tfrc, aimd)
@@ -87,41 +78,22 @@ func TestTFRCSmootherThanAIMDUnderNoisyLoss(t *testing.T) {
 }
 
 func TestTFRCNegativeLossTreatedAsZero(t *testing.T) {
-	ctrl := NewTFRC(DefaultTFRCConfig())
+	ctrl := NewTFRC()
 	for e := uint64(1); e <= 50; e++ {
 		ctrl.OnFeedback(fb(1, e, -2))
 	}
-	if ctrl.SmoothedLoss() > DefaultTFRCConfig().MinLoss+1e-6 {
-		t.Errorf("smoothed loss %v grew from negative feedback", ctrl.SmoothedLoss())
+	if ctrl.loss > tfrcMinLoss+1e-6 {
+		t.Errorf("smoothed loss %v grew from negative feedback", ctrl.loss)
 	}
 }
 
 func TestTFRCDedupAndDefaults(t *testing.T) {
-	ctrl := NewTFRC(DefaultTFRCConfig())
+	ctrl := NewTFRC()
 	if !ctrl.OnFeedback(fb(1, 1, 0.1)) || ctrl.OnFeedback(fb(1, 1, 0.1)) {
 		t.Error("epoch dedup broken")
 	}
-	// RTO defaults to 4×RTT.
-	cfg := DefaultTFRCConfig()
-	ctrl2 := NewTFRC(cfg)
-	if ctrl2.cfg.RTO != 4*cfg.RTT {
-		t.Errorf("RTO default = %v, want %v", ctrl2.cfg.RTO, 4*cfg.RTT)
-	}
-}
-
-func TestTFRCPanicsOnBadConfig(t *testing.T) {
-	for name, cfg := range map[string]TFRCConfig{
-		"zero segment": {RTT: time.Millisecond, InitialRate: units.Kbps},
-		"zero rtt":     {SegmentSize: 500, InitialRate: units.Kbps},
-		"zero rate":    {SegmentSize: 500, RTT: time.Millisecond},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewTFRC(%s) did not panic", name)
-				}
-			}()
-			NewTFRC(cfg)
-		}()
+	// A new controller starts at the baselines' rate with the loss floor.
+	if fresh := NewTFRC(); fresh.Rate() != 128*units.Kbps || fresh.loss != tfrcMinLoss {
+		t.Errorf("new controller: rate %v, loss %v", fresh.Rate(), fresh.loss)
 	}
 }

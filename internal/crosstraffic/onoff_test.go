@@ -21,20 +21,19 @@ func (c *countingSink) Receive(p *packet.Packet) {
 	c.bytes += int64(p.Size)
 }
 
-func rig(t *testing.T, cfg OnOffConfig) (*sim.Engine, *OnOff, *countingSink) {
+func rig(t *testing.T, paretoShape float64) (*sim.Engine, *OnOff, *countingSink) {
 	t.Helper()
 	eng := sim.NewEngine(7)
 	nw := netsim.NewNetwork(eng)
 	h := nw.NewHost("src")
 	sink := &countingSink{}
 	h.SetUplink(netsim.NewLink(eng, "l", 100*units.Mbps, 0, nil, sink))
-	gen := NewOnOff(nw, h, 99, cfg)
+	gen := NewOnOff(nw, h, 99, 1, paretoShape)
 	return eng, gen, sink
 }
 
 func TestOnOffMeanRateHalvesWithDutyCycle(t *testing.T) {
-	cfg := DefaultOnOffConfig(1)
-	eng, gen, sink := rig(t, cfg)
+	eng, gen, sink := rig(t, 0)
 	gen.Start(0)
 	const duration = 120 * time.Second
 	if err := eng.RunUntil(duration); err != nil {
@@ -45,30 +44,36 @@ func TestOnOffMeanRateHalvesWithDutyCycle(t *testing.T) {
 	if math.Abs(got-1.0) > 0.15 {
 		t.Errorf("mean rate = %.2f mb/s, want ~1.0", got)
 	}
-	if gen.OnPeriods() < 50 {
-		t.Errorf("only %d ON periods over %v", gen.OnPeriods(), duration)
+	if gen.onPeriods < 50 {
+		t.Errorf("only %d ON periods over %v", gen.onPeriods, duration)
 	}
 }
 
 func TestOnOffPeakRateDuringOn(t *testing.T) {
-	cfg := DefaultOnOffConfig(1)
-	cfg.MeanOn = time.Hour // effectively always on
-	cfg.MeanOff = time.Millisecond
-	eng, gen, sink := rig(t, cfg)
+	eng, gen, sink := rig(t, 0)
 	gen.Start(0)
-	if err := eng.RunUntil(10 * time.Second); err != nil {
+	// Bytes go out only during ON periods: divided by the sampled ON time,
+	// they give the peak rate.
+	var onTime time.Duration
+	probe := sim.NewTicker(eng, time.Millisecond, func() {
+		if gen.on {
+			onTime += time.Millisecond
+		}
+	})
+	probe.Start()
+	if err := eng.RunUntil(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got := float64(sink.bytes) * 8 / 10 / 1e6
+	got := float64(sink.bytes) * 8 / onTime.Seconds() / 1e6
 	if math.Abs(got-2.0) > 0.05 {
 		t.Errorf("ON rate = %.2f mb/s, want 2.0", got)
 	}
 }
 
 func TestOnOffStop(t *testing.T) {
-	eng, gen, sink := rig(t, DefaultOnOffConfig(1))
+	eng, gen, sink := rig(t, 0)
 	gen.Start(0)
-	eng.Schedule(time.Second, gen.Stop)
+	eng.Schedule(time.Second, gen.stop)
 	if err := eng.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +82,10 @@ func TestOnOffStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sink.pkts != at1s {
-		t.Error("generator kept sending after Stop")
+		t.Error("generator kept sending after stop")
 	}
-	if gen.On() {
-		t.Error("On() = true after Stop")
+	if gen.on {
+		t.Error("on after stop")
 	}
 }
 
@@ -88,14 +93,12 @@ func TestOnOffParetoHeavyTail(t *testing.T) {
 	// With the same mean, Pareto ON periods must produce a larger maximum
 	// burst than exponential ones over a long run.
 	burstMax := func(shape float64) time.Duration {
-		cfg := DefaultOnOffConfig(1)
-		cfg.ParetoShape = shape
-		eng, gen, _ := rig(t, cfg)
+		eng, gen, _ := rig(t, shape)
 		gen.Start(0)
 		var maxOn, onStart time.Duration
 		var prevOn bool
 		probe := sim.NewTicker(eng, 10*time.Millisecond, func() {
-			on := gen.On()
+			on := gen.on
 			if on && !prevOn {
 				onStart = eng.Now()
 			}
@@ -120,13 +123,22 @@ func TestOnOffParetoHeavyTail(t *testing.T) {
 	}
 }
 
+// TestOnOffDefaultsApplied: the source sends 1000-byte packets paced at
+// 2 mb/s, one every 4 ms (each reaches the sink 80 µs later, after the
+// 100 mb/s link serializes it).
 func TestOnOffDefaultsApplied(t *testing.T) {
-	eng := sim.NewEngine(1)
-	nw := netsim.NewNetwork(eng)
-	h := nw.NewHost("src")
-	h.SetUplink(netsim.NewLink(eng, "l", units.Mbps, 0, nil, &countingSink{}))
-	gen := NewOnOff(nw, h, 1, OnOffConfig{Flow: 1})
-	if gen.cfg.PacketSize != 1000 || gen.cfg.Rate != units.Mbps {
-		t.Errorf("defaults not applied: %+v", gen.cfg)
+	eng, gen, sink := rig(t, 0)
+	gen.Start(0)
+	if err := eng.RunUntil(3 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if !gen.on || sink.pkts != 1 || sink.bytes != 1000 {
+		t.Fatalf("first 3 ms: %d packets, %d bytes; want 1 of 1000", sink.pkts, sink.bytes)
+	}
+	if err := eng.RunUntil(5 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if sink.pkts != 2 {
+		t.Errorf("%d packets by 5 ms, want the second one there", sink.pkts)
 	}
 }

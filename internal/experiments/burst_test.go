@@ -45,11 +45,9 @@ func TestPELSUnderBurstyCrossTraffic(t *testing.T) {
 			t.Errorf("sink %d utility %.3f", i, st.MeanUtility)
 		}
 	}
-	// The generators really did burst.
-	var sent int64
-	for _, o := range tb.OnOffSources {
-		sent += o.BytesSent()
-	}
+	// The generators really did burst: with no TCP flows, everything the
+	// Internet queue saw came from them.
+	sent := tb.PELSQueues.Internet.ArrivedBytes
 	if sent == 0 {
 		t.Fatal("on-off sources sent nothing")
 	}

@@ -125,12 +125,12 @@ func TestTestbedValidation(t *testing.T) {
 
 func TestPELSCapacityShare(t *testing.T) {
 	cfg := DefaultTestbedConfig()
-	if got := cfg.PELSCapacity().MbpsValue(); math.Abs(got-2) > 1e-9 {
+	if got := cfg.PELSCapacity().KbpsValue() / 1000; math.Abs(got-2) > 1e-9 {
 		t.Errorf("PELS capacity = %v mb/s, want 2", got)
 	}
 	cfg.Bottleneck.PELSWeight = 3
 	cfg.Bottleneck.InternetWeight = 1
-	if got := cfg.PELSCapacity().MbpsValue(); math.Abs(got-3) > 1e-9 {
+	if got := cfg.PELSCapacity().KbpsValue() / 1000; math.Abs(got-3) > 1e-9 {
 		t.Errorf("PELS capacity = %v mb/s, want 3", got)
 	}
 }

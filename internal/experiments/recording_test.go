@@ -28,7 +28,7 @@ var update = flag.Bool("update", false, "rewrite the testdata goldens from this 
 // sample times of its rate series: in PELS mode an accepted feedback adds
 // one sample to each.
 func TestDelayRecorderOnlyWhenAttached(t *testing.T) {
-	for _, layers := range []int{2, 3, 5} {
+	for _, layers := range []int{3, 4, 5} {
 		for _, record := range []bool{false, true} {
 			cfg := DefaultTestbedConfig()
 			cfg.NumPELS = 4

@@ -214,9 +214,9 @@ var ccTable = []struct {
 	mk   func() cc.Controller
 }{
 	{"mkc", nil},
-	{"kelly", func() cc.Controller { return cc.NewKelly(cc.DefaultKellyConfig()) }},
-	{"aimd", func() cc.Controller { return cc.NewAIMD(cc.DefaultAIMDConfig()) }},
-	{"tfrc", func() cc.Controller { return cc.NewTFRC(cc.DefaultTFRCConfig()) }},
+	{"kelly", func() cc.Controller { return cc.NewKelly() }},
+	{"aimd", func() cc.Controller { return cc.NewAIMD() }},
+	{"tfrc", func() cc.Controller { return cc.NewTFRC() }},
 	{"iiad", func() cc.Controller { return cc.NewBinomial(cc.IIADConfig()) }},
 	{"sqrt", func() cc.Controller { return cc.NewBinomial(cc.SQRTConfig()) }},
 }

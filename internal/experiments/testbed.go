@@ -295,9 +295,8 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		dstHost := net.NewHost(fmt.Sprintf("u%d", i))
 		net.Connect(srcHost, tb.R1, accessCfg, accessCfg)
 		net.Connect(tb.R2, dstHost, accessCfg, accessCfg)
-		tcfg := tcp.DefaultConfig(500 + i)
-		recv := tcp.NewReceiver(net, dstHost, tcfg.Flow, tcfg.AckSize)
-		send := tcp.NewSender(net, srcHost, dstHost.ID(), tcfg)
+		recv := tcp.NewReceiver(net, dstHost, 500+i)
+		send := tcp.NewSender(net, srcHost, dstHost.ID(), 500+i)
 		tb.TCPSenders = append(tb.TCPSenders, send)
 		tb.TCPReceivers = append(tb.TCPReceivers, recv)
 	}
@@ -308,9 +307,7 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		dstHost := net.NewHost(fmt.Sprintf("p%d", i))
 		net.Connect(srcHost, tb.R1, accessCfg, accessCfg)
 		net.Connect(tb.R2, dstHost, accessCfg, accessCfg)
-		ocfg := crosstraffic.DefaultOnOffConfig(700 + i)
-		ocfg.ParetoShape = cfg.OnOffPareto
-		tb.OnOffSources = append(tb.OnOffSources, crosstraffic.NewOnOff(net, srcHost, dstHost.ID(), ocfg))
+		tb.OnOffSources = append(tb.OnOffSources, crosstraffic.NewOnOff(net, srcHost, dstHost.ID(), 700+i, cfg.OnOffPareto))
 	}
 
 	if err := net.ComputeRoutes(); err != nil {

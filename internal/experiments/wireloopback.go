@@ -211,7 +211,6 @@ func loopbackAt(g geometry, run loopbackRun) (Result, error) {
 			Bandwidth:  loopbackCapacity,
 			Delay:      loopbackDelay,
 			QueueBytes: loopbackQueue,
-			Seed:       g.seed,
 			Marker:     sw,
 			Faults:     fwd,
 		},

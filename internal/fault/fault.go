@@ -192,9 +192,9 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// End returns the instant the last scheduled event window closes (route
-// changes included); harnesses use it to size post-fault windows.
-func (p Plan) End() time.Duration {
+// end returns the instant the last scheduled event window closes (route
+// changes included).
+func (p Plan) end() time.Duration {
 	var end time.Duration
 	for _, e := range p.Events {
 		if e.To > end {
@@ -251,9 +251,6 @@ func NewInjector(plan Plan) *Injector {
 	}
 }
 
-// Plan returns the injector's schedule (shared, not copied).
-func (i *Injector) Plan() Plan { return i.plan }
-
 // Instrument registers the injector's effect counters in reg under
 // prefix+"drops", "corrupted", "duplicated", "reordered", "starved".
 func (i *Injector) Instrument(reg *obs.Registry, prefix string) {
@@ -271,16 +268,6 @@ func (i *Injector) Stats() Stats {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return i.stats
-}
-
-// Active reports whether any event window covers now.
-func (i *Injector) Active(now time.Duration) bool {
-	for _, e := range i.plan.Events {
-		if now >= e.From && now < e.To {
-			return true
-		}
-	}
-	return false
 }
 
 // Filter evaluates every active event against one offered packet and

@@ -113,9 +113,6 @@ func TestWindows(t *testing.T) {
 			t.Errorf("at %v: drop=%v, want %v", tc.now, got, tc.drop)
 		}
 	}
-	if inj.Active(sec(1)) != true || inj.Active(sec(2)) != false {
-		t.Error("Active window membership wrong")
-	}
 }
 
 // TestStarveFeedback checks the class split: control packets are dropped,
@@ -217,14 +214,14 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestPlanEnd checks End covers events and route changes.
+// TestPlanEnd checks end covers events and route changes.
 func TestPlanEnd(t *testing.T) {
 	p := Plan{
 		Events:       []Event{{Kind: KindLinkDown, From: sec(1), To: sec(3)}},
 		RouteChanges: []RouteChange{{At: sec(5), RouterID: 9}},
 	}
-	if got := p.End(); got != sec(5) {
-		t.Fatalf("End = %v, want %v", got, sec(5))
+	if got := p.end(); got != sec(5) {
+		t.Fatalf("end = %v, want %v", got, sec(5))
 	}
 }
 

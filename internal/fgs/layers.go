@@ -44,7 +44,8 @@ func (p LayerPlan) Layer(index int) int {
 
 // PlanLadder plans frame into plan, split into N = len(plan.Counts) layers
 // by the single controller γ: the one frame plan, which Sender runs for
-// both end hosts. It panics unless 2 ≤ N ≤ packet.MaxLayers, and costs no
+// both end hosts. It panics unless 3 ≤ N ≤ packet.MaxLayers — below 3
+// there is no layer between the base and the probe — and costs no
 // allocation.
 //
 // The base layer is always sent in full; the enhancement prefix uses the
@@ -56,7 +57,8 @@ func (p LayerPlan) Layer(index int) int {
 // packets once the spacing is a packet or more. Each split point is rounded
 // exactly as PlanShare rounds red (⌊s·denom+0.5⌋), the top layer keeps the
 // ≥1-packet probe rule whenever γ > 0 and any enhancement is sent, and
-// cumulative counts are clamped monotone so no layer count is negative. At
+// cumulative counts are clamped monotone from the top down, so no layer
+// count is negative and the probe survives the clamp. At
 // N = 3 the split points are {e, γ} and the plan is byte-identical to
 // PlanShare; under RedShareEnhancement, e = 1.
 //
@@ -64,7 +66,7 @@ func (p LayerPlan) Layer(index int) int {
 func (pk *Packetizer) PlanLadder(plan *LayerPlan, frame int, budgetBytes int, gamma float64, share RedShare) {
 	counts := plan.Counts
 	n := len(counts)
-	if n < 2 || n > packet.MaxLayers {
+	if n < 3 || n > packet.MaxLayers {
 		panic("fgs: layer count out of range")
 	}
 	enhBudget := budgetBytes - pk.spec.BaseBytes()
@@ -85,9 +87,8 @@ func (pk *Packetizer) PlanLadder(plan *LayerPlan, frame int, budgetBytes int, ga
 	}
 	plan.Frame = frame
 	counts[0] = pk.spec.GreenPackets
-	// cum is the packet count of layers ≥ ℓ, computed bottom-up and
-	// clamped so it never exceeds the count of the layer range below it.
-	prev := enhPkts
+	// counts[l] first holds cum(l), the packet count of layers ≥ ℓ, capped
+	// at the enhancement the budget buys.
 	for l := 1; l < n; l++ {
 		// Both endpoints are pinned exactly: the interpolation rounds away
 		// from γ in floating point, and the N=3 ⇒ PlanShare equivalence is
@@ -111,14 +112,13 @@ func (pk *Packetizer) PlanLadder(plan *LayerPlan, frame int, budgetBytes int, ga
 		if l == n-1 && cum == 0 && g > 0 && enhPkts > 0 {
 			cum = 1
 		}
-		if cum > prev {
-			cum = prev
-		}
-		counts[l] = cum
-		prev = cum
+		counts[l] = min(cum, enhPkts)
 	}
-	// counts[l] currently holds cum(l); convert to per-layer counts
-	// top-down: layer l gets cum(l) − cum(l+1).
+	// Clamp top-down, so cum never grows with ℓ and the top layer keeps
+	// its probe; then layer ℓ gets cum(ℓ) − cum(ℓ+1).
+	for l := n - 2; l >= 1; l-- {
+		counts[l] = max(counts[l], counts[l+1])
+	}
 	for l := 1; l < n-1; l++ {
 		counts[l] -= counts[l+1]
 	}

@@ -70,25 +70,26 @@ func TestLayerPlanLayerPanicsOutOfRange(t *testing.T) {
 // PlanLadder refuses a layer count it cannot colour, too few or too many.
 func TestPlanLayersIntoPanics(t *testing.T) {
 	pk := MustNewPacketizer(DefaultFrameSpec())
-	for _, n := range []int{0, 1, packet.MaxLayers + 1} {
+	for _, n := range []int{0, 1, 2, packet.MaxLayers + 1} {
 		bad := LayerPlan{Counts: make([]int, n)}
 		mustPanic(t, fmt.Sprintf("PlanLadder N=%d", n), func() { pk.PlanLadder(&bad, 0, 1000, 0.4, RedShareTotal) })
 	}
-	for _, n := range []int{2, packet.MaxLayers} {
+	for _, n := range []int{3, packet.MaxLayers} {
 		ok := LayerPlan{Counts: make([]int, n)}
 		pk.PlanLadder(&ok, 0, 1000, 0.4, RedShareTotal)
 	}
 }
 
-// checkLadder plans one frame of n layers and holds it to the ladder's
+// checkLadder plans one frame of n ≥ 3 layers and holds it to the ladder's
 // properties:
-//   - the base layer is full, no count is negative, and from N = 3 up the
-//     counts add up to the base plus the enhancement packets the budget
-//     buys. At N = 2 the one split point is γ, so the one enhancement layer
-//     is PlanShare's red and the rest of the enhancement is not sent;
+//   - the base layer is full, no count is negative, and the counts add up
+//     to the base plus the enhancement packets the budget buys;
 //   - at N = 3 the plan is PlanShare's, green/yellow/red;
+//   - the top layer carries the ≥1-packet probe whenever γ > 0 and any
+//     enhancement is sent;
 //   - under RedShareEnhancement the plan is the one the free-standing
-//     ladder (split points from 1 down to γ) gave;
+//     ladder (split points from 1 down to γ) gave, except where that
+//     ladder's bottom-up clamp took the probe away;
 //   - every layer 1…N−2 carries a packet whenever the split spacing
 //     (e − γ)·denom/(N−2) is at least one packet and γ·denom rounds to at
 //     least one, where e·denom is the enhancement's packet count.
@@ -122,25 +123,24 @@ func checkLadder(t *testing.T, spec FrameSpec, n, budget int, gamma float64, sha
 	}
 	ref := pk.PlanShare(7, budget, gamma, share)
 	switch {
-	case n == 2:
-		if got[1] != ref.Red {
-			fail("N=2 enhancement is not PlanShare's red")
-		}
 	case plan.Total() != spec.GreenPackets+enh:
 		fail("counts do not add up to base + enhancement")
 	case n == 3 && (got[0] != ref.Green || got[1] != ref.Yellow || got[2] != ref.Red):
 		fail("N=3 plan is not PlanShare's")
 	}
+	probe := gamma > 0 && enh > 0
+	if probe && got[n-1] < 1 {
+		fail("the top layer lost its probe")
+	}
 	if share == RedShareEnhancement {
 		want, splits := make([]int, n), make([]float64, n-1)
 		refLadder(splits, gamma)
 		refPlanLayersInto(pk, want, budget, splits, share)
-		if !slices.Equal(got, want) {
+		if lost := probe && want[n-1] == 0; !lost && !slices.Equal(got, want) {
 			fail(fmt.Sprint("differs from the free-standing ladder ", want))
 		}
 	}
-	if n >= 3 && int(gamma*float64(denom)+0.5) >= 1 &&
-		(float64(enh)-gamma*float64(denom))/float64(n-2) >= 1 {
+	if int(gamma*float64(denom)+0.5) >= 1 && (float64(enh)-gamma*float64(denom))/float64(n-2) >= 1 {
 		for l := 1; l <= n-2; l++ {
 			if got[l] < 1 {
 				fail("an empty middle layer")
@@ -150,7 +150,7 @@ func checkLadder(t *testing.T, spec FrameSpec, n, budget int, gamma float64, sha
 	return plan
 }
 
-// TestPlanLadderProperties sweeps N = 2…16, both shares, every
+// TestPlanLadderProperties sweeps N = 3…16, both shares, every
 // enhancement size of the paper's frame and of a frame with no base layer,
 // and γ over a 1/64 grid plus every half-packet multiple of 1/denom — where
 // rounding is closest to a tie — through checkLadder.
@@ -170,7 +170,7 @@ func TestPlanLadderProperties(t *testing.T) {
 				for k := 0; denom > 0 && k <= 2*denom; k++ {
 					gammas = append(gammas, float64(k)/float64(2*denom))
 				}
-				for n := 2; n <= packet.MaxLayers; n++ {
+				for n := 3; n <= packet.MaxLayers; n++ {
 					for _, g := range gammas {
 						checkLadder(t, spec, n, budget, g, share)
 					}
@@ -251,7 +251,7 @@ func FuzzPlanLadder(f *testing.F) {
 		if !(gamma >= 0 && gamma <= 1) { // NaN and out-of-range γ are TestPlanLayersMatchesPlanShare's
 			return
 		}
-		n := 2 + int(layers)%(packet.MaxLayers-1) // [2, MaxLayers]
+		n := 3 + int(layers)%(packet.MaxLayers-2) // [3, MaxLayers]
 		spec := FrameSpec{PacketSize: 500, TotalPackets: 126, GreenPackets: int(green) % 127}
 		share := RedShareEnhancement
 		if overTotal {

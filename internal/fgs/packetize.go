@@ -19,12 +19,6 @@ type PacketPlan struct {
 // Total returns the number of packets in the plan.
 func (p PacketPlan) Total() int { return p.Green + p.Yellow + p.Red }
 
-// EnhPackets returns the number of enhancement packets in the plan.
-func (p PacketPlan) EnhPackets() int { return p.Yellow + p.Red }
-
-// Bytes returns the plan size given the packet size.
-func (p PacketPlan) Bytes(packetSize int) int { return p.Total() * packetSize }
-
 // Color returns the PELS color of the packet at the given index within the
 // frame (base layer first, then yellow, then red). It panics when index is
 // outside [0, Total()): an out-of-range index means the caller is iterating

@@ -48,8 +48,8 @@ func (c SenderConfig) Validate() error {
 	if err := c.Gamma.Validate(); err != nil {
 		return err
 	}
-	if c.Layers < 2 || c.Layers > packet.MaxLayers {
-		return fmt.Errorf("fgs: layers must be in [2,%d], got %d", packet.MaxLayers, c.Layers)
+	if c.Layers < 3 || c.Layers > packet.MaxLayers {
+		return fmt.Errorf("fgs: layers must be in [3,%d], got %d", packet.MaxLayers, c.Layers)
 	}
 	return nil
 }

@@ -127,12 +127,10 @@ func (s *refSession) handle(fb packet.Feedback) (accepted, routerChanged bool) {
 // the Sender must match refSession and the PELS refSource bit for bit: plan
 // counts, (frame, index, layer), acceptance, router change, rate and γ. The
 // best-effort refSource planned with γ = 0, so against it only the rate,
-// acceptance and, from 3 layers up, the colours on the wire (green base,
-// best-effort above) must match: there the first split point is the
-// enhancement's own share, so base and total do not depend on γ. At 2
-// layers the one split point is γ, and the old best-effort source sent the
-// base alone. The script is read four
-// bytes a step: an opcode and three arguments. Opcodes: plan a frame (at the Sender's rate when the 16-bit
+// acceptance and the colours on the wire (green base, best-effort above)
+// must match: the first split point is the enhancement's own share, so
+// base and total do not depend on γ. The script is read four bytes a step:
+// an opcode and three arguments. Opcodes: plan a frame (at the Sender's rate when the 16-bit
 // argument is 0, else at that many kb/s); take a packet; offer a label from
 // router a&3 (invalid when a&4), epoch b and loss int8(c)/64, which covers
 // repeated epochs, router changes and the negative loss of spare capacity.
@@ -152,7 +150,7 @@ func FuzzSender(f *testing.F) {
 		cfg := SenderConfig{
 			Frame:         spec,
 			FrameInterval: 10 * time.Millisecond,
-			Layers:        2 + int(layers)%(packet.MaxLayers-1),
+			Layers:        3 + int(layers)%(packet.MaxLayers-2),
 		}
 		if enhShare {
 			cfg.RedShare = RedShareEnhancement
@@ -202,7 +200,7 @@ func FuzzSender(f *testing.F) {
 				if !slices.Equal(got, sess.plan.Counts) || !slices.Equal(got, pels.plan.Counts) {
 					t.Fatalf("step %d: counts %v, the references %v and %v", i/4, got, sess.plan.Counts, pels.plan.Counts)
 				}
-				if cfg.Layers >= 3 && (got[0] != be.plan.Counts[0] || n != be.plan.Total()) {
+				if got[0] != be.plan.Counts[0] || n != be.plan.Total() {
 					t.Fatalf("step %d: counts %v, best-effort reference %v: base or total differ", i/4, got, be.plan.Counts)
 				}
 			case 1:
@@ -227,9 +225,6 @@ func FuzzSender(f *testing.F) {
 				want := packet.Green
 				if layer > 0 {
 					want = packet.BestEffort
-				}
-				if cfg.Layers < 3 {
-					break
 				}
 				if bf, bi, bc := be.take(); bf != frame || bi != index || bc != want {
 					t.Fatalf("step %d: best-effort (%d, %d, %v), the reference (%d, %d, %v)", i/4, frame, index, want, bf, bi, bc)
@@ -290,7 +285,7 @@ func TestSenderConfig(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
-	for _, n := range []int{1, packet.MaxLayers + 1} {
+	for _, n := range []int{1, 2, packet.MaxLayers + 1} {
 		bad := cfg
 		bad.Layers = n
 		if bad.Validate() == nil {

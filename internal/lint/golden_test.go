@@ -10,7 +10,8 @@ package lint
 // on that line, and the test fails on any unmatched want or unexpected
 // diagnostic. Imports between testdata packages resolve against the
 // testdata/src root (GOPATH-style), everything else against real export
-// data via `go list -export`.
+// data via `go list -export`. As in a real run, _test.go files are not
+// loaded: the whole-module analyzers must not count what only tests use.
 
 import (
 	"fmt"
@@ -66,7 +67,7 @@ func (l *testdataLoader) load(importPath string) (*loadedPkg, error) {
 	l.cache[importPath] = p
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
 			names = append(names, e.Name())
 		}
 	}
@@ -147,7 +148,32 @@ func runGolden(t *testing.T, loader *testdataLoader, importPath string, analyzer
 		t.Fatalf("load %s: %v", importPath, err)
 	}
 	diags := analyze(loader.fset, p.files, p.pkg, p.info, analyzers)
-	wants := collectWants(t, loader.fset, p.files)
+	checkWants(t, diags, collectWants(t, loader.fset, p.files))
+}
+
+// runModuleGolden runs whole-module analyzers over the testdata packages at
+// importPaths, all of them targets, and checks the diagnostics against the
+// want comments in all of them.
+func runModuleGolden(t *testing.T, loader *testdataLoader, analyzers []*Analyzer, importPaths ...string) {
+	t.Helper()
+	var pkgs []*ModulePackage
+	var files []*ast.File
+	for _, path := range importPaths {
+		p, err := loader.load(path)
+		if err != nil {
+			t.Fatalf("load %s: %v", path, err)
+		}
+		pkgs = append(pkgs, &ModulePackage{Files: p.files, Pkg: p.pkg, Info: p.info, Target: true})
+		files = append(files, p.files...)
+	}
+	diags := analyzeModule(loader.fset, pkgs, analyzers)
+	checkWants(t, diags, collectWants(t, loader.fset, files))
+}
+
+// checkWants matches each diagnostic to one want on its line and fails on
+// an unexpected diagnostic or an unmatched want.
+func checkWants(t *testing.T, diags []Diagnostic, wants map[string]map[int][]*wantedDiag) {
+	t.Helper()
 	for _, d := range diags {
 		ws := wants[d.Pos.Filename][d.Pos.Line]
 		found := false
@@ -253,6 +279,22 @@ func TestNoAllocGolden(t *testing.T) {
 	runGolden(t, newTestdataLoader(t), "noalloc/app", NoAlloc)
 }
 
+// TestDeadExportGolden: an identifier only a _test.go file uses is
+// flagged, and so is an unread constant or method; what another package
+// uses, a method called through an interface, fmt's String and an allowed
+// identifier are not.
+func TestDeadExportGolden(t *testing.T) {
+	runModuleGolden(t, newTestdataLoader(t), []*Analyzer{DeadExport}, "deadexport/internal/lib", "deadexport/app")
+}
+
+// TestDeadKnobGolden: a …Config field only Default… and WithDefaults set,
+// or only its package's zero fill of a parameter, is flagged; a field a
+// caller sets, an embedded config set through a promoted field, and an
+// allowed test-clock seam are not.
+func TestDeadKnobGolden(t *testing.T) {
+	runModuleGolden(t, newTestdataLoader(t), []*Analyzer{DeadKnob}, "deadknob/internal/srv", "deadknob/app")
+}
+
 func TestGoExitGolden(t *testing.T) {
 	loader := newTestdataLoader(t)
 	runGolden(t, loader, "goexit/app", GoExit)
@@ -262,7 +304,9 @@ func TestGoExitGolden(t *testing.T) {
 
 // TestAllowNewAnalyzers proves //pelsvet:allow works with the guarded,
 // noalloc, and goexit names: each control finding fires and its allowed
-// twin stays silent.
+// twin stays silent. Allows naming deadexport and deadknob are known names
+// too, not reported as unknown (their suppression is the module golden
+// tests').
 func TestAllowNewAnalyzers(t *testing.T) {
 	runGolden(t, newTestdataLoader(t), "allownew/app", Guarded, NoAlloc, GoExit)
 }

@@ -16,7 +16,13 @@
 //   - //pelsvet:noalloc hot-path functions contain no allocating
 //     constructs (noalloc analyzer),
 //   - every spawned goroutine outside package main is tied to a
-//     lifecycle — ctx, WaitGroup, or channel (goexit analyzer).
+//     lifecycle — ctx, WaitGroup, or channel (goexit analyzer),
+//   - no exported identifier under internal/ is there only for tests
+//     (deadexport analyzer), and no …Config field there is a knob only
+//     its defaults turn (deadknob analyzer).
+//
+// The last two are whole-module analyzers (RunModule): they read every
+// package of the module, and of the modules nested in it, to decide.
 //
 // Diagnostics may be suppressed with a justification comment:
 //
@@ -49,6 +55,9 @@ type Analyzer struct {
 	// Run inspects one type-checked package and reports findings via
 	// pass.Reportf.
 	Run func(*Pass)
+	// RunModule, set instead of Run, inspects the whole module tree at
+	// once; see ModulePass.
+	RunModule func(*ModulePass)
 }
 
 // A Pass carries one type-checked package through one analyzer.
@@ -85,7 +94,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns every registered analyzer, in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{WallTime, SeededRand, FloatEq, UnitMix, Guarded, NoAlloc, GoExit}
+	return []*Analyzer{WallTime, SeededRand, FloatEq, UnitMix, Guarded, NoAlloc, GoExit, DeadExport, DeadKnob}
 }
 
 // Select resolves a list of analyzer names. An empty list selects every

@@ -27,6 +27,9 @@ type listedPackage struct {
 	GoFiles    []string
 	Export     string
 	DepOnly    bool
+
+	TestGoFiles  []string
+	XTestGoFiles []string
 }
 
 // goList runs `go list -deps -export -json` for the given patterns in dir
@@ -41,7 +44,7 @@ func goList(dir string, patterns []string) ([]listedPackage, error) {
 	// still analyzed (Runner.Run returns partial diagnostics + the errors).
 	args := []string{
 		"list", "-deps", "-e", "-export",
-		"-json=ImportPath,Name,Dir,GoFiles,Export,DepOnly",
+		"-json=ImportPath,Name,Dir,GoFiles,Export,DepOnly,TestGoFiles,XTestGoFiles",
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
@@ -153,7 +156,9 @@ type Runner struct {
 // dir and returns every surviving diagnostic, sorted deterministically.
 // Test files are not analyzed: tests legitimately use wall clocks and ad
 // hoc randomness, and the determinism contract applies to the simulator
-// itself.
+// itself. The whole-module analyzers still report only in the matched
+// packages, but read the whole module containing dir, and every module
+// nested in it, to decide.
 //
 // A package that fails to parse or type-check does not abort the run: the
 // remaining packages are still analyzed, their diagnostics are returned,
@@ -164,9 +169,17 @@ func (r *Runner) Run(dir string, patterns ...string) ([]Diagnostic, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	analyzers := r.Analyzers
-	if analyzers == nil {
-		analyzers = Analyzers()
+	all := r.Analyzers
+	if all == nil {
+		all = Analyzers()
+	}
+	var analyzers, moduleAnalyzers []*Analyzer
+	for _, a := range all {
+		if a.RunModule != nil {
+			moduleAnalyzers = append(moduleAnalyzers, a)
+		} else {
+			analyzers = append(analyzers, a)
+		}
 	}
 	listed, err := goList(dir, patterns)
 	if err != nil {
@@ -221,6 +234,18 @@ func (r *Runner) Run(dir string, patterns ...string) ([]Diagnostic, error) {
 	}
 	close(jobs)
 	wg.Wait()
+	if len(moduleAnalyzers) > 0 {
+		want := make(map[string]bool, len(targets))
+		for _, p := range targets {
+			want[p.ImportPath] = true
+		}
+		pkgs, err := loadModule(fset, imp, dir, want)
+		if err != nil {
+			errs = append(errs, err)
+		} else {
+			diags = append(diags, analyzeModule(fset, pkgs, moduleAnalyzers)...)
+		}
+	}
 	SortDiagnostics(diags)
 	// Workers finish in scheduler order; sort the errors so the joined
 	// message is as deterministic as the diagnostics.
@@ -231,13 +256,9 @@ func (r *Runner) Run(dir string, patterns ...string) ([]Diagnostic, error) {
 // checkPackage parses and type-checks one package from source, then runs
 // the analyzers over it.
 func checkPackage(fset *token.FileSet, imp types.Importer, p listedPackage, analyzers []*Analyzer) ([]Diagnostic, error) {
-	files := make([]*ast.File, 0, len(p.GoFiles))
-	for _, name := range p.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lint: parse %s: %v", name, err)
-		}
-		files = append(files, f)
+	files, err := parseFiles(fset, p.Dir, p.GoFiles)
+	if err != nil {
+		return nil, err
 	}
 	info := newInfo()
 	conf := types.Config{Importer: imp}
@@ -246,4 +267,17 @@ func checkPackage(fset *token.FileSet, imp types.Importer, p listedPackage, anal
 		return nil, fmt.Errorf("lint: typecheck %s: %v", p.ImportPath, err)
 	}
 	return analyze(fset, files, pkg, info, analyzers), nil
+}
+
+// parseFiles parses the named files of the package in dir, with comments.
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("lint: parse %s: %v", name, err)
+		}
+		files = append(files, f)
+	}
+	return files, nil
 }

@@ -1,6 +1,7 @@
 // Package app exercises //pelsvet:allow against the concurrency and
 // allocation analyzers: each pair has an unsuppressed finding (the
-// control) and an allowed twin that must stay silent.
+// control) and an allowed twin that must stay silent. The whole-module
+// names are known names here too.
 package app
 
 import "sync"
@@ -37,4 +38,15 @@ func leak() {
 func detach() {
 	//pelsvet:allow goexit process-lifetime logger, bounded by main exit
 	go func() { _ = 1 }()
+}
+
+// Oracle is kept for tests.
+//
+//pelsvet:allow deadexport paper-equation oracle
+func Oracle() float64 { return 1 }
+
+// ClockConfig has a test-clock seam.
+type ClockConfig struct {
+	//pelsvet:allow deadknob test-clock seam
+	Now func() int
 }

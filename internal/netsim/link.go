@@ -52,7 +52,6 @@ type Link struct {
 
 	transmittedPkts  int64
 	transmittedBytes int64
-	faultDrops       int64
 
 	obsTx         *obs.Counter
 	obsTxBytes    *obs.Counter
@@ -73,11 +72,10 @@ type Link struct {
 	// other, uncongested ports.
 	Proc Processor
 
-	// OnEnqueue fires after a packet was accepted by the discipline;
-	// OnDrop fires when the discipline rejected it; OnTransmit fires when
-	// a packet starts transmission (after leaving the queue). Hooks are
-	// used by experiments to record per-color delay and loss series.
-	OnEnqueue  func(p *packet.Packet)
+	// OnDrop fires when the discipline rejected a packet; OnTransmit
+	// fires when a packet starts transmission (after leaving the queue).
+	// Hooks are used by experiments to record per-color delay and loss
+	// series.
 	OnDrop     func(p *packet.Packet)
 	OnTransmit func(p *packet.Packet)
 }
@@ -109,7 +107,6 @@ func (l *Link) Send(p *packet.Packet) {
 			// The simulator has no byte-level codec, so corruption is
 			// modeled as its end-to-end outcome on the live stack: the
 			// checksum rejects the packet at decode and it is lost.
-			l.faultDrops++
 			if l.obsFaultDrops != nil {
 				l.obsFaultDrops.Inc()
 			}
@@ -163,9 +160,6 @@ func (l *Link) admit(p *packet.Packet) {
 			l.pool.Put(p)
 		}
 		return
-	}
-	if l.OnEnqueue != nil {
-		l.OnEnqueue(p)
 	}
 	if !l.busy {
 		l.transmitNext()
@@ -238,24 +232,8 @@ func (l *Link) Instrument(reg *obs.Registry, prefix string) {
 	l.obsFaultDrops = reg.Counter(prefix + "fault_drops")
 }
 
-// FaultDrops returns the number of packets discarded (or corrupted beyond
-// decode) by the fault injector.
-func (l *Link) FaultDrops() int64 { return l.faultDrops }
-
-// Rate returns the link's capacity.
-func (l *Link) Rate() units.BitRate { return l.rate }
-
-// Delay returns the link's one-way propagation delay.
-func (l *Link) Delay() time.Duration { return l.delay }
-
-// Discipline returns the attached queueing discipline.
-func (l *Link) Discipline() queue.Discipline { return l.disc }
-
 // TransmittedPackets returns the number of packets fully serialized.
 func (l *Link) TransmittedPackets() int64 { return l.transmittedPkts }
-
-// TransmittedBytes returns the number of bytes fully serialized.
-func (l *Link) TransmittedBytes() int64 { return l.transmittedBytes }
 
 // Utilization returns the fraction of capacity used over elapsed time.
 func (l *Link) Utilization(elapsed time.Duration) float64 {

@@ -116,8 +116,8 @@ func TestLinkCounters(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if l.TransmittedPackets() != 4 || l.TransmittedBytes() != 1000 {
-		t.Errorf("counters = %d pkts / %d bytes", l.TransmittedPackets(), l.TransmittedBytes())
+	if l.TransmittedPackets() != 4 || l.transmittedBytes != 1000 {
+		t.Errorf("counters = %d pkts / %d bytes", l.TransmittedPackets(), l.transmittedBytes)
 	}
 	// 1000 bytes at 1 mb/s over 8 ms of elapsed time = 100% utilization.
 	if u := l.Utilization(8 * time.Millisecond); u < 0.99 || u > 1.01 {
@@ -144,7 +144,7 @@ func buildBarbell(t *testing.T) (*sim.Engine, *Network, *Host, *Host, *Router, *
 }
 
 func TestNetworkEndToEndDelivery(t *testing.T) {
-	eng, nw, h1, h2, r1, r2 := buildBarbell(t)
+	eng, nw, h1, h2, _, _ := buildBarbell(t)
 	sink := &collector{eng: eng}
 	h2.Attach(7, sink)
 	p := nw.NewPacket(7, h2.ID(), 500, packet.Green)
@@ -157,9 +157,6 @@ func TestNetworkEndToEndDelivery(t *testing.T) {
 	}
 	if sink.pkts[0].Src != h1.ID() {
 		t.Errorf("Src = %d, want %d", sink.pkts[0].Src, h1.ID())
-	}
-	if r1.Forwarded() != 1 || r2.Forwarded() != 1 {
-		t.Errorf("router forward counts = %d/%d, want 1/1", r1.Forwarded(), r2.Forwarded())
 	}
 	// 3 hops × (0.4 ms serialization + 1 ms delay) = 4.2 ms.
 	if sink.at[0] != 4200*time.Microsecond {
@@ -204,7 +201,7 @@ func TestHostDetach(t *testing.T) {
 	eng, nw, h1, h2, _, _ := buildBarbell(t)
 	a := &collector{eng: eng}
 	h2.Attach(1, a)
-	h2.Detach(1)
+	h2.detach(1)
 	h1.Send(nw.NewPacket(1, h2.ID(), 100, packet.Green))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -214,21 +211,27 @@ func TestHostDetach(t *testing.T) {
 	}
 }
 
+// TestRouterNoRouteCounted: a packet with no route is discarded, and
+// handed back to the pool so the next packet reuses it.
 func TestRouterNoRouteCounted(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := NewNetwork(eng)
+	nw.EnablePacketPool()
 	r := nw.NewRouter("r")
-	r.Receive(&packet.Packet{Dst: 999})
-	if r.NoRoute() != 1 {
-		t.Errorf("NoRoute = %d, want 1", r.NoRoute())
+	p := nw.NewPacket(1, 999, 100, packet.Green)
+	r.Receive(p)
+	if nw.NewPacket(1, 0, 100, packet.Green) != p {
+		t.Error("no-route packet was not returned to the pool")
 	}
 }
 
+// TestRouterProcessorPipeline: a processor on a router's output port sees
+// every packet the router forwards through it.
 func TestRouterProcessorPipeline(t *testing.T) {
 	eng, nw, h1, h2, r1, _ := buildBarbell(t)
-	r1.AddProcessor(processorFunc(func(p *packet.Packet) {
+	r1.routes[h2.ID()].Proc = processorFunc(func(p *packet.Packet) {
 		p.Feedback = p.Feedback.Merge(r1.ID(), 1, 0.5)
-	}))
+	})
 	sink := &collector{eng: eng}
 	h2.Attach(7, sink)
 	h1.Send(nw.NewPacket(7, h2.ID(), 100, packet.Green))

@@ -55,9 +55,6 @@ func (n *Network) EnablePacketPool() {
 	n.pool = &packet.Pool{}
 }
 
-// Pool returns the packet free list, or nil when pooling is disabled.
-func (n *Network) Pool() *packet.Pool { return n.pool }
-
 // NewHost adds a host to the topology.
 func (n *Network) NewHost(name string) *Host {
 	h := &Host{id: n.nextID, name: name, eng: n.eng, pool: n.pool}
@@ -170,7 +167,3 @@ func (n *Network) NewPacket(flowID, dst, size int, color packet.Color) *packet.P
 		Color:  color,
 	}
 }
-
-// Nodes returns all nodes in creation order. The returned slice is shared;
-// callers must not mutate it.
-func (n *Network) Nodes() []Node { return n.nodes }

@@ -64,8 +64,8 @@ func (h *Host) Attach(flowID int, app App) {
 	h.apps = append(h.apps, flowApp{flowID, app})
 }
 
-// Detach removes the app registered for the flow, if any.
-func (h *Host) Detach(flowID int) {
+// detach removes the app registered for the flow, if any.
+func (h *Host) detach(flowID int) {
 	if i := h.find(flowID); i >= 0 {
 		h.apps = append(h.apps[:i], h.apps[i+1:]...)
 	}
@@ -83,9 +83,6 @@ func (h *Host) find(flowID int) int {
 
 // SetUplink points the host's default route at l.
 func (h *Host) SetUplink(l *Link) { h.uplink = l }
-
-// Uplink returns the host's outgoing link.
-func (h *Host) Uplink() *Link { return h.uplink }
 
 // Send stamps the packet with source identity and creation time and pushes
 // it onto the uplink. It panics if the host has no uplink, which indicates
@@ -115,19 +112,15 @@ func (h *Host) Receive(p *packet.Packet) {
 }
 
 // Router forwards packets by destination node using a static routing table
-// filled in by Network.ComputeRoutes. Registered processors run on every
-// arriving packet before forwarding.
+// filled in by Network.ComputeRoutes. Packet processing (the PELS feedback
+// stamp) happens per output port, in the link's Proc.
 type Router struct {
 	id   int
 	name string
 	// routes is indexed by destination node ID (IDs are dense: the
 	// network hands them out in creation order); nil means no route.
 	routes []*Link
-	procs  []Processor
 	pool   *packet.Pool
-
-	forwarded int64
-	noRoute   int64
 }
 
 var _ Node = (*Router)(nil)
@@ -137,9 +130,6 @@ func (r *Router) ID() int { return r.id }
 
 // Name implements Node.
 func (r *Router) Name() string { return r.name }
-
-// AddProcessor appends a packet processor to the router's pipeline.
-func (r *Router) AddProcessor(p Processor) { r.procs = append(r.procs, p) }
 
 // SetRoute installs or replaces the outgoing link for the destination node.
 func (r *Router) SetRoute(dst int, l *Link) {
@@ -151,27 +141,15 @@ func (r *Router) SetRoute(dst int, l *Link) {
 
 // Receive implements Receiver.
 func (r *Router) Receive(p *packet.Packet) {
-	for _, proc := range r.procs {
-		proc.Process(p)
-	}
 	var link *Link
 	if uint(p.Dst) < uint(len(r.routes)) {
 		link = r.routes[p.Dst]
 	}
 	if link == nil {
-		r.noRoute++
 		if r.pool != nil {
 			r.pool.Put(p)
 		}
 		return
 	}
-	r.forwarded++
 	link.Send(p)
 }
-
-// Forwarded returns the number of packets forwarded.
-func (r *Router) Forwarded() int64 { return r.forwarded }
-
-// NoRoute returns the number of packets discarded for lack of a route; a
-// non-zero value in an experiment indicates a topology bug.
-func (r *Router) NoRoute() int64 { return r.noRoute }

@@ -26,11 +26,6 @@ func (s *Series) Add(at time.Duration, v float64) {
 	s.mu.Unlock()
 }
 
-// Name returns the series name.
-//
-//pelsvet:allow guarded ts is a write-once pointer; Name reads the immutable name, not the samples
-func (s *Series) Name() string { return s.ts.Name }
-
 // Len returns the number of samples.
 func (s *Series) Len() int {
 	s.mu.Lock()

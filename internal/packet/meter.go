@@ -69,9 +69,6 @@ func (m *Meter) Loss() float64 { return m.loss }
 // Interval returns T.
 func (m *Meter) Interval() time.Duration { return m.interval }
 
-// Capacity returns C.
-func (m *Meter) Capacity() units.BitRate { return m.capacity }
-
 // SetCapacity changes C for the windows closed from now on. It panics
 // unless c > 0.
 func (m *Meter) SetCapacity(c units.BitRate) {

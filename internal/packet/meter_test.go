@@ -96,9 +96,9 @@ func FuzzMeter(f *testing.F) {
 				t.Fatalf("step %d: (z, p) = (%d, %v), the reference (%d, %v)",
 					i/3, m.Epoch(), m.Loss(), ref.epoch, ref.loss)
 			}
-			if m.Capacity() != ref.capacity || m.Interval() != interval {
+			if m.capacity != ref.capacity || m.Interval() != interval {
 				t.Fatalf("step %d: (T, C) = (%v, %v), want (%v, %v)",
-					i/3, m.Interval(), m.Capacity(), interval, ref.capacity)
+					i/3, m.Interval(), m.capacity, interval, ref.capacity)
 			}
 			if fb := m.Label(7); fb != (Feedback{RouterID: 7, Epoch: ref.epoch, Loss: ref.loss, Valid: true}) {
 				t.Fatalf("step %d: label %+v", i/3, fb)

@@ -18,20 +18,14 @@ package packet
 // leaking from the pool is harmless.
 type Pool struct {
 	free []*Packet
-
-	gets     uint64
-	puts     uint64
-	recycled uint64
 }
 
 // Get returns a zeroed packet, reusing a freed one when available.
 func (pl *Pool) Get() *Packet {
-	pl.gets++
 	if n := len(pl.free); n > 0 {
 		p := pl.free[n-1]
 		pl.free[n-1] = nil
 		pl.free = pl.free[:n-1]
-		pl.recycled++
 		*p = Packet{}
 		return p
 	}
@@ -44,19 +38,5 @@ func (pl *Pool) Put(p *Packet) {
 		panic("packet: Put of packet already in pool (double free)")
 	}
 	p.inPool = true
-	pl.puts++
 	pl.free = append(pl.free, p)
 }
-
-// Gets returns the number of packets handed out.
-func (pl *Pool) Gets() uint64 { return pl.gets }
-
-// Puts returns the number of packets returned.
-func (pl *Pool) Puts() uint64 { return pl.puts }
-
-// Recycled returns how many Gets were served from the free list rather than
-// a fresh allocation.
-func (pl *Pool) Recycled() uint64 { return pl.recycled }
-
-// Idle returns the current free-list depth.
-func (pl *Pool) Idle() int { return len(pl.free) }

@@ -17,9 +17,6 @@ func TestPoolRecyclesAndZeroes(t *testing.T) {
 	if q.ID != 0 || q.Size != 0 || q.Color != 0 || q.Feedback.Valid {
 		t.Errorf("recycled packet not zeroed: %+v", q)
 	}
-	if pl.Recycled() != 1 {
-		t.Errorf("Recycled() = %d, want 1", pl.Recycled())
-	}
 }
 
 func TestPoolDoubleFreePanics(t *testing.T) {
@@ -42,8 +39,8 @@ func TestPoolPutOfCopyIsIndependent(t *testing.T) {
 	cp := *p
 	pl.Put(p)
 	pl.Put(&cp) // must not panic: distinct object, inPool not inherited as true
-	if pl.Idle() != 2 {
-		t.Errorf("Idle() = %d, want 2", pl.Idle())
+	if len(pl.free) != 2 {
+		t.Errorf("free list depth = %d, want 2", len(pl.free))
 	}
 }
 

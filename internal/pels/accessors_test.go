@@ -18,11 +18,11 @@ func TestSessionAccessorsAndByteAccounting(t *testing.T) {
 	if err := r.eng.RunUntil(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if r.src.Flow() != 42 {
-		t.Errorf("Flow = %d", r.src.Flow())
+	if r.src.cfg.Flow != 42 {
+		t.Errorf("flow = %d", r.src.cfg.Flow)
 	}
-	if r.src.BytesSent() != r.src.PacketsSent()*500 {
-		t.Errorf("BytesSent %d != packets %d × 500", r.src.BytesSent(), r.src.PacketsSent())
+	if r.src.BytesSent() != int64(r.src.sess.Stats().Datagrams)*500 {
+		t.Errorf("BytesSent %d != packets %d × 500", r.src.BytesSent(), int64(r.src.sess.Stats().Datagrams))
 	}
 	if got := r.sink.Received().Datagrams; r.sink.BytesReceived() != int64(got)*500 {
 		t.Errorf("BytesReceived %d != packets %d × 500", r.sink.BytesReceived(), got)
@@ -30,13 +30,10 @@ func TestSessionAccessorsAndByteAccounting(t *testing.T) {
 	if r.sink.BytesReceived() > r.src.BytesSent() {
 		t.Error("sink received more than source sent")
 	}
-	if r.sink.Decoder() == nil {
-		t.Error("Decoder() = nil")
-	}
 	// The sink decodes with the configured frame: its base layer is
 	// complete at exactly that many green packets.
 	spec, complete := (Config{}).WithDefaults().Frame, 0
-	for _, f := range r.sink.Decoder().Frames() {
+	for _, f := range r.sink.Frames() {
 		if f.RecvBase > spec.GreenPackets || f.RecvBase+f.RecvEnh > spec.TotalPackets || f.BaseComplete != (f.RecvBase == spec.GreenPackets) {
 			t.Fatalf("frame %+v does not fit the configured spec %+v", f, spec)
 		}
@@ -129,7 +126,7 @@ func TestSourceDoubleStartIgnored(t *testing.T) {
 	}
 	// At R_max the source emits at most ~2 s / 3.97 ms ≈ 504 packets; a
 	// doubled stream would blow past that.
-	if sent := r.src.PacketsSent(); sent > 520 {
+	if sent := int64(r.src.sess.Stats().Datagrams); sent > 520 {
 		t.Errorf("sent %d packets, double-start suspected", sent)
 	}
 }
@@ -141,7 +138,7 @@ func TestSourceStartAfterStopIgnored(t *testing.T) {
 	if err := r.eng.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if r.src.PacketsSent() != 0 {
+	if int64(r.src.sess.Stats().Datagrams) != 0 {
 		t.Error("stopped source restarted")
 	}
 }

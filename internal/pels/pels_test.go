@@ -69,7 +69,7 @@ func TestSessionStreamsFrames(t *testing.T) {
 	if err := r.eng.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if r.src.PacketsSent() == 0 {
+	if int64(r.src.sess.Stats().Datagrams) == 0 {
 		t.Fatal("source sent nothing")
 	}
 	st := r.sink.Stats()
@@ -185,11 +185,11 @@ func TestSourceStopHaltsEmission(t *testing.T) {
 	if err := r.eng.RunUntil(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	sent := r.src.PacketsSent()
+	sent := int64(r.src.sess.Stats().Datagrams)
 	if err := r.eng.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if r.src.PacketsSent() != sent {
+	if int64(r.src.sess.Stats().Datagrams) != sent {
 		t.Error("source kept sending after Stop")
 	}
 }
@@ -200,29 +200,29 @@ func TestSourceDelayedStart(t *testing.T) {
 	if err := r.eng.RunUntil(4 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if r.src.PacketsSent() != 0 {
+	if int64(r.src.sess.Stats().Datagrams) != 0 {
 		t.Error("source sent before its start time")
 	}
 	if err := r.eng.RunUntil(6 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if r.src.PacketsSent() == 0 {
+	if int64(r.src.sess.Stats().Datagrams) == 0 {
 		t.Error("source did not start")
 	}
 }
 
 func TestCustomControllerReplacesMKC(t *testing.T) {
-	aimd := cc.NewAIMD(cc.DefaultAIMDConfig())
+	aimd := cc.NewAIMD()
 	r := newRig(t, Config{Flow: 1, Config: session.Config{ControllerFactory: func() cc.Controller { return aimd }}}, 500*units.Kbps)
 	r.src.Start(0)
 	if err := r.eng.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// The AIMD stepped on the labels, and its rate is the source's.
-	if aimd.Rate() == cc.DefaultAIMDConfig().InitialRate || r.src.Rate() != aimd.Rate() {
+	if aimd.Rate() == 128*units.Kbps || r.src.Rate() != aimd.Rate() {
 		t.Errorf("custom controller not used: source at %v, AIMD at %v", r.src.Rate(), aimd.Rate())
 	}
-	if r.src.PacketsSent() == 0 {
+	if int64(r.src.sess.Stats().Datagrams) == 0 {
 		t.Error("no packets sent with AIMD controller")
 	}
 }

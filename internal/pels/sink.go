@@ -69,9 +69,6 @@ func (s *Sink) HandlePacket(p *packet.Packet) {
 	s.host.Send(ack)
 }
 
-// Decoder exposes the FGS decoder for end-of-run analysis.
-func (s *Sink) Decoder() *fgs.Decoder { return s.decoder }
-
 // Frames returns per-frame decode results in frame order.
 func (s *Sink) Frames() []fgs.FrameResult { return s.decoder.Frames() }
 

@@ -145,11 +145,5 @@ func (s *Source) Rate() units.BitRate { return s.sess.Rate() }
 // Gamma returns the current red fraction γ.
 func (s *Source) Gamma() float64 { return s.sess.Gamma() }
 
-// PacketsSent returns the number of data packets emitted.
-func (s *Source) PacketsSent() int64 { return int64(s.sess.Stats().Datagrams) }
-
 // BytesSent returns the number of data bytes emitted.
 func (s *Source) BytesSent() int64 { return int64(s.sess.Stats().Bytes) }
-
-// Flow returns the session's flow ID.
-func (s *Source) Flow() int { return s.cfg.Flow }

@@ -61,12 +61,13 @@ func TestSourcePacketsAreWireDatagrams(t *testing.T) {
 			h1, h2 := nw.NewHost("src"), nw.NewHost("dst")
 			var got []packet.Packet
 			tee := &teeOut{}
-			h1.SetUplink(netsim.NewLink(eng, "l", 10*units.Mbps, 0, nil, receiverFunc(func(p *packet.Packet) {
+			// h2 hands each packet back to the pool after its app copied it.
+			h2.DefaultApp = appFunc(func(p *packet.Packet) {
 				if !tee.off {
 					got = append(got, *p)
 				}
-				nw.Pool().Put(p)
-			})))
+			})
+			h1.SetUplink(netsim.NewLink(eng, "l", 10*units.Mbps, 0, nil, h2))
 			// 800 kb/s paces a 500-byte packet every 5 ms and buys
 			// every layer of a frame; no label ever changes it.
 			tc.cfg.MKC = cc.DefaultMKCConfig()
@@ -137,8 +138,8 @@ func TestSinkSeesNoLossOnALosslessLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := r.sink.Received()
-	if st.Datagrams != uint64(r.src.PacketsSent()) || st.SeqRegressions != 0 {
-		t.Errorf("received %d of %d datagrams with %d regressions, want all and 0", st.Datagrams, r.src.PacketsSent(), st.SeqRegressions)
+	if st.Datagrams != uint64(int64(r.src.sess.Stats().Datagrams)) || st.SeqRegressions != 0 {
+		t.Errorf("received %d of %d datagrams with %d regressions, want all and 0", st.Datagrams, int64(r.src.sess.Stats().Datagrams), st.SeqRegressions)
 	}
 	for _, c := range []packet.Color{packet.Green, packet.Yellow, packet.Red} {
 		if n := st.Colors[c]; n.Received == 0 || n.Lost != 0 {
@@ -146,3 +147,7 @@ func TestSinkSeesNoLossOnALosslessLink(t *testing.T) {
 		}
 	}
 }
+
+type appFunc func(p *packet.Packet)
+
+func (f appFunc) HandlePacket(p *packet.Packet) { f(p) }

@@ -48,9 +48,6 @@ func (d *DropTail) Dequeue() *packet.Packet {
 	return p
 }
 
-// Peek returns the head-of-line packet without removing it.
-func (d *DropTail) Peek() *packet.Packet { return d.q.peek() }
-
 // Len implements Discipline.
 func (d *DropTail) Len() int { return d.q.len() }
 

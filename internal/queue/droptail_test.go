@@ -79,12 +79,12 @@ func TestDropTailOnDropHook(t *testing.T) {
 
 func TestDropTailPeek(t *testing.T) {
 	q := NewDropTail(0, 0)
-	if q.Peek() != nil {
-		t.Error("Peek on empty queue != nil")
+	if q.q.peek() != nil {
+		t.Error("peek on empty queue != nil")
 	}
 	q.Enqueue(pkt(1, 100, packet.TCP))
 	q.Enqueue(pkt(2, 100, packet.TCP))
-	if p := q.Peek(); p == nil || p.ID != 1 {
+	if p := q.q.peek(); p == nil || p.ID != 1 {
 		t.Errorf("Peek = %v, want packet 1", p)
 	}
 	if q.Len() != 2 {
@@ -96,7 +96,7 @@ func TestDropTailCountersReset(t *testing.T) {
 	q := NewDropTail(1, 0)
 	q.Enqueue(pkt(1, 100, packet.TCP))
 	q.Enqueue(pkt(2, 100, packet.TCP))
-	q.Counters.Reset()
+	q.Counters.reset()
 	if q.Arrived != 0 || q.Dropped != 0 {
 		t.Errorf("counters not reset: %+v", q.Counters)
 	}

@@ -78,9 +78,6 @@ func (o *OracleFIFO) Enqueue(p *packet.Packet) bool {
 	return true
 }
 
-// GreenShare returns the current estimate of the protected traffic share.
-func (o *OracleFIFO) GreenShare() float64 { return o.greenShare }
-
 // Dequeue implements Discipline.
 func (o *OracleFIFO) Dequeue() *packet.Packet {
 	p := o.q.pop()

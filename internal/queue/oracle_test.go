@@ -63,7 +63,7 @@ func TestOracleFIFOCompensation(t *testing.T) {
 	if rate < 0.09 || rate > 0.11 {
 		t.Errorf("total drop rate = %.4f, want ~%.2f despite 20%% protected share", rate, target)
 	}
-	if gs := q.GreenShare(); gs < 0.17 || gs > 0.23 {
+	if gs := q.greenShare; gs < 0.17 || gs > 0.23 {
 		t.Errorf("green share estimate = %.3f, want ~0.20", gs)
 	}
 }

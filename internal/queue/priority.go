@@ -143,10 +143,6 @@ func (pq *Priority) Bytes() int {
 	return n
 }
 
-// Queue returns the underlying per-layer queue for a PELS color, or nil
-// for non-PELS colors and unconfigured layers.
-func (pq *Priority) Queue(c packet.Color) *DropTail { return pq.queueFor(c) }
-
 //pelsvet:noalloc
 func (pq *Priority) queueFor(c packet.Color) *DropTail {
 	layer, ok := c.Layer()

@@ -66,7 +66,7 @@ func TestPriorityPerColorLimits(t *testing.T) {
 		for i := 0; i < tc.n; i++ {
 			pq.Enqueue(pkt(uint64(i), 100, tc.c))
 		}
-		q := pq.Queue(tc.c)
+		q := pq.queueFor(tc.c)
 		if q.Len() != tc.limit {
 			t.Errorf("%v queue len = %d, want %d", tc.c, q.Len(), tc.limit)
 		}
@@ -91,10 +91,10 @@ func TestPriorityLenAndBytes(t *testing.T) {
 
 func TestPriorityQueueAccessor(t *testing.T) {
 	pq := NewPriority(DefaultPriorityConfig())
-	if pq.Queue(packet.Green) == nil || pq.Queue(packet.Yellow) == nil || pq.Queue(packet.Red) == nil {
+	if pq.queueFor(packet.Green) == nil || pq.queueFor(packet.Yellow) == nil || pq.queueFor(packet.Red) == nil {
 		t.Error("color queue accessor returned nil for a PELS color")
 	}
-	if pq.Queue(packet.TCP) != nil {
+	if pq.queueFor(packet.TCP) != nil {
 		t.Error("color queue accessor returned a queue for TCP")
 	}
 	if c := pq.ColorCounters(packet.TCP); c != (Counters{}) {
@@ -149,8 +149,8 @@ func TestPriorityDequeueProperty(t *testing.T) {
 				id++
 				pq.Enqueue(pkt(id, 1, packet.Red))
 			case 3:
-				gBefore := pq.Queue(packet.Green).Len()
-				yBefore := pq.Queue(packet.Yellow).Len()
+				gBefore := pq.queueFor(packet.Green).Len()
+				yBefore := pq.queueFor(packet.Yellow).Len()
 				p := pq.Dequeue()
 				if p == nil {
 					continue

@@ -56,8 +56,8 @@ func (c *Counters) LossRate() float64 {
 	return float64(c.Dropped) / float64(c.Arrived)
 }
 
-// Reset zeroes all counters (used for per-interval loss measurements).
-func (c *Counters) Reset() { *c = Counters{} }
+// reset zeroes all counters.
+func (c *Counters) reset() { *c = Counters{} }
 
 // Observe registers pull-style gauges for the counters in reg under
 // prefix (prefix+"arrived", "arrived_bytes", "dropped", "dropped_bytes",

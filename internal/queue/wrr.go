@@ -130,8 +130,8 @@ func (w *WRR) Bytes() int {
 	return n
 }
 
-// Class returns the discipline registered under name, or nil.
-func (w *WRR) Class(name string) Discipline {
+// class returns the discipline registered under name, or nil.
+func (w *WRR) class(name string) Discipline {
 	for _, c := range w.classes {
 		if c.Name == name {
 			return c.Disc

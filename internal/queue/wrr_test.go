@@ -152,10 +152,10 @@ func TestWRRConfigErrors(t *testing.T) {
 
 func TestWRRClassAccessor(t *testing.T) {
 	w, a, _ := twoClassWRR(t, 1, 1)
-	if got := w.Class("pels"); got != Discipline(a) {
+	if got := w.class("pels"); got != Discipline(a) {
 		t.Error("Class(pels) returned wrong discipline")
 	}
-	if w.Class("nope") != nil {
+	if w.class("nope") != nil {
 		t.Error("Class(nope) != nil")
 	}
 }

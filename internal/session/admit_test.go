@@ -247,7 +247,7 @@ func TestAdmitStormOverflowsToTheWheel(t *testing.T) {
 	if s.wheel.Len() != n {
 		t.Fatalf("wheel holds %d timers with the lane drained, want %d", s.wheel.Len(), n)
 	}
-	now := clk.advance(s.cfg.WheelTick)
+	now := clk.advance(s.cfg.wheelTick)
 	fired := s.wheel.Advance(now, nil)
 	if len(fired) != n-admitLane || s.wheel.Len() != admitLane {
 		t.Fatalf("the tick fired %d and left %d; want %d and %d", len(fired), s.wheel.Len(), n-admitLane, admitLane)
@@ -321,7 +321,7 @@ func TestAdmitLaneShutdownClosesOnce(t *testing.T) {
 	s.drain() // Shutdown's first step
 	draining := 0
 	s.table.Range(func(_ Key, sess *Session) bool {
-		if sess.State() == StateDraining {
+		if stateOf(sess) == StateDraining {
 			draining++
 		}
 		return true

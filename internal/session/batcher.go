@@ -59,28 +59,28 @@ func (b *Batcher) Add(it FeedbackItem, now time.Time) []FeedbackItem {
 	return nil
 }
 
-// Due returns the pending batch when its oldest item has waited maxWait
+// due returns the pending batch when its oldest item has waited maxWait
 // or longer, nil otherwise.
 //
 //pelsvet:noalloc
-func (b *Batcher) Due(now time.Time) []FeedbackItem {
+func (b *Batcher) due(now time.Time) []FeedbackItem {
 	if len(b.items) == 0 || now.Sub(b.firstAt) < b.maxWait {
 		return nil
 	}
 	return b.take()
 }
 
-// Deadline returns the instant the pending batch becomes due, and false
+// deadline returns the instant the pending batch becomes due, and false
 // when nothing is pending.
-func (b *Batcher) Deadline() (time.Time, bool) {
+func (b *Batcher) deadline() (time.Time, bool) {
 	if len(b.items) == 0 {
 		return time.Time{}, false
 	}
 	return b.firstAt.Add(b.maxWait), true
 }
 
-// Pending returns the number of buffered items.
-func (b *Batcher) Pending() int { return len(b.items) }
+// pending returns the number of buffered items.
+func (b *Batcher) pending() int { return len(b.items) }
 
 //pelsvet:noalloc
 func (b *Batcher) take() []FeedbackItem {

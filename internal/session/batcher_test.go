@@ -27,8 +27,8 @@ func TestBatcherCountFlush(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("count flush returned %d items, want 3", len(got))
 	}
-	if b.Pending() != 0 {
-		t.Fatalf("pending %d after flush, want 0", b.Pending())
+	if b.pending() != 0 {
+		t.Fatalf("pending %d after flush, want 0", b.pending())
 	}
 }
 
@@ -36,14 +36,14 @@ func TestBatcherMaxWaitDue(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	b := NewBatcher(100, 5*time.Millisecond)
 	b.Add(fbItem(1, 1), t0)
-	if got := b.Due(t0.Add(4 * time.Millisecond)); got != nil {
+	if got := b.due(t0.Add(4 * time.Millisecond)); got != nil {
 		t.Fatal("partial batch flushed before maxWait")
 	}
-	got := b.Due(t0.Add(5 * time.Millisecond))
+	got := b.due(t0.Add(5 * time.Millisecond))
 	if len(got) != 1 {
 		t.Fatalf("due flush returned %d items, want 1", len(got))
 	}
-	if b.Due(t0.Add(time.Second)) != nil {
+	if b.due(t0.Add(time.Second)) != nil {
 		t.Fatal("empty batcher reported a due batch")
 	}
 }
@@ -51,17 +51,17 @@ func TestBatcherMaxWaitDue(t *testing.T) {
 func TestBatcherDeadline(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	b := NewBatcher(100, 5*time.Millisecond)
-	if _, ok := b.Deadline(); ok {
+	if _, ok := b.deadline(); ok {
 		t.Fatal("empty batcher reported a deadline")
 	}
 	b.Add(fbItem(1, 1), t0)
-	dl, ok := b.Deadline()
+	dl, ok := b.deadline()
 	if !ok || !dl.Equal(t0.Add(5*time.Millisecond)) {
 		t.Fatalf("deadline %v ok=%v, want %v", dl, ok, t0.Add(5*time.Millisecond))
 	}
 	// The deadline is anchored at the FIRST item of the pending batch.
 	b.Add(fbItem(2, 1), t0.Add(3*time.Millisecond))
-	if dl2, _ := b.Deadline(); !dl2.Equal(dl) {
+	if dl2, _ := b.deadline(); !dl2.Equal(dl) {
 		t.Fatalf("deadline moved to %v after a second item, want %v", dl2, dl)
 	}
 }

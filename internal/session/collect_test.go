@@ -56,7 +56,7 @@ func TestTickCollectsAfterAdmission(t *testing.T) {
 	var fired []*Timer
 	var asked []time.Duration
 	for ms := 0; ms < 1000; ms++ {
-		now := clk.advance(s.cfg.WheelTick)
+		now := clk.advance(s.cfg.wheelTick)
 		wk := s.tick(now, 0, s.backlog(), fired[:0])
 		fired = wk.fired
 		if wk.collect {
@@ -68,7 +68,7 @@ func TestTickCollectsAfterAdmission(t *testing.T) {
 		pumpQueued(s)
 	}
 	// The first tick sees the admission; the wave is quiet from there.
-	if want := collectQuiet + s.cfg.WheelTick; len(asked) != 1 || asked[0] != want {
+	if want := collectQuiet + s.cfg.wheelTick; len(asked) != 1 || asked[0] != want {
 		t.Fatalf("collections asked at %v after the admission, want once at %v", asked, want)
 	}
 }

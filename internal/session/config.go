@@ -46,10 +46,11 @@ type ServerConfig struct {
 	// Overload parameterizes server-wide graceful layer shedding; the
 	// zero value (Capacity 0) disables it.
 	Overload OverloadConfig
-	// WheelTick is the pacing wheel granularity; 0 selects 1ms. Sends
-	// quantize to it: a coarser tick means burstier pacing, never a
-	// lower rate (the token bucket repays elapsed time).
-	WheelTick time.Duration
+	// wheelTick is the pacing wheel granularity; 0 selects 1ms, and only
+	// tests pick another. Sends quantize to it: a coarser tick means
+	// burstier pacing, never a lower rate (the token bucket repays
+	// elapsed time).
+	wheelTick time.Duration
 	// Workers is the pump goroutine pool size; 0 selects 4. Together
 	// with the wheel driver, the demux loop and a parked collector
 	// (collectQuiet) this is the server's entire goroutine budget —
@@ -81,8 +82,8 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 10 * time.Second
 	}
-	if c.WheelTick <= 0 {
-		c.WheelTick = time.Millisecond
+	if c.wheelTick <= 0 {
+		c.wheelTick = time.Millisecond
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4

@@ -12,7 +12,7 @@ import (
 )
 
 // wheelHorizon is the span of the pacing wheel, beyond every per-session
-// deadline: it has wheelHorizon / WheelTick slots, 512 at the default tick.
+// deadline: it has wheelHorizon / wheelTick slots, 512 at the default tick.
 const wheelHorizon = 512 * time.Millisecond
 
 // collectQuiet is how long admissions must have been silent before the
@@ -135,7 +135,7 @@ func newCore(cfg ServerConfig, now time.Time) (*core, error) {
 		cfg:    cfg,
 		reg:    reg,
 		table:  NewTable(cfg.Shards),
-		wheel:  NewWheel(cfg.WheelTick, max(int(wheelHorizon/cfg.WheelTick), 1), now),
+		wheel:  NewWheel(cfg.wheelTick, max(int(wheelHorizon/cfg.wheelTick), 1), now),
 		n:      newCounts(reg),
 		load:   reg.Gauge("session.load"),
 		ctlBuf: make([]byte, 0, wire.HeaderSize),
@@ -499,7 +499,7 @@ func (c *core) signals(late, backlog float64) loadSignals {
 	return loadSignals{
 		Occupancy: float64(c.table.Len()) / float64(c.cfg.MaxSessions),
 		Backlog:   backlog,
-		Lateness:  late / (lateHorizon * c.cfg.WheelTick.Seconds()),
+		Lateness:  late / (lateHorizon * c.cfg.wheelTick.Seconds()),
 		Demand:    demand / c.overload.cfg.Capacity.Bps(),
 	}
 }

@@ -155,18 +155,18 @@ func pumpQueued(s *Server) {
 }
 
 // wheelLaps is how many ticks n laps of s's wheel take.
-func wheelLaps(s *Server, n int) int { return n * int(wheelHorizon/s.cfg.WheelTick) }
+func wheelLaps(s *Server, n int) int { return n * int(wheelHorizon/s.cfg.wheelTick) }
 
 // testScratch is the one worker's scratch of the tests that play the worker
 // on their own goroutine.
 var testScratch = newScratch()
 
 // step is one driver loop and the workers' answer to it: tick the core a
-// WheelTick later, hand the fired timers off, pump every chunk. It returns
+// wheelTick later, hand the fired timers off, pump every chunk. It returns
 // the flows fired, in wheel order.
 func step(t *testing.T, s *Server, clk *fakeClock, fired *[]*Timer) []uint32 {
 	t.Helper()
-	now := clk.advance(s.cfg.WheelTick)
+	now := clk.advance(s.cfg.wheelTick)
 	*fired = s.tick(now, 0, s.backlog(), (*fired)[:0]).fired
 	order := make([]uint32, len(*fired))
 	for i, tm := range *fired {
@@ -226,7 +226,7 @@ func TestHandOffSplitsLargeTick(t *testing.T) {
 	for f := uint32(1); f <= n; f++ {
 		admitArmed(s, f, clk.Now())
 	}
-	now := clk.advance(s.cfg.WheelTick)
+	now := clk.advance(s.cfg.wheelTick)
 	fired := s.wheel.Advance(now, nil)
 	if len(fired) != n {
 		t.Fatalf("the tick fired %d sessions, want %d", len(fired), n)
@@ -379,7 +379,7 @@ func TestHandOffCycleDoesNotAllocate(t *testing.T) {
 	var fired []*Timer
 	pumped := 0
 	cycle := func() {
-		now := clk.advance(s.cfg.WheelTick)
+		now := clk.advance(s.cfg.wheelTick)
 		fired = s.wheel.Advance(now, fired[:0])
 		pumped += len(fired)
 		s.handOff(ctx, fired)
@@ -407,7 +407,7 @@ func TestLiveAdmitArmsLast(t *testing.T) {
 	const n = 300
 	out := &flowLog{}
 	srv, addr, cancel, errCh := startLiveServer(t, 8*units.Mbps, 25*time.Millisecond, func(cfg *ServerConfig) {
-		cfg.WheelTick = 50 * time.Microsecond
+		cfg.wheelTick = 50 * time.Microsecond
 		cfg.Out = out
 	})
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")

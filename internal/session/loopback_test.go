@@ -48,7 +48,6 @@ func startEmuLoopback(t *testing.T, capacity units.BitRate, epoch time.Duration,
 			Bandwidth:  capacity,
 			Delay:      2 * time.Millisecond,
 			QueueBytes: 3000,
-			Seed:       1,
 			Marker:     gw,
 		},
 		BtoA: wire.LinkConfig{Delay: 2 * time.Millisecond},

@@ -105,12 +105,6 @@ func NewOverload(cfg OverloadConfig, layers int) *Overload {
 	return &Overload{cfg: cfg.withDefaults(), maxShed: layers - 1}
 }
 
-// Config returns the defaulted configuration.
-func (o *Overload) Config() OverloadConfig { return o.cfg }
-
-// Level returns the current shed level.
-func (o *Overload) Level() int { return o.level }
-
 // Update re-evaluates the shed level against sig at instant now and
 // reports the (possibly new) level plus whether it changed. Transitions
 // move one layer at a time and dwell at least Hold between moves: shed

@@ -14,7 +14,7 @@ func TestOverloadConfigDefaults(t *testing.T) {
 		t.Error("zero config reports enabled; Capacity must arm the controller")
 	}
 	o := NewOverload(OverloadConfig{Capacity: 10 * units.Mbps}, 4)
-	cfg := o.Config()
+	cfg := o.cfg
 	if !cfg.Enabled() {
 		t.Error("capacity set but controller disabled")
 	}
@@ -127,8 +127,8 @@ func TestSessionExpireStuck(t *testing.T) {
 	if !s.expireStuck(t2, window) {
 		t.Fatal("watchdog did not fire after a fully silent window")
 	}
-	if s.State() != StateClosed || s.CloseReason() != wire.ReasonStuck {
-		t.Fatalf("state %v reason %v, want closed/stuck", s.State(), s.CloseReason())
+	if stateOf(s) != StateClosed || s.CloseReason() != wire.ReasonStuck {
+		t.Fatalf("state %v reason %v, want closed/stuck", stateOf(s), s.CloseReason())
 	}
 	if s.expireStuck(t2.Add(time.Hour), window) {
 		t.Fatal("watchdog fired twice on a closed session")
@@ -148,7 +148,7 @@ func TestOverloadSeesBlockedDriver(t *testing.T) {
 		held = append(held, <-s.free)
 	}
 	admitArmed(s, 1, clk.Now())
-	fired := s.tick(clk.advance(s.cfg.WheelTick), 0, s.backlog(), nil).fired
+	fired := s.tick(clk.advance(s.cfg.wheelTick), 0, s.backlog(), nil).fired
 	if len(fired) != 1 {
 		t.Fatalf("the tick fired %d timers, want the session's", len(fired))
 	}
@@ -185,7 +185,7 @@ func TestOverloadSeesBlockedDriver(t *testing.T) {
 	// Blocked again, on the next session, the wait must end with the
 	// context, and so must the driver's own, which fires a third.
 	admitArmed(s, 2, clk.Now())
-	fired = s.tick(clk.advance(s.cfg.WheelTick), 0, s.backlog(), fired[:0]).fired
+	fired = s.tick(clk.advance(s.cfg.wheelTick), 0, s.backlog(), fired[:0]).fired
 	go func() { handed <- s.handOff(ctx, fired) }()
 	admitArmed(s, 3, clk.Now())
 	returned := make(chan struct{})

@@ -434,14 +434,14 @@ func BenchmarkSessionPumpChunk(b *testing.B) {
 			// Admitted a tick apart over ten ticks, so every tick has work.
 			for f := 0; f < bc.sessions; f++ {
 				if f%(bc.sessions/10) == 0 {
-					clk.advance(s.cfg.WheelTick)
+					clk.advance(s.cfg.wheelTick)
 				}
 				admitArmed(s, uint32(f+1), clk.Now())
 			}
 			ctx := context.Background()
 			var fired []*Timer
 			cycle := func() {
-				fired = s.wheel.Advance(clk.advance(s.cfg.WheelTick), fired[:0])
+				fired = s.wheel.Advance(clk.advance(s.cfg.wheelTick), fired[:0])
 				s.handOff(ctx, fired)
 				pumpQueued(s)
 			}

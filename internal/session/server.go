@@ -371,10 +371,10 @@ func (s *Server) driver(ctx context.Context) {
 			}
 			continue
 		}
-		_ = s.cfg.Clock.Sleep(ctx, s.cfg.WheelTick)
+		_ = s.cfg.Clock.Sleep(ctx, s.cfg.wheelTick)
 		// One loop should cost about a tick; the smoothed excess is the
 		// wheel-lateness overload signal.
-		late := (s.cfg.Clock.Now().Sub(loopStart) - s.cfg.WheelTick).Seconds()
+		late := (s.cfg.Clock.Now().Sub(loopStart) - s.cfg.wheelTick).Seconds()
 		if late < 0 {
 			late = 0
 		}

@@ -38,7 +38,8 @@ type Config struct {
 	// RedShare selects the γ denominator; 0 means fgs.RedShareTotal.
 	RedShare fgs.RedShare
 	// Layers is the number of priority layers each frame is split into,
-	// in [2, packet.MaxLayers]; 0 selects 3, the paper's green/yellow/red.
+	// in [3, packet.MaxLayers]; 0 selects 3, the paper's green/yellow/red.
+	// Fewer than 3 leaves no layer between the base and the probe.
 	// Every frame is planned by fgs.Packetizer.PlanLadder, whose split
 	// points run from the enhancement's share of the frame down to γ, so
 	// every layer carries packets; for 3 layers it is exactly the paper's
@@ -581,13 +582,6 @@ func (s *Session) CloseReason() wire.Reason {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closeReason
-}
-
-// State returns the lifecycle state.
-func (s *Session) State() State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
 }
 
 // Rate returns the controller's current rate.

@@ -68,8 +68,8 @@ func TestSessionStreamsMaxFramesAndCloses(t *testing.T) {
 	if st.Frames != 5 {
 		t.Fatalf("streamed %d frames, want 5", st.Frames)
 	}
-	if s.State() != StateClosed {
-		t.Fatalf("state %v after MaxFrames, want closed", s.State())
+	if stateOf(s) != StateClosed {
+		t.Fatalf("state %v after MaxFrames, want closed", stateOf(s))
 	}
 	if st.Datagrams == 0 || uint64(len(out.headers)) != st.Datagrams {
 		t.Fatalf("stats datagrams %d vs written %d", st.Datagrams, len(out.headers))
@@ -248,8 +248,8 @@ func TestSessionDrainClosesAtFrameBoundary(t *testing.T) {
 	}
 	s.Drain()
 	end := drive(t, s, now, 1000)
-	if s.State() != StateClosed {
-		t.Fatalf("state %v after drain, want closed", s.State())
+	if stateOf(s) != StateClosed {
+		t.Fatalf("state %v after drain, want closed", stateOf(s))
 	}
 	// The frame in flight must complete: the last frame's datagram count
 	// equals its plan, i.e. no frame ends mid-sequence with a dangling
@@ -335,4 +335,11 @@ func TestSessionRateCeiling(t *testing.T) {
 	if n, limit := st.Frames-warm.Frames, int(time.Second/cfg.FrameInterval)+1; n > limit {
 		t.Errorf("%d frames in 1 s of a %v-interval video, want at most %d", n, cfg.FrameInterval, limit)
 	}
+}
+
+// stateOf reads s's lifecycle state under its lock.
+func stateOf(s *Session) State {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.state
 }

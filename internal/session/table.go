@@ -114,9 +114,6 @@ func NewTable(shards int) *Table {
 	return t
 }
 
-// Shards returns the shard count.
-func (t *Table) Shards() int { return len(t.shards) }
-
 // Registries returns the per-shard obs registries, indexed by shard.
 func (t *Table) Registries() []*obs.Registry {
 	regs := make([]*obs.Registry, len(t.shards))
@@ -161,9 +158,6 @@ func (t *Table) RecordReject(k Key, reason wire.Reason) {
 		sh.rejConfig.Inc()
 	}
 }
-
-// ShardIndex returns which shard k hashes to (for tests and diagnostics).
-func (t *Table) ShardIndex(k Key) int { return int(t.hash(k) & t.mask) }
 
 // Get returns the session for k, or nil.
 //

@@ -87,7 +87,7 @@ func TestTableShardSpread(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		k := Key{Addr: fmt.Sprintf("10.0.0.%d:%d", i%8, 5000+i), Flow: uint32(i)}
 		tb.Put(k, testSession(t, k, now))
-		seen[tb.ShardIndex(k)]++
+		seen[int(tb.hash(k)&tb.mask)]++
 	}
 	if len(seen) < 4 {
 		t.Fatalf("256 keys landed on only %d of 8 shards; hash is degenerate", len(seen))
@@ -123,11 +123,11 @@ func TestTableReapIdle(t *testing.T) {
 	if n != 1 || len(reapedKeys) != 1 || reapedKeys[0] != idleKey {
 		t.Fatalf("reaped %d %v, want exactly %v", n, reapedKeys, idleKey)
 	}
-	if idle.State() != StateClosed {
-		t.Fatalf("reaped session state %v, want closed", idle.State())
+	if stateOf(idle) != StateClosed {
+		t.Fatalf("reaped session state %v, want closed", stateOf(idle))
 	}
-	if live.State() != StateStreaming {
-		t.Fatalf("live session state %v, want streaming", live.State())
+	if stateOf(live) != StateStreaming {
+		t.Fatalf("live session state %v, want streaming", stateOf(live))
 	}
 	if tb.Get(liveKey) == nil || tb.Get(idleKey) != nil {
 		t.Fatal("reap removed the wrong session")

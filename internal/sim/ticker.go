@@ -36,9 +36,9 @@ func (t *Ticker) Start() {
 	t.timer.Reset(t.period)
 }
 
-// StartAt schedules the first tick at absolute time at and repeats every
+// startAt schedules the first tick at absolute time at and repeats every
 // period thereafter.
-func (t *Ticker) StartAt(at time.Duration) {
+func (t *Ticker) startAt(at time.Duration) {
 	if t.active {
 		return
 	}
@@ -55,17 +55,11 @@ func (t *Ticker) Stop() {
 	t.timer.Stop()
 }
 
-// Active reports whether the ticker is currently running.
-func (t *Ticker) Active() bool { return t.active }
-
-// Period returns the tick period.
-func (t *Ticker) Period() time.Duration { return t.period }
-
-// SetPeriod changes the period used for ticks scheduled after the current
+// setPeriod changes the period used for ticks scheduled after the current
 // one. period must be positive.
-func (t *Ticker) SetPeriod(period time.Duration) {
+func (t *Ticker) setPeriod(period time.Duration) {
 	if period <= 0 {
-		panic("sim: SetPeriod with non-positive period")
+		panic("sim: setPeriod with non-positive period")
 	}
 	t.period = period
 }

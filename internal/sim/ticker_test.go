@@ -38,7 +38,7 @@ func TestTickerStop(t *testing.T) {
 	if count != 3 {
 		t.Errorf("ticker fired %d times, want 3", count)
 	}
-	if tk.Active() {
+	if tk.active {
 		t.Error("Active() = true after Stop")
 	}
 }
@@ -82,7 +82,7 @@ func TestTickerStartAt(t *testing.T) {
 	eng := NewEngine(1)
 	var fires []time.Duration
 	tk := NewTicker(eng, 10*time.Millisecond, func() { fires = append(fires, eng.Now()) })
-	tk.StartAt(5 * time.Millisecond)
+	tk.startAt(5 * time.Millisecond)
 	if err := eng.RunUntil(30 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTickerSetPeriod(t *testing.T) {
 	var tk *Ticker
 	tk = NewTicker(eng, 10*time.Millisecond, func() {
 		fires = append(fires, eng.Now())
-		tk.SetPeriod(20 * time.Millisecond)
+		tk.setPeriod(20 * time.Millisecond)
 	})
 	tk.Start()
 	if err := eng.RunUntil(55 * time.Millisecond); err != nil {
@@ -129,7 +129,7 @@ func TestTickerInvalidConfigPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"zero period": func() { NewTicker(eng, 0, func() {}) },
 		"nil fn":      func() { NewTicker(eng, time.Second, nil) },
-		"set zero":    func() { NewTicker(eng, time.Second, func() {}).SetPeriod(0) },
+		"set zero":    func() { NewTicker(eng, time.Second, func() {}).setPeriod(0) },
 	} {
 		func() {
 			defer func() {

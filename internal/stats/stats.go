@@ -1,5 +1,5 @@
 // Package stats provides the measurement utilities shared by experiments:
-// time series of (time, value) samples, running mean/variance (Welford),
+// time series of (time, value) samples, mean and standard deviation,
 // percentile summaries, and CSV export of the series that back the paper's
 // figures.
 package stats
@@ -269,54 +269,3 @@ func percentileSorted(sorted []float64, q float64) float64 {
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
-
-// Welford maintains running mean and variance without storing samples.
-// The zero value is ready to use.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(v float64) {
-	w.n++
-	if w.n == 1 {
-		w.min, w.max = v, v
-	} else {
-		if v < w.min {
-			w.min = v
-		}
-		if v > w.max {
-			w.max = v
-		}
-	}
-	d := v - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (v - w.mean)
-}
-
-// N returns the observation count.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the sample variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest observation (0 if none).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation (0 if none).
-func (w *Welford) Max() float64 { return w.max }

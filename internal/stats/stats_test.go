@@ -2,10 +2,8 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -94,64 +92,6 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	Percentile(vs, 50)
 	if vs[0] != 3 || vs[1] != 1 || vs[2] != 2 {
 		t.Error("Percentile sorted the caller's slice")
-	}
-}
-
-func TestWelfordMatchesDirectComputation(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var w Welford
-	var vs []float64
-	for i := 0; i < 1000; i++ {
-		v := rng.NormFloat64()*5 + 10
-		w.Add(v)
-		vs = append(vs, v)
-	}
-	if math.Abs(w.Mean()-Mean(vs)) > 1e-9 {
-		t.Errorf("Welford mean %v != direct %v", w.Mean(), Mean(vs))
-	}
-	if math.Abs(w.StdDev()-StdDev(vs)) > 1e-9 {
-		t.Errorf("Welford stddev %v != direct %v", w.StdDev(), StdDev(vs))
-	}
-	if w.N() != 1000 {
-		t.Errorf("N = %d", w.N())
-	}
-}
-
-func TestWelfordMinMax(t *testing.T) {
-	var w Welford
-	for _, v := range []float64{3, -1, 7, 2} {
-		w.Add(v)
-	}
-	if w.Min() != -1 || w.Max() != 7 {
-		t.Errorf("min/max = %v/%v", w.Min(), w.Max())
-	}
-	var empty Welford
-	if empty.Min() != 0 || empty.Max() != 0 || empty.Variance() != 0 {
-		t.Error("empty Welford should be zeros")
-	}
-}
-
-// TestWelfordProperty: mean is within [min, max] and variance >= 0 for any
-// input.
-func TestWelfordProperty(t *testing.T) {
-	f := func(vs []float64) bool {
-		var w Welford
-		ok := true
-		for _, v := range vs {
-			if math.IsNaN(v) || math.Abs(v) > 1e100 {
-				return true // extreme magnitudes overflow float64 variance
-			}
-			w.Add(v)
-		}
-		if w.N() > 0 {
-			ok = ok && w.Mean() >= w.Min()-1e-9 && w.Mean() <= w.Max()+1e-9
-			ok = ok && w.Variance() >= 0
-		}
-		return ok
-	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(47))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
 	}
 }
 

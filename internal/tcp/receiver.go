@@ -10,10 +10,9 @@ import (
 // Receiver is a TCP sink that delivers cumulative ACKs, buffering
 // out-of-order segments. It implements netsim.App.
 type Receiver struct {
-	flow    int
-	ackSize int
-	net     *netsim.Network
-	host    *netsim.Host
+	flow int
+	net  *netsim.Network
+	host *netsim.Host
 
 	rcvNxt  int64
 	ooo     map[int64]int // out-of-order segments: seq -> length
@@ -24,11 +23,8 @@ type Receiver struct {
 var _ netsim.App = (*Receiver)(nil)
 
 // NewReceiver attaches a TCP sink for the flow on host.
-func NewReceiver(net *netsim.Network, host *netsim.Host, flow, ackSize int) *Receiver {
-	if ackSize <= 0 {
-		ackSize = 40
-	}
-	r := &Receiver{flow: flow, ackSize: ackSize, net: net, host: host, ooo: make(map[int64]int)}
+func NewReceiver(net *netsim.Network, host *netsim.Host, flow int) *Receiver {
+	r := &Receiver{flow: flow, net: net, host: host, ooo: make(map[int64]int)}
 	host.Attach(flow, r)
 	return r
 }
@@ -80,7 +76,7 @@ func (r *Receiver) drainOOO() {
 }
 
 func (r *Receiver) sendAck(to int) {
-	ack := r.net.NewPacket(r.flow, to, r.ackSize, packet.ACK)
+	ack := r.net.NewPacket(r.flow, to, ackSize, packet.ACK)
 	ack.TCPAck = r.rcvNxt
 	r.acks++
 	r.host.Send(ack)
@@ -88,6 +84,3 @@ func (r *Receiver) sendAck(to int) {
 
 // BytesDelivered returns in-order bytes delivered to the application.
 func (r *Receiver) BytesDelivered() int64 { return r.bytesOK }
-
-// AcksSent returns the number of ACKs generated.
-func (r *Receiver) AcksSent() int64 { return r.acks }

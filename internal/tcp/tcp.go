@@ -15,40 +15,19 @@ import (
 	"repro/internal/sim"
 )
 
-// Config parameterizes a greedy (FTP-like) TCP Reno sender.
-type Config struct {
-	// Flow identifies the connection; data and ACK packets share it.
-	Flow int
-	// MSS is the segment payload size in bytes.
-	MSS int
-	// InitialCwnd is the initial congestion window in segments.
-	InitialCwnd float64
-	// InitialSsthresh is the initial slow-start threshold in segments.
-	InitialSsthresh float64
-	// MinRTO floors the retransmission timeout.
-	MinRTO time.Duration
-	// MaxCwnd caps the window in segments (0 = uncapped).
-	MaxCwnd float64
-	// AckSize is the ACK packet size in bytes.
-	AckSize int
-}
-
-// DefaultConfig returns a conventional Reno configuration.
-func DefaultConfig(flow int) Config {
-	return Config{
-		Flow:            flow,
-		MSS:             1000,
-		InitialCwnd:     2,
-		InitialSsthresh: 64,
-		MinRTO:          200 * time.Millisecond,
-		AckSize:         40,
-	}
-}
+// Reno's constants: conventional values for the paper's cross traffic.
+const (
+	mss             = 1000 // segment payload, bytes
+	initialCwnd     = 2    // segments
+	initialSsthresh = 64   // segments
+	minRTO          = 200 * time.Millisecond
+	ackSize         = 40 // bytes
+)
 
 // Sender is a greedy TCP Reno source. It implements netsim.App to receive
 // ACKs.
 type Sender struct {
-	cfg  Config
+	flow int
 	eng  *sim.Engine
 	net  *netsim.Network
 	host *netsim.Host
@@ -72,7 +51,6 @@ type Sender struct {
 
 	rtoTimer *sim.Timer
 
-	segmentsSent    int64
 	retransmissions int64
 	bytesAcked      int64
 	started         bool
@@ -80,35 +58,21 @@ type Sender struct {
 
 var _ netsim.App = (*Sender)(nil)
 
-// NewSender creates a Reno sender on host targeting the receiver host dst.
-func NewSender(net *netsim.Network, host *netsim.Host, dst int, cfg Config) *Sender {
-	if cfg.MSS <= 0 {
-		cfg.MSS = 1000
-	}
-	if cfg.InitialCwnd <= 0 {
-		cfg.InitialCwnd = 2
-	}
-	if cfg.InitialSsthresh <= 0 {
-		cfg.InitialSsthresh = 64
-	}
-	if cfg.MinRTO <= 0 {
-		cfg.MinRTO = 200 * time.Millisecond
-	}
-	if cfg.AckSize <= 0 {
-		cfg.AckSize = 40
-	}
+// NewSender creates a Reno sender for the flow on host, targeting the
+// receiver host dst.
+func NewSender(net *netsim.Network, host *netsim.Host, dst, flow int) *Sender {
 	s := &Sender{
-		cfg:      cfg,
+		flow:     flow,
 		eng:      net.Engine(),
 		net:      net,
 		host:     host,
 		dst:      dst,
-		cwnd:     cfg.InitialCwnd,
-		ssthresh: cfg.InitialSsthresh,
+		cwnd:     initialCwnd,
+		ssthresh: initialSsthresh,
 		rto:      time.Second,
 	}
 	s.rtoTimer = s.eng.NewTimer(s.onRTO)
-	host.Attach(cfg.Flow, s)
+	host.Attach(flow, s)
 	return s
 }
 
@@ -147,14 +111,11 @@ func (s *Sender) onNewAck(ack int64) {
 		s.timing = false
 	}
 
-	segs := float64(acked) / float64(s.cfg.MSS)
+	segs := float64(acked) / mss
 	if s.cwnd < s.ssthresh {
 		s.cwnd += segs // slow start: +1 per acked segment
 	} else {
 		s.cwnd += segs / s.cwnd // congestion avoidance: +1 per RTT
-	}
-	if s.cfg.MaxCwnd > 0 && s.cwnd > s.cfg.MaxCwnd {
-		s.cwnd = s.cfg.MaxCwnd
 	}
 	s.resetRTO()
 }
@@ -193,10 +154,10 @@ func (s *Sender) trySend() {
 	if !s.started {
 		return
 	}
-	window := int64(s.cwnd * float64(s.cfg.MSS))
+	window := int64(s.cwnd * mss)
 	for s.sndNxt < s.sndUna+window {
 		s.sendSegment(s.sndNxt, false)
-		s.sndNxt += int64(s.cfg.MSS)
+		s.sndNxt += mss
 	}
 	if !s.rtoTimer.Armed() && s.sndNxt > s.sndUna {
 		s.resetRTO()
@@ -204,9 +165,8 @@ func (s *Sender) trySend() {
 }
 
 func (s *Sender) sendSegment(seq int64, isRetransmit bool) {
-	p := s.net.NewPacket(s.cfg.Flow, s.dst, s.cfg.MSS, packet.TCP)
+	p := s.net.NewPacket(s.flow, s.dst, mss, packet.TCP)
 	p.Seq = seq
-	s.segmentsSent++
 	if !s.timing && !isRetransmit {
 		s.timing = true
 		s.timedSeq = seq
@@ -228,8 +188,8 @@ func (s *Sender) sampleRTT(rtt time.Duration) {
 		s.srtt = (7*s.srtt + rtt) / 8
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.cfg.MinRTO {
-		s.rto = s.cfg.MinRTO
+	if s.rto < minRTO {
+		s.rto = minRTO
 	}
 }
 
@@ -240,22 +200,6 @@ func (s *Sender) resetRTO() {
 	}
 	s.rtoTimer.Reset(s.rto << uint(minInt(s.rtoBackoff, 6)))
 }
-
-// Cwnd returns the current congestion window in segments.
-func (s *Sender) Cwnd() float64 { return s.cwnd }
-
-// BytesAcked returns the number of bytes delivered and acknowledged.
-func (s *Sender) BytesAcked() int64 { return s.bytesAcked }
-
-// SegmentsSent returns the number of segments transmitted (including
-// retransmissions).
-func (s *Sender) SegmentsSent() int64 { return s.segmentsSent }
-
-// Retransmissions returns the number of retransmitted segments.
-func (s *Sender) Retransmissions() int64 { return s.retransmissions }
-
-// SRTT returns the smoothed RTT estimate.
-func (s *Sender) SRTT() time.Duration { return s.srtt }
 
 func maxf(a, b float64) float64 {
 	if a > b {

@@ -30,9 +30,8 @@ func tcpPair(t *testing.T, rate units.BitRate, buffer int) (*sim.Engine, *Sender
 	if err := nw.ComputeRoutes(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(1)
-	recv := NewReceiver(nw, h2, cfg.Flow, cfg.AckSize)
-	send := NewSender(nw, h1, h2.ID(), cfg)
+	recv := NewReceiver(nw, h2, 1)
+	send := NewSender(nw, h1, h2.ID(), 1)
 	return eng, send, recv
 }
 
@@ -45,14 +44,14 @@ func TestTCPDeliversInOrderOverCleanPath(t *testing.T) {
 	if recv.BytesDelivered() == 0 {
 		t.Fatal("no bytes delivered")
 	}
-	if send.Retransmissions() != 0 {
-		t.Errorf("retransmissions = %d on a loss-free path", send.Retransmissions())
+	if send.retransmissions != 0 {
+		t.Errorf("retransmissions = %d on a loss-free path", send.retransmissions)
 	}
 	// ACKs for the last window may still be in flight at the cutoff.
-	if send.BytesAcked() > recv.BytesDelivered() {
-		t.Errorf("acked %d > delivered %d", send.BytesAcked(), recv.BytesDelivered())
+	if send.bytesAcked > recv.BytesDelivered() {
+		t.Errorf("acked %d > delivered %d", send.bytesAcked, recv.BytesDelivered())
 	}
-	if gap := recv.BytesDelivered() - send.BytesAcked(); gap > 100*1000 {
+	if gap := recv.BytesDelivered() - send.bytesAcked; gap > 100*1000 {
 		t.Errorf("ack gap = %d bytes, want < one window", gap)
 	}
 }
@@ -64,8 +63,8 @@ func TestTCPSlowStartDoublesPerRTT(t *testing.T) {
 	if err := eng.RunUntil(45 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if send.Cwnd() < 8 {
-		t.Errorf("cwnd = %.1f after ~3 RTTs of slow start, want ≥ 8", send.Cwnd())
+	if send.cwnd < 8 {
+		t.Errorf("cwnd = %.1f after ~3 RTTs of slow start, want ≥ 8", send.cwnd)
 	}
 }
 
@@ -90,7 +89,7 @@ func TestTCPRecoversFromLossViaFastRetransmit(t *testing.T) {
 	if err := eng.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if send.Retransmissions() == 0 {
+	if send.retransmissions == 0 {
 		t.Error("expected retransmissions with a 5-packet buffer")
 	}
 	if recv.BytesDelivered() < 800_000 {
@@ -98,8 +97,8 @@ func TestTCPRecoversFromLossViaFastRetransmit(t *testing.T) {
 	}
 	// Delivery is cumulative and in-order by construction; acked bytes
 	// must track delivered bytes (last window may be un-acked at cutoff).
-	if send.BytesAcked() > recv.BytesDelivered() {
-		t.Errorf("acked %d > delivered %d", send.BytesAcked(), recv.BytesDelivered())
+	if send.bytesAcked > recv.BytesDelivered() {
+		t.Errorf("acked %d > delivered %d", send.bytesAcked, recv.BytesDelivered())
 	}
 }
 
@@ -108,11 +107,11 @@ func TestTCPCwndHalvesOnLoss(t *testing.T) {
 	send.Start(0)
 	var maxCwnd, afterLoss float64
 	probe := sim.NewTicker(eng, time.Millisecond, func() {
-		c := send.Cwnd()
+		c := send.cwnd
 		if c > maxCwnd {
 			maxCwnd = c
 		}
-		if send.Retransmissions() > 0 && afterLoss == 0 {
+		if send.retransmissions > 0 && afterLoss == 0 {
 			afterLoss = c
 		}
 	})
@@ -135,31 +134,8 @@ func TestTCPSRTTEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Physical RTT ≈ 14 ms plus queueing.
-	if send.SRTT() < 10*time.Millisecond || send.SRTT() > 100*time.Millisecond {
-		t.Errorf("SRTT = %v, want ~14ms", send.SRTT())
-	}
-}
-
-func TestTCPMaxCwndCap(t *testing.T) {
-	eng := sim.NewEngine(1)
-	nw := netsim.NewNetwork(eng)
-	h1 := nw.NewHost("src")
-	h2 := nw.NewHost("dst")
-	access := netsim.LinkConfig{Rate: 100 * units.Mbps, Delay: time.Millisecond}
-	nw.Connect(h1, h2, access, access)
-	if err := nw.ComputeRoutes(); err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(1)
-	cfg.MaxCwnd = 4
-	NewReceiver(nw, h2, cfg.Flow, cfg.AckSize)
-	send := NewSender(nw, h1, h2.ID(), cfg)
-	send.Start(0)
-	if err := eng.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if send.Cwnd() > 4 {
-		t.Errorf("cwnd = %.1f, want cap at 4", send.Cwnd())
+	if send.srtt < 10*time.Millisecond || send.srtt > 100*time.Millisecond {
+		t.Errorf("SRTT = %v, want ~14ms", send.srtt)
 	}
 }
 
@@ -171,7 +147,7 @@ func TestTCPReceiverHandlesReordering(t *testing.T) {
 	// to go (they are dropped at the router, which is fine here).
 	sink := nw.NewRouter("sink")
 	nw.Connect(h, sink, netsim.LinkConfig{Rate: units.Mbps, Delay: 0}, netsim.LinkConfig{Rate: units.Mbps, Delay: 0})
-	recv := NewReceiver(nw, h, 1, 40)
+	recv := NewReceiver(nw, h, 1)
 
 	seg := func(seq int64) {
 		p := nw.NewPacket(1, h.ID(), 1000, packet.TCP)
@@ -191,8 +167,8 @@ func TestTCPReceiverHandlesReordering(t *testing.T) {
 	if recv.BytesDelivered() != 3000 {
 		t.Errorf("stale segment changed delivery: %d", recv.BytesDelivered())
 	}
-	if recv.AcksSent() != 4 {
-		t.Errorf("AcksSent = %d, want 4 (one per segment)", recv.AcksSent())
+	if recv.acks != 4 {
+		t.Errorf("AcksSent = %d, want 4 (one per segment)", recv.acks)
 	}
 }
 
@@ -207,16 +183,16 @@ func TestTCPRTOFiresWhenAcksStop(t *testing.T) {
 	if err := nw.ComputeRoutes(); err != nil {
 		t.Fatal(err)
 	}
-	send := NewSender(nw, h1, 999 /* unreachable */, DefaultConfig(1))
+	send := NewSender(nw, h1, 999 /* unreachable */, 1)
 	send.Start(0)
 	if err := eng.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if send.Retransmissions() == 0 {
+	if send.retransmissions == 0 {
 		t.Error("no RTO retransmissions on a black-holed path")
 	}
-	if send.Cwnd() != 1 {
-		t.Errorf("cwnd = %.1f after repeated RTOs, want 1", send.Cwnd())
+	if send.cwnd != 1 {
+		t.Errorf("cwnd = %.1f after repeated RTOs, want 1", send.cwnd)
 	}
 }
 
@@ -230,7 +206,7 @@ func TestTCPCongestionAvoidanceLinearGrowth(t *testing.T) {
 	}
 	// ~14 RTTs of 14 ms: cwnd should be around 4 + 14 ≈ 18, far below the
 	// ~2^14 slow start would produce.
-	if c := send.Cwnd(); c < 8 || c > 30 {
+	if c := send.cwnd; c < 8 || c > 30 {
 		t.Errorf("cwnd = %.1f after ~14 RTTs of congestion avoidance, want ~18", c)
 	}
 }
@@ -244,25 +220,31 @@ func TestTCPKarnSkipsRetransmittedSamples(t *testing.T) {
 	if err := eng.RunUntil(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if send.Retransmissions() == 0 {
+	if send.retransmissions == 0 {
 		t.Skip("no retransmissions with this seed; nothing to check")
 	}
-	if srtt := send.SRTT(); srtt <= 0 || srtt > 2*time.Second {
+	if srtt := send.srtt; srtt <= 0 || srtt > 2*time.Second {
 		t.Errorf("SRTT = %v after retransmissions, estimator corrupted", srtt)
 	}
 }
 
+// TestTCPDefaultConfigSanity: a new sender starts from Reno's conventional
+// window and sends full MSS segments on its flow.
 func TestTCPDefaultConfigSanity(t *testing.T) {
-	cfg := DefaultConfig(9)
-	if cfg.Flow != 9 || cfg.MSS != 1000 || cfg.AckSize != 40 {
-		t.Errorf("DefaultConfig = %+v", cfg)
-	}
-	// NewSender fills zero values.
 	eng := sim.NewEngine(1)
 	nw := netsim.NewNetwork(eng)
 	h := nw.NewHost("h")
-	s := NewSender(nw, h, 1, Config{Flow: 1})
-	if s.cfg.MSS != 1000 || s.cfg.InitialCwnd != 2 || s.cfg.MinRTO != 200*time.Millisecond {
-		t.Errorf("zero-config defaults = %+v", s.cfg)
+	sink := nw.NewRouter("sink")
+	nw.Connect(h, sink, netsim.LinkConfig{Rate: units.Mbps}, netsim.LinkConfig{Rate: units.Mbps})
+	s := NewSender(nw, h, 1, 9)
+	if s.cwnd != 2 || s.ssthresh != 64 {
+		t.Errorf("initial cwnd/ssthresh = %v/%v, want 2/64", s.cwnd, s.ssthresh)
+	}
+	s.Start(0)
+	if err := eng.RunUntil(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if s.sndNxt != 2*1000 {
+		t.Errorf("first window sent %d bytes, want 2 segments of 1000", s.sndNxt)
 	}
 }

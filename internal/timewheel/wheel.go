@@ -65,11 +65,6 @@ type Timer[O any] struct {
 	slot int32               // where the live arming hashed to; guarded by the wheel's lock
 }
 
-// Call invokes the callback of a timer made by Schedule with the firing
-// instant. The wheel never calls it; its caller does, outside the wheel
-// lock.
-func (t *Timer[O]) Call(now time.Time) { t.fn(now) }
-
 // New builds a wheel with the given tick granularity and slot count
 // (rounded up to a power of two), anchored at now, which becomes the
 // origin of its timeline. The horizon — tick × slots — is the longest
@@ -97,9 +92,6 @@ func New[O any](tick time.Duration, slots int, now time.Time) *Wheel[O] {
 // Origin returns the instant the wheel's timeline counts from: Timer.At
 // and RescheduleAt take durations since it.
 func (w *Wheel[O]) Origin() time.Time { return w.origin }
-
-// Tick returns the wheel granularity.
-func (w *Wheel[O]) Tick() time.Duration { return w.tick }
 
 // Len returns the number of live timers.
 func (w *Wheel[O]) Len() int {

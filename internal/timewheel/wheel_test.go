@@ -26,7 +26,7 @@ func TestWheelFiresAtDeadline(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("got %d timers at the deadline, want 1", len(got))
 	}
-	got[0].Call(t0.Add(3 * time.Millisecond))
+	got[0].fn(t0.Add(3 * time.Millisecond))
 	if fired != 1 {
 		t.Fatalf("callback ran %d times, want 1", fired)
 	}
@@ -87,7 +87,7 @@ func TestWheelRescheduleReuse(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		now = now.Add(time.Millisecond)
 		for _, f := range advanceTo(w, now) {
-			f.Call(now)
+			f.fn(now)
 			w.Reschedule(f, now.Add(time.Millisecond))
 		}
 	}

@@ -35,9 +35,6 @@ func (r BitRate) Bps() float64 { return float64(r) }
 // KbpsValue returns the rate in kilobits per second.
 func (r BitRate) KbpsValue() float64 { return float64(r) / 1000 }
 
-// MbpsValue returns the rate in megabits per second.
-func (r BitRate) MbpsValue() float64 { return float64(r) / 1e6 }
-
 // TransmissionTime returns the time needed to serialize sizeBytes at rate r.
 // It returns 0 for non-positive rates or sizes.
 func (r BitRate) TransmissionTime(sizeBytes int) time.Duration {

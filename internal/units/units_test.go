@@ -72,9 +72,6 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestConversions(t *testing.T) {
 	r := BitRate(2.5e6)
-	if r.MbpsValue() != 2.5 {
-		t.Errorf("MbpsValue = %v", r.MbpsValue())
-	}
 	if r.KbpsValue() != 2500 {
 		t.Errorf("KbpsValue = %v", r.KbpsValue())
 	}

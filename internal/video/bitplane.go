@@ -1,7 +1,6 @@
 package video
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -34,6 +33,8 @@ type BitplaneModel struct {
 // Foreman enhancement layer: 6 planes growing ×1.6 from 2,000 bytes
 // (total ≈ 52.6 kB), 4.3 dB per plane (≈ 26 dB at full rate, matching the
 // calibrated RDModel's MaxGain).
+//
+//pelsvet:allow deadexport test substitute: TestFigure10RobustToQualityModel swaps this model in for RDModel
 func DefaultBitplaneModel() BitplaneModel {
 	return BitplaneModel{
 		Planes:          6,
@@ -44,40 +45,16 @@ func DefaultBitplaneModel() BitplaneModel {
 	}
 }
 
-// Validate reports configuration errors.
-func (m BitplaneModel) Validate() error {
-	if m.Planes <= 0 {
-		return fmt.Errorf("video: bitplane model needs planes > 0, got %d", m.Planes)
-	}
-	if m.FirstPlaneBytes <= 0 {
-		return fmt.Errorf("video: first plane bytes must be positive, got %d", m.FirstPlaneBytes)
-	}
-	if m.Growth < 1 {
-		return fmt.Errorf("video: growth must be >= 1, got %v", m.Growth)
-	}
-	if m.StepDB <= 0 {
-		return fmt.Errorf("video: step dB must be positive, got %v", m.StepDB)
-	}
-	return nil
-}
-
 // PlaneBytes returns the size of bitplane i (0 = most significant).
 func (m BitplaneModel) PlaneBytes(i int) int {
 	return int(float64(m.FirstPlaneBytes) * math.Pow(m.Growth, float64(i)))
 }
 
-// TotalBytes returns the full enhancement-layer size.
-func (m BitplaneModel) TotalBytes() int {
-	total := 0
-	for i := 0; i < m.Planes; i++ {
-		total += m.PlaneBytes(i)
-	}
-	return total
-}
-
 // Gain returns the PSNR improvement for b consecutively decodable
 // enhancement bytes: full steps for complete bitplanes plus a pro-rated
 // share of the first incomplete one.
+//
+//pelsvet:allow deadexport test substitute: TestFigure10RobustToQualityModel swaps this model in for RDModel
 func (m BitplaneModel) Gain(b int) float64 {
 	if b <= 0 {
 		return 0
@@ -94,15 +71,4 @@ func (m BitplaneModel) Gain(b int) float64 {
 		break
 	}
 	return gain
-}
-
-// MaxGain returns the improvement at the full enhancement layer.
-func (m BitplaneModel) MaxGain() float64 { return m.StepDB * float64(m.Planes) }
-
-// PSNR mirrors RDModel.PSNR for drop-in use.
-func (m BitplaneModel) PSNR(basePSNR float64, baseComplete bool, usefulEnhBytes int) float64 {
-	if !baseComplete {
-		return m.ConcealmentPSNR
-	}
-	return basePSNR + m.Gain(usefulEnhBytes)
 }

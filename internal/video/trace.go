@@ -20,9 +20,6 @@ type Trace struct {
 	Frames []TraceFrame
 }
 
-// Len returns the number of frames.
-func (t *Trace) Len() int { return len(t.Frames) }
-
 // Frame returns frame i, wrapping around for sequences longer than the
 // trace (looping playback, as streaming evaluations commonly do).
 func (t *Trace) Frame(i int) TraceFrame {
@@ -32,18 +29,6 @@ func (t *Trace) Frame(i int) TraceFrame {
 	f := t.Frames[i%len(t.Frames)]
 	f.Index = i
 	return f
-}
-
-// MeanBasePSNR returns the average base-layer quality of the trace.
-func (t *Trace) MeanBasePSNR() float64 {
-	if len(t.Frames) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, f := range t.Frames {
-		sum += f.BasePSNR
-	}
-	return sum / float64(len(t.Frames))
 }
 
 // ForemanTrace synthesizes an n-frame CIF-Foreman-like base-layer PSNR
@@ -76,49 +61,6 @@ func ForemanTrace(n int) *Trace {
 		frames[i] = TraceFrame{Index: i, BasePSNR: base, Complexity: complexity}
 	}
 	return &Trace{Name: "foreman-cif", Frames: frames}
-}
-
-// AkiyoTrace synthesizes an n-frame Akiyo-like trace: a static newsreader
-// shot with very low motion — high, stable base quality and low coding
-// complexity. Low-motion content is the easy case for streaming: small
-// frames, big enhancement gains per byte.
-func AkiyoTrace(n int) *Trace {
-	frames := make([]TraceFrame, n)
-	for i := range frames {
-		pos := float64(i%300) / 300
-		frames[i] = TraceFrame{
-			Index:      i,
-			BasePSNR:   33.0 + 0.6*math.Sin(2*math.Pi*pos*3) + 0.2*math.Sin(float64(i)*1.7),
-			Complexity: 1.05 + 0.05*math.Sin(2*math.Pi*pos*7),
-		}
-	}
-	return &Trace{Name: "akiyo-cif", Frames: frames}
-}
-
-// CoastguardTrace synthesizes an n-frame Coastguard-like trace: continuous
-// camera panning over water — low base quality and persistently high
-// coding complexity, the hard case for streaming.
-func CoastguardTrace(n int) *Trace {
-	frames := make([]TraceFrame, n)
-	for i := range frames {
-		pos := float64(i%300) / 300
-		frames[i] = TraceFrame{
-			Index:      i,
-			BasePSNR:   26.5 + 1.0*math.Sin(2*math.Pi*pos*4) + 0.5*math.Sin(float64(i)*1.7),
-			Complexity: 1.6 + 0.2*math.Sin(2*math.Pi*pos*6),
-		}
-	}
-	return &Trace{Name: "coastguard-cif", Frames: frames}
-}
-
-// ConstantTrace returns an n-frame trace at a fixed base PSNR, useful for
-// isolating transport effects in tests.
-func ConstantTrace(n int, basePSNR float64) *Trace {
-	frames := make([]TraceFrame, n)
-	for i := range frames {
-		frames[i] = TraceFrame{Index: i, BasePSNR: basePSNR, Complexity: 1}
-	}
-	return &Trace{Name: "constant", Frames: frames}
 }
 
 // SequencePSNR reconstructs the per-frame PSNR of a streamed sequence:

@@ -19,7 +19,6 @@
 package video
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -54,20 +53,6 @@ func DefaultRDModel() RDModel {
 	}
 }
 
-// Validate reports configuration errors.
-func (m RDModel) Validate() error {
-	if m.MaxGain <= 0 {
-		return fmt.Errorf("video: MaxGain must be positive, got %v", m.MaxGain)
-	}
-	if m.Kappa <= 0 {
-		return fmt.Errorf("video: Kappa must be positive, got %v", m.Kappa)
-	}
-	if m.MaxEnhBytes <= 0 {
-		return fmt.Errorf("video: MaxEnhBytes must be positive, got %d", m.MaxEnhBytes)
-	}
-	return nil
-}
-
 // Gain returns the PSNR improvement for b decodable enhancement bytes.
 func (m RDModel) Gain(b int) float64 {
 	if b <= 0 {
@@ -77,13 +62,4 @@ func (m RDModel) Gain(b int) float64 {
 		b = m.MaxEnhBytes
 	}
 	return m.MaxGain * math.Log(1+m.Kappa*float64(b)) / math.Log(1+m.Kappa*float64(m.MaxEnhBytes))
-}
-
-// PSNR returns the reconstructed quality of a frame with the given
-// base-layer PSNR, base completeness, and decodable enhancement bytes.
-func (m RDModel) PSNR(basePSNR float64, baseComplete bool, usefulEnhBytes int) float64 {
-	if !baseComplete {
-		return m.ConcealmentPSNR
-	}
-	return basePSNR + m.Gain(usefulEnhBytes)
 }

@@ -39,40 +39,11 @@ func TestRDModelMonotoneConcave(t *testing.T) {
 	}
 }
 
-func TestRDModelPSNR(t *testing.T) {
-	m := DefaultRDModel()
-	if got := m.PSNR(30, true, 0); got != 30 {
-		t.Errorf("PSNR with no enhancement = %v, want base 30", got)
-	}
-	if got := m.PSNR(30, false, 50000); got != m.ConcealmentPSNR {
-		t.Errorf("PSNR with lost base = %v, want concealment %v", got, m.ConcealmentPSNR)
-	}
-	if got := m.PSNR(30, true, m.MaxEnhBytes); math.Abs(got-(30+m.MaxGain)) > 1e-9 {
-		t.Errorf("full enhancement PSNR = %v", got)
-	}
-}
-
-func TestRDModelValidate(t *testing.T) {
-	bad := []RDModel{
-		{MaxGain: 0, Kappa: 1, MaxEnhBytes: 1},
-		{MaxGain: 1, Kappa: 0, MaxEnhBytes: 1},
-		{MaxGain: 1, Kappa: 1, MaxEnhBytes: 0},
-	}
-	for _, m := range bad {
-		if m.Validate() == nil {
-			t.Errorf("Validate(%+v) = nil, want error", m)
-		}
-	}
-	if err := DefaultRDModel().Validate(); err != nil {
-		t.Errorf("default model invalid: %v", err)
-	}
-}
-
 func TestForemanTraceDeterministic(t *testing.T) {
 	a := ForemanTrace(300)
 	b := ForemanTrace(300)
-	if a.Len() != 300 {
-		t.Fatalf("Len = %d", a.Len())
+	if len(a.Frames) != 300 {
+		t.Fatalf("len = %d", len(a.Frames))
 	}
 	for i := range a.Frames {
 		if a.Frames[i] != b.Frames[i] {
@@ -83,7 +54,10 @@ func TestForemanTraceDeterministic(t *testing.T) {
 
 func TestForemanTraceShape(t *testing.T) {
 	tr := ForemanTrace(300)
-	mean := tr.MeanBasePSNR()
+	mean := 0.0
+	for _, f := range tr.Frames {
+		mean += f.BasePSNR / float64(len(tr.Frames))
+	}
 	if mean < 27 || mean < 0 || mean > 32 {
 		t.Errorf("mean base PSNR = %.2f, want ~29", mean)
 	}
@@ -125,22 +99,10 @@ func TestTraceEmptyFallback(t *testing.T) {
 	if f.BasePSNR != 30 || f.Complexity != 1 {
 		t.Errorf("empty trace fallback = %+v", f)
 	}
-	if tr.MeanBasePSNR() != 0 {
-		t.Error("empty trace mean != 0")
-	}
-}
-
-func TestConstantTrace(t *testing.T) {
-	tr := ConstantTrace(10, 33)
-	for i := 0; i < 10; i++ {
-		if tr.Frame(i).BasePSNR != 33 {
-			t.Fatalf("frame %d PSNR != 33", i)
-		}
-	}
 }
 
 func TestSequencePSNR(t *testing.T) {
-	tr := ConstantTrace(3, 30)
+	tr := constantTrace(3, 30)
 	m := DefaultRDModel()
 	useful := []int{0, m.MaxEnhBytes, 1000}
 	complete := []bool{true, true, false}
@@ -157,7 +119,7 @@ func TestSequencePSNR(t *testing.T) {
 }
 
 func TestSequencePSNRNilBaseComplete(t *testing.T) {
-	tr := ConstantTrace(2, 30)
+	tr := constantTrace(2, 30)
 	m := DefaultRDModel()
 	psnr := SequencePSNR(tr, m, []int{0, 0}, nil)
 	for i, v := range psnr {
@@ -181,7 +143,7 @@ func TestSequencePSNRComplexityScalesGain(t *testing.T) {
 }
 
 func TestImprovementPercent(t *testing.T) {
-	tr := ConstantTrace(4, 30)
+	tr := constantTrace(4, 30)
 	psnr := []float64{33, 33, 33, 33}
 	if got := ImprovementPercent(tr, psnr); math.Abs(got-10) > 1e-9 {
 		t.Errorf("improvement = %v%%, want 10%%", got)
@@ -212,40 +174,90 @@ func TestGainScalesWithMaxGainProperty(t *testing.T) {
 	}
 }
 
-func TestSequenceTraceCharacters(t *testing.T) {
-	foreman := ForemanTrace(300)
-	akiyo := AkiyoTrace(300)
-	coast := CoastguardTrace(300)
-	// Static content has the best base quality, panning the worst.
-	if !(akiyo.MeanBasePSNR() > foreman.MeanBasePSNR() && foreman.MeanBasePSNR() > coast.MeanBasePSNR()) {
-		t.Errorf("base PSNR ordering akiyo %.1f > foreman %.1f > coastguard %.1f violated",
-			akiyo.MeanBasePSNR(), foreman.MeanBasePSNR(), coast.MeanBasePSNR())
-	}
-	meanComplexity := func(tr *Trace) float64 {
-		sum := 0.0
-		for _, f := range tr.Frames {
-			sum += f.Complexity
-		}
-		return sum / float64(len(tr.Frames))
-	}
-	if !(meanComplexity(akiyo) < meanComplexity(foreman) && meanComplexity(foreman) < meanComplexity(coast)) {
-		t.Error("complexity ordering akiyo < foreman < coastguard violated")
-	}
-	// The same delivered bytes enhance easy content more than hard content.
+// TestRDModelPSNR: a frame's quality is its base PSNR plus the R-D gain of
+// its decodable bytes, or the concealment floor when its base was lost.
+func TestRDModelPSNR(t *testing.T) {
 	m := DefaultRDModel()
+	tr := constantTrace(3, 30)
+	got := SequencePSNR(tr, m, []int{0, 50000, m.MaxEnhBytes}, []bool{true, false, true})
+	if got[0] != 30 {
+		t.Errorf("PSNR with no enhancement = %v, want base 30", got[0])
+	}
+	if got[1] != m.ConcealmentPSNR {
+		t.Errorf("PSNR with lost base = %v, want concealment %v", got[1], m.ConcealmentPSNR)
+	}
+	if math.Abs(got[2]-(30+m.MaxGain)) > 1e-9 {
+		t.Errorf("full enhancement PSNR = %v", got[2])
+	}
+}
+
+// TestRDModelValidate: the calibrated default is a usable model: positive
+// gain, knee and layer size, and the full layer earns exactly MaxGain.
+func TestRDModelValidate(t *testing.T) {
+	m := DefaultRDModel()
+	if m.MaxGain <= 0 || m.Kappa <= 0 || m.MaxEnhBytes <= 0 {
+		t.Fatalf("default model invalid: %+v", m)
+	}
+	if got := m.Gain(m.MaxEnhBytes); math.Abs(got-m.MaxGain) > 1e-9 {
+		t.Errorf("full-layer gain = %v, want MaxGain %v", got, m.MaxGain)
+	}
+}
+
+// TestConstantTrace: a trace of identical frames reads back the same base
+// PSNR at every index, past its end included.
+func TestConstantTrace(t *testing.T) {
+	tr := constantTrace(10, 33)
+	for i := 0; i < 25; i++ {
+		if f := tr.Frame(i); f.BasePSNR != 33 || f.Index != i {
+			t.Fatalf("frame %d = %+v", i, f)
+		}
+	}
+}
+
+// TestSequenceTraceCharacters: Foreman's static construction-site ending
+// has better base quality and lower coding complexity than its camera pan,
+// so the same delivered bytes enhance the ending more.
+func TestSequenceTraceCharacters(t *testing.T) {
+	tr := ForemanTrace(300)
+	mean := func(from, to int, of func(TraceFrame) float64) float64 {
+		sum := 0.0
+		for i := from; i < to; i++ {
+			sum += of(tr.Frames[i])
+		}
+		return sum / float64(to-from)
+	}
+	base := func(f TraceFrame) float64 { return f.BasePSNR }
+	complexity := func(f TraceFrame) float64 { return f.Complexity }
+	const panFrom, panTo, endFrom = 190, 215, 240
+	if !(mean(endFrom, 300, base) > mean(panFrom, panTo, base)) {
+		t.Error("base PSNR of the ending not above the pan")
+	}
+	if !(mean(endFrom, 300, complexity) < mean(panFrom, panTo, complexity)) {
+		t.Error("complexity of the ending not below the pan")
+	}
 	useful := make([]int, 300)
 	for i := range useful {
 		useful[i] = 20000
 	}
-	gainOf := func(tr *Trace) float64 {
-		psnr := SequencePSNR(tr, m, useful, nil)
+	psnr := SequencePSNR(tr, DefaultRDModel(), useful, nil)
+	gain := func(from, to int) float64 {
 		sum := 0.0
-		for i, v := range psnr {
-			sum += v - tr.Frame(i).BasePSNR
+		for i := from; i < to; i++ {
+			sum += psnr[i] - tr.Frames[i].BasePSNR
 		}
-		return sum / float64(len(psnr))
+		return sum / float64(to-from)
 	}
-	if !(gainOf(akiyo) > gainOf(coast)) {
-		t.Errorf("gain on akiyo %.2f not above coastguard %.2f", gainOf(akiyo), gainOf(coast))
+	if !(gain(endFrom, 300) > gain(panFrom, panTo)) {
+		t.Errorf("gain on the ending %.2f not above the pan %.2f", gain(endFrom, 300), gain(panFrom, panTo))
 	}
+}
+
+// constantTrace returns an n-frame trace at a fixed base PSNR, isolating
+// transport effects from content.
+func constantTrace(n int, basePSNR float64) *Trace {
+	frames := make([]TraceFrame, n)
+	for i := range frames {
+		frames[i] = TraceFrame{Index: i, BasePSNR: basePSNR, Complexity: 1}
+	}
+	return &Trace{Name: "constant", Frames: frames}
 }

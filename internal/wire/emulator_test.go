@@ -81,7 +81,7 @@ func TestEmulatorDeadline(t *testing.T) {
 // datagrams (by position) survive across runs.
 func TestEmulatorDeterministicLoss(t *testing.T) {
 	deliveredSet := func() map[string]bool {
-		e := NewEmulator(EmulatorConfig{AtoB: LinkConfig{Loss: 0.4, Seed: 42}})
+		e := NewEmulator(EmulatorConfig{AtoB: LinkConfig{loss: 0.4, seed: 42}})
 		defer e.Close()
 		for i := 0; i < 50; i++ {
 			_, _ = e.A().WriteTo([]byte{byte(i)}, nil)

@@ -19,6 +19,7 @@ type GatewayConfig struct {
 	// bandwidth of the link the gateway fronts.
 	Capacity units.BitRate
 	// Now overrides the clock for tests; nil means time.Now.
+	//pelsvet:allow deadknob test-clock seam: tests step the gateway's windows on a synthetic clock
 	Now func() time.Time
 	// Obs, if non-nil, registers the gateway's epoch, loss, and stamp
 	// gauges under the "gateway." prefix.

@@ -38,12 +38,12 @@ type LinkConfig struct {
 	// datagram (per Marker.Priority; the arrival, if no Marker) is
 	// dropped — the live analogue of the strict-priority PELS queue.
 	QueueBytes int
-	// Loss is an i.i.d. random loss probability in [0,1], applied on
-	// entry. Given a fixed Seed the loss pattern is a deterministic
-	// function of the datagram arrival sequence.
-	Loss float64
-	// Seed seeds the loss process.
-	Seed int64
+	// loss is an i.i.d. random loss probability in [0,1], applied on
+	// entry; only tests set it. Given a fixed seed the loss pattern is a
+	// deterministic function of the datagram arrival sequence.
+	loss float64
+	// seed seeds the loss process.
+	seed int64
 	// Marker, if non-nil, stamps and classifies datagrams (the router).
 	Marker Marker
 	// Faults, if non-nil, applies a scheduled fault plan to every
@@ -54,6 +54,7 @@ type LinkConfig struct {
 	Faults *fault.Injector
 	// Now overrides the clock used for arrival stamps and the fault
 	// schedule; nil means time.Now. Tests inject a synthetic clock here.
+	//pelsvet:allow deadknob test-clock seam: tests replay arrivals and fault windows on a synthetic clock
 	Now func() time.Time
 }
 
@@ -185,7 +186,7 @@ func newIdleLink(cfg LinkConfig, deliver func(b []byte, to net.Addr) (kept bool)
 	return &link{
 		cfg:     cfg,
 		deliver: deliver,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		rng:     rand.New(rand.NewSource(cfg.seed)),
 		start:   cfg.Now(),
 		wake:    make(chan struct{}, 1),
 	}
@@ -243,7 +244,7 @@ func (l *link) send(b []byte, to net.Addr) {
 	if l.closed {
 		return
 	}
-	if l.cfg.Loss > 0 && l.rng.Float64() < l.cfg.Loss {
+	if l.cfg.loss > 0 && l.rng.Float64() < l.cfg.loss {
 		l.stats.RandomDrops++
 		return
 	}

@@ -35,11 +35,11 @@ type refLink struct {
 }
 
 func newRefLink(cfg LinkConfig) *refLink {
-	return &refLink{cfg: cfg, start: cfg.Now(), rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &refLink{cfg: cfg, start: cfg.Now(), rng: rand.New(rand.NewSource(cfg.seed))}
 }
 
 func (r *refLink) send(b []byte) {
-	if r.cfg.Loss > 0 && r.rng.Float64() < r.cfg.Loss {
+	if r.cfg.loss > 0 && r.rng.Float64() < r.cfg.loss {
 		r.stats.RandomDrops++
 		return
 	}
@@ -191,7 +191,7 @@ func TestLinkMatchesReference(t *testing.T) {
 			config := func() LinkConfig {
 				return LinkConfig{
 					Bandwidth: tc.bandwidth, Delay: tc.delay, QueueBytes: tc.queueBytes,
-					Loss: 0.02, Seed: 9, Now: now, Faults: fault.NewInjector(plan),
+					loss: 0.02, seed: 9, Now: now, Faults: fault.NewInjector(plan),
 					Marker: NewGateway(GatewayConfig{RouterID: 1, Interval: 10 * time.Millisecond, Capacity: 10 * units.Mbps, Now: now}),
 				}
 			}

@@ -103,12 +103,6 @@ func (b *Bucket) price(n int) (time.Duration, uint64) {
 	return time.Duration(uint64(n)*b.costNs + hi), lo
 }
 
-// Rate returns the current (clamped) pacing rate.
-func (b *Bucket) Rate() units.BitRate { return b.rate }
-
-// Burst returns the bucket capacity in bytes.
-func (b *Bucket) Burst() int { return b.burst }
-
 // Reserve commits to sending n bytes at the given instant and returns how
 // long the caller must wait before putting them on the wire (0 = send
 // immediately). The bytes are charged unconditionally, so calls must be
@@ -167,27 +161,6 @@ func NewPacer(rate units.BitRate, burstBytes int) *Pacer {
 	p := &Pacer{}
 	p.b.Init(rate, burstBytes)
 	return p
-}
-
-// SetRate is Bucket.SetRate under the pacer's lock.
-func (p *Pacer) SetRate(rate units.BitRate, now time.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.b.SetRate(rate, p.sinceLocked(now))
-}
-
-// Rate returns the current (clamped) pacing rate.
-func (p *Pacer) Rate() units.BitRate {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.b.Rate()
-}
-
-// Burst returns the bucket capacity in bytes.
-func (p *Pacer) Burst() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.b.Burst()
 }
 
 // Reserve is Bucket.Reserve under the pacer's lock.

@@ -68,7 +68,7 @@ func TestPacerRateChangeMidStream(t *testing.T) {
 	// 10×: if SetRate re-priced the elapsed 4 ms at 10 Mbit/s it would
 	// credit 5000 bytes and the next packet would be free.
 	now = now.Add(4 * time.Millisecond)
-	p.SetRate(10*units.Mbps, now)
+	setPacerRate(p, 10*units.Mbps, now)
 	wait := p.Reserve(1000, now)
 	// 500 bytes owed at 10 Mbit/s → 0.4 ms.
 	want := 400 * time.Microsecond
@@ -80,7 +80,7 @@ func TestPacerRateChangeMidStream(t *testing.T) {
 	p2 := NewPacer(10*units.Mbps, 1000)
 	p2.Reserve(1000, t0)
 	p2.Reserve(1000, t0) // 1000 bytes of debt
-	p2.SetRate(units.Mbps, t0)
+	setPacerRate(p2, units.Mbps, t0)
 	if wait := p2.Reserve(0, t0); wait != 0 {
 		t.Fatalf("Reserve(0) must be free, got %v", wait)
 	}
@@ -95,7 +95,7 @@ func TestPacerRateChangeMidStream(t *testing.T) {
 func TestPacerZeroAndNegativeRateClamp(t *testing.T) {
 	for _, r := range []units.BitRate{0, -units.Mbps} {
 		p := NewPacer(r, 100)
-		if got := p.Rate(); got != MinPacerRate {
+		if got := pacerRate(p); got != MinPacerRate {
 			t.Errorf("NewPacer(%v): rate %v, want MinPacerRate", r, got)
 		}
 		p.Reserve(100, t0) // drain
@@ -104,9 +104,9 @@ func TestPacerZeroAndNegativeRateClamp(t *testing.T) {
 		if wait <= 0 || wait > 2*time.Second {
 			t.Errorf("NewPacer(%v): wait %v not in (0, 2s]", r, wait)
 		}
-		p.SetRate(units.Mbps, t0)
-		p.SetRate(-1, t0)
-		if got := p.Rate(); got != MinPacerRate {
+		setPacerRate(p, units.Mbps, t0)
+		setPacerRate(p, -1, t0)
+		if got := pacerRate(p); got != MinPacerRate {
 			t.Errorf("SetRate(-1): rate %v, want MinPacerRate", got)
 		}
 	}
@@ -274,7 +274,7 @@ func TestPacerTable(t *testing.T) {
 			for i, st := range tc.steps {
 				now := t0.Add(st.at)
 				if st.reserve == 0 {
-					p.SetRate(st.rate, now)
+					setPacerRate(p, st.rate, now)
 					b.SetRate(st.rate, st.at)
 					continue
 				}
@@ -286,8 +286,8 @@ func TestPacerTable(t *testing.T) {
 					t.Fatalf("step %d: the bucket waits %v, the pacer %v", i, got, wait)
 				}
 			}
-			if b.Rate() != p.Rate() || b.Burst() != p.Burst() {
-				t.Fatalf("bucket ends at %v / %d B, pacer at %v / %d B", b.Rate(), b.Burst(), p.Rate(), p.Burst())
+			if b.rate != pacerRate(p) || b.burst != pacerBurst(p) {
+				t.Fatalf("bucket ends at %v / %d B, pacer at %v / %d B", b.rate, b.burst, pacerRate(p), pacerBurst(p))
 			}
 		})
 	}
@@ -386,8 +386,8 @@ func FuzzBucket(f *testing.F) {
 		var gcra Bucket
 		ref.Init(fuzzRate(rate0, scale0), int(burst))
 		gcra.Init(fuzzRate(rate0, scale0), int(burst))
-		if gcra.Burst() != int(ref.burst) {
-			t.Fatalf("burst %d B, the float bucket %v B", gcra.Burst(), ref.burst)
+		if gcra.burst != int(ref.burst) {
+			t.Fatalf("burst %d B, the float bucket %v B", gcra.burst, ref.burst)
 		}
 		at := time.Duration(0)
 		var lastWait time.Duration
@@ -423,15 +423,15 @@ func FuzzBucket(f *testing.F) {
 				r := fuzzRate(arg, s[0])
 				ref.SetRate(r, now)
 				gcra.SetRate(r, at)
-				if gcra.Rate() != ref.rate {
-					t.Fatalf("SetRate(%v): rate %v, the float bucket %v", r, gcra.Rate(), ref.rate)
+				if gcra.rate != ref.rate {
+					t.Fatalf("SetRate(%v): rate %v, the float bucket %v", r, gcra.rate, ref.rate)
 				}
 				continue
 			}
 			want := ref.Reserve(int(arg), now)
 			got := gcra.Reserve(int(arg), at)
 			if d := got - want; d < -time.Microsecond || d > time.Microsecond {
-				t.Fatalf("Reserve(%d) at %v on %v: wait %v, the float bucket %v", arg, at, gcra.Rate(), got, want)
+				t.Fatalf("Reserve(%d) at %v on %v: wait %v, the float bucket %v", arg, at, gcra.rate, got, want)
 			}
 			lastWait = want
 		}
@@ -448,7 +448,28 @@ func FuzzBucket(f *testing.F) {
 			gcraAt += gcra.Reserve(size, gcraAt)
 		}
 		if d := gcraAt - refAt; d < -n || d > n {
-			t.Fatalf("%d datagrams of %d B at %v: the schedule ends %v off the float one", n, size, gcra.Rate(), d)
+			t.Fatalf("%d datagrams of %d B at %v: the schedule ends %v off the float one", n, size, gcra.rate, d)
 		}
 	})
+}
+
+// setPacerRate is Bucket.SetRate under the pacer's lock.
+func setPacerRate(p *Pacer, rate units.BitRate, now time.Time) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.b.SetRate(rate, p.sinceLocked(now))
+}
+
+// pacerRate returns the pacer's current (clamped) rate.
+func pacerRate(p *Pacer) units.BitRate {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.b.rate
+}
+
+// pacerBurst returns the pacer's bucket capacity in bytes.
+func pacerBurst(p *Pacer) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.b.burst
 }
