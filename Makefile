@@ -18,17 +18,21 @@ vet:
 
 # PELS-specific static analyzers (determinism, seeded randomness, float
 # equality, unit hygiene, lock discipline, zero-alloc contracts, goroutine
-# lifecycles). Any diagnostic fails the build; intentional exceptions carry
-# //pelsvet:allow comments in the source.
+# lifecycles, dead code). Any diagnostic fails the build; intentional
+# exceptions carry //pelsvet:allow comments in the source. The benchmark
+# module (bench/) is held to the same goroutine and lock contracts.
 lint:
 	go run ./cmd/pelsvet ./...
+	go run ./cmd/pelsvet -C bench ./...
 
 # The CI lint-strict step: same analyzers, but the findings are captured as
 # a machine-readable artifact (same exit semantics — any finding fails).
 # Capture-then-cat instead of tee: /bin/sh may be dash, which has no pipefail.
 lint-strict:
 	@go run ./cmd/pelsvet -json ./... > /tmp/pelsvet.json; st=$$?; \
-		cat /tmp/pelsvet.json; exit $$st
+		go run ./cmd/pelsvet -json -C bench ./... > /tmp/pelsvet-bench.json; sb=$$?; \
+		cat /tmp/pelsvet.json /tmp/pelsvet-bench.json; \
+		if [ $$st -ne 0 ]; then exit $$st; fi; exit $$sb
 
 test:
 	go test ./...

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/fgs"
 	"repro/internal/packet"
 	"repro/internal/pels"
 	"repro/internal/stats"
@@ -35,57 +34,36 @@ func main() {
 }
 
 func run() error {
+	// The flags fill a scenario, so a flag run and a JSON one map onto the
+	// testbed the same way (Scenario.TestbedConfig); as in JSON, a zero
+	// value other than -tcp's means the paper's default.
+	var s experiments.Scenario
 	var (
-		flows      = flag.Int("flows", 2, "number of PELS video flows")
-		tcpFlows   = flag.Int("tcp", 2, "number of TCP cross-traffic flows")
-		duration   = flag.Duration("duration", 60*time.Second, "simulated duration")
-		bottleneck = flag.Float64("bottleneck", 4000, "bottleneck capacity in kb/s")
-		pelsShare  = flag.Float64("pelsshare", 0.5, "WRR share of the bottleneck for PELS traffic")
-		alpha      = flag.Float64("alpha", 20, "MKC additive gain alpha in kb/s")
-		beta       = flag.Float64("beta", 0.5, "MKC multiplicative gain beta")
-		sigma      = flag.Float64("sigma", 0.5, "gamma controller gain sigma")
-		pthr       = flag.Float64("pthr", 0.75, "target red packet loss p_thr")
-		interval   = flag.Duration("T", 30*time.Millisecond, "router feedback interval T")
-		frameIvl   = flag.Duration("frame", 500*time.Millisecond, "video frame interval")
-		bestEffort = flag.Bool("besteffort", false, "run the best-effort baseline instead of PELS")
-		seed       = flag.Int64("seed", 1, "simulation seed")
-		csvDir     = flag.String("csv", "", "directory for CSV time series")
-		scenario   = flag.String("scenario", "", "JSON scenario file (overrides the other flags)")
+		tcpFlows = flag.Int("tcp", 2, "number of TCP cross-traffic flows")
+		csvDir   = flag.String("csv", "", "directory for CSV time series")
+		scenario = flag.String("scenario", "", "JSON scenario file (overrides the other flags)")
 	)
+	flag.IntVar(&s.PELSFlows, "flows", 2, "number of PELS video flows")
+	durationVar(&s.Duration, "duration", "60s", "simulated `duration`")
+	flag.Float64Var(&s.BottleneckKbps, "bottleneck", 4000, "bottleneck capacity in kb/s")
+	flag.Float64Var(&s.PELSShare, "pelsshare", 0.5, "WRR share of the bottleneck for PELS traffic")
+	flag.Float64Var(&s.AlphaKbps, "alpha", 20, "MKC additive gain alpha in kb/s")
+	flag.Float64Var(&s.Beta, "beta", 0.5, "MKC multiplicative gain beta")
+	flag.Float64Var(&s.Sigma, "sigma", 0.5, "gamma controller gain sigma")
+	flag.Float64Var(&s.PThr, "pthr", 0.75, "target red packet loss p_thr")
+	durationVar(&s.FeedbackInterval, "T", "30ms", "router feedback interval T, a `duration`")
+	durationVar(&s.FrameInterval, "frame", "500ms", "video frame interval, a `duration`")
+	flag.BoolVar(&s.BestEffort, "besteffort", false, "run the best-effort baseline instead of PELS")
+	flag.Int64Var(&s.Seed, "seed", 1, "simulation seed")
 	flag.Parse()
+	s.TCPFlows = tcpFlows
 
 	if *scenario != "" {
-		return runScenario(*scenario, *csvDir)
-	}
-
-	cfg := experiments.DefaultTestbedConfig()
-	cfg.Seed = *seed
-	cfg.NumPELS = *flows
-	cfg.NumTCP = *tcpFlows
-	cfg.BottleneckRate = units.BitRate(*bottleneck) * units.Kbps
-	cfg.Bottleneck.PELSWeight = *pelsShare
-	cfg.Bottleneck.InternetWeight = 1 - *pelsShare
-	cfg.FeedbackInterval = *interval
-	cfg.BestEffort = *bestEffort
-	cfg.Session.FrameInterval = *frameIvl
-
-	mkc := cfg.Session.WithDefaults().MKC
-	mkc.Alpha = units.BitRate(*alpha) * units.Kbps
-	mkc.Beta = *beta
-	cfg.Session.MKC = mkc
-	gamma := fgs.DefaultGammaConfig()
-	gamma.Sigma = *sigma
-	gamma.PThr = *pthr
-	cfg.Session.Gamma = gamma
-
-	return execute(cfg, *duration, *csvDir)
-}
-
-// runScenario loads a JSON scenario and executes it.
-func runScenario(path, csvDir string) error {
-	s, err := experiments.LoadScenarioFile(path)
-	if err != nil {
-		return err
+		loaded, err := experiments.LoadScenarioFile(*scenario)
+		if err != nil {
+			return err
+		}
+		s = *loaded
 	}
 	cfg, err := s.TestbedConfig()
 	if err != nil {
@@ -94,7 +72,15 @@ func runScenario(path, csvDir string) error {
 	if s.Name != "" {
 		fmt.Printf("scenario: %s\n", s.Name)
 	}
-	return execute(cfg, s.RunDuration(), csvDir)
+	return execute(cfg, s.RunDuration(), *csvDir)
+}
+
+// durationVar defines a duration flag stored in v, with default def.
+func durationVar(v flag.Value, name, def, usage string) {
+	if err := v.Set(def); err != nil {
+		panic(err)
+	}
+	flag.Var(v, name, usage)
 }
 
 // execute runs one testbed and prints the full report.
@@ -109,12 +95,7 @@ func execute(cfg experiments.TestbedConfig, duration time.Duration, csvDir strin
 	effective := cfg.Session.WithDefaults()
 	playouts := make([]*pels.Playout, len(tb.Sinks))
 	for i, sink := range tb.Sinks {
-		pl, err := pels.NewPlayout(effective.Frame, 2*effective.FrameInterval, effective.FrameInterval)
-		if err != nil {
-			return err
-		}
-		playouts[i] = pl
-		sink.OnPacket = pl.Observe
+		playouts[i] = pels.NewPlayout(sink, 2*effective.FrameInterval)
 	}
 	fmt.Printf("topology: bottleneck %v (PELS share %v), %d PELS + %d TCP flows, mode %s\n",
 		cfg.BottleneckRate, cfg.PELSCapacity(), cfg.NumPELS, cfg.NumTCP, modeName(cfg.BestEffort))

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	pelsvet [-only analyzer,...] [-json] [-list] [-C dir] [-p N] [packages...]
+//	pelsvet [-only analyzer,...] [-json] [-list] [-C dir] [packages...]
 //
 // With no package arguments it analyzes ./... . Diagnostics print one per
 // line in the conventional file:line:col form; -json instead emits an
@@ -37,7 +37,6 @@ func run() int {
 		asJSON = flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 		list   = flag.Bool("list", false, "list available analyzers and exit")
 		dir    = flag.String("C", ".", "module directory to analyze")
-		par    = flag.Int("p", 0, "max packages analyzed in parallel (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -58,7 +57,7 @@ func run() int {
 		return 2
 	}
 
-	runner := &lint.Runner{Analyzers: analyzers, Concurrency: *par}
+	runner := &lint.Runner{Analyzers: analyzers}
 	// Run returns partial diagnostics alongside per-package load errors:
 	// print the findings first either way, then report the failure. One
 	// broken package must not hide the findings in the healthy ones.

@@ -48,10 +48,6 @@ func clampRate(r, min, max units.BitRate) units.BitRate {
 // controller by the intervening router change — it would rewind the MKC
 // state to a congestion signal that is no longer true.
 type freshness struct {
-	// routerID/seen identify the router of the most recently applied
-	// label (the current bottleneck).
-	routerID int
-	seen     bool
 	// applied maps router ID → last applied epoch from that router.
 	applied map[int]uint64
 }
@@ -75,7 +71,5 @@ func (f *freshness) accept(fb packet.Feedback) bool {
 		return false // stale duplicate of an already-applied epoch
 	}
 	f.applied[fb.RouterID] = fb.Epoch
-	f.routerID = fb.RouterID
-	f.seen = true
 	return true
 }

@@ -138,8 +138,12 @@ func TestMKCDedupDisabled(t *testing.T) {
 	if !m.OnFeedback(fb(1, 5, 0.1)) || !m.OnFeedback(fb(1, 5, 0.1)) {
 		t.Error("repeated feedback rejected with dedup disabled")
 	}
-	if m.updates != 2 {
-		t.Errorf("Updates = %d, want 2", m.updates)
+	// Both repeats stepped the rate, as two fresh epochs do with dedup on.
+	ref := NewMKC(DefaultMKCConfig())
+	ref.OnFeedback(fb(1, 5, 0.1))
+	ref.OnFeedback(fb(1, 6, 0.1))
+	if m.Rate() != ref.Rate() {
+		t.Errorf("rate %v after two repeated labels, want %v (two steps)", m.Rate(), ref.Rate())
 	}
 }
 

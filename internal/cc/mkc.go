@@ -54,8 +54,6 @@ type MKC struct {
 	rate  units.BitRate
 	loss  float64
 	fresh freshness
-
-	updates int64
 }
 
 var _ Controller = (*MKC)(nil)
@@ -91,7 +89,6 @@ func (m *MKC) OnFeedback(fb packet.Feedback) bool {
 	m.loss = fb.Loss
 	next := m.rate + m.cfg.Alpha - units.BitRate(m.cfg.Beta*float64(m.rate)*fb.Loss)
 	m.rate = clampRate(next, m.cfg.MinRate, m.cfg.MaxRate)
-	m.updates++
 	return true
 }
 

@@ -36,11 +36,8 @@ type OnOff struct {
 	host        *netsim.Host
 	dst         int
 
-	on      bool
-	stopped bool
-	pace    *sim.Timer // fires emit for the next packet of an ON period
-
-	onPeriods int64
+	on   bool
+	pace *sim.Timer // fires emit for the next packet of an ON period
 }
 
 // NewOnOff creates a generator for the flow on host targeting the node dst.
@@ -56,26 +53,13 @@ func (o *OnOff) Start(at time.Duration) {
 	o.eng.At(at, o.beginOn)
 }
 
-// stop silences the generator permanently.
-func (o *OnOff) stop() {
-	o.stopped = true
-	o.pace.Stop()
-}
-
 func (o *OnOff) beginOn() {
-	if o.stopped {
-		return
-	}
 	o.on = true
-	o.onPeriods++
 	o.emit()
 	o.eng.Schedule(o.onDuration(), o.beginOff)
 }
 
 func (o *OnOff) beginOff() {
-	if o.stopped {
-		return
-	}
 	o.on = false
 	o.pace.Stop()
 	gap := time.Duration(o.eng.Rand().ExpFloat64() * float64(meanOff))
@@ -97,7 +81,7 @@ func (o *OnOff) onDuration() time.Duration {
 }
 
 func (o *OnOff) emit() {
-	if o.stopped || !o.on {
+	if !o.on {
 		return
 	}
 	o.host.Send(o.net.NewPacket(o.flow, o.dst, packetSize, packet.TCP))

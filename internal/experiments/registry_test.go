@@ -14,7 +14,7 @@ func TestRegistryWellFormed(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, e := range reg {
-		if e.Name == "" || e.Title == "" || e.Run == nil {
+		if e.Name == "" || e.Title == "" || e.at == nil {
 			t.Errorf("malformed entry: %+v", e)
 		}
 		if seen[e.Name] {

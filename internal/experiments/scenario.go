@@ -14,7 +14,8 @@ import (
 
 // Scenario is a declarative description of one testbed run, loadable from
 // JSON (ns2 users write Tcl scenario scripts; this is the equivalent for
-// pelssim). Zero fields fall back to the paper's defaults.
+// pelssim, whose flags fill one too). Zero fields fall back to the paper's
+// defaults; TCPFlows, where 0 is a choice, falls back only when absent.
 type Scenario struct {
 	Name string `json:"name,omitempty"`
 	Seed int64  `json:"seed,omitempty"`
@@ -46,8 +47,9 @@ type Scenario struct {
 	// Controller: "mkc" (default), "kelly", "aimd", "tfrc", "iiad", "sqrt".
 	Controller string `json:"controller,omitempty"`
 
-	// Cross traffic.
-	TCPFlows    int     `json:"tcp_flows,omitempty"`
+	// Cross traffic. Without tcp_flows, a run has the default TCP flows
+	// unless it asks for on-off flows.
+	TCPFlows    *int    `json:"tcp_flows,omitempty"`
 	OnOffFlows  int     `json:"onoff_flows,omitempty"`
 	OnOffPareto float64 `json:"onoff_pareto,omitempty"`
 
@@ -64,18 +66,21 @@ func (d *jsonDuration) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &s); err != nil {
 		return fmt.Errorf("duration must be a string like \"30ms\": %w", err)
 	}
-	parsed, err := time.ParseDuration(s)
-	if err != nil {
+	if err := d.Set(s); err != nil {
 		return fmt.Errorf("parse duration %q: %w", s, err)
 	}
-	*d = jsonDuration(parsed)
 	return nil
 }
 
-// MarshalJSON implements json.Marshaler.
-func (d jsonDuration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
+// Set implements flag.Value.
+func (d *jsonDuration) Set(s string) error {
+	parsed, err := time.ParseDuration(s)
+	*d = jsonDuration(parsed)
+	return err
 }
+
+// String implements flag.Value.
+func (d jsonDuration) String() string { return time.Duration(d).String() }
 
 // LoadScenario reads a scenario from JSON.
 func LoadScenario(r io.Reader) (*Scenario, error) {
@@ -109,7 +114,7 @@ func (s *Scenario) Validate() error {
 	if s.BottleneckKbps < 0 || s.AccessKbps < 0 || s.AlphaKbps < 0 {
 		return fmt.Errorf("experiments: rates must be non-negative")
 	}
-	if s.PELSFlows < 0 || s.TCPFlows < 0 || s.OnOffFlows < 0 {
+	if s.PELSFlows < 0 || s.TCPFlows != nil && *s.TCPFlows < 0 || s.OnOffFlows < 0 {
 		return fmt.Errorf("experiments: flow counts must be non-negative")
 	}
 	if _, ok := controllerFactory(s.Controller); !ok {
@@ -196,9 +201,11 @@ func (s *Scenario) TestbedConfig() (TestbedConfig, error) {
 		cfg.Session.Gamma = gamma
 	}
 	cfg.Session.ControllerFactory, _ = controllerFactory(s.Controller)
-	cfg.NumTCP = s.TCPFlows
-	if s.TCPFlows == 0 && s.OnOffFlows == 0 {
-		cfg.NumTCP = DefaultTestbedConfig().NumTCP
+	switch {
+	case s.TCPFlows != nil:
+		cfg.NumTCP = *s.TCPFlows
+	case s.OnOffFlows > 0:
+		cfg.NumTCP = 0
 	}
 	cfg.NumOnOff = s.OnOffFlows
 	cfg.OnOffPareto = s.OnOffPareto

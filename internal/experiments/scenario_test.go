@@ -91,6 +91,30 @@ func TestScenarioDefaults(t *testing.T) {
 	}
 }
 
+// TestScenarioZeroTCP: an explicit "tcp_flows": 0 means no TCP flows, not
+// the default two; leaving it out keeps the default unless on-off flows
+// take its place.
+func TestScenarioZeroTCP(t *testing.T) {
+	for body, want := range map[string]int{
+		`{"pels_flows": 8, "tcp_flows": 0}`:  0,
+		`{"pels_flows": 8}`:                  DefaultTestbedConfig().NumTCP,
+		`{"onoff_flows": 2}`:                 0,
+		`{"onoff_flows": 2, "tcp_flows": 3}`: 3,
+	} {
+		s, err := LoadScenario(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := s.TestbedConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.NumTCP != want {
+			t.Errorf("%s: %d TCP flows, want %d", body, cfg.NumTCP, want)
+		}
+	}
+}
+
 func TestScenarioErrors(t *testing.T) {
 	cases := map[string]string{
 		"unknown field":      `{"bogus": 1}`,
@@ -98,6 +122,7 @@ func TestScenarioErrors(t *testing.T) {
 		"duration not str":   `{"duration": 90}`,
 		"bad share":          `{"pels_share": 1.5}`,
 		"negative flows":     `{"pels_flows": -2}`,
+		"negative tcp flows": `{"tcp_flows": -1}`,
 		"unknown controller": `{"controller": "warp"}`,
 		"not json":           `{`,
 	}

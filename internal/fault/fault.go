@@ -192,23 +192,6 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// end returns the instant the last scheduled event window closes (route
-// changes included).
-func (p Plan) end() time.Duration {
-	var end time.Duration
-	for _, e := range p.Events {
-		if e.To > end {
-			end = e.To
-		}
-	}
-	for _, rc := range p.RouteChanges {
-		if rc.At > end {
-			end = rc.At
-		}
-	}
-	return end
-}
-
 // Stats counts the effects an injector has decided so far.
 type Stats struct {
 	Offered    uint64

@@ -214,17 +214,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestPlanEnd checks end covers events and route changes.
-func TestPlanEnd(t *testing.T) {
-	p := Plan{
-		Events:       []Event{{Kind: KindLinkDown, From: sec(1), To: sec(3)}},
-		RouteChanges: []RouteChange{{At: sec(5), RouterID: 9}},
-	}
-	if got := p.end(); got != sec(5) {
-		t.Fatalf("end = %v, want %v", got, sec(5))
-	}
-}
-
 // TestTargetMask checks class targeting: a masked event must never touch
 // out-of-target packets, and skipping them must not consume random draws
 // (the in-target decision stream is identical whether or not other

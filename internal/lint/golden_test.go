@@ -287,6 +287,16 @@ func TestDeadExportGolden(t *testing.T) {
 	runModuleGolden(t, newTestdataLoader(t), []*Analyzer{DeadExport}, "deadexport/internal/lib", "deadexport/app")
 }
 
+// TestDeadExportUnexportedGolden: an unexported func, constant, method or
+// field only a _test.go file uses is flagged, and so is a field every
+// reference writes; an interface method, an unnamed struct's field, the
+// fields of a struct compared with ==, used as a map key or printed whole,
+// and allowed identifiers (a type's allow covering its methods and
+// fields) are not.
+func TestDeadExportUnexportedGolden(t *testing.T) {
+	runModuleGolden(t, newTestdataLoader(t), []*Analyzer{DeadExport}, "deadexport/internal/unexp", "deadexport/app")
+}
+
 // TestDeadKnobGolden: a …Config field only Default… and WithDefaults set,
 // or only its package's zero fill of a parameter, is flagged; a field a
 // caller sets, an embedded config set through a promoted field, and an

@@ -17,9 +17,10 @@
 //     constructs (noalloc analyzer),
 //   - every spawned goroutine outside package main is tied to a
 //     lifecycle — ctx, WaitGroup, or channel (goexit analyzer),
-//   - no exported identifier under internal/ is there only for tests
-//     (deadexport analyzer), and no …Config field there is a knob only
-//     its defaults turn (deadknob analyzer).
+//   - no identifier, method or unexported field under internal/ is there
+//     only for tests, and no field there is only written (deadexport
+//     analyzer), and no …Config field there is a knob only its defaults
+//     turn (deadknob analyzer).
 //
 // The last two are whole-module analyzers (RunModule): they read every
 // package of the module, and of the modules nested in it, to decide.

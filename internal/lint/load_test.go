@@ -9,7 +9,8 @@ import (
 
 // TestRunnerPartialDiagnostics is the regression test for the
 // one-broken-package-hides-all-findings bug: Runner.Run must return the
-// diagnostics from healthy packages alongside the broken package's error.
+// diagnostics from healthy packages alongside the broken package's error,
+// and skip the whole-module checks when it has one.
 func TestRunnerPartialDiagnostics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to the go tool")
@@ -40,20 +41,40 @@ func Now() time.Time { return time.Now() }
 
 func f() { undefined() }
 `)
+	// Nothing uses Unused: deadexport would flag it if it ran.
+	write("internal/dead/dead.go", `package dead
 
-	r := &Runner{Analyzers: []*Analyzer{WallTime}}
-	diags, err := r.Run(dir, "./...")
-	if err == nil {
-		t.Fatalf("want a load error for package bad, got nil (diags: %v)", diags)
+func Unused() {}
+`)
+
+	for _, analyzers := range [][]*Analyzer{{WallTime}, {WallTime, DeadExport}} {
+		diags, err := (&Runner{Analyzers: analyzers}).Run(dir, "./...")
+		if err == nil {
+			t.Fatalf("want a load error for package bad, got nil (diags: %v)", diags)
+		}
+		if !strings.Contains(err.Error(), "bad") {
+			t.Errorf("error does not mention the broken package: %v", err)
+		}
+		// The whole-module check is skipped: a broken package's
+		// references are missing, so its findings would be suspect.
+		if len(diags) != 1 {
+			t.Fatalf("want 1 partial diagnostic from package sim, got %d: %v", len(diags), diags)
+		}
+		d := diags[0]
+		if d.Analyzer != "walltime" || !strings.Contains(d.Message, "time.Now") {
+			t.Errorf("unexpected diagnostic: %s", d)
+		}
 	}
-	if !strings.Contains(err.Error(), "bad") {
-		t.Errorf("error does not mention the broken package: %v", err)
+}
+
+// TestRunnerOutsideModule: a pattern naming a package outside the module
+// is an error, not a silent pass.
+func TestRunnerOutsideModule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shells out to the go tool")
 	}
-	if len(diags) != 1 {
-		t.Fatalf("want 1 partial diagnostic from package sim, got %d: %v", len(diags), diags)
-	}
-	d := diags[0]
-	if d.Analyzer != "walltime" || !strings.Contains(d.Message, "time.Now") {
-		t.Errorf("unexpected diagnostic: %s", d)
+	_, err := (&Runner{Analyzers: []*Analyzer{WallTime}}).Run(".", "fmt")
+	if err == nil || !strings.Contains(err.Error(), "fmt is not in the module") {
+		t.Fatalf("want an error naming fmt, got %v", err)
 	}
 }

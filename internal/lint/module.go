@@ -28,7 +28,8 @@ type ModulePass struct {
 	// importer, so an object has one identity across packages.
 	Packages []*ModulePackage
 
-	diags *[]Diagnostic
+	diags  *[]Diagnostic
+	allows allowSet
 }
 
 // A ModulePackage is one type-checked package of a ModulePass.
@@ -50,15 +51,17 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
+// allowed reports whether a //pelsvet:allow comment naming the analyzer
+// covers pos, as it would a diagnostic there.
+func (p *ModulePass) allowed(pos token.Pos) bool {
+	return p.allows.suppressed(Diagnostic{Analyzer: p.Analyzer.Name, Pos: p.Fset.Position(pos)})
+}
+
 // analyzeModule runs the whole-module analyzers over pkgs and returns the
 // diagnostics that no //pelsvet:allow comment in a target package
 // suppresses. Malformed directives are left to the per-package stage,
 // which reports them once.
 func analyzeModule(fset *token.FileSet, pkgs []*ModulePackage, analyzers []*Analyzer) []Diagnostic {
-	var raw []Diagnostic
-	for _, a := range analyzers {
-		a.RunModule(&ModulePass{Analyzer: a, Fset: fset, Packages: pkgs, diags: &raw})
-	}
 	var files []*ast.File
 	for _, p := range pkgs {
 		if p.Target {
@@ -66,6 +69,10 @@ func analyzeModule(fset *token.FileSet, pkgs []*ModulePackage, analyzers []*Anal
 		}
 	}
 	allows, _ := collectAllows(fset, files)
+	var raw []Diagnostic
+	for _, a := range analyzers {
+		a.RunModule(&ModulePass{Analyzer: a, Fset: fset, Packages: pkgs, diags: &raw, allows: allows})
+	}
 	var kept []Diagnostic
 	for _, d := range raw {
 		if !allows.suppressed(d) {
@@ -90,12 +97,14 @@ func (s *sourceImporter) Import(path string) (*types.Package, error) {
 	return s.fallback.Import(path)
 }
 
-// loadModule type-checks, from source, every package of the module that
-// contains dir, and of each module nested in its directory tree (the
-// benchmark harness is one). Packages whose import path is in targets are
-// marked Target. A package that does not type-check fails the load: with
-// its references missing, every whole-module finding would be suspect.
-func loadModule(fset *token.FileSet, imp *exportImporter, dir string, targets map[string]bool) ([]*ModulePackage, error) {
+// loadModule type-checks, from source and once each, every package of the
+// module that contains dir, and of each module nested in its directory
+// tree (the benchmark harness is one). Packages whose import path is in
+// targets are marked Target; a target outside those modules is an error.
+// A package that does not parse or type-check is left out, and so is every
+// package that imports it; the others come back with the joined load
+// errors.
+func loadModule(fset *token.FileSet, imp *exportImporter, dir string, targets []string) ([]*ModulePackage, error) {
 	root, err := moduleDir(dir)
 	if err != nil {
 		return nil, err
@@ -119,6 +128,11 @@ func loadModule(fset *token.FileSet, imp *exportImporter, dir string, targets ma
 	}
 
 	src := &sourceImporter{pkgs: make(map[string]*types.Package), fallback: imp}
+	want := make(map[string]bool, len(targets))
+	for _, t := range targets {
+		want[t] = true
+	}
+	inModule := make(map[string]bool)
 	var out []*ModulePackage
 	var errs []error
 	check := func(path string, pkgDir string, names []string) *types.Package {
@@ -133,7 +147,7 @@ func loadModule(fset *token.FileSet, imp *exportImporter, dir string, targets ma
 			errs = append(errs, fmt.Errorf("lint: typecheck %s: %v", path, err))
 			return nil
 		}
-		out = append(out, &ModulePackage{Files: files, Pkg: pkg, Info: info, Target: targets[path]})
+		out = append(out, &ModulePackage{Files: files, Pkg: pkg, Info: info, Target: want[path]})
 		return pkg
 	}
 	for i, d := range dirs {
@@ -149,6 +163,7 @@ func loadModule(fset *token.FileSet, imp *exportImporter, dir string, targets ma
 			if p.DepOnly || src.pkgs[p.ImportPath] != nil {
 				continue
 			}
+			inModule[p.ImportPath] = true
 			names := p.GoFiles
 			if nested {
 				names = append(append([]string(nil), names...), p.TestGoFiles...)
@@ -163,10 +178,12 @@ func loadModule(fset *token.FileSet, imp *exportImporter, dir string, targets ma
 			}
 		}
 	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
+	for _, t := range targets {
+		if !inModule[t] {
+			errs = append(errs, fmt.Errorf("lint: %s is not in the module", t))
+		}
 	}
-	return out, nil
+	return out, errors.Join(errs...)
 }
 
 // moduleDir returns the root directory of the main module containing dir.

@@ -197,20 +197,6 @@ func TestHostDemuxByFlow(t *testing.T) {
 	}
 }
 
-func TestHostDetach(t *testing.T) {
-	eng, nw, h1, h2, _, _ := buildBarbell(t)
-	a := &collector{eng: eng}
-	h2.Attach(1, a)
-	h2.detach(1)
-	h1.Send(nw.NewPacket(1, h2.ID(), 100, packet.Green))
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.pkts) != 0 {
-		t.Error("detached app still received packets")
-	}
-}
-
 // TestRouterNoRouteCounted: a packet with no route is discarded, and
 // handed back to the pool so the next packet reuses it.
 func TestRouterNoRouteCounted(t *testing.T) {

@@ -64,13 +64,6 @@ func (h *Host) Attach(flowID int, app App) {
 	h.apps = append(h.apps, flowApp{flowID, app})
 }
 
-// detach removes the app registered for the flow, if any.
-func (h *Host) detach(flowID int) {
-	if i := h.find(flowID); i >= 0 {
-		h.apps = append(h.apps[:i], h.apps[i+1:]...)
-	}
-}
-
 // find returns the index in apps of the flow's registration, or -1.
 func (h *Host) find(flowID int) int {
 	for i := range h.apps {

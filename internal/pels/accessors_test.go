@@ -65,9 +65,6 @@ func TestSessionConstructorErrors(t *testing.T) {
 	if _, err := NewSource(nw, h1, h2.ID(), badGamma); err == nil {
 		t.Error("NewSource accepted an invalid gamma config")
 	}
-	if _, err := NewPlayout(fgs.FrameSpec{PacketSize: -1}, time.Second, time.Second); err == nil {
-		t.Error("NewPlayout accepted an invalid frame spec")
-	}
 }
 
 func TestSinkIgnoresAckColoredData(t *testing.T) {

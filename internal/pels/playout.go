@@ -17,42 +17,41 @@ import (
 // (paper Fig. 9 left) still miss their deadlines, which is exactly why
 // their loss "has very little effect on the resulting quality".
 type Playout struct {
+	sink     *Sink
 	startup  time.Duration
 	interval time.Duration
 
 	started bool
 	start   time.Duration
 
-	// all decodes every arrival and onTime only those that met their
-	// deadline: a late packet was received but is useless.
-	all, onTime *fgs.Decoder
+	// onTime decodes only the packets that met their deadline. The sink's
+	// decoder has every arrival: a late packet was received but is useless.
+	onTime *fgs.Decoder
 
 	latePkts    int64
 	lateByColor map[packet.Color]int64
 }
 
-// NewPlayout builds a playout analyzer. Wire Observe to Sink.OnPacket.
-func NewPlayout(spec fgs.FrameSpec, startup, interval time.Duration) (*Playout, error) {
-	all, err := fgs.NewDecoder(spec)
-	if err != nil {
-		return nil, err
-	}
-	return &Playout{
+// NewPlayout attaches a playout analyzer to sink, whose frames fall due one
+// frame interval apart after startup. It takes over sink.OnPacket.
+func NewPlayout(sink *Sink, startup time.Duration) *Playout {
+	pl := &Playout{
+		sink:        sink,
 		startup:     startup,
-		interval:    interval,
-		all:         all,
-		onTime:      fgs.MustNewDecoder(spec),
+		interval:    sink.cfg.FrameInterval,
+		onTime:      fgs.MustNewDecoder(sink.cfg.Frame),
 		lateByColor: make(map[packet.Color]int64),
-	}, nil
+	}
+	sink.OnPacket = pl.observe
+	return pl
 }
 
-// Observe records a data packet arrival at simulation time at.
-func (pl *Playout) Observe(at time.Duration, p *packet.Packet) {
+// observe records a data packet arrival at simulation time at.
+func (pl *Playout) observe(at time.Duration, p *packet.Packet) {
 	if !pl.started {
 		pl.started = true
 		pl.start = at
 	}
-	pl.all.Receive(p.Frame, p.Index)
 	if at <= pl.Deadline(p.Frame) {
 		pl.onTime.Receive(p.Frame, p.Index)
 		return
@@ -75,7 +74,7 @@ func (pl *Playout) Deadline(frame int) time.Duration {
 // received counts include late packets, so a frame's utility is eq. 3's:
 // useful on-time enhancement over all received enhancement.
 func (pl *Playout) OnTimeFrames() []fgs.FrameResult {
-	frames := pl.all.Frames()
+	frames := pl.sink.Frames()
 	for i, f := range frames {
 		on := pl.onTime.Frame(f.Frame)
 		frames[i].BaseComplete, frames[i].UsefulEnh = on.BaseComplete, on.UsefulEnh

@@ -5,22 +5,41 @@ import (
 	"time"
 
 	"repro/internal/fgs"
+	"repro/internal/netsim"
 	"repro/internal/packet"
+	"repro/internal/session"
+	"repro/internal/sim"
 	"repro/internal/units"
 )
 
-func playoutPacket(frame, index int, c packet.Color) *packet.Packet {
-	return &packet.Packet{Frame: frame, Index: index, Color: c, Size: 100}
+// playoutSink builds a sink with the given frame spec and interval, and a
+// playout analyzer on it, whose deliver hands it a packet at instant at.
+func playoutSink(t *testing.T, spec fgs.FrameSpec, startup, interval time.Duration) (*Sink, *Playout, func(at time.Duration, frame, index int, c packet.Color)) {
+	t.Helper()
+	eng := sim.NewEngine(1)
+	nw := netsim.NewNetwork(eng)
+	h := nw.NewHost("dst")
+	nw.Connect(h, nw.NewRouter("r"), netsim.LinkConfig{Rate: units.Mbps}, netsim.LinkConfig{Rate: units.Mbps})
+	sink, err := NewSink(nw, h, Config{Flow: 1, Config: session.Config{Frame: spec, FrameInterval: interval}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliver := func(at time.Duration, frame, index int, c packet.Color) {
+		p := nw.NewPacket(1, h.ID(), spec.PacketSize, c)
+		p.Frame, p.Index = frame, index
+		eng.At(at, func() { sink.HandlePacket(p) })
+		if err := eng.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sink, NewPlayout(sink, startup), deliver
 }
 
 func TestPlayoutDeadlines(t *testing.T) {
 	spec := fgs.FrameSpec{PacketSize: 100, TotalPackets: 4, GreenPackets: 1}
-	pl, err := NewPlayout(spec, 500*time.Millisecond, 100*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sink, pl, deliver := playoutSink(t, spec, 500*time.Millisecond, 100*time.Millisecond)
 	// First packet at t=1s: deadlines are 1.5s + f·100ms.
-	pl.Observe(time.Second, playoutPacket(0, 0, packet.Green))
+	deliver(time.Second, 0, 0, packet.Green)
 	if got := pl.Deadline(0); got != 1500*time.Millisecond {
 		t.Errorf("Deadline(0) = %v, want 1.5s", got)
 	}
@@ -29,19 +48,12 @@ func TestPlayoutDeadlines(t *testing.T) {
 	}
 
 	// Frame 0: the rest arrives on time except index 3, which is late.
-	pl.Observe(1400*time.Millisecond, playoutPacket(0, 1, packet.Yellow))
-	pl.Observe(1500*time.Millisecond, playoutPacket(0, 2, packet.Yellow)) // exactly on time
-	pl.Observe(1501*time.Millisecond, playoutPacket(0, 3, packet.Red))    // late
+	deliver(1400*time.Millisecond, 0, 1, packet.Yellow)
+	deliver(1500*time.Millisecond, 0, 2, packet.Yellow) // exactly on time
+	deliver(1501*time.Millisecond, 0, 3, packet.Red)    // late
 
-	// A decoder fed every arrival, deadlines ignored, as the Sink's is.
-	dec, err := fgs.NewDecoder(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		dec.Receive(0, i)
-	}
-	onTime, all := pl.OnTimeFrames(), dec.Frames()
+	// The sink's decoder has every arrival, deadlines ignored.
+	onTime, all := pl.OnTimeFrames(), sink.Frames()
 	if len(onTime) != 1 || len(all) != 1 {
 		t.Fatalf("frames: onTime=%d all=%d", len(onTime), len(all))
 	}
@@ -63,11 +75,7 @@ func TestPlayoutDeadlines(t *testing.T) {
 }
 
 func TestPlayoutDeadlineBeforeStart(t *testing.T) {
-	spec := fgs.DefaultFrameSpec()
-	pl, err := NewPlayout(spec, time.Second, 500*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pl, _ := playoutSink(t, fgs.DefaultFrameSpec(), time.Second, 500*time.Millisecond)
 	if pl.Deadline(5) != 0 {
 		t.Error("deadline known before any packet arrived")
 	}
@@ -82,12 +90,7 @@ func TestPlayoutDeadlineBeforeStart(t *testing.T) {
 func TestPlayoutEndToEnd(t *testing.T) {
 	cfg := Config{Flow: 1}
 	r := newRig(t, cfg, 500*units.Kbps)
-	eff := cfg.WithDefaults()
-	pl, err := NewPlayout(eff.Frame, 2*eff.FrameInterval, eff.FrameInterval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.sink.OnPacket = pl.Observe
+	pl := NewPlayout(r.sink, 2*cfg.WithDefaults().FrameInterval)
 	r.src.Start(0)
 	if err := r.eng.RunUntil(30 * time.Second); err != nil {
 		t.Fatal(err)

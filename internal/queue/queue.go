@@ -56,9 +56,6 @@ func (c *Counters) LossRate() float64 {
 	return float64(c.Dropped) / float64(c.Arrived)
 }
 
-// reset zeroes all counters.
-func (c *Counters) reset() { *c = Counters{} }
-
 // Observe registers pull-style gauges for the counters in reg under
 // prefix (prefix+"arrived", "arrived_bytes", "dropped", "dropped_bytes",
 // "dequeued", "loss_rate"). Pull gauges read the live counters at
@@ -105,10 +102,3 @@ func (f *fifo) pop() *packet.Packet {
 }
 
 func (f *fifo) len() int { return len(f.pkts) - f.head }
-
-func (f *fifo) peek() *packet.Packet {
-	if f.head >= len(f.pkts) {
-		return nil
-	}
-	return f.pkts[f.head]
-}

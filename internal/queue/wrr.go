@@ -129,13 +129,3 @@ func (w *WRR) Bytes() int {
 	}
 	return n
 }
-
-// class returns the discipline registered under name, or nil.
-func (w *WRR) class(name string) Discipline {
-	for _, c := range w.classes {
-		if c.Name == name {
-			return c.Disc
-		}
-	}
-	return nil
-}

@@ -150,16 +150,6 @@ func TestWRRConfigErrors(t *testing.T) {
 	}
 }
 
-func TestWRRClassAccessor(t *testing.T) {
-	w, a, _ := twoClassWRR(t, 1, 1)
-	if got := w.class("pels"); got != Discipline(a) {
-		t.Error("Class(pels) returned wrong discipline")
-	}
-	if w.class("nope") != nil {
-		t.Error("Class(nope) != nil")
-	}
-}
-
 func TestWRRLenBytes(t *testing.T) {
 	w, _, _ := twoClassWRR(t, 1, 1)
 	w.Enqueue(pkt(1, 100, packet.Green))

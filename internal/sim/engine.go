@@ -232,9 +232,6 @@ func (e *Engine) run(deadline time.Duration) error {
 // queued.
 func (e *Engine) Pending() int { return e.q.len() - e.cancelled }
 
-// queueLen exposes the raw queue size (cancelled events included) to tests.
-func (e *Engine) queueLen() int { return e.q.len() }
-
 // Event is a handle to a scheduled callback.
 type Event struct {
 	at        time.Duration

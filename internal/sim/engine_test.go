@@ -285,6 +285,9 @@ func TestEnginePendingExcludesCancelled(t *testing.T) {
 	}
 }
 
+// queueLen is the raw queue size, cancelled events included.
+func (e *Engine) queueLen() int { return e.q.len() }
+
 func TestEngineCompactsCancelledEvents(t *testing.T) {
 	eng := NewEngine(1)
 	const n = 100

@@ -36,16 +36,6 @@ func (t *Ticker) Start() {
 	t.timer.Reset(t.period)
 }
 
-// startAt schedules the first tick at absolute time at and repeats every
-// period thereafter.
-func (t *Ticker) startAt(at time.Duration) {
-	if t.active {
-		return
-	}
-	t.active = true
-	t.timer.Reset(at - t.timer.eng.now)
-}
-
 // Stop cancels future ticks. The ticker may be restarted with Start.
 func (t *Ticker) Stop() {
 	if !t.active {
@@ -53,15 +43,6 @@ func (t *Ticker) Stop() {
 	}
 	t.active = false
 	t.timer.Stop()
-}
-
-// setPeriod changes the period used for ticks scheduled after the current
-// one. period must be positive.
-func (t *Ticker) setPeriod(period time.Duration) {
-	if period <= 0 {
-		panic("sim: setPeriod with non-positive period")
-	}
-	t.period = period
 }
 
 func (t *Ticker) tick() {

@@ -78,38 +78,6 @@ func TestTickerRestart(t *testing.T) {
 	}
 }
 
-func TestTickerStartAt(t *testing.T) {
-	eng := NewEngine(1)
-	var fires []time.Duration
-	tk := NewTicker(eng, 10*time.Millisecond, func() { fires = append(fires, eng.Now()) })
-	tk.startAt(5 * time.Millisecond)
-	if err := eng.RunUntil(30 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	want := []time.Duration{5 * time.Millisecond, 15 * time.Millisecond, 25 * time.Millisecond}
-	if len(fires) != 3 || fires[0] != want[0] || fires[1] != want[1] || fires[2] != want[2] {
-		t.Errorf("fires = %v, want %v", fires, want)
-	}
-}
-
-func TestTickerSetPeriod(t *testing.T) {
-	eng := NewEngine(1)
-	var fires []time.Duration
-	var tk *Ticker
-	tk = NewTicker(eng, 10*time.Millisecond, func() {
-		fires = append(fires, eng.Now())
-		tk.setPeriod(20 * time.Millisecond)
-	})
-	tk.Start()
-	if err := eng.RunUntil(55 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	want := []time.Duration{10 * time.Millisecond, 30 * time.Millisecond, 50 * time.Millisecond}
-	if len(fires) != 3 || fires[0] != want[0] || fires[1] != want[1] || fires[2] != want[2] {
-		t.Errorf("fires = %v, want %v", fires, want)
-	}
-}
-
 func TestTickerDoubleStartIsNoop(t *testing.T) {
 	eng := NewEngine(1)
 	count := 0
@@ -129,7 +97,6 @@ func TestTickerInvalidConfigPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"zero period": func() { NewTicker(eng, 0, func() {}) },
 		"nil fn":      func() { NewTicker(eng, time.Second, nil) },
-		"set zero":    func() { NewTicker(eng, time.Second, func() {}).setPeriod(0) },
 	} {
 		func() {
 			defer func() {

@@ -17,7 +17,6 @@ type Receiver struct {
 	rcvNxt  int64
 	ooo     map[int64]int // out-of-order segments: seq -> length
 	bytesOK int64
-	acks    int64
 }
 
 var _ netsim.App = (*Receiver)(nil)
@@ -78,7 +77,6 @@ func (r *Receiver) drainOOO() {
 func (r *Receiver) sendAck(to int) {
 	ack := r.net.NewPacket(r.flow, to, ackSize, packet.ACK)
 	ack.TCPAck = r.rcvNxt
-	r.acks++
 	r.host.Send(ack)
 }
 

@@ -51,9 +51,7 @@ type Sender struct {
 
 	rtoTimer *sim.Timer
 
-	retransmissions int64
-	bytesAcked      int64
-	started         bool
+	started bool
 }
 
 var _ netsim.App = (*Sender)(nil)
@@ -101,7 +99,6 @@ func (s *Sender) HandlePacket(p *packet.Packet) {
 
 func (s *Sender) onNewAck(ack int64) {
 	acked := ack - s.sndUna
-	s.bytesAcked += acked
 	s.sndUna = ack
 	s.dupAcks = 0
 	s.rtoBackoff = 0
@@ -145,7 +142,6 @@ func (s *Sender) onRTO() {
 }
 
 func (s *Sender) retransmit() {
-	s.retransmissions++
 	s.sendSegment(s.sndUna, true)
 	s.resetRTO()
 }

@@ -12,8 +12,9 @@ import (
 )
 
 // tcpPair wires a sender and receiver across a two-router path whose
-// forward bottleneck uses the given rate and buffer.
-func tcpPair(t *testing.T, rate units.BitRate, buffer int) (*sim.Engine, *Sender, *Receiver) {
+// forward bottleneck uses the given rate and buffer. The count it returns
+// is the sender's retransmissions so far.
+func tcpPair(t *testing.T, rate units.BitRate, buffer int) (*sim.Engine, *Sender, *Receiver, *int) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	nw := netsim.NewNetwork(eng)
@@ -24,7 +25,7 @@ func tcpPair(t *testing.T, rate units.BitRate, buffer int) (*sim.Engine, *Sender
 	access := netsim.LinkConfig{Rate: 100 * units.Mbps, Delay: time.Millisecond}
 	bneck := netsim.LinkConfig{Rate: rate, Delay: 5 * time.Millisecond, Disc: queue.NewDropTail(buffer, 0)}
 	rev := netsim.LinkConfig{Rate: rate, Delay: 5 * time.Millisecond}
-	nw.Connect(h1, r1, access, access)
+	up, _ := nw.Connect(h1, r1, access, access)
 	nw.Connect(r1, r2, bneck, rev)
 	nw.Connect(r2, h2, access, access)
 	if err := nw.ComputeRoutes(); err != nil {
@@ -32,11 +33,25 @@ func tcpPair(t *testing.T, rate units.BitRate, buffer int) (*sim.Engine, *Sender
 	}
 	recv := NewReceiver(nw, h2, 1)
 	send := NewSender(nw, h1, h2.ID(), 1)
-	return eng, send, recv
+	return eng, send, recv, retransmits(up)
+}
+
+// retransmits counts the segments link transmits a second time or more:
+// on a host's uplink, the sender's retransmissions.
+func retransmits(link *netsim.Link) *int {
+	seen := make(map[int64]bool)
+	n := new(int)
+	link.OnTransmit = func(p *packet.Packet) {
+		if seen[p.Seq] {
+			*n++
+		}
+		seen[p.Seq] = true
+	}
+	return n
 }
 
 func TestTCPDeliversInOrderOverCleanPath(t *testing.T) {
-	eng, send, recv := tcpPair(t, 10*units.Mbps, 1000)
+	eng, send, recv, resent := tcpPair(t, 10*units.Mbps, 1000)
 	send.Start(0)
 	if err := eng.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
@@ -44,20 +59,20 @@ func TestTCPDeliversInOrderOverCleanPath(t *testing.T) {
 	if recv.BytesDelivered() == 0 {
 		t.Fatal("no bytes delivered")
 	}
-	if send.retransmissions != 0 {
-		t.Errorf("retransmissions = %d on a loss-free path", send.retransmissions)
+	if *resent != 0 {
+		t.Errorf("retransmissions = %d on a loss-free path", *resent)
 	}
 	// ACKs for the last window may still be in flight at the cutoff.
-	if send.bytesAcked > recv.BytesDelivered() {
-		t.Errorf("acked %d > delivered %d", send.bytesAcked, recv.BytesDelivered())
+	if send.sndUna > recv.BytesDelivered() {
+		t.Errorf("acked %d > delivered %d", send.sndUna, recv.BytesDelivered())
 	}
-	if gap := recv.BytesDelivered() - send.bytesAcked; gap > 100*1000 {
+	if gap := recv.BytesDelivered() - send.sndUna; gap > 100*1000 {
 		t.Errorf("ack gap = %d bytes, want < one window", gap)
 	}
 }
 
 func TestTCPSlowStartDoublesPerRTT(t *testing.T) {
-	eng, send, _ := tcpPair(t, 100*units.Mbps, 10000)
+	eng, send, _, _ := tcpPair(t, 100*units.Mbps, 10000)
 	send.Start(0)
 	// RTT ≈ 14 ms; after 3 RTTs of slow start from cwnd 2, cwnd ≈ 16.
 	if err := eng.RunUntil(45 * time.Millisecond); err != nil {
@@ -69,7 +84,7 @@ func TestTCPSlowStartDoublesPerRTT(t *testing.T) {
 }
 
 func TestTCPSaturatesBottleneck(t *testing.T) {
-	eng, send, recv := tcpPair(t, 2*units.Mbps, 50)
+	eng, send, recv, _ := tcpPair(t, 2*units.Mbps, 50)
 	send.Start(0)
 	if err := eng.RunUntil(20 * time.Second); err != nil {
 		t.Fatal(err)
@@ -84,12 +99,12 @@ func TestTCPSaturatesBottleneck(t *testing.T) {
 func TestTCPRecoversFromLossViaFastRetransmit(t *testing.T) {
 	// Small buffer forces drops; the sender must keep delivering bytes in
 	// order and retransmit the holes.
-	eng, send, recv := tcpPair(t, 1*units.Mbps, 5)
+	eng, send, recv, resent := tcpPair(t, 1*units.Mbps, 5)
 	send.Start(0)
 	if err := eng.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if send.retransmissions == 0 {
+	if *resent == 0 {
 		t.Error("expected retransmissions with a 5-packet buffer")
 	}
 	if recv.BytesDelivered() < 800_000 {
@@ -97,13 +112,13 @@ func TestTCPRecoversFromLossViaFastRetransmit(t *testing.T) {
 	}
 	// Delivery is cumulative and in-order by construction; acked bytes
 	// must track delivered bytes (last window may be un-acked at cutoff).
-	if send.bytesAcked > recv.BytesDelivered() {
-		t.Errorf("acked %d > delivered %d", send.bytesAcked, recv.BytesDelivered())
+	if send.sndUna > recv.BytesDelivered() {
+		t.Errorf("acked %d > delivered %d", send.sndUna, recv.BytesDelivered())
 	}
 }
 
 func TestTCPCwndHalvesOnLoss(t *testing.T) {
-	eng, send, _ := tcpPair(t, 1*units.Mbps, 5)
+	eng, send, _, resent := tcpPair(t, 1*units.Mbps, 5)
 	send.Start(0)
 	var maxCwnd, afterLoss float64
 	probe := sim.NewTicker(eng, time.Millisecond, func() {
@@ -111,7 +126,7 @@ func TestTCPCwndHalvesOnLoss(t *testing.T) {
 		if c > maxCwnd {
 			maxCwnd = c
 		}
-		if send.retransmissions > 0 && afterLoss == 0 {
+		if *resent > 0 && afterLoss == 0 {
 			afterLoss = c
 		}
 	})
@@ -128,7 +143,7 @@ func TestTCPCwndHalvesOnLoss(t *testing.T) {
 }
 
 func TestTCPSRTTEstimate(t *testing.T) {
-	eng, send, _ := tcpPair(t, 10*units.Mbps, 1000)
+	eng, send, _, _ := tcpPair(t, 10*units.Mbps, 1000)
 	send.Start(0)
 	if err := eng.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
@@ -146,7 +161,7 @@ func TestTCPReceiverHandlesReordering(t *testing.T) {
 	// Give the receiver host a loopback-ish uplink so ACKs have somewhere
 	// to go (they are dropped at the router, which is fine here).
 	sink := nw.NewRouter("sink")
-	nw.Connect(h, sink, netsim.LinkConfig{Rate: units.Mbps, Delay: 0}, netsim.LinkConfig{Rate: units.Mbps, Delay: 0})
+	up, _ := nw.Connect(h, sink, netsim.LinkConfig{Rate: units.Mbps, Delay: 0}, netsim.LinkConfig{Rate: units.Mbps, Delay: 0})
 	recv := NewReceiver(nw, h, 1)
 
 	seg := func(seq int64) {
@@ -167,8 +182,11 @@ func TestTCPReceiverHandlesReordering(t *testing.T) {
 	if recv.BytesDelivered() != 3000 {
 		t.Errorf("stale segment changed delivery: %d", recv.BytesDelivered())
 	}
-	if recv.acks != 4 {
-		t.Errorf("AcksSent = %d, want 4 (one per segment)", recv.acks)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := up.TransmittedPackets(); n != 4 {
+		t.Errorf("ACKs sent = %d, want 4 (one per segment)", n)
 	}
 }
 
@@ -179,16 +197,17 @@ func TestTCPRTOFiresWhenAcksStop(t *testing.T) {
 	nw := netsim.NewNetwork(eng)
 	h1 := nw.NewHost("src")
 	blackhole := nw.NewRouter("hole")
-	nw.Connect(h1, blackhole, netsim.LinkConfig{Rate: units.Mbps, Delay: time.Millisecond}, netsim.LinkConfig{Rate: units.Mbps, Delay: time.Millisecond})
+	up, _ := nw.Connect(h1, blackhole, netsim.LinkConfig{Rate: units.Mbps, Delay: time.Millisecond}, netsim.LinkConfig{Rate: units.Mbps, Delay: time.Millisecond})
 	if err := nw.ComputeRoutes(); err != nil {
 		t.Fatal(err)
 	}
+	resent := retransmits(up)
 	send := NewSender(nw, h1, 999 /* unreachable */, 1)
 	send.Start(0)
 	if err := eng.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if send.retransmissions == 0 {
+	if *resent == 0 {
 		t.Error("no RTO retransmissions on a black-holed path")
 	}
 	if send.cwnd != 1 {
@@ -198,7 +217,7 @@ func TestTCPRTOFiresWhenAcksStop(t *testing.T) {
 
 func TestTCPCongestionAvoidanceLinearGrowth(t *testing.T) {
 	// Above ssthresh the window grows ~1 segment per RTT, not per ACK.
-	eng, send, _ := tcpPair(t, 100*units.Mbps, 10000)
+	eng, send, _, _ := tcpPair(t, 100*units.Mbps, 10000)
 	send.ssthresh = 4 // force early exit from slow start
 	send.Start(0)
 	if err := eng.RunUntil(200 * time.Millisecond); err != nil {
@@ -215,12 +234,12 @@ func TestTCPKarnSkipsRetransmittedSamples(t *testing.T) {
 	// A black-holed start forces RTOs; when the path heals the SRTT must
 	// come only from fresh (non-retransmitted) segments. We simply check
 	// the estimator stays sane after heavy retransmission.
-	eng, send, _ := tcpPair(t, 1*units.Mbps, 2)
+	eng, send, _, resent := tcpPair(t, 1*units.Mbps, 2)
 	send.Start(0)
 	if err := eng.RunUntil(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if send.retransmissions == 0 {
+	if *resent == 0 {
 		t.Skip("no retransmissions with this seed; nothing to check")
 	}
 	if srtt := send.srtt; srtt <= 0 || srtt > 2*time.Second {

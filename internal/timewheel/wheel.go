@@ -60,6 +60,7 @@ type Timer[O any] struct {
 	// RescheduleBatch is told the deadline).
 	At time.Duration
 
+	//pelsvet:allow deadexport only bench/ calls Schedule, whose callback only tests fire; ROADMAP item 1 deletes both
 	fn   func(now time.Time) // Schedule's callback; nil on an embedded timer
 	live bool                // armed and neither fired nor cancelled; guarded by the wheel's lock
 	slot int32               // where the live arming hashed to; guarded by the wheel's lock
