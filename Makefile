@@ -121,6 +121,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzReceiverHandle$$' -fuzztime=10s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzServerDatagram$$' -fuzztime=10s ./internal/session/
 	go test -run '^$$' -fuzz '^FuzzTimeSeries$$' -fuzztime=10s ./internal/stats/
+	go test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime=10s ./internal/sim/
 
 # Every example, run to completion (the CI test-race job). They read the
 # experiments API as a user would, so a change that leaves one panicking —

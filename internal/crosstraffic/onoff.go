@@ -50,20 +50,20 @@ func NewOnOff(net *netsim.Network, host *netsim.Host, dst, flow int, paretoShape
 // Start begins the on/off cycle at the given simulation time (first period
 // is ON).
 func (o *OnOff) Start(at time.Duration) {
-	o.eng.At(at, o.beginOn)
+	o.eng.AtFunc(at, o.beginOn)
 }
 
 func (o *OnOff) beginOn() {
 	o.on = true
 	o.emit()
-	o.eng.Schedule(o.onDuration(), o.beginOff)
+	o.eng.ScheduleFunc(o.onDuration(), o.beginOff)
 }
 
 func (o *OnOff) beginOff() {
 	o.on = false
 	o.pace.Stop()
 	gap := time.Duration(o.eng.Rand().ExpFloat64() * float64(meanOff))
-	o.eng.Schedule(gap, o.beginOn)
+	o.eng.ScheduleFunc(gap, o.beginOn)
 }
 
 func (o *OnOff) onDuration() time.Duration {

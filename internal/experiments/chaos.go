@@ -61,7 +61,7 @@ func chaosTestbedAt(g geometry) (Result, error) {
 	rev := injector(chaosReverse, g.seed+2, tb.Obs, "fault.reverse.")
 	tb.Forward.Faults, tb.Reverse.Faults = fwd, rev
 
-	tb.Eng.At(swapAt, func() {
+	tb.Eng.AtFunc(swapAt, func() {
 		// Kill the feedback gateway and bring up its replacement: new
 		// RouterID, epoch counter back at zero, fresh arrival window. The
 		// replacement reuses the registry (and so the feedback_loss series)

@@ -90,7 +90,7 @@ func multiBottleneckAt(g geometry) (Result, error) {
 
 	// The shift: R1's advertised PELS capacity drops (e.g. an operator
 	// reconfigures the WRR share, or priority cross traffic claims it).
-	eng.At(shiftAt, func() { fb1.SetCapacity(c1Shift) })
+	eng.AtFunc(shiftAt, func() { fb1.SetCapacity(c1Shift) })
 
 	source.Start(0)
 	if err := eng.RunUntil(duration); err != nil {

@@ -125,7 +125,7 @@ func (l *Link) Send(p *packet.Packet) {
 		}
 		if d.ExtraDelay > 0 {
 			extra := d.ExtraDelay
-			l.eng.Schedule(extra, func() { l.admit(p) })
+			l.eng.ScheduleFunc(extra, func() { l.admit(p) })
 			return
 		}
 	}

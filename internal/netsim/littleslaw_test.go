@@ -44,9 +44,9 @@ func TestLittlesLaw(t *testing.T) {
 		arrivals++
 		link.Send(&packet.Packet{ID: uint64(arrivals), Size: 500})
 		gap := time.Duration(eng.Rand().ExpFloat64() / lambda * float64(time.Second))
-		eng.Schedule(gap, arrive)
+		eng.At(eng.Now()+gap, arrive)
 	}
-	eng.Schedule(0, arrive)
+	eng.At(eng.Now(), arrive)
 
 	// Sample queue length L by time-averaging at fine intervals.
 	var lSum float64

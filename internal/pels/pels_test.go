@@ -181,7 +181,7 @@ func (f receiverFunc) Receive(p *packet.Packet) { f(p) }
 func TestSourceStopHaltsEmission(t *testing.T) {
 	r := newRig(t, Config{Flow: 1}, 2*units.Mbps)
 	r.src.Start(0)
-	r.eng.Schedule(time.Second, r.src.Stop)
+	r.eng.At(r.eng.Now()+time.Second, r.src.Stop)
 	if err := r.eng.RunUntil(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}

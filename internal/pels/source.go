@@ -70,7 +70,7 @@ func (s *Source) now() time.Time { return epoch.Add(s.eng.Now()) }
 // Start begins streaming at the given simulation time (first frame sent
 // immediately at that instant).
 func (s *Source) Start(at time.Duration) {
-	s.eng.At(at, func() {
+	s.eng.AtFunc(at, func() {
 		if s.stopped || s.started {
 			return
 		}

@@ -1,32 +1,32 @@
 package sim
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // calQueue is a calendar queue (R. Brown, CACM 1988): the event set is
-// hashed by time into an array of buckets, each bucket covering one
-// `width`-long window per lap of the calendar. A cursor walks the buckets
-// in window order, so in the common case schedule and fire are O(1) —
-// against the O(log n) binary heap this is what lets simulated-packet
-// throughput scale to multi-million-event runs.
+// hashed by time into an array of buckets, each covering one `width`-long
+// window per lap of the calendar. A cursor walks the buckets in window
+// order, so schedule and fire are O(1) while the width fits the population.
 //
-// Ordering invariant: pops follow the engine's strict total order
-// (at, seq). Within a bucket events are kept sorted (descending, so the
-// minimum pops off the tail in O(1)); across buckets the cursor visits
-// windows in increasing time; a window maps to exactly one bucket, so the
-// head of the current window's bucket is always the global minimum. The
-// order is a pure function of the pushed (at, seq) pairs — no randomness,
-// no map iteration — which keeps same-seed runs bit-identical to the heap
-// implementation.
+// Pops follow the engine's strict total order (at, seq) whatever the
+// width: each bucket is sorted descending (the minimum pops off the tail),
+// the cursor visits windows in increasing time, and a window maps to one
+// bucket, so the tail of the current window's bucket is the global
+// minimum. The order is a pure function of the pushed (at, seq) pairs,
+// which keeps same-seed runs bit-identical to the heap.
 //
-// Two escape hatches keep degenerate shapes from going quadratic:
-//   - a full lap finding nothing (sparse far-future events) triggers a
-//     direct scan for the global minimum and a cursor jump;
-//   - resizes re-derive the bucket width from the median inter-event gap
-//     of a deterministic sample, so one far-out timer cannot stretch the
-//     width and pile every near event into a single bucket.
+// The width steers itself by measured cost. Too wide, an insert searches
+// and memmoves a crowded bucket; too narrow, a pop steps over empty ones.
+// Every calSteerEvery inserts, if inserts found more than calMaxSeen
+// entries in their bucket on average and pops stepped over at most
+// calMaxScan/2 buckets, the width halves; if pops stepped over more than
+// calMaxScan, it doubles. Halving about doubles the scan, so the gap
+// between the two scan bounds keeps a halve from tripping a double. An
+// insert beside an event at its own instant counts as finding none: no
+// width separates simultaneous events, so a burst at one instant never
+// asks for a halve. The bucket count follows the event count (doubling at
+// 2·buckets, halving below buckets/4) and keeps the width. A full lap
+// finding nothing (sparse far-future events) falls back to a direct scan
+// for the global minimum and a cursor jump.
 type calQueue struct {
 	buckets [][]*Event    // each sorted descending by (at, seq); minimum at the tail
 	width   time.Duration // window length, > 0
@@ -34,19 +34,29 @@ type calQueue struct {
 
 	cur    int           // bucket cursor
 	curTop time.Duration // exclusive end of cur's current window
+
+	scratch []*Event // stages every event during a rebuild; kept so a warm queue allocates nothing
+	probe   calProbe // running totals since the queue was made
+	mark    calProbe // probe at the last steer
 }
 
-// calMinBuckets is the smallest bucket array; below 2×this the queue never
-// shrinks. Must be a power of two.
-const calMinBuckets = 8
+// calProbe counts inserts and the entries each found in its bucket, and
+// pops and the buckets each stepped over.
+type calProbe struct{ inserts, seen, pops, scanned uint64 }
+
+const (
+	calMinBuckets = 8    // smallest bucket array; a power of two
+	calSteerEvery = 1024 // inserts between width decisions
+	calMaxSeen    = 4    // mean entries an insert may find before the width halves
+	calMaxScan    = 6    // mean buckets a pop may step over before it doubles
+)
 
 func newCalQueue() *calQueue {
-	q := &calQueue{
+	return &calQueue{
 		buckets: make([][]*Event, calMinBuckets),
 		width:   time.Millisecond,
+		curTop:  time.Millisecond,
 	}
-	q.curTop = q.width
-	return q
 }
 
 // idx maps an event time to its bucket.
@@ -64,7 +74,7 @@ func (q *calQueue) push(ev *Event) {
 	if q.count >= 2*len(q.buckets) {
 		q.resize(2 * len(q.buckets))
 	}
-	q.insert(ev)
+	q.probe.seen += uint64(q.insert(ev))
 	q.count++
 	if ev.at < q.curTop-q.width {
 		// Behind the cursor: possible after RunUntil parked the cursor at
@@ -74,14 +84,17 @@ func (q *calQueue) push(ev *Event) {
 		q.cur = q.idx(ev.at)
 		q.curTop = q.windowEnd(ev.at)
 	}
+	if q.probe.inserts++; q.probe.inserts%calSteerEvery == 0 {
+		q.steer()
+	}
 }
 
 // insert places ev into its bucket, keeping the bucket sorted descending
-// by (at, seq). Bucket occupancy is O(1) on average (resize holds
-// count <= 2·buckets), so the memmove is short.
+// by (at, seq), and returns how many entries the bucket already held, or 0
+// when ev lands next to an event at its own instant.
 //
 //pelsvet:noalloc
-func (q *calQueue) insert(ev *Event) {
+func (q *calQueue) insert(ev *Event) int {
 	i := q.idx(ev.at)
 	b := q.buckets[i]
 	lo, hi := 0, len(b)
@@ -93,10 +106,15 @@ func (q *calQueue) insert(ev *Event) {
 			lo = mid + 1
 		}
 	}
+	seen := len(b)
+	if lo < len(b) && b[lo].at == ev.at || lo > 0 && b[lo-1].at == ev.at {
+		seen = 0
+	}
 	b = append(b, nil)
 	copy(b[lo+1:], b[lo:])
 	b[lo] = ev
 	q.buckets[i] = b
+	return seen
 }
 
 //pelsvet:noalloc
@@ -104,6 +122,7 @@ func (q *calQueue) pop() *Event {
 	if q.count == 0 {
 		return nil
 	}
+	q.probe.pops++
 	n := len(q.buckets)
 	for i := 0; i < n; i++ {
 		b := q.buckets[q.cur]
@@ -113,6 +132,7 @@ func (q *calQueue) pop() *Event {
 				b[m-1] = nil
 				q.buckets[q.cur] = b[:m-1]
 				q.count--
+				q.probe.scanned += uint64(i)
 				q.maybeShrink()
 				return ev
 			}
@@ -124,8 +144,9 @@ func (q *calQueue) pop() *Event {
 		q.curTop += q.width
 	}
 	// A full lap found nothing: the queue is sparse relative to its
-	// spread. Find the global minimum directly and jump the cursor to its
-	// window.
+	// spread. Find the global minimum directly (a second pass) and jump
+	// the cursor to its window.
+	q.probe.scanned += 2 * uint64(n)
 	var min *Event
 	minIdx := 0
 	for i, b := range q.buckets {
@@ -154,15 +175,45 @@ func (q *calQueue) maybeShrink() {
 	}
 }
 
-// resize rebuilds the calendar with n2 buckets and a width re-derived from
-// the current event population.
-func (q *calQueue) resize(n2 int) {
-	all := make([]*Event, 0, q.count)
-	for _, b := range q.buckets {
-		all = append(all, b...)
+// steer applies the type comment's width rule to the last window's probe.
+//
+//pelsvet:noalloc
+func (q *calQueue) steer() {
+	seen := q.probe.seen - q.mark.seen
+	pops := q.probe.pops - q.mark.pops
+	scanned := q.probe.scanned - q.mark.scanned
+	q.mark = q.probe
+	switch {
+	case scanned > calMaxScan*pops && q.width < 1<<50: // far below overflow
+		q.rebuild(len(q.buckets), 2*q.width)
+	case seen > calMaxSeen*calSteerEvery && 2*scanned <= calMaxScan*pops && q.width > 1:
+		q.rebuild(len(q.buckets), q.width/2)
 	}
-	q.width = calWidth(all, q.width)
-	q.buckets = make([][]*Event, n2)
+}
+
+// resize rebuilds the calendar with n buckets at the current width. A
+// shrunk array keeps its spare buckets, so growing back reuses them.
+func (q *calQueue) resize(n int) {
+	if n > cap(q.buckets) {
+		grown := make([][]*Event, len(q.buckets), n)
+		copy(grown, q.buckets)
+		q.buckets = grown
+	}
+	q.rebuild(n, q.width)
+}
+
+// rebuild re-hashes every event into n buckets (n ≤ cap(q.buckets)) of
+// window length width, in place, and points the cursor at the minimum.
+//
+//pelsvet:noalloc
+func (q *calQueue) rebuild(n int, width time.Duration) {
+	all := q.scratch[:0]
+	for i, b := range q.buckets {
+		all = append(all, b...)
+		clear(b)
+		q.buckets[i] = b[:0]
+	}
+	q.buckets, q.width = q.buckets[:n], width
 	var min *Event
 	for _, ev := range all {
 		q.insert(ev)
@@ -170,54 +221,12 @@ func (q *calQueue) resize(n2 int) {
 			min = ev
 		}
 	}
+	q.cur, q.curTop = 0, q.width
 	if min != nil {
-		q.cur = q.idx(min.at)
-		q.curTop = q.windowEnd(min.at)
-	} else {
-		q.cur = 0
-		q.curTop = q.width
+		q.cur, q.curTop = q.idx(min.at), q.windowEnd(min.at)
 	}
-}
-
-// calWidth derives a bucket width from the inter-event gaps of a
-// deterministic stride sample: the median sampled gap, rescaled from the
-// sample density to the population density (a sample of k events spans the
-// same spread with k-1 gaps that the full population covers with len-1).
-// The median (not the mean) keeps a single far-future timer from
-// stretching the width so far that every near event hashes into one
-// bucket. Returns old when the population gives no signal (fewer than two
-// distinct times).
-func calWidth(evs []*Event, old time.Duration) time.Duration {
-	const sampleMax = 64
-	k := len(evs)
-	if k > sampleMax {
-		k = sampleMax
-	}
-	if k < 2 {
-		return old
-	}
-	stride := len(evs) / k
-	sample := make([]time.Duration, k)
-	for i := 0; i < k; i++ {
-		sample[i] = evs[i*stride].at
-	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-	gaps := make([]time.Duration, 0, k-1)
-	for i := 1; i < k; i++ {
-		if g := sample[i] - sample[i-1]; g > 0 {
-			gaps = append(gaps, g)
-		}
-	}
-	if len(gaps) == 0 {
-		return old
-	}
-	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
-	est := int64(gaps[len(gaps)/2]) * int64(k) / int64(len(evs))
-	w := 4 * time.Duration(est)
-	if w <= 0 {
-		return old
-	}
-	return w
+	clear(all)
+	q.scratch = all[:0]
 }
 
 func (q *calQueue) compact() int {
@@ -235,9 +244,7 @@ func (q *calQueue) compact() int {
 			}
 			live = append(live, ev)
 		}
-		for j := len(live); j < len(b); j++ {
-			b[j] = nil
-		}
+		clear(b[len(live):])
 		q.buckets[i] = live
 	}
 	q.count -= removed

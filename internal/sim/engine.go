@@ -6,11 +6,13 @@
 // a single Engine instance, which makes every run reproducible bit-for-bit
 // for a given seed.
 //
-// The event queue is a calendar queue (O(1) amortized schedule/fire, see
-// calqueue.go) behind the eventQueue interface. Because (time, insertion
-// sequence) is a strict total order, any correct queue pops the exact same
-// event sequence; the tests hold the calendar queue to the original binary
-// heap, which survives as a test-only reference.
+// The event queue is a calendar queue behind the eventQueue interface. It
+// stays O(1) per schedule and fire by measuring its own bucket occupancy
+// and pop scan length and halving or doubling its bucket width to keep
+// both short (see calqueue.go). Because (time, insertion sequence) is a
+// strict total order, any correct queue pops the exact same event sequence
+// whatever its width; the tests hold the calendar queue to the original
+// binary heap, which survives as a test-only reference.
 package sim
 
 import (
@@ -86,16 +88,6 @@ func (e *Engine) Instrument(reg *obs.Registry, prefix string) {
 	reg.GaugeFunc(prefix+"events_recycled", func() float64 { return float64(e.recycled) })
 }
 
-// Schedule runs fn after delay units of simulated time. A negative delay is
-// treated as zero (run at the current time, after already-pending events at
-// this time). The returned handle may be used to cancel the event.
-func (e *Engine) Schedule(delay time.Duration, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.At(e.now+delay, fn)
-}
-
 // At runs fn at absolute simulation time t. If t is in the past it runs at
 // the current time. The returned handle may be used to cancel the event.
 func (e *Engine) At(t time.Duration, fn func()) *Event {
@@ -111,12 +103,13 @@ func (e *Engine) At(t time.Duration, fn func()) *Event {
 	return ev
 }
 
-// ScheduleFunc runs fn after delay units of simulated time, like Schedule,
-// but returns no handle: the event cannot be cancelled, and in exchange its
-// Event object comes from a free list and is recycled after it fires. This
-// is the zero-allocation path for hot fire-and-forget work (packet
-// transmissions, deliveries); steady-state scheduling through it does not
-// grow the heap.
+// ScheduleFunc runs fn after delay units of simulated time. A negative delay
+// is treated as zero (run at the current time, after already-pending events
+// at this time). Unlike At it returns no handle: the event cannot be
+// cancelled, and in exchange its Event object comes from a free list and is
+// recycled after it fires. This is the zero-allocation path for
+// fire-and-forget work (packet transmissions, deliveries, start-ups);
+// steady-state scheduling through it does not grow the heap.
 func (e *Engine) ScheduleFunc(delay time.Duration, fn func()) {
 	if delay < 0 {
 		delay = 0

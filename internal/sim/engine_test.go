@@ -13,7 +13,7 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	var got []time.Duration
 	for _, d := range []time.Duration{5, 1, 3, 2, 4} {
 		d := d * time.Millisecond
-		eng.Schedule(d, func() { got = append(got, eng.Now()) })
+		eng.At(eng.Now()+d, func() { got = append(got, eng.Now()) })
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestEngineSameTimeEventsRunInInsertionOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		eng.Schedule(time.Millisecond, func() { got = append(got, i) })
+		eng.At(eng.Now()+time.Millisecond, func() { got = append(got, i) })
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -46,8 +46,8 @@ func TestEngineSameTimeEventsRunInInsertionOrder(t *testing.T) {
 func TestEngineNegativeDelayRunsNow(t *testing.T) {
 	eng := NewEngine(1)
 	ran := false
-	eng.Schedule(time.Second, func() {
-		eng.Schedule(-time.Minute, func() {
+	eng.At(eng.Now()+time.Second, func() {
+		eng.ScheduleFunc(-time.Minute, func() {
 			ran = true
 			if eng.Now() != time.Second {
 				t.Errorf("negative delay ran at %v, want 1s", eng.Now())
@@ -64,7 +64,7 @@ func TestEngineNegativeDelayRunsNow(t *testing.T) {
 
 func TestEngineAtInPastClampsToNow(t *testing.T) {
 	eng := NewEngine(1)
-	eng.Schedule(time.Second, func() {
+	eng.At(eng.Now()+time.Second, func() {
 		eng.At(0, func() {
 			if eng.Now() != time.Second {
 				t.Errorf("past event ran at %v", eng.Now())
@@ -79,7 +79,7 @@ func TestEngineAtInPastClampsToNow(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	eng := NewEngine(1)
 	ran := false
-	ev := eng.Schedule(time.Millisecond, func() { ran = true })
+	ev := eng.At(eng.Now()+time.Millisecond, func() { ran = true })
 	ev.Cancel()
 	if !ev.cancelled {
 		t.Error("Cancelled() = false after Cancel")
@@ -95,8 +95,8 @@ func TestEngineCancel(t *testing.T) {
 func TestEngineCancelFromEarlierEvent(t *testing.T) {
 	eng := NewEngine(1)
 	ran := false
-	later := eng.Schedule(2*time.Millisecond, func() { ran = true })
-	eng.Schedule(time.Millisecond, func() { later.Cancel() })
+	later := eng.At(eng.Now()+2*time.Millisecond, func() { ran = true })
+	eng.At(eng.Now()+time.Millisecond, func() { later.Cancel() })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestEngineRunUntil(t *testing.T) {
 	var times []time.Duration
 	for i := 1; i <= 10; i++ {
 		d := time.Duration(i) * time.Second
-		eng.Schedule(d, func() { times = append(times, eng.Now()) })
+		eng.At(eng.Now()+d, func() { times = append(times, eng.Now()) })
 	}
 	if err := eng.RunUntil(5 * time.Second); err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEngineRunUntilBoundaryInclusive(t *testing.T) {
 	eng := NewEngine(1)
 	ran := false
-	eng.Schedule(5*time.Second, func() { ran = true })
+	eng.At(eng.Now()+5*time.Second, func() { ran = true })
 	if err := eng.RunUntil(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +153,10 @@ func TestEngineDeterminism(t *testing.T) {
 		step = func() {
 			out = append(out, eng.Now())
 			if len(out) < 50 {
-				eng.Schedule(time.Duration(eng.Rand().Intn(1000))*time.Microsecond, step)
+				eng.At(eng.Now()+time.Duration(eng.Rand().Intn(1000))*time.Microsecond, step)
 			}
 		}
-		eng.Schedule(0, step)
+		eng.At(eng.Now(), step)
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -180,10 +180,10 @@ func TestEngineNestedScheduling(t *testing.T) {
 	recurse = func() {
 		depth++
 		if depth < 100 {
-			eng.Schedule(time.Microsecond, recurse)
+			eng.At(eng.Now()+time.Microsecond, recurse)
 		}
 	}
-	eng.Schedule(0, recurse)
+	eng.At(eng.Now(), recurse)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestEngineOrderingProperty(t *testing.T) {
 func TestEnginePendingCount(t *testing.T) {
 	eng := NewEngine(1)
 	for i := 0; i < 5; i++ {
-		eng.Schedule(time.Second, func() {})
+		eng.At(eng.Now()+time.Second, func() {})
 	}
 	if eng.Pending() != 5 {
 		t.Errorf("Pending() = %d, want 5", eng.Pending())
@@ -269,7 +269,7 @@ func TestEnginePendingExcludesCancelled(t *testing.T) {
 	eng := NewEngine(1)
 	var evs []*Event
 	for i := 0; i < 8; i++ {
-		evs = append(evs, eng.Schedule(time.Second, func() {}))
+		evs = append(evs, eng.At(eng.Now()+time.Second, func() {}))
 	}
 	evs[1].Cancel()
 	evs[4].Cancel()
@@ -293,7 +293,7 @@ func TestEngineCompactsCancelledEvents(t *testing.T) {
 	const n = 100
 	evs := make([]*Event, n)
 	for i := 0; i < n; i++ {
-		evs[i] = eng.Schedule(time.Duration(i+1)*time.Second, func() {})
+		evs[i] = eng.At(eng.Now()+time.Duration(i+1)*time.Second, func() {})
 	}
 	// Cancel well past half the heap: the engine must shed the dead
 	// entries immediately rather than holding them to their fire times.
@@ -328,11 +328,11 @@ func TestEngineCompactionPreservesOrder(t *testing.T) {
 		var order []int
 		for i := 0; i < 50; i++ {
 			i := i
-			eng.Schedule(time.Duration(50-i)*time.Millisecond, func() { order = append(order, i) })
+			eng.At(eng.Now()+time.Duration(50-i)*time.Millisecond, func() { order = append(order, i) })
 		}
 		var victims []*Event
 		for i := 0; i < 100; i++ {
-			victims = append(victims, eng.Schedule(time.Hour, func() {})) // fodder
+			victims = append(victims, eng.At(eng.Now()+time.Hour, func() {})) // fodder
 		}
 		if storm {
 			for _, ev := range victims {
@@ -357,8 +357,8 @@ func TestEngineCompactionPreservesOrder(t *testing.T) {
 
 func TestEngineCancelAfterFireIsNoOp(t *testing.T) {
 	eng := NewEngine(1)
-	ev := eng.Schedule(time.Millisecond, func() {})
-	eng.Schedule(2*time.Millisecond, func() {})
+	ev := eng.At(eng.Now()+time.Millisecond, func() {})
+	eng.At(eng.Now()+2*time.Millisecond, func() {})
 	if err := eng.RunUntil(time.Millisecond); err != nil {
 		t.Fatal(err)
 	}

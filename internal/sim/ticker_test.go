@@ -31,7 +31,7 @@ func TestTickerStop(t *testing.T) {
 	count := 0
 	tk := NewTicker(eng, 10*time.Millisecond, func() { count++ })
 	tk.Start()
-	eng.Schedule(35*time.Millisecond, tk.Stop)
+	eng.At(eng.Now()+35*time.Millisecond, tk.Stop)
 	if err := eng.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +67,8 @@ func TestTickerRestart(t *testing.T) {
 	count := 0
 	tk := NewTicker(eng, 10*time.Millisecond, func() { count++ })
 	tk.Start()
-	eng.Schedule(25*time.Millisecond, tk.Stop)
-	eng.Schedule(100*time.Millisecond, tk.Start)
+	eng.At(eng.Now()+25*time.Millisecond, tk.Stop)
+	eng.At(eng.Now()+100*time.Millisecond, tk.Start)
 	if err := eng.RunUntil(135 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,13 @@ package sim
 import "time"
 
 // Timer is a reusable one-shot timer: the zero-allocation replacement for
-// the pattern of keeping an *Event from Schedule, cancelling it and
+// the pattern of keeping an *Event from At, cancelling it and
 // scheduling a fresh one (a paced sender's next packet, a retransmit
 // timeout pushed out by every ACK).
 //
-// An arm is exactly a Schedule: it consumes one sequence number and fires
+// An arm is exactly an At: it consumes one sequence number and fires
 // in the engine's (time, sequence) order, so a model converted from
-// Cancel+Schedule to Stop/Reset runs the same events in the same order and
+// Cancel+At to Stop/Reset runs the same events in the same order and
 // reports the same Processed(). Re-arming an armed timer cancels the
 // earlier arm the way Event.Cancel does: the dead entry stays queued,
 // counts toward compaction, is skipped without being processed, and its

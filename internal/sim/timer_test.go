@@ -73,11 +73,11 @@ func TestTimerConsumesOneSeqPerArm(t *testing.T) {
 	eng := NewEngine(1)
 	var order []string
 	tm := eng.NewTimer(func() { order = append(order, "timer") })
-	eng.Schedule(time.Millisecond, func() { order = append(order, "a") })
+	eng.At(eng.Now()+time.Millisecond, func() { order = append(order, "a") })
 	tm.Reset(time.Millisecond)
 	eng.ScheduleFunc(time.Millisecond, func() { order = append(order, "b") })
 	tm.Reset(time.Millisecond) // re-arm: moves behind b
-	eng.Schedule(time.Millisecond, func() { order = append(order, "c") })
+	eng.At(eng.Now()+time.Millisecond, func() { order = append(order, "c") })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func runTimerScript(t *testing.T, seed int64, useHeap, useTimer bool) ([]timerFi
 		if handles[i] != nil {
 			handles[i].Cancel()
 		}
-		handles[i] = eng.Schedule(d, fire[i])
+		handles[i] = eng.At(eng.Now()+d, fire[i])
 	}
 	stop := func(i int) {
 		if useTimer {

@@ -76,7 +76,7 @@ func NewSender(net *netsim.Network, host *netsim.Host, dst, flow int) *Sender {
 
 // Start begins transmission at the given simulation time.
 func (s *Sender) Start(at time.Duration) {
-	s.eng.At(at, func() {
+	s.eng.AtFunc(at, func() {
 		s.started = true
 		s.trySend()
 	})
